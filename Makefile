@@ -2,14 +2,14 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-fixtures test race chaos bench microbench bench-smoke perfjson nipcjson simjson clusterjson coldstartjson coldstart-race cluster-race shards-race report report-md golden trace-demo attrib-demo examples clean
+.PHONY: all check build vet lint lint-fixtures test race bench-test chaos bench microbench bench-smoke perfjson nipcjson simjson clusterjson coldstartjson coldstart-race cluster-race shards-race report report-md golden trace-demo attrib-demo examples clean
 
 all: check
 
 # The full CI gate: the harness is concurrent, so -race is required, not
 # optional; lint machine-checks the determinism/layering/zero-alloc
 # invariants the compiler cannot see.
-check: build vet lint test race
+check: build vet lint test race bench-test
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark's own tests; benchmark/ is a separate module, so `test`
+# skips them. Every workload runs at 1/100 scale with its invariants
+# checked, and its fingerprint must match across kernel workers {1,2}.
+bench-test:
+	$(GO) -C benchmark test ./...
 
 # Seeded fault-injection soak: kill/revive PUs under load, assert no
 # invocation is lost or double-billed, and that runs replay from their seed.

@@ -226,8 +226,14 @@ func (sh *Sharded) anyStopped() bool {
 //
 // The execution — per-domain event order, traces, clocks, counters — is
 // identical for every workers value: parallelism changes wall-clock time
-// only.
+// only. A panic or runtime.Goexit in a process body reaches the caller of
+// Run at every workers value, as with Env.Run.
 func (sh *Sharded) Run(workers int) Time {
+	defer func() {
+		for _, d := range sh.doms {
+			d.stopIdle()
+		}
+	}()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -309,9 +315,15 @@ func (sh *Sharded) runWindows(workers int) {
 // distinct index of winEvents — no two workers share an element, so the
 // writes are race-free and the counts are identical to the sequential
 // path's.
+//
+// A domain whose window panics or calls runtime.Goexit ends its worker; once
+// every worker is done, the fault of the lowest such domain is re-raised on
+// the calling goroutine — the one a single worker would have raised first.
 func (sh *Sharded) runRound(bound Time, workers int) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var fault *domainFault
 	wg.Add(workers)
 	events := ([]int)(nil)
 	if sh.winObs != nil {
@@ -320,9 +332,23 @@ func (sh *Sharded) runRound(bound Time, workers int) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			i := -1
+			returned := false
+			defer func() {
+				if returned {
+					return
+				}
+				f := &domainFault{dom: i, val: recover()}
+				mu.Lock()
+				if fault == nil || f.dom < fault.dom {
+					fault = f
+				}
+				mu.Unlock()
+			}()
 			for {
-				i := int(next.Add(1)) - 1
+				i = int(next.Add(1)) - 1
 				if i >= len(sh.doms) {
+					returned = true
 					return
 				}
 				n := sh.doms[i].window(bound)
@@ -333,6 +359,19 @@ func (sh *Sharded) runRound(bound Time, workers int) {
 		}()
 	}
 	wg.Wait()
+	if fault != nil {
+		if fault.val == nil {
+			runtime.Goexit()
+		}
+		panic(fault.val)
+	}
+}
+
+// domainFault is a panic (val) or runtime.Goexit (val == nil) that ended a
+// domain's window on a worker goroutine.
+type domainFault struct {
+	dom int
+	val any
 }
 
 // runMerge is the zero-lookahead fallback: a global deterministic merge that

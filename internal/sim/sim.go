@@ -2,19 +2,21 @@
 //
 // Every component of the Molecule reproduction — operating systems, XPU-Shim
 // nodes, sandboxes, function instances — runs as a simulation process
-// (a goroutine coordinated by an Env) that blocks on simulated primitives
+// (a runtime coroutine driven by an Env) that blocks on simulated primitives
 // (Sleep, channel operations, resources) instead of real time. Exactly one
-// process runs at any instant; the kernel hands control between the scheduler
-// and processes over unbuffered channels, so event ordering is deterministic:
-// events fire in (time, sequence-number) order.
+// process runs at any instant: the scheduler resumes a process by switching
+// to its coroutine (iter.Pull's next), and the process parks by yielding
+// back, so control never passes through the Go scheduler and event ordering
+// is deterministic: events fire in (time, sequence-number) order.
 //
 // The virtual clock is a Time in nanoseconds. A complete benchmark run that
 // models minutes of system activity executes in milliseconds of wall time.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"sort"
 	"time"
 )
@@ -51,28 +53,69 @@ type event struct {
 	msg resumeMsg
 }
 
+// eventHeap is a binary min-heap of events ordered by (t, seq). It is
+// hand-written rather than built on container/heap so the hot push/pop paths
+// neither box events into interfaces nor dispatch through Less/Swap. Since
+// seq is unique per Env the order is total, so any correct heap pops events
+// in the same order.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+func evLess(a, b *event) bool {
+	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
+}
+
+func (h eventHeap) peek() *event { return h[0] }
+
+// pushEv inserts ev, sifting it up from the last slot.
+//
+//molecule:hotpath
+func (h *eventHeap) pushEv(ev *event) {
+	*h = append(*h, ev)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !evLess(ev, s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	s[i] = ev
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() (x any) {
-	old := *h
-	n := len(old)
-	x = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return
+
+// popEv removes and returns the earliest event; the heap must not be empty.
+// The last event takes the root's place and sifts down.
+//
+//molecule:hotpath
+func (h *eventHeap) popEv() *event {
+	s := *h
+	n := len(s) - 1
+	top, last := s[0], s[n]
+	s[n] = nil
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && evLess(s[r], s[c]) {
+			c = r
+		}
+		if !evLess(s[c], last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = last
+	return top
 }
-func (h eventHeap) peek() *event       { return h[0] }
-func (h *eventHeap) pushEv(ev *event)  { heap.Push(h, ev) }
-func (h *eventHeap) popEv() (e *event) { return heap.Pop(h).(*event) }
 
 // Env is a simulation environment: a virtual clock plus an event queue.
 // Create one with NewEnv, spawn processes with Spawn, and drive it with Run.
@@ -82,13 +125,13 @@ type Env struct {
 	now     Time
 	seq     int64
 	events  eventHeap
-	parkCh  chan struct{} // process → scheduler: "I have parked or exited"
-	running *Proc         // the process currently executing, if any
-	nprocs  int           // live (spawned, not yet exited) processes
+	running *Proc // the process currently executing, if any
+	nprocs  int   // live (spawned, not yet exited) processes
 	stopped bool
 	limit   Time // run-until horizon; 0 means none
 
 	free []*event // recycled fired events, capped at maxFreeEvents
+	idle []*coro  // coroutines whose body exited, for Spawn to reuse; capped at maxIdleCoros
 
 	// Sharded-execution fields. A standalone Env (NewEnv) has group == nil
 	// and domain 0; an Env created by NewSharded is one domain of a group.
@@ -116,9 +159,13 @@ const fastPathOff Time = -1
 // for the GC. The cap bounds kernel memory on runs with huge event bursts.
 const maxFreeEvents = 1024
 
+// maxIdleCoros caps the idle coroutine list the same way; beyond it, a
+// coroutine whose body exits ends instead of waiting for the next Spawn.
+const maxIdleCoros = 1024
+
 // NewEnv returns an empty environment at time 0.
 func NewEnv() *Env {
-	return &Env{parkCh: make(chan struct{})}
+	return &Env{}
 }
 
 // Now returns the current virtual time.
@@ -200,14 +247,30 @@ func (e *Env) AfterFunc(d Duration, fn func()) { e.schedule(e.now.After(d), fn) 
 // Stop halts the simulation after the currently firing event completes.
 func (e *Env) Stop() { e.stopped = true }
 
-// Proc is a simulation process. A Proc's body runs on its own goroutine but
-// executes only while the scheduler has handed it control; calling a blocking
-// method (Sleep, channel Recv, ...) parks the body and returns control.
+// Proc is a simulation process. A Proc's body runs on a runtime coroutine
+// (iter.Pull) and executes only while the scheduler has resumed it; calling
+// a blocking method (Sleep, channel Recv, ...) parks the body by yielding
+// control back to the scheduler. When the body exits, its coroutine goes to
+// the Env's idle list, and a later Spawn runs its body on it.
 type Proc struct {
-	env      *Env
-	name     string
-	resumeCh chan resumeMsg
-	exited   bool
+	env    *Env
+	name   string
+	body   func(p *Proc) // set by Spawn, cleared when the body starts
+	co     *coro         // the coroutine running the body, from start to exit
+	inbox  resumeMsg     // the message of the resume in progress; park clears it
+	exited bool
+}
+
+// coro is a coroutine that runs process bodies one after another. While a
+// body runs the coroutine is bound to its Proc; between bodies it waits on
+// its Env's idle list. Its closure holds the coro, never a body, so an idle
+// coroutine pins no finished body's captures.
+type coro struct {
+	env   *Env
+	p     *Proc // the bound process; nil while idle
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 type resumeMsg struct {
@@ -239,40 +302,100 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnAfter is Spawn with a start delay of d.
 func (e *Env) SpawnAfter(d Duration, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resumeCh: make(chan resumeMsg)}
+	p := &Proc{env: e, name: name, body: fn}
 	e.nprocs++
 	e.spawned = append(e.spawned, p)
-	go func() {
-		msg := <-p.resumeCh // wait for the start event
-		defer func() {
-			p.exited = true
-			e.nprocs--
-			e.noteExit()
-			if r := recover(); r != nil {
-				if _, ok := r.(Interrupted); ok {
-					e.parkCh <- struct{}{}
-					return
-				}
-				// Re-panicking here would crash a bare goroutine with a
-				// useless trace; surface the original value instead.
-				panic(fmt.Sprintf("sim: process %q panicked: %v", name, r))
-			}
-			e.parkCh <- struct{}{}
-		}()
-		if msg.interrupted {
-			return // interrupted before first run
-		}
-		fn(p)
-	}()
 	e.scheduleResume(e.now.After(d), p, resumeMsg{})
 	return p
+}
+
+// bind gives p a coroutine for its first run: the most recently idled one,
+// or a new one when none is idle.
+func (e *Env) bind(p *Proc) *coro {
+	var c *coro
+	if n := len(e.idle); n > 0 {
+		c = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		c = &coro{env: e}
+		c.next, c.stop = iter.Pull(c.run)
+	}
+	c.p, p.co = p, c
+	return c
+}
+
+// run is the coroutine body: it runs the bound process's body, then waits
+// on the idle list until bind hands it the next process. It ends when the
+// idle list is full or stopIdle stops it.
+func (c *coro) run(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.exec()
+		e := c.env
+		if len(e.idle) >= maxIdleCoros {
+			return
+		}
+		e.idle = append(e.idle, c)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// exec runs the bound process's body to completion and retires the
+// process. An Interrupted panic ends the body cleanly. Any other panic, and
+// runtime.Goexit (t.Fatal in a test body), ends the coroutine instead:
+// iter.Pull re-raises it in the goroutine that resumed the process, so it
+// reaches the caller of Run.
+func (c *coro) exec() {
+	p := c.p
+	body := p.body
+	p.body = nil
+	p.inbox = resumeMsg{}
+	returned := false
+	defer func() {
+		c.p, p.co = nil, nil
+		c.env.exit(p)
+		if returned {
+			return
+		}
+		r := recover()
+		if r == nil {
+			return // runtime.Goexit: let it unwind
+		}
+		if _, ok := r.(Interrupted); ok {
+			return
+		}
+		panic(fmt.Sprintf("sim: process %q panicked: %v\n\n%s", p.name, r, debug.Stack()))
+	}()
+	body(p)
+	returned = true
+}
+
+// exit marks p exited and updates the live-process bookkeeping.
+func (e *Env) exit(p *Proc) {
+	p.exited = true
+	e.nprocs--
+	e.noteExit()
+}
+
+// stopIdle ends every idle coroutine. A parked coroutine is a GC root that
+// references its Env, so an Env whose idle coroutines outlive Run would
+// never be collected.
+func (e *Env) stopIdle() {
+	for i, c := range e.idle {
+		e.idle[i] = nil
+		c.stop()
+	}
+	e.idle = e.idle[:0]
 }
 
 // noteExit records a process exit and compacts e.spawned once exited procs
 // dominate it, so long soak runs that spawn millions of short-lived procs
 // keep BlockedProcs bookkeeping bounded by the number of live procs. It runs
-// on the exiting proc's goroutine before control returns to the scheduler,
-// the same discipline under which Spawn appends.
+// before control returns to the scheduler, the same discipline under which
+// Spawn appends.
 func (e *Env) noteExit() {
 	e.exited++
 	if e.exited < 64 || e.exited*2 < len(e.spawned) {
@@ -291,22 +414,40 @@ func (e *Env) noteExit() {
 	e.exited = 0
 }
 
-// resume hands control to p and blocks until p parks again or exits.
+// resume hands control to p with msg and returns once p parks again or
+// exits. A process interrupted before its first run exits without ever
+// taking a coroutine.
+//
+//molecule:hotpath
 func (e *Env) resume(p *Proc, msg resumeMsg) {
 	if p.exited {
 		return
 	}
+	c := p.co
+	if c == nil {
+		if msg.interrupted {
+			p.body = nil
+			e.exit(p)
+			return
+		}
+		c = e.bind(p)
+	}
 	prev := e.running
 	e.running = p
-	p.resumeCh <- msg
-	<-e.parkCh
+	p.inbox = msg
+	c.next()
 	e.running = prev
 }
 
-// park yields control back to the scheduler and blocks until resumed.
+// park yields control back to the scheduler and returns the message of the
+// resume that wakes it. It clears the inbox so a parked or exited process
+// does not pin the last value it received.
+//
+//molecule:hotpath
 func (p *Proc) park() resumeMsg {
-	p.env.parkCh <- struct{}{}
-	msg := <-p.resumeCh
+	p.co.yield(struct{}{})
+	msg := p.inbox
+	p.inbox = resumeMsg{}
 	if msg.interrupted {
 		panic(Interrupted{Proc: p.name})
 	}
@@ -320,8 +461,8 @@ func (p *Proc) park() resumeMsg {
 // Stop, RunUntil horizon, or shard-window bound intervenes), the kernel
 // advances the clock and
 // returns directly — the outcome is identical to parking, having the
-// scheduler pop the wake event, and resuming, but without the two channel
-// handoffs or the heap traffic. Pending same-instant events (including
+// scheduler pop the wake event, and resuming, but without the two coroutine
+// switches or the heap traffic. Pending same-instant events (including
 // Interrupts, which are scheduled at the current time) always have an
 // earlier (time, seq) position and therefore disable the fast path, so
 // event ordering is preserved exactly.
@@ -357,9 +498,12 @@ func (p *Proc) Interrupt() {
 }
 
 // Run drives the simulation until no events remain or Stop is called.
-// It returns the final virtual time.
+// It returns the final virtual time. A panic in a process body, other than
+// Interrupted, propagates out of Run, and so does runtime.Goexit (t.Fatal);
+// the Env is not usable afterwards.
 func (e *Env) Run() Time {
 	e.limit = 0
+	defer e.stopIdle()
 	return e.loop()
 }
 
@@ -367,7 +511,10 @@ func (e *Env) Run() Time {
 // later than t remain queued. It returns the final virtual time (<= t).
 func (e *Env) RunUntil(t Time) Time {
 	e.limit = t
-	defer func() { e.limit = 0 }()
+	defer func() {
+		e.limit = 0
+		e.stopIdle()
+	}()
 	return e.loop()
 }
 
