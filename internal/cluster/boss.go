@@ -1,4 +1,8 @@
-// The boss/worker control plane: the cluster-scale version of the Gateway.
+// Package cluster implements the platform layer above single machines: the
+// paper's global manager (Fig 6) as a boss/worker control plane. Users
+// register functions with their profiles once; the boss routes each request
+// to a worker machine that has at least one of the required PU kinds
+// (§4.1), and the machine deploys the function on its first request there.
 //
 // A Boss owns N simulated machines, each a full heterogeneous computer —
 // its own hw.Machine, XPU shim, and Molecule runtime — living on its own
@@ -10,7 +14,7 @@
 // conservative windowed driver at any OS worker count with byte-identical
 // results.
 //
-// Routing (the paper's Fig 6 global manager, scaled out):
+// Routing:
 //   - warm-instance affinity: a rendezvous hash over the live eligible
 //     machines gives every function a stable home, so repeat invocations
 //     land where their warm instances are;
@@ -48,6 +52,55 @@ const (
 	intermediateBytes = 1 << 12
 )
 
+// kindMask is a bitset of hw.PUKind values, precomputed once per machine and
+// once per registration so routing tests eligibility with a single AND.
+type kindMask uint32
+
+func maskOf(kinds ...hw.PUKind) kindMask {
+	var m kindMask
+	for _, k := range kinds {
+		m |= 1 << uint(k)
+	}
+	return m
+}
+
+func (m kindMask) has(k hw.PUKind) bool { return m&(1<<uint(k)) != 0 }
+
+// filter returns the profiles whose PU kind is in the mask.
+func (m kindMask) filter(profiles []molecule.Profile) []molecule.Profile {
+	var out []molecule.Profile
+	for _, pr := range profiles {
+		if m.has(pr.Kind) {
+			out = append(out, pr)
+		}
+	}
+	return out
+}
+
+// machineKinds returns the bitset of PU kinds present on a machine.
+func machineKinds(m *hw.Machine) kindMask {
+	var mask kindMask
+	for _, pu := range m.PUs() {
+		mask |= 1 << uint(pu.Kind)
+	}
+	return mask
+}
+
+// registration is a function registered with the boss: the union of its
+// profiles' PU kinds.
+type registration struct {
+	mask kindMask
+}
+
+// errClusterSaturated reports requests that found no capacity and nothing
+// inflight to wait for: every eligible machine's capacity is zero. It wraps
+// molecule.ErrUnavailable so callers above (httpd) can map it to 503
+// without reaching into this package.
+var errClusterSaturated = fmt.Errorf("cluster: saturated with nothing inflight: %w", molecule.ErrUnavailable)
+
+// ingress charges the client↔boss network hop one way.
+func ingress(p *sim.Proc) { p.Sleep(params.NetworkBaseLatency) }
+
 // Node is one worker machine of a Boss cluster: a shard domain owning its
 // own hardware and Molecule runtime. Boss-side fields (inflight, draining,
 // down, counters) are only touched from domain 0; machine-side fields
@@ -73,11 +126,11 @@ type Node struct {
 	deployed  map[string]bool
 	deploying map[string]*sim.WaitGroup
 
-	// Machine-side admission state (the Gateway's epoch queue, local to
-	// this machine): a request that hits ErrNoCapacity parks here and
-	// retries when a local completion frees an instance slot, instead of
-	// bouncing back to the boss. FIFO-fair against the warm pool and free
-	// of the cross-machine round trip.
+	// Machine-side admission state (an epoch queue local to this machine):
+	// a request that hits ErrNoCapacity parks here and retries when a local
+	// completion frees an instance slot, instead of bouncing back to the
+	// boss. FIFO-fair against the warm pool and free of the cross-machine
+	// round trip.
 	active  int                   // local execs inside an RT call
 	epoch   int                   // bumped on every successful completion
 	waiters []*sim.Chan[struct{}] // parked local requests
@@ -116,8 +169,7 @@ func (n *Node) hasRoom() bool { return n.capacity > 0 && n.inflight < n.capacity
 type BossConfig struct {
 	// Machines is the worker machine count (≥1).
 	Machines int
-	// HW configures every machine (homogeneous fleet; heterogeneous
-	// fleets use AddMachineConfigs in a later iteration).
+	// HW configures every machine (a homogeneous fleet).
 	HW hw.Config
 	// Opts configures every machine's Molecule runtime.
 	Opts molecule.Options
@@ -287,15 +339,9 @@ func (b *Boss) Register(funcName string, profiles ...molecule.Profile) error {
 	for _, pr := range profiles {
 		mask |= maskOf(pr.Kind)
 	}
-	b.funcs[funcName] = &registration{profiles: profiles, mask: mask}
+	b.funcs[funcName] = &registration{mask: mask}
 	for _, n := range b.nodes {
-		var local []molecule.Profile
-		for _, pr := range profiles {
-			if n.kinds.has(pr.Kind) {
-				local = append(local, pr)
-			}
-		}
-		if len(local) > 0 {
+		if local := n.kinds.filter(profiles); len(local) > 0 {
 			n.regs[funcName] = local
 		}
 	}
@@ -443,17 +489,7 @@ func (b *Boss) wholeChainHome(names []string, masks []kindMask) *Node {
 	var home, fallback *Node
 	var homeScore, fbScore uint64
 	for _, n := range b.nodes {
-		if n.draining || n.down {
-			continue
-		}
-		ok := true
-		for _, m := range masks {
-			if n.kinds&m == 0 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if !n.runsAll(masks) {
 			continue
 		}
 		s := rendezvous(names[0], n.Domain)
@@ -477,21 +513,25 @@ func (b *Boss) wholeChainHome(names []string, masks []kindMask) *Node {
 func (b *Boss) segmentHosts(masks []kindMask) []*Node {
 	var out []*Node
 	for _, n := range b.nodes {
-		if n.draining || n.down {
-			continue
-		}
-		ok := true
-		for _, m := range masks {
-			if n.kinds&m == 0 {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if n.runsAll(masks) {
 			out = append(out, n)
 		}
 	}
 	return out
+}
+
+// runsAll reports whether the node is routable (not drained, not down) and
+// has a PU kind for every mask.
+func (n *Node) runsAll(masks []kindMask) bool {
+	if n.draining || n.down {
+		return false
+	}
+	for _, m := range masks {
+		if n.kinds&m == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // bestSegmentHost scores candidate hosts for a chain segment by the sum of
@@ -603,11 +643,7 @@ func (b *Boss) submit(req *request) error {
 		b.pump()
 		return nil
 	}
-	if stolen {
-		n.stolen++
-		b.stolen++
-	}
-	b.dispatchOne(req, n)
+	b.dispatchOne(req, n, stolen)
 	return nil
 }
 
@@ -619,8 +655,12 @@ func (b *Boss) enqueue(req *request) {
 }
 
 // dispatchOne sends a single-function request to node n over the
-// interconnect.
-func (b *Boss) dispatchOne(req *request, n *Node) {
+// interconnect; stolen marks a request routed away from its saturated home.
+func (b *Boss) dispatchOne(req *request, n *Node, stolen bool) {
+	if stolen {
+		n.stolen++
+		b.stolen++
+	}
 	n.inflight++
 	b.inflight++
 	//lint:owned request handoff: req travels with the message and is next touched only by the destination node's exec callback; b's fields are mutated only by deliveries on the boss domain
@@ -806,11 +846,11 @@ func (b *Boss) completeOne(req *request, n *Node, res molecule.Result, err error
 	b.inflight--
 	switch {
 	case err != nil && retryable(err) && req.attempts < len(b.nodes):
-		// The machine is unhealthy: mark it down and try the request
-		// elsewhere. Readmit() re-admits after a revive.
+		// The machine is unhealthy: mark it down and route the request
+		// again, away from it. Readmit() re-admits after a revive.
 		n.down = true
 		req.attempts++
-		if rerr := b.resubmitOne(req); rerr != nil {
+		if rerr := b.submit(req); rerr != nil {
 			req.done.TrySend(reply{machine: n.ID(), err: err})
 		}
 	case err != nil && errors.Is(err, molecule.ErrNoCapacity) && req.requeues < maxRequeues:
@@ -826,24 +866,6 @@ func (b *Boss) completeOne(req *request, n *Node, res molecule.Result, err error
 		req.done.TrySend(reply{res: res, machine: n.ID()})
 	}
 	b.pump()
-}
-
-// resubmitOne re-routes a failed-over request away from down machines.
-func (b *Boss) resubmitOne(req *request) error {
-	n, stolen, err := b.routeOne(req.fn)
-	if err != nil {
-		return err
-	}
-	if n == nil {
-		b.enqueue(req)
-		return nil
-	}
-	if stolen {
-		n.stolen++
-		b.stolen++
-	}
-	b.dispatchOne(req, n)
-	return nil
 }
 
 // completeChain finishes a chain request: release every planned node's
@@ -899,11 +921,7 @@ func (b *Boss) pump() {
 			n, stolen, err = b.routeOne(req.fn)
 			if err == nil && n != nil {
 				b.queue = b.queue[1:]
-				if stolen {
-					n.stolen++
-					b.stolen++
-				}
-				b.dispatchOne(req, n)
+				b.dispatchOne(req, n, stolen)
 				routed = true
 			}
 		}

@@ -10,20 +10,47 @@ import (
 	"repro/internal/workloads"
 )
 
-// The gateway schedules an FPGA-profiled function onto the worker that has
-// an FPGA, deploying it there on first use.
+// The boss keeps a function on its warm home machine, serves an
+// FPGA-profiled function on an FPGA, and runs a chain on one machine.
 func Example() {
-	env := sim.NewEnv()
-	gw := cluster.NewGateway(env, workloads.NewRegistry())
-
-	env.Spawn("platform", func(p *sim.Proc) {
-		gw.AddWorker(p, hw.Config{}, molecule.DefaultOptions())         // worker 0: CPU only
-		gw.AddWorker(p, hw.Config{FPGAs: 1}, molecule.DefaultOptions()) // worker 1: CPU+FPGA
-		gw.Register("mscale", molecule.DefaultProfile(hw.FPGA))
-		res, _ := gw.Invoke(p, "mscale", molecule.DefaultInvokeOptions())
-		fmt.Printf("mscale served by worker %d on %v\n", res.Worker, res.Kind)
+	b, err := cluster.NewBoss(cluster.BossConfig{
+		Machines: 3,
+		HW:       hw.Config{DPUs: 2, FPGAs: 1},
+		Opts:     molecule.DefaultOptions(),
 	})
-	env.Run()
+	if err != nil {
+		panic(err)
+	}
+	b.Register("matmul")
+	b.Register("mscale", molecule.DefaultProfile(hw.FPGA))
+	chain := workloads.MapReduceChain()
+	for _, fn := range chain {
+		b.Register(fn)
+	}
+	served := func() []int {
+		var out []int
+		for _, n := range b.Nodes() {
+			out = append(out, n.Served())
+		}
+		return out
+	}
+	b.Env.Spawn("client", func(p *sim.Proc) {
+		for i := 0; i < 2; i++ {
+			res, m, _ := b.InvokeDetailed(p, "matmul", molecule.InvokeOptions{PU: -1})
+			fmt.Printf("matmul -> machine %d, cold=%v\n", m, res.Cold)
+		}
+		res, m, _ := b.InvokeDetailed(p, "mscale", molecule.InvokeOptions{PU: -1})
+		fmt.Printf("mscale -> machine %d on %v\n", m, res.Kind)
+		for i := 0; i < 2; i++ {
+			cres, _ := b.InvokeChain(p, chain, molecule.ChainOptions{})
+			fmt.Printf("MapReduce chain: %d cold starts, served per machine %v\n", cres.ColdStarts, served())
+		}
+	})
+	b.Run(1)
 	// Output:
-	// mscale served by worker 1 on FPGA
+	// matmul -> machine 1, cold=true
+	// matmul -> machine 1, cold=false
+	// mscale -> machine 0 on FPGA
+	// MapReduce chain: 3 cold starts, served per machine [2 2 0]
+	// MapReduce chain: 0 cold starts, served per machine [3 2 0]
 }

@@ -44,6 +44,15 @@ var ReleaseTable = []ReleasePair{
 		Releases: []releaseRef{
 			{apiRef{Recv: "repro/internal/molecule.Runtime", Method: "release"}, 1},
 			{apiRef{Recv: "repro/internal/molecule.Runtime", Method: "destroy"}, 1},
+			{apiRef{Recv: "repro/internal/molecule.Runtime", Method: "releaseAll"}, 1},
+		},
+	},
+	{
+		Class:   "molecule instance set",
+		Acquire: apiRef{Recv: "repro/internal/molecule.Runtime", Method: "acquireAll"},
+		Result:  0, PinArg: -1,
+		Releases: []releaseRef{
+			{apiRef{Recv: "repro/internal/molecule.Runtime", Method: "releaseAll"}, 1},
 		},
 	},
 	{

@@ -152,6 +152,37 @@ func HeldForever(rt *Runtime, p *Proc) error {
 	return nil
 }
 
+// acquireAll takes one instance per name, all or nothing; releaseAll hands
+// the whole set back.
+func (rt *Runtime) acquireAll(p *Proc, names []string) ([]*instance, error) { return nil, nil }
+
+func (rt *Runtime) releaseAll(p *Proc, insts []*instance) {}
+
+// SetForgotten takes a whole set but bails out before handing it back.
+func SetForgotten(rt *Runtime, p *Proc, names []string) error {
+	insts, err := rt.acquireAll(p, names) // want `releasepath: molecule instance set "insts" acquired here can reach the return at`
+	if err != nil {
+		return err
+	}
+	if tooBusy() {
+		return errBusy
+	}
+	rt.releaseAll(p, insts)
+	return nil
+}
+
+// SetDeferred is the InvokeChain / InvokeDAG shape: release the set with a
+// defer right after the acquire.
+func SetDeferred(rt *Runtime, p *Proc, names []string) error {
+	insts, err := rt.acquireAll(p, names)
+	if err != nil {
+		return err
+	}
+	defer rt.releaseAll(p, insts)
+	use(insts)
+	return nil
+}
+
 // A released-waiver on a line that acquires nothing is stale.
 //lint:released the acquire this excused was deleted // want `stale //lint:released waiver: no tracked acquire on this line`
 func nothingAcquired() {}

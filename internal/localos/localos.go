@@ -282,15 +282,20 @@ func (os *OS) OpenFIFO(name string) (*FIFO, error) {
 // closed-channel result.
 func (os *OS) RemoveFIFO(name string) {
 	if f, ok := os.fifos[name]; ok {
-		f.ch.Close()
+		f.Close()
 		delete(os.fifos, name)
 	}
 }
 
-// Write sends a message, charging one FIFO syscall.
-func (f *FIFO) Write(p *sim.Proc, m Message) {
+// Close shuts the FIFO without unlinking its name: blocked readers wake with
+// ok=false and blocked writers' Write reports false.
+func (f *FIFO) Close() { f.ch.Close() }
+
+// Write sends a message, charging one FIFO syscall. It reports false when
+// the FIFO was closed, before or while the writer was blocked.
+func (f *FIFO) Write(p *sim.Proc, m Message) bool {
 	p.Sleep(f.os.Costs.FIFOOp)
-	f.ch.Send(p, m)
+	return f.ch.SendOrClosed(p, m)
 }
 
 // Read receives a message, charging one FIFO syscall. ok is false when the

@@ -1,6 +1,7 @@
 package molecule
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -43,9 +44,13 @@ type pipe struct {
 	recvFD *xpu.FD
 }
 
+var errChainFIFOClosed = errors.New("molecule: chain FIFO closed")
+
 func (pp *pipe) send(p *sim.Proc, m localos.Message) error {
 	if pp.local != nil {
-		pp.local.Write(p, m)
+		if !pp.local.Write(p, m) {
+			return errChainFIFOClosed
+		}
 		return nil
 	}
 	return pp.sendFD.Write(p, m)
@@ -55,11 +60,21 @@ func (pp *pipe) recv(p *sim.Proc) (localos.Message, error) {
 	if pp.local != nil {
 		m, ok := pp.local.Read(p)
 		if !ok {
-			return localos.Message{}, fmt.Errorf("molecule: chain FIFO closed")
+			return localos.Message{}, errChainFIFOClosed
 		}
 		return m, nil
 	}
 	return pp.recvFD.Read(p)
+}
+
+// close wakes every process blocked on the pipe. Both descriptors of an
+// nIPC pipe share one queue, so aborting one closes it.
+func (pp *pipe) close() {
+	if pp.local != nil {
+		pp.local.Close()
+		return
+	}
+	pp.recvFD.Abort()
 }
 
 // edge is the full-duplex direct connection between a caller and callee
@@ -67,6 +82,26 @@ func (pp *pipe) recv(p *sim.Proc) (localos.Message, error) {
 type edge struct {
 	req  *pipe
 	resp *pipe
+}
+
+// chainAbort tears a chain down on its first error. A stage (or the
+// driver) whose FIFO operation fails records the error and closes every
+// pipe of the chain, so each process parked on a read or a full write wakes
+// and exits instead of waiting for a peer that will never answer.
+type chainAbort struct {
+	err   error
+	edges []*edge
+}
+
+func (a *chainAbort) fail(err error) {
+	if a.err != nil {
+		return
+	}
+	a.err = err
+	for _, e := range a.edges {
+		e.req.close()
+		e.resp.close()
+	}
 }
 
 // endpoint is one side of a chain edge: a shim node plus the OS process
@@ -146,56 +181,28 @@ func (rt *Runtime) InvokeChain(p *sim.Proc, names []string, opts ChainOptions) (
 		return ChainResult{}, fmt.Errorf("molecule: placement length %d != chain length %d", len(placement), n)
 	}
 
-	// Acquire instances (warm where possible). The release defer is
-	// registered before the acquire loop: when a later function's acquire
-	// fails (capacity race between concurrent chains), the instances already
-	// acquired must go back to the warm pool — leaking them pins liveCount
-	// above capacity forever and wedges every subsequent placement.
-	var res ChainResult
-	insts := make([]*instance, n)
-	deps := make([]*Deployment, n)
-	defer func() {
-		for _, inst := range insts {
-			if inst != nil {
-				rt.release(p, inst)
-			}
-		}
-	}()
-	for i, name := range names {
-		d, err := rt.Deployment(name)
-		if err != nil {
-			return ChainResult{}, err
-		}
-		deps[i] = d
-		pin := placement[i]
-		if pin < 0 {
-			pin = rt.hostID
-		}
-		inst, cold, err := rt.acquire(p, d, pin, false, nil)
-		if err != nil {
-			return ChainResult{}, err
-		}
-		if cold {
-			res.ColdStarts++
-		}
-		insts[i] = inst
-	}
-
-	// Wire the gateway edge plus one edge per chain hop.
-	hostNode := rt.nodes[rt.hostID]
-	gw := endpoint{node: hostNode, proc: hostNode.os.NewDetachedProcess("gateway")}
-	gwEdge, err := rt.buildEdge(p, gw, instEndpoint(insts[0]))
+	insts, deps, cold, err := rt.acquireAll(p, names, placement, nil)
 	if err != nil {
 		return ChainResult{}, err
 	}
-	edges := make([]*edge, n-1)
-	for i := 0; i < n-1; i++ {
-		e, err := rt.buildEdge(p, instEndpoint(insts[i]), instEndpoint(insts[i+1]))
+	defer rt.releaseAll(p, insts)
+	res := ChainResult{ColdStarts: cold}
+
+	// Wire the gateway edge (edges[0]) plus one edge per chain hop: edges[i]
+	// connects stage i to its caller.
+	hostNode := rt.nodes[rt.hostID]
+	caller := endpoint{node: hostNode, proc: hostNode.os.NewDetachedProcess("gateway")}
+	edges := make([]*edge, n)
+	for i, inst := range insts {
+		callee := instEndpoint(inst)
+		e, err := rt.buildEdge(p, caller, callee)
 		if err != nil {
 			return ChainResult{}, err
 		}
 		edges[i] = e
+		caller = callee
 	}
+	abort := &chainAbort{edges: edges}
 
 	edgeLat := make([]time.Duration, n)
 	execDur := make([]time.Duration, n)
@@ -206,13 +213,10 @@ func (rt *Runtime) InvokeChain(p *sim.Proc, names []string, opts ChainOptions) (
 	for i := n - 1; i >= 0; i-- {
 		i := i
 		inst, d := insts[i], deps[i]
-		in := gwEdge
-		if i > 0 {
-			in = edges[i-1]
-		}
+		in := edges[i]
 		var out *edge
 		if i < n-1 {
-			out = edges[i]
+			out = edges[i+1]
 		}
 		rt.Env.Spawn(fmt.Sprintf("chain-%s", inst.fn), func(fp *sim.Proc) {
 			defer done.Done()
@@ -222,6 +226,7 @@ func (rt *Runtime) InvokeChain(p *sim.Proc, names []string, opts ChainOptions) (
 			half := scaledDispatch(inst.node.pu) / 2
 			msg, err := in.req.recv(fp)
 			if err != nil {
+				abort.fail(err)
 				return
 			}
 			fp.Sleep(half)
@@ -244,10 +249,12 @@ func (rt *Runtime) InvokeChain(p *sim.Proc, names []string, opts ChainOptions) (
 					Payload: make([]byte, nextArg),
 					Meta:    chainMeta{sentAt: sentAt},
 				}); err != nil {
+					abort.fail(err)
 					return
 				}
 				resp, err := out.resp.recv(fp)
 				if err != nil {
+					abort.fail(err)
 					return
 				}
 				fp.Sleep(half) // deserialize the downstream response
@@ -256,25 +263,33 @@ func (rt *Runtime) InvokeChain(p *sim.Proc, names []string, opts ChainOptions) (
 				respPayload = make([]byte, resB)
 			}
 			fp.Sleep(half) // serialize the response
-			in.resp.send(fp, localos.Message{From: inst.fn, Kind: "resp", Payload: respPayload})
+			if err := in.resp.send(fp, localos.Message{From: inst.fn, Kind: "resp", Payload: respPayload}); err != nil {
+				abort.fail(err)
+			}
 		})
 	}
 
-	// Drive the request from the gateway and wait for the response.
+	// Drive the request from the gateway and wait for the response. On an
+	// abort the driver still waits for every stage to exit, so the deferred
+	// release never hands back an instance a stage is still running on.
 	argB, _ := deps[0].Fn.Sizes(opts.Arg)
 	start := p.Now()
-	if err := gwEdge.req.send(p, localos.Message{
+	err = edges[0].req.send(p, localos.Message{
 		From: "gateway", Kind: "req",
 		Payload: make([]byte, argB),
 		Meta:    chainMeta{sentAt: p.Now()},
-	}); err != nil {
-		return ChainResult{}, err
+	})
+	if err == nil {
+		_, err = edges[0].resp.recv(p)
 	}
-	if _, err := gwEdge.resp.recv(p); err != nil {
-		return ChainResult{}, err
+	if err != nil {
+		abort.fail(err)
 	}
 	res.Total = p.Now().Sub(start)
 	done.Wait(p)
+	if abort.err != nil {
+		return ChainResult{}, abort.err
+	}
 
 	res.EdgeLatency = edgeLat[1:] // drop the gateway edge
 	for _, d := range execDur {

@@ -139,39 +139,16 @@ func (rt *Runtime) InvokeDAG(p *sim.Proc, dag DAG, opts DAGOptions) (DAGResult, 
 		return DAGResult{}, fmt.Errorf("molecule: placement length %d != %d nodes", len(placement), n)
 	}
 
-	var res DAGResult
-	insts := make([]*instance, n)
-	deps := make([]*Deployment, n)
-	// The cleanup defer is registered BEFORE the acquire loop: a Deployment
-	// or acquire error mid-loop must still release every already-acquired
-	// instance (the InvokeChain defer-after-acquire leak, caught by
-	// moleculelint's releasepath analyzer).
-	defer func() {
-		for _, inst := range insts {
-			if inst != nil {
-				rt.release(p, inst)
-			}
-		}
-	}()
-	for _, i := range order {
-		d, err := rt.Deployment(dag.Nodes[i].Fn)
-		if err != nil {
-			return DAGResult{}, err
-		}
-		deps[i] = d
-		pin := placement[i]
-		if pin < 0 {
-			pin = rt.hostID
-		}
-		inst, cold, err := rt.acquire(p, d, pin, false, nil)
-		if err != nil {
-			return DAGResult{}, err
-		}
-		if cold {
-			res.ColdStarts++
-		}
-		insts[i] = inst
+	names := make([]string, n)
+	for i, node := range dag.Nodes {
+		names[i] = node.Fn
 	}
+	insts, deps, cold, err := rt.acquireAll(p, names, placement, order)
+	if err != nil {
+		return DAGResult{}, err
+	}
+	defer rt.releaseAll(p, insts)
+	res := DAGResult{ColdStarts: cold}
 
 	// One completion event per node; consumers wait on their producers'.
 	doneEv := make([]*sim.Event, n)

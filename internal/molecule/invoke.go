@@ -518,6 +518,58 @@ func (rt *Runtime) AcquireHeld(p *sim.Proc, funcName string, pin hw.PUID) (*inst
 // ReleaseHeld returns a held instance to the warm pool.
 func (rt *Runtime) ReleaseHeld(p *sim.Proc, inst *instance) { rt.release(p, inst) }
 
+// acquireAll acquires one instance per function for a chain or DAG, warm
+// where possible: names[i] pinned to pins[i] (-1 = the host), visiting
+// indices in order (nil = index order). It is all or nothing. On any error
+// it releases what it already took and returns no instances; otherwise the
+// caller owns every instance and hands them back with releaseAll.
+func (rt *Runtime) acquireAll(p *sim.Proc, names []string, pins []hw.PUID, order []int) ([]*instance, []*Deployment, int, error) {
+	insts := make([]*instance, len(names))
+	deps := make([]*Deployment, len(names))
+	ok := false
+	defer func() {
+		if !ok {
+			rt.releaseAll(p, insts)
+		}
+	}()
+	cold := 0
+	for k := range names {
+		i := k
+		if order != nil {
+			i = order[k]
+		}
+		d, err := rt.Deployment(names[i])
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		deps[i] = d
+		pin := pins[i]
+		if pin < 0 {
+			pin = rt.hostID
+		}
+		inst, c, err := rt.acquire(p, d, pin, false, nil)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		if c {
+			cold++
+		}
+		insts[i] = inst
+	}
+	ok = true
+	return insts, deps, cold, nil
+}
+
+// releaseAll returns acquireAll's instances to their warm pools in index
+// order, skipping slots an aborted acquireAll never filled.
+func (rt *Runtime) releaseAll(p *sim.Proc, insts []*instance) {
+	for _, inst := range insts {
+		if inst != nil {
+			rt.release(p, inst)
+		}
+	}
+}
+
 // invokeFPGA serves the request on the function's FPGA sandbox.
 func (rt *Runtime) invokeFPGA(p *sim.Proc, d *Deployment, opts InvokeOptions, settle bool) (Result, error) {
 	start := p.Now()

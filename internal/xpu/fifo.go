@@ -361,12 +361,26 @@ func (fd *FD) Close(p *sim.Proc) error {
 		return nil
 	}
 	if !fd.fifo.closed {
-		fd.fifo.closed = true
-		fd.fifo.ch.Close()
-		delete(n.Shim.fifos, fd.fifo.UUID)
+		fd.close()
 		n.lazySync(p)
 	}
 	return nil
+}
+
+// Abort closes the FIFO from the runtime side: no XPUcall, no capability
+// check, and no virtual time, so it works even when the owner's PU has
+// crashed. Every process blocked on the queue wakes with a closed-FIFO
+// error. A runtime tearing down a failed function chain uses it.
+func (fd *FD) Abort() {
+	if !fd.fifo.closed {
+		fd.close()
+	}
+}
+
+func (fd *FD) close() {
+	fd.fifo.closed = true
+	fd.fifo.ch.Close()
+	delete(fd.node.Shim.fifos, fd.fifo.UUID)
 }
 
 // SpawnBody is the program run by an xSpawn'd process: it executes as a
