@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-fixtures test race bench-test chaos bench microbench bench-smoke perfjson nipcjson simjson clusterjson coldstartjson coldstart-race cluster-race shards-race report report-md golden trace-demo attrib-demo examples clean
+.PHONY: all check build vet lint lint-fixtures test race bench-test fuzz-smoke chaos bench microbench bench-smoke perfjson nipcjson simjson clusterjson coldstartjson coldstart-race cluster-race shards-race report report-md golden trace-demo attrib-demo examples clean
 
 all: check
 
@@ -41,6 +41,13 @@ race:
 # checked, and its fingerprint must match across kernel workers {1,2}.
 bench-test:
 	$(GO) -C benchmark test ./...
+
+# Ten seconds of the mem differential fuzz target: random Map/Fork/Write/
+# Unmap/Release sequences against the run-length extents and the per-page
+# reference model. Its committed corpus (internal/mem/testdata/fuzz) also
+# runs as plain tests under `test`.
+fuzz-smoke:
+	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzAddressSpace -fuzztime 10s
 
 # Seeded fault-injection soak: kill/revive PUs under load, assert no
 # invocation is lost or double-billed, and that runs replay from their seed.

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -217,4 +218,386 @@ func TestForkAllocsPinned(t *testing.T) {
 	if allocs > 2 {
 		t.Errorf("Fork+Release = %.1f allocs, want <= 2", allocs)
 	}
+}
+
+// Host cost must not scale with the simulated size: mapping, forking,
+// privatizing a write and releasing allocate the same bytes for an 8-page
+// space as for a Node template's 7680 pages.
+func TestAllocBytesIndependentOfPages(t *testing.T) {
+	perRun := func(n int) uint64 {
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			parent := NewAddressSpace()
+			parent.Map(n)
+			child := parent.Fork()
+			child.Write(1, n-2)
+			child.Release()
+			parent.Release()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	perRun(8) // warm up
+	if small, large := perRun(8), perRun(7680); small != large {
+		t.Errorf("allocated %d B/op at 8 pages, %d B/op at 7680 pages; want equal", small, large)
+	}
+}
+
+// refExtent, refMapping and refSpace are the per-page reference model the
+// run-length extents replaced, kept verbatim apart from the names:
+// FuzzAddressSpace checks that both give the same fault counts, mappings,
+// RSS, PSS and shared-page counts. refs[i] counts how many address spaces
+// currently map page i of the refExtent; a page with refs 0 is orphaned and
+// never counted again.
+type refExtent struct {
+	refs []int32
+}
+
+// refMapping is a window of an refExtent mapped at a contiguous virtual range:
+// virtual page vpn+i is backed by ext.refs[off+i] for i in [0, n).
+type refMapping struct {
+	vpn int
+	n   int
+	off int
+	ext *refExtent
+}
+
+// refSpace is a process's page table: a sorted, non-overlapping list of
+// refExtent windows.
+type refSpace struct {
+	maps []refMapping
+	next int // next unused virtual page number for Map allocations
+	// released guards the refcount decrement in Release: an address space
+	// can be torn down from more than one path (keep-alive eviction vs an
+	// in-flight fork's error cleanup), and decrementing shared extents
+	// twice would silently corrupt every sharer's PSS.
+	released bool
+}
+
+func newRefExtent(n int) *refExtent {
+	e := &refExtent{refs: make([]int32, n)}
+	for i := range e.refs {
+		e.refs[i] = 1
+	}
+	return e
+}
+
+// search returns the index of the first refMapping whose end lies beyond vpn —
+// the refMapping containing vpn if one exists, otherwise the insertion point.
+func (as *refSpace) search(vpn int) int {
+	lo, hi := 0, len(as.maps)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if as.maps[mid].vpn+as.maps[mid].n <= vpn {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// splice replaces as.maps[i] with the given replacement mappings.
+func (as *refSpace) splice(i int, repl ...refMapping) {
+	tail := as.maps[i+1:]
+	out := make([]refMapping, 0, len(as.maps)-1+len(repl))
+	out = append(out, as.maps[:i]...)
+	out = append(out, repl...)
+	out = append(out, tail...)
+	as.maps = out
+}
+
+// Map allocates n fresh private pages and returns the first virtual page
+// number of the contiguous run.
+func (as *refSpace) Map(n int) int {
+	start := as.next
+	if n > 0 {
+		// as.next never lies inside an existing refMapping (Map and demand
+		// paging both advance it past what they touch), so appending keeps
+		// the list sorted.
+		as.maps = append(as.maps, refMapping{vpn: start, n: n, off: 0, ext: newRefExtent(n)})
+		as.next += n
+		as.released = false // refMapping into a released space revives it
+	}
+	return start
+}
+
+// Unmap releases n pages starting at virtual page vpn. Unmapping a hole is
+// a no-op for the missing pages.
+func (as *refSpace) Unmap(vpn, n int) {
+	end := vpn + n
+	cur := vpn
+	for cur < end {
+		i := as.search(cur)
+		if i >= len(as.maps) {
+			return
+		}
+		m := as.maps[i]
+		if m.vpn >= end {
+			return
+		}
+		if cur < m.vpn {
+			cur = m.vpn
+		}
+		chunkEnd := m.vpn + m.n
+		if end < chunkEnd {
+			chunkEnd = end
+		}
+		for p := cur; p < chunkEnd; p++ {
+			m.ext.refs[m.off+p-m.vpn]--
+		}
+		lo := cur - m.vpn
+		hi := m.vpn + m.n - chunkEnd
+		var repl []refMapping
+		if lo > 0 {
+			repl = append(repl, refMapping{vpn: m.vpn, n: lo, off: m.off, ext: m.ext})
+		}
+		if hi > 0 {
+			repl = append(repl, refMapping{vpn: chunkEnd, n: hi, off: m.off + m.n - hi, ext: m.ext})
+		}
+		as.splice(i, repl...)
+		cur = chunkEnd
+	}
+}
+
+// Fork returns a copy-on-write clone: every page is shared with the parent
+// and each side's first write will privatize its copy.
+func (as *refSpace) Fork() *refSpace {
+	child := &refSpace{maps: make([]refMapping, len(as.maps)), next: as.next}
+	copy(child.maps, as.maps)
+	for _, m := range as.maps {
+		refs := m.ext.refs[m.off : m.off+m.n]
+		for i := range refs {
+			refs[i]++
+		}
+	}
+	return child
+}
+
+// Write dirties n pages starting at vpn, breaking copy-on-write sharing.
+// It returns the number of pages that were actually copied (i.e. the number
+// of COW faults), which the OS model converts into fault latency.
+func (as *refSpace) Write(vpn, n int) int {
+	faults := 0
+	end := vpn + n
+	cur := vpn
+	for cur < end {
+		i := as.search(cur)
+		if i == len(as.maps) || as.maps[i].vpn >= end {
+			// Pure hole until end: demand-page it in one refExtent.
+			faults += end - cur
+			as.demandPage(i, cur, end)
+			cur = end
+			break
+		}
+		m := as.maps[i]
+		if cur < m.vpn {
+			// Hole before the next refMapping.
+			faults += m.vpn - cur
+			as.demandPage(i, cur, m.vpn)
+			cur = m.vpn
+			continue
+		}
+		chunkEnd := m.vpn + m.n
+		if end < chunkEnd {
+			chunkEnd = end
+		}
+		refs := m.ext.refs[m.off+cur-m.vpn : m.off+chunkEnd-m.vpn]
+		shared := false
+		for _, r := range refs {
+			if r > 1 {
+				shared = true
+				break
+			}
+		}
+		if !shared {
+			// Every page already private: a re-write is free.
+			cur = chunkEnd
+			continue
+		}
+		// Privatize the written window: shared pages COW-fault into the new
+		// refExtent; already-private pages migrate with their count intact
+		// (refs 1 -> this space is the sole owner, so the old slot orphans
+		// to 0 and the page is simply re-homed).
+		ne := &refExtent{refs: make([]int32, len(refs))}
+		for j, r := range refs {
+			if r > 1 {
+				refs[j]--
+				faults++
+			} else {
+				refs[j] = 0
+			}
+			ne.refs[j] = 1
+		}
+		lo := cur - m.vpn
+		hi := m.vpn + m.n - chunkEnd
+		repl := make([]refMapping, 0, 3)
+		if lo > 0 {
+			repl = append(repl, refMapping{vpn: m.vpn, n: lo, off: m.off, ext: m.ext})
+		}
+		repl = append(repl, refMapping{vpn: cur, n: chunkEnd - cur, off: 0, ext: ne})
+		if hi > 0 {
+			repl = append(repl, refMapping{vpn: chunkEnd, n: hi, off: m.off + m.n - hi, ext: m.ext})
+		}
+		as.splice(i, repl...)
+		cur = chunkEnd
+	}
+	return faults
+}
+
+// demandPage maps [start, end) as fresh private pages, inserting the new
+// refMapping at index i (the caller's search result for start).
+func (as *refSpace) demandPage(i, start, end int) {
+	as.splice2(i, refMapping{vpn: start, n: end - start, off: 0, ext: newRefExtent(end - start)})
+	if end > as.next {
+		as.next = end
+	}
+	as.released = false
+}
+
+// splice2 inserts a refMapping before index i (without replacing anything).
+func (as *refSpace) splice2(i int, m refMapping) {
+	as.maps = append(as.maps, refMapping{})
+	copy(as.maps[i+1:], as.maps[i:])
+	as.maps[i] = m
+}
+
+// Release drops every page refMapping, decrementing shared reference counts.
+// The address space is empty (but reusable) afterwards. Release is
+// idempotent: a second call is a no-op, so racing teardown paths (keep-alive
+// eviction vs fork-error cleanup) cannot double-decrement shared extents.
+func (as *refSpace) Release() {
+	if as.released {
+		return
+	}
+	as.released = true
+	for _, m := range as.maps {
+		refs := m.ext.refs[m.off : m.off+m.n]
+		for i := range refs {
+			refs[i]--
+		}
+	}
+	as.maps = nil
+}
+
+// Released reports whether the address space has been released and not
+// mapped into since.
+func (as *refSpace) Released() bool { return as.released }
+
+// RSSPages returns the resident set size in pages: every page mapped into
+// this address space, shared or not.
+func (as *refSpace) RSSPages() int {
+	n := 0
+	for _, m := range as.maps {
+		n += m.n
+	}
+	return n
+}
+
+// PSSPages returns the proportional set size in pages: each page counts
+// 1/refs, so shared pages are split among their sharers — the metric the
+// paper uses to show cfork's memory savings (Fig 11c).
+func (as *refSpace) PSSPages() float64 {
+	var pss float64
+	for _, m := range as.maps {
+		for _, r := range m.ext.refs[m.off : m.off+m.n] {
+			pss += 1.0 / float64(r)
+		}
+	}
+	return pss
+}
+
+// SharedPages returns the number of mapped pages with more than one
+// reference.
+func (as *refSpace) SharedPages() int {
+	n := 0
+	for _, m := range as.maps {
+		for _, r := range m.ext.refs[m.off : m.off+m.n] {
+			if r > 1 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// checkRuns reports a broken run invariant in any extent as maps: run ends
+// strictly increasing, no two equal neighbours, no negative refs, and every
+// window inside its extent.
+func checkRuns(t *testing.T, as *AddressSpace) {
+	t.Helper()
+	for _, m := range as.maps {
+		runs := m.ext.runs
+		if len(runs) == 0 || m.off+m.n > runs[len(runs)-1].end {
+			t.Fatalf("window [%d,%d) outside extent runs %v", m.off, m.off+m.n, runs)
+		}
+		for i, r := range runs {
+			if r.refs < 0 || r.end <= m.ext.start(i) || (i > 0 && r.refs == runs[i-1].refs) {
+				t.Fatalf("extent runs %v break the invariant at run %d", runs, i)
+			}
+		}
+	}
+}
+
+// FuzzAddressSpace decodes bytes into Map/Fork/Write/Unmap/Release sequences
+// over four address spaces, four bytes per operation (op, space, a, b), and
+// runs each against the run-length extents and the per-page refSpace. After
+// every operation both must agree on Write's fault count, the mapping list,
+// and every space's RSS, shared pages and PSS (bit for bit), and every
+// extent must keep its run invariant. Fork(src=space, dst=a%4) overwrites
+// dst without releasing it, which leaves its references held for good.
+// Only the first maxFuzzOps operations run: Map grows a space without bound,
+// and the per-page reference checks make long inputs quadratic.
+func FuzzAddressSpace(f *testing.F) {
+	const maxFuzzOps = 256
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4*maxFuzzOps {
+			data = data[:4*maxFuzzOps]
+		}
+		var got [4]*AddressSpace
+		var want [4]*refSpace
+		for i := range got {
+			got[i], want[i] = NewAddressSpace(), &refSpace{}
+		}
+		for step := 0; len(data) >= 4; step, data = step+1, data[4:] {
+			op, s, a, b := data[0]%5, int(data[1]%4), int(data[2]%64), int(data[3]%32)
+			switch op {
+			case 0:
+				if g, w := got[s].Map(b), want[s].Map(b); g != w {
+					t.Fatalf("step %d: Map(%d) = %d, reference %d", step, b, g, w)
+				}
+			case 1:
+				got[a%4], want[a%4] = got[s].Fork(), want[s].Fork()
+			case 2:
+				if g, w := got[s].Write(a, b), want[s].Write(a, b); g != w {
+					t.Fatalf("step %d: Write(%d, %d) faults = %d, reference %d", step, a, b, g, w)
+				}
+			case 3:
+				got[s].Unmap(a, b)
+				want[s].Unmap(a, b)
+			case 4:
+				got[s].Release()
+				want[s].Release()
+			}
+			for i, g := range got {
+				w := want[i]
+				checkRuns(t, g)
+				if len(g.maps) != len(w.maps) || g.Released() != w.Released() {
+					t.Fatalf("step %d space %d: %d mappings (released %v), reference %d (released %v)",
+						step, i, len(g.maps), g.Released(), len(w.maps), w.Released())
+				}
+				for j, m := range g.maps {
+					if wm := w.maps[j]; m.vpn != wm.vpn || m.n != wm.n || m.off != wm.off {
+						t.Fatalf("step %d space %d: mapping %d = %+v, reference %+v", step, i, j, m, wm)
+					}
+				}
+				if g.RSSPages() != w.RSSPages() || g.SharedPages() != w.SharedPages() || g.PSSPages() != w.PSSPages() {
+					t.Fatalf("step %d space %d: RSS/shared/PSS = %d/%d/%v, reference %d/%d/%v", step, i,
+						g.RSSPages(), g.SharedPages(), g.PSSPages(), w.RSSPages(), w.SharedPages(), w.PSSPages())
+				}
+			}
+		}
+	})
 }

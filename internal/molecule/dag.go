@@ -46,6 +46,21 @@ type pipe struct {
 
 var errChainFIFOClosed = errors.New("molecule: chain FIFO closed")
 
+// zeroPayload backs the body of every chain and resident message: the FIFO
+// cost model reads only a payload's length, so messages share one zeroed
+// array instead of allocating their simulated size.
+var zeroPayload [1 << 20]byte
+
+// payload returns an n-byte message body. cap == len, so an append by a
+// receiver reallocates instead of writing into the shared array; bodies
+// larger than the array are allocated.
+func payload(n int) []byte {
+	if n <= len(zeroPayload) {
+		return zeroPayload[:n:n]
+	}
+	return make([]byte, n)
+}
+
 func (pp *pipe) send(p *sim.Proc, m localos.Message) error {
 	if pp.local != nil {
 		if !pp.local.Write(p, m) {
@@ -218,7 +233,7 @@ func (rt *Runtime) InvokeChain(p *sim.Proc, names []string, opts ChainOptions) (
 		if i < n-1 {
 			out = edges[i+1]
 		}
-		rt.Env.Spawn(fmt.Sprintf("chain-%s", inst.fn), func(fp *sim.Proc) {
+		rt.Env.Spawn("chain-"+inst.fn, func(fp *sim.Proc) {
 			defer done.Done()
 			// The language runtime's per-hop dispatch work splits between
 			// the sender (serialize the event) and the receiver
@@ -246,7 +261,7 @@ func (rt *Runtime) InvokeChain(p *sim.Proc, names []string, opts ChainOptions) (
 				fp.Sleep(half) // serialize the downstream request
 				if err := out.req.send(fp, localos.Message{
 					From: inst.fn, Kind: "req",
-					Payload: make([]byte, nextArg),
+					Payload: payload(nextArg),
 					Meta:    chainMeta{sentAt: sentAt},
 				}); err != nil {
 					abort.fail(err)
@@ -260,7 +275,7 @@ func (rt *Runtime) InvokeChain(p *sim.Proc, names []string, opts ChainOptions) (
 				fp.Sleep(half) // deserialize the downstream response
 				respPayload = resp.Payload
 			} else {
-				respPayload = make([]byte, resB)
+				respPayload = payload(resB)
 			}
 			fp.Sleep(half) // serialize the response
 			if err := in.resp.send(fp, localos.Message{From: inst.fn, Kind: "resp", Payload: respPayload}); err != nil {
@@ -276,7 +291,7 @@ func (rt *Runtime) InvokeChain(p *sim.Proc, names []string, opts ChainOptions) (
 	start := p.Now()
 	err = edges[0].req.send(p, localos.Message{
 		From: "gateway", Kind: "req",
-		Payload: make([]byte, argB),
+		Payload: payload(argB),
 		Meta:    chainMeta{sentAt: p.Now()},
 	})
 	if err == nil {

@@ -667,9 +667,12 @@ func (rt *Runtime) remoteCommand(p *sim.Proc, id hw.PUID, parent *obs.Span) erro
 	return nil
 }
 
+// nextFIFO returns a fresh FIFO name, prefix-N.
 func (rt *Runtime) nextFIFO(prefix string) string {
 	rt.fifoSeq++
-	return fmt.Sprintf("%s-%d", prefix, rt.fifoSeq)
+	var buf [32]byte
+	b := append(append(buf[:0], prefix...), '-')
+	return string(strconv.AppendInt(b, int64(rt.fifoSeq), 10))
 }
 
 // jitter stretches or shrinks d by a deterministic pseudo-random factor in

@@ -414,6 +414,46 @@ func TestInvokeChainCrossPU(t *testing.T) {
 	})
 }
 
+// Chain and resident message bodies slice one shared zero array: a body
+// must not be appendable into it, and no local or nIPC FIFO path may write
+// into it.
+func TestPayloadSharesZeroArray(t *testing.T) {
+	for _, n := range []int{0, 512, len(zeroPayload), len(zeroPayload) + 1} {
+		if b := payload(n); len(b) != n || cap(b) != n {
+			t.Fatalf("payload(%d): len %d cap %d, want both %d", n, len(b), cap(b), n)
+		}
+	}
+	run(t, hw.Config{DPUs: 1}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
+		chain := workloads.AlexaChain()
+		for _, fn := range chain {
+			if err := rt.Deploy(p, fn, DefaultProfile(hw.CPU), DefaultProfile(hw.DPU)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dpu := rt.Machine.PUsOfKind(hw.DPU)[0].ID
+		for _, placement := range [][]hw.PUID{nil, {0, dpu, 0, dpu, 0}} {
+			if _, err := rt.InvokeChain(p, chain, ChainOptions{Placement: placement}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, pu := range []hw.PUID{0, dpu} {
+			r, err := rt.StartResident(p, chain[0], pu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Call(p, workloads.Arg{}); err != nil {
+				t.Fatal(err)
+			}
+			r.Stop(p)
+		}
+	})
+	for i, b := range zeroPayload {
+		if b != 0 {
+			t.Fatalf("zeroPayload[%d] = %d after chains and residents ran, want 0", i, b)
+		}
+	}
+}
+
 func TestInvokeChainErrors(t *testing.T) {
 	run(t, hw.Config{}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
 		if _, err := rt.InvokeChain(p, nil, ChainOptions{}); err == nil {

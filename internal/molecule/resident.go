@@ -60,7 +60,7 @@ func (rt *Runtime) StartResident(p *sim.Proc, fn string, pu hw.PUID) (*Resident,
 			arg, _ := msg.Meta.(workloads.Arg)
 			inst.sb.Inst.Invoke(sp, d.Fn.CPUCost(arg), inst.forked)
 			_, resB := d.Fn.Sizes(arg)
-			e.resp.send(sp, localos.Message{Kind: "resp", Payload: make([]byte, resB)})
+			e.resp.send(sp, localos.Message{Kind: "resp", Payload: payload(resB)})
 		}
 	})
 	return r, nil
@@ -76,7 +76,7 @@ func (r *Resident) Call(p *sim.Proc, arg workloads.Arg) (time.Duration, error) {
 	argB, _ := r.d.Fn.Sizes(arg)
 	start := p.Now()
 	if err := r.edge.req.send(p, localos.Message{
-		Kind: "req", Payload: make([]byte, argB), Meta: arg,
+		Kind: "req", Payload: payload(argB), Meta: arg,
 	}); err != nil {
 		return 0, err
 	}
