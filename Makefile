@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-fixtures test race bench-test fuzz-smoke chaos bench microbench bench-smoke perfjson nipcjson simjson clusterjson coldstartjson coldstart-race cluster-race shards-race report report-md golden trace-demo attrib-demo examples clean
+.PHONY: all check build vet lint lint-fixtures test race bench-test fuzz-smoke chaos bench microbench bench-smoke benchjson coldstart-race cluster-race shards-race report report-md golden trace-demo attrib-demo examples outputs
 
 all: check
 
@@ -54,7 +54,7 @@ fuzz-smoke:
 # Race-enabled because the recovery path spawns background attempt procs.
 chaos:
 	$(GO) test -race -run 'TestChaosSoak|TestRetry|TestFailover|TestTimeout' -v ./internal/molecule
-	$(GO) run ./cmd/molecule-bench -chaos 42
+	$(GO) run ./cmd/molecule-bench -scenario chaos
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -68,52 +68,38 @@ microbench:
 	$(GO) test ./internal/molecule -bench 'InvokeWarm' -benchmem -run xxx
 
 # One iteration of every microbenchmark — a CI smoke test that the bench
-# rigs still build and run, without paying for stable numbers. The tiny
-# -soak run doubles as a fingerprint-equality check across shard counts.
+# rigs still build and run, without paying for stable numbers. The soak
+# scenario doubles as a fingerprint-equality check across shard counts.
 bench-smoke:
 	$(GO) test ./internal/sim -bench 'Kernel|ChanPingPong' -benchtime 1x -run xxx
 	$(GO) test ./internal/mem -bench 'ForkFanout' -benchtime 1x -run xxx
 	$(GO) test ./internal/xpu -bench 'FIFOWrite' -benchtime 1x -run xxx
 	$(GO) test ./internal/molecule -bench 'InvokeWarm' -benchtime 1x -run xxx
-	$(GO) run ./cmd/molecule-bench -soak - -soak-inv 2000
+	$(GO) run ./cmd/molecule-bench -scenario soak
 
-# Regenerate the machine-readable perf snapshot (BENCH_kernel.json).
-perfjson:
-	$(GO) run ./cmd/molecule-bench -timing -json BENCH_kernel.json > /dev/null
-
-# Regenerate the batched-nIPC amortization snapshot (BENCH_nipc.json).
-nipcjson:
-	$(GO) run ./cmd/molecule-bench -nipc BENCH_nipc.json > /dev/null
-
-# Regenerate the sharded-kernel scaling snapshot (BENCH_sim.json): the
-# coupled multi-machine soak at shard counts {1,2,4}∪{NumCPU}, with the
-# fingerprint-equality check enforced at every point.
-simjson:
-	$(GO) run ./cmd/molecule-bench -soak BENCH_sim.json
-
-# Regenerate the cluster scaling snapshot (BENCH_cluster.json): the seeded
-# loadgen stream through the boss/worker control plane at machine counts
-# {1,2,4}, byte-identity enforced across kernel worker counts per point.
-clusterjson:
-	$(GO) run ./cmd/molecule-bench -cluster BENCH_cluster.json
-
-# Regenerate the cold-start snapshot (BENCH_coldstart.json): the seeded
-# Zipf stream of forced-cold invocations through flat cfork and the zygote
-# forest, byte-identity enforced across kernel worker counts per arm.
-coldstartjson:
-	$(GO) run ./cmd/molecule-bench -coldstart BENCH_coldstart.json
+# Regenerate every BENCH_*.json snapshot, each in the one envelope
+# (scenario, host, result): kernel microbenchmarks plus report wall times,
+# the batched-nIPC sweep, the sharded-kernel soak, the cluster scaling curve
+# and the cold-start comparison. Every scaling point is fingerprint-checked
+# across kernel worker counts before it is written.
+benchjson:
+	$(GO) run ./cmd/molecule-bench -scenario kernel -o BENCH_kernel.json > /dev/null
+	$(GO) run ./cmd/molecule-bench -scenario nipc -o BENCH_nipc.json > /dev/null
+	$(GO) run ./cmd/molecule-bench -scenario soak -o BENCH_sim.json
+	$(GO) run ./cmd/molecule-bench -scenario cluster -o BENCH_cluster.json
+	$(GO) run ./cmd/molecule-bench -scenario coldstart -o BENCH_coldstart.json
 
 # The zygote forest under the race detector (the fitter runs on background
-# procs) plus a small -coldstart smoke (table to stdout, no snapshot).
+# procs) plus the coldstart scenario (table to stdout, no snapshot).
 coldstart-race:
 	$(GO) test -race -count=1 -run 'Zygote|ColdStart|Release|ForkFanout' ./internal/lang/ ./internal/molecule/ ./internal/mem/ ./internal/bench/
-	$(GO) run ./cmd/molecule-bench -coldstart - -coldstart-inv 120
+	$(GO) run ./cmd/molecule-bench -scenario coldstart
 
 # The cluster control plane under the race detector plus the scaling-sweep
 # smoke (tables to stdout, no snapshot rewrite).
 cluster-race:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/httpd/
-	$(GO) run ./cmd/molecule-bench -cluster -
+	$(GO) run ./cmd/molecule-bench -scenario cluster
 
 # The sharded kernel under the race detector, with every bench-harness
 # simulation forced through the windowed driver at 4 OS workers.
@@ -135,13 +121,15 @@ golden:
 # example Chrome trace (load trace-demo.json in Perfetto or chrome://tracing)
 # plus its Prometheus metrics.
 trace-demo:
-	$(GO) run ./cmd/molecule-bench -trace trace-demo.json -metrics metrics-demo.txt
+	$(GO) run ./cmd/molecule-bench -scenario trace > trace-demo.json
+	$(GO) run ./cmd/molecule-bench -scenario metrics > metrics-demo.txt
 
 # Critical-path attribution over the demo workload: the per-(fn, PU kind)
 # stage breakdown table to stdout plus a folded-stack profile
 # (attrib-demo.folded is flamegraph.pl / speedscope input, virtual time).
 attrib-demo:
-	$(GO) run ./cmd/molecule-bench -attrib - -profile attrib-demo.folded
+	$(GO) run ./cmd/molecule-bench -scenario attrib
+	$(GO) run ./cmd/molecule-bench -scenario profile > attrib-demo.folded
 
 examples:
 	$(GO) run ./examples/quickstart

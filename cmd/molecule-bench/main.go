@@ -5,13 +5,15 @@
 //	molecule-bench                        # run every experiment (parallel)
 //	molecule-bench -parallel 1            # sequential run (same bytes)
 //	molecule-bench -exp fig10c            # run one experiment
-//	molecule-bench -list                  # list experiment IDs
+//	molecule-bench -list                  # list experiment IDs and scenarios
 //	molecule-bench -timing                # append per-experiment wall times
-//	molecule-bench -timing -json BENCH_kernel.json
-//	                                      # + kernel microbenchmarks, as JSON
+//	molecule-bench -scenario soak         # run one scenario, tables to stdout
+//	molecule-bench -scenario soak -o BENCH_sim.json
+//	                                      # + its artifact as a JSON snapshot
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -26,123 +28,126 @@ import (
 	"repro/internal/sim/simbench"
 )
 
-// benchJSON is the machine-readable perf snapshot written by -json. It pins
-// the harness wall times and the kernel microbenchmark numbers so perf
-// regressions show up as diffs, not vibes.
-type benchJSON struct {
-	Parallel    int               `json:"parallel"`
-	TotalWallMS float64           `json:"total_wall_ms"`
-	Experiments []expTiming       `json:"experiments"`
-	KernelBench []simbench.Result `json:"kernel_bench"`
+var parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "experiments to run concurrently (1 = sequential; output is identical either way)")
+
+// scenarios is every -scenario, in -list order. Each run prints its tables
+// to w and returns the artifact that -o records.
+var scenarios = []struct {
+	name, about string
+	run         func(w io.Writer) (any, error)
+}{
+	{"kernel", "timed full report plus kernel microbenchmarks (BENCH_kernel.json)", func(w io.Writer) (any, error) {
+		start := time.Now()
+		timings := bench.Report(w, *parallel, false)
+		total := time.Since(start)
+		printTimings(w, timings, total)
+		return map[string]any{
+			"parallel":      *parallel,
+			"total_wall_ms": ms(total),
+			"experiments":   timings,
+			"kernel_bench":  simbench.All(),
+		}, nil
+	}},
+	{"nipc", "batched-nIPC amortization sweep (BENCH_nipc.json)", func(w io.Writer) (any, error) {
+		sweeps := bench.NIPCBatch()
+		for _, t := range bench.NIPCBatchTables(sweeps) {
+			t.Fprint(w)
+		}
+		return sweeps, nil
+	}},
+	{"soak", "sharded-kernel scaling soak, 4 machines x 50000 invocations (BENCH_sim.json)", runShardSoak},
+	{"cluster", "boss/worker cluster scaling at 1, 2 and 4 machines (BENCH_cluster.json)", func(w io.Writer) (any, error) {
+		points, err := bench.ClusterSoakSweep([]int{1, 2, 4}, withNumCPU([]int{1, 2}))
+		if err != nil {
+			return nil, err
+		}
+		bench.ClusterSoakTable(points).Fprint(w)
+		return points, nil
+	}},
+	{"coldstart", "flat cfork vs zygote forest, 600 forced-cold invocations per arm (BENCH_coldstart.json)", func(w io.Writer) (any, error) {
+		res, err := bench.ColdStartSweep(0, withNumCPU([]int{0, 1, 2, 4}))
+		if err != nil {
+			return nil, err
+		}
+		bench.ColdStartTable(res).Fprint(w)
+		return res, nil
+	}},
+	{"chaos", "seeded chaos soak (seed 42): PU kill/revive plus fault injection", func(w io.Writer) (any, error) {
+		return tee(w, func(w io.Writer) error { return bench.ChaosDemo(w, 42) })
+	}},
+	{"trace", "observability demo workload's Chrome trace JSON", func(w io.Writer) (any, error) {
+		o, err := bench.ObsDemo()
+		if err != nil {
+			return nil, err
+		}
+		s, err := tee(w, o.Tracer.WriteChromeTrace)
+		return json.RawMessage(s), err
+	}},
+	{"metrics", "observability demo workload's Prometheus metrics", func(w io.Writer) (any, error) {
+		o, err := bench.ObsDemo()
+		if err != nil {
+			return nil, err
+		}
+		return tee(w, o.Metrics.WritePrometheus)
+	}},
+	{"attrib", "attribution demo's per-(fn, PU kind) critical-path breakdown", func(w io.Writer) (any, error) {
+		_, an, err := bench.AttribDemo()
+		if err != nil {
+			return nil, err
+		}
+		t := an.BreakdownTable()
+		t.Fprint(w)
+		return t, nil
+	}},
+	{"profile", "attribution demo's virtual-time folded-stack profile (flamegraph.pl input)", func(w io.Writer) (any, error) {
+		_, an, err := bench.AttribDemo()
+		if err != nil {
+			return nil, err
+		}
+		return tee(w, an.WriteFolded)
+	}},
 }
 
-type expTiming struct {
-	ID     string  `json:"id"`
-	WallMS float64 `json:"wall_ms"`
-}
-
-func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-
-// writeOut renders into path ("-" = stdout).
-func writeOut(path string, render func(w io.Writer) error) error {
-	if path == "-" {
-		return render(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	return nil
-}
-
-// runObsDemo executes the quickstart workload with observability attached
-// and writes the requested exports.
-func runObsDemo(tracePath, metricsPath string) error {
-	o, err := bench.ObsDemo()
-	if err != nil {
-		return err
-	}
-	if tracePath != "" {
-		if err := writeOut(tracePath, o.Tracer.WriteChromeTrace); err != nil {
+// runScenario runs the named scenario with its tables on w and, when path
+// is non-empty, writes its artifact there in the snapshot envelope.
+func runScenario(name string, w io.Writer, path string) error {
+	for _, s := range scenarios {
+		if s.name != name {
+			continue
+		}
+		result, err := s.run(w)
+		if err != nil || path == "" {
 			return err
 		}
+		return writeSnapshot(path, name, result)
 	}
-	if metricsPath != "" {
-		if err := writeOut(metricsPath, o.Metrics.WritePrometheus); err != nil {
-			return err
-		}
+	names := make([]string, len(scenarios))
+	for i, s := range scenarios {
+		names[i] = s.name
 	}
-	return nil
+	return fmt.Errorf("unknown scenario %q; valid: %s", name, strings.Join(names, ", "))
 }
 
-// runAttribDemo executes the attribution demo workload and writes the
-// per-(fn, PU kind) critical-path breakdown and/or the virtual-time
-// folded-stack profile.
-func runAttribDemo(tablePath, foldedPath string) error {
-	_, an, err := bench.AttribDemo()
-	if err != nil {
-		return err
-	}
-	if tablePath != "" {
-		if err := writeOut(tablePath, func(w io.Writer) error {
-			an.BreakdownTable().Fprint(w)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if foldedPath != "" {
-		if err := writeOut(foldedPath, an.WriteFolded); err != nil {
-			return err
-		}
-	}
-	return nil
+// snapshot is the one envelope every -o artifact is written in: which
+// scenario produced it, on what host, and the scenario's own result.
+type snapshot struct {
+	Scenario string `json:"scenario"`
+	Host     struct {
+		GoVersion  string `json:"go_version"`
+		GOOS       string `json:"goos"`
+		GOARCH     string `json:"goarch"`
+		NumCPU     int    `json:"num_cpu"`
+		GOMAXPROCS int    `json:"gomaxprocs"`
+	} `json:"host"`
+	Result any `json:"result"`
 }
 
-// clusterJSON is the scaling snapshot written by -cluster
-// (BENCH_cluster.json): the same seeded loadgen stream through a Boss at
-// each machine count, with byte-identity across kernel worker counts
-// enforced at every point before it is reported.
-type clusterJSON struct {
-	MachineCounts []int                     `json:"machine_counts"`
-	WorkerCounts  []int                     `json:"worker_counts_checked"`
-	Points        []bench.ClusterSoakResult `json:"points"`
-}
-
-// clusterMachineCounts is the doubling sweep {1, 2, 4, ...} clamped to max.
-func clusterMachineCounts(max int) []int {
-	counts := []int{}
-	for m := 1; m <= max; m *= 2 {
-		counts = append(counts, m)
-	}
-	return counts
-}
-
-func runClusterSoak(path string, maxMachines int) error {
-	counts := clusterMachineCounts(maxMachines)
-	// Every point re-runs at each of these kernel worker counts and must
-	// produce the byte-identical fingerprint (1 = sequential reference).
-	workers := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
-		workers = append(workers, n)
-	}
-	points, err := bench.ClusterSoakSweep(counts, workers)
-	if err != nil {
-		return err
-	}
-	bench.ClusterSoakTable(points).Fprint(os.Stdout)
-	if path == "-" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(clusterJSON{MachineCounts: counts, WorkerCounts: workers, Points: points}, "", "  ")
+func writeSnapshot(path, name string, result any) error {
+	snap := snapshot{Scenario: name, Result: result}
+	snap.Host.GoVersion = runtime.Version()
+	snap.Host.GOOS, snap.Host.GOARCH = runtime.GOOS, runtime.GOARCH
+	snap.Host.NumCPU, snap.Host.GOMAXPROCS = runtime.NumCPU(), runtime.GOMAXPROCS(0)
+	buf, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -153,186 +158,73 @@ func runClusterSoak(path string, maxMachines int) error {
 	return nil
 }
 
-// simJSON is the scaling snapshot written by -soak (BENCH_sim.json): the
-// same coupled multi-machine workload at each shard count, with the
-// fingerprint-equality check already enforced by the sweep itself.
-type simJSON struct {
-	Machines    int                     `json:"machines"`
-	Invocations int                     `json:"invocations_per_machine"`
-	Points      []bench.ShardSoakResult `json:"points"`
+// tee renders into w and returns the rendered text as the artifact.
+func tee(w io.Writer, render func(io.Writer) error) (string, error) {
+	var buf bytes.Buffer
+	err := render(io.MultiWriter(w, &buf))
+	return buf.String(), err
 }
 
-// soakShardCounts is the sweep {1, 2, 4} ∪ {NumCPU}, clamped to the machine
-// count (a shard with no machines would be pure overhead).
-func soakShardCounts(machines int) []int {
-	counts := []int{}
-	for _, s := range []int{1, 2, 4, runtime.NumCPU()} {
-		if s <= machines && (len(counts) == 0 || s > counts[len(counts)-1]) {
-			counts = append(counts, s)
-		}
-	}
-	return counts
-}
-
-// coldStartWorkerCounts is the determinism sweep for -coldstart: the classic
-// sequential kernel, small sharded-driver counts, and every core.
-func coldStartWorkerCounts() []int {
-	counts := []int{0, 1, 2, 4}
+// withNumCPU appends every core to a kernel worker-count sweep when the
+// host has more cores than its largest count.
+func withNumCPU(counts []int) []int {
 	if n := runtime.NumCPU(); n > counts[len(counts)-1] {
 		counts = append(counts, n)
 	}
 	return counts
 }
 
-func runColdStart(path string, inv int) error {
-	workers := coldStartWorkerCounts()
-	res, err := bench.ColdStartSweep(inv, workers)
+func runShardSoak(w io.Writer) (any, error) {
+	const machines, inv = 4, 50000
+	// (4, 1) next to (4, 4) separates the smaller per-domain heaps from
+	// real parallelism.
+	points, err := bench.ShardSoakSweep(machines, inv, [][2]int{{1, 1}, {2, 2}, {4, 1}, {4, 4}})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	bench.ColdStartTable(res).Fprint(os.Stdout)
-	if path == "-" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	return nil
-}
-
-func runShardSoak(path string, machines, inv int) error {
-	counts := soakShardCounts(machines)
-	points, err := bench.ShardSoakSweep(machines, inv, counts)
-	if err != nil {
-		return err
-	}
-	bench.ShardSoakTable(points).Fprint(os.Stdout)
+	bench.ShardSoakTable(points).Fprint(w)
 
 	// Window telemetry rides a dedicated re-run of the widest point so the
 	// timed sweep stays observer-free; the fingerprint check proves the
 	// observed run is the same simulation the table reports.
-	if max := counts[len(counts)-1]; max > 1 {
-		wt := &obs.WindowTelemetry{}
-		tr, err := bench.ShardSoak(bench.ShardSoakConfig{
-			Machines: machines, Invocations: inv, Shards: max, Telemetry: wt,
-		})
-		if err != nil {
-			return err
-		}
-		if tr.Fingerprint != points[0].Fingerprint {
-			return fmt.Errorf("telemetry run diverged:\n  got  %s\n  want %s", tr.Fingerprint, points[0].Fingerprint)
-		}
-		if err := wt.WriteText(os.Stdout); err != nil {
-			return err
-		}
-	}
-
-	if path == "-" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(simJSON{Machines: machines, Invocations: inv, Points: points}, "", "  ")
+	wt := &obs.WindowTelemetry{}
+	tr, err := bench.ShardSoak(bench.ShardSoakConfig{
+		Machines: machines, Invocations: inv, Shards: machines, Telemetry: wt,
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
+	if tr.Fingerprint != points[0].Fingerprint {
+		return nil, fmt.Errorf("telemetry run diverged:\n  got  %s\n  want %s", tr.Fingerprint, points[0].Fingerprint)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	return nil
+	return points, wt.WriteText(w)
+}
+
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+
+func printTimings(w io.Writer, timings []bench.Timing, total time.Duration) {
+	fmt.Fprintf(w, "### timing — wall clock, %d worker(s)\n\n", *parallel)
+	for _, t := range timings {
+		fmt.Fprintf(w, "    %-16s %8.1f ms\n", t.ID, t.WallMS)
+	}
+	fmt.Fprintf(w, "    %-16s %8.1f ms\n\n", "TOTAL", ms(total))
 }
 
 func main() {
 	exp := flag.String("exp", "", "experiment id(s) to run, comma separated (default: all)")
-	list := flag.Bool("list", false, "list experiment ids")
+	list := flag.Bool("list", false, "list experiment ids, then scenario names")
 	md := flag.Bool("md", false, "emit the full report as markdown")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "experiments to run concurrently (1 = sequential; output is identical either way)")
 	timing := flag.Bool("timing", false, "append per-experiment wall time and total after the report")
-	jsonPath := flag.String("json", "", "with -timing: also run the kernel microbenchmarks and write a machine-readable snapshot to this `file`")
-	tracePath := flag.String("trace", "", "run the observability demo workload and write its Chrome trace JSON to this `file` (\"-\" = stdout), then exit")
-	metricsPath := flag.String("metrics", "", "run the observability demo workload and write its Prometheus metrics to this `file` (\"-\" = stdout), then exit")
-	attribPath := flag.String("attrib", "", "run the attribution demo workload and write the per-(fn, PU kind) critical-path breakdown to this `file` (\"-\" = stdout), then exit")
-	profilePath := flag.String("profile", "", "run the attribution demo workload and write a virtual-time folded-stack profile (flamegraph.pl input) to this `file` (\"-\" = stdout), then exit")
-	chaosSeed := flag.Uint64("chaos", 0, "run the seeded chaos soak demo (kill/revive + fault injection) and exit (0 = off)")
-	nipcPath := flag.String("nipc", "", "run the batched-nIPC sweep, print its tables, and write a JSON snapshot to this `file` (\"-\" = stdout only), then exit")
-	shards := flag.Int("shards", bench.SimShards(), "kernel workers per simulation: 0/1 = classic sequential kernel, N > 1 = sharded windowed driver with N OS workers (output is identical either way; default from MOLECULE_SHARDS)")
-	soakPath := flag.String("soak", "", "run the sharded-kernel scaling soak, print its table, and write a JSON snapshot to this `file` (\"-\" = stdout only), then exit")
-	soakMachines := flag.Int("soak-machines", 4, "with -soak: simulated machines")
-	soakInv := flag.Int("soak-inv", 50000, "with -soak: invocations per machine")
-	clusterPath := flag.String("cluster", "", "run the boss/worker cluster scaling soak, print its table, and write a JSON snapshot to this `file` (\"-\" = stdout only), then exit")
-	clusterMachines := flag.Int("cluster-machines", 4, "with -cluster: max machine count (sweep doubles 1,2,4,... up to this)")
-	coldstartPath := flag.String("coldstart", "", "run the flat-cfork vs zygote-forest cold-start comparison, print its table, and write a JSON snapshot to this `file` (\"-\" = stdout only), then exit")
-	coldstartInv := flag.Int("coldstart-inv", 600, "with -coldstart: forced-cold invocations per arm")
+	scenario := flag.String("scenario", "", "run the named scenario (see -list), print its tables, then exit")
+	out := flag.String("o", "", "with -scenario: also write its artifact as a JSON snapshot (scenario, host, result) to this `file`")
 	flag.Parse()
 
-	bench.SetSimShards(*shards)
-
-	if *coldstartPath != "" {
-		if err := runColdStart(*coldstartPath, *coldstartInv); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+	if *out != "" && *scenario == "" {
+		fmt.Fprintln(os.Stderr, "-o needs -scenario")
+		os.Exit(2)
 	}
-
-	if *clusterPath != "" {
-		if err := runClusterSoak(*clusterPath, *clusterMachines); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *soakPath != "" {
-		if err := runShardSoak(*soakPath, *soakMachines, *soakInv); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *nipcPath != "" {
-		sweeps := bench.NIPCBatch()
-		for _, t := range bench.NIPCBatchTables(sweeps) {
-			t.Fprint(os.Stdout)
-		}
-		if *nipcPath != "-" {
-			buf, err := json.MarshalIndent(sweeps, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*nipcPath, append(buf, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *nipcPath)
-		}
-		return
-	}
-
-	if *chaosSeed != 0 {
-		if err := bench.ChaosDemo(os.Stdout, *chaosSeed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *tracePath != "" || *metricsPath != "" {
-		if err := runObsDemo(*tracePath, *metricsPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *attribPath != "" || *profilePath != "" {
-		if err := runAttribDemo(*attribPath, *profilePath); err != nil {
+	if *scenario != "" {
+		if err := runScenario(*scenario, os.Stdout, *out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -342,6 +234,10 @@ func main() {
 	if *list {
 		for _, e := range bench.All() {
 			fmt.Printf("%-10s %s\n", e.ID, e.Title)
+		}
+		fmt.Println("\nscenarios (-scenario NAME):")
+		for _, s := range scenarios {
+			fmt.Printf("%-10s %s\n", s.name, s.about)
 		}
 		return
 	}
@@ -362,57 +258,11 @@ func main() {
 		return
 	}
 
-	// Full report. RunEach streams results in evaluation-section order, so
+	// Full report. Report streams results in evaluation-section order, so
 	// the report bytes match a sequential run at any -parallel value.
-	var timings []expTiming
 	start := time.Now()
-	bench.RunEach(*parallel, func(r bench.Result) {
-		if *md {
-			if len(timings) == 0 {
-				fmt.Println("# Molecule reproduction — experiment report")
-				fmt.Println()
-			}
-			fmt.Printf("## %s — %s\n\n> paper: %s\n\n", r.ID, r.Title, r.Paper)
-			for _, t := range r.Tables {
-				t.Markdown(os.Stdout)
-			}
-		} else {
-			fmt.Printf("### %s — %s\n    paper: %s\n\n", r.ID, r.Title, r.Paper)
-			for _, t := range r.Tables {
-				t.Fprint(os.Stdout)
-			}
-		}
-		timings = append(timings, expTiming{ID: r.ID, WallMS: ms(r.Wall)})
-	})
-	total := time.Since(start)
-
-	if !*timing {
-		return
+	timings := bench.Report(os.Stdout, *parallel, *md)
+	if *timing {
+		printTimings(os.Stdout, timings, time.Since(start))
 	}
-	fmt.Printf("### timing — wall clock, %d worker(s)\n\n", *parallel)
-	for _, t := range timings {
-		fmt.Printf("    %-16s %8.1f ms\n", t.ID, t.WallMS)
-	}
-	fmt.Printf("    %-16s %8.1f ms\n\n", "TOTAL", ms(total))
-
-	if *jsonPath == "" {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "running kernel microbenchmarks for %s ...\n", *jsonPath)
-	snap := benchJSON{
-		Parallel:    *parallel,
-		TotalWallMS: ms(total),
-		Experiments: timings,
-		KernelBench: simbench.All(),
-	}
-	buf, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(*jsonPath, append(buf, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
 }

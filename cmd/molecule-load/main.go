@@ -22,8 +22,7 @@ import (
 	"repro/internal/workloads"
 )
 
-// write renders into path ("-" = stdout), the same convention as
-// molecule-bench -trace/-metrics.
+// write renders into path ("-" = stdout).
 func write(path string, render func(*os.File) error) {
 	f := os.Stdout
 	if path != "-" {

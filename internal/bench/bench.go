@@ -140,36 +140,36 @@ func runOne(e Experiment) Result {
 	return Result{Experiment: e, Tables: tables, Wall: time.Since(start)}
 }
 
-// RunAll executes every experiment and prints its tables to w. Experiments
-// run concurrently (GOMAXPROCS workers); output order and bytes are
-// identical to a sequential run.
-func RunAll(w io.Writer) { RunAllParallel(w, 0) }
-
-// RunAllParallel is RunAll with an explicit worker count (1 = sequential).
-func RunAllParallel(w io.Writer, workers int) {
-	RunEach(workers, func(r Result) {
-		fmt.Fprintf(w, "### %s — %s\n    paper: %s\n\n", r.ID, r.Title, r.Paper)
-		for _, t := range r.Tables {
-			t.Fprint(w)
-		}
-	})
+// Timing is one experiment's wall-clock run time in a report.
+type Timing struct {
+	ID     string  `json:"id"`
+	WallMS float64 `json:"wall_ms"`
 }
 
-// RunAllMarkdown executes every experiment and writes a markdown report.
-// Like RunAll, it runs experiments on GOMAXPROCS workers.
-func RunAllMarkdown(w io.Writer) { RunAllMarkdownParallel(w, 0) }
-
-// RunAllMarkdownParallel is RunAllMarkdown with an explicit worker count.
-func RunAllMarkdownParallel(w io.Writer, workers int) {
-	fmt.Fprintln(w, "# Molecule reproduction — experiment report")
-	fmt.Fprintln(w)
+// Report executes every experiment on workers goroutines (see RunEach) and
+// writes the full report to w, as markdown when md is set. The bytes are
+// identical at any worker count. It returns each experiment's wall time in
+// report order.
+func Report(w io.Writer, workers int, md bool) []Timing {
+	head, render := "### %s — %s\n    paper: %s\n\n", (*metrics.Table).Fprint
+	if md {
+		fmt.Fprintln(w, "# Molecule reproduction — experiment report")
+		fmt.Fprintln(w)
+		head, render = "## %s — %s\n\n> paper: %s\n\n", (*metrics.Table).Markdown
+	}
+	var timings []Timing
 	RunEach(workers, func(r Result) {
-		fmt.Fprintf(w, "## %s — %s\n\n> paper: %s\n\n", r.ID, r.Title, r.Paper)
+		fmt.Fprintf(w, head, r.ID, r.Title, r.Paper)
 		for _, t := range r.Tables {
-			t.Markdown(w)
+			render(t, w)
 		}
+		timings = append(timings, Timing{ID: r.ID, WallMS: ms(r.Wall)})
 	})
+	return timings
 }
+
+// ms converts a wall-clock duration to float milliseconds.
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 // simShards is the worker count sandboxed uses for its simulations.
 // <= 1 runs the classic sequential kernel (sim.Env.Run); > 1 routes every
@@ -195,27 +195,64 @@ func SetSimShards(n int) { simShards.Store(int32(n)) }
 // SimShards reports the current kernel worker count (0 = classic).
 func SimShards() int { return int(simShards.Load()) }
 
-// sandboxed runs body as the driver process of a fresh simulation and
-// returns after the simulation drains.
+// drive runs body as the driver process of a fresh simulation and returns
+// after the simulation drains.
 //
-// With SimShards() <= 1 this is the original code path: one sim.Env, one
-// heap, Env.Run. With SimShards() > 1 the same single-domain simulation is
-// instead driven by the sharded conservative kernel (a 1ms lookahead window,
-// SimShards() OS workers), which must — and, per the determinism tests, does
-// — produce bit-identical results; running the full experiment suite through
-// the windowed driver is the broadest regression test the sharded kernel has.
-func sandboxed(body func(p *sim.Proc)) {
-	workers := SimShards()
-	if workers <= 1 {
+// With workers <= 0 this is the classic kernel: one sim.Env, one heap,
+// Env.Run. With workers >= 1 the same single-domain simulation is instead
+// driven by the sharded conservative kernel (a 1ms lookahead window, that
+// many OS workers), which must — and, per the determinism tests, does —
+// produce bit-identical results.
+func drive(workers int, body func(p *sim.Proc)) {
+	if workers <= 0 {
 		env := sim.NewEnv()
-		env.Spawn("bench-driver", func(p *sim.Proc) { body(p) })
+		env.Spawn("bench-driver", body)
 		env.Run()
 		return
 	}
 	sh := sim.NewSharded(1)
 	sh.LimitLookahead(time.Millisecond)
-	sh.Domain(0).Spawn("bench-driver", func(p *sim.Proc) { body(p) })
+	sh.Domain(0).Spawn("bench-driver", body)
 	sh.Run(workers)
+}
+
+// sandboxed drives body on the kernel SimShards() selects: <= 1 is the
+// classic kernel, N > 1 the windowed driver with N OS workers. Running the
+// full experiment suite through the windowed driver is the broadest
+// regression test the sharded kernel has.
+func sandboxed(body func(p *sim.Proc)) {
+	workers := SimShards()
+	if workers <= 1 {
+		workers = 0
+	}
+	drive(workers, body)
+}
+
+// checkedRun runs one sweep point at every kernel worker count in workers.
+// The run at workers[0] is the timed, reported one; it fails on the first
+// later count whose fingerprint differs, so no reported number can come
+// from a divergent simulation.
+func checkedRun[R any](workers []int, run func(w int) (R, string, error)) (R, time.Duration, error) {
+	var zero R
+	if len(workers) == 0 {
+		return zero, 0, fmt.Errorf("no kernel worker counts to run")
+	}
+	start := time.Now()
+	res, fp, err := run(workers[0])
+	wall := time.Since(start)
+	if err != nil {
+		return zero, 0, fmt.Errorf("workers=%d: %w", workers[0], err)
+	}
+	for _, w := range workers[1:] {
+		_, other, err := run(w)
+		if err != nil {
+			return zero, 0, fmt.Errorf("workers=%d: %w", w, err)
+		}
+		if other != fp {
+			return zero, 0, fmt.Errorf("workers=%d diverged:\n  got  %s\n  want %s (workers=%d)", w, other, fp, workers[0])
+		}
+	}
+	return res, wall, nil
 }
 
 // newMolecule builds a Molecule runtime inside the driver process.

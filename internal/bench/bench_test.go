@@ -203,15 +203,15 @@ func TestRunAllRendersEverything(t *testing.T) {
 		t.Skip("full harness in -short mode")
 	}
 	var buf bytes.Buffer
-	RunAll(&buf)
+	Report(&buf, 0, false)
 	out := buf.String()
 	for _, e := range All() {
 		if !strings.Contains(out, e.ID) {
-			t.Errorf("RunAll output missing %s", e.ID)
+			t.Errorf("report missing %s", e.ID)
 		}
 	}
 	if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
-		t.Error("RunAll output contains NaN/Inf")
+		t.Error("report contains NaN/Inf")
 	}
 }
 

@@ -62,32 +62,23 @@ type ClusterSoakResult struct {
 	WallMS      float64 `json:"wall_ms"`
 	Served      []int   `json:"served_per_machine"`
 	Fingerprint string  `json:"fingerprint"`
+	Workers     []int   `json:"worker_counts_checked"`
 }
 
 // ClusterSoak runs the soak at one machine count, verifying byte-identity
 // across the given kernel worker counts (the first entry is the timed,
 // reported run).
 func ClusterSoak(machines int, workerCounts []int) (ClusterSoakResult, error) {
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1}
-	}
 	cfg := clusterSoakConfig(machines)
-
-	start := time.Now()
-	res, err := cluster.Soak(cfg, workerCounts[0])
-	wall := time.Since(start)
-	if err != nil {
-		return ClusterSoakResult{}, fmt.Errorf("machines=%d workers=%d: %w", machines, workerCounts[0], err)
-	}
-	fp := res.Fingerprint()
-	for _, w := range workerCounts[1:] {
-		other, err := cluster.Soak(cfg, w)
+	res, wall, err := checkedRun(workerCounts, func(w int) (*cluster.SoakResult, string, error) {
+		r, err := cluster.Soak(cfg, w)
 		if err != nil {
-			return ClusterSoakResult{}, fmt.Errorf("machines=%d workers=%d: %w", machines, w, err)
+			return nil, "", err
 		}
-		if ofp := other.Fingerprint(); ofp != fp {
-			return ClusterSoakResult{}, fmt.Errorf("machines=%d workers=%d diverged:\n  got  %s\n  want %s", machines, w, ofp, fp)
-		}
+		return r, r.Fingerprint(), nil
+	})
+	if err != nil {
+		return ClusterSoakResult{}, fmt.Errorf("machines=%d: %w", machines, err)
 	}
 	if res.Stats.Errors != 0 {
 		return ClusterSoakResult{}, fmt.Errorf("machines=%d: soak produced %d errors", machines, res.Stats.Errors)
@@ -103,9 +94,10 @@ func ClusterSoak(machines int, workerCounts []int) (ClusterSoakResult, error) {
 		Events:      res.Events,
 		VirtualMS:   time.Duration(res.FinalTime).Seconds() * 1000,
 		ReqPerVSec:  float64(res.Stats.Requests) / vsec,
-		WallMS:      float64(wall.Nanoseconds()) / 1e6,
+		WallMS:      ms(wall),
 		Served:      res.Served,
-		Fingerprint: fp,
+		Fingerprint: res.Fingerprint(),
+		Workers:     workerCounts,
 	}
 	return out, nil
 }

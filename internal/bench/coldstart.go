@@ -28,7 +28,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/hw"
 	"repro/internal/lang"
@@ -90,13 +89,13 @@ type ColdStartResult struct {
 
 // coldStartRun is the raw outcome of one simulated run.
 type coldStartRun struct {
-	startups  []time.Duration
+	startups  metrics.Recorder
 	treeNodes int
 	fitRounds int
 	instances int
 	instPSS   float64
 	tmplPSS   float64
-	fp        uint64
+	fp        string // FNV-1a over the stream and end state, hex
 }
 
 // runColdStartArm drives one arm's seeded invocation stream at the given
@@ -155,7 +154,7 @@ func runColdStartArm(cfg coldStartConfig, zygote bool, workers int) coldStartRun
 			if err != nil {
 				panic(fmt.Sprintf("coldstart %s: %v", fn, err))
 			}
-			out.startups = append(out.startups, res.Startup)
+			out.startups.Add(res.Startup)
 			fp = fnvStr(fp, fn)
 			fp = fnvU64(fp, uint64(res.PU))
 			fp = fnvU64(fp, uint64(res.Startup))
@@ -182,58 +181,42 @@ func runColdStartArm(cfg coldStartConfig, zygote bool, workers int) coldStartRun
 			fp = fnvU64(fp, uint64(inst))
 			fp = fnvStr(fp, fmt.Sprintf("%.3f/%.3f", ipss, tpss))
 		}
-		out.fp = fp
+		out.fp = fmt.Sprintf("%016x", fp)
 	}
 
-	if workers <= 0 {
-		env := sim.NewEnv()
-		env.Spawn("coldstart-driver", func(p *sim.Proc) { body(p) })
-		env.Run()
-	} else {
-		sh := sim.NewSharded(1)
-		sh.LimitLookahead(time.Millisecond)
-		sh.Domain(0).Spawn("coldstart-driver", func(p *sim.Proc) { body(p) })
-		sh.Run(workers)
-	}
+	drive(workers, body)
 	return out
 }
 
 // ColdStartArmSweep runs one arm, timing it at workerCounts[0] and
 // verifying byte-identity at every remaining worker count.
 func ColdStartArmSweep(cfg coldStartConfig, zygote bool, workerCounts []int) (ColdStartArm, error) {
-	if len(workerCounts) == 0 {
-		workerCounts = []int{0}
-	}
 	mode := "flat-cfork"
 	if zygote {
 		mode = "zygote-tree"
 	}
-	start := time.Now()
-	run := runColdStartArm(cfg, zygote, workerCounts[0])
-	wall := time.Since(start)
-	for _, w := range workerCounts[1:] {
-		other := runColdStartArm(cfg, zygote, w)
-		if other.fp != run.fp {
-			return ColdStartArm{}, fmt.Errorf("coldstart %s: workers=%d diverged:\n  got  %016x\n  want %016x (workers=%d)",
-				mode, w, other.fp, run.fp, workerCounts[0])
-		}
+	run, wall, err := checkedRun(workerCounts, func(w int) (coldStartRun, string, error) {
+		r := runColdStartArm(cfg, zygote, w)
+		return r, r.fp, nil
+	})
+	if err != nil {
+		return ColdStartArm{}, fmt.Errorf("coldstart %s: %w", mode, err)
 	}
 
-	mean, p95 := latencyStats(run.startups)
 	const mb = 1.0 / (1 << 20)
 	return ColdStartArm{
 		Mode:          mode,
-		ColdStarts:    len(run.startups),
-		MeanStartupMS: mean.Seconds() * 1000,
-		P95StartupMS:  p95.Seconds() * 1000,
+		ColdStarts:    run.startups.Count(),
+		MeanStartupMS: run.startups.Avg().Seconds() * 1000,
+		P95StartupMS:  run.startups.Percentile(95).Seconds() * 1000,
 		TreeNodes:     run.treeNodes,
 		FitRounds:     run.fitRounds,
 		Instances:     run.instances,
 		InstPSSMB:     run.instPSS * mb,
 		TemplatePSSMB: run.tmplPSS * mb,
 		TotalPSSMB:    (run.instPSS + run.tmplPSS) * mb,
-		WallMS:        float64(wall.Nanoseconds()) / 1e6,
-		Fingerprint:   fmt.Sprintf("%016x", run.fp),
+		WallMS:        ms(wall),
+		Fingerprint:   run.fp,
 	}, nil
 }
 
@@ -289,30 +272,6 @@ func ColdStartTable(res ColdStartResult) *metrics.Table {
 		)
 	}
 	return t
-}
-
-// latencyStats returns the mean and p95 of a latency series (in recorded
-// order; the copy is sorted, the input left untouched).
-func latencyStats(ds []time.Duration) (mean, p95 time.Duration) {
-	if len(ds) == 0 {
-		return 0, 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	var sum time.Duration
-	for _, d := range sorted {
-		sum += d
-	}
-	// Insertion-free nth-element would be overkill: n is small.
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	idx := (len(sorted) * 95) / 100
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sum / time.Duration(len(sorted)), sorted[idx]
 }
 
 // fnvInit/fnvStr/fnvU64 build the run fingerprint with FNV-1a.

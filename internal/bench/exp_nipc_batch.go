@@ -16,8 +16,9 @@ import (
 // one base latency, so the fixed costs amortize across the batch while the
 // bandwidth term stays proportional to the bytes moved. It is intentionally
 // NOT in the experiment registry — batching is opt-in and the golden report
-// pins the per-message protocol — and is reached via `molecule-bench -nipc`
-// instead (BENCH_nipc.json is the committed snapshot).
+// pins the per-message protocol — and is reached via
+// `molecule-bench -scenario nipc` instead (BENCH_nipc.json is the committed
+// snapshot).
 
 // NIPCBatchPoint compares one batch size: the virtual time for k individual
 // xfifo_writes vs one xfifo_writev of the same k messages.

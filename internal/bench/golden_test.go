@@ -20,7 +20,7 @@ func TestGoldenReport(t *testing.T) {
 		t.Skip("full harness in -short mode")
 	}
 	var buf bytes.Buffer
-	RunAll(&buf)
+	Report(&buf, 0, false)
 	golden := filepath.Join("testdata", "report.golden")
 	if *update {
 		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {

@@ -16,8 +16,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Skip("full harness in -short mode")
 	}
 	var seq, par bytes.Buffer
-	RunAllParallel(&seq, 1)
-	RunAllParallel(&par, 4)
+	Report(&seq, 1, false)
+	Report(&par, 4, false)
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatal("parallel report differs from sequential report")
 	}
@@ -37,8 +37,8 @@ func TestMarkdownParallelMatchesSequential(t *testing.T) {
 		t.Skip("full harness in -short mode")
 	}
 	var seq, par bytes.Buffer
-	RunAllMarkdownParallel(&seq, 1)
-	RunAllMarkdownParallel(&par, 2)
+	Report(&seq, 1, true)
+	Report(&par, 2, true)
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatal("parallel markdown report differs from sequential")
 	}

@@ -42,7 +42,7 @@ func TestShardedGoldenReport(t *testing.T) {
 	for _, n := range shardSweep() {
 		withShards(n, func() {
 			var buf bytes.Buffer
-			RunAll(&buf)
+			Report(&buf, 0, false)
 			if !bytes.Equal(buf.Bytes(), want) {
 				t.Fatalf("shards=%d: report diverges from golden (%d vs %d bytes)", n, buf.Len(), len(want))
 			}
@@ -107,15 +107,15 @@ func TestShardedObsTrace(t *testing.T) {
 // checks both that every shard count fingerprints identically (enforced
 // inside ShardSoakSweep) and that the whole sweep is repeatable.
 func TestShardSoakSweepDeterminism(t *testing.T) {
-	counts := []int{1, 2, 4}
+	points := [][2]int{{1, 1}, {2, 0}, {4, 1}, {4, 0}}
 	if n := runtime.NumCPU(); n > 4 {
-		counts = append(counts, n)
+		points = append(points, [2]int{4, n})
 	}
-	a, err := ShardSoakSweep(4, 1500, counts)
+	a, err := ShardSoakSweep(4, 1500, points)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ShardSoakSweep(4, 1500, counts)
+	b, err := ShardSoakSweep(4, 1500, points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +135,11 @@ func TestShardSoakSweepDeterminism(t *testing.T) {
 // from the monolithic baseline and must reject configurations that cannot
 // partition the machines.
 func TestShardSoakRejectsBadSweep(t *testing.T) {
-	if _, err := ShardSoakSweep(4, 100, []int{2, 4}); err == nil {
+	if _, err := ShardSoakSweep(4, 100, [][2]int{{2, 0}, {4, 0}}); err == nil {
 		t.Fatal("sweep without a shards=1 baseline was accepted")
+	}
+	if _, err := ShardSoakSweep(4, 100, [][2]int{{1, 2}, {4, 0}}); err == nil {
+		t.Fatal("sweep with a multi-worker baseline was accepted")
 	}
 	if _, err := ShardSoak(ShardSoakConfig{Machines: 2, Invocations: 10, Shards: 3}); err == nil {
 		t.Fatal("more shards than machines was accepted")

@@ -163,28 +163,31 @@ func ShardSoak(cfg ShardSoakConfig) (ShardSoakResult, error) {
 		Machines:     m,
 		Invocations:  cfg.Invocations,
 		Events:       events,
-		WallMS:       float64(wall.Nanoseconds()) / 1e6,
+		WallMS:       ms(wall),
 		EventsPerSec: float64(events) / wall.Seconds(),
 		Fingerprint:  fmt.Sprintf("inv=%v recv=%v sent=%v events=%d now=%d", inv, recv, sent, events, sh.Now()),
 	}
 	return res, nil
 }
 
-// ShardSoakSweep runs the soak at each shard count and verifies that every
-// point produced the bit-identical fingerprint before computing speedups
-// relative to the shards=1 (monolithic heap) point, which must be first.
-func ShardSoakSweep(machines, invocations int, shardCounts []int) ([]ShardSoakResult, error) {
-	if len(shardCounts) == 0 || shardCounts[0] != 1 {
-		return nil, fmt.Errorf("sweep must start at shards=1 (the monolithic baseline), got %v", shardCounts)
+// ShardSoakSweep runs the soak at each (shards, workers) point — workers 0
+// means one per shard — and verifies that every point produced the
+// bit-identical fingerprint before computing speedups relative to the first
+// point, which must be the monolithic heap: shards=1 on one worker. Points
+// with equal shards and different workers separate the per-domain-heap
+// effect from real parallelism.
+func ShardSoakSweep(machines, invocations int, points [][2]int) ([]ShardSoakResult, error) {
+	if len(points) == 0 || points[0][0] != 1 || points[0][1] > 1 {
+		return nil, fmt.Errorf("sweep must start at shards=1 workers=1 (the monolithic baseline), got %v", points)
 	}
-	out := make([]ShardSoakResult, 0, len(shardCounts))
-	for _, s := range shardCounts {
-		r, err := ShardSoak(ShardSoakConfig{Machines: machines, Invocations: invocations, Shards: s})
+	out := make([]ShardSoakResult, 0, len(points))
+	for _, pt := range points {
+		r, err := ShardSoak(ShardSoakConfig{Machines: machines, Invocations: invocations, Shards: pt[0], Workers: pt[1]})
 		if err != nil {
-			return nil, fmt.Errorf("shards=%d: %w", s, err)
+			return nil, fmt.Errorf("shards=%d workers=%d: %w", pt[0], pt[1], err)
 		}
 		if len(out) > 0 && r.Fingerprint != out[0].Fingerprint {
-			return nil, fmt.Errorf("shards=%d diverged:\n  got  %s\n  want %s", s, r.Fingerprint, out[0].Fingerprint)
+			return nil, fmt.Errorf("shards=%d workers=%d diverged:\n  got  %s\n  want %s", pt[0], pt[1], r.Fingerprint, out[0].Fingerprint)
 		}
 		out = append(out, r)
 	}
@@ -198,7 +201,7 @@ func ShardSoakSweep(machines, invocations int, shardCounts []int) ([]ShardSoakRe
 // ShardSoakTable renders a sweep as a report table.
 func ShardSoakTable(results []ShardSoakResult) *metrics.Table {
 	t := &metrics.Table{
-		Title:  "Sharded kernel soak — events/sec vs shard count",
+		Title:  "Sharded kernel soak — events/sec vs shard and worker count",
 		Note:   fmt.Sprintf("%d machines x %d invocations, identical fingerprint at every point", results[0].Machines, results[0].Invocations),
 		Header: []string{"shards", "workers", "events", "wall ms", "events/sec", "speedup"},
 	}

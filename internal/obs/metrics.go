@@ -105,7 +105,6 @@ type Histogram struct {
 	counts [numHistBuckets]int64 // one per histBuckets entry
 	inf    int64                 // +Inf overflow bucket
 	sum    time.Duration
-	max    time.Duration // largest observation; Quantile's +Inf-bucket answer
 	n      int64
 }
 
@@ -118,9 +117,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.sum += d
 	h.n++
-	if d > h.max {
-		h.max = d
-	}
 	for i, ub := range histBuckets {
 		if d <= ub {
 			h.counts[i]++
@@ -128,48 +124,6 @@ func (h *Histogram) Observe(d time.Duration) {
 		}
 	}
 	h.inf++
-}
-
-// Quantile returns an upper bound on the q-quantile (0 < q <= 1) by
-// nearest rank over the bucket CDF: the smallest bucket whose cumulative
-// count reaches rank ceil(q*n), clamped to the largest observation. The
-// >= rank comparison is what keeps bucket edges exact — with every
-// observation equal to a bucket's upper bound, that bound itself is
-// returned for every q, not the next bucket up. Returns 0 with no
-// observations. Nil-safe.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil || h.n == 0 {
-		return 0
-	}
-	rank := int64(q * float64(h.n))
-	if float64(rank) < q*float64(h.n) {
-		rank++ // ceil
-	}
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > h.n {
-		rank = h.n
-	}
-	cum := int64(0)
-	for i, ub := range histBuckets {
-		cum += h.counts[i]
-		if cum >= rank {
-			if ub > h.max {
-				return h.max
-			}
-			return ub
-		}
-	}
-	return h.max
-}
-
-// Max returns the largest observation (0 on nil or empty).
-func (h *Histogram) Max() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return h.max
 }
 
 // Count returns the number of observations (0 on nil).

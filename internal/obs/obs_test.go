@@ -353,39 +353,6 @@ func TestPrometheusBucketBoundaries(t *testing.T) {
 	if strings.Index(out, `{role="core",le="+Inf"}`) > strings.Index(out, `{role="edge",le="1e-06"}`) {
 		t.Errorf("series not sorted by label set:\n%s", out)
 	}
-
-	// Quantiles on exact bucket edges return the edge, not the next bucket.
-	if got := h.Quantile(0.25); got != time.Millisecond {
-		t.Errorf("Quantile(0.25) = %v, want 1ms", got)
-	}
-	if got := h.Quantile(0.5); got != 2500*time.Microsecond {
-		t.Errorf("Quantile(0.5) = %v, want 2.5ms", got)
-	}
-	if got := h.Quantile(0.75); got != 10*time.Second {
-		t.Errorf("Quantile(0.75) = %v, want 10s", got)
-	}
-	// The +Inf bucket answers with the observed maximum, not infinity.
-	if got := h.Quantile(1); got != 10*time.Second+time.Nanosecond {
-		t.Errorf("Quantile(1) = %v, want the exact max", got)
-	}
-	if got := h.Max(); got != 10*time.Second+time.Nanosecond {
-		t.Errorf("Max() = %v", got)
-	}
-	// A histogram whose observations all sit on one edge answers that edge
-	// for every quantile.
-	edge := r.Histogram("one_edge_seconds")
-	for i := 0; i < 3; i++ {
-		edge.Observe(time.Millisecond)
-	}
-	for _, q := range []float64{0.01, 0.5, 1} {
-		if got := edge.Quantile(q); got != time.Millisecond {
-			t.Errorf("one-edge Quantile(%v) = %v, want 1ms", q, got)
-		}
-	}
-	var nilHist *Histogram
-	if nilHist.Quantile(0.5) != 0 || nilHist.Max() != 0 {
-		t.Error("nil histogram quantile/max not inert")
-	}
 }
 
 func TestChromeTraceExport(t *testing.T) {

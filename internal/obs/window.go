@@ -131,8 +131,8 @@ func (wt *WindowTelemetry) StallRatio() float64 {
 }
 
 // WriteText renders the accumulated telemetry as a fixed-layout summary —
-// the `molecule-bench -soak` telemetry section. Deterministic: every line
-// is a pure function of virtual-time state.
+// the `molecule-bench -scenario soak` telemetry section. Deterministic:
+// every line is a pure function of virtual-time state.
 func (wt *WindowTelemetry) WriteText(w io.Writer) error {
 	var b strings.Builder
 	b.WriteString("== Sharded-kernel window telemetry ==\n")

@@ -41,7 +41,7 @@ func TestWindowTelemetryAccumulates(t *testing.T) {
 	}
 }
 
-// TestWindowTelemetryText pins the -soak telemetry section bytes.
+// TestWindowTelemetryText pins the soak scenario's telemetry section bytes.
 func TestWindowTelemetryText(t *testing.T) {
 	wt := &WindowTelemetry{}
 	feedRounds(wt)

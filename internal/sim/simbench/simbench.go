@@ -1,6 +1,7 @@
 // Package simbench holds the kernel microbenchmark bodies shared by the
-// internal/sim benchmark tests and the molecule-bench CLI (-json mode runs
-// them via testing.Benchmark to pin ns/op and allocs/op in BENCH_kernel.json).
+// internal/sim benchmark tests and the molecule-bench CLI (its kernel
+// scenario runs them via testing.Benchmark to pin ns/op and allocs/op in
+// BENCH_kernel.json).
 //
 // Each body is a closed simulation: it builds a fresh Env, runs b.N
 // operations of one kernel primitive, and drains the environment, so the
@@ -155,7 +156,7 @@ func AddressSpaceForkFanout(b *testing.B) {
 }
 
 // All runs every kernel microbenchmark through testing.Benchmark and returns
-// the results. Used by molecule-bench -json.
+// the results. Used by the molecule-bench kernel scenario.
 func All() []Result {
 	benches := []struct {
 		name string
