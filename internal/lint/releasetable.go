@@ -56,6 +56,14 @@ var ReleaseTable = []ReleasePair{
 		},
 	},
 	{
+		Class:   "chain wiring",
+		Acquire: apiRef{Recv: "repro/internal/molecule.Runtime", Method: "wireChain"},
+		Result:  0, PinArg: -1,
+		Releases: []releaseRef{
+			{apiRef{Recv: "repro/internal/molecule.Runtime", Method: "unwireChain"}, 0},
+		},
+	},
+	{
 		Class:   "held molecule instance",
 		Acquire: apiRef{Recv: "repro/internal/molecule.Runtime", Method: "AcquireHeld"},
 		Result:  0, PinArg: -1,

@@ -183,6 +183,45 @@ func SetDeferred(rt *Runtime, p *Proc, names []string) error {
 	return nil
 }
 
+// wireChain builds one call's FIFO plumbing, all or nothing; unwireChain
+// releases it.
+type chainWiring struct{ edges []int }
+
+func (rt *Runtime) wireChain(p *Proc, insts []*instance) (*chainWiring, error) {
+	return &chainWiring{}, nil
+}
+
+func (rt *Runtime) unwireChain(w *chainWiring) {}
+
+func useEdges(_ []int) {}
+
+// WiringForgotten is InvokeChain without its deferred unwireChain: every
+// call leaks its gateway process, FIFOs and capabilities.
+func WiringForgotten(rt *Runtime, p *Proc, insts []*instance) error {
+	w, err := rt.wireChain(p, insts) // want `releasepath: chain wiring "w" acquired here can reach the return at`
+	if err != nil {
+		return err
+	}
+	edges := w.edges
+	useEdges(edges)
+	return nil
+}
+
+// WiringDeferred is the InvokeChain shape: the stage closures capture the
+// edges, never the wiring, and the release is deferred right after the
+// wire.
+func WiringDeferred(rt *Runtime, p *Proc, insts []*instance) error {
+	w, err := rt.wireChain(p, insts)
+	if err != nil {
+		return err
+	}
+	defer rt.unwireChain(w)
+	edges := w.edges
+	run := func() { useEdges(edges) }
+	run()
+	return nil
+}
+
 // A released-waiver on a line that acquires nothing is stale.
 //lint:released the acquire this excused was deleted // want `stale //lint:released waiver: no tracked acquire on this line`
 func nothingAcquired() {}

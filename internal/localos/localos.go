@@ -106,6 +106,8 @@ type OS struct {
 	nextCG  int
 	procs   map[PID]*Process
 	fifos   map[string]*FIFO
+	// freeFIFOs holds removed FIFOs for CreateFIFO to reuse.
+	freeFIFOs []*FIFO
 }
 
 // New returns an OS instance for the given PU with its derived cost model.
@@ -264,10 +266,22 @@ func (os *OS) CreateFIFO(name string, capacity int) *FIFO {
 	if f, ok := os.fifos[name]; ok {
 		return f
 	}
-	f := &FIFO{Name: name, os: os, ch: sim.NewChan[Message](os.Env, capacity)}
+	var f *FIFO
+	if n := len(os.freeFIFOs); n > 0 {
+		f = os.freeFIFOs[n-1]
+		os.freeFIFOs[n-1] = nil
+		os.freeFIFOs = os.freeFIFOs[:n-1]
+		f.Name = name
+		f.ch.Reset(capacity)
+	} else {
+		f = &FIFO{Name: name, os: os, ch: sim.NewChan[Message](os.Env, capacity)}
+	}
 	os.fifos[name] = f
 	return f
 }
+
+// NumFIFOs reports the number of named FIFOs.
+func (os *OS) NumFIFOs() int { return len(os.fifos) }
 
 // OpenFIFO returns the named FIFO, or an error if it does not exist.
 func (os *OS) OpenFIFO(name string) (*FIFO, error) {
@@ -285,6 +299,16 @@ func (os *OS) RemoveFIFO(name string) {
 		f.Close()
 		delete(os.fifos, name)
 	}
+}
+
+// Remove unlinks f and recycles it for a later CreateFIFO on the same OS,
+// charging no time and waking no one. The caller must drop every reference
+// to f, and no process may be parked on it.
+func (f *FIFO) Remove() {
+	if f.os.fifos[f.Name] == f {
+		delete(f.os.fifos, f.Name)
+	}
+	f.os.freeFIFOs = append(f.os.freeFIFOs, f)
 }
 
 // Close shuts the FIFO without unlinking its name: blocked readers wake with

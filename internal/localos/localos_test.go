@@ -246,6 +246,41 @@ func TestRemoveFIFOWakesReaders(t *testing.T) {
 	}
 }
 
+// TestRemoveRecyclesFIFO: Remove unlinks the name, and the next CreateFIFO
+// reuses the storage open and empty.
+func TestRemoveRecyclesFIFO(t *testing.T) {
+	env, os := newTestOS(hw.CPU)
+	env.Spawn("x", func(p *sim.Proc) {
+		old := os.CreateFIFO("old", 4)
+		old.Write(p, Message{Kind: "stale"})
+		old.Close()
+		old.Remove()
+		if os.NumFIFOs() != 0 {
+			t.Errorf("NumFIFOs = %d after Remove, want 0", os.NumFIFOs())
+		}
+		if _, err := os.OpenFIFO("old"); err == nil {
+			t.Error("removed FIFO still open-able")
+		}
+		f := os.CreateFIFO("new", 1)
+		if f != old {
+			t.Fatal("CreateFIFO did not reuse the removed FIFO")
+		}
+		if f.Name != "new" || f.Len() != 0 {
+			t.Errorf("reused FIFO = %q with %d queued, want \"new\" and empty", f.Name, f.Len())
+		}
+		if !f.Write(p, Message{Kind: "fresh"}) {
+			t.Fatal("write to the reused FIFO reported closed")
+		}
+		if m, ok := f.TryRead(p); !ok || m.Kind != "fresh" {
+			t.Fatalf("reused FIFO read = %q, %v; want the fresh message", m.Kind, ok)
+		}
+		if g, err := os.OpenFIFO("new"); err != nil || g != f {
+			t.Errorf("OpenFIFO(new) = %v, %v", g, err)
+		}
+	})
+	env.Run()
+}
+
 func TestTryRead(t *testing.T) {
 	env, os := newTestOS(hw.CPU)
 	f := os.CreateFIFO("f", 2)

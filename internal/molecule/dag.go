@@ -92,11 +92,27 @@ func (pp *pipe) close() {
 	pp.recvFD.Abort()
 }
 
+// unlink removes whatever part of the pipe was built from its OS and shim,
+// recycling the host objects. It charges nothing: like close, it is runtime
+// bookkeeping, not an XPUcall.
+func (pp *pipe) unlink() {
+	if pp.local != nil {
+		pp.local.Remove()
+	}
+	if pp.recvFD != nil {
+		pp.recvFD.Unlink()
+	}
+	if pp.sendFD != nil {
+		pp.sendFD.Unlink()
+	}
+	*pp = pipe{}
+}
+
 // edge is the full-duplex direct connection between a caller and callee
 // (§4.3 "direct connect": a pair of FIFOs, no intermediate bus or engine).
 type edge struct {
-	req  *pipe
-	resp *pipe
+	req  pipe
+	resp pipe
 }
 
 // chainAbort tears a chain down on its first error. A stage (or the
@@ -105,7 +121,7 @@ type edge struct {
 // and exits instead of waiting for a peer that will never answer.
 type chainAbort struct {
 	err   error
-	edges []*edge
+	edges []edge
 }
 
 func (a *chainAbort) fail(err error) {
@@ -113,10 +129,22 @@ func (a *chainAbort) fail(err error) {
 		return
 	}
 	a.err = err
-	for _, e := range a.edges {
-		e.req.close()
-		e.resp.close()
+	for i := range a.edges {
+		a.edges[i].req.close()
+		a.edges[i].resp.close()
 	}
+}
+
+// chainWiring is one call's FIFO plumbing: a gateway process on the host
+// and the edges from it through every stage. wireChain builds it and
+// unwireChain releases it; the Runtime recycles the struct and its slices.
+type chainWiring struct {
+	gw endpoint
+	// edges[0] connects the gateway to stage 0; edges[i] connects stage i
+	// to its caller.
+	edges   []edge
+	abort   chainAbort
+	execDur []time.Duration
 }
 
 // endpoint is one side of a chain edge: a shim node plus the OS process
@@ -130,45 +158,99 @@ func instEndpoint(inst *instance) endpoint {
 	return endpoint{node: inst.node, proc: inst.sb.Inst.Proc}
 }
 
-// buildEdge wires a duplex connection from caller to callee. The request
-// FIFO is homed at the callee (its self_fifo); the response FIFO at the
-// caller.
-func (rt *Runtime) buildEdge(p *sim.Proc, caller, callee endpoint) (*edge, error) {
+// wireChain starts a gateway process and wires a duplex edge from it
+// through every instance in order. It is all or nothing: on an error it
+// releases what it built and returns no wiring; otherwise the caller hands
+// the wiring back with unwireChain once no process uses its FIFOs.
+func (rt *Runtime) wireChain(p *sim.Proc, insts []*instance) (*chainWiring, error) {
+	var w *chainWiring
+	if n := len(rt.freeWirings); n > 0 {
+		w = rt.freeWirings[n-1]
+		rt.freeWirings[n-1] = nil
+		rt.freeWirings = rt.freeWirings[:n-1]
+	} else {
+		w = new(chainWiring)
+	}
+	hostNode := rt.nodes[rt.hostID]
+	w.gw = endpoint{node: hostNode, proc: hostNode.os.NewDetachedProcess("gateway")}
+	ok := false
+	defer func() {
+		if !ok {
+			rt.unwireChain(w)
+		}
+	}()
+	if cap(w.edges) < len(insts) {
+		w.edges = make([]edge, 0, len(insts))
+	}
+	caller := w.gw
+	for _, inst := range insts {
+		callee := instEndpoint(inst)
+		w.edges = append(w.edges, edge{})
+		if err := rt.buildEdge(p, &w.edges[len(w.edges)-1], caller, callee); err != nil {
+			return nil, err
+		}
+		caller = callee
+	}
+	w.abort.edges = w.edges
+	ok = true
+	return w, nil
+}
+
+// unwireChain releases a chain's wiring: every FIFO leaves its OS or the
+// shim with every capability on it, the gateway's CAP_Group is dropped, and
+// the gateway process exits. No process may be parked on the FIFOs. It
+// charges no virtual time and schedules no event — teardown is runtime
+// bookkeeping like FD.Abort, not a modeled xfifo_close.
+func (rt *Runtime) unwireChain(w *chainWiring) {
+	for i := range w.edges {
+		w.edges[i].req.unlink()
+		w.edges[i].resp.unlink()
+	}
+	gw := w.gw
+	gw.node.node.Unregister(gw.proc)
+	gw.node.os.Exit(gw.proc)
+	*w = chainWiring{edges: w.edges[:0], execDur: w.execDur[:0]}
+	rt.freeWirings = append(rt.freeWirings, w)
+}
+
+// buildEdge wires e as a duplex connection from caller to callee. The
+// request FIFO is homed at the callee (its self_fifo); the response FIFO at
+// the caller. On an error e holds what was built, for unwireChain.
+func (rt *Runtime) buildEdge(p *sim.Proc, e *edge, caller, callee endpoint) error {
 	if caller.node.pu.ID == callee.node.pu.ID {
 		os := caller.node.os
-		req := os.CreateFIFO(rt.nextFIFO("req"), 4)
-		resp := os.CreateFIFO(rt.nextFIFO("resp"), 4)
-		return &edge{req: &pipe{local: req}, resp: &pipe{local: resp}}, nil
+		e.req.local = os.CreateFIFO(rt.nextFIFO("req"), 4)
+		e.resp.local = os.CreateFIFO(rt.nextFIFO("resp"), 4)
+		return nil
 	}
 	callerX := caller.node.node.Register(caller.proc)
 	calleeX := callee.node.node.Register(callee.proc)
-
-	mk := func(home endpoint, homeX, peerX xpu.XPID, peerNode *xpu.Node, name string) (*pipe, error) {
-		uuid := rt.nextFIFO(name)
-		homeFD, err := home.node.node.FIFOInit(p, homeX, uuid, 4)
-		if err != nil {
-			return nil, err
-		}
-		obj := xpu.ObjID{Kind: "fifo", UUID: uuid}
-		if err := home.node.node.GrantCap(p, homeX, peerX, obj, xpu.PermRead|xpu.PermWrite); err != nil {
-			return nil, err
-		}
-		peerFD, err := peerNode.FIFOConnect(p, peerX, uuid)
-		if err != nil {
-			return nil, err
-		}
-		return &pipe{sendFD: peerFD, recvFD: homeFD}, nil
-	}
-	req, err := mk(callee, calleeX, callerX, caller.node.node, "req")
-	if err != nil {
-		return nil, err
-	}
-	resp, err := mk(caller, callerX, calleeX, callee.node.node, "resp")
-	if err != nil {
-		return nil, err
+	if err := rt.connect(p, &e.req, callee, calleeX, callerX, caller.node.node, "req"); err != nil {
+		return err
 	}
 	// In the response pipe the callee sends and the caller receives.
-	return &edge{req: req, resp: resp}, nil
+	return rt.connect(p, &e.resp, caller, callerX, calleeX, callee.node.node, "resp")
+}
+
+// connect builds pp as an XPU-FIFO homed at home, readable by its owner
+// homeX and connected for the peer peerX on peerNode.
+func (rt *Runtime) connect(p *sim.Proc, pp *pipe, home endpoint, homeX, peerX xpu.XPID, peerNode *xpu.Node, name string) error {
+	uuid := rt.nextFIFO(name)
+	fd, err := home.node.node.FIFOInit(p, homeX, uuid, 4)
+	if err != nil {
+		return err
+	}
+	pp.recvFD = fd
+	obj := xpu.ObjID{Kind: "fifo", UUID: uuid}
+	if err := home.node.node.GrantCap(p, homeX, peerX, obj, xpu.PermRead|xpu.PermWrite); err != nil {
+		return err
+	}
+	fd, err = peerNode.FIFOConnect(p, peerX, uuid)
+	if err != nil {
+		return err
+	}
+	pp.sendFD = fd
+	return nil
 }
 
 // chainMeta is the per-request metadata carried in FIFO messages.
@@ -203,24 +285,18 @@ func (rt *Runtime) InvokeChain(p *sim.Proc, names []string, opts ChainOptions) (
 	defer rt.releaseAll(p, insts)
 	res := ChainResult{ColdStarts: cold}
 
-	// Wire the gateway edge (edges[0]) plus one edge per chain hop: edges[i]
-	// connects stage i to its caller.
-	hostNode := rt.nodes[rt.hostID]
-	caller := endpoint{node: hostNode, proc: hostNode.os.NewDetachedProcess("gateway")}
-	edges := make([]*edge, n)
-	for i, inst := range insts {
-		callee := instEndpoint(inst)
-		e, err := rt.buildEdge(p, caller, callee)
-		if err != nil {
-			return ChainResult{}, err
-		}
-		edges[i] = e
-		caller = callee
+	w, err := rt.wireChain(p, insts)
+	if err != nil {
+		return ChainResult{}, err
 	}
-	abort := &chainAbort{edges: edges}
+	// Every stage has exited by the time this runs: InvokeChain waits for
+	// them below on every path.
+	defer rt.unwireChain(w)
+	edges, abort := w.edges, &w.abort
 
 	edgeLat := make([]time.Duration, n)
-	execDur := make([]time.Duration, n)
+	w.execDur = append(w.execDur, make([]time.Duration, n)...)
+	execDur := w.execDur
 
 	// Spawn one process per instance.
 	done := sim.NewWaitGroup(rt.Env)
@@ -228,10 +304,10 @@ func (rt *Runtime) InvokeChain(p *sim.Proc, names []string, opts ChainOptions) (
 	for i := n - 1; i >= 0; i-- {
 		i := i
 		inst, d := insts[i], deps[i]
-		in := edges[i]
+		in := &edges[i]
 		var out *edge
 		if i < n-1 {
-			out = edges[i+1]
+			out = &edges[i+1]
 		}
 		rt.Env.Spawn("chain-"+inst.fn, func(fp *sim.Proc) {
 			defer done.Done()

@@ -226,3 +226,27 @@ func BenchmarkInvokeWarm(b *testing.B) {
 	})
 	env.Run()
 }
+
+// BenchmarkInvokeChainCrossPU measures a warm five-stage Alexa chain whose
+// stages alternate between the host and two DPUs (chainRig's placement), so
+// every hop but the gateway's is an nIPC edge: per call, wireChain builds
+// and unwireChain releases eight XPU-FIFOs and two local FIFOs.
+func BenchmarkInvokeChainCrossPU(b *testing.B) {
+	env := sim.NewEnv()
+	m := hw.Build(env, hw.Config{DPUs: 2})
+	env.Spawn("bench", func(p *sim.Proc) {
+		rt, chain, cross := chainRig(b, p, m)
+		opts := ChainOptions{Placement: cross}
+		if _, err := rt.InvokeChain(p, chain, opts); err != nil {
+			b.Fatal(err) // cold starts outside the timed region
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := rt.InvokeChain(p, chain, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	env.Run()
+}

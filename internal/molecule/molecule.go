@@ -184,6 +184,9 @@ type Runtime struct {
 
 	fifoSeq   int
 	jitterSeq uint64
+
+	// freeWirings holds released chain wirings for wireChain to reuse.
+	freeWirings []*chainWiring
 }
 
 // xpuSink adapts *obs.Observer to the shim's consumer-side xpu.MetricSink,

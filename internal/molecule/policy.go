@@ -78,6 +78,12 @@ func (rt *Runtime) candidatePUs(d *Deployment, policy PlacementPolicy) []hw.PUID
 	}
 }
 
+// errChainFull is PlaceChain's refusal when the right PU exists but is
+// genuinely full: queueable at a cluster gateway, so it wraps ErrNoCapacity,
+// unlike the kind mismatch, which is a deployment error. It is built once
+// because a saturated cluster meets it on every placement attempt.
+var errChainFull = fmt.Errorf("molecule: %w: every PU supporting the whole chain is full", ErrNoCapacity)
+
 // PlaceChain assigns each function of a chain to a PU according to the
 // policy, respecting capacity and profile support. It returns one PUID per
 // function.
@@ -157,10 +163,7 @@ func (rt *Runtime) PlaceChain(names []string, policy PlacementPolicy) ([]hw.PUID
 				return out, nil
 			}
 			if supported {
-				// The right PU exists but is genuinely full: queueable at a
-				// cluster gateway, so wrap ErrNoCapacity — unlike the
-				// kind-mismatch below, which is a deployment error.
-				return nil, fmt.Errorf("molecule: %w: every PU supporting the whole chain is full", ErrNoCapacity)
+				return nil, errChainFull
 			}
 		}
 		return nil, fmt.Errorf("molecule: no single PU supports the whole chain")

@@ -1,6 +1,7 @@
 package molecule
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/hw"
@@ -52,6 +53,23 @@ func TestPlaceChainAffinityOverflowsWhenHostFull(t *testing.T) {
 		dpu := rt.Machine.PUsOfKind(hw.DPU)[0].ID
 		if pl[0] != dpu {
 			t.Errorf("chain placed on PU %d with full host, want DPU %d", pl[0], dpu)
+		}
+	})
+}
+
+// TestPlaceChainAffinityFullIsNoCapacity: with the only supporting PU full,
+// affinity placement refuses with an error a cluster gateway can queue on.
+func TestPlaceChainAffinityFullIsNoCapacity(t *testing.T) {
+	run(t, hw.Config{}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
+		deployAlexaBoth(t, p, rt)
+		rt.Node(0).liveCount = rt.Node(0).capacity
+		_, err := rt.PlaceChain(workloads.AlexaChain(), PlaceChainAffinity)
+		if !errors.Is(err, ErrNoCapacity) {
+			t.Fatalf("PlaceChain error = %v, want one wrapping ErrNoCapacity", err)
+		}
+		const want = "molecule: no capacity: every PU supporting the whole chain is full"
+		if err.Error() != want {
+			t.Errorf("PlaceChain error = %q, want %q", err, want)
 		}
 	})
 }

@@ -16,14 +16,20 @@ import (
 // the duplex connection — the steady-state data plane of §4.2's "Molecule
 // can assign requests to the child instance".
 type Resident struct {
-	rt   *Runtime
-	fn   string
-	inst *instance
-	edge *edge
-	d    *Deployment
+	rt     *Runtime
+	fn     string
+	inst   *instance
+	wiring *chainWiring
+	d      *Deployment
 
 	served  int
 	stopped bool
+
+	// The server process releases the wiring when it returns, unless a
+	// Call or Stop is still using the FIFOs; then the last of those does.
+	inflight int
+	exited   bool
+	exitErr  error // why the server returned, when not on shutdown
 }
 
 // StartResident acquires an instance of fn on the given PU (cold-starting
@@ -38,19 +44,23 @@ func (rt *Runtime) StartResident(p *sim.Proc, fn string, pu hw.PUID) (*Resident,
 	if err != nil {
 		return nil, err
 	}
-	hostNode := rt.nodes[rt.hostID]
-	gw := endpoint{node: hostNode, proc: hostNode.os.NewDetachedProcess("resident-gw")}
-	e, err := rt.buildEdge(p, gw, instEndpoint(inst))
+	w, err := rt.wireChain(p, []*instance{inst})
 	if err != nil {
 		rt.release(p, inst)
 		return nil, err
 	}
-	r := &Resident{rt: rt, fn: fn, inst: inst, edge: e, d: d}
+	r := &Resident{rt: rt, fn: fn, inst: inst, wiring: w, d: d}
+	e := &w.edges[0]
 
 	rt.Env.Spawn("resident-"+fn, func(sp *sim.Proc) {
+		defer func() {
+			r.exited = true
+			r.unwireIfIdle()
+		}()
 		for {
 			msg, err := e.req.recv(sp)
 			if err != nil {
+				r.exitErr = err
 				return // connection closed: shut down
 			}
 			if msg.Kind == "shutdown" {
@@ -66,6 +76,21 @@ func (rt *Runtime) StartResident(p *sim.Proc, fn string, pu hw.PUID) (*Resident,
 	return r, nil
 }
 
+// unwireIfIdle releases the wiring once the server has returned and no
+// caller still holds its FIFOs.
+func (r *Resident) unwireIfIdle() {
+	if r.exited && r.inflight == 0 && r.wiring != nil {
+		r.rt.unwireChain(r.wiring)
+		r.wiring = nil
+	}
+}
+
+// leave ends one Call or Stop's use of the FIFOs.
+func (r *Resident) leave() {
+	r.inflight--
+	r.unwireIfIdle()
+}
+
 // Call sends one request to the resident instance and waits for its
 // response, returning the request latency. Concurrent callers are served in
 // FIFO order by the single-threaded handler.
@@ -73,14 +98,20 @@ func (r *Resident) Call(p *sim.Proc, arg workloads.Arg) (time.Duration, error) {
 	if r.stopped {
 		return 0, fmt.Errorf("molecule: resident %s stopped", r.fn)
 	}
+	if r.exited {
+		return 0, fmt.Errorf("molecule: resident %s exited: %w", r.fn, r.exitErr)
+	}
+	r.inflight++
+	defer r.leave()
+	e := &r.wiring.edges[0]
 	argB, _ := r.d.Fn.Sizes(arg)
 	start := p.Now()
-	if err := r.edge.req.send(p, localos.Message{
+	if err := e.req.send(p, localos.Message{
 		Kind: "req", Payload: payload(argB), Meta: arg,
 	}); err != nil {
 		return 0, err
 	}
-	if _, err := r.edge.resp.recv(p); err != nil {
+	if _, err := e.resp.recv(p); err != nil {
 		return 0, err
 	}
 	r.served++
@@ -103,6 +134,10 @@ func (r *Resident) Stop(p *sim.Proc) {
 		return
 	}
 	r.stopped = true
-	r.edge.req.send(p, localos.Message{Kind: "shutdown"})
+	if !r.exited {
+		r.inflight++
+		r.wiring.edges[0].req.send(p, localos.Message{Kind: "shutdown"})
+		r.leave()
+	}
 	r.rt.release(p, r.inst)
 }

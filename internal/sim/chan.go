@@ -10,22 +10,21 @@ type Chan[T any] struct {
 	// (rather than append/reslice) keeps steady-state send/recv allocation-
 	// free — the storage grows geometrically up to cap and is then reused
 	// forever.
-	buf    []T
-	head   int
-	count  int
-	cap    int
-	sendq  []*sendWaiter[T]
-	recvq  []*recvWaiter[T]
+	buf   []T
+	head  int
+	count int
+	cap   int
+	sendq []*sendWaiter[T]
+	// recvq holds the parked receivers, oldest first. Dequeuing shifts the
+	// rest down, so the backing array is reused for the channel's lifetime
+	// and parking a receiver allocates nothing once it has grown.
+	recvq  []*Proc
 	closed bool
 }
 
 type sendWaiter[T any] struct {
 	p   *Proc
 	val T
-}
-
-type recvWaiter[T any] struct {
-	p *Proc
 }
 
 type recvResult[T any] struct {
@@ -95,16 +94,29 @@ func (c *Chan[T]) Close() {
 		return
 	}
 	c.closed = true
-	waiters := c.recvq
-	c.recvq = nil
-	for _, w := range waiters {
-		c.env.scheduleResume(c.env.now, w.p, resumeMsg{val: recvResult[T]{ok: false}})
+	for i, p := range c.recvq {
+		c.env.scheduleResume(c.env.now, p, resumeMsg{val: recvResult[T]{ok: false}})
+		c.recvq[i] = nil
 	}
+	c.recvq = c.recvq[:0]
 	senders := c.sendq
 	c.sendq = nil
 	for _, w := range senders {
 		c.env.scheduleResume(c.env.now, w.p, resumeMsg{val: closedSend{}})
 	}
+}
+
+// Reset empties the channel and reopens it with the given capacity, keeping
+// its ring storage, so a pooled channel can serve a new owner. Only an idle
+// channel may be reset: a parked process is a bug in the caller, and Reset
+// panics on it.
+func (c *Chan[T]) Reset(capacity int) {
+	if len(c.sendq) > 0 || len(c.recvq) > 0 {
+		panic("sim: Reset of a channel with parked processes")
+	}
+	clear(c.buf)
+	c.head, c.count, c.closed = 0, 0, false
+	c.cap = max(capacity, 0)
 }
 
 // Send delivers v on the channel, parking p until a receiver or buffer slot
@@ -131,9 +143,7 @@ func (c *Chan[T]) send(p *Proc, v T) bool {
 	}
 	// A waiting receiver takes the value directly.
 	if len(c.recvq) > 0 {
-		w := c.recvq[0]
-		c.recvq = c.recvq[1:]
-		c.env.scheduleResume(c.env.now, w.p, resumeMsg{val: recvResult[T]{val: v, ok: true}})
+		c.env.scheduleResume(c.env.now, c.popRecv(), resumeMsg{val: recvResult[T]{val: v, ok: true}})
 		return true
 	}
 	if c.count < c.cap {
@@ -156,9 +166,7 @@ func (c *Chan[T]) TrySend(v T) bool {
 		panic("sim: send on closed channel")
 	}
 	if len(c.recvq) > 0 {
-		w := c.recvq[0]
-		c.recvq = c.recvq[1:]
-		c.env.scheduleResume(c.env.now, w.p, resumeMsg{val: recvResult[T]{val: v, ok: true}})
+		c.env.scheduleResume(c.env.now, c.popRecv(), resumeMsg{val: recvResult[T]{val: v, ok: true}})
 		return true
 	}
 	if c.count < c.cap {
@@ -174,10 +182,19 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 	if v, ok, got := c.tryRecvLocked(); got {
 		return v, ok
 	}
-	c.recvq = append(c.recvq, &recvWaiter[T]{p: p})
+	c.recvq = append(c.recvq, p)
 	msg := p.park()
 	res := msg.val.(recvResult[T])
 	return res.val, res.ok
+}
+
+// popRecv removes and returns the oldest parked receiver.
+func (c *Chan[T]) popRecv() *Proc {
+	p := c.recvq[0]
+	n := copy(c.recvq, c.recvq[1:])
+	c.recvq[n] = nil
+	c.recvq = c.recvq[:n]
+	return p
 }
 
 // TryRecv receives without blocking. got reports whether a value (or a

@@ -82,6 +82,10 @@ type XPUFIFO struct {
 	depth  Gauge // cached xpu_fifo_depth handle, built on first record
 	ch     *sim.Chan[localos.Message]
 	closed bool
+	fds    int // descriptors not yet unlinked; the FIFO is recycled at zero
+	// holders are the processes given a capability on the FIFO, by
+	// FIFOInit or GrantCap: releasing the FIFO drops their entries.
+	holders []XPID
 }
 
 // Len reports queued messages.
@@ -133,18 +137,45 @@ func (n *Node) FIFOInit(p *sim.Proc, caller XPID, uuid string, capacity int) (*F
 	if _, exists := n.Shim.fifos[uuid]; exists {
 		return nil, fmt.Errorf("xpu: FIFO UUID %q already in use", uuid)
 	}
-	f := &XPUFIFO{
-		UUID:     uuid,
-		Home:     n.PU.ID,
-		Owner:    caller,
-		homeHost: n.Host.ID,
-		ch:       sim.NewChan[localos.Message](n.Shim.Env, capacity),
-	}
+	f := n.Shim.newFIFO(capacity)
+	f.UUID, f.Home, f.Owner, f.homeHost = uuid, n.PU.ID, caller, n.Host.ID
 	n.Shim.fifos[uuid] = f
 	obj := ObjID{Kind: "fifo", UUID: uuid}
 	n.Shim.grantLocal(caller, obj, PermRead|PermWrite|PermOwner)
+	f.holders = append(f.holders, caller)
 	n.broadcast(p) // UUID uniqueness + owner capability propagate eagerly
-	return &FD{fifo: f, node: n, pid: caller, obj: obj}, nil
+	return n.Shim.newFD(f, n, caller, obj), nil
+}
+
+// newFIFO returns an empty, open FIFO of the given capacity, reusing one a
+// previous Unlink released.
+func (s *Shim) newFIFO(capacity int) *XPUFIFO {
+	n := len(s.freeFIFOs)
+	if n == 0 {
+		return &XPUFIFO{ch: sim.NewChan[localos.Message](s.Env, capacity)}
+	}
+	f := s.freeFIFOs[n-1]
+	s.freeFIFOs[n-1] = nil
+	s.freeFIFOs = s.freeFIFOs[:n-1]
+	f.ch.Reset(capacity)
+	return f
+}
+
+// newFD returns a descriptor for f, reusing one a previous Unlink released.
+// Its capability cache starts invalid (capGen 0), so the first check reads
+// the shim's state.
+func (s *Shim) newFD(f *XPUFIFO, n *Node, pid XPID, obj ObjID) *FD {
+	var fd *FD
+	if k := len(s.freeFDs); k > 0 {
+		fd = s.freeFDs[k-1]
+		s.freeFDs[k-1] = nil
+		s.freeFDs = s.freeFDs[:k-1]
+	} else {
+		fd = new(FD)
+	}
+	*fd = FD{fifo: f, node: n, pid: pid, obj: obj}
+	f.fds++
+	return fd
 }
 
 // FIFOConnect implements xfifo_connect: attach to an existing XPU-FIFO by
@@ -162,7 +193,7 @@ func (n *Node) FIFOConnect(p *sim.Proc, caller XPID, uuid string) (*FD, error) {
 	if !n.Shim.HasCap(caller, obj, PermRead) && !n.Shim.HasCap(caller, obj, PermWrite) {
 		return nil, fmt.Errorf("xpu: %v lacks permission on FIFO %q", caller, uuid)
 	}
-	return &FD{fifo: f, node: n, pid: caller, obj: obj}, nil
+	return n.Shim.newFD(f, n, caller, obj), nil
 }
 
 // Write implements xfifo_write. The caller must hold write permission.
@@ -381,6 +412,32 @@ func (fd *FD) close() {
 	fd.fifo.closed = true
 	fd.fifo.ch.Close()
 	delete(fd.node.Shim.fifos, fd.fifo.UUID)
+}
+
+// Unlink releases the descriptor once its FIFO's last user is done: the
+// FIFO's UUID leaves the shim, and when the FIFO's last descriptor goes,
+// every capability on it goes too, including one granted to a peer that
+// never connected. Like Abort it makes no XPUcall, checks no capability and
+// charges no virtual time, and it wakes no one. UUIDs are never reused, so
+// no later lookup can tell a dropped entry from one that never existed. The
+// descriptor is recycled, and so is the FIFO with its last descriptor: the
+// caller must drop its references, and no process may be parked on the
+// FIFO.
+func (fd *FD) Unlink() {
+	s, f := fd.node.Shim, fd.fifo
+	if s.fifos[f.UUID] == f {
+		delete(s.fifos, f.UUID)
+	}
+	if f.fds--; f.fds == 0 {
+		for _, x := range f.holders {
+			delete(s.caps[x], fd.obj)
+		}
+		s.capGen++
+		*f = XPUFIFO{ch: f.ch, holders: f.holders[:0]}
+		s.freeFIFOs = append(s.freeFIFOs, f)
+	}
+	*fd = FD{}
+	s.freeFDs = append(s.freeFDs, fd)
 }
 
 // SpawnBody is the program run by an xSpawn'd process: it executes as a

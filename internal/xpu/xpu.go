@@ -23,6 +23,7 @@ package xpu
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/hw"
@@ -161,6 +162,11 @@ type Shim struct {
 	caps  map[XPID]map[ObjID]Perm
 	fifos map[string]*XPUFIFO // by global UUID
 
+	// Host objects released by FD.Unlink, reused by FIFOInit and
+	// FIFOConnect.
+	freeFIFOs []*XPUFIFO
+	freeFDs   []*FD
+
 	// capGen rises on every capability mutation; FD-level permission caches
 	// are valid only while their generation matches. Starts at 1 so a
 	// zero-valued cache is never mistaken for current.
@@ -210,6 +216,18 @@ func NewShim(env *sim.Env, m *hw.Machine) *Shim {
 
 // Stats returns synchronization counters.
 func (s *Shim) Stats() SyncStats { return s.stats }
+
+// NumFIFOs reports the number of live XPU-FIFO UUIDs.
+func (s *Shim) NumFIFOs() int { return len(s.fifos) }
+
+// NumCaps reports the number of registered processes (CAP_Groups) and the
+// capability entries they hold in total.
+func (s *Shim) NumCaps() (groups, entries int) {
+	for _, c := range s.caps { //lint:unordered commutative count
+		entries += len(c)
+	}
+	return len(s.caps), entries
+}
 
 // SetMetrics attaches (or, with nil, detaches) the metric sink. Cached
 // per-link and per-FIFO series handles are dropped so a reattached sink
@@ -373,6 +391,13 @@ func (n *Node) Register(pr *localos.Process) XPID {
 	return x
 }
 
+// Unregister drops an exited process's CAP_Group, the inverse of Register.
+// Like Register it needs no synchronization: xpu_pids are never reused.
+func (n *Node) Unregister(pr *localos.Process) {
+	delete(n.Shim.caps, XPID{PU: n.PU.ID, Local: pr.PID})
+	n.Shim.capGen++
+}
+
 // GetXPUPID implements the get_xpupid XPUcall.
 func (n *Node) GetXPUPID(p *sim.Proc, pr *localos.Process) XPID {
 	n.xcall(p)
@@ -410,6 +435,9 @@ func (n *Node) GrantCap(p *sim.Proc, caller, target XPID, obj ObjID, perm Perm) 
 	}
 	n.Shim.capsOf(target)[obj] |= perm
 	n.Shim.capGen++
+	if f := n.Shim.fifos[obj.UUID]; f != nil && obj.Kind == "fifo" && !slices.Contains(f.holders, target) {
+		f.holders = append(f.holders, target)
+	}
 	n.broadcast(p)
 	return nil
 }

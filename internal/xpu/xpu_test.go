@@ -117,6 +117,85 @@ func TestFIFOInitConnectReadWrite(t *testing.T) {
 	}
 }
 
+// TestUnlinkReleasesAndRecycles: unlinking both descriptors of a FIFO drops
+// its UUID and both capabilities without charging time, and the next
+// FIFOInit and FIFOConnect reuse the host objects with nothing carried over:
+// a message left on the old FIFO is gone, and a read-only grant on the new
+// one still refuses a write.
+func TestUnlinkReleasesAndRecycles(t *testing.T) {
+	r := newRig(t)
+	r.env.Spawn("x", func(p *sim.Proc) {
+		groups0, caps0 := r.shim.NumCaps()
+		home, err := r.cpuNode.FIFOInit(p, r.cpuXPID, "old", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := ObjID{Kind: "fifo", UUID: "old"}
+		if err := r.cpuNode.GrantCap(p, r.cpuXPID, r.dpuXPID, old, PermRead|PermWrite); err != nil {
+			t.Fatal(err)
+		}
+		peer, err := r.dpuNode.FIFOConnect(p, r.dpuXPID, "old")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := peer.Write(p, localos.Message{Kind: "stale"}); err != nil {
+			t.Fatal(err)
+		}
+		before := p.Now()
+		home.Unlink()
+		peer.Unlink()
+		if p.Now() != before {
+			t.Errorf("Unlink charged %v", p.Now()-before)
+		}
+		if n := r.shim.NumFIFOs(); n != 0 {
+			t.Errorf("NumFIFOs = %d after Unlink, want 0", n)
+		}
+		if groups, caps := r.shim.NumCaps(); groups != groups0 || caps != caps0 {
+			t.Errorf("NumCaps = (%d, %d) after Unlink, want (%d, %d)", groups, caps, groups0, caps0)
+		}
+
+		fresh, err := r.cpuNode.FIFOInit(p, r.cpuXPID, "new", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh != home && fresh != peer {
+			t.Error("FIFOInit did not reuse a released descriptor")
+		}
+		if fresh.UUID() != "new" || fresh.fifo.Len() != 0 || fresh.fifo.Closed() {
+			t.Errorf("reused FIFO %q holds %d messages (closed %v), want \"new\", empty and open",
+				fresh.UUID(), fresh.fifo.Len(), fresh.fifo.Closed())
+		}
+		obj := ObjID{Kind: "fifo", UUID: "new"}
+		if err := r.cpuNode.GrantCap(p, r.cpuXPID, r.dpuXPID, obj, PermRead); err != nil {
+			t.Fatal(err)
+		}
+		dfd, err := r.dpuNode.FIFOConnect(p, r.dpuXPID, "new")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dfd.Write(p, localos.Message{}); err == nil {
+			t.Error("write with a read-only capability succeeded on a reused descriptor")
+		}
+		if err := fresh.Write(p, localos.Message{Kind: "fresh"}); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := fresh.Read(p); err != nil || m.Kind != "fresh" {
+			t.Errorf("read = %q, %v; want the fresh message", m.Kind, err)
+		}
+	})
+	r.env.Run()
+}
+
+// TestUnregisterDropsCapGroup: Unregister is the inverse of Register.
+func TestUnregisterDropsCapGroup(t *testing.T) {
+	r := newRig(t)
+	groups, _ := r.shim.NumCaps()
+	r.cpuNode.Unregister(r.cpuProc)
+	if g, _ := r.shim.NumCaps(); g != groups-1 {
+		t.Errorf("NumCaps groups = %d after Unregister, want %d", g, groups-1)
+	}
+}
+
 func TestFIFOUUIDCollision(t *testing.T) {
 	r := newRig(t)
 	r.env.Spawn("x", func(p *sim.Proc) {
