@@ -60,13 +60,15 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Fast-path microbenchmarks: the sim kernel, the nIPC FIFO write path
-# (ns/op and allocs/op), a warm Molecule invocation end to end, and a warm
-# cross-PU chain (wiring built and released every call).
+# (ns/op and allocs/op), a warm Molecule invocation end to end, a warm
+# cross-PU chain (wiring built and released every call), and a warm
+# invocation and chain through a one-machine cluster Boss.
 microbench:
 	$(GO) test ./internal/sim -bench 'Kernel|ChanPingPong' -benchmem -run xxx
 	$(GO) test ./internal/mem -bench 'ForkFanout' -benchmem -run xxx
 	$(GO) test ./internal/xpu -bench 'FIFOWrite' -benchmem -run xxx
 	$(GO) test ./internal/molecule -bench 'InvokeWarm|InvokeChainCrossPU' -benchmem -run xxx
+	$(GO) test ./internal/cluster -bench 'BossInvoke' -benchmem -run xxx
 
 # One iteration of every microbenchmark — a CI smoke test that the bench
 # rigs still build and run, without paying for stable numbers. The soak
@@ -76,6 +78,7 @@ bench-smoke:
 	$(GO) test ./internal/mem -bench 'ForkFanout' -benchtime 1x -run xxx
 	$(GO) test ./internal/xpu -bench 'FIFOWrite' -benchtime 1x -run xxx
 	$(GO) test ./internal/molecule -bench 'InvokeWarm|InvokeChainCrossPU' -benchtime 1x -run xxx
+	$(GO) test ./internal/cluster -bench 'BossInvoke' -benchtime 1x -run xxx
 	$(GO) run ./cmd/molecule-bench -scenario soak
 
 # Regenerate every BENCH_*.json snapshot, each in the one envelope

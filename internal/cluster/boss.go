@@ -191,24 +191,33 @@ type reply struct {
 	err     error
 }
 
-// chainSeg is one contiguous run of chain functions placed on one node.
+// chainSeg is one contiguous run of a plan's functions placed on one node.
 type chainSeg struct {
 	node  *Node
 	names []string
 }
 
-// request is one unit of routed work. Boss-side fields only; execution
-// state crosses domains by value inside interconnect closures.
+// request is one unit of routed work, run as a plan of segments; a single
+// function is the one-segment plan [{node, [fn]}]. It travels with its
+// interconnect messages, so one domain at a time touches it.
 type request struct {
-	fn    string
-	opts  molecule.InvokeOptions
-	chain []string
-	copts molecule.ChainOptions
+	names []string               // functions in call order
+	chain bool                   // InvokeChain: the reply carries a ChainResult
+	opts  molecule.InvokeOptions // a chain reads only Arg
 	plan  []chainSeg
+
+	// The result, filled in on the machines segment by segment.
+	res  molecule.Result
+	cres molecule.ChainResult
 
 	attempts int // failover budget: distinct placements tried
 	requeues int // capacity-requeue budget (see maxRequeues)
 	done     *sim.Chan[reply]
+
+	// Backing arrays of a single function's names and plan, so routing it
+	// allocates nothing beyond the request.
+	one [1]string
+	seg [1]chainSeg
 }
 
 // maxRequeues bounds how often one request may bounce dispatch → machine
@@ -217,13 +226,6 @@ type request struct {
 // times; the bound is the deterministic backstop that turns any residual
 // pathological cycle into a visible error instead of a livelock.
 const maxRequeues = 64
-
-func (r *request) slots() int {
-	if r.chain != nil {
-		return len(r.chain)
-	}
-	return 1
-}
 
 // Boss is the cluster-scale global manager: it owns the sharded group, the
 // interconnect, and N worker machines, and routes every request from
@@ -348,34 +350,23 @@ func (b *Boss) Register(funcName string, profiles ...molecule.Profile) error {
 	return nil
 }
 
-// Drain excludes a machine from routing; Undrain re-admits it. Both pump
-// the central queue, since the eligible set changed.
-func (b *Boss) Drain(worker int) error {
-	if worker < 0 || worker >= len(b.nodes) {
-		return fmt.Errorf("cluster: no machine %d", worker)
-	}
-	b.nodes[worker].draining = true
-	b.pump()
-	return nil
-}
+// Drain excludes a machine from routing.
+func (b *Boss) Drain(worker int) error { return b.mark(worker, func(n *Node) { n.draining = true }) }
 
 // Undrain re-admits a drained machine to routing.
-func (b *Boss) Undrain(worker int) error {
-	if worker < 0 || worker >= len(b.nodes) {
-		return fmt.Errorf("cluster: no machine %d", worker)
-	}
-	b.nodes[worker].draining = false
-	b.pump()
-	return nil
-}
+func (b *Boss) Undrain(worker int) error { return b.mark(worker, func(n *Node) { n.draining = false }) }
 
 // Readmit clears a machine's down mark after the operator revived it
 // (faults.Revive), letting routing use it again.
-func (b *Boss) Readmit(worker int) error {
+func (b *Boss) Readmit(worker int) error { return b.mark(worker, func(n *Node) { n.down = false }) }
+
+// mark applies an operator change to one machine's routing state, then
+// pumps the central queue, since the eligible set changed.
+func (b *Boss) mark(worker int, change func(n *Node)) error {
 	if worker < 0 || worker >= len(b.nodes) {
 		return fmt.Errorf("cluster: no machine %d", worker)
 	}
-	b.nodes[worker].down = false
+	change(b.nodes[worker])
 	b.pump()
 	return nil
 }
@@ -590,51 +581,51 @@ func (b *Boss) Invoke(p *sim.Proc, funcName string, opts molecule.InvokeOptions)
 
 // InvokeDetailed is Invoke plus the worker index that served the request.
 func (b *Boss) InvokeDetailed(p *sim.Proc, funcName string, opts molecule.InvokeOptions) (molecule.Result, int, error) {
-	ingress(p) // client → boss network hop
-	req := &request{fn: funcName, opts: opts, done: sim.NewChan[reply](b.Env, 1)}
-	if err := b.submit(req); err != nil {
-		return molecule.Result{}, -1, err
-	}
-	rep, _ := req.done.Recv(p)
-	ingress(p) // boss → client
+	req := &request{opts: opts, one: [1]string{funcName}}
+	req.names = req.one[:]
+	rep := b.call(p, req)
 	return rep.res, rep.machine, rep.err
 }
 
 // InvokeChain submits a chain, placed for locality and split across
 // machines only when no single machine can run it. Satisfies
-// loadgen.Invoker.
+// loadgen.Invoker. opts.Arg reaches every segment; opts.Placement must be
+// nil, because PU IDs are machine-local and the boss places chains itself.
 func (b *Boss) InvokeChain(p *sim.Proc, names []string, opts molecule.ChainOptions) (molecule.ChainResult, error) {
 	if len(names) == 0 {
 		return molecule.ChainResult{}, fmt.Errorf("cluster: empty chain")
 	}
-	ingress(p)
-	req := &request{chain: names, copts: opts, done: sim.NewChan[reply](b.Env, 1)}
-	if err := b.submit(req); err != nil {
-		return molecule.ChainResult{}, err
+	if opts.Placement != nil {
+		return molecule.ChainResult{}, fmt.Errorf("cluster: chain placement is chosen by the boss; ChainOptions.Placement must be nil")
 	}
-	rep, _ := req.done.Recv(p)
-	ingress(p)
+	rep := b.call(p, &request{names: names, chain: true, opts: molecule.InvokeOptions{Arg: opts.Arg}})
 	return rep.cres, rep.err
 }
 
-// submit routes a request or queues it. Boss-domain only. A non-nil error
-// means the request can never run (unregistered, or no live machine has
-// the kinds).
-func (b *Boss) submit(req *request) error {
-	if req.chain != nil {
-		plan, err := b.planChain(req.chain)
-		if err != nil {
-			return err
-		}
-		req.plan = plan
-		b.dispatchChain(req)
-		return nil
+// call carries a request from a client process on the boss domain through
+// the cluster and back, paying the network hop each way.
+func (b *Boss) call(p *sim.Proc, req *request) reply {
+	ingress(p) // client → boss network hop
+	req.done = sim.NewChan[reply](b.Env, 1)
+	if err := b.submit(req); err != nil {
+		return reply{machine: -1, err: err}
 	}
-	n, stolen, err := b.routeOne(req.fn)
+	rep, _ := req.done.Recv(p)
+	ingress(p) // boss → client
+	return rep
+}
+
+// submit routes a request and dispatches it, or queues it when every
+// eligible machine is saturated. Boss-domain only. A non-nil error means
+// the request can never run (unregistered, or no live machine has the
+// kinds). A chain is never queued here: planChain falls back to a
+// saturated home, whose admission queue absorbs it.
+func (b *Boss) submit(req *request) error {
+	plan, stolen, err := b.route(req)
 	if err != nil {
 		return err
 	}
-	if n == nil {
+	if plan == nil {
 		b.enqueue(req)
 		// A queue pumped only by completions strands the request when
 		// nothing is inflight (zero-capacity cluster): pump now so the
@@ -643,8 +634,25 @@ func (b *Boss) submit(req *request) error {
 		b.pump()
 		return nil
 	}
-	b.dispatchOne(req, n, stolen)
+	b.dispatch(req, plan, stolen)
 	return nil
+}
+
+// route plans a request. A single function becomes the one-segment plan
+// [{node, [fn]}] on routeOne's node, or nil when every eligible machine is
+// saturated; a chain gets planChain's segments. stolen reports a single
+// function routed away from its saturated home.
+func (b *Boss) route(req *request) ([]chainSeg, bool, error) {
+	if req.chain {
+		plan, err := b.planChain(req.names)
+		return plan, false, err
+	}
+	n, stolen, err := b.routeOne(req.names[0])
+	if n == nil {
+		return nil, false, err
+	}
+	req.seg[0] = chainSeg{node: n, names: req.names}
+	return req.seg[:], stolen, nil
 }
 
 func (b *Boss) enqueue(req *request) {
@@ -654,24 +662,47 @@ func (b *Boss) enqueue(req *request) {
 	}
 }
 
-// dispatchOne sends a single-function request to node n over the
-// interconnect; stolen marks a request routed away from its saturated home.
-func (b *Boss) dispatchOne(req *request, n *Node, stolen bool) {
+// dispatch charges every segment's inflight window up front and sends the
+// request to segment 0's machine. Segments hop machine→machine directly
+// over the interconnect, and only the last segment (or the first error)
+// replies to the boss. stolen marks a request routed away from its
+// saturated home.
+func (b *Boss) dispatch(req *request, plan []chainSeg, stolen bool) {
+	req.plan = plan
+	req.cres = molecule.ChainResult{} // drop a failed-over chain's partial result
+	first := plan[0].node
 	if stolen {
-		n.stolen++
+		first.stolen++
 		b.stolen++
 	}
-	n.inflight++
-	b.inflight++
-	//lint:owned request handoff: req travels with the message and is next touched only by the destination node's exec callback; b's fields are mutated only by deliveries on the boss domain
-	b.IC.Send(b.Env, n.Domain, requestBytes, func() {
-		n.Env.Spawn("exec-"+req.fn, func(wp *sim.Proc) {
-			res, err := n.invokeLocal(wp, req.fn, req.opts)
-			//lint:owned reply to the boss: res/err are finalized before the send and b mutates its own state only on delivery in its domain
-			b.IC.Send(n.Env, 0, replyBytes, func() {
-				b.completeOne(req, n, res, err)
-			})
-		})
+	for _, seg := range plan {
+		seg.node.inflight += len(seg.names)
+		b.inflight += len(seg.names)
+	}
+	//lint:owned request handoff: req travels with the message and is next touched only by segment 0's machine; the boss touches it again only in the reply it receives on its own domain
+	b.IC.Send(b.Env, first.Domain, requestBytes, func() { b.execSegment(req, 0) })
+}
+
+// execSegment runs on req.plan[idx].node's domain: execute the segment,
+// then either hop to the next segment's machine (charging the intermediate
+// transfer on the chain's latency) or reply to the boss.
+func (b *Boss) execSegment(req *request, idx int) {
+	seg := req.plan[idx]
+	n := seg.node
+	n.Env.Spawn("segment", func(wp *sim.Proc) {
+		err := n.run(wp, req, seg.names)
+		if next := idx + 1; err == nil && next < len(req.plan) {
+			// Hand the intermediate result to the next segment's machine:
+			// one interconnect hop, charged on the chain's own latency.
+			hop := b.IC.TransferTime(intermediateBytes)
+			req.cres.Total += hop
+			req.cres.EdgeLatency = append(req.cres.EdgeLatency, hop)
+			//lint:owned segment hop: req moves to the next machine with the message; the sending segment never touches it again
+			b.IC.Send(n.Env, req.plan[next].node.Domain, intermediateBytes, func() { b.execSegment(req, next) })
+			return
+		}
+		//lint:owned reply to the boss: req is dead on the sending machine after this send; the boss consumes it on delivery in its own domain
+		b.IC.Send(n.Env, 0, replyBytes, func() { b.complete(req, n, err) })
 	})
 }
 
@@ -703,37 +734,52 @@ func (n *Node) awaitLocal(wp *sim.Proc) bool {
 	return true
 }
 
-// attemptLocal wraps one RT attempt with the admission bookkeeping: track
-// active execs, bump the epoch on success, and wake parked requests after
-// every attempt (success frees an instance; failure lets waiters re-check
-// the give-up guard).
-func attemptLocal[T any](n *Node, call func() (T, error)) (T, error) {
-	n.active++
-	res, err := call()
-	n.active--
-	if err == nil {
-		n.epoch++
-	}
-	n.wakeLocal()
-	return res, err
-}
-
-// invokeLocal runs one function on the node: machine-side deploy-on-first-
-// use (deduplicated across concurrent requests), then the local runtime,
-// parking on the machine's admission queue while it is at capacity.
-func (n *Node) invokeLocal(wp *sim.Proc, fn string, opts molecule.InvokeOptions) (molecule.Result, error) {
-	if err := n.ensureDeployedLocal(wp, fn); err != nil {
-		return molecule.Result{}, err
+// run executes one plan segment on the node: machine-side deploy-on-first-
+// use of each function (deduplicated across concurrent requests), then the
+// local runtime, parking on the machine's admission queue while it is at
+// capacity. Each attempt counts as an active exec, bumps the epoch on
+// success and wakes parked requests (success frees an instance; failure
+// lets waiters re-check the give-up guard).
+func (n *Node) run(wp *sim.Proc, req *request, names []string) error {
+	for _, fn := range names {
+		if err := n.ensureDeployedLocal(wp, fn); err != nil {
+			return err
+		}
 	}
 	for {
-		res, err := attemptLocal(n, func() (molecule.Result, error) {
-			return n.RT.Invoke(wp, fn, opts)
-		})
-		if err != nil && errors.Is(err, molecule.ErrNoCapacity) && n.awaitLocal(wp) {
-			continue
+		n.active++
+		err := n.attempt(wp, req, names)
+		n.active--
+		if err == nil {
+			n.epoch++
 		}
-		return res, err
+		n.wakeLocal()
+		if err == nil || !errors.Is(err, molecule.ErrNoCapacity) || !n.awaitLocal(wp) {
+			return err
+		}
 	}
+}
+
+// attempt makes one runtime call for a segment: RT.Invoke for a single
+// function, or a chain-affinity PlaceChain plus InvokeChain for a chain,
+// whose result it adds to req.cres.
+func (n *Node) attempt(wp *sim.Proc, req *request, names []string) (err error) {
+	if !req.chain {
+		req.res, err = n.RT.Invoke(wp, names[0], req.opts)
+		return err
+	}
+	placement, err := n.RT.PlaceChain(names, molecule.PlaceChainAffinity)
+	if err != nil {
+		return err
+	}
+	res, err := n.RT.InvokeChain(wp, names, molecule.ChainOptions{Placement: placement, Arg: req.opts.Arg})
+	if err == nil {
+		req.cres.Total += res.Total
+		req.cres.EdgeLatency = append(req.cres.EdgeLatency, res.EdgeLatency...)
+		req.cres.ExecTotal += res.ExecTotal
+		req.cres.ColdStarts += res.ColdStarts
+	}
+	return err
 }
 
 // ensureDeployedLocal deploys fn on first use; concurrent requests for the
@@ -764,86 +810,21 @@ func (n *Node) ensureDeployedLocal(wp *sim.Proc, fn string) error {
 	}
 }
 
-// dispatchChain charges every planned node's inflight window up front and
-// starts segment 0; segments hop machine→machine directly over the
-// interconnect, and only the final segment (or the first error) reports
-// back to the boss.
-func (b *Boss) dispatchChain(req *request) {
-	for _, seg := range req.plan {
-		seg.node.inflight += len(seg.names)
-		b.inflight += len(seg.names)
-	}
-	first := req.plan[0].node
-	//lint:owned chain kickoff: req ownership moves to segment 0's machine with the message; the boss touches it again only in the completion reply
-	b.IC.Send(b.Env, first.Domain, requestBytes, func() {
-		b.execSegment(req, 0, molecule.ChainResult{})
-	})
-}
-
-// execSegment runs on req.plan[idx].node's domain: execute the segment
-// locally, then either hop to the next segment's machine (charging the
-// intermediate transfer on the chain's latency) or reply to the boss.
-func (b *Boss) execSegment(req *request, idx int, acc molecule.ChainResult) {
-	seg := req.plan[idx]
-	n := seg.node
-	n.Env.Spawn("chainseg", func(wp *sim.Proc) {
-		for _, fn := range seg.names {
-			if err := n.ensureDeployedLocal(wp, fn); err != nil {
-				//lint:owned chain reply: acc and req are dead on the sending machine after this send; the boss consumes them on delivery in its own domain
-				b.IC.Send(n.Env, 0, replyBytes, func() { b.completeChain(req, n, acc, err) })
-				return
-			}
-		}
-		var res molecule.ChainResult
-		var err error
-		for {
-			res, err = attemptLocal(n, func() (molecule.ChainResult, error) {
-				return n.RT.InvokeChainWithPolicy(wp, seg.names, molecule.PlaceChainAffinity)
-			})
-			if err != nil && errors.Is(err, molecule.ErrNoCapacity) && n.awaitLocal(wp) {
-				continue
-			}
-			break
-		}
-		if err != nil {
-			//lint:owned chain reply: acc and req are dead on the sending machine after this send; the boss consumes them on delivery in its own domain
-			b.IC.Send(n.Env, 0, replyBytes, func() { b.completeChain(req, n, acc, err) })
-			return
-		}
-		acc.Total += res.Total
-		acc.EdgeLatency = append(acc.EdgeLatency, res.EdgeLatency...)
-		acc.ExecTotal += res.ExecTotal
-		acc.ColdStarts += res.ColdStarts
-		if idx+1 == len(req.plan) {
-			//lint:owned chain reply: acc and req are dead on the sending machine after this send; the boss consumes them on delivery in its own domain
-			b.IC.Send(n.Env, 0, replyBytes, func() { b.completeChain(req, n, acc, nil) })
-			return
-		}
-		// Hand the intermediate result to the next segment's machine: one
-		// interconnect hop, charged on the chain's own latency.
-		hop := b.IC.TransferTime(intermediateBytes)
-		acc.Total += hop
-		acc.EdgeLatency = append(acc.EdgeLatency, hop)
-		next := req.plan[idx+1].node
-		//lint:owned segment hop: acc and req move to the next machine with the message; the sending segment never touches them again
-		b.IC.Send(n.Env, next.Domain, intermediateBytes, func() {
-			b.execSegment(req, idx+1, acc)
-		})
-	})
-}
-
 // retryable reports an error class the boss handles by failing the machine
 // over: the runtime exhausted recovery (ErrUnavailable) or the PU is dead.
 func retryable(err error) bool {
 	return errors.Is(err, molecule.ErrUnavailable) || errors.Is(err, faults.ErrPUDown)
 }
 
-// completeOne finishes a single-function request on the boss domain
-// (scheduler context — never blocks): failover on machine death, requeue
-// on capacity races, reply otherwise; then pump the queue.
-func (b *Boss) completeOne(req *request, n *Node, res molecule.Result, err error) {
-	n.inflight--
-	b.inflight--
+// complete finishes a request on the boss domain (scheduler context — never
+// blocks): release every segment's window, then fail over on machine death,
+// requeue on capacity races, reply otherwise; then pump the queue. n is the
+// machine whose segment replied.
+func (b *Boss) complete(req *request, n *Node, err error) {
+	for _, seg := range req.plan {
+		seg.node.inflight -= len(seg.names)
+		b.inflight -= len(seg.names)
+	}
 	switch {
 	case err != nil && retryable(err) && req.attempts < len(b.nodes):
 		// The machine is unhealthy: mark it down and route the request
@@ -863,75 +844,27 @@ func (b *Boss) completeOne(req *request, n *Node, res molecule.Result, err error
 		req.done.TrySend(reply{machine: n.ID(), err: err})
 	default:
 		n.served++
-		req.done.TrySend(reply{res: res, machine: n.ID()})
+		req.done.TrySend(reply{res: req.res, cres: req.cres, machine: n.ID()})
 	}
 	b.pump()
 }
 
-// completeChain finishes a chain request: release every planned node's
-// window, then failover/reply like completeOne.
-func (b *Boss) completeChain(req *request, n *Node, acc molecule.ChainResult, err error) {
-	for _, seg := range req.plan {
-		seg.node.inflight -= len(seg.names)
-		b.inflight -= len(seg.names)
-	}
-	switch {
-	case err != nil && retryable(err) && req.attempts < len(b.nodes):
-		n.down = true
-		req.attempts++
-		if plan, perr := b.planChain(req.chain); perr == nil {
-			req.plan = plan
-			b.dispatchChain(req)
-		} else {
-			req.done.TrySend(reply{machine: n.ID(), err: err})
-		}
-	case err != nil && errors.Is(err, molecule.ErrNoCapacity) && req.requeues < maxRequeues:
-		req.requeues++
-		b.enqueue(req)
-	case err != nil:
-		req.done.TrySend(reply{machine: n.ID(), err: err})
-	default:
-		n.served++
-		req.done.TrySend(reply{cres: acc, machine: n.ID()})
-	}
-	b.pump()
-}
-
-// pump drains the central queue while machines have room. When the queue
-// is non-empty but nothing is inflight and nothing has room, the queued
-// requests can never be served — fail them rather than deadlock.
+// pump drains the central queue while machines have room: route the head,
+// and dispatch it if its first segment's machine has room. Chains re-plan
+// here, since machines may have changed. When the queue is non-empty but
+// nothing is inflight and nothing has room, the queued requests can never
+// be served — fail them rather than deadlock.
 func (b *Boss) pump() {
 	for len(b.queue) > 0 {
 		req := b.queue[0]
-		var err error
-		var routed bool
-		if req.chain != nil {
-			// Chains re-plan at pump time (machines may have changed).
-			if plan, perr := b.planChain(req.chain); perr != nil {
-				err = perr
-			} else if head := plan[0].node; head.hasRoom() {
-				b.queue = b.queue[1:]
-				req.plan = plan
-				b.dispatchChain(req)
-				routed = true
-			}
-		} else {
-			var n *Node
-			var stolen bool
-			n, stolen, err = b.routeOne(req.fn)
-			if err == nil && n != nil {
-				b.queue = b.queue[1:]
-				b.dispatchOne(req, n, stolen)
-				routed = true
-			}
-		}
+		plan, stolen, err := b.route(req)
 		if err != nil {
 			// The request became unservable (e.g. its only machines died).
 			b.queue = b.queue[1:]
 			req.done.TrySend(reply{machine: -1, err: err})
 			continue
 		}
-		if !routed {
+		if plan == nil || !plan[0].node.hasRoom() {
 			if b.inflight == 0 {
 				// Nothing running, nothing admissible: fail the whole queue
 				// deterministically rather than strand the clients.
@@ -942,5 +875,7 @@ func (b *Boss) pump() {
 			}
 			return
 		}
+		b.queue = b.queue[1:]
+		b.dispatch(req, plan, stolen)
 	}
 }

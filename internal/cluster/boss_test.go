@@ -17,7 +17,7 @@ import (
 
 // newTestBoss builds a small cluster and registers the given functions on
 // the default CPU profile.
-func newTestBoss(t *testing.T, machines int, cfg hw.Config, capacity int, fns ...string) *Boss {
+func newTestBoss(t testing.TB, machines int, cfg hw.Config, capacity int, fns ...string) *Boss {
 	t.Helper()
 	b, err := NewBoss(BossConfig{Machines: machines, HW: cfg, Opts: molecule.DefaultOptions(), Capacity: capacity})
 	if err != nil {
@@ -202,6 +202,74 @@ func TestMixedChainNeedsHeterogeneousWorker(t *testing.T) {
 	}
 }
 
+// TestChainArgReachesMachine: a chain's ChainOptions.Arg reaches the runtime
+// on the machine. On a one-machine Boss the chain's ExecTotal equals
+// rt.InvokeChain with the same Arg on an identically booted standalone
+// machine.
+func TestChainArgReachesMachine(t *testing.T) {
+	chain := []string{"gzip-compression", "anti-moneyl"} // both costs depend on Arg
+	arg := workloads.Arg{N: 10000, Bytes: 1 << 20}
+	b := newTestBoss(t, 1, hw.Config{}, 0, chain...)
+	var got molecule.ChainResult
+	b.Env.Spawn("client", func(p *sim.Proc) {
+		var err error
+		if got, err = b.InvokeChain(p, chain, molecule.ChainOptions{Arg: arg}); err != nil {
+			t.Error(err)
+		}
+	})
+	b.Run(1)
+
+	env := sim.NewEnv()
+	m := hw.Build(env, hw.Config{})
+	var want molecule.ChainResult
+	env.Spawn("driver", func(p *sim.Proc) {
+		rt, err := molecule.New(p, m, workloads.NewRegistry(), molecule.DefaultOptions())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for _, fn := range chain {
+			if err := rt.Deploy(p, fn); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if want, err = rt.InvokeChain(p, chain, molecule.ChainOptions{Arg: arg}); err != nil {
+			t.Error(err)
+		}
+	})
+	env.Run()
+	if got.ExecTotal != want.ExecTotal {
+		t.Errorf("cluster chain ExecTotal %v, standalone runtime with the same Arg %v", got.ExecTotal, want.ExecTotal)
+	}
+}
+
+// TestFailedChainCountsServed: a chain that fails on its machine with a
+// non-retryable error counts toward that machine's Served, as a failed
+// single function does. The machine has both PU kinds the chain needs, but
+// no single PU runs both functions, so chain-affinity placement fails.
+func TestFailedChainCountsServed(t *testing.T) {
+	b := newTestBoss(t, 1, hw.Config{DPUs: 1}, 0)
+	if err := b.Register("pyaes", molecule.DefaultProfile(hw.CPU)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Register("matmul", molecule.DefaultProfile(hw.DPU)); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	b.Env.Spawn("client", func(p *sim.Proc) {
+		_, err = b.InvokeChain(p, []string{"pyaes", "matmul"}, molecule.ChainOptions{})
+	})
+	b.Run(1)
+	if err == nil {
+		t.Fatal("chain with no common PU succeeded")
+	}
+	if got := servedOf(b); got[0] != 1 {
+		t.Errorf("served %v after a failed chain, want [1]", got)
+	}
+	checkQuiescent(t, b, "after failed chain")
+}
+
 // TestDrainExcludesWorker: a drained machine serves nothing, a fully
 // drained cluster rejects requests, Undrain re-admits, and out-of-range
 // machine indices are rejected.
@@ -257,6 +325,10 @@ func TestInflightZeroOnErrorPaths(t *testing.T) {
 			t.Error("mixed chain routed on a CPU-only cluster")
 		}
 		checkQuiescent(t, b, "ineligible chain")
+		if _, err := b.InvokeChain(p, []string{"pyaes"}, molecule.ChainOptions{Placement: []hw.PUID{0}}); err == nil {
+			t.Error("chain pinned to a machine-local PU routed")
+		}
+		checkQuiescent(t, b, "pinned chain")
 		b.Drain(0)
 		if _, err := b.Invoke(p, "pyaes", molecule.InvokeOptions{PU: -1}); err == nil {
 			t.Error("request routed on a fully drained cluster")
@@ -423,6 +495,29 @@ func TestScheduleZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("routeOne allocates %v/op, want 0", n)
+	}
+}
+
+// TestBossInvokeAllocs pins a warm single-function Boss.Invoke, the whole
+// cluster round trip of BenchmarkBossInvokeWarm, at 10 allocations.
+func TestBossInvokeAllocs(t *testing.T) {
+	b := newTestBoss(t, 1, hw.Config{}, 0, "helloworld")
+	opts := molecule.DefaultInvokeOptions()
+	allocs := -1.0
+	b.Env.Spawn("client", func(p *sim.Proc) {
+		if _, err := b.Invoke(p, "helloworld", opts); err != nil {
+			t.Error(err)
+			return
+		}
+		allocs = testing.AllocsPerRun(100, func() {
+			if _, err := b.Invoke(p, "helloworld", opts); err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	b.Run(1)
+	if allocs < 0 || allocs > 10 {
+		t.Errorf("warm Boss.Invoke allocates %v/op, want <= 10", allocs)
 	}
 }
 

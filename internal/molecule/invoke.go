@@ -189,13 +189,9 @@ func (rt *Runtime) invokeGeneral(p *sim.Proc, d *Deployment, opts InvokeOptions,
 		root.SetAttr("pu", strconv.Itoa(int(inst.node.pu.ID)))
 	}
 	root.Finish() // root span duration == res.Total by construction
-	if opts.RunBody && d.Fn.Body != nil {
-		out, err := d.Fn.Body(opts.Arg)
-		if err != nil {
-			rt.release(p, inst)
-			return Result{}, err
-		}
-		res.Output = out
+	if err := runBody(d, opts, &res); err != nil {
+		rt.release(p, inst)
+		return Result{}, err
 	}
 	inst.node.busy += res.Exec
 	rt.release(p, inst)
@@ -612,17 +608,24 @@ func (rt *Runtime) invokeFPGA(p *sim.Proc, d *Deployment, opts InvokeOptions, se
 	root.SetAttr("pu", fmt.Sprintf("%d", n.pu.ID))
 	root.Finish() // root span duration == res.Total by construction
 	n.busy += res.Exec
-	if opts.RunBody && d.Fn.Body != nil {
-		out, bodyErr := d.Fn.Body(opts.Arg)
-		if bodyErr != nil {
-			return Result{}, bodyErr
-		}
-		res.Output = out
+	if err := runBody(d, opts, &res); err != nil {
+		return Result{}, err
 	}
 	if settle {
 		rt.settleResult(d, res)
 	}
 	return res, nil
+}
+
+// runBody executes the function's real Go body into res.Output when opts
+// asks for it; every PU kind's invoke path calls it after the handler.
+func runBody(d *Deployment, opts InvokeOptions, res *Result) error {
+	if !opts.RunBody || d.Fn.Body == nil {
+		return nil
+	}
+	out, err := d.Fn.Body(opts.Arg)
+	res.Output = out
+	return err
 }
 
 // invokeGPU serves the request on the function's GPU sandbox.
@@ -666,6 +669,9 @@ func (rt *Runtime) invokeGPU(p *sim.Proc, d *Deployment, opts InvokeOptions, set
 	root.SetAttr("pu", fmt.Sprintf("%d", n.pu.ID))
 	root.Finish() // root span duration == res.Total by construction
 	n.busy += res.Exec
+	if err := runBody(d, opts, &res); err != nil {
+		return Result{}, err
+	}
 	if settle {
 		rt.settleResult(d, res)
 	}

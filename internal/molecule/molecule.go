@@ -60,8 +60,9 @@ type Options struct {
 	// When false, Startup selects the alternative mechanism. Retained as a
 	// boolean for compatibility: UseCfork=true forces StartupCfork.
 	UseCfork bool
-	// Startup picks the cold-start mechanism when UseCfork is false:
-	// StartupPlain (default zero value) or StartupSnapshot.
+	// Startup is read only when UseCfork is false: StartupSnapshot restores
+	// from snapshots, and any other value boots plainly — including the zero
+	// value, which is StartupCfork.
 	Startup StartupMode
 	// CpusetMutexPatch applies the kernel cpuset patch (Fig 11a). The
 	// paper's server-side results (Fig 14) run without it.

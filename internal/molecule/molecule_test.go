@@ -1,6 +1,7 @@
 package molecule
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -284,6 +285,33 @@ func TestGPUInvoke(t *testing.T) {
 			t.Errorf("GPU exec (%v) not faster than CPU (%v)", res.Exec, cpuWarm.Exec)
 		}
 	})
+}
+
+// TestAcceleratorInvokeRunsBody: RunBody returns the function body's output
+// from the FPGA and GPU paths too, not only from a CPU or DPU instance.
+func TestAcceleratorInvokeRunsBody(t *testing.T) {
+	fn, err := workloads.NewRegistry().Get("mscale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fn.Body(workloads.Arg{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []hw.PUKind{hw.FPGA, hw.GPU} {
+		run(t, hw.Config{FPGAs: 1, GPUs: 1}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
+			if err := rt.Deploy(p, "mscale", DefaultProfile(kind)); err != nil {
+				t.Fatal(err)
+			}
+			res, err := rt.Invoke(p, "mscale", InvokeOptions{PU: -1, RunBody: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Kind != kind || !reflect.DeepEqual(res.Output, want) {
+				t.Errorf("mscale on %v: ran on %v, output %v, want %v", kind, res.Kind, res.Output, want)
+			}
+		})
+	}
 }
 
 func TestKeepAliveEviction(t *testing.T) {

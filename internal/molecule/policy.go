@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/hw"
-	"repro/internal/sim"
 )
 
 // PlacementPolicy selects a PU for each function of an application when a
@@ -189,13 +188,4 @@ func (rt *Runtime) PlaceChain(names []string, policy PlacementPolicy) ([]hw.PUID
 		}
 		return out, nil
 	}
-}
-
-// InvokeChainWithPolicy places the chain under the policy and invokes it.
-func (rt *Runtime) InvokeChainWithPolicy(p *sim.Proc, names []string, policy PlacementPolicy) (ChainResult, error) {
-	placement, err := rt.PlaceChain(names, policy)
-	if err != nil {
-		return ChainResult{}, err
-	}
-	return rt.InvokeChain(p, names, ChainOptions{Placement: placement})
 }

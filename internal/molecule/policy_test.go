@@ -152,21 +152,21 @@ func TestChainAffinityBeatsScatter(t *testing.T) {
 	run(t, hw.Config{DPUs: 1}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
 		deployAlexaBoth(t, p, rt)
 		chain := workloads.AlexaChain()
+		invoke := func(policy PlacementPolicy) ChainResult {
+			placement, err := rt.PlaceChain(chain, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := rt.InvokeChain(p, chain, ChainOptions{Placement: placement})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
 		// Warm both placements.
-		if _, err := rt.InvokeChainWithPolicy(p, chain, PlaceChainAffinity); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rt.InvokeChainWithPolicy(p, chain, PlaceScatter); err != nil {
-			t.Fatal(err)
-		}
-		aff, err := rt.InvokeChainWithPolicy(p, chain, PlaceChainAffinity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc, err := rt.InvokeChainWithPolicy(p, chain, PlaceScatter)
-		if err != nil {
-			t.Fatal(err)
-		}
+		invoke(PlaceChainAffinity)
+		invoke(PlaceScatter)
+		aff, sc := invoke(PlaceChainAffinity), invoke(PlaceScatter)
 		if aff.Total >= sc.Total {
 			t.Errorf("affinity (%v) not faster than scatter (%v)", aff.Total, sc.Total)
 		}

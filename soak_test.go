@@ -109,7 +109,11 @@ func TestSoakRandomizedOperations(t *testing.T) {
 					molecule.PlaceChainAffinity, molecule.PlaceScatter, molecule.PlaceCheapest,
 				}
 				chain := []string{general[rng.Intn(len(general))], general[rng.Intn(len(general))]}
-				if _, err := rt.InvokeChainWithPolicy(p, chain, policies[rng.Intn(len(policies))]); err != nil {
+				placement, err := rt.PlaceChain(chain, policies[rng.Intn(len(policies))])
+				if err != nil {
+					t.Fatalf("step %d chain placement: %v", step, err)
+				}
+				if _, err := rt.InvokeChain(p, chain, molecule.ChainOptions{Placement: placement}); err != nil {
 					t.Fatalf("step %d chain: %v", step, err)
 				}
 				invocations += 2
