@@ -59,12 +59,13 @@ chaos:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Fast-path microbenchmarks: the sim kernel, the nIPC FIFO write path
+# Fast-path microbenchmarks: the sim kernel (including one sharded round,
+# inline vs two workers, swept over its size), the nIPC FIFO write path
 # (ns/op and allocs/op), a warm Molecule invocation end to end, a warm
 # cross-PU chain (wiring built and released every call), and a warm
 # invocation and chain through a one-machine cluster Boss.
 microbench:
-	$(GO) test ./internal/sim -bench 'Kernel|ChanPingPong' -benchmem -run xxx
+	$(GO) test ./internal/sim -bench 'Kernel|ChanPingPong|ShardedRound' -benchmem -run xxx
 	$(GO) test ./internal/mem -bench 'ForkFanout' -benchmem -run xxx
 	$(GO) test ./internal/xpu -bench 'FIFOWrite' -benchmem -run xxx
 	$(GO) test ./internal/molecule -bench 'InvokeWarm|InvokeChainCrossPU' -benchmem -run xxx
@@ -74,7 +75,7 @@ microbench:
 # rigs still build and run, without paying for stable numbers. The soak
 # scenario doubles as a fingerprint-equality check across shard counts.
 bench-smoke:
-	$(GO) test ./internal/sim -bench 'Kernel|ChanPingPong' -benchtime 1x -run xxx
+	$(GO) test ./internal/sim -bench 'Kernel|ChanPingPong|ShardedRound' -benchtime 1x -run xxx
 	$(GO) test ./internal/mem -bench 'ForkFanout' -benchtime 1x -run xxx
 	$(GO) test ./internal/xpu -bench 'FIFOWrite' -benchtime 1x -run xxx
 	$(GO) test ./internal/molecule -bench 'InvokeWarm|InvokeChainCrossPU' -benchtime 1x -run xxx
@@ -106,7 +107,9 @@ cluster-race:
 	$(GO) run ./cmd/molecule-bench -scenario cluster
 
 # The sharded kernel under the race detector, with every bench-harness
-# simulation forced through the windowed driver at 4 OS workers.
+# simulation forced through the windowed driver at 4 OS workers. Race
+# builds hand every windowed round to the workers (internal/sim/split_race.go),
+# however small, so the worker goroutines run here and under `race`.
 shards-race:
 	MOLECULE_SHARDS=4 $(GO) test -race -count=1 ./internal/sim/... ./internal/bench/...
 

@@ -111,11 +111,11 @@ func TestShardSoakSweepDeterminism(t *testing.T) {
 	if n := runtime.NumCPU(); n > 4 {
 		points = append(points, [2]int{4, n})
 	}
-	a, err := ShardSoakSweep(4, 1500, points)
+	a, err := ShardSoakSweep(4, 1500, 1, points)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ShardSoakSweep(4, 1500, points)
+	b, err := ShardSoakSweep(4, 1500, 1, points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +128,10 @@ func TestShardSoakSweepDeterminism(t *testing.T) {
 			t.Fatalf("shards=%d scheduled %d events, shards=%d scheduled %d — partitioning changed the event count",
 				a[i].Shards, a[i].Events, a[0].Shards, a[0].Events)
 		}
+		if a[i].Rounds == 0 || a[i].Rounds != b[i].Rounds || a[i].EventsPerRound != b[i].EventsPerRound {
+			t.Fatalf("shards=%d: rounds %d (%.1f events each), then %d (%.1f) — window telemetry not repeatable",
+				a[i].Shards, a[i].Rounds, a[i].EventsPerRound, b[i].Rounds, b[i].EventsPerRound)
+		}
 	}
 }
 
@@ -135,11 +139,14 @@ func TestShardSoakSweepDeterminism(t *testing.T) {
 // from the monolithic baseline and must reject configurations that cannot
 // partition the machines.
 func TestShardSoakRejectsBadSweep(t *testing.T) {
-	if _, err := ShardSoakSweep(4, 100, [][2]int{{2, 0}, {4, 0}}); err == nil {
+	if _, err := ShardSoakSweep(4, 100, 1, [][2]int{{2, 0}, {4, 0}}); err == nil {
 		t.Fatal("sweep without a shards=1 baseline was accepted")
 	}
-	if _, err := ShardSoakSweep(4, 100, [][2]int{{1, 2}, {4, 0}}); err == nil {
+	if _, err := ShardSoakSweep(4, 100, 1, [][2]int{{1, 2}, {4, 0}}); err == nil {
 		t.Fatal("sweep with a multi-worker baseline was accepted")
+	}
+	if _, err := ShardSoakSweep(4, 100, 0, [][2]int{{1, 1}}); err == nil {
+		t.Fatal("sweep without a timed rep was accepted")
 	}
 	if _, err := ShardSoak(ShardSoakConfig{Machines: 2, Invocations: 10, Shards: 3}); err == nil {
 		t.Fatal("more shards than machines was accepted")

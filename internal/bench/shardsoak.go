@@ -56,16 +56,30 @@ type ShardSoakConfig struct {
 }
 
 // ShardSoakResult is one sweep point, serialized into BENCH_sim.json.
+// ShardSoak fills one run's wall_ms; ShardSoakSweep replaces it with the
+// median over its reps and fills the fields marked below.
 type ShardSoakResult struct {
-	Shards       int     `json:"shards"`
-	Workers      int     `json:"workers"`
-	Machines     int     `json:"machines"`
-	Invocations  int     `json:"invocations_per_machine"`
-	Events       int64   `json:"events"`
+	Shards      int   `json:"shards"`
+	Workers     int   `json:"workers"`
+	Machines    int   `json:"machines"`
+	Invocations int   `json:"invocations_per_machine"`
+	Events      int64 `json:"events"`
+
+	// Windowed rounds and the events they fired, per round, from a
+	// dedicated observed run. Deterministic; filled by ShardSoakSweep.
+	Rounds         int64   `json:"rounds"`
+	EventsPerRound float64 `json:"events_per_round"`
+
+	Reps         int     `json:"reps"` // timed runs behind the wall fields
 	WallMS       float64 `json:"wall_ms"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	WallQ1MS     float64 `json:"wall_ms_q1"`
+	WallQ3MS     float64 `json:"wall_ms_q3"`
+	EventsPerSec float64 `json:"events_per_sec"`     // events over the median wall
 	Speedup      float64 `json:"speedup_vs_shards1"` // filled by ShardSoakSweep
 	Fingerprint  string  `json:"fingerprint"`
+
+	// Telemetry is the observed run's window telemetry.
+	Telemetry *obs.WindowTelemetry `json:"-"`
 }
 
 // ShardSoak runs one soak configuration and reports its throughput and
@@ -171,29 +185,66 @@ func ShardSoak(cfg ShardSoakConfig) (ShardSoakResult, error) {
 }
 
 // ShardSoakSweep runs the soak at each (shards, workers) point — workers 0
-// means one per shard — and verifies that every point produced the
+// means one per shard — and verifies that every run produced the
 // bit-identical fingerprint before computing speedups relative to the first
 // point, which must be the monolithic heap: shards=1 on one worker. Points
 // with equal shards and different workers separate the per-domain-heap
 // effect from real parallelism.
-func ShardSoakSweep(machines, invocations int, points [][2]int) ([]ShardSoakResult, error) {
+//
+// Each point runs once with window telemetry attached, for its rounds and
+// events per round. Then every point runs reps more times unobserved, for
+// its wall-time median and quartiles; the reps go round-robin over the
+// points, so a drift in host speed reaches every point alike.
+func ShardSoakSweep(machines, invocations, reps int, points [][2]int) ([]ShardSoakResult, error) {
 	if len(points) == 0 || points[0][0] != 1 || points[0][1] > 1 {
 		return nil, fmt.Errorf("sweep must start at shards=1 workers=1 (the monolithic baseline), got %v", points)
 	}
+	if reps < 1 {
+		return nil, fmt.Errorf("sweep needs at least one timed rep, got %d", reps)
+	}
 	out := make([]ShardSoakResult, 0, len(points))
-	for _, pt := range points {
-		r, err := ShardSoak(ShardSoakConfig{Machines: machines, Invocations: invocations, Shards: pt[0], Workers: pt[1]})
+	run := func(pt [2]int, wt *obs.WindowTelemetry) (ShardSoakResult, error) {
+		r, err := ShardSoak(ShardSoakConfig{
+			Machines: machines, Invocations: invocations,
+			Shards: pt[0], Workers: pt[1], Telemetry: wt,
+		})
+		if err == nil && len(out) > 0 && r.Fingerprint != out[0].Fingerprint {
+			err = fmt.Errorf("diverged:\n  got  %s\n  want %s", r.Fingerprint, out[0].Fingerprint)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("shards=%d workers=%d: %w", pt[0], pt[1], err)
+			err = fmt.Errorf("shards=%d workers=%d: %w", pt[0], pt[1], err)
 		}
-		if len(out) > 0 && r.Fingerprint != out[0].Fingerprint {
-			return nil, fmt.Errorf("shards=%d workers=%d diverged:\n  got  %s\n  want %s", pt[0], pt[1], r.Fingerprint, out[0].Fingerprint)
+		return r, err
+	}
+	for _, pt := range points {
+		wt := &obs.WindowTelemetry{}
+		r, err := run(pt, wt)
+		if err != nil {
+			return nil, err
 		}
+		r.Telemetry = wt
+		r.Rounds = wt.Rounds()
+		r.EventsPerRound = float64(wt.Events()) / float64(r.Rounds)
 		out = append(out, r)
 	}
-	base := out[0].EventsPerSec
+	walls := make([]metrics.Recorder, len(points))
+	for rep := 0; rep < reps; rep++ {
+		for i, pt := range points {
+			r, err := run(pt, nil)
+			if err != nil {
+				return nil, err
+			}
+			walls[i].Add(time.Duration(r.WallMS * 1e6))
+		}
+	}
 	for i := range out {
-		out[i].Speedup = out[i].EventsPerSec / base
+		med := walls[i].Percentile(50)
+		out[i].Reps = reps
+		out[i].WallMS = ms(med)
+		out[i].WallQ1MS = ms(walls[i].Percentile(25))
+		out[i].WallQ3MS = ms(walls[i].Percentile(75))
+		out[i].EventsPerSec = float64(out[i].Events) / med.Seconds()
+		out[i].Speedup = out[i].EventsPerSec / out[0].EventsPerSec
 	}
 	return out, nil
 }
@@ -201,16 +252,19 @@ func ShardSoakSweep(machines, invocations int, points [][2]int) ([]ShardSoakResu
 // ShardSoakTable renders a sweep as a report table.
 func ShardSoakTable(results []ShardSoakResult) *metrics.Table {
 	t := &metrics.Table{
-		Title:  "Sharded kernel soak — events/sec vs shard and worker count",
-		Note:   fmt.Sprintf("%d machines x %d invocations, identical fingerprint at every point", results[0].Machines, results[0].Invocations),
-		Header: []string{"shards", "workers", "events", "wall ms", "events/sec", "speedup"},
+		Title: "Sharded kernel soak — events/sec vs shard and worker count",
+		Note: fmt.Sprintf("%d machines x %d invocations, identical fingerprint at every point; wall: median of %d reps",
+			results[0].Machines, results[0].Invocations, results[0].Reps),
+		Header: []string{"shards", "workers", "events", "rounds", "events/round", "wall ms [q1, q3]", "events/sec", "speedup"},
 	}
 	for _, r := range results {
 		t.AddRow(
 			fmt.Sprintf("%d", r.Shards),
 			fmt.Sprintf("%d", r.Workers),
 			fmt.Sprintf("%d", r.Events),
-			fmt.Sprintf("%.1f", r.WallMS),
+			fmt.Sprintf("%d", r.Rounds),
+			fmt.Sprintf("%.1f", r.EventsPerRound),
+			fmt.Sprintf("%.1f [%.1f, %.1f]", r.WallMS, r.WallQ1MS, r.WallQ3MS),
 			fmt.Sprintf("%.0f", r.EventsPerSec),
 			fr(r.Speedup),
 		)

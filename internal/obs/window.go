@@ -109,6 +109,18 @@ func (wt *WindowTelemetry) Rounds() int64 {
 	return wt.rounds
 }
 
+// Events returns the total events fired inside observed windows.
+func (wt *WindowTelemetry) Events() int64 {
+	if wt == nil {
+		return 0
+	}
+	var n int64
+	for _, e := range wt.events {
+		n += e
+	}
+	return n
+}
+
 // Delivered returns the total cross-domain messages observed at barriers.
 func (wt *WindowTelemetry) Delivered() int64 {
 	if wt == nil {

@@ -15,9 +15,12 @@ import (
 
 // faultingGroup returns a two-domain group whose "ok" processes sleep
 // through several windows and whose domain-d process named "bad<d>" calls
-// fault after 5µs, for each d in bad.
+// fault after 5µs, for each d in bad. Its rounds are far below splitMin, so
+// every round goes to the workers (forceSplit): a multi-worker Run then
+// meets the fault on a worker goroutine.
 func faultingGroup(fault func(), bad ...int) *Sharded {
 	sh := NewSharded(2)
+	forceSplit(sh)
 	sh.LimitLookahead(time.Microsecond)
 	for d := 0; d < 2; d++ {
 		sh.Domain(d).Spawn(fmt.Sprintf("ok%d", d), func(p *Proc) {

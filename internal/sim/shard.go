@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,13 +60,14 @@ type Sharded struct {
 	lookahead Duration
 	outbox    [][]crossMsg // per source domain; owned by that domain's thread
 	merge     []crossMsg   // barrier scratch buffer, reused between rounds
+	winEvents []int        // per-domain events fired in the current window
+	split     int          // events a round must fire for the next to go to workers; splitMin outside tests
 
-	// Window telemetry (SetWindowObserver). All nil/zero when detached;
-	// the windowed driver then pays one nil check per round.
-	winObs    WindowObserver
-	winEvents []int   // per-domain events fired in the current window
-	winFlow   []int64 // D×D src→dst messages delivered at the last barrier
-	winRound  int64
+	// Window telemetry (SetWindowObserver). Nil/zero when detached; the
+	// windowed driver then pays one nil check per round.
+	winObs   WindowObserver
+	winFlow  []int64 // D×D src→dst messages delivered at the last barrier
+	winRound int64
 }
 
 // crossMsg is one cross-domain message parked in a source domain's outbox
@@ -83,8 +86,10 @@ func NewSharded(n int) *Sharded {
 		n = 1
 	}
 	sh := &Sharded{
-		doms:   make([]*Env, n),
-		outbox: make([][]crossMsg, n),
+		doms:      make([]*Env, n),
+		outbox:    make([][]crossMsg, n),
+		winEvents: make([]int, n),
+		split:     splitMin,
 	}
 	for i := range sh.doms {
 		e := NewEnv()
@@ -149,10 +154,14 @@ func (sh *Sharded) Send(from *Env, to int, delay Duration, fn func()) {
 }
 
 // deliver drains every outbox, sorts the pending messages by (arrival time,
-// source domain, source sequence) — a total deterministic order, since the
-// sequence counter is unique per source — and enqueues them on their
-// destination heaps. Runs only between windows, single-threaded. Returns
-// the number of messages delivered.
+// source domain, source sequence) and enqueues them on their destination
+// heaps. Runs only between windows, single-threaded. Returns the number of
+// messages delivered.
+//
+// The key is not unique: srcSeq is the source's schedule counter, so every
+// Send made by one event shares it, and the unstable sort may reorder such
+// same-instant messages. The order is still a pure function of the outbox
+// contents — the same at every worker count — but it is not send order.
 func (sh *Sharded) deliver() int {
 	msgs := sh.merge[:0]
 	for i := range sh.outbox {
@@ -163,14 +172,14 @@ func (sh *Sharded) deliver() int {
 		sh.merge = msgs
 		return 0
 	}
-	sort.Slice(msgs, func(i, j int) bool {
-		if msgs[i].at != msgs[j].at {
-			return msgs[i].at < msgs[j].at
+	slices.SortFunc(msgs, func(a, b crossMsg) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		if msgs[i].src != msgs[j].src {
-			return msgs[i].src < msgs[j].src
+		if c := cmp.Compare(a.src, b.src); c != 0 {
+			return c
 		}
-		return msgs[i].srcSeq < msgs[j].srcSeq
+		return cmp.Compare(a.srcSeq, b.srcSeq)
 	})
 	n := len(msgs)
 	d := len(sh.doms)
@@ -226,8 +235,12 @@ func (sh *Sharded) anyStopped() bool {
 //
 // The execution — per-domain event order, traces, clocks, counters — is
 // identical for every workers value: parallelism changes wall-clock time
-// only. A panic or runtime.Goexit in a process body reaches the caller of
-// Run at every workers value, as with Env.Run.
+// only. Even with several workers, a windowed round runs inline on the
+// calling goroutine unless the round before it fired at least splitMin
+// events: dispatching a small round to workers costs more than it saves.
+// Windows are mutually independent, so which goroutine runs a domain's
+// window cannot change what it does. A panic or runtime.Goexit in a process
+// body reaches the caller of Run at every workers value, as with Env.Run.
 func (sh *Sharded) Run(workers int) Time {
 	defer func() {
 		for _, d := range sh.doms {
@@ -261,13 +274,20 @@ func (sh *Sharded) Run(workers int) Time {
 }
 
 // runWindows is the conservative windowed driver: rounds of
-// deliver → horizon → parallel windows, until quiescence.
+// deliver → horizon → windows, until quiescence. A round runs inline on the
+// calling goroutine, one domain after another, unless workers > 1 and the
+// previous round fired at least sh.split events; then runRound hands it to
+// the worker pool. Starting goroutines and waiting for them costs more than
+// a small round's events (EXPERIMENTS.md, BenchmarkShardedRound), and the
+// event count is deterministic, so a run always takes the same sequence of
+// inline and split rounds.
 func (sh *Sharded) runWindows(workers int) {
 	for _, d := range sh.doms {
 		d.stopped = false
 		d.limit = 0
 	}
 	la := Time(sh.lookahead)
+	fired := 0 // events in the previous round
 	for {
 		delivered := sh.deliver()
 		h, ok := sh.horizon()
@@ -275,18 +295,16 @@ func (sh *Sharded) runWindows(workers int) {
 			return
 		}
 		bound := h + la
-		if workers <= 1 {
-			if sh.winObs != nil {
-				for i, d := range sh.doms {
-					sh.winEvents[i] = d.window(bound)
-				}
-			} else {
-				for _, d := range sh.doms {
-					d.window(bound)
-				}
-			}
-		} else {
+		if workers > 1 && fired >= sh.split {
 			sh.runRound(bound, workers)
+		} else {
+			for i, d := range sh.doms {
+				sh.winEvents[i] = d.window(bound)
+			}
+		}
+		fired = 0
+		for _, n := range sh.winEvents {
+			fired += n
 		}
 		if sh.winObs != nil {
 			sh.winRound++
@@ -311,10 +329,9 @@ func (sh *Sharded) runWindows(workers int) {
 // runRound executes one window on every domain using a pool of worker
 // goroutines. Domains are claimed from an atomic counter; since windows are
 // mutually independent, the claim order cannot influence the execution.
-// With telemetry attached each worker writes its domain's event count to a
-// distinct index of winEvents — no two workers share an element, so the
-// writes are race-free and the counts are identical to the sequential
-// path's.
+// Each worker writes its domain's event count to a distinct index of
+// winEvents — no two workers share an element, so the writes are race-free
+// and the counts are identical to the inline path's.
 //
 // A domain whose window panics or calls runtime.Goexit ends its worker; once
 // every worker is done, the fault of the lowest such domain is re-raised on
@@ -325,10 +342,6 @@ func (sh *Sharded) runRound(bound Time, workers int) {
 	var mu sync.Mutex
 	var fault *domainFault
 	wg.Add(workers)
-	events := ([]int)(nil)
-	if sh.winObs != nil {
-		events = sh.winEvents
-	}
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
@@ -351,10 +364,7 @@ func (sh *Sharded) runRound(bound Time, workers int) {
 					returned = true
 					return
 				}
-				n := sh.doms[i].window(bound)
-				if events != nil {
-					events[i] = n
-				}
+				sh.winEvents[i] = sh.doms[i].window(bound)
 			}
 		}()
 	}

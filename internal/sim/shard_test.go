@@ -74,10 +74,14 @@ func renderTrace(evs []TraceEvent) string {
 // runCoupledSharded runs the workload on a Sharded group with the given
 // domain and worker counts; machine m lives on domain m % domains. When
 // lookahead is false the group runs in the zero-lookahead sequential merge.
-func runCoupledSharded(domains, workers int, lookahead bool) coupledRun {
+// Each opt adjusts the group before its processes are spawned.
+func runCoupledSharded(domains, workers int, lookahead bool, opts ...func(*Sharded)) coupledRun {
 	sh := NewSharded(domains)
 	if lookahead {
 		sh.LimitLookahead(cLA)
+	}
+	for _, opt := range opts {
+		opt(sh)
 	}
 	sh.EnableTrace()
 	var st coupledState
@@ -124,10 +128,17 @@ func runCoupledPlain() coupledRun {
 	}
 }
 
+// forceSplit makes every windowed round of sh go to the worker goroutines,
+// however few events the round before it fired. The coupled workload's
+// rounds stay below splitMin, so without it a multi-worker run would never
+// leave the Run goroutine.
+func forceSplit(sh *Sharded) { sh.split = 0 }
+
 // TestShardedMatchesSequential is the determinism contract of the sharded
 // kernel: the coupled workload must produce bit-identical fingerprints and
 // trace logs on the classic single-heap kernel and on every sharding —
-// any domain partition, any worker count, windowed or sequential-merge.
+// any domain partition, any worker count, windowed or sequential-merge,
+// with small rounds inline or forced onto the workers.
 func TestShardedMatchesSequential(t *testing.T) {
 	ref := runCoupledPlain()
 	if ref.sched == 0 || len(ref.trace) == 0 {
@@ -149,13 +160,18 @@ func TestShardedMatchesSequential(t *testing.T) {
 		{"d6-merge", 6, 1, false},
 		{"d4-merge", 4, 1, false},
 	}
-	for _, c := range cases {
-		got := runCoupledSharded(c.domains, c.workers, c.lookahead)
+	check := func(name string, got coupledRun) {
 		if got.fp != ref.fp {
-			t.Errorf("%s: fingerprint diverged\n got: %s\nwant: %s", c.name, got.fp, ref.fp)
+			t.Errorf("%s: fingerprint diverged\n got: %s\nwant: %s", name, got.fp, ref.fp)
 		}
 		if got.trace != ref.trace {
-			t.Errorf("%s: trace log diverged (%d vs %d bytes)", c.name, len(got.trace), len(ref.trace))
+			t.Errorf("%s: trace log diverged (%d vs %d bytes)", name, len(got.trace), len(ref.trace))
+		}
+	}
+	for _, c := range cases {
+		check(c.name, runCoupledSharded(c.domains, c.workers, c.lookahead))
+		if c.lookahead && c.workers > 1 {
+			check(c.name+"-split", runCoupledSharded(c.domains, c.workers, c.lookahead, forceSplit))
 		}
 	}
 }
@@ -163,8 +179,8 @@ func TestShardedMatchesSequential(t *testing.T) {
 // TestShardedRepeatable pins run-to-run determinism at a fixed configuration
 // (the wall-clock schedule of the worker pool must not leak into results).
 func TestShardedRepeatable(t *testing.T) {
-	a := runCoupledSharded(3, 4, true)
-	b := runCoupledSharded(3, 4, true)
+	a := runCoupledSharded(3, 4, true, forceSplit)
+	b := runCoupledSharded(3, 4, true, forceSplit)
 	if a.fp != b.fp || a.trace != b.trace {
 		t.Fatal("two identical sharded runs diverged")
 	}
@@ -339,4 +355,132 @@ func TestShardedClockMonotone(t *testing.T) {
 	if sh.Now() != last[2] {
 		t.Errorf("group Now %v != max domain clock %v", sh.Now(), last[2])
 	}
+}
+
+// onWorker reports whether its caller runs on one of runRound's worker
+// goroutines rather than on the goroutine that called Run.
+func onWorker() bool {
+	pc := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+	for {
+		f, more := frames.Next()
+		if strings.Contains(f.Function, "(*Sharded).runRound") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// TestRoundSplitsAboveThreshold pins when a windowed round leaves the Run
+// goroutine: exactly when the round before it fired at least splitMin
+// events (the first round counts as following an empty one).
+func TestRoundSplitsAboveThreshold(t *testing.T) {
+	const la = time.Millisecond
+	sh := NewSharded(2)
+	sh.LimitLookahead(la)
+	var got []bool // one probe per round
+	probe := func() { got = append(got, onWorker()) }
+	// Round 1, [0, la): the probe plus fillers, splitMin events in all
+	// (just the probe if splitMin is 0).
+	sh.Domain(1).At(0, probe)
+	for i := 0; i < splitMin-1; i++ {
+		sh.Domain(i%2).At(Time(i+1), func() {})
+	}
+	// Round 2 opens at la and follows round 1; round 3 opens at 3·la and
+	// follows round 2's lone probe.
+	sh.Domain(0).At(Time(la), probe)
+	sh.Domain(1).At(Time(3*la), probe)
+	sh.Run(2)
+	want := []bool{splitMin == 0, true, splitMin <= 1}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("rounds on workers = %v, want %v (splitMin %d)", got, want, splitMin)
+	}
+}
+
+// TestDeliverAllocs pins the barrier merge at zero allocations: sorting and
+// enqueueing a round of cross-domain messages reuses the merge buffer and
+// the destination's event pool. The messages share one closure, so nothing
+// here is the caller's own allocation.
+func TestDeliverAllocs(t *testing.T) {
+	const la = time.Microsecond
+	sh := NewSharded(2)
+	sh.LimitLookahead(la)
+	fn := func() {}
+	round := func() {
+		// 2×13 messages with three distinct arrival times: more than the
+		// 12 the sort handles by insertion alone.
+		for d := 0; d < 2; d++ {
+			for i := 0; i < 13; i++ {
+				sh.Send(sh.Domain(d), 1-d, la+Duration(i%3), fn)
+			}
+		}
+		if n := sh.deliver(); n != 26 {
+			t.Fatalf("delivered %d messages, want 26", n)
+		}
+		bound := sh.Now().After(10 * la)
+		for _, d := range sh.doms {
+			d.window(bound)
+		}
+	}
+	round() // size the buffers and pools
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Fatalf("a delivered round allocates %.1f times, want 0", avg)
+	}
+}
+
+// BenchmarkShardedRound measures the host cost of one windowed round of D=5
+// domains that each fire K events of fixed host work, at workers=1 (inline)
+// and workers=2 (every round dispatched to runRound). ns/op is ns per round;
+// the K where workers=2 starts to win is the break-even behind splitMin.
+//
+//	go test ./internal/sim -run '^$' -bench ShardedRound -benchmem
+func BenchmarkShardedRound(b *testing.B) {
+	const domains = 5
+	for _, k := range []int{1, 8, 32, 64, 96, 128, 256, 512} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("K=%d/workers=%d", k, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				sh := NewSharded(domains)
+				forceSplit(sh)
+				// Events are 1 ns apart and a window is K ns wide, so every
+				// round fires exactly K events per domain.
+				sh.LimitLookahead(Duration(k))
+				lanes := make([]benchLane, domains)
+				for d := range lanes {
+					l, env := &lanes[d], sh.Domain(d)
+					l.left, l.x = b.N*k, uint64(d+1)
+					var tick func()
+					tick = func() {
+						l.x = spin(l.x)
+						if l.left--; l.left > 0 {
+							env.AfterFunc(1, tick)
+						}
+					}
+					env.At(0, tick)
+				}
+				b.ResetTimer()
+				sh.Run(workers)
+			})
+		}
+	}
+}
+
+// benchLane is one domain's state in BenchmarkShardedRound, padded to its
+// own cache line so two workers never share one.
+type benchLane struct {
+	left int
+	x    uint64
+	_    [48]byte
+}
+
+// spin is BenchmarkShardedRound's fixed per-event host work, about 100 ns.
+func spin(x uint64) uint64 {
+	for i := 0; i < 40; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+	}
+	return x
 }

@@ -52,11 +52,8 @@ type WindowObserver interface {
 // and unobserved executions are identical.
 func (sh *Sharded) SetWindowObserver(o WindowObserver) {
 	sh.winObs = o
-	if o != nil {
+	if o != nil && sh.winFlow == nil {
 		n := len(sh.doms)
-		if sh.winEvents == nil {
-			sh.winEvents = make([]int, n)
-			sh.winFlow = make([]int64, n*n)
-		}
+		sh.winFlow = make([]int64, n*n)
 	}
 }

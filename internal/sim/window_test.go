@@ -27,37 +27,17 @@ func (r *recordingWindowObserver) WindowRound(ws WindowStats) {
 }
 
 // runCoupledObserved is runCoupledSharded with a window observer attached.
-func runCoupledObserved(domains, workers int) (coupledRun, *recordingWindowObserver) {
-	sh := NewSharded(domains)
-	sh.LimitLookahead(cLA)
+func runCoupledObserved(domains, workers int, opts ...func(*Sharded)) (coupledRun, *recordingWindowObserver) {
 	rec := &recordingWindowObserver{}
-	sh.SetWindowObserver(rec)
-	sh.EnableTrace()
-	var st coupledState
-	for m := 0; m < cm; m++ {
-		m := m
-		dom := sh.Domain(m % domains)
-		send := func(p *Proc, k int, delay Duration, fn func()) {
-			dst := sh.Domain(k % domains)
-			sh.Send(p.Env(), k%domains, delay, func() {
-				fn()
-				dst.Tracef("recv m%d", k)
-			})
-		}
-		dom.Spawn(fmt.Sprintf("machine-%d", m), coupledBody(&st, m, send))
-	}
-	sh.Run(workers)
-	return coupledRun{
-		fp:    fingerprint(&st, sh.Scheduled()),
-		trace: renderTrace(sh.TraceLog()),
-		sched: sh.Scheduled(),
-	}, rec
+	observe := func(sh *Sharded) { sh.SetWindowObserver(rec) }
+	return runCoupledSharded(domains, workers, true, append(opts, observe)...), rec
 }
 
 // TestWindowTelemetryDeterministicAcrossWorkers pins the telemetry half of
 // the determinism contract: the full per-round log — horizons, bounds,
 // per-domain event counts, delivery counts, flow matrices — is byte-
-// identical at every worker count.
+// identical at every worker count, whether rounds run inline or on the
+// workers.
 func TestWindowTelemetryDeterministicAcrossWorkers(t *testing.T) {
 	const domains = 3
 	base, baseRec := runCoupledObserved(domains, 1)
@@ -65,13 +45,19 @@ func TestWindowTelemetryDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal("windowed run reported no rounds")
 	}
 	for _, workers := range []int{2, 4, runtime.NumCPU()} {
-		run, rec := runCoupledObserved(domains, workers)
-		if run.fp != base.fp {
-			t.Fatalf("workers=%d: fingerprint diverged\n got  %s\n want %s", workers, run.fp, base.fp)
-		}
-		if rec.log.String() != baseRec.log.String() {
-			t.Fatalf("workers=%d: telemetry log diverged\n got:\n%s\nwant:\n%s",
-				workers, rec.log.String(), baseRec.log.String())
+		for _, split := range []bool{false, true} {
+			var opts []func(*Sharded)
+			if split {
+				opts = append(opts, forceSplit)
+			}
+			run, rec := runCoupledObserved(domains, workers, opts...)
+			if run.fp != base.fp {
+				t.Fatalf("workers=%d split=%v: fingerprint diverged\n got  %s\n want %s", workers, split, run.fp, base.fp)
+			}
+			if rec.log.String() != baseRec.log.String() {
+				t.Fatalf("workers=%d split=%v: telemetry log diverged\n got:\n%s\nwant:\n%s",
+					workers, split, rec.log.String(), baseRec.log.String())
+			}
 		}
 	}
 }
@@ -82,8 +68,8 @@ func TestWindowTelemetryDeterministicAcrossWorkers(t *testing.T) {
 // accounted to exactly one window.
 func TestWindowObserverInvisible(t *testing.T) {
 	const domains = 3
-	plain := runCoupledSharded(domains, 2, true)
-	observed, rec := runCoupledObserved(domains, 2)
+	plain := runCoupledSharded(domains, 2, true, forceSplit)
+	observed, rec := runCoupledObserved(domains, 2, forceSplit)
 	if observed.fp != plain.fp {
 		t.Fatalf("observer changed the fingerprint\n got  %s\n want %s", observed.fp, plain.fp)
 	}

@@ -21,7 +21,32 @@ import (
 // worker, while `molecule-bench -scenario cluster` cross-checks each point
 // at several.
 func TestBenchClusterSnapshot(t *testing.T) {
-	raw, err := os.ReadFile("BENCH_cluster.json")
+	sweep, err := bench.ClusterSoakSweep([]int{1, 2, 4}, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareSnapshot(t, "BENCH_cluster.json", sweep, "machines", "wall_ms", "worker_counts_checked")
+}
+
+// TestBenchSimSnapshot reruns the sharded-kernel soak sweep and checks
+// BENCH_sim.json's events, fingerprints, rounds and events per round. It
+// skips the wall fields and reps: this run times each point once, while
+// `molecule-bench -scenario soak` takes the median of several.
+func TestBenchSimSnapshot(t *testing.T) {
+	sweep, err := bench.ShardSoakSweep(4, 50000, 1, [][2]int{{1, 1}, {2, 1}, {2, 2}, {4, 1}, {4, 2}, {4, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareSnapshot(t, "BENCH_sim.json", sweep, "shards",
+		"reps", "wall_ms", "wall_ms_q1", "wall_ms_q3", "events_per_sec", "speedup_vs_shards1")
+}
+
+// compareSnapshot checks every field of each point in sweep against the
+// same point of file's result, except the fields named in skip. Failures
+// name a point by its key field.
+func compareSnapshot(t *testing.T, file string, sweep any, key string, skip ...string) {
+	t.Helper()
+	raw, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +54,7 @@ func TestBenchClusterSnapshot(t *testing.T) {
 		Result []map[string]any `json:"result"`
 	}
 	if err := json.Unmarshal(raw, &committed); err != nil {
-		t.Fatalf("BENCH_cluster.json: %v", err)
-	}
-	sweep, err := bench.ClusterSoakSweep([]int{1, 2, 4}, []int{1})
-	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", file, err)
 	}
 	var fresh []map[string]any
 	if b, err := json.Marshal(sweep); err != nil {
@@ -42,7 +63,7 @@ func TestBenchClusterSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(fresh) != len(committed.Result) {
-		t.Fatalf("sweep has %d points, BENCH_cluster.json %d", len(fresh), len(committed.Result))
+		t.Fatalf("sweep has %d points, %s %d", len(fresh), file, len(committed.Result))
 	}
 	for i, got := range fresh {
 		want := committed.Result[i]
@@ -53,8 +74,9 @@ func TestBenchClusterSnapshot(t *testing.T) {
 		for k := range want {
 			keys[k] = true
 		}
-		delete(keys, "wall_ms")
-		delete(keys, "worker_counts_checked")
+		for _, k := range skip {
+			delete(keys, k)
+		}
 		sorted := make([]string, 0, len(keys))
 		for k := range keys {
 			sorted = append(sorted, k)
@@ -62,7 +84,7 @@ func TestBenchClusterSnapshot(t *testing.T) {
 		sort.Strings(sorted)
 		for _, k := range sorted {
 			if !reflect.DeepEqual(got[k], want[k]) {
-				t.Errorf("machines=%v: %s = %v, BENCH_cluster.json has %v", want["machines"], k, got[k], want[k])
+				t.Errorf("point %d (%s=%v): %s = %v, %s has %v", i, key, want[key], k, got[k], file, want[k])
 			}
 		}
 	}
