@@ -14,8 +14,11 @@ check: build vet lint test race bench-test
 build:
 	$(GO) build ./...
 
+# vet also fails on any Go file outside vendor/ that gofmt would change.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './vendor/*' -not -path './.*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l (run gofmt -w on these):"; echo "$$unformatted"; exit 1; fi
 
 # moleculelint: the repo's own go/analysis suite (internal/lint) — eight
 # invariant analyzers plus stock copylocks and a nilness subset — run over
@@ -83,12 +86,10 @@ bench-smoke:
 	$(GO) run ./cmd/molecule-bench -scenario soak
 
 # Regenerate every BENCH_*.json snapshot, each in the one envelope
-# (scenario, host, result): kernel microbenchmarks plus report wall times,
-# the batched-nIPC sweep, the sharded-kernel soak, the cluster scaling curve
-# and the cold-start comparison. Every scaling point is fingerprint-checked
+# (scenario, host, result): the batched-nIPC sweep, the sharded-kernel
+# soak, the cluster scaling curve and the cold-start comparison. Every scaling point is fingerprint-checked
 # across kernel worker counts before it is written.
 benchjson:
-	$(GO) run ./cmd/molecule-bench -scenario kernel -o BENCH_kernel.json > /dev/null
 	$(GO) run ./cmd/molecule-bench -scenario nipc -o BENCH_nipc.json > /dev/null
 	$(GO) run ./cmd/molecule-bench -scenario soak -o BENCH_sim.json
 	$(GO) run ./cmd/molecule-bench -scenario cluster -o BENCH_cluster.json

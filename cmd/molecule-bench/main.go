@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/sim/simbench"
 )
 
 var parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "experiments to run concurrently (1 = sequential; output is identical either way)")
@@ -35,18 +34,6 @@ var scenarios = []struct {
 	name, about string
 	run         func(w io.Writer) (any, error)
 }{
-	{"kernel", "timed full report plus kernel microbenchmarks (BENCH_kernel.json)", func(w io.Writer) (any, error) {
-		start := time.Now()
-		timings := bench.Report(w, *parallel, false)
-		total := time.Since(start)
-		printTimings(w, timings, total)
-		return map[string]any{
-			"parallel":      *parallel,
-			"total_wall_ms": ms(total),
-			"experiments":   timings,
-			"kernel_bench":  simbench.All(),
-		}, nil
-	}},
 	{"nipc", "batched-nIPC amortization sweep (BENCH_nipc.json)", func(w io.Writer) (any, error) {
 		sweeps := bench.NIPCBatch()
 		for _, t := range bench.NIPCBatchTables(sweeps) {

@@ -16,9 +16,6 @@ func TestScenariosWriteEnvelope(t *testing.T) {
 	dir := t.TempDir()
 	for _, s := range scenarios {
 		t.Run(s.name, func(t *testing.T) {
-			if s.name == "kernel" && testing.Short() {
-				t.Skip("kernel microbenchmarks in -short mode")
-			}
 			path := filepath.Join(dir, s.name+".json")
 			if err := runScenario(s.name, io.Discard, path); err != nil {
 				t.Fatal(err)

@@ -331,4 +331,3 @@ func runNilness(pass *analysis.Pass) (interface{}, error) {
 	})
 	return nil, nil
 }
-

@@ -114,13 +114,13 @@ func identVar(pass *analysis.Pass, e ast.Expr) *types.Var {
 type rpKind uint8
 
 const (
-	rpAcquire rpKind = iota // the tracked acquire itself (re-entry = rebind, stop)
-	rpRelease               // release of the tracked resource
-	rpDefer                 // defer covering this resource class
-	rpStore                 // tracked var stored into a pre-existing container
-	rpTransfer              // ownership moved: alias, composite literal, &v, closure capture
-	rpErrKill               // the acquire's error variable was reassigned
-	rpReturn                // return statement
+	rpAcquire  rpKind = iota // the tracked acquire itself (re-entry = rebind, stop)
+	rpRelease                // release of the tracked resource
+	rpDefer                  // defer covering this resource class
+	rpStore                  // tracked var stored into a pre-existing container
+	rpTransfer               // ownership moved: alias, composite literal, &v, closure capture
+	rpErrKill                // the acquire's error variable was reassigned
+	rpReturn                 // return statement
 )
 
 type rpEvent struct {

@@ -92,5 +92,6 @@ func bareWaiver(ic *hw.Interconnect, p *hw.Proc, to int, buf []int64) {
 }
 
 // A marker on a line with no cross-domain send is stale.
+//
 //lint:owned the send this excused is long gone // want `stale //lint:owned waiver: no cross-domain send on this line`
 func noSendHere() {}

@@ -17,9 +17,9 @@ type shim struct {
 //
 //molecule:hotpath
 func (s *shim) send(id int, payload string) error {
-	label := fmt.Sprintf("msg-%d", id)     // want `fmt\.Sprintf allocates on the success path`
-	key := s.prefix + payload              // want `string concatenation allocates`
-	s.tr.Tracef("send %s %s", label, key)  // want `unguarded Tracef`
+	label := fmt.Sprintf("msg-%d", id)    // want `fmt\.Sprintf allocates on the success path`
+	key := s.prefix + payload             // want `string concatenation allocates`
+	s.tr.Tracef("send %s %s", label, key) // want `unguarded Tracef`
 	if s.tracing {
 		s.tr.Tracef("send %s", label) // guarded: arguments box only when tracing
 	}

@@ -223,5 +223,6 @@ func WiringDeferred(rt *Runtime, p *Proc, insts []*instance) error {
 }
 
 // A released-waiver on a line that acquires nothing is stale.
+//
 //lint:released the acquire this excused was deleted // want `stale //lint:released waiver: no tracked acquire on this line`
 func nothingAcquired() {}

@@ -127,5 +127,6 @@ func (rt *Runtime) waived(p *Proc, d *Deployment) (Result, error) {
 }
 
 // A settled-waiver on a line the analysis no longer flags is stale.
+//
 //lint:settled the double settle this excused is gone // want `stale //lint:settled waiver: no settle finding on this line`
 func noSettleHere() {}

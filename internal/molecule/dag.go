@@ -428,14 +428,9 @@ func (rt *Runtime) InvokeAccelChain(p *sim.Proc, names []string, opts AccelChain
 		}
 		stages[i].d = d
 		if !opts.CPUFallback && d.SupportsKind(hw.FPGA) {
-			n, id, err := rt.fpgaSandboxFor(name)
+			n, id, err := rt.ensureAccel(p, hw.FPGA, name, nil)
 			if err != nil {
-				if err := rt.extendFPGAImages(p, name); err != nil {
-					return ChainResult{}, err
-				}
-				if n, id, err = rt.fpgaSandboxFor(name); err != nil {
-					return ChainResult{}, err
-				}
+				return ChainResult{}, err
 			}
 			stages[i].fpga, stages[i].id = n, id
 		}

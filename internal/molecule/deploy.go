@@ -8,6 +8,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/lang"
+	"repro/internal/obs"
 	"repro/internal/sandbox"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -223,7 +224,11 @@ func (rt *Runtime) extendFPGAImages(p *sim.Proc, funcName string) error {
 	}
 	for _, existing := range target.fpgaVector {
 		if existing == funcName {
-			return nil // already cached
+			if _, ok := target.runf.Running(funcName); ok {
+				return nil // already cached
+			}
+			// Cached, but its sandbox was killed: reflash the vector.
+			return rt.reprogramFPGA(p, target)
 		}
 	}
 	// Up to three instances share each DRAM bank (Table 4 caches 12
@@ -267,23 +272,47 @@ func (rt *Runtime) reprogramFPGA(p *sim.Proc, n *puNode) error {
 	return n.runf.Start(p, ids)
 }
 
-// fpgaSandboxFor finds the running FPGA sandbox for funcName, returning the
-// node as well.
-func (rt *Runtime) fpgaSandboxFor(funcName string) (*puNode, string, error) {
+// accelSandboxes is the sandbox table runf and rung share.
+type accelSandboxes interface {
+	Running(funcID string) (id string, ok bool)
+}
+
+// accelSandboxFor finds the running kind (FPGA or GPU) sandbox for
+// funcName, returning its node as well.
+func (rt *Runtime) accelSandboxFor(kind hw.PUKind, funcName string) (*puNode, string, error) {
 	for _, n := range rt.orderedNodes() {
-		if n.runf == nil {
+		if n.pu.Kind != kind || n.accel == nil {
 			continue
 		}
-		for _, st := range n.runf.State(nil) {
-			if st.State != sandbox.StateRunning {
-				continue
-			}
-			if sb := n.runf.Sandbox(st.ID); sb != nil && sb.Spec.FuncID == funcName {
-				return n, st.ID, nil
-			}
+		if id, ok := n.accel.Running(funcName); ok {
+			return n, id, nil
 		}
 	}
-	return nil, "", fmt.Errorf("molecule: no running FPGA sandbox for %q", funcName)
+	return nil, "", fmt.Errorf("molecule: no running %v sandbox for %q", kind, funcName)
+}
+
+// ensureAccel returns the running kind sandbox for funcName, installing the
+// function on a miss — the cold path: extend the FPGA image or load the
+// GPU kernel — and looking it up again. The install gets its own span only
+// under a non-nil parent.
+func (rt *Runtime) ensureAccel(p *sim.Proc, kind hw.PUKind, funcName string, parent *obs.Span) (*puNode, string, error) {
+	if n, id, err := rt.accelSandboxFor(kind, funcName); err == nil {
+		return n, id, nil
+	}
+	install, name := rt.extendFPGAImages, "fpga.extend_image"
+	if kind == hw.GPU {
+		install, name = rt.loadGPUKernel, "gpu.load_kernel"
+	}
+	var span *obs.Span
+	if parent != nil {
+		span = rt.obs.Span(parent, name, -1)
+	}
+	err := install(p, funcName)
+	span.Finish()
+	if err != nil {
+		return nil, "", err
+	}
+	return rt.accelSandboxFor(kind, funcName)
 }
 
 // loadGPUKernel installs funcName on the first GPU.
@@ -303,24 +332,6 @@ func (rt *Runtime) loadGPUKernel(p *sim.Proc, funcName string) error {
 		return n.rung.Start(p, []string{id})
 	}
 	return fmt.Errorf("molecule: no GPU available for %q", funcName)
-}
-
-// gpuSandboxFor finds the running GPU sandbox for funcName.
-func (rt *Runtime) gpuSandboxFor(funcName string) (*puNode, string, error) {
-	for _, n := range rt.orderedNodes() {
-		if n.rung == nil {
-			continue
-		}
-		for _, st := range n.rung.State(nil) {
-			if st.State != sandbox.StateRunning {
-				continue
-			}
-			if sb := n.rung.Sandbox(st.ID); sb != nil && sb.Spec.FuncID == funcName {
-				return n, st.ID, nil
-			}
-		}
-	}
-	return nil, "", fmt.Errorf("molecule: no running GPU sandbox for %q", funcName)
 }
 
 // generalKinds is the deterministic placement preference for container

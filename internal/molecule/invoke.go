@@ -82,21 +82,16 @@ func (rt *Runtime) Invoke(p *sim.Proc, funcName string, opts InvokeOptions) (Res
 // an attempt that completes after its timeout is never billed.
 func (rt *Runtime) dispatch(p *sim.Proc, d *Deployment, opts InvokeOptions, settle bool) (Result, error) {
 	if opts.PU >= 0 {
-		if n := rt.nodes[opts.PU]; n != nil {
-			switch n.pu.Kind {
-			case hw.FPGA:
-				return rt.invokeFPGA(p, d, opts, settle)
-			case hw.GPU:
-				return rt.invokeGPU(p, d, opts, settle)
-			}
+		if n := rt.nodes[opts.PU]; n != nil && n.accel != nil {
+			return rt.invokeAccel(p, d, n.pu.Kind, opts, settle)
 		}
 		return rt.invokeGeneral(p, d, opts, settle)
 	}
 	if d.SupportsKind(hw.FPGA) {
-		return rt.invokeFPGA(p, d, opts, settle)
+		return rt.invokeAccel(p, d, hw.FPGA, opts, settle)
 	}
 	if d.SupportsKind(hw.GPU) {
-		return rt.invokeGPU(p, d, opts, settle)
+		return rt.invokeAccel(p, d, hw.GPU, opts, settle)
 	}
 	return rt.invokeGeneral(p, d, opts, settle)
 }
@@ -566,39 +561,33 @@ func (rt *Runtime) releaseAll(p *sim.Proc, insts []*instance) {
 	}
 }
 
-// invokeFPGA serves the request on the function's FPGA sandbox.
-func (rt *Runtime) invokeFPGA(p *sim.Proc, d *Deployment, opts InvokeOptions, settle bool) (Result, error) {
+// invokeAccel serves the request on the function's kind (FPGA or GPU)
+// sandbox, installing the function first on a miss.
+func (rt *Runtime) invokeAccel(p *sim.Proc, d *Deployment, kind hw.PUKind, opts InvokeOptions, settle bool) (Result, error) {
 	start := p.Now()
 	root := rt.obs.Span(opts.Span, "invoke", int(rt.hostID))
 	root.SetAttr("fn", d.Fn.Name)
-	n, id, err := rt.fpgaSandboxFor(d.Fn.Name)
+	n, id, err := rt.ensureAccel(p, kind, d.Fn.Name, root)
 	if err != nil {
-		// Image miss: (re)extend the vectorized image — the cold path.
-		es := rt.obs.Span(root, "fpga.extend_image", -1)
-		if err := rt.extendFPGAImages(p, d.Fn.Name); err != nil {
-			es.Finish()
-			root.Finish()
-			return Result{}, err
-		}
-		es.Finish()
-		n, id, err = rt.fpgaSandboxFor(d.Fn.Name)
-		if err != nil {
-			root.Finish()
-			return Result{}, err
-		}
+		root.Finish()
+		return Result{}, err
 	}
 	startupDone := p.Now()
 	argB, resB := d.Fn.Sizes(opts.Arg)
 	execStart := p.Now()
 	hs := rt.obs.Span(root, "handler", int(n.pu.ID))
-	if err := n.runf.Invoke(p, id, argB, resB, d.Fn.FabricCost(opts.Arg), sandbox.InvokeOptions{}); err != nil {
-		hs.Finish()
+	if kind == hw.FPGA {
+		err = n.runf.Invoke(p, id, argB, resB, d.Fn.FabricCost(opts.Arg), sandbox.InvokeOptions{})
+	} else {
+		err = n.rung.Invoke(p, id, argB, resB, d.Fn.GPUKernel)
+	}
+	hs.Finish()
+	if err != nil {
 		root.Finish()
 		return Result{}, err
 	}
-	hs.Finish()
 	res := Result{
-		Fn: d.Fn.Name, PU: n.pu.ID, Kind: hw.FPGA,
+		Fn: d.Fn.Name, PU: n.pu.ID, Kind: kind,
 		Cold:    startupDone != start,
 		Startup: startupDone.Sub(start),
 		Exec:    p.Now().Sub(execStart),
@@ -626,54 +615,4 @@ func runBody(d *Deployment, opts InvokeOptions, res *Result) error {
 	out, err := d.Fn.Body(opts.Arg)
 	res.Output = out
 	return err
-}
-
-// invokeGPU serves the request on the function's GPU sandbox.
-func (rt *Runtime) invokeGPU(p *sim.Proc, d *Deployment, opts InvokeOptions, settle bool) (Result, error) {
-	start := p.Now()
-	root := rt.obs.Span(opts.Span, "invoke", int(rt.hostID))
-	root.SetAttr("fn", d.Fn.Name)
-	n, id, err := rt.gpuSandboxFor(d.Fn.Name)
-	if err != nil {
-		ls := rt.obs.Span(root, "gpu.load_kernel", -1)
-		if err := rt.loadGPUKernel(p, d.Fn.Name); err != nil {
-			ls.Finish()
-			root.Finish()
-			return Result{}, err
-		}
-		ls.Finish()
-		n, id, err = rt.gpuSandboxFor(d.Fn.Name)
-		if err != nil {
-			root.Finish()
-			return Result{}, err
-		}
-	}
-	startupDone := p.Now()
-	argB, resB := d.Fn.Sizes(opts.Arg)
-	execStart := p.Now()
-	hs := rt.obs.Span(root, "handler", int(n.pu.ID))
-	if err := n.rung.Invoke(p, id, argB, resB, d.Fn.GPUKernel); err != nil {
-		hs.Finish()
-		root.Finish()
-		return Result{}, err
-	}
-	hs.Finish()
-	res := Result{
-		Fn: d.Fn.Name, PU: n.pu.ID, Kind: hw.GPU,
-		Cold:    startupDone != start,
-		Startup: startupDone.Sub(start),
-		Exec:    p.Now().Sub(execStart),
-		Handler: p.Now().Sub(execStart),
-		Total:   p.Now().Sub(start),
-	}
-	root.SetAttr("pu", fmt.Sprintf("%d", n.pu.ID))
-	root.Finish() // root span duration == res.Total by construction
-	n.busy += res.Exec
-	if err := runBody(d, opts, &res); err != nil {
-		return Result{}, err
-	}
-	if settle {
-		rt.settleResult(d, res)
-	}
-	return res, nil
 }

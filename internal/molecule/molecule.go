@@ -137,9 +137,11 @@ type puNode struct {
 	capacity  int // max concurrent instances (density model)
 	liveCount int
 
-	// Accelerators.
-	runf *sandbox.RunF
-	rung *sandbox.RunG
+	// Accelerators: an FPGA node has runf, a GPU node rung, and accel is
+	// that runtime's sandbox table, which the two share.
+	runf  *sandbox.RunF
+	rung  *sandbox.RunG
+	accel accelSandboxes
 	// fpgaVector is the set of functions currently baked into the image.
 	fpgaVector []string
 	// snapshots caches per-function checkpoint images (StartupSnapshot).
@@ -339,7 +341,7 @@ func New(p *sim.Proc, m *hw.Machine, reg *workloads.Registry, opts Options) (*Ru
 			}
 			rf.Policy = opts.ErasePolicy
 			pu.Device.SetRetention(opts.Retention)
-			rt.nodes[pu.ID] = &puNode{pu: pu, node: vn, runf: rf}
+			rt.nodes[pu.ID] = &puNode{pu: pu, node: vn, runf: rf, accel: rf}
 			rt.order = append(rt.order, pu.ID)
 		case hw.GPU:
 			vn := rt.Shim.AddVirtualNode(pu, host, hostNode.os)
@@ -347,7 +349,7 @@ func New(p *sim.Proc, m *hw.Machine, reg *workloads.Registry, opts Options) (*Ru
 			if err != nil {
 				return nil, err
 			}
-			rt.nodes[pu.ID] = &puNode{pu: pu, node: vn, rung: rg}
+			rt.nodes[pu.ID] = &puNode{pu: pu, node: vn, rung: rg, accel: rg}
 			rt.order = append(rt.order, pu.ID)
 		}
 	}

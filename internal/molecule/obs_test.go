@@ -6,11 +6,13 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/hw"
 	"repro/internal/obs"
+	"repro/internal/sandbox"
 	"repro/internal/sim"
 )
 
@@ -156,4 +158,77 @@ func TestObserverDetachedRecordsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestAcceleratorMissPath invokes through an install miss on each
+// accelerator kind: the sandbox the deploy installed is killed, so the next
+// invocation reinstalls the function cold under its own span, and a warm
+// re-invoke installs nothing.
+func TestAcceleratorMissPath(t *testing.T) {
+	type accelRuntime interface {
+		sandbox.Runtime
+		Running(funcID string) (string, bool)
+	}
+	for _, tc := range []struct {
+		kind    hw.PUKind
+		install string
+	}{
+		{hw.FPGA, "fpga.extend_image"},
+		{hw.GPU, "gpu.load_kernel"},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			run(t, hw.Config{FPGAs: 1, GPUs: 1}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
+				if err := rt.Deploy(p, "mscale", DefaultProfile(tc.kind)); err != nil {
+					t.Fatal(err)
+				}
+				pu := rt.Machine.PUsOfKind(tc.kind)[0].ID
+				sbs := rt.Node(pu).accel.(accelRuntime)
+				id, ok := sbs.Running("mscale")
+				if !ok {
+					t.Fatal("deploy left no running sandbox")
+				}
+				if err := sandbox.KillOne(p, sbs, id, 9); err != nil {
+					t.Fatal(err)
+				}
+				o := obs.New(p.Env())
+				rt.SetObserver(o)
+
+				res, err := rt.Invoke(p, "mscale", DefaultInvokeOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Cold || res.Kind != tc.kind || res.PU != pu {
+					t.Errorf("miss: cold=%v kind=%v pu=%d, want cold on %v PU %d", res.Cold, res.Kind, res.PU, tc.kind, pu)
+				}
+				root, ok := o.Tracer.Find("invoke")
+				if !ok {
+					t.Fatal("no invoke span recorded")
+				}
+				if got := time.Duration(root.End - root.Start); got != res.Total {
+					t.Errorf("root span duration %v != Result.Total %v", got, res.Total)
+				}
+				var names []string
+				for _, s := range o.Tracer.Children(root.ID) {
+					names = append(names, s.Name)
+				}
+				if want := []string{tc.install, "handler"}; !reflect.DeepEqual(names, want) {
+					t.Errorf("invoke children = %v, want %v", names, want)
+				}
+
+				before := len(o.Tracer.Spans())
+				warm, err := rt.Invoke(p, "mscale", DefaultInvokeOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if warm.Cold {
+					t.Error("re-invoke after the install was cold")
+				}
+				for _, s := range o.Tracer.Spans()[before:] {
+					if s.Name == tc.install {
+						t.Errorf("warm re-invoke opened a %s span", s.Name)
+					}
+				}
+			})
+		})
+	}
 }

@@ -54,7 +54,7 @@ func (rt *Runtime) EstimateLatency(funcName string, kind hw.PUKind, arg workload
 	case hw.FPGA:
 		argB, resB := d.Fn.Sizes(arg)
 		est := d.Fn.FabricCost(arg) + params.FPGACommandLatency
-		if n, _, err := rt.fpgaSandboxFor(funcName); err == nil {
+		if n, _, err := rt.accelSandboxFor(hw.FPGA, funcName); err == nil {
 			l, _ := rt.Machine.LinkBetween(rt.hostID, n.pu.ID)
 			est += l.TransferTime(argB) + l.TransferTime(resB)
 		} else {
@@ -63,7 +63,7 @@ func (rt *Runtime) EstimateLatency(funcName string, kind hw.PUKind, arg workload
 		}
 		return est, nil
 	case hw.GPU:
-		if _, _, err := rt.gpuSandboxFor(funcName); err != nil {
+		if _, _, err := rt.accelSandboxFor(hw.GPU, funcName); err != nil {
 			est := d.Fn.GPUKernel + 200*time.Millisecond // module load class
 			return est, nil
 		}

@@ -2,7 +2,6 @@ package sandbox
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/hw"
@@ -24,26 +23,20 @@ const (
 	NoErase
 )
 
-// FPGASandbox is one FPGA function instance within the current image.
-type FPGASandbox struct {
-	Spec     Spec
-	State    State
-	Prepared bool // software sandbox warmed (Fig 10c "Warm-sandbox")
-}
-
 // RunF is the FPGA sandbox runtime (§3.5). It maintains FPGA instance
 // states, programs vectorized images, and executes kernels. Create is
 // vectorized: the whole spec vector is synthesized into one image and
 // flushed in a single programming operation, so later requests for any
 // member are warm. Delete only updates state — the real destroy happens at
-// the next create, which replaces the hardware configuration.
+// the next create, which replaces the hardware configuration. Kill, Delete,
+// State, Sandbox and Running come from the sandbox table it shares with RunG.
 type RunF struct {
 	Machine *hw.Machine
 	PU      *hw.PU // the FPGA
 	Host    *hw.PU // general-purpose PU driving the device (DMA endpoint)
 	Policy  ErasePolicy
 
-	sandboxes map[string]*FPGASandbox
+	accelTable
 }
 
 // NewRunF returns an FPGA sandbox runtime for the given device.
@@ -52,11 +45,11 @@ func NewRunF(m *hw.Machine, fpga, host *hw.PU) (*RunF, error) {
 		return nil, fmt.Errorf("sandbox: PU %q is not an FPGA", fpga.Name)
 	}
 	return &RunF{
-		Machine:   m,
-		PU:        fpga,
-		Host:      host,
-		Policy:    NoErase,
-		sandboxes: make(map[string]*FPGASandbox),
+		Machine:    m,
+		PU:         fpga,
+		Host:       host,
+		Policy:     NoErase,
+		accelTable: newAccelTable("FPGA"),
 	}, nil
 }
 
@@ -87,10 +80,10 @@ func (rf *RunF) Create(p *sim.Proc, specs []Spec) error {
 			sb.State = StateDeleted
 		}
 	}
-	rf.sandboxes = make(map[string]*FPGASandbox, len(specs))
+	rf.sandboxes = make(map[string]*AccelSandbox, len(specs))
 	rf.Device().Program(p, img, rf.Policy == EraseAlways)
 	for _, s := range specs {
-		rf.sandboxes[s.ID] = &FPGASandbox{Spec: s, State: StateCreated}
+		rf.sandboxes[s.ID] = &AccelSandbox{Spec: s, State: StateCreated}
 	}
 	return nil
 }
@@ -101,11 +94,11 @@ func (rf *RunF) Create(p *sim.Proc, specs []Spec) error {
 // cost and gets a DRAM bank; since preparations proceed in parallel, the
 // caller waits only for the slowest one.
 func (rf *RunF) Start(p *sim.Proc, ids []string) error {
-	var prep []*FPGASandbox
+	var prep []*AccelSandbox
 	for _, id := range ids {
-		sb, ok := rf.sandboxes[id]
-		if !ok {
-			return fmt.Errorf("sandbox: no FPGA sandbox %q", id)
+		sb, err := rf.lookup(id)
+		if err != nil {
+			return err
 		}
 		if sb.State == StateDeleted {
 			return fmt.Errorf("sandbox: FPGA sandbox %q was replaced", id)
@@ -127,57 +120,6 @@ func (rf *RunF) Start(p *sim.Proc, ids []string) error {
 	p.Sleep(params.FPGASandboxPrep) // concurrent: one prep time regardless of count
 	return nil
 }
-
-// Kill implements Runtime.
-func (rf *RunF) Kill(p *sim.Proc, ids []string, sig int) error {
-	for _, id := range ids {
-		sb, ok := rf.sandboxes[id]
-		if !ok {
-			return fmt.Errorf("sandbox: no FPGA sandbox %q", id)
-		}
-		if sb.State == StateRunning {
-			sb.State = StateStopped
-		}
-	}
-	return nil
-}
-
-// Delete implements Runtime. For FPGA sandboxes the verb is empty and
-// returns directly — flushed functions occupy no resources, and the real
-// destroy happens at the next create — but runf still updates the sandbox
-// state (§3.5).
-func (rf *RunF) Delete(p *sim.Proc, ids []string) error {
-	for _, id := range ids {
-		sb, ok := rf.sandboxes[id]
-		if !ok {
-			return fmt.Errorf("sandbox: no FPGA sandbox %q", id)
-		}
-		sb.State = StateDeleted
-	}
-	return nil
-}
-
-// State implements Runtime.
-func (rf *RunF) State(ids []string) []Status {
-	if ids == nil {
-		for id := range rf.sandboxes {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids) // deterministic order for nil queries
-	}
-	out := make([]Status, 0, len(ids))
-	for _, id := range ids {
-		st := StateUnknown
-		if sb, ok := rf.sandboxes[id]; ok {
-			st = sb.State
-		}
-		out = append(out, Status{ID: id, State: st})
-	}
-	return out
-}
-
-// Sandbox returns the FPGA sandbox with the given ID, or nil.
-func (rf *RunF) Sandbox(id string) *FPGASandbox { return rf.sandboxes[id] }
 
 // Cached reports whether funcID is baked into the currently programmed
 // image (a warm-image hit for the keep-alive policy).
@@ -202,9 +144,9 @@ type InvokeOptions struct {
 // resultBytes size the DMA transfers; fabricTime is the kernel's execution
 // time on the fabric.
 func (rf *RunF) Invoke(p *sim.Proc, id string, argBytes, resultBytes int, fabricTime time.Duration, opts InvokeOptions) error {
-	sb, ok := rf.sandboxes[id]
-	if !ok {
-		return fmt.Errorf("sandbox: no FPGA sandbox %q", id)
+	sb, err := rf.lookup(id)
+	if err != nil {
+		return err
 	}
 	if sb.State != StateRunning || !sb.Prepared {
 		return fmt.Errorf("sandbox: FPGA sandbox %q not running/prepared", id)
@@ -225,7 +167,7 @@ func (rf *RunF) Invoke(p *sim.Proc, id string, argBytes, resultBytes int, fabric
 	// kernel run.
 	p.Sleep(params.FPGACommandLatency)
 	bank.Lock().Acquire(p)
-	err := rf.Device().Execute(p, sb.Spec.FuncID, fabricTime)
+	err = rf.Device().Execute(p, sb.Spec.FuncID, fabricTime)
 	bank.Lock().Release()
 	if err != nil {
 		return err

@@ -2,7 +2,6 @@ package sandbox
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/hw"
@@ -22,25 +21,19 @@ const (
 	gpuLaunchOverhead = 25 * time.Microsecond
 )
 
-// GPUSandbox is one GPU kernel function managed by RunG.
-type GPUSandbox struct {
-	Spec     Spec
-	State    State
-	Prepared bool
-}
-
 // RunG is the GPU sandbox runtime demonstrating the generality of the
 // vectorized sandbox abstraction (§6.8, Table 5): it implements the same
 // five verbs over the CUDA-style wrapper. GPUs support the vector forms
 // natively — a single wrapper serves multiple kernels via MPS — so create
-// simply loads all modules and start preps their contexts.
+// simply loads all modules and start preps their contexts. Kill, Delete,
+// State, Sandbox and Running come from the sandbox table it shares with RunF.
 type RunG struct {
 	Machine *hw.Machine
 	PU      *hw.PU // the GPU
 	Host    *hw.PU
 
-	streams   *sim.Resource // concurrent kernel slots
-	sandboxes map[string]*GPUSandbox
+	streams *sim.Resource // concurrent kernel slots
+	accelTable
 }
 
 // NewRunG returns a GPU sandbox runtime.
@@ -49,11 +42,11 @@ func NewRunG(env *sim.Env, m *hw.Machine, gpu, host *hw.PU) (*RunG, error) {
 		return nil, fmt.Errorf("sandbox: PU %q is not a GPU", gpu.Name)
 	}
 	return &RunG{
-		Machine:   m,
-		PU:        gpu,
-		Host:      host,
-		streams:   sim.NewResource(env, 8),
-		sandboxes: make(map[string]*GPUSandbox),
+		Machine:    m,
+		PU:         gpu,
+		Host:       host,
+		streams:    sim.NewResource(env, 8),
+		accelTable: newAccelTable("GPU"),
 	}, nil
 }
 
@@ -68,7 +61,7 @@ func (rg *RunG) Create(p *sim.Proc, specs []Spec) error {
 		if s.FuncID == "" {
 			return fmt.Errorf("sandbox: GPU sandbox %q has no func-id", s.ID)
 		}
-		rg.sandboxes[s.ID] = &GPUSandbox{Spec: s, State: StateCreated}
+		rg.sandboxes[s.ID] = &AccelSandbox{Spec: s, State: StateCreated}
 	}
 	p.Sleep(gpuModuleLoadTime) // modules load in one batch
 	return nil
@@ -78,9 +71,9 @@ func (rg *RunG) Create(p *sim.Proc, specs []Spec) error {
 func (rg *RunG) Start(p *sim.Proc, ids []string) error {
 	prep := false
 	for _, id := range ids {
-		sb, ok := rg.sandboxes[id]
-		if !ok {
-			return fmt.Errorf("sandbox: no GPU sandbox %q", id)
+		sb, err := rg.lookup(id)
+		if err != nil {
+			return err
 		}
 		if !sb.Prepared {
 			sb.Prepared = true
@@ -94,61 +87,12 @@ func (rg *RunG) Start(p *sim.Proc, ids []string) error {
 	return nil
 }
 
-// Kill implements Runtime.
-func (rg *RunG) Kill(p *sim.Proc, ids []string, sig int) error {
-	for _, id := range ids {
-		sb, ok := rg.sandboxes[id]
-		if !ok {
-			return fmt.Errorf("sandbox: no GPU sandbox %q", id)
-		}
-		if sb.State == StateRunning {
-			sb.State = StateStopped
-		}
-	}
-	return nil
-}
-
-// Delete implements Runtime: unload is deferred like runf's — the wrapper
-// reclaims module memory lazily — so delete only updates state.
-func (rg *RunG) Delete(p *sim.Proc, ids []string) error {
-	for _, id := range ids {
-		sb, ok := rg.sandboxes[id]
-		if !ok {
-			return fmt.Errorf("sandbox: no GPU sandbox %q", id)
-		}
-		sb.State = StateDeleted
-	}
-	return nil
-}
-
-// State implements Runtime.
-func (rg *RunG) State(ids []string) []Status {
-	if ids == nil {
-		for id := range rg.sandboxes {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids) // deterministic order for nil queries
-	}
-	out := make([]Status, 0, len(ids))
-	for _, id := range ids {
-		st := StateUnknown
-		if sb, ok := rg.sandboxes[id]; ok {
-			st = sb.State
-		}
-		out = append(out, Status{ID: id, State: st})
-	}
-	return out
-}
-
-// Sandbox returns the GPU sandbox with the given ID, or nil.
-func (rg *RunG) Sandbox(id string) *GPUSandbox { return rg.sandboxes[id] }
-
 // Invoke handles one request: DMA the arguments, launch the kernel, and DMA
 // the results back.
 func (rg *RunG) Invoke(p *sim.Proc, id string, argBytes, resultBytes int, kernelTime time.Duration) error {
-	sb, ok := rg.sandboxes[id]
-	if !ok {
-		return fmt.Errorf("sandbox: no GPU sandbox %q", id)
+	sb, err := rg.lookup(id)
+	if err != nil {
+		return err
 	}
 	if sb.State != StateRunning {
 		return fmt.Errorf("sandbox: GPU sandbox %q not running", id)

@@ -538,3 +538,57 @@ func TestRunFBankSharingSerializesExecution(t *testing.T) {
 		t.Errorf("bank owners = %v, want both kernels", rf.Device().Banks()[0].Owners)
 	}
 }
+
+// TestAccelTableShared: runf and rung share one sandbox table. Running
+// finds the running sandbox of a function with the smallest ID, as a
+// State(nil) scan would, skips killed ones, and every verb's missing-ID
+// error still names the device kind.
+func TestAccelTableShared(t *testing.T) {
+	env := sim.NewEnv()
+	m := hw.Build(env, hw.Config{FPGAs: 1, GPUs: 1})
+	rf, _ := NewRunF(m, m.PUsOfKind(hw.FPGA)[0], m.PU(0))
+	rg, _ := NewRunG(env, m, m.PUsOfKind(hw.GPU)[0], m.PU(0))
+	env.Spawn("x", func(p *sim.Proc) {
+		for _, tc := range []struct {
+			kind string
+			rt   interface {
+				Runtime
+				Running(funcID string) (string, bool)
+			}
+		}{{"FPGA", rf}, {"GPU", rg}} {
+			specs := []Spec{{ID: "s3", FuncID: "f"}, {ID: "s1", FuncID: "g"}, {ID: "s2", FuncID: "f"}}
+			if err := tc.rt.Create(p, specs); err != nil {
+				t.Fatal(err)
+			}
+			if id, ok := tc.rt.Running("f"); ok {
+				t.Errorf("%s: created (not started) sandbox %q reported running", tc.kind, id)
+			}
+			if err := tc.rt.Start(p, []string{"s3", "s1", "s2"}); err != nil {
+				t.Fatal(err)
+			}
+			if id, ok := tc.rt.Running("f"); !ok || id != "s2" {
+				t.Errorf("%s: Running(f) = %q, %v; want s2", tc.kind, id, ok)
+			}
+			if err := KillOne(p, tc.rt, "s2", 9); err != nil {
+				t.Fatal(err)
+			}
+			if id, ok := tc.rt.Running("f"); !ok || id != "s3" {
+				t.Errorf("%s: Running(f) after killing s2 = %q, %v; want s3", tc.kind, id, ok)
+			}
+			if _, ok := tc.rt.Running("h"); ok {
+				t.Errorf("%s: Running found an undeployed function", tc.kind)
+			}
+			want := `sandbox: no ` + tc.kind + ` sandbox "zzz"`
+			for i, err := range []error{
+				KillOne(p, tc.rt, "zzz", 9),
+				DeleteOne(p, tc.rt, "zzz"),
+				StartOne(p, tc.rt, "zzz"),
+			} {
+				if err == nil || err.Error() != want {
+					t.Errorf("%s verb %d (kill, delete, start) on a missing sandbox: %v, want %q", tc.kind, i, err, want)
+				}
+			}
+		}
+	})
+	env.Run()
+}

@@ -1,8 +1,8 @@
 package sim_test
 
-// Kernel microbenchmarks. The bodies live in simbench so the molecule-bench
-// CLI can run the same measurements for BENCH_kernel.json; see that package
-// for what each one isolates. Run with:
+// Kernel microbenchmarks. The bodies live in simbench so the benchmark
+// harness's ladder can run the same measurements; see that package for what
+// each one isolates. Run with:
 //
 //	go test ./internal/sim -bench Kernel -benchmem
 //	go test ./internal/sim -bench ChanPingPong -benchmem

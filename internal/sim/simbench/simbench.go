@@ -1,7 +1,7 @@
 // Package simbench holds the kernel microbenchmark bodies shared by the
-// internal/sim benchmark tests and the molecule-bench CLI (its kernel
-// scenario runs them via testing.Benchmark to pin ns/op and allocs/op in
-// BENCH_kernel.json).
+// internal/sim and internal/mem benchmark tests and the benchmark harness's
+// ladder (benchmark/ladder.go), which runs them via testing.Benchmark and
+// reports the median ns/op and allocs/op over repeated runs.
 //
 // Each body is a closed simulation: it builds a fresh Env, runs b.N
 // operations of one kernel primitive, and drains the environment, so the
@@ -15,14 +15,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
-
-// Result is one microbenchmark outcome in machine-readable form.
-type Result struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
 
 // Sleep measures the cost of one Sleep/resume cycle for a lone process —
 // the kernel's hottest path: every simulated delay in every component goes
@@ -153,31 +145,4 @@ func AddressSpaceForkFanout(b *testing.B) {
 	if got := tmpl.PSSPages(); got != templatePages {
 		b.Fatalf("template PSS after release = %v, want %d (leaked child refs)", got, templatePages)
 	}
-}
-
-// All runs every kernel microbenchmark through testing.Benchmark and returns
-// the results. Used by the molecule-bench kernel scenario.
-func All() []Result {
-	benches := []struct {
-		name string
-		fn   func(*testing.B)
-	}{
-		{"KernelSleep", Sleep},
-		{"KernelSleepContended", SleepContended},
-		{"KernelSpawn", Spawn},
-		{"ChanPingPong", ChanPingPong},
-		{"KernelCrossShardSend", CrossShardSend},
-		{"AddressSpaceForkFanout", AddressSpaceForkFanout},
-	}
-	out := make([]Result, 0, len(benches))
-	for _, bm := range benches {
-		r := testing.Benchmark(bm.fn)
-		out = append(out, Result{
-			Name:        bm.name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		})
-	}
-	return out
 }

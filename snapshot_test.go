@@ -7,6 +7,7 @@ package repro
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
 	"sort"
@@ -25,7 +26,7 @@ func TestBenchClusterSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareSnapshot(t, "BENCH_cluster.json", sweep, "machines", "wall_ms", "worker_counts_checked")
+	compareSnapshot(t, "BENCH_cluster.json", sweep, "wall_ms", "worker_counts_checked")
 }
 
 // TestBenchSimSnapshot reruns the sharded-kernel soak sweep and checks
@@ -37,55 +38,95 @@ func TestBenchSimSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareSnapshot(t, "BENCH_sim.json", sweep, "shards",
+	compareSnapshot(t, "BENCH_sim.json", sweep,
 		"reps", "wall_ms", "wall_ms_q1", "wall_ms_q3", "events_per_sec", "speedup_vs_shards1")
 }
 
-// compareSnapshot checks every field of each point in sweep against the
-// same point of file's result, except the fields named in skip. Failures
-// name a point by its key field.
-func compareSnapshot(t *testing.T, file string, sweep any, key string, skip ...string) {
+// TestBenchColdStartSnapshot reruns both cold-start arms and checks every
+// field of BENCH_coldstart.json's result: startup latencies, PSS, zygote
+// tree shape and fingerprints. It skips wall_ms and worker_counts_checked:
+// this run uses the sequential kernel only, while `molecule-bench -scenario
+// coldstart` cross-checks each arm at several worker counts.
+func TestBenchColdStartSnapshot(t *testing.T) {
+	res, err := bench.ColdStartSweep(0, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareSnapshot(t, "BENCH_coldstart.json", res, "wall_ms", "worker_counts_checked")
+}
+
+// TestBenchNIPCSnapshot reruns the batched-nIPC sweep and checks every
+// figure of BENCH_nipc.json; all of them are virtual times.
+func TestBenchNIPCSnapshot(t *testing.T) {
+	compareSnapshot(t, "BENCH_nipc.json", bench.NIPCBatch())
+}
+
+// compareSnapshot checks every field of result, at any depth, against file's
+// committed result, except the fields named in skip. A failure names the
+// field by its path, e.g. result[1].points[2].batched_us.
+func compareSnapshot(t *testing.T, file string, result any, skip ...string) {
 	t.Helper()
 	raw, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var committed struct {
-		Result []map[string]any `json:"result"`
+		Result any `json:"result"`
 	}
 	if err := json.Unmarshal(raw, &committed); err != nil {
 		t.Fatalf("%s: %v", file, err)
 	}
-	var fresh []map[string]any
-	if b, err := json.Marshal(sweep); err != nil {
+	var fresh any
+	if b, err := json.Marshal(result); err != nil {
 		t.Fatal(err)
 	} else if err := json.Unmarshal(b, &fresh); err != nil {
 		t.Fatal(err)
 	}
-	if len(fresh) != len(committed.Result) {
-		t.Fatalf("sweep has %d points, %s %d", len(fresh), file, len(committed.Result))
+	skipped := make(map[string]bool, len(skip))
+	for _, k := range skip {
+		skipped[k] = true
 	}
-	for i, got := range fresh {
-		want := committed.Result[i]
-		keys := make(map[string]bool)
-		for k := range got {
-			keys[k] = true
+	diffJSON(t, file, "result", fresh, committed.Result, skipped)
+}
+
+// diffJSON reports every leaf where got differs from want, walking objects
+// in key order and arrays by index.
+func diffJSON(t *testing.T, file, path string, got, want any, skip map[string]bool) {
+	t.Helper()
+	switch w := want.(type) {
+	case map[string]any:
+		g, ok := got.(map[string]any)
+		if !ok {
+			t.Errorf("%s = %v, %s has an object", path, got, file)
+			return
 		}
-		for k := range want {
-			keys[k] = true
+		keys := make([]string, 0, len(w))
+		for k := range w {
+			keys = append(keys, k)
 		}
-		for _, k := range skip {
-			delete(keys, k)
-		}
-		sorted := make([]string, 0, len(keys))
-		for k := range keys {
-			sorted = append(sorted, k)
-		}
-		sort.Strings(sorted)
-		for _, k := range sorted {
-			if !reflect.DeepEqual(got[k], want[k]) {
-				t.Errorf("point %d (%s=%v): %s = %v, %s has %v", i, key, want[key], k, got[k], file, want[k])
+		for k := range g {
+			if _, ok := w[k]; !ok {
+				keys = append(keys, k)
 			}
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			if !skip[k] {
+				diffJSON(t, file, path+"."+k, g[k], w[k], skip)
+			}
+		}
+	case []any:
+		g, ok := got.([]any)
+		if !ok || len(g) != len(w) {
+			t.Errorf("%s = %v, %s has %d elements", path, got, file, len(w))
+			return
+		}
+		for i := range w {
+			diffJSON(t, file, fmt.Sprintf("%s[%d]", path, i), g[i], w[i], skip)
+		}
+	default:
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s = %v, %s has %v", path, got, file, want)
 		}
 	}
 }
