@@ -62,7 +62,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			entry := rt.Billing().Entries()[len(rt.Billing().Entries())-1]
+			entry, _ := rt.Billing().Last()
 			fmt.Printf("pyaes on %-4v: latency %-10v billed %2dms x rate = %5.2f units\n",
 				res.Kind, res.Total, entry.BilledMs, entry.Charge)
 		}

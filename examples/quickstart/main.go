@@ -55,7 +55,7 @@ func main() {
 			warm.Total, float64(cold.Total)/float64(warm.Total))
 
 		fmt.Printf("\nbilled: %.2f units across %d invocations (1ms granularity)\n",
-			rt.Billing().Total(), len(rt.Billing().Entries()))
+			rt.Billing().Total(), rt.Billing().Count())
 	})
 
 	env.Run()

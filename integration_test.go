@@ -78,7 +78,7 @@ func TestFullHeterogeneousMachineUnderLoad(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if got := len(rt.Billing().Entries()); got != stats.Requests+10 {
+			if got := rt.Billing().Count(); got != stats.Requests+10 {
 				t.Errorf("billing entries = %d, want %d", got, stats.Requests+10)
 			}
 			if rt.LiveInstances() > rt.Capacity() {

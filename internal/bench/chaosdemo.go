@@ -96,7 +96,7 @@ func ChaosDemo(w io.Writer, seed uint64) error {
 	}
 
 	lbl := obs.L("fn", "pyaes")
-	billed := len(rt.Billing().Entries())
+	billed := rt.Billing().Count()
 	var evictions int64
 	for _, pu := range rt.Machine.PUsOfKind(hw.DPU) {
 		evictions += o.Counter("molecule_crash_evictions_total",

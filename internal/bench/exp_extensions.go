@@ -139,8 +139,7 @@ func runAblPricing() []*metrics.Table {
 			if err != nil {
 				panic(err)
 			}
-			entries := rt.Billing().Entries()
-			e := entries[len(entries)-1]
+			e, _ := rt.Billing().Last()
 			pr := molecule.DefaultProfile(pu.Kind)
 			t.AddRow(pu.Kind.String(), fmt.Sprintf("%.1f", pr.PricePerMs),
 				fd(res.Total), fmt.Sprintf("%dms", e.BilledMs), fmt.Sprintf("%.2f", e.Charge))

@@ -131,9 +131,9 @@ type Node struct {
 	// completion frees an instance slot, instead of bouncing back to the
 	// boss. FIFO-fair against the warm pool and free of the cross-machine
 	// round trip.
-	active  int                   // local execs inside an RT call
-	epoch   int                   // bumped on every successful completion
-	waiters []*sim.Chan[struct{}] // parked local requests
+	active int                 // local execs inside an RT call
+	epoch  int                 // bumped on every successful completion
+	waitq  *sim.Chan[struct{}] // rendezvous the parked local requests wait on
 }
 
 // ID returns the node's worker index (0-based; domain minus one).
@@ -266,12 +266,14 @@ func NewBoss(cfg BossConfig) (*Boss, error) {
 	}
 	bootErrs := make([]error, cfg.Machines)
 	for i := 0; i < cfg.Machines; i++ {
+		env := sh.Domain(i + 1)
 		n := &Node{
 			Domain:    i + 1,
-			Env:       sh.Domain(i + 1),
+			Env:       env,
 			regs:      make(map[string][]molecule.Profile),
 			deployed:  make(map[string]bool),
 			deploying: make(map[string]*sim.WaitGroup),
+			waitq:     sim.NewChan[struct{}](env, 0),
 		}
 		b.nodes = append(b.nodes, n)
 		idx := i
@@ -706,12 +708,10 @@ func (b *Boss) execSegment(req *request, idx int) {
 	})
 }
 
-// wakeLocal releases every parked request to re-check admission.
+// wakeLocal releases every parked request, oldest first, to re-check
+// admission.
 func (n *Node) wakeLocal() {
-	ws := n.waiters
-	n.waiters = nil
-	for _, ch := range ws {
-		ch.TrySend(struct{}{})
+	for n.waitq.TrySend(struct{}{}) {
 	}
 }
 
@@ -727,9 +727,7 @@ func (n *Node) awaitLocal(wp *sim.Proc) bool {
 			n.wakeLocal()
 			return false
 		}
-		ch := sim.NewChan[struct{}](n.Env, 1)
-		n.waiters = append(n.waiters, ch)
-		ch.Recv(wp)
+		n.waitq.Recv(wp)
 	}
 	return true
 }

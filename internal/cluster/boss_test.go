@@ -366,6 +366,50 @@ func TestChainBurstAboveCapacityCompletes(t *testing.T) {
 	checkQuiescent(t, b, "after burst")
 }
 
+// TestAdmissionWaitersWakeInParkOrder: requests parked on a saturated
+// machine's admission queue wake in the order they parked when a local
+// completion advances the epoch, and a wait allocates nothing: every
+// waiter parks on the machine's one rendezvous channel.
+func TestAdmissionWaitersWakeInParkOrder(t *testing.T) {
+	b := newTestBoss(t, 1, hw.Config{}, 0)
+	n := b.nodes[0]
+	n.active = 1 // an exec is running, so a completion can still free a slot
+	var order []int
+	for i := 0; i < 3; i++ {
+		i := i
+		n.Env.SpawnAfter(time.Duration(i), "waiter", func(p *sim.Proc) {
+			if !n.awaitLocal(p) {
+				t.Errorf("waiter %d gave up with an exec still active", i)
+			}
+			order = append(order, i)
+		})
+	}
+	allocs := -1.0
+	done := false
+	n.Env.SpawnAfter(10, "measured", func(p *sim.Proc) {
+		allocs = testing.AllocsPerRun(100, func() { n.awaitLocal(p) })
+		done = true
+	})
+	n.Env.SpawnAfter(5, "completer", func(p *sim.Proc) {
+		n.epoch++
+		n.wakeLocal()
+		p.Sleep(10)
+		for !done {
+			p.Sleep(1)
+			n.epoch++
+			n.wakeLocal()
+		}
+		n.active = 0
+	})
+	b.Run(1)
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Errorf("waiters woke as %v, want [0 1 2] (park order)", order)
+	}
+	if allocs != 0 {
+		t.Errorf("admission wait allocates %v/op, want 0", allocs)
+	}
+}
+
 // TestBurstAboveCapacityCompletes: a burst of twice the cluster's total
 // instance capacity completes with zero errors. The overflow queues and is
 // served as completions free slots instead of failing with "no eligible

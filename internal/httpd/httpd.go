@@ -428,6 +428,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"capacity":       s.rt.Capacity(),
 		"live_instances": s.rt.LiveInstances(),
 		"billed_units":   s.rt.Billing().Total(),
-		"invocations":    len(s.rt.Billing().Entries()),
+		"invocations":    s.rt.Billing().Count(),
 	})
 }

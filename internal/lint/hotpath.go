@@ -24,14 +24,21 @@ import (
 //     allocation per call);
 //   - Tracef calls not guarded by a tracing/nil check: Tracef itself checks
 //     the env flag, but its variadic arguments are boxed at the call site
-//     before the check runs.
+//     before the check runs;
+//   - a non-pointer struct value converted to an interface — passed as an
+//     interface argument, assigned or sent to an interface, or set as an
+//     interface field or element of a composite literal — which boxes a
+//     heap copy of the struct (resumeMsg{val: recvResult[T]{...}} is the
+//     shape: hand over a pointer instead). Zero-size structs box without
+//     allocating and are exempt, as are return statements and panic
+//     arguments, the bail-out exits.
 //
 // The check is syntactic and per-function; callees are not followed. It
 // keeps the shape of the pinned paths honest between benchmark runs — the
 // alloc-counting benchmarks remain the ground truth.
 var HotPath = &analysis.Analyzer{
 	Name:     "hotpath",
-	Doc:      "flag allocation-introducing constructs (fmt, string concat, capturing closures, unguarded Tracef) in //molecule:hotpath functions",
+	Doc:      "flag allocation-introducing constructs (fmt, string concat, capturing closures, unguarded Tracef, struct values boxed into interfaces) in //molecule:hotpath functions",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      runHotPath,
 }
@@ -152,6 +159,10 @@ func runHotPath(pass *analysis.Pass) (interface{}, error) {
 		(*ast.CallExpr)(nil),
 		(*ast.BinaryExpr)(nil),
 		(*ast.FuncLit)(nil),
+		(*ast.CompositeLit)(nil),
+		(*ast.AssignStmt)(nil),
+		(*ast.ValueSpec)(nil),
+		(*ast.SendStmt)(nil),
 	}
 	insp.WithStack(nodeTypes, func(n ast.Node, push bool, stack []ast.Node) bool {
 		if !push {
@@ -171,6 +182,9 @@ func runHotPath(pass *analysis.Pass) (interface{}, error) {
 			checkHotConcat(pass, decl, n, stack, inReturn)
 		case *ast.FuncLit:
 			checkHotClosure(pass, decl, n)
+		}
+		if !inReturn {
+			checkHotBoxing(pass, decl, n)
 		}
 		return true
 	})
@@ -256,4 +270,143 @@ func checkHotClosure(pass *analysis.Pass, decl *ast.FuncDecl, lit *ast.FuncLit) 
 			"hotpath: closure captures %q in //molecule:hotpath %s; a capturing closure heap-allocates per call — hoist it or pass state explicitly",
 			captured, decl.Name.Name)
 	}
+}
+
+// checkHotBoxing reports the implicit and explicit conversions of n that
+// box a non-pointer struct value into an interface.
+func checkHotBoxing(pass *analysis.Pass, decl *ast.FuncDecl, n ast.Node) {
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		tv, ok := pass.TypesInfo.Types[n.Fun]
+		if !ok {
+			return
+		}
+		if tv.IsType() { // explicit conversion, e.g. any(v)
+			if len(n.Args) == 1 {
+				reportBoxing(pass, decl, n.Args[0], tv.Type)
+			}
+			return
+		}
+		if b, ok := pass.TypesInfo.Uses[calleeIdent(n.Fun)].(*types.Builtin); ok && b.Name() == "panic" {
+			return // a panic is a bail-out exit
+		}
+		sig, ok := tv.Type.Underlying().(*types.Signature)
+		if !ok {
+			return
+		}
+		params := sig.Params()
+		for i, arg := range n.Args {
+			switch {
+			case sig.Variadic() && i >= params.Len()-1:
+				last := params.At(params.Len() - 1).Type()
+				if n.Ellipsis.IsValid() {
+					reportBoxing(pass, decl, arg, last)
+				} else if sl, ok := last.Underlying().(*types.Slice); ok {
+					reportBoxing(pass, decl, arg, sl.Elem())
+				}
+			case i < params.Len():
+				reportBoxing(pass, decl, arg, params.At(i).Type())
+			}
+		}
+	case *ast.CompositeLit:
+		tv, ok := pass.TypesInfo.Types[n]
+		if !ok {
+			return
+		}
+		for i, elt := range n.Elts {
+			key, val := ast.Expr(nil), elt
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				key, val = kv.Key, kv.Value
+			}
+			switch u := tv.Type.Underlying().(type) {
+			case *types.Struct:
+				if id, ok := key.(*ast.Ident); ok {
+					if f, ok := pass.TypesInfo.Uses[id].(*types.Var); ok {
+						reportBoxing(pass, decl, val, f.Type())
+					}
+				} else if key == nil && i < u.NumFields() {
+					reportBoxing(pass, decl, val, u.Field(i).Type())
+				}
+			case *types.Slice:
+				reportBoxing(pass, decl, val, u.Elem())
+			case *types.Array:
+				reportBoxing(pass, decl, val, u.Elem())
+			case *types.Map:
+				if key != nil {
+					reportBoxing(pass, decl, key, u.Key())
+				}
+				reportBoxing(pass, decl, val, u.Elem())
+			}
+		}
+	case *ast.AssignStmt:
+		if n.Tok != token.ASSIGN || len(n.Lhs) != len(n.Rhs) {
+			return
+		}
+		for i, lhs := range n.Lhs {
+			if tv, ok := pass.TypesInfo.Types[lhs]; ok {
+				reportBoxing(pass, decl, n.Rhs[i], tv.Type)
+			}
+		}
+	case *ast.ValueSpec:
+		if n.Type == nil || len(n.Names) != len(n.Values) {
+			return
+		}
+		if tv, ok := pass.TypesInfo.Types[n.Type]; ok {
+			for _, v := range n.Values {
+				reportBoxing(pass, decl, v, tv.Type)
+			}
+		}
+	case *ast.SendStmt:
+		if tv, ok := pass.TypesInfo.Types[n.Chan]; ok {
+			if ch, ok := tv.Type.Underlying().(*types.Chan); ok {
+				reportBoxing(pass, decl, n.Value, ch.Elem())
+			}
+		}
+	}
+}
+
+// calleeIdent returns the identifier naming a call's function, or nil.
+func calleeIdent(fun ast.Expr) *ast.Ident {
+	switch f := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		return f
+	case *ast.SelectorExpr:
+		return f.Sel
+	}
+	return nil
+}
+
+// reportBoxing reports expr if converting it to target boxes a struct.
+func reportBoxing(pass *analysis.Pass, decl *ast.FuncDecl, expr ast.Expr, target types.Type) {
+	if _, ok := target.(*types.TypeParam); ok || !types.IsInterface(target) {
+		return
+	}
+	tv, ok := pass.TypesInfo.Types[expr]
+	if !ok || types.IsInterface(tv.Type) {
+		return
+	}
+	st, ok := tv.Type.Underlying().(*types.Struct)
+	if !ok || zeroSize(st) {
+		return
+	}
+	pass.Reportf(expr.Pos(),
+		"hotpath: struct value of type %s is boxed into an interface in //molecule:hotpath %s, a heap allocation per call; hand over a pointer (pooled if need be) instead",
+		types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)), decl.Name.Name)
+}
+
+// zeroSize reports whether t occupies no memory: a struct or array whose
+// every field or element is itself zero-size.
+func zeroSize(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if !zeroSize(u.Field(i).Type()) {
+				return false
+			}
+		}
+		return true
+	case *types.Array:
+		return u.Len() == 0 || zeroSize(u.Elem())
+	}
+	return false
 }

@@ -18,7 +18,8 @@
 //     or carries an explicit //lint:unordered <reason> marker.
 //   - hotpath: functions annotated //molecule:hotpath are pinned at zero
 //     allocations per op; fmt formatting, string concatenation, capturing
-//     closures, and unguarded Tracef calls defeat that.
+//     closures, unguarded Tracef calls and struct values boxed into
+//     interfaces defeat that.
 //
 // And the three CFG/dataflow analyzers covering the invariant classes
 // recent PRs tripped over dynamically before the soaks caught them:

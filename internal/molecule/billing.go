@@ -13,8 +13,29 @@ import (
 // Billing is the pay-as-you-go ledger: invocations are charged per started
 // millisecond (the 1ms granularity the paper cites from AWS) at the
 // profile's PU-specific rate.
+//
+// Only totals are ever read, so the ledger keeps, per function, a running
+// total and one aggregate per PU kind, plus one overall total, instead of
+// an entry per invocation: its size follows the deployed functions, not
+// the run length. Every sum is accumulated in record order, so it is
+// bit-identical to summing the charges of the individual entries.
 type Billing struct {
-	entries []BillEntry
+	fns   map[string]*fnBill // allocated on the first Record
+	count int
+	total float64
+	last  BillEntry
+}
+
+// fnBill is one function's share of the ledger.
+type fnBill struct {
+	total float64
+	kinds []billAgg // indexed by hw.PUKind; count 0 means never billed there
+}
+
+type billAgg struct {
+	count    int
+	billedMs int64
+	charge   float64
 }
 
 // BillEntry is one charged invocation.
@@ -35,76 +56,65 @@ func (b *Billing) Record(fn string, kind hw.PUKind, d time.Duration, pricePerMs 
 	if ms < 1 {
 		ms = 1
 	}
-	b.entries = append(b.entries, BillEntry{
-		Fn: fn, Kind: kind, Duration: d, BilledMs: ms, Charge: float64(ms) * pricePerMs,
-	})
+	charge := float64(ms) * pricePerMs
+	if b.fns == nil {
+		b.fns = make(map[string]*fnBill)
+	}
+	f := b.fns[fn]
+	if f == nil {
+		f = &fnBill{}
+		b.fns[fn] = f
+	}
+	if int(kind) >= len(f.kinds) {
+		f.kinds = append(f.kinds, make([]billAgg, int(kind)+1-len(f.kinds))...)
+	}
+	a := &f.kinds[kind]
+	a.count++
+	a.billedMs += ms
+	a.charge += charge
+	f.total += charge
+	b.count++
+	b.total += charge
+	b.last = BillEntry{Fn: fn, Kind: kind, Duration: d, BilledMs: ms, Charge: charge}
 }
 
-// Entries returns all charges.
-func (b *Billing) Entries() []BillEntry { return b.entries }
+// Count returns the number of charged invocations.
+func (b *Billing) Count() int { return b.count }
+
+// Last returns the most recent charge; ok is false on an empty ledger.
+func (b *Billing) Last() (e BillEntry, ok bool) { return b.last, b.count > 0 }
 
 // Total returns the summed charge.
-func (b *Billing) Total() float64 {
-	t := 0.0
-	for _, e := range b.entries {
-		t += e.Charge
-	}
-	return t
-}
+func (b *Billing) Total() float64 { return b.total }
 
 // TotalFor returns the summed charge for one function.
 func (b *Billing) TotalFor(fn string) float64 {
-	t := 0.0
-	for _, e := range b.entries {
-		if e.Fn == fn {
-			t += e.Charge
-		}
+	if f := b.fns[fn]; f != nil {
+		return f.total
 	}
-	return t
+	return 0
 }
 
 // Report renders the ledger as a per-function, per-PU summary table.
 func (b *Billing) Report() *metrics.Table {
-	type key struct {
-		fn   string
-		kind hw.PUKind
+	fns := make([]string, 0, len(b.fns))
+	for fn := range b.fns {
+		fns = append(fns, fn)
 	}
-	type agg struct {
-		count    int
-		billedMs int64
-		charge   float64
-	}
-	sums := make(map[key]*agg)
-	for _, e := range b.entries {
-		k := key{e.Fn, e.Kind}
-		a := sums[k]
-		if a == nil {
-			a = &agg{}
-			sums[k] = a
-		}
-		a.count++
-		a.billedMs += e.BilledMs
-		a.charge += e.Charge
-	}
-	keys := make([]key, 0, len(sums))
-	for k := range sums {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].fn != keys[j].fn {
-			return keys[i].fn < keys[j].fn
-		}
-		return keys[i].kind < keys[j].kind
-	})
+	sort.Strings(fns)
 	t := &metrics.Table{
 		Title:  "Billing ledger (pay-as-you-go, 1ms granularity)",
 		Header: []string{"function", "PU", "invocations", "billed ms", "charge"},
 	}
-	for _, k := range keys {
-		a := sums[k]
-		t.AddRow(k.fn, k.kind.String(), fmt.Sprintf("%d", a.count),
-			fmt.Sprintf("%d", a.billedMs), fmt.Sprintf("%.2f", a.charge))
+	for _, fn := range fns {
+		for kind, a := range b.fns[fn].kinds {
+			if a.count == 0 {
+				continue
+			}
+			t.AddRow(fn, hw.PUKind(kind).String(), fmt.Sprintf("%d", a.count),
+				fmt.Sprintf("%d", a.billedMs), fmt.Sprintf("%.2f", a.charge))
+		}
 	}
-	t.AddRow("TOTAL", "", fmt.Sprintf("%d", len(b.entries)), "", fmt.Sprintf("%.2f", b.Total()))
+	t.AddRow("TOTAL", "", fmt.Sprintf("%d", b.count), "", fmt.Sprintf("%.2f", b.total))
 	return t
 }

@@ -121,7 +121,7 @@ func runChaos(t *testing.T, seed uint64) chaosSummary {
 		t.Fatalf("chaos run leaked %d blocked processes: %v", len(got), got)
 	}
 
-	sum.billed = len(rt.Billing().Entries())
+	sum.billed = rt.Billing().Count()
 	lbl := obs.L("fn", "pyaes")
 	sum.retries = o.Counter("molecule_invoke_retries_total", lbl).Value()
 	sum.failovers = o.Counter("molecule_failovers_total", lbl).Value()

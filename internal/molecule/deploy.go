@@ -70,6 +70,10 @@ type Deployment struct {
 	// liveness) and falls back to the full scan when they fail, making the
 	// fast path provably identical to the scan.
 	preferred *puNode
+	// errFull is placeGeneral's refusal when every live PU that could host
+	// the function is full. It is built once, on the first refusal, because
+	// a saturated machine meets it on every placement attempt.
+	errFull error
 }
 
 // SupportsKind reports whether the deployment has a profile for kind.
@@ -335,22 +339,17 @@ func (rt *Runtime) loadGPUKernel(p *sim.Proc, funcName string) error {
 }
 
 // generalKinds is the deterministic placement preference for container
-// functions: CPU first, then DPUs (hoisted so placeGeneral does not build
-// the slice per call).
+// functions: CPU first, then DPUs. New lays Runtime.general out in this
+// order.
 var generalKinds = [...]hw.PUKind{hw.CPU, hw.DPU}
 
 // preferredNode returns the first node the unpinned placement scan would
 // examine for d — the statically most-preferred host of its container
 // instances. Nil when no general-purpose PU matches the profiles.
 func (rt *Runtime) preferredNode(d *Deployment) *puNode {
-	for _, kind := range generalKinds {
-		if !d.SupportsKind(kind) {
-			continue
-		}
-		for _, pu := range rt.Machine.PUsOfKind(kind) {
-			if n := rt.nodes[pu.ID]; n != nil && n.cr != nil {
-				return n
-			}
+	for _, n := range rt.general {
+		if d.SupportsKind(n.pu.Kind) {
+			return n
 		}
 	}
 	return nil
@@ -389,23 +388,17 @@ func (rt *Runtime) placeGeneral(d *Deployment, pin hw.PUID) (*puNode, error) {
 	// surviving PU with capacity.
 	anyLive := false
 	anyDown := false
-	for _, kind := range generalKinds {
-		if !d.SupportsKind(kind) {
+	for _, n := range rt.general {
+		if !d.SupportsKind(n.pu.Kind) {
 			continue
 		}
-		for _, pu := range rt.Machine.PUsOfKind(kind) {
-			n := rt.nodes[pu.ID]
-			if n == nil || n.cr == nil {
-				continue
-			}
-			if rt.puDown(pu.ID) {
-				anyDown = true
-				continue
-			}
-			anyLive = true
-			if n.liveCount < n.capacity {
-				return n, nil
-			}
+		if rt.puDown(n.pu.ID) {
+			anyDown = true
+			continue
+		}
+		anyLive = true
+		if n.liveCount < n.capacity {
+			return n, nil
 		}
 	}
 	if !anyLive && anyDown {
@@ -415,5 +408,8 @@ func (rt *Runtime) placeGeneral(d *Deployment, pin hw.PUID) (*puNode, error) {
 		// capacity that cannot free up.
 		return nil, fmt.Errorf("molecule: every PU supporting %q is down: %w", d.Fn.Name, faults.ErrPUDown)
 	}
-	return nil, fmt.Errorf("molecule: %w for %q on any live PU", ErrNoCapacity, d.Fn.Name)
+	if d.errFull == nil {
+		d.errFull = fmt.Errorf("molecule: %w for %q on any live PU", ErrNoCapacity, d.Fn.Name)
+	}
+	return nil, d.errFull
 }

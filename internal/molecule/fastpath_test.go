@@ -1,6 +1,7 @@
 package molecule
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/faults"
@@ -194,6 +195,33 @@ func TestPlacementCacheMatchesScan(t *testing.T) {
 		pl.Revive(rt.hostID)
 		rt.AttachFaults(nil)
 		check("host revived")
+	})
+}
+
+// TestSaturatedPlacementErrorPrebuilt: a placement refused because every
+// live PU is full returns the deployment's prebuilt error: the same text
+// as always, still wrapping ErrNoCapacity, and no allocation per attempt.
+func TestSaturatedPlacementErrorPrebuilt(t *testing.T) {
+	run(t, hw.Config{DPUs: 1}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
+		if err := rt.Deploy(p, "helloworld", DefaultProfile(hw.CPU), DefaultProfile(hw.DPU)); err != nil {
+			t.Fatal(err)
+		}
+		for _, pu := range rt.Machine.PUs() {
+			if pu.Kind.GeneralPurpose() {
+				rt.SetCapacity(pu.ID, 0)
+			}
+		}
+		d := rt.funcs["helloworld"]
+		_, err := rt.placeGeneral(d, -1)
+		if !errors.Is(err, ErrNoCapacity) {
+			t.Fatalf("placeGeneral error %v, want one wrapping ErrNoCapacity", err)
+		}
+		if want := `molecule: ` + ErrNoCapacity.Error() + ` for "helloworld" on any live PU`; err.Error() != want {
+			t.Errorf("error text %q, want %q", err, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { rt.placeGeneral(d, -1) }); allocs != 0 {
+			t.Errorf("saturated placeGeneral allocates %v/op, want 0", allocs)
+		}
 	})
 }
 

@@ -466,14 +466,9 @@ func (rt *Runtime) evictForPlacement(p *sim.Proc, d *Deployment, pin hw.PUID) bo
 		}
 		return try(n)
 	}
-	for _, kind := range generalKinds {
-		if !d.SupportsKind(kind) {
-			continue
-		}
-		for _, pu := range rt.Machine.PUsOfKind(kind) {
-			if try(rt.nodes[pu.ID]) {
-				return true
-			}
+	for _, n := range rt.general {
+		if d.SupportsKind(n.pu.Kind) && try(n) {
+			return true
 		}
 	}
 	return false

@@ -176,6 +176,10 @@ type Runtime struct {
 	// in sync (TestWarmTotalConsistency pins the invariant).
 	warmTotal map[string]int
 
+	// general lists the container-hosting nodes in placement-scan order:
+	// kind by kind as in generalKinds, machine order within a kind.
+	general []*puNode
+
 	// obs is the observability layer; nil (the default) disables all span
 	// and metric recording at zero cost — every obs call site either
 	// nil-checks rt.obs first or calls a nil-safe obs method.
@@ -328,6 +332,14 @@ func New(p *sim.Proc, m *hw.Machine, reg *workloads.Registry, opts Options) (*Ru
 	}
 	rt.hostID = host.ID
 	hostNode := rt.nodes[host.ID]
+	rt.general = make([]*puNode, 0, len(rt.order))
+	for _, kind := range generalKinds {
+		for _, id := range rt.order {
+			if n := rt.nodes[id]; n.pu.Kind == kind {
+				rt.general = append(rt.general, n)
+			}
+		}
+	}
 
 	// Pass 2: accelerators get virtual shim nodes on the host plus their
 	// sandbox runtimes.

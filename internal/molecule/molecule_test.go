@@ -342,19 +342,28 @@ func TestKeepAliveEviction(t *testing.T) {
 func TestBillingLedger(t *testing.T) {
 	run(t, hw.Config{}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
 		rt.Deploy(p, "matmul")
-		rt.Invoke(p, "matmul", DefaultInvokeOptions())
-		rt.Invoke(p, "matmul", DefaultInvokeOptions())
 		b := rt.Billing()
-		if len(b.Entries()) != 2 {
-			t.Fatalf("entries = %d, want 2", len(b.Entries()))
+		if _, ok := b.Last(); ok || b.Count() != 0 {
+			t.Fatalf("fresh ledger: Count = %d, Last ok = %v, want 0, false", b.Count(), ok)
 		}
-		if b.Total() <= 0 || b.TotalFor("matmul") != b.Total() {
-			t.Error("billing totals wrong")
-		}
-		for _, e := range b.Entries() {
+		for i := 1; i <= 2; i++ {
+			res, err := rt.Invoke(p, "matmul", DefaultInvokeOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Count() != i {
+				t.Fatalf("Count = %d, want %d", b.Count(), i)
+			}
+			e, ok := b.Last()
+			if !ok || e.Fn != "matmul" || e.Kind != res.Kind || e.Duration != res.Total {
+				t.Errorf("Last = %+v, %v; want matmul on %v for %v", e, ok, res.Kind, res.Total)
+			}
 			if e.BilledMs < 1 {
 				t.Error("billing granularity below 1ms")
 			}
+		}
+		if b.Total() <= 0 || b.TotalFor("matmul") != b.Total() {
+			t.Error("billing totals wrong")
 		}
 	})
 }

@@ -39,7 +39,7 @@ func TestRetryThenSucceedBillsOnce(t *testing.T) {
 		if res.PU != 0 {
 			t.Errorf("recovered invoke ran on PU %d, want host 0", res.PU)
 		}
-		if got := len(rt.Billing().Entries()); got != 1 {
+		if got := rt.Billing().Count(); got != 1 {
 			t.Errorf("billing entries = %d, want exactly 1", got)
 		}
 		if got := o.Counter("molecule_invoke_retries_total", obs.L("fn", "matmul")).Value(); got != 1 {
@@ -134,7 +134,7 @@ func TestTimeoutZeroRetriesSurfacesUnavailable(t *testing.T) {
 	})
 	// run() has drained the event loop: the abandoned attempt completed in
 	// the background. It must not have produced a billing entry.
-	if got := len(rt2.Billing().Entries()); got != 0 {
+	if got := rt2.Billing().Count(); got != 0 {
 		t.Errorf("abandoned attempt produced %d billing entries, want 0", got)
 	}
 }

@@ -14,11 +14,17 @@ type Chan[T any] struct {
 	head  int
 	count int
 	cap   int
-	sendq []*sendWaiter[T]
-	// recvq holds the parked receivers, oldest first. Dequeuing shifts the
-	// rest down, so the backing array is reused for the channel's lifetime
-	// and parking a receiver allocates nothing once it has grown.
-	recvq  []*Proc
+	// sendq and recvq hold the parked senders and receivers, oldest first.
+	// Dequeuing shifts the rest down, so each backing array is reused for
+	// the channel's lifetime and parking allocates nothing once it has
+	// grown.
+	sendq []sendWaiter[T]
+	recvq []*Proc
+	// free is the pool of hand-off slots, linked through their next
+	// fields: a value handed to a parked receiver travels in a
+	// *recvResult[T], which fits in the resume message without boxing, and
+	// Recv returns it here.
+	free   *recvResult[T]
 	closed bool
 }
 
@@ -28,8 +34,24 @@ type sendWaiter[T any] struct {
 }
 
 type recvResult[T any] struct {
-	val T
-	ok  bool
+	val  T
+	ok   bool
+	next *recvResult[T] // pool link while free
+}
+
+// handoff wakes the oldest parked receiver with (v, ok), carried in a
+// pooled slot.
+//
+//molecule:hotpath
+func (c *Chan[T]) handoff(v T, ok bool) {
+	r := c.free
+	if r != nil {
+		c.free, r.next = r.next, nil
+	} else {
+		r = new(recvResult[T])
+	}
+	r.val, r.ok = v, ok
+	c.env.scheduleResume(c.env.now, c.popRecv(), resumeMsg{val: r})
 }
 
 // closedSend is the resume payload delivered to a parked sender when the
@@ -94,16 +116,15 @@ func (c *Chan[T]) Close() {
 		return
 	}
 	c.closed = true
-	for i, p := range c.recvq {
-		c.env.scheduleResume(c.env.now, p, resumeMsg{val: recvResult[T]{ok: false}})
-		c.recvq[i] = nil
+	var zero T
+	for len(c.recvq) > 0 {
+		c.handoff(zero, false)
 	}
-	c.recvq = c.recvq[:0]
-	senders := c.sendq
-	c.sendq = nil
-	for _, w := range senders {
+	for _, w := range c.sendq {
 		c.env.scheduleResume(c.env.now, w.p, resumeMsg{val: closedSend{}})
 	}
+	clear(c.sendq)
+	c.sendq = c.sendq[:0]
 }
 
 // Reset empties the channel and reopens it with the given capacity, keeping
@@ -137,13 +158,15 @@ func (c *Chan[T]) SendOrClosed(p *Proc, v T) bool {
 }
 
 // send delivers v, reporting false if the channel was (or became) closed.
+//
+//molecule:hotpath
 func (c *Chan[T]) send(p *Proc, v T) bool {
 	if c.closed {
 		return false
 	}
 	// A waiting receiver takes the value directly.
 	if len(c.recvq) > 0 {
-		c.env.scheduleResume(c.env.now, c.popRecv(), resumeMsg{val: recvResult[T]{val: v, ok: true}})
+		c.handoff(v, true)
 		return true
 	}
 	if c.count < c.cap {
@@ -151,7 +174,7 @@ func (c *Chan[T]) send(p *Proc, v T) bool {
 		return true
 	}
 	// Block until a receiver drains us — or Close wakes us empty-handed.
-	c.sendq = append(c.sendq, &sendWaiter[T]{p: p, val: v})
+	c.sendq = append(c.sendq, sendWaiter[T]{p: p, val: v})
 	msg := p.park()
 	if _, wasClosed := msg.val.(closedSend); wasClosed {
 		return false
@@ -161,12 +184,14 @@ func (c *Chan[T]) send(p *Proc, v T) bool {
 
 // TrySend delivers v without blocking; it reports whether the value was
 // accepted (by a waiting receiver or a free buffer slot).
+//
+//molecule:hotpath
 func (c *Chan[T]) TrySend(v T) bool {
 	if c.closed {
 		panic("sim: send on closed channel")
 	}
 	if len(c.recvq) > 0 {
-		c.env.scheduleResume(c.env.now, c.popRecv(), resumeMsg{val: recvResult[T]{val: v, ok: true}})
+		c.handoff(v, true)
 		return true
 	}
 	if c.count < c.cap {
@@ -178,14 +203,18 @@ func (c *Chan[T]) TrySend(v T) bool {
 
 // Recv receives a value, parking p until one is available. ok is false when
 // the channel is closed and drained.
+//
+//molecule:hotpath
 func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 	if v, ok, got := c.tryRecvLocked(); got {
 		return v, ok
 	}
 	c.recvq = append(c.recvq, p)
-	msg := p.park()
-	res := msg.val.(recvResult[T])
-	return res.val, res.ok
+	r := p.park().val.(*recvResult[T])
+	v, ok = r.val, r.ok
+	*r = recvResult[T]{next: c.free}
+	c.free = r
+	return v, ok
 }
 
 // popRecv removes and returns the oldest parked receiver.
@@ -195,6 +224,15 @@ func (c *Chan[T]) popRecv() *Proc {
 	c.recvq[n] = nil
 	c.recvq = c.recvq[:n]
 	return p
+}
+
+// popSend removes and returns the oldest parked sender.
+func (c *Chan[T]) popSend() sendWaiter[T] {
+	w := c.sendq[0]
+	n := copy(c.sendq, c.sendq[1:])
+	c.sendq[n] = sendWaiter[T]{}
+	c.sendq = c.sendq[:n]
+	return w
 }
 
 // TryRecv receives without blocking. got reports whether a value (or a
@@ -208,16 +246,14 @@ func (c *Chan[T]) tryRecvLocked() (v T, ok, got bool) {
 		v = c.pop()
 		// Promote a blocked sender's value into the freed slot.
 		if len(c.sendq) > 0 {
-			w := c.sendq[0]
-			c.sendq = c.sendq[1:]
+			w := c.popSend()
 			c.push(w.val)
 			c.env.scheduleResume(c.env.now, w.p, resumeMsg{})
 		}
 		return v, true, true
 	}
 	if len(c.sendq) > 0 { // unbuffered rendezvous
-		w := c.sendq[0]
-		c.sendq = c.sendq[1:]
+		w := c.popSend()
 		c.env.scheduleResume(c.env.now, w.p, resumeMsg{})
 		return w.val, true, true
 	}

@@ -341,8 +341,8 @@ func TestBillingCeilingProperty(t *testing.T) {
 		d := time.Duration(durUS) * time.Microsecond
 		rate := float64(rateC%10) + 0.5
 		b.Record("f", hw.CPU, d, rate)
-		e := b.Entries()[0]
-		if e.BilledMs < 1 {
+		e, ok := b.Last()
+		if !ok || b.Count() != 1 || e.BilledMs < 1 {
 			return false
 		}
 		wantMs := int64((d + time.Millisecond - 1) / time.Millisecond)

@@ -164,7 +164,7 @@ func TestSoakRandomizedOperations(t *testing.T) {
 			}
 		}
 
-		if got := len(rt.Billing().Entries()); got != invocations {
+		if got := rt.Billing().Count(); got != invocations {
 			t.Errorf("billing entries %d != invocations %d", got, invocations)
 		}
 		if rt.Billing().Total() <= 0 {
