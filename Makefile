@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-fixtures test race bench-test fuzz-smoke chaos bench microbench bench-smoke benchjson coldstart-race cluster-race shards-race report report-md golden trace-demo attrib-demo examples outputs
+.PHONY: all check build vet lint lint-fixtures test race bench-test fuzz-smoke chaos bench microbench bench-smoke benchjson coldstart-race cluster-race report report-md golden trace-demo attrib-demo examples outputs
 
 all: check
 
@@ -41,7 +41,7 @@ race:
 
 # The benchmark's own tests; benchmark/ is a separate module, so `test`
 # skips them. Every workload runs at 1/100 scale with its invariants
-# checked, and its fingerprint must match across kernel workers {1,2}.
+# checked, and its fingerprint must match across three repeat runs.
 bench-test:
 	$(GO) -C benchmark test ./...
 
@@ -63,7 +63,7 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Fast-path microbenchmarks: the sim kernel (including one sharded round,
-# inline vs two workers, swept over its size), the nIPC FIFO write path
+# swept over its size), the nIPC FIFO write path
 # (ns/op and allocs/op), a warm Molecule invocation end to end, a warm
 # cross-PU chain (wiring built and released every call), and a warm
 # invocation and chain through a one-machine cluster Boss.
@@ -87,8 +87,9 @@ bench-smoke:
 
 # Regenerate every BENCH_*.json snapshot, each in the one envelope
 # (scenario, host, result): the batched-nIPC sweep, the sharded-kernel
-# soak, the cluster scaling curve and the cold-start comparison. Every scaling point is fingerprint-checked
-# across kernel worker counts before it is written.
+# soak, the cluster scaling curve and the cold-start comparison. Every soak
+# point must fingerprint-match shards=1, and each cold-start arm must match
+# between the classic kernel and the windowed driver, before it is written.
 benchjson:
 	$(GO) run ./cmd/molecule-bench -scenario nipc -o BENCH_nipc.json > /dev/null
 	$(GO) run ./cmd/molecule-bench -scenario soak -o BENCH_sim.json
@@ -106,13 +107,6 @@ coldstart-race:
 cluster-race:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/httpd/
 	$(GO) run ./cmd/molecule-bench -scenario cluster
-
-# The sharded kernel under the race detector, with every bench-harness
-# simulation forced through the windowed driver at 4 OS workers. Race
-# builds hand every windowed round to the workers (internal/sim/split_race.go),
-# however small, so the worker goroutines run here and under `race`.
-shards-race:
-	MOLECULE_SHARDS=4 $(GO) test -race -count=1 ./internal/sim/... ./internal/bench/...
 
 # Regenerate every paper table/figure (plus ablations) to stdout.
 report:

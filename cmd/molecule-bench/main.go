@@ -43,7 +43,7 @@ var scenarios = []struct {
 	}},
 	{"soak", "sharded-kernel scaling soak, 4 machines x 50000 invocations (BENCH_sim.json)", runShardSoak},
 	{"cluster", "boss/worker cluster scaling at 1, 2 and 4 machines (BENCH_cluster.json)", func(w io.Writer) (any, error) {
-		points, err := bench.ClusterSoakSweep([]int{1, 2, 4}, withNumCPU([]int{1, 2}))
+		points, err := bench.ClusterSoakSweep([]int{1, 2, 4})
 		if err != nil {
 			return nil, err
 		}
@@ -51,7 +51,7 @@ var scenarios = []struct {
 		return points, nil
 	}},
 	{"coldstart", "flat cfork vs zygote forest, 600 forced-cold invocations per arm (BENCH_coldstart.json)", func(w io.Writer) (any, error) {
-		res, err := bench.ColdStartSweep(0, withNumCPU([]int{0, 1, 2, 4}))
+		res, err := bench.ColdStartSweep(0)
 		if err != nil {
 			return nil, err
 		}
@@ -151,25 +151,14 @@ func tee(w io.Writer, render func(io.Writer) error) (string, error) {
 	return buf.String(), err
 }
 
-// withNumCPU appends every core to a kernel worker-count sweep when the
-// host has more cores than its largest count.
-func withNumCPU(counts []int) []int {
-	if n := runtime.NumCPU(); n > counts[len(counts)-1] {
-		counts = append(counts, n)
-	}
-	return counts
-}
-
 func runShardSoak(w io.Writer) (any, error) {
 	const machines, inv, reps = 4, 50000, 11
-	// Each shard count runs at one worker and at more, which separates the
-	// smaller per-domain heaps from real parallelism.
-	points, err := bench.ShardSoakSweep(machines, inv, reps, [][2]int{{1, 1}, {2, 1}, {2, 2}, {4, 1}, {4, 2}, {4, 4}})
+	points, err := bench.ShardSoakSweep(machines, inv, reps, []int{1, 2, 4})
 	if err != nil {
 		return nil, err
 	}
 	bench.ShardSoakTable(points).Fprint(w)
-	// The widest point's telemetry; it is the same at every worker count.
+	// The widest point's telemetry.
 	return points, points[len(points)-1].Telemetry.WriteText(w)
 }
 

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 
 	"repro/internal/obs"
@@ -52,44 +51,44 @@ func TestAttribDemoExactness(t *testing.T) {
 
 // TestShardedAttribDemo locks the attribution outputs — the breakdown table,
 // the folded-stack profile, and the SLO JSON document — to identical bytes
-// at every kernel worker count. The analyzer iterates recorded span order
+// on both kernels. The analyzer iterates recorded span order
 // and fixed stage arrays, so one reordered nanosecond anywhere shows up.
 func TestShardedAttribDemo(t *testing.T) {
 	var refTable, refFolded, refSLO []byte
-	for _, n := range shardSweep() {
-		withShards(n, func() {
+	for _, k := range kernels {
+		withKernel(k, func() {
 			o, an, err := AttribDemo()
 			if err != nil {
-				t.Fatalf("shards=%d: %v", n, err)
+				t.Fatalf("%v kernel: %v", k, err)
 			}
 			var table, folded, slo bytes.Buffer
 			an.BreakdownTable().Fprint(&table)
 			if err := an.WriteFolded(&folded); err != nil {
-				t.Fatalf("shards=%d: %v", n, err)
+				t.Fatalf("%v kernel: %v", k, err)
 			}
 			if err := o.SLO.WriteJSON(&slo); err != nil {
-				t.Fatalf("shards=%d: %v", n, err)
+				t.Fatalf("%v kernel: %v", k, err)
 			}
 			if refTable == nil {
 				refTable, refFolded, refSLO = table.Bytes(), folded.Bytes(), slo.Bytes()
 				return
 			}
 			if !bytes.Equal(table.Bytes(), refTable) {
-				t.Fatalf("shards=%d: breakdown table diverges:\n%s\nvs\n%s", n, table.String(), refTable)
+				t.Fatalf("windowed kernel: breakdown table diverges:\n%s\nvs\n%s", table.String(), refTable)
 			}
 			if !bytes.Equal(folded.Bytes(), refFolded) {
-				t.Fatalf("shards=%d: folded profile diverges:\n%s\nvs\n%s", n, folded.String(), refFolded)
+				t.Fatalf("windowed kernel: folded profile diverges:\n%s\nvs\n%s", folded.String(), refFolded)
 			}
 			if !bytes.Equal(slo.Bytes(), refSLO) {
-				t.Fatalf("shards=%d: SLO JSON diverges:\n%s\nvs\n%s", n, slo.String(), refSLO)
+				t.Fatalf("windowed kernel: SLO JSON diverges:\n%s\nvs\n%s", slo.String(), refSLO)
 			}
 		})
 	}
 }
 
 // TestShardSoakTelemetry pins the soak's window telemetry: at a fixed
-// partitioning the per-round counters render to identical bytes at every
-// worker count, and attaching the observer leaves the simulation fingerprint
+// partitioning the per-round counters render to identical bytes on a repeat
+// run, and attaching the observer leaves the simulation fingerprint
 // untouched.
 func TestShardSoakTelemetry(t *testing.T) {
 	const machines, invocations, shards = 4, 800, 4
@@ -98,32 +97,32 @@ func TestShardSoakTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref []byte
-	for _, workers := range []int{1, 2, 4, runtime.NumCPU()} {
+	for run := 0; run < 2; run++ {
 		wt := &obs.WindowTelemetry{}
 		res, err := ShardSoak(ShardSoakConfig{
 			Machines: machines, Invocations: invocations,
-			Shards: shards, Workers: workers, Telemetry: wt,
+			Shards: shards, Telemetry: wt,
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("run %d: %v", run, err)
 		}
 		if res.Fingerprint != plain.Fingerprint {
-			t.Fatalf("workers=%d: telemetry changed the fingerprint\n got  %s\n want %s",
-				workers, res.Fingerprint, plain.Fingerprint)
+			t.Fatalf("run %d: telemetry changed the fingerprint\n got  %s\n want %s",
+				run, res.Fingerprint, plain.Fingerprint)
 		}
 		if wt.Rounds() == 0 {
-			t.Fatalf("workers=%d: soak reported no windowed rounds", workers)
+			t.Fatalf("run %d: soak reported no windowed rounds", run)
 		}
 		var buf bytes.Buffer
 		if err := wt.WriteText(&buf); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("run %d: %v", run, err)
 		}
 		if ref == nil {
 			ref = buf.Bytes()
 			continue
 		}
 		if !bytes.Equal(buf.Bytes(), ref) {
-			t.Fatalf("workers=%d: telemetry diverges:\n%s\nvs\n%s", workers, buf.String(), ref)
+			t.Fatalf("run %d: telemetry diverges:\n%s\nvs\n%s", run, buf.String(), ref)
 		}
 	}
 }

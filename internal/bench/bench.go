@@ -10,10 +10,8 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -171,40 +169,26 @@ func Report(w io.Writer, workers int, md bool) []Timing {
 // ms converts a wall-clock duration to float milliseconds.
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-// simShards is the worker count sandboxed uses for its simulations.
-// <= 1 runs the classic sequential kernel (sim.Env.Run); > 1 routes every
-// experiment through the sharded windowed driver with that many OS workers.
-// Results are byte-identical either way — that invariant is what the shard
-// determinism tests pin — so this is purely a perf/regression knob.
-var simShards atomic.Int32
+// kernel selects the scheduler a single-domain simulation runs on.
+type kernel int
 
-func init() {
-	if s := os.Getenv("MOLECULE_SHARDS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			simShards.Store(int32(n))
-		}
-	}
-}
+const (
+	classic  kernel = iota // one sim.Env driven by Env.Run
+	windowed               // a one-domain sim.Sharded with a 1ms lookahead
+)
 
-// SetSimShards sets the kernel worker count used by every experiment's
-// simulation (see simShards). It overrides the MOLECULE_SHARDS environment
-// variable and may be changed between runs; 0 or 1 restores the classic
-// sequential kernel.
-func SetSimShards(n int) { simShards.Store(int32(n)) }
+func (k kernel) String() string { return [...]string{"classic", "windowed"}[k] }
 
-// SimShards reports the current kernel worker count (0 = classic).
-func SimShards() int { return int(simShards.Load()) }
+// simKernel is the kernel sandboxed runs every experiment on. It is classic
+// outside tests; the harness determinism tests switch it to windowed to run
+// the whole suite through the windowed driver, which must produce
+// bit-identical results.
+var simKernel = classic
 
-// drive runs body as the driver process of a fresh simulation and returns
-// after the simulation drains.
-//
-// With workers <= 0 this is the classic kernel: one sim.Env, one heap,
-// Env.Run. With workers >= 1 the same single-domain simulation is instead
-// driven by the sharded conservative kernel (a 1ms lookahead window, that
-// many OS workers), which must — and, per the determinism tests, does —
-// produce bit-identical results.
-func drive(workers int, body func(p *sim.Proc)) {
-	if workers <= 0 {
+// drive runs body as the driver process of a fresh simulation on kernel k
+// and returns after the simulation drains.
+func drive(k kernel, body func(p *sim.Proc)) {
+	if k == classic {
 		env := sim.NewEnv()
 		env.Spawn("bench-driver", body)
 		env.Run()
@@ -213,47 +197,13 @@ func drive(workers int, body func(p *sim.Proc)) {
 	sh := sim.NewSharded(1)
 	sh.LimitLookahead(time.Millisecond)
 	sh.Domain(0).Spawn("bench-driver", body)
-	sh.Run(workers)
+	sh.Run()
 }
 
-// sandboxed drives body on the kernel SimShards() selects: <= 1 is the
-// classic kernel, N > 1 the windowed driver with N OS workers. Running the
-// full experiment suite through the windowed driver is the broadest
-// regression test the sharded kernel has.
-func sandboxed(body func(p *sim.Proc)) {
-	workers := SimShards()
-	if workers <= 1 {
-		workers = 0
-	}
-	drive(workers, body)
-}
-
-// checkedRun runs one sweep point at every kernel worker count in workers.
-// The run at workers[0] is the timed, reported one; it fails on the first
-// later count whose fingerprint differs, so no reported number can come
-// from a divergent simulation.
-func checkedRun[R any](workers []int, run func(w int) (R, string, error)) (R, time.Duration, error) {
-	var zero R
-	if len(workers) == 0 {
-		return zero, 0, fmt.Errorf("no kernel worker counts to run")
-	}
-	start := time.Now()
-	res, fp, err := run(workers[0])
-	wall := time.Since(start)
-	if err != nil {
-		return zero, 0, fmt.Errorf("workers=%d: %w", workers[0], err)
-	}
-	for _, w := range workers[1:] {
-		_, other, err := run(w)
-		if err != nil {
-			return zero, 0, fmt.Errorf("workers=%d: %w", w, err)
-		}
-		if other != fp {
-			return zero, 0, fmt.Errorf("workers=%d diverged:\n  got  %s\n  want %s (workers=%d)", w, other, fp, workers[0])
-		}
-	}
-	return res, wall, nil
-}
+// sandboxed drives body on simKernel. Running the full experiment suite
+// through the windowed driver is the broadest regression test the sharded
+// kernel has.
+func sandboxed(body func(p *sim.Proc)) { drive(simKernel, body) }
 
 // newMolecule builds a Molecule runtime inside the driver process.
 func newMolecule(p *sim.Proc, cfg hw.Config, opts molecule.Options) *molecule.Runtime {

@@ -14,10 +14,8 @@ package bench
 //
 // Throughput here is virtual-time throughput (requests per simulated
 // second), not wall-clock: the curve measures the control plane's placement
-// quality, independent of how many OS cores happen to drive the kernel.
-// Each timed point is re-run at a different OS worker count and must
-// produce the byte-identical fingerprint before it is reported, so the
-// curve can never come from a divergent simulation.
+// quality, independent of the host. Each point's fingerprint is pinned
+// exactly by the BENCH_cluster.json snapshot test.
 
 import (
 	"fmt"
@@ -62,21 +60,13 @@ type ClusterSoakResult struct {
 	WallMS      float64 `json:"wall_ms"`
 	Served      []int   `json:"served_per_machine"`
 	Fingerprint string  `json:"fingerprint"`
-	Workers     []int   `json:"worker_counts_checked"`
 }
 
-// ClusterSoak runs the soak at one machine count, verifying byte-identity
-// across the given kernel worker counts (the first entry is the timed,
-// reported run).
-func ClusterSoak(machines int, workerCounts []int) (ClusterSoakResult, error) {
-	cfg := clusterSoakConfig(machines)
-	res, wall, err := checkedRun(workerCounts, func(w int) (*cluster.SoakResult, string, error) {
-		r, err := cluster.Soak(cfg, w)
-		if err != nil {
-			return nil, "", err
-		}
-		return r, r.Fingerprint(), nil
-	})
+// ClusterSoak runs the soak at one machine count and times it.
+func ClusterSoak(machines int) (ClusterSoakResult, error) {
+	start := time.Now()
+	res, err := cluster.Soak(clusterSoakConfig(machines))
+	wall := time.Since(start)
 	if err != nil {
 		return ClusterSoakResult{}, fmt.Errorf("machines=%d: %w", machines, err)
 	}
@@ -97,22 +87,20 @@ func ClusterSoak(machines int, workerCounts []int) (ClusterSoakResult, error) {
 		WallMS:      ms(wall),
 		Served:      res.Served,
 		Fingerprint: res.Fingerprint(),
-		Workers:     workerCounts,
 	}
 	return out, nil
 }
 
 // ClusterSoakSweep runs the soak at each machine count (the first must be
 // 1, the baseline) and computes virtual-throughput speedups relative to
-// the single-machine point. Every point re-runs at each worker count in
-// workerCounts and must fingerprint-match before it is reported.
-func ClusterSoakSweep(machineCounts, workerCounts []int) ([]ClusterSoakResult, error) {
+// the single-machine point.
+func ClusterSoakSweep(machineCounts []int) ([]ClusterSoakResult, error) {
 	if len(machineCounts) == 0 || machineCounts[0] != 1 {
 		return nil, fmt.Errorf("sweep must start at machines=1 (the baseline), got %v", machineCounts)
 	}
 	out := make([]ClusterSoakResult, 0, len(machineCounts))
 	for _, m := range machineCounts {
-		r, err := ClusterSoak(m, workerCounts)
+		r, err := ClusterSoak(m)
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +117,7 @@ func ClusterSoakSweep(machineCounts, workerCounts []int) ([]ClusterSoakResult, e
 func ClusterSoakTable(results []ClusterSoakResult) *metrics.Table {
 	t := &metrics.Table{
 		Title:  "Cluster soak — virtual req/sec vs machine count",
-		Note:   "same seeded arrival stream at every point; fingerprint-checked across kernel worker counts",
+		Note:   "same seeded arrival stream at every point",
 		Header: []string{"machines", "requests", "stolen", "qpeak", "virtual ms", "req/vsec", "speedup", "wall ms"},
 	}
 	for _, r := range results {

@@ -2,11 +2,10 @@ package bench
 
 import "testing"
 
-// TestClusterSoakDeterministic re-runs one sweep point at several kernel
-// worker counts; ClusterSoak itself fails the run unless every count
-// produces the byte-identical fingerprint.
+// TestClusterSoakDeterministic runs one sweep point twice; both runs must
+// produce the byte-identical fingerprint.
 func TestClusterSoakDeterministic(t *testing.T) {
-	r, err := ClusterSoak(2, []int{1, 2})
+	r, err := ClusterSoak(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -15,6 +14,13 @@ func TestClusterSoakDeterministic(t *testing.T) {
 	}
 	if r.Errors != 0 {
 		t.Fatalf("soak produced %d errors", r.Errors)
+	}
+	again, err := ClusterSoak(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Fingerprint != r.Fingerprint {
+		t.Fatalf("repeat run diverged:\n  got  %s\n  want %s", again.Fingerprint, r.Fingerprint)
 	}
 }
 
@@ -26,7 +32,7 @@ func TestClusterSoakSweepScales(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep skipped in -short mode")
 	}
-	res, err := ClusterSoakSweep([]int{1, 2, 4}, []int{1})
+	res, err := ClusterSoakSweep([]int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

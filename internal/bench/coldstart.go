@@ -19,15 +19,15 @@ package bench
 // pages are shared COW down the tree and into every forked instance, so
 // specialization adds far less memory than it saves imports.
 //
-// Like every scaling artifact in this repo, each timed point re-runs at the
-// other kernel worker counts and must produce a byte-identical fingerprint
-// (per-invocation latencies, final tree shapes, PSS sums) before it is
-// reported. Worker count 0 is the classic sequential kernel; n >= 1 drives
-// the same simulation through the sharded windowed driver with n OS workers.
+// Each arm runs on the classic sequential kernel, timed, and again through
+// the sharded windowed driver; both runs must produce a byte-identical
+// fingerprint (per-invocation latencies, final tree shapes, PSS sums)
+// before the arm is reported.
 
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/hw"
 	"repro/internal/lang"
@@ -77,9 +77,8 @@ type ColdStartArm struct {
 
 // ColdStartResult is the full comparison.
 type ColdStartResult struct {
-	WorkerCounts []int        `json:"worker_counts_checked"`
-	Flat         ColdStartArm `json:"flat"`
-	Zygote       ColdStartArm `json:"zygote"`
+	Flat   ColdStartArm `json:"flat"`
+	Zygote ColdStartArm `json:"zygote"`
 	// SpeedupMean is flat mean cold-start latency over zygote mean.
 	SpeedupMean float64 `json:"speedup_mean"`
 	// PSSRatio is zygote total PSS over flat total PSS (<= 1 means the
@@ -98,9 +97,8 @@ type coldStartRun struct {
 	fp        string // FNV-1a over the stream and end state, hex
 }
 
-// runColdStartArm drives one arm's seeded invocation stream at the given
-// kernel worker count (0 = classic sequential kernel).
-func runColdStartArm(cfg coldStartConfig, zygote bool, workers int) coldStartRun {
+// runColdStartArm drives one arm's seeded invocation stream on kernel k.
+func runColdStartArm(cfg coldStartConfig, zygote bool, k kernel) coldStartRun {
 	var out coldStartRun
 	body := func(p *sim.Proc) {
 		opts := molecule.DefaultOptions()
@@ -184,23 +182,23 @@ func runColdStartArm(cfg coldStartConfig, zygote bool, workers int) coldStartRun
 		out.fp = fmt.Sprintf("%016x", fp)
 	}
 
-	drive(workers, body)
+	drive(k, body)
 	return out
 }
 
-// ColdStartArmSweep runs one arm, timing it at workerCounts[0] and
-// verifying byte-identity at every remaining worker count.
-func ColdStartArmSweep(cfg coldStartConfig, zygote bool, workerCounts []int) (ColdStartArm, error) {
+// ColdStartArmSweep runs one arm on the classic kernel, timed and
+// reported, then on the windowed driver, and fails unless both runs
+// fingerprint identically.
+func ColdStartArmSweep(cfg coldStartConfig, zygote bool) (ColdStartArm, error) {
 	mode := "flat-cfork"
 	if zygote {
 		mode = "zygote-tree"
 	}
-	run, wall, err := checkedRun(workerCounts, func(w int) (coldStartRun, string, error) {
-		r := runColdStartArm(cfg, zygote, w)
-		return r, r.fp, nil
-	})
-	if err != nil {
-		return ColdStartArm{}, fmt.Errorf("coldstart %s: %w", mode, err)
+	start := time.Now()
+	run := runColdStartArm(cfg, zygote, classic)
+	wall := time.Since(start)
+	if w := runColdStartArm(cfg, zygote, windowed); w.fp != run.fp {
+		return ColdStartArm{}, fmt.Errorf("coldstart %s: windowed driver diverged:\n  got  %s\n  want %s (classic kernel)", mode, w.fp, run.fp)
 	}
 
 	const mb = 1.0 / (1 << 20)
@@ -220,26 +218,21 @@ func ColdStartArmSweep(cfg coldStartConfig, zygote bool, workerCounts []int) (Co
 	}, nil
 }
 
-// ColdStartSweep runs both arms with byte-identity enforced across
-// workerCounts at every point.
-func ColdStartSweep(invocations int, workerCounts []int) (ColdStartResult, error) {
+// ColdStartSweep runs both arms, each checked on both kernels.
+func ColdStartSweep(invocations int) (ColdStartResult, error) {
 	cfg := defaultColdStartConfig()
 	if invocations > 0 {
 		cfg.Invocations = invocations
 	}
-	flat, err := ColdStartArmSweep(cfg, false, workerCounts)
+	flat, err := ColdStartArmSweep(cfg, false)
 	if err != nil {
 		return ColdStartResult{}, err
 	}
-	zyg, err := ColdStartArmSweep(cfg, true, workerCounts)
+	zyg, err := ColdStartArmSweep(cfg, true)
 	if err != nil {
 		return ColdStartResult{}, err
 	}
-	res := ColdStartResult{
-		WorkerCounts: append([]int(nil), workerCounts...),
-		Flat:         flat,
-		Zygote:       zyg,
-	}
+	res := ColdStartResult{Flat: flat, Zygote: zyg}
 	if zyg.MeanStartupMS > 0 {
 		res.SpeedupMean = flat.MeanStartupMS / zyg.MeanStartupMS
 	}
@@ -253,8 +246,8 @@ func ColdStartSweep(invocations int, workerCounts []int) (ColdStartResult, error
 func ColdStartTable(res ColdStartResult) *metrics.Table {
 	t := &metrics.Table{
 		Title: "Cold start — flat cfork vs zygote forest (Zipf mix)",
-		Note: fmt.Sprintf("same seeded stream both arms; fingerprint-checked across kernel worker counts %v; speedup %.2fx at %.2fx the memory",
-			res.WorkerCounts, res.SpeedupMean, res.PSSRatio),
+		Note: fmt.Sprintf("same seeded stream both arms; fingerprint-checked classic vs windowed kernel; speedup %.2fx at %.2fx the memory",
+			res.SpeedupMean, res.PSSRatio),
 		Header: []string{"mode", "colds", "mean ms", "p95 ms", "nodes", "fits", "inst", "inst PSS MB", "tmpl PSS MB", "total PSS MB"},
 	}
 	for _, a := range []ColdStartArm{res.Flat, res.Zygote} {

@@ -1,16 +1,13 @@
 package bench
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // TestColdStartZygoteBeatsFlat is the headline acceptance check: on the
 // seeded Zipf stream the zygote forest must beat flat cfork on mean
 // cold-start latency without spending more memory (total PSS, instances +
 // templates).
 func TestColdStartZygoteBeatsFlat(t *testing.T) {
-	res, err := ColdStartSweep(240, []int{0})
+	res, err := ColdStartSweep(240)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +46,10 @@ func TestColdStartDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-kernel sweep")
 	}
-	workers := []int{0, 2, runtime.NumCPU()}
 	cfg := defaultColdStartConfig()
 	cfg.Invocations = 160
 	for _, zygote := range []bool{false, true} {
-		arm, err := ColdStartArmSweep(cfg, zygote, workers)
+		arm, err := ColdStartArmSweep(cfg, zygote)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,8 +14,9 @@ package bench
 // Every sweep point runs the *same* workload, only partitioned differently:
 // shards=1 puts all machines in one domain (one event heap — the classic
 // monolithic kernel's behavior), shards=N spreads machines over N domains
-// driven by N OS workers under the conservative windowed driver, with the
-// interconnect's base latency as the lookahead. The sweep verifies every
+// under the conservative windowed driver, with the interconnect's base
+// latency as the lookahead. Smaller per-domain heaps are the whole speedup:
+// the driver runs every domain on one goroutine. The sweep verifies every
 // point produces the identical fingerprint (per-machine counters, total
 // scheduled events, final virtual clock) before reporting throughput, so the
 // speedup column can never come from a divergent simulation.
@@ -46,7 +47,6 @@ type ShardSoakConfig struct {
 	Machines    int // simulated machines (each one driver proc)
 	Invocations int // invocations per machine
 	Shards      int // event-heap domains; machines are dealt round-robin
-	Workers     int // OS workers driving the domains; 0 = Shards
 
 	// Telemetry, when non-nil, is attached as the kernel's window observer
 	// and accumulates round/stall/flow counters over the run. Attach it to
@@ -60,7 +60,6 @@ type ShardSoakConfig struct {
 // median over its reps and fills the fields marked below.
 type ShardSoakResult struct {
 	Shards      int   `json:"shards"`
-	Workers     int   `json:"workers"`
 	Machines    int   `json:"machines"`
 	Invocations int   `json:"invocations_per_machine"`
 	Events      int64 `json:"events"`
@@ -94,11 +93,6 @@ func ShardSoak(cfg ShardSoakConfig) (ShardSoakResult, error) {
 	if cfg.Shards < 1 || cfg.Shards > m {
 		return ShardSoakResult{}, fmt.Errorf("shards must be in [1,%d], got %d", m, cfg.Shards)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = cfg.Shards
-	}
-
 	// Residue quantum: machine i's own events land at times ≡ i+1 (mod q),
 	// arrivals at machine k land at times ≡ m+k+2 (mod q). All residues are
 	// distinct and nonzero, so after the t=0 spawns no two machines ever act
@@ -139,7 +133,7 @@ func ShardSoak(cfg ShardSoakConfig) (ShardSoakResult, error) {
 				inv[machine]++
 				if n%sendEvery == 0 {
 					sent[machine]++
-					//lint:owned soak assertion state: last/recv slots for machine `next` are written only by deliveries on next's own domain, and the cross-worker fingerprint check enforces exactly that discipline
+					//lint:owned soak assertion state: last/recv slots for machine `next` are written only by deliveries on next's own domain, and the cross-shard fingerprint check enforces exactly that discipline
 					ic.SendAfter(p.Env(), dom(next), 0, extra, func() {
 						at := nextEnv.Now()
 						if at < last[next] {
@@ -154,7 +148,7 @@ func ShardSoak(cfg ShardSoakConfig) (ShardSoakResult, error) {
 	}
 
 	start := time.Now()
-	sh.Run(workers)
+	sh.Run()
 	wall := time.Since(start)
 
 	if arriveErr != nil {
@@ -173,7 +167,6 @@ func ShardSoak(cfg ShardSoakConfig) (ShardSoakResult, error) {
 	events := sh.Scheduled()
 	res := ShardSoakResult{
 		Shards:       cfg.Shards,
-		Workers:      workers,
 		Machines:     m,
 		Invocations:  cfg.Invocations,
 		Events:       events,
@@ -184,41 +177,38 @@ func ShardSoak(cfg ShardSoakConfig) (ShardSoakResult, error) {
 	return res, nil
 }
 
-// ShardSoakSweep runs the soak at each (shards, workers) point — workers 0
-// means one per shard — and verifies that every run produced the
-// bit-identical fingerprint before computing speedups relative to the first
-// point, which must be the monolithic heap: shards=1 on one worker. Points
-// with equal shards and different workers separate the per-domain-heap
-// effect from real parallelism.
+// ShardSoakSweep runs the soak at each shard count and verifies that every
+// run produced the bit-identical fingerprint before computing speedups
+// relative to the first point, which must be the monolithic heap: shards=1.
 //
 // Each point runs once with window telemetry attached, for its rounds and
 // events per round. Then every point runs reps more times unobserved, for
 // its wall-time median and quartiles; the reps go round-robin over the
 // points, so a drift in host speed reaches every point alike.
-func ShardSoakSweep(machines, invocations, reps int, points [][2]int) ([]ShardSoakResult, error) {
-	if len(points) == 0 || points[0][0] != 1 || points[0][1] > 1 {
-		return nil, fmt.Errorf("sweep must start at shards=1 workers=1 (the monolithic baseline), got %v", points)
+func ShardSoakSweep(machines, invocations, reps int, shardCounts []int) ([]ShardSoakResult, error) {
+	if len(shardCounts) == 0 || shardCounts[0] != 1 {
+		return nil, fmt.Errorf("sweep must start at shards=1 (the monolithic baseline), got %v", shardCounts)
 	}
 	if reps < 1 {
 		return nil, fmt.Errorf("sweep needs at least one timed rep, got %d", reps)
 	}
-	out := make([]ShardSoakResult, 0, len(points))
-	run := func(pt [2]int, wt *obs.WindowTelemetry) (ShardSoakResult, error) {
+	out := make([]ShardSoakResult, 0, len(shardCounts))
+	run := func(shards int, wt *obs.WindowTelemetry) (ShardSoakResult, error) {
 		r, err := ShardSoak(ShardSoakConfig{
 			Machines: machines, Invocations: invocations,
-			Shards: pt[0], Workers: pt[1], Telemetry: wt,
+			Shards: shards, Telemetry: wt,
 		})
 		if err == nil && len(out) > 0 && r.Fingerprint != out[0].Fingerprint {
 			err = fmt.Errorf("diverged:\n  got  %s\n  want %s", r.Fingerprint, out[0].Fingerprint)
 		}
 		if err != nil {
-			err = fmt.Errorf("shards=%d workers=%d: %w", pt[0], pt[1], err)
+			err = fmt.Errorf("shards=%d: %w", shards, err)
 		}
 		return r, err
 	}
-	for _, pt := range points {
+	for _, n := range shardCounts {
 		wt := &obs.WindowTelemetry{}
-		r, err := run(pt, wt)
+		r, err := run(n, wt)
 		if err != nil {
 			return nil, err
 		}
@@ -227,10 +217,10 @@ func ShardSoakSweep(machines, invocations, reps int, points [][2]int) ([]ShardSo
 		r.EventsPerRound = float64(wt.Events()) / float64(r.Rounds)
 		out = append(out, r)
 	}
-	walls := make([]metrics.Recorder, len(points))
+	walls := make([]metrics.Recorder, len(shardCounts))
 	for rep := 0; rep < reps; rep++ {
-		for i, pt := range points {
-			r, err := run(pt, nil)
+		for i, n := range shardCounts {
+			r, err := run(n, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -252,15 +242,14 @@ func ShardSoakSweep(machines, invocations, reps int, points [][2]int) ([]ShardSo
 // ShardSoakTable renders a sweep as a report table.
 func ShardSoakTable(results []ShardSoakResult) *metrics.Table {
 	t := &metrics.Table{
-		Title: "Sharded kernel soak — events/sec vs shard and worker count",
+		Title: "Sharded kernel soak — events/sec vs shard count",
 		Note: fmt.Sprintf("%d machines x %d invocations, identical fingerprint at every point; wall: median of %d reps",
 			results[0].Machines, results[0].Invocations, results[0].Reps),
-		Header: []string{"shards", "workers", "events", "rounds", "events/round", "wall ms [q1, q3]", "events/sec", "speedup"},
+		Header: []string{"shards", "events", "rounds", "events/round", "wall ms [q1, q3]", "events/sec", "speedup"},
 	}
 	for _, r := range results {
 		t.AddRow(
 			fmt.Sprintf("%d", r.Shards),
-			fmt.Sprintf("%d", r.Workers),
 			fmt.Sprintf("%d", r.Events),
 			fmt.Sprintf("%d", r.Rounds),
 			fmt.Sprintf("%.1f", r.EventsPerRound),

@@ -11,8 +11,8 @@
 // there, and every boss↔machine interaction is an interconnect message
 // that pays the cross-machine link's latency. Because the interconnect is
 // the only cross-domain edge, the whole cluster runs under the
-// conservative windowed driver at any OS worker count with byte-identical
-// results.
+// conservative windowed driver, with the link's base latency as the
+// lookahead.
 //
 // Routing:
 //   - warm-instance affinity: a rendezvous hash over the live eligible
@@ -294,7 +294,7 @@ func NewBoss(cfg BossConfig) (*Boss, error) {
 			}
 		})
 	}
-	sh.Run(1) // boot to quiescence, single worker: nothing to parallelize yet
+	sh.Run() // boot to quiescence
 	for i, n := range b.nodes {
 		if bootErrs[i] != nil {
 			return nil, fmt.Errorf("cluster: machine %d boot: %w", i, bootErrs[i])
@@ -322,11 +322,11 @@ func (b *Boss) QueuedPeak() int { return b.queuedPeak }
 // because it was saturated.
 func (b *Boss) Stolen() int { return b.stolen }
 
-// Run drives the whole cluster to quiescence on the given OS worker count
-// (0 = GOMAXPROCS) and returns the final virtual time. Results are
-// byte-identical at every worker count.
-func (b *Boss) Run(workers int) sim.Time {
-	return b.Sharded.Run(workers)
+// Run drives the whole cluster to quiescence and returns the final virtual
+// time. The argument is ignored: the windowed driver runs on the calling
+// goroutine. It remains so existing callers keep compiling.
+func (b *Boss) Run(int) sim.Time {
+	return b.Sharded.Run()
 }
 
 // Register records a function with the boss and pushes its kind-filtered

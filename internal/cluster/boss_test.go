@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -838,21 +837,20 @@ func TestBossDrainUnderLoad(t *testing.T) {
 	}
 }
 
-// TestBossDeterministicAcrossWorkers is the tentpole's core invariant: the
-// cluster soak fingerprint and the loadgen stats must be byte-identical at
-// every OS worker count.
-func TestBossDeterministicAcrossWorkers(t *testing.T) {
+// TestBossSoakRepeatable pins run-to-run determinism of the cluster: the
+// soak fingerprint and the loadgen stats must be byte-identical on every
+// run, so no host state (map order, addresses) leaks into routing.
+func TestBossSoakRepeatable(t *testing.T) {
 	cfg := DefaultSoakConfig(3)
 	cfg.RatePerSec = 120
 	cfg.Duration = 1 * time.Second
 	cfg.Capacity = 8
 
-	counts := []int{0, 1, 2, 4, runtime.NumCPU()}
 	var want string
-	for _, w := range counts {
-		res, err := Soak(cfg, w)
+	for run := 0; run < 3; run++ {
+		res, err := Soak(cfg)
 		if err != nil {
-			t.Fatalf("Soak(workers=%d): %v", w, err)
+			t.Fatalf("Soak run %d: %v", run, err)
 		}
 		fp := res.Fingerprint()
 		if want == "" {
@@ -866,7 +864,7 @@ func TestBossDeterministicAcrossWorkers(t *testing.T) {
 			continue
 		}
 		if fp != want {
-			t.Fatalf("workers=%d fingerprint diverged:\n  got  %s\n  want %s", w, fp, want)
+			t.Fatalf("run %d fingerprint diverged:\n  got  %s\n  want %s", run, fp, want)
 		}
 	}
 }

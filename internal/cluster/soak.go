@@ -56,8 +56,7 @@ func DefaultSoakConfig(machines int) SoakConfig {
 }
 
 // SoakResult is one soak run's outcome. Everything here is virtual-time
-// state: two runs with the same SoakConfig produce identical results at
-// any OS worker count.
+// state: two runs with the same SoakConfig produce identical results.
 type SoakResult struct {
 	Stats      *loadgen.Stats
 	FinalTime  sim.Time
@@ -70,8 +69,8 @@ type SoakResult struct {
 // Fingerprint folds the run into one canonical string: the loadgen stats
 // fingerprint plus the boss's routing counters, per-machine service
 // counts, total scheduled events, and the final virtual clock. This is
-// the byte-identity witness the determinism tests and the bench sweep
-// compare across shard worker counts.
+// the byte-identity witness the determinism tests and the BENCH_cluster.json
+// snapshot compare.
 func (r *SoakResult) Fingerprint() string {
 	return fmt.Sprintf("%s | served=%v stolen=%d qpeak=%d events=%d now=%d",
 		r.Stats.Fingerprint(), r.Served, r.Stolen, r.QueuedPeak, r.Events, r.FinalTime)
@@ -79,8 +78,8 @@ func (r *SoakResult) Fingerprint() string {
 
 // Soak builds a Boss per the config, drives the loadgen stream through it
 // from a client process on the boss domain, and runs the cluster to
-// quiescence on the given OS worker count (0 = GOMAXPROCS).
-func Soak(cfg SoakConfig, workers int) (*SoakResult, error) {
+// quiescence.
+func Soak(cfg SoakConfig) (*SoakResult, error) {
 	b, err := NewBoss(BossConfig{
 		Machines: cfg.Machines,
 		HW:       cfg.HW,
@@ -125,7 +124,7 @@ func Soak(cfg SoakConfig, workers int) (*SoakResult, error) {
 			ChainFraction: cfg.ChainFraction,
 		})
 	})
-	final := b.Run(workers)
+	final := b.Sharded.Run()
 	if runErr != nil {
 		return nil, runErr
 	}

@@ -23,9 +23,8 @@ import (
 
 // ClusterServer is the REST facade over one simulated cluster.
 type ClusterServer struct {
-	mu      sync.Mutex
-	boss    *cluster.Boss
-	workers int // kernel workers per drive (0 = GOMAXPROCS)
+	mu   sync.Mutex
+	boss *cluster.Boss
 }
 
 // NewClusterServer builds a boss fronting `machines` simulated machines,
@@ -38,10 +37,6 @@ func NewClusterServer(machines int, cfg hw.Config, opts molecule.Options) (*Clus
 	return &ClusterServer{boss: b}, nil
 }
 
-// SetWorkers pins the kernel worker count used to drive requests (0 =
-// GOMAXPROCS). Results are byte-identical at every setting.
-func (s *ClusterServer) SetWorkers(n int) { s.workers = n }
-
 // Boss exposes the underlying cluster for tests and embedding callers.
 func (s *ClusterServer) Boss() *cluster.Boss { return s.boss }
 
@@ -51,7 +46,7 @@ func (s *ClusterServer) drive(body func(p *sim.Proc)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.boss.Env.Spawn("http-client", func(p *sim.Proc) { body(p) })
-	s.boss.Run(s.workers)
+	s.boss.Sharded.Run()
 }
 
 // Handler returns the HTTP routes.

@@ -65,7 +65,7 @@ func TestInterconnectSendDelivery(t *testing.T) {
 			arrival = sh.Domain(1).Now()
 		})
 	})
-	sh.Run(2)
+	sh.Run()
 
 	want := sent + sim.Time(link.TransferTime(payload))
 	if arrival != want {

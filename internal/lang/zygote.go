@@ -17,7 +17,7 @@
 // and virtual-time driven: candidate scoring, tie-breaking, insertion and
 // pruning order are all derived from canonical sorted forms and a splitmix64
 // stream, never from Go map iteration or wall-clock time, so the fitted
-// shape is byte-identical at every kernel worker count.
+// shape is byte-identical on both kernels and on every run.
 //
 // Zygote templates park merged (single-threaded, forkable) like SOCK's
 // zygote processes: the merge cost is paid once when the node boots, and
@@ -502,7 +502,7 @@ func (t *ZygoteTree) TemplatePSSPages() float64 {
 }
 
 // ShapeString renders the live tree canonically — the fingerprint the
-// determinism suite compares across kernel worker counts.
+// determinism suite compares between the classic and windowed kernels.
 func (t *ZygoteTree) ShapeString() string {
 	var b strings.Builder
 	var walk func(n *ZygoteNode, depth int)

@@ -14,11 +14,12 @@ import (
 
 // CrossDomain checks the closures that cross kernel-domain boundaries: the
 // callbacks handed to hw.Interconnect.Send/SendAfter and sim.Sharded.Send.
-// Those closures run on the destination domain at a conservative barrier
-// while the sending domain keeps executing in parallel, so any state they
-// share with the sender is exactly the data race that makes the worker
-// count observable and breaks the byte-identical-at-every-shard-count
-// guarantee.
+// Those closures run on the destination domain after a conservative
+// barrier, by which time the sending domain may have run on to the end of
+// its window. State they share with the sender is therefore read and
+// written in an order that depends on how machines are partitioned into
+// domains: the shard count becomes observable, which breaks the
+// byte-identical-at-every-shard-count guarantee.
 //
 // A captured variable is accepted when it is provably harmless:
 //

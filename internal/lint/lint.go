@@ -27,7 +27,7 @@
 //   - crossdomain: closures crossing kernel-domain boundaries
 //     (hw.Interconnect.Send/SendAfter, sim.Sharded.Send) must capture only
 //     value copies and destination-owned state — shared mutable captures
-//     are exactly what makes the worker count observable
+//     are exactly what makes the shard count observable
 //     (//lint:owned <reason> waives a protocol the analyzer cannot see).
 //   - releasepath: resources acquired through the pairings in ReleaseTable
 //     (molecule acquire/release, mem.AddressSpace Fork/Release, lang zygote

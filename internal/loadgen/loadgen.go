@@ -7,7 +7,7 @@
 // in virtual time, and every request records its outcome into a
 // per-arrival slot that is folded into Stats only after the last request
 // completes, so two runs with the same configuration produce identical
-// results at any shard worker count.
+// results at any shard count.
 package loadgen
 
 import (
@@ -69,7 +69,7 @@ func (s *Stats) ColdRate() float64 {
 }
 
 // Fingerprint renders the run's outcome as a canonical string — the
-// byte-identity witness compared across shard worker counts.
+// byte-identity witness compared across runs.
 func (s *Stats) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "req=%d cold=%d err=%d chains=%d", s.Requests, s.ColdStarts, s.Errors, s.Chains)

@@ -31,7 +31,7 @@
 //
 // Determinism: the sweep is a pure function of the span snapshot, iterates
 // slices in recorded order, and keeps stage totals in fixed arrays — output
-// is byte-identical across runs and shard worker counts.
+// is byte-identical across runs and kernels.
 package attrib
 
 import (

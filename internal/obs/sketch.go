@@ -22,7 +22,7 @@ const (
 //
 //   - Deterministic: bucket placement is a pure function of the value, so
 //     the same multiset of observations yields identical state regardless
-//     of arrival order, worker count, or shard partitioning — quantiles
+//     of arrival order or shard partitioning — quantiles
 //     can be byte-compared across runs.
 //   - Mergeable: Merge is element-wise addition, and
 //     merge(sketch(A), sketch(B)) == sketch(A ∪ B) exactly. Per-shard or

@@ -52,7 +52,7 @@ func TestSketchGeometry(t *testing.T) {
 
 // TestSketchOrderInvariant: the same multiset of observations yields
 // identical sketch state regardless of arrival order — the property that
-// makes quantiles byte-comparable across shard worker counts.
+// makes quantiles byte-comparable across shard counts.
 func TestSketchOrderInvariant(t *testing.T) {
 	var fwd, rev Sketch
 	for i := 1; i <= 1000; i++ {

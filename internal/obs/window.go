@@ -21,8 +21,8 @@ import (
 // barrier. A high stall ratio means the lookahead is too small for the
 // workload's event density — windows are opening faster than domains have
 // work — which is exactly the question to answer before scaling a topology
-// out. Everything here is virtual-time-deterministic: identical bytes at
-// every worker count (a wall-clock stall measure would not be).
+// out. Everything here is virtual-time-deterministic: identical bytes on
+// every run (a wall-clock stall measure would not be).
 //
 // The zero value is ready to use; sizes are taken from the first round.
 // A nil *WindowTelemetry is safe to pass to Sharded.SetWindowObserver

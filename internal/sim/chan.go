@@ -17,7 +17,8 @@ type Chan[T any] struct {
 	// sendq and recvq hold the parked senders and receivers, oldest first.
 	// Dequeuing shifts the rest down, so each backing array is reused for
 	// the channel's lifetime and parking allocates nothing once it has
-	// grown.
+	// grown. A parked process that exits or is interrupted stays queued
+	// until it reaches the head, where liveRecv/liveSend drop it.
 	sendq []sendWaiter[T]
 	recvq []*Proc
 	// free is the pool of hand-off slots, linked through their next
@@ -52,6 +53,28 @@ func (c *Chan[T]) handoff(v T, ok bool) {
 	}
 	r.val, r.ok = v, ok
 	c.env.scheduleResume(c.env.now, c.popRecv(), resumeMsg{val: r})
+}
+
+// canHandOff reports whether p can still complete a hand-off: it has not
+// exited and no Interrupt is on its way to it.
+func (p *Proc) canHandOff() bool { return !p.exited && !p.interrupting }
+
+// liveRecv drops the parked receivers at the head of recvq that cannot
+// complete a hand-off and reports whether a receiver remains.
+func (c *Chan[T]) liveRecv() bool {
+	for len(c.recvq) > 0 && !c.recvq[0].canHandOff() {
+		c.popRecv()
+	}
+	return len(c.recvq) > 0
+}
+
+// liveSend is liveRecv for parked senders. A dropped sender's value was
+// never accepted, so it is dropped with it.
+func (c *Chan[T]) liveSend() bool {
+	for len(c.sendq) > 0 && !c.sendq[0].p.canHandOff() {
+		c.popSend()
+	}
+	return len(c.sendq) > 0
 }
 
 // closedSend is the resume payload delivered to a parked sender when the
@@ -117,7 +140,7 @@ func (c *Chan[T]) Close() {
 	}
 	c.closed = true
 	var zero T
-	for len(c.recvq) > 0 {
+	for c.liveRecv() {
 		c.handoff(zero, false)
 	}
 	for _, w := range c.sendq {
@@ -129,10 +152,10 @@ func (c *Chan[T]) Close() {
 
 // Reset empties the channel and reopens it with the given capacity, keeping
 // its ring storage, so a pooled channel can serve a new owner. Only an idle
-// channel may be reset: a parked process is a bug in the caller, and Reset
-// panics on it.
+// channel may be reset: a live parked process is a bug in the caller, and
+// Reset panics on it.
 func (c *Chan[T]) Reset(capacity int) {
-	if len(c.sendq) > 0 || len(c.recvq) > 0 {
+	if c.liveSend() || c.liveRecv() {
 		panic("sim: Reset of a channel with parked processes")
 	}
 	clear(c.buf)
@@ -165,7 +188,7 @@ func (c *Chan[T]) send(p *Proc, v T) bool {
 		return false
 	}
 	// A waiting receiver takes the value directly.
-	if len(c.recvq) > 0 {
+	if c.liveRecv() {
 		c.handoff(v, true)
 		return true
 	}
@@ -190,7 +213,7 @@ func (c *Chan[T]) TrySend(v T) bool {
 	if c.closed {
 		panic("sim: send on closed channel")
 	}
-	if len(c.recvq) > 0 {
+	if c.liveRecv() {
 		c.handoff(v, true)
 		return true
 	}
@@ -245,14 +268,14 @@ func (c *Chan[T]) tryRecvLocked() (v T, ok, got bool) {
 	if c.count > 0 {
 		v = c.pop()
 		// Promote a blocked sender's value into the freed slot.
-		if len(c.sendq) > 0 {
+		if c.liveSend() {
 			w := c.popSend()
 			c.push(w.val)
 			c.env.scheduleResume(c.env.now, w.p, resumeMsg{})
 		}
 		return v, true, true
 	}
-	if len(c.sendq) > 0 { // unbuffered rendezvous
+	if c.liveSend() { // unbuffered rendezvous
 		w := c.popSend()
 		c.env.scheduleResume(c.env.now, w.p, resumeMsg{})
 		return w.val, true, true

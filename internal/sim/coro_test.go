@@ -1,7 +1,7 @@
 package sim
 
 // Tests for processes on runtime coroutines: faults in a body reach the
-// caller of Run at every worker count, pooled coroutines and exited
+// caller of Run, on both Env.Run and Sharded.Run, pooled coroutines and exited
 // processes retain nothing they should not, and steady-state Spawn and
 // contended Sleep stay allocation-free apart from the Proc itself.
 
@@ -15,12 +15,9 @@ import (
 
 // faultingGroup returns a two-domain group whose "ok" processes sleep
 // through several windows and whose domain-d process named "bad<d>" calls
-// fault after 5µs, for each d in bad. Its rounds are far below splitMin, so
-// every round goes to the workers (forceSplit): a multi-worker Run then
-// meets the fault on a worker goroutine.
+// fault after 5µs, for each d in bad.
 func faultingGroup(fault func(), bad ...int) *Sharded {
 	sh := NewSharded(2)
-	forceSplit(sh)
 	sh.LimitLookahead(time.Microsecond)
 	for d := 0; d < 2; d++ {
 		sh.Domain(d).Spawn(fmt.Sprintf("ok%d", d), func(p *Proc) {
@@ -61,17 +58,15 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 		t.Errorf("panic value lacks the body's stack:\n%s", got)
 	}
 
-	for _, workers := range []int{1, 2} {
-		// Both domains fault in the same window; every worker count must
-		// re-raise domain 0's, as the sequential driver meets it first.
-		sh := faultingGroup(boom, 1, 0)
-		got := fmt.Sprint(recoverRun(func() { sh.Run(workers) }))
-		if !strings.HasPrefix(got, `sim: process "bad0" panicked: boom`) {
-			t.Errorf("workers=%d: Sharded.Run panic = %q, want bad0's", workers, got)
-		}
-		if n := len(sh.Domain(0).idle) + len(sh.Domain(1).idle); n != 0 {
-			t.Errorf("workers=%d: %d idle coroutines left after the panic", workers, n)
-		}
+	// Both domains fault in the same window; the driver runs domain 0's
+	// window first, so domain 0's fault is the one raised.
+	sh := faultingGroup(boom, 1, 0)
+	got = fmt.Sprint(recoverRun(func() { sh.Run() }))
+	if !strings.HasPrefix(got, `sim: process "bad0" panicked: boom`) {
+		t.Errorf("Sharded.Run panic = %q, want bad0's", got)
+	}
+	if n := len(sh.Domain(0).idle) + len(sh.Domain(1).idle); n != 0 {
+		t.Errorf("%d idle coroutines left after the panic", n)
 	}
 }
 
@@ -85,8 +80,7 @@ func TestProcGoexitReachesRunCaller(t *testing.T) {
 			env.Spawn("bad", func(p *Proc) { runtime.Goexit() })
 			env.Run()
 		},
-		func() { faultingGroup(runtime.Goexit, 1).Run(1) },
-		func() { faultingGroup(runtime.Goexit, 1).Run(2) },
+		func() { faultingGroup(runtime.Goexit, 1).Run() },
 	}
 	for i, run := range runs {
 		returned := make(chan bool)
@@ -97,7 +91,7 @@ func TestProcGoexitReachesRunCaller(t *testing.T) {
 			ok = true
 		}()
 		if <-returned {
-			t.Errorf("run %d (Env.Run, Sharded.Run at 1 and 2 workers): Run returned normally after a body called runtime.Goexit", i)
+			t.Errorf("run %d (Env.Run, Sharded.Run): Run returned normally after a body called runtime.Goexit", i)
 		}
 	}
 }
@@ -186,7 +180,7 @@ func churn(t *testing.T, freed chan<- string, name string, run func(*Env)) {
 	}
 }
 
-// churnSharded is churn on both domains of a group driven by 2 workers.
+// churnSharded is churn on both domains of a two-domain group.
 func churnSharded(t *testing.T, freed chan<- string) {
 	sh := NewSharded(2)
 	sh.LimitLookahead(time.Microsecond)
@@ -205,7 +199,7 @@ func churnSharded(t *testing.T, freed chan<- string) {
 		p.Sleep(20 * time.Microsecond)
 		p.Env().Stop()
 	})
-	sh.Run(2)
+	sh.Run()
 }
 
 // TestFinishedEnvIsCollected checks that an Env whose processes ran on

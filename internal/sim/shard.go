@@ -2,18 +2,15 @@ package sim
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Sharded partitions a simulation into domains — one Env per simulated
 // machine (or other isolation unit) — and drives them with conservative
-// (Chandy–Misra–Bryant-style) synchronization so independent domains execute
-// on real OS threads in parallel while the observable execution stays
-// byte-identical at every worker count.
+// (Chandy–Misra–Bryant-style) synchronization. Each domain keeps its own
+// small event heap, which is where sharding's speedup comes from; the driver
+// runs every domain on the goroutine that called Run.
 //
 // # Model
 //
@@ -33,35 +30,33 @@ import (
 // where L is the lookahead. Every event inside the window is causally
 // independent of every event in any other domain's window: a cross-domain
 // message generated at time t >= h arrives at t+L >= h+L, strictly after the
-// window closes. Domains therefore execute their windows concurrently with
-// no locks on the hot path. At the barrier between rounds, pending
-// cross-domain messages are merged in deterministic (arrival time, source
-// domain, source sequence) order and enqueued on their destination heaps
-// before any event at or beyond the old bound fires.
+// window closes. Each domain therefore runs its whole window before the next
+// domain starts, without looking at the others. At the barrier between
+// rounds, pending cross-domain messages are merged in deterministic (arrival
+// time, source domain, source sequence) order and enqueued on their
+// destination heaps before any event at or beyond the old bound fires.
 //
 // # Determinism
 //
 // Within a domain, events fire in (time, sequence) order exactly as in a
 // standalone Env. Across domains, the only interaction points are the
-// barriers, whose delivery order is a pure function of virtual time — never
-// of wall-clock interleaving — so a run with 1 worker and a run with N
-// workers execute the same events in the same per-domain order and produce
-// identical traces, clocks, and counters. A group with a single domain and
-// no lookahead short-circuits to Env.Run, the classic single-heap loop —
-// bit-for-bit the pre-sharding kernel.
+// barriers, whose delivery order is a pure function of virtual time. A
+// workload whose domains never act at the same instant therefore runs the
+// same events in the same order at every domain count (the shard-count
+// invariance tests pin this). A group with a single domain and no lookahead
+// short-circuits to Env.Run, the classic single-heap loop — bit-for-bit the
+// pre-sharding kernel.
 //
 // If no lookahead is configured (Lookahead() == 0), a multi-domain group
 // falls back to a sequential deterministic merge: one event at a time,
 // globally ordered by (time, domain), with the Sleep fast path disabled so a
-// zero-delay cross-domain message can never be overtaken. This mode is
-// always safe, never parallel.
+// zero-delay cross-domain message can never be overtaken.
 type Sharded struct {
 	doms      []*Env
 	lookahead Duration
-	outbox    [][]crossMsg // per source domain; owned by that domain's thread
+	outbox    [][]crossMsg // per source domain, drained at each barrier
 	merge     []crossMsg   // barrier scratch buffer, reused between rounds
 	winEvents []int        // per-domain events fired in the current window
-	split     int          // events a round must fire for the next to go to workers; splitMin outside tests
 
 	// Window telemetry (SetWindowObserver). Nil/zero when detached; the
 	// windowed driver then pays one nil check per round.
@@ -89,7 +84,6 @@ func NewSharded(n int) *Sharded {
 		doms:      make([]*Env, n),
 		outbox:    make([][]crossMsg, n),
 		winEvents: make([]int, n),
-		split:     splitMin,
 	}
 	for i := range sh.doms {
 		e := NewEnv()
@@ -126,10 +120,10 @@ func (sh *Sharded) Lookahead() Duration { return sh.lookahead }
 // sending domain's current time plus delay. It must be called from within
 // domain `from` (one of its processes or scheduler callbacks). With a
 // configured lookahead, delay must be at least the lookahead — that bound is
-// what lets windows run in parallel — and violating it panics rather than
-// silently racing. Messages are held in a per-domain outbox and delivered at
-// the next barrier in deterministic (arrival time, source domain, source
-// sequence) order.
+// what keeps windows independent — and violating it panics rather than
+// silently reordering events. Messages are held in a per-domain outbox and
+// delivered at the next barrier in deterministic (arrival time, source
+// domain, source sequence) order.
 func (sh *Sharded) Send(from *Env, to int, delay Duration, fn func()) {
 	if from.group != sh {
 		panic("sim: Send from an Env outside this sharded group")
@@ -161,7 +155,7 @@ func (sh *Sharded) Send(from *Env, to int, delay Duration, fn func()) {
 // The key is not unique: srcSeq is the source's schedule counter, so every
 // Send made by one event shares it, and the unstable sort may reorder such
 // same-instant messages. The order is still a pure function of the outbox
-// contents — the same at every worker count — but it is not send order.
+// contents — the same on every run — but it is not send order.
 func (sh *Sharded) deliver() int {
 	msgs := sh.merge[:0]
 	for i := range sh.outbox {
@@ -220,12 +214,8 @@ func (sh *Sharded) anyStopped() bool {
 }
 
 // Run drives every domain until all heaps and outboxes drain (or a domain
-// calls Stop), using up to `workers` OS threads for the parallel windows
-// (workers <= 0 means GOMAXPROCS; the count is capped at the number of
-// domains). It returns the maximum final virtual time across domains.
-//
-// The execution mode depends only on the group's structure, never on the
-// worker count, so `workers` is purely a performance knob:
+// calls Stop) and returns the maximum final virtual time across domains.
+// The execution mode depends only on the group's structure:
 //
 //   - lookahead configured: the conservative windowed driver, at any domain
 //     count (a single-domain group still runs in windows, which exercises
@@ -233,29 +223,17 @@ func (sh *Sharded) anyStopped() bool {
 //   - no lookahead, one domain: exactly Env.Run, the classic loop;
 //   - no lookahead, several domains: the sequential deterministic merge.
 //
-// The execution — per-domain event order, traces, clocks, counters — is
-// identical for every workers value: parallelism changes wall-clock time
-// only. Even with several workers, a windowed round runs inline on the
-// calling goroutine unless the round before it fired at least splitMin
-// events: dispatching a small round to workers costs more than it saves.
-// Windows are mutually independent, so which goroutine runs a domain's
-// window cannot change what it does. A panic or runtime.Goexit in a process
-// body reaches the caller of Run at every workers value, as with Env.Run.
-func (sh *Sharded) Run(workers int) Time {
+// Every domain runs on the calling goroutine, so a panic or runtime.Goexit
+// in a process body reaches the caller of Run, as with Env.Run.
+func (sh *Sharded) Run() Time {
 	defer func() {
 		for _, d := range sh.doms {
 			d.stopIdle()
 		}
 	}()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(sh.doms) {
-		workers = len(sh.doms)
-	}
 	switch {
 	case sh.lookahead > 0:
-		sh.runWindows(workers)
+		sh.runWindows()
 	case len(sh.doms) == 1:
 		sh.doms[0].Run()
 		if len(sh.outbox[0]) > 0 {
@@ -274,20 +252,14 @@ func (sh *Sharded) Run(workers int) Time {
 }
 
 // runWindows is the conservative windowed driver: rounds of
-// deliver → horizon → windows, until quiescence. A round runs inline on the
-// calling goroutine, one domain after another, unless workers > 1 and the
-// previous round fired at least sh.split events; then runRound hands it to
-// the worker pool. Starting goroutines and waiting for them costs more than
-// a small round's events (EXPERIMENTS.md, BenchmarkShardedRound), and the
-// event count is deterministic, so a run always takes the same sequence of
-// inline and split rounds.
-func (sh *Sharded) runWindows(workers int) {
+// deliver → horizon → windows, until quiescence. A round runs each domain's
+// window in turn, in domain order.
+func (sh *Sharded) runWindows() {
 	for _, d := range sh.doms {
 		d.stopped = false
 		d.limit = 0
 	}
 	la := Time(sh.lookahead)
-	fired := 0 // events in the previous round
 	for {
 		delivered := sh.deliver()
 		h, ok := sh.horizon()
@@ -295,16 +267,8 @@ func (sh *Sharded) runWindows(workers int) {
 			return
 		}
 		bound := h + la
-		if workers > 1 && fired >= sh.split {
-			sh.runRound(bound, workers)
-		} else {
-			for i, d := range sh.doms {
-				sh.winEvents[i] = d.window(bound)
-			}
-		}
-		fired = 0
-		for _, n := range sh.winEvents {
-			fired += n
+		for i, d := range sh.doms {
+			sh.winEvents[i] = d.window(bound)
 		}
 		if sh.winObs != nil {
 			sh.winRound++
@@ -324,64 +288,6 @@ func (sh *Sharded) runWindows(workers int) {
 			return
 		}
 	}
-}
-
-// runRound executes one window on every domain using a pool of worker
-// goroutines. Domains are claimed from an atomic counter; since windows are
-// mutually independent, the claim order cannot influence the execution.
-// Each worker writes its domain's event count to a distinct index of
-// winEvents — no two workers share an element, so the writes are race-free
-// and the counts are identical to the inline path's.
-//
-// A domain whose window panics or calls runtime.Goexit ends its worker; once
-// every worker is done, the fault of the lowest such domain is re-raised on
-// the calling goroutine — the one a single worker would have raised first.
-func (sh *Sharded) runRound(bound Time, workers int) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var fault *domainFault
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			i := -1
-			returned := false
-			defer func() {
-				if returned {
-					return
-				}
-				f := &domainFault{dom: i, val: recover()}
-				mu.Lock()
-				if fault == nil || f.dom < fault.dom {
-					fault = f
-				}
-				mu.Unlock()
-			}()
-			for {
-				i = int(next.Add(1)) - 1
-				if i >= len(sh.doms) {
-					returned = true
-					return
-				}
-				sh.winEvents[i] = sh.doms[i].window(bound)
-			}
-		}()
-	}
-	wg.Wait()
-	if fault != nil {
-		if fault.val == nil {
-			runtime.Goexit()
-		}
-		panic(fault.val)
-	}
-}
-
-// domainFault is a panic (val) or runtime.Goexit (val == nil) that ended a
-// domain's window on a worker goroutine.
-type domainFault struct {
-	dom int
-	val any
 }
 
 // runMerge is the zero-lookahead fallback: a global deterministic merge that
@@ -480,7 +386,7 @@ func (sh *Sharded) EnableTrace() {
 // TraceLog returns the merged trace across domains: entries are ordered by
 // virtual time, with ties broken by domain index and, within a domain, by
 // emission order. The merge is a pure function of the per-domain logs, so it
-// is identical at every worker count. Workloads that need the merged log to
+// is identical on every run. Workloads that need the merged log to
 // also be identical across different domain partitions should keep
 // same-instant events on distinct domains disjoint in time (the sharded soak
 // stamps each machine a distinct time residue for exactly this reason).

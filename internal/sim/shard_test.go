@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -72,10 +71,10 @@ func renderTrace(evs []TraceEvent) string {
 }
 
 // runCoupledSharded runs the workload on a Sharded group with the given
-// domain and worker counts; machine m lives on domain m % domains. When
-// lookahead is false the group runs in the zero-lookahead sequential merge.
-// Each opt adjusts the group before its processes are spawned.
-func runCoupledSharded(domains, workers int, lookahead bool, opts ...func(*Sharded)) coupledRun {
+// domain count; machine m lives on domain m % domains. When lookahead is
+// false the group runs in the zero-lookahead sequential merge. Each opt
+// adjusts the group before its processes are spawned.
+func runCoupledSharded(domains int, lookahead bool, opts ...func(*Sharded)) coupledRun {
 	sh := NewSharded(domains)
 	if lookahead {
 		sh.LimitLookahead(cLA)
@@ -97,7 +96,7 @@ func runCoupledSharded(domains, workers int, lookahead bool, opts ...func(*Shard
 		}
 		dom.Spawn(fmt.Sprintf("machine-%d", m), coupledBody(&st, m, send))
 	}
-	sh.Run(workers)
+	sh.Run()
 	return coupledRun{
 		fp:    fingerprint(&st, sh.Scheduled()),
 		trace: renderTrace(sh.TraceLog()),
@@ -128,17 +127,10 @@ func runCoupledPlain() coupledRun {
 	}
 }
 
-// forceSplit makes every windowed round of sh go to the worker goroutines,
-// however few events the round before it fired. The coupled workload's
-// rounds stay below splitMin, so without it a multi-worker run would never
-// leave the Run goroutine.
-func forceSplit(sh *Sharded) { sh.split = 0 }
-
 // TestShardedMatchesSequential is the determinism contract of the sharded
 // kernel: the coupled workload must produce bit-identical fingerprints and
 // trace logs on the classic single-heap kernel and on every sharding —
-// any domain partition, any worker count, windowed or sequential-merge,
-// with small rounds inline or forced onto the workers.
+// any domain partition, windowed or sequential-merge.
 func TestShardedMatchesSequential(t *testing.T) {
 	ref := runCoupledPlain()
 	if ref.sched == 0 || len(ref.trace) == 0 {
@@ -147,40 +139,31 @@ func TestShardedMatchesSequential(t *testing.T) {
 	cases := []struct {
 		name      string
 		domains   int
-		workers   int
 		lookahead bool
 	}{
-		{"d1-w1-windowed", 1, 1, true},
-		{"d2-w1", 2, 1, true},
-		{"d2-w2", 2, 2, true},
-		{"d3-w4", 3, 4, true},
-		{"d6-w1", 6, 1, true},
-		{"d6-w4", 6, 4, true},
-		{"d6-wNumCPU", 6, runtime.NumCPU(), true},
-		{"d6-merge", 6, 1, false},
-		{"d4-merge", 4, 1, false},
-	}
-	check := func(name string, got coupledRun) {
-		if got.fp != ref.fp {
-			t.Errorf("%s: fingerprint diverged\n got: %s\nwant: %s", name, got.fp, ref.fp)
-		}
-		if got.trace != ref.trace {
-			t.Errorf("%s: trace log diverged (%d vs %d bytes)", name, len(got.trace), len(ref.trace))
-		}
+		{"d1-windowed", 1, true},
+		{"d2", 2, true},
+		{"d3", 3, true},
+		{"d6", 6, true},
+		{"d6-merge", 6, false},
+		{"d4-merge", 4, false},
 	}
 	for _, c := range cases {
-		check(c.name, runCoupledSharded(c.domains, c.workers, c.lookahead))
-		if c.lookahead && c.workers > 1 {
-			check(c.name+"-split", runCoupledSharded(c.domains, c.workers, c.lookahead, forceSplit))
+		got := runCoupledSharded(c.domains, c.lookahead)
+		if got.fp != ref.fp {
+			t.Errorf("%s: fingerprint diverged\n got: %s\nwant: %s", c.name, got.fp, ref.fp)
+		}
+		if got.trace != ref.trace {
+			t.Errorf("%s: trace log diverged (%d vs %d bytes)", c.name, len(got.trace), len(ref.trace))
 		}
 	}
 }
 
-// TestShardedRepeatable pins run-to-run determinism at a fixed configuration
-// (the wall-clock schedule of the worker pool must not leak into results).
+// TestShardedRepeatable pins run-to-run determinism at a fixed configuration:
+// no host state (map order, addresses) may leak into results.
 func TestShardedRepeatable(t *testing.T) {
-	a := runCoupledSharded(3, 4, true, forceSplit)
-	b := runCoupledSharded(3, 4, true, forceSplit)
+	a := runCoupledSharded(3, true)
+	b := runCoupledSharded(3, true)
 	if a.fp != b.fp || a.trace != b.trace {
 		t.Fatal("two identical sharded runs diverged")
 	}
@@ -210,7 +193,7 @@ func TestShardedSingleDomainIsClassicRun(t *testing.T) {
 	})
 	sharded := run(func() (*Env, func() Time) {
 		sh := NewSharded(1)
-		return sh.Domain(0), func() Time { return sh.Run(1) }
+		return sh.Domain(0), func() Time { return sh.Run() }
 	})
 	if plain != sharded {
 		t.Fatal("single-domain sharded run diverged from Env.Run")
@@ -241,7 +224,7 @@ func TestShardedWindowedSingleDomain(t *testing.T) {
 	env := sh.Domain(0)
 	env.EnableTrace()
 	stSh := build(env)
-	sh.Run(4)
+	sh.Run()
 
 	if fingerprint(stPlain, plainEnv.Scheduled()) != fingerprint(stSh, env.Scheduled()) {
 		t.Fatal("windowed single-domain run diverged from classic loop")
@@ -268,7 +251,7 @@ func TestSendBelowLookaheadPanics(t *testing.T) {
 		}()
 		sh.Send(p.Env(), 1, time.Microsecond, func() {})
 	})
-	sh.Run(1)
+	sh.Run()
 }
 
 // TestSendOutsideGroupPanics: an Env can only send within its own group.
@@ -293,7 +276,7 @@ func TestShardedBlockedProcs(t *testing.T) {
 	sh.Domain(0).Spawn("alpha-stuck", func(p *Proc) { chA.Recv(p) })
 	sh.Domain(0).Spawn("done", func(p *Proc) { p.Sleep(time.Microsecond) })
 	sh.LimitLookahead(time.Millisecond)
-	sh.Run(2)
+	sh.Run()
 	got := sh.BlockedProcs()
 	if len(got) != 2 || got[0] != "alpha-stuck" || got[1] != "zeta-stuck" {
 		t.Fatalf("BlockedProcs = %v, want [alpha-stuck zeta-stuck]", got)
@@ -319,7 +302,7 @@ func TestShardedStop(t *testing.T) {
 			after++
 		}
 	})
-	end := sh.Run(2)
+	end := sh.Run()
 	if end < Time(10*time.Millisecond) {
 		t.Fatalf("stopped too early: %v", end)
 	}
@@ -346,7 +329,7 @@ func TestShardedClockMonotone(t *testing.T) {
 			}
 		})
 	}
-	sh.Run(3)
+	sh.Run()
 	for d, c := range sh.Clocks() {
 		if c != last[d] {
 			t.Errorf("domain %d final clock %v != last observation %v", d, c, last[d])
@@ -354,48 +337,6 @@ func TestShardedClockMonotone(t *testing.T) {
 	}
 	if sh.Now() != last[2] {
 		t.Errorf("group Now %v != max domain clock %v", sh.Now(), last[2])
-	}
-}
-
-// onWorker reports whether its caller runs on one of runRound's worker
-// goroutines rather than on the goroutine that called Run.
-func onWorker() bool {
-	pc := make([]uintptr, 64)
-	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
-	for {
-		f, more := frames.Next()
-		if strings.Contains(f.Function, "(*Sharded).runRound") {
-			return true
-		}
-		if !more {
-			return false
-		}
-	}
-}
-
-// TestRoundSplitsAboveThreshold pins when a windowed round leaves the Run
-// goroutine: exactly when the round before it fired at least splitMin
-// events (the first round counts as following an empty one).
-func TestRoundSplitsAboveThreshold(t *testing.T) {
-	const la = time.Millisecond
-	sh := NewSharded(2)
-	sh.LimitLookahead(la)
-	var got []bool // one probe per round
-	probe := func() { got = append(got, onWorker()) }
-	// Round 1, [0, la): the probe plus fillers, splitMin events in all
-	// (just the probe if splitMin is 0).
-	sh.Domain(1).At(0, probe)
-	for i := 0; i < splitMin-1; i++ {
-		sh.Domain(i%2).At(Time(i+1), func() {})
-	}
-	// Round 2 opens at la and follows round 1; round 3 opens at 3·la and
-	// follows round 2's lone probe.
-	sh.Domain(0).At(Time(la), probe)
-	sh.Domain(1).At(Time(3*la), probe)
-	sh.Run(2)
-	want := []bool{splitMin == 0, true, splitMin <= 1}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("rounds on workers = %v, want %v (splitMin %d)", got, want, splitMin)
 	}
 }
 
@@ -431,48 +372,42 @@ func TestDeliverAllocs(t *testing.T) {
 }
 
 // BenchmarkShardedRound measures the host cost of one windowed round of D=5
-// domains that each fire K events of fixed host work, at workers=1 (inline)
-// and workers=2 (every round dispatched to runRound). ns/op is ns per round;
-// the K where workers=2 starts to win is the break-even behind splitMin.
+// domains that each fire K events of fixed host work. ns/op is ns per round,
+// so the barrier's share is what the per-round cost adds over K·D events.
 //
 //	go test ./internal/sim -run '^$' -bench ShardedRound -benchmem
 func BenchmarkShardedRound(b *testing.B) {
 	const domains = 5
 	for _, k := range []int{1, 8, 32, 64, 96, 128, 256, 512} {
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("K=%d/workers=%d", k, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				sh := NewSharded(domains)
-				forceSplit(sh)
-				// Events are 1 ns apart and a window is K ns wide, so every
-				// round fires exactly K events per domain.
-				sh.LimitLookahead(Duration(k))
-				lanes := make([]benchLane, domains)
-				for d := range lanes {
-					l, env := &lanes[d], sh.Domain(d)
-					l.left, l.x = b.N*k, uint64(d+1)
-					var tick func()
-					tick = func() {
-						l.x = spin(l.x)
-						if l.left--; l.left > 0 {
-							env.AfterFunc(1, tick)
-						}
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			sh := NewSharded(domains)
+			// Events are 1 ns apart and a window is K ns wide, so every
+			// round fires exactly K events per domain.
+			sh.LimitLookahead(Duration(k))
+			lanes := make([]benchLane, domains)
+			for d := range lanes {
+				l, env := &lanes[d], sh.Domain(d)
+				l.left, l.x = b.N*k, uint64(d+1)
+				var tick func()
+				tick = func() {
+					l.x = spin(l.x)
+					if l.left--; l.left > 0 {
+						env.AfterFunc(1, tick)
 					}
-					env.At(0, tick)
 				}
-				b.ResetTimer()
-				sh.Run(workers)
-			})
-		}
+				env.At(0, tick)
+			}
+			b.ResetTimer()
+			sh.Run()
+		})
 	}
 }
 
-// benchLane is one domain's state in BenchmarkShardedRound, padded to its
-// own cache line so two workers never share one.
+// benchLane is one domain's state in BenchmarkShardedRound.
 type benchLane struct {
 	left int
 	x    uint64
-	_    [48]byte
 }
 
 // spin is BenchmarkShardedRound's fixed per-event host work, about 100 ns.

@@ -178,7 +178,7 @@ func (e *Env) Domain() int { return e.domain }
 // Scheduled reports the total number of events the environment has sequenced
 // since creation, including wake-ups the Sleep fast path elides. It is a
 // deterministic measure of kernel work: for a well-formed sharded workload it
-// is identical at every shard and worker count, which makes it both the
+// is identical at every shard count, which makes it both the
 // events/sec numerator of the scaling benchmarks and a cheap determinism
 // fingerprint.
 func (e *Env) Scheduled() int64 { return e.seq }
@@ -259,6 +259,9 @@ type Proc struct {
 	co     *coro         // the coroutine running the body, from start to exit
 	inbox  resumeMsg     // the message of the resume in progress; park clears it
 	exited bool
+	// interrupting is set from Interrupt until the interrupt reaches the
+	// body; channels hand no value to, and take none from, such a process.
+	interrupting bool
 }
 
 // coro is a coroutine that runs process bodies one after another. While a
@@ -449,6 +452,7 @@ func (p *Proc) park() resumeMsg {
 	msg := p.inbox
 	p.inbox = resumeMsg{}
 	if msg.interrupted {
+		p.interrupting = false
 		panic(Interrupted{Proc: p.name})
 	}
 	return msg
@@ -489,11 +493,13 @@ func (p *Proc) Yield() { p.Sleep(0) }
 
 // Interrupt wakes a parked process by panicking Interrupted inside it. It is
 // the simulation analogue of killing a blocked process. Interrupting a
-// process that is not parked (or already exited) is a no-op.
+// process that is not parked (or already exited) is a no-op. From the call
+// on, no channel hands p a value or takes one from it.
 func (p *Proc) Interrupt() {
 	if p.exited {
 		return
 	}
+	p.interrupting = true
 	p.env.scheduleResume(p.env.now, p, resumeMsg{interrupted: true})
 }
 
@@ -594,7 +600,7 @@ func (e *Env) LiveProcs() int { return e.nprocs }
 // guarantee: spawn order is an implementation detail that differs between a
 // monolithic run and a domain-sharded run of the same workload (and between
 // shard counts), so diagnostics built on BlockedProcs compare equal at every
-// shard and worker count.
+// shard count.
 func (e *Env) BlockedProcs() []string {
 	var out []string
 	for _, p := range e.spawned {

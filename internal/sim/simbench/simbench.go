@@ -86,9 +86,7 @@ func ChanPingPong(b *testing.B) {
 // CrossShardSend measures one cross-domain message on a two-domain sharded
 // group: outbox append, the barrier's deterministic merge, and delivery into
 // the destination heap, amortized over the window the conservative driver
-// opens per round. A single worker drives both domains so the number
-// isolates kernel cost from OS-thread handoff noise; real-core dispatch is
-// covered by the sharded soak scaling curve (BENCH_sim.json).
+// opens per round.
 func CrossShardSend(b *testing.B) {
 	b.ReportAllocs()
 	sh := sim.NewSharded(2)
@@ -102,7 +100,7 @@ func CrossShardSend(b *testing.B) {
 		}
 	})
 	b.ResetTimer()
-	sh.Run(1)
+	sh.Run()
 	if received != b.N {
 		b.Fatalf("lost cross-shard messages: %d of %d delivered", received, b.N)
 	}

@@ -4,13 +4,12 @@ package sim
 // driver: the window's position, how many events each domain fired inside
 // it, and the cross-domain message flow delivered at its opening barrier.
 //
-// Every field is a pure function of virtual time — never of wall-clock
-// interleaving or worker count — so a consumer accumulating WindowStats
-// sees byte-identical telemetry at any parallelism level. That is the same
-// determinism contract as the simulation itself, and it is what makes the
-// telemetry usable for answering "is lookahead L the bottleneck" before
-// scaling out: a domain that fires zero events in a round stalled at the
-// barrier waiting for other domains' windows.
+// Every field is a pure function of virtual time, so a consumer
+// accumulating WindowStats sees byte-identical telemetry on every run. That
+// is the same determinism contract as the simulation itself, and it is what
+// makes the telemetry usable for answering "is lookahead L the bottleneck"
+// before scaling out: a domain that fires zero events in a round stalled at
+// the barrier waiting for other domains' windows.
 type WindowStats struct {
 	// Round counts windows executed, starting at 1.
 	Round int64
@@ -38,8 +37,8 @@ type WindowStats struct {
 // interface, keeping the layering DAG intact — the kernel never imports
 // its observers, observers import the kernel.
 //
-// WindowRound is called between rounds on the driver thread, never
-// concurrently. It must not touch the group's Envs.
+// WindowRound is called between rounds, on the goroutine that called Run.
+// It must not touch the group's Envs.
 type WindowObserver interface {
 	WindowRound(WindowStats)
 }

@@ -17,16 +17,14 @@ import (
 )
 
 // TestBenchClusterSnapshot reruns the cluster scaling sweep at 1/2/4
-// machines and checks every field of BENCH_cluster.json's result. It skips
-// wall_ms and worker_counts_checked: this run is timed once, at one kernel
-// worker, while `molecule-bench -scenario cluster` cross-checks each point
-// at several.
+// machines and checks every field of BENCH_cluster.json's result but
+// wall_ms.
 func TestBenchClusterSnapshot(t *testing.T) {
-	sweep, err := bench.ClusterSoakSweep([]int{1, 2, 4}, []int{1})
+	sweep, err := bench.ClusterSoakSweep([]int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareSnapshot(t, "BENCH_cluster.json", sweep, "wall_ms", "worker_counts_checked")
+	compareSnapshot(t, "BENCH_cluster.json", sweep, "wall_ms")
 }
 
 // TestBenchSimSnapshot reruns the sharded-kernel soak sweep and checks
@@ -34,7 +32,7 @@ func TestBenchClusterSnapshot(t *testing.T) {
 // skips the wall fields and reps: this run times each point once, while
 // `molecule-bench -scenario soak` takes the median of several.
 func TestBenchSimSnapshot(t *testing.T) {
-	sweep, err := bench.ShardSoakSweep(4, 50000, 1, [][2]int{{1, 1}, {2, 1}, {2, 2}, {4, 1}, {4, 2}, {4, 4}})
+	sweep, err := bench.ShardSoakSweep(4, 50000, 1, []int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,15 +42,13 @@ func TestBenchSimSnapshot(t *testing.T) {
 
 // TestBenchColdStartSnapshot reruns both cold-start arms and checks every
 // field of BENCH_coldstart.json's result: startup latencies, PSS, zygote
-// tree shape and fingerprints. It skips wall_ms and worker_counts_checked:
-// this run uses the sequential kernel only, while `molecule-bench -scenario
-// coldstart` cross-checks each arm at several worker counts.
+// tree shape and fingerprints. It skips only wall_ms.
 func TestBenchColdStartSnapshot(t *testing.T) {
-	res, err := bench.ColdStartSweep(0, []int{0})
+	res, err := bench.ColdStartSweep(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareSnapshot(t, "BENCH_coldstart.json", res, "wall_ms", "worker_counts_checked")
+	compareSnapshot(t, "BENCH_coldstart.json", res, "wall_ms")
 }
 
 // TestBenchNIPCSnapshot reruns the batched-nIPC sweep and checks every
