@@ -65,14 +65,16 @@ bench:
 # Fast-path microbenchmarks: the sim kernel (including one sharded round,
 # swept over its size), the nIPC FIFO write path
 # (ns/op and allocs/op), a warm Molecule invocation end to end, a warm
-# cross-PU chain (wiring built and released every call), and a warm
-# invocation and chain through a one-machine cluster Boss.
+# cross-PU chain (wiring built and released every call), a warm
+# invocation and chain through a one-machine cluster Boss, and the loadgen
+# open-loop stream's own cost (allocs/req).
 microbench:
 	$(GO) test ./internal/sim -bench 'Kernel|ChanPingPong|ShardedRound' -benchmem -run xxx
 	$(GO) test ./internal/mem -bench 'ForkFanout' -benchmem -run xxx
 	$(GO) test ./internal/xpu -bench 'FIFOWrite' -benchmem -run xxx
 	$(GO) test ./internal/molecule -bench 'InvokeWarm|InvokeChainCrossPU' -benchmem -run xxx
 	$(GO) test ./internal/cluster -bench 'BossInvoke' -benchmem -run xxx
+	$(GO) test ./internal/loadgen -bench 'DriveOpenLoop' -benchmem -run xxx
 
 # One iteration of every microbenchmark — a CI smoke test that the bench
 # rigs still build and run, without paying for stable numbers. The soak
@@ -83,6 +85,7 @@ bench-smoke:
 	$(GO) test ./internal/xpu -bench 'FIFOWrite' -benchtime 1x -run xxx
 	$(GO) test ./internal/molecule -bench 'InvokeWarm|InvokeChainCrossPU' -benchtime 1x -run xxx
 	$(GO) test ./internal/cluster -bench 'BossInvoke' -benchtime 1x -run xxx
+	$(GO) test ./internal/loadgen -bench 'DriveOpenLoop' -benchtime 1x -run xxx
 	$(GO) run ./cmd/molecule-bench -scenario soak
 
 # Regenerate every BENCH_*.json snapshot, each in the one envelope
@@ -102,10 +105,11 @@ coldstart-race:
 	$(GO) test -race -count=1 -run 'Zygote|ColdStart|Release|ForkFanout' ./internal/lang/ ./internal/molecule/ ./internal/mem/ ./internal/bench/
 	$(GO) run ./cmd/molecule-bench -scenario coldstart
 
-# The cluster control plane under the race detector plus the scaling-sweep
-# smoke (tables to stdout, no snapshot rewrite).
+# The cluster control plane and the loadgen stream that drives it under the
+# race detector, plus the scaling-sweep smoke (tables to stdout, no snapshot
+# rewrite).
 cluster-race:
-	$(GO) test -race -count=1 ./internal/cluster/ ./internal/httpd/
+	$(GO) test -race -count=1 ./internal/cluster/ ./internal/httpd/ ./internal/loadgen/
 	$(GO) run ./cmd/molecule-bench -scenario cluster
 
 # Regenerate every paper table/figure (plus ablations) to stdout.

@@ -199,8 +199,11 @@ type chainSeg struct {
 
 // request is one unit of routed work, run as a plan of segments; a single
 // function is the one-segment plan [{node, [fn]}]. It travels with its
-// interconnect messages, so one domain at a time touches it.
+// interconnect messages, so one domain at a time touches it. Requests are
+// recycled through the Boss's free list: the reply channel and the three
+// callbacks are made once per request object, not once per call.
 type request struct {
+	boss  *Boss
 	names []string               // functions in call order
 	chain bool                   // InvokeChain: the reply carries a ChainResult
 	opts  molecule.InvokeOptions // a chain reads only Arg
@@ -214,11 +217,31 @@ type request struct {
 	requeues int // capacity-requeue budget (see maxRequeues)
 	done     *sim.Chan[reply]
 
+	// Hop state: the plan index of the segment in flight, and once the last
+	// segment (or the first error) finishes, the replying machine and its
+	// error. The message carrying the request owns these fields.
+	hop     int
+	replyer *Node
+	err     error
+
+	// Callbacks bound once per request object, so a request's hops
+	// allocate no closures.
+	execMsg  func()          // delivered on segment hop's machine: start it
+	body     func(*sim.Proc) // the segment process's body
+	replyMsg func()          // delivered on the boss: complete the request
+
 	// Backing arrays of a single function's names and plan, so routing it
 	// allocates nothing beyond the request.
 	one [1]string
 	seg [1]chainSeg
 }
+
+// maxFreeRequests caps the Boss's request free list. Open-loop traffic
+// starts most requests with far fewer in flight than it reaches in a
+// burst (EXPERIMENTS.md: cluster-steady starts 97% of its requests with
+// fewer than 128 in flight and peaks at 612). Requests released beyond
+// the cap are left for the GC rather than held for the rest of the run.
+const maxFreeRequests = 128
 
 // maxRequeues bounds how often one request may bounce dispatch → machine
 // ErrNoCapacity → central queue. Machine-level eviction makes capacity
@@ -243,6 +266,8 @@ type Boss struct {
 	queue      []*request // central FIFO: every eligible machine saturated
 	queuedPeak int
 	stolen     int
+
+	free []*request // released requests for reuse; domain 0 only
 }
 
 // NewBoss builds a cluster of cfg.Machines worker machines, boots every
@@ -582,8 +607,11 @@ func (b *Boss) Invoke(p *sim.Proc, funcName string, opts molecule.InvokeOptions)
 }
 
 // InvokeDetailed is Invoke plus the worker index that served the request.
+//
+//molecule:hotpath
 func (b *Boss) InvokeDetailed(p *sim.Proc, funcName string, opts molecule.InvokeOptions) (molecule.Result, int, error) {
-	req := &request{opts: opts, one: [1]string{funcName}}
+	req := b.newRequest()
+	req.opts, req.one[0] = opts, funcName
 	req.names = req.one[:]
 	rep := b.call(p, req)
 	return rep.res, rep.machine, rep.err
@@ -600,19 +628,56 @@ func (b *Boss) InvokeChain(p *sim.Proc, names []string, opts molecule.ChainOptio
 	if opts.Placement != nil {
 		return molecule.ChainResult{}, fmt.Errorf("cluster: chain placement is chosen by the boss; ChainOptions.Placement must be nil")
 	}
-	rep := b.call(p, &request{names: names, chain: true, opts: molecule.InvokeOptions{Arg: opts.Arg}})
+	req := b.newRequest()
+	req.names, req.chain, req.opts = names, true, molecule.InvokeOptions{Arg: opts.Arg}
+	rep := b.call(p, req)
 	return rep.cres, rep.err
 }
 
+// newRequest takes a request from the free list, or makes one with its
+// reply channel and callbacks bound. Boss domain only.
+func (b *Boss) newRequest() *request {
+	if n := len(b.free); n > 0 {
+		req := b.free[n-1]
+		b.free[n-1] = nil
+		b.free = b.free[:n-1]
+		return req
+	}
+	req := &request{boss: b, done: sim.NewChan[reply](b.Env, 1)}
+	req.execMsg, req.body, req.replyMsg = req.startSegment, req.runSegment, req.completeOnBoss
+	return req
+}
+
+// release clears a finished request and returns it to the free list. Only
+// call sees a request finish, so nothing else may hold it: the reply it
+// carried has been received, and a request that failed over or requeued is
+// still in flight and never reaches here. The result fields are zeroed, not
+// truncated, so the next request cannot alias a returned chain's
+// EdgeLatency.
+func (b *Boss) release(req *request) {
+	req.done.Reset(1)
+	*req = request{boss: b, done: req.done, execMsg: req.execMsg, body: req.body, replyMsg: req.replyMsg}
+	if len(b.free) < maxFreeRequests {
+		b.free = append(b.free, req)
+	}
+}
+
 // call carries a request from a client process on the boss domain through
-// the cluster and back, paying the network hop each way.
+// the cluster and back, paying the network hop each way, and releases it.
+//
+//molecule:hotpath
 func (b *Boss) call(p *sim.Proc, req *request) reply {
 	ingress(p) // client → boss network hop
-	req.done = sim.NewChan[reply](b.Env, 1)
 	if err := b.submit(req); err != nil {
+		b.release(req)
 		return reply{machine: -1, err: err}
 	}
-	rep, _ := req.done.Recv(p)
+	rep, ok := req.done.Recv(p)
+	if ok {
+		// A request whose reply was never received may still be owned
+		// by a segment in flight; it is left to the GC.
+		b.release(req)
+	}
 	ingress(p) // boss → client
 	return rep
 }
@@ -669,8 +734,10 @@ func (b *Boss) enqueue(req *request) {
 // over the interconnect, and only the last segment (or the first error)
 // replies to the boss. stolen marks a request routed away from its
 // saturated home.
+//
+//molecule:hotpath
 func (b *Boss) dispatch(req *request, plan []chainSeg, stolen bool) {
-	req.plan = plan
+	req.plan, req.hop = plan, 0
 	req.cres = molecule.ChainResult{} // drop a failed-over chain's partial result
 	first := plan[0].node
 	if stolen {
@@ -682,31 +749,46 @@ func (b *Boss) dispatch(req *request, plan []chainSeg, stolen bool) {
 		b.inflight += len(seg.names)
 	}
 	//lint:owned request handoff: req travels with the message and is next touched only by segment 0's machine; the boss touches it again only in the reply it receives on its own domain
-	b.IC.Send(b.Env, first.Domain, requestBytes, func() { b.execSegment(req, 0) })
+	b.IC.Send(b.Env, first.Domain, requestBytes, req.execMsg)
 }
 
-// execSegment runs on req.plan[idx].node's domain: execute the segment,
-// then either hop to the next segment's machine (charging the intermediate
-// transfer on the chain's latency) or reply to the boss.
-func (b *Boss) execSegment(req *request, idx int) {
-	seg := req.plan[idx]
-	n := seg.node
-	n.Env.Spawn("segment", func(wp *sim.Proc) {
-		err := n.run(wp, req, seg.names)
-		if next := idx + 1; err == nil && next < len(req.plan) {
-			// Hand the intermediate result to the next segment's machine:
-			// one interconnect hop, charged on the chain's own latency.
-			hop := b.IC.TransferTime(intermediateBytes)
-			req.cres.Total += hop
-			req.cres.EdgeLatency = append(req.cres.EdgeLatency, hop)
-			//lint:owned segment hop: req moves to the next machine with the message; the sending segment never touches it again
-			b.IC.Send(n.Env, req.plan[next].node.Domain, intermediateBytes, func() { b.execSegment(req, next) })
-			return
-		}
-		//lint:owned reply to the boss: req is dead on the sending machine after this send; the boss consumes it on delivery in its own domain
-		b.IC.Send(n.Env, 0, replyBytes, func() { b.complete(req, n, err) })
-	})
+// startSegment runs on req.plan[req.hop].node's domain when the request
+// message arrives there: it starts the segment's process.
+//
+//molecule:hotpath
+func (req *request) startSegment() {
+	req.plan[req.hop].node.Env.Spawn("segment", req.body)
 }
+
+// runSegment is the segment process: execute the segment, then either hop
+// to the next segment's machine (charging the intermediate transfer on the
+// chain's latency) or reply to the boss.
+//
+//molecule:hotpath
+func (req *request) runSegment(wp *sim.Proc) {
+	b := req.boss
+	seg := req.plan[req.hop]
+	n := seg.node
+	err := n.run(wp, req, seg.names)
+	if next := req.hop + 1; err == nil && next < len(req.plan) {
+		// Hand the intermediate result to the next segment's machine:
+		// one interconnect hop, charged on the chain's own latency.
+		edge := b.IC.TransferTime(intermediateBytes)
+		req.cres.Total += edge
+		req.cres.EdgeLatency = append(req.cres.EdgeLatency, edge)
+		req.hop = next
+		//lint:owned segment hop: req moves to the next machine with the message; the sending segment never touches it again
+		b.IC.Send(n.Env, req.plan[next].node.Domain, intermediateBytes, req.execMsg)
+		return
+	}
+	req.replyer, req.err = n, err
+	//lint:owned reply to the boss: req is dead on the sending machine after this send; the boss consumes it on delivery in its own domain
+	b.IC.Send(n.Env, 0, replyBytes, req.replyMsg)
+}
+
+// completeOnBoss runs on the boss domain when the last segment's reply
+// arrives.
+func (req *request) completeOnBoss() { req.boss.complete(req) }
 
 // wakeLocal releases every parked request, oldest first, to re-check
 // admission.
@@ -816,9 +898,12 @@ func retryable(err error) bool {
 
 // complete finishes a request on the boss domain (scheduler context — never
 // blocks): release every segment's window, then fail over on machine death,
-// requeue on capacity races, reply otherwise; then pump the queue. n is the
-// machine whose segment replied.
-func (b *Boss) complete(req *request, n *Node, err error) {
+// requeue on capacity races, reply otherwise; then pump the queue.
+// req.replyer is the machine whose segment replied, with error req.err.
+//
+//molecule:hotpath
+func (b *Boss) complete(req *request) {
+	n, err := req.replyer, req.err
 	for _, seg := range req.plan {
 		seg.node.inflight -= len(seg.names)
 		b.inflight -= len(seg.names)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/molecule"
+	"repro/internal/params"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -542,7 +543,9 @@ func TestScheduleZeroAlloc(t *testing.T) {
 }
 
 // TestBossInvokeAllocs pins a warm single-function Boss.Invoke, the whole
-// cluster round trip of BenchmarkBossInvokeWarm, at 10 allocations.
+// cluster round trip of BenchmarkBossInvokeWarm, at 1 allocation: the
+// segment's sim.Proc. The request, its reply channel and its callbacks come
+// from the Boss's free list.
 func TestBossInvokeAllocs(t *testing.T) {
 	b := newTestBoss(t, 1, hw.Config{}, 0, "helloworld")
 	opts := molecule.DefaultInvokeOptions()
@@ -559,9 +562,226 @@ func TestBossInvokeAllocs(t *testing.T) {
 		})
 	})
 	b.Run(1)
-	if allocs < 0 || allocs > 10 {
-		t.Errorf("warm Boss.Invoke allocates %v/op, want <= 10", allocs)
+	if allocs < 0 || allocs > 1 {
+		t.Errorf("warm Boss.Invoke allocates %v/op, want <= 1", allocs)
 	}
+}
+
+// homeOf returns fn's rendezvous home among the Boss's machines.
+func homeOf(b *Boss, fn string) *Node {
+	var home *Node
+	var score uint64
+	for _, n := range b.Nodes() {
+		if s := rendezvous(fn, n.Domain); home == nil || s > score {
+			home, score = n, s
+		}
+	}
+	return home
+}
+
+// checkFreeListClean fails the test unless every request on the free list
+// is distinct and holds nothing of the call it last served.
+func checkFreeListClean(t *testing.T, b *Boss) {
+	t.Helper()
+	seen := make(map[*request]bool)
+	for _, req := range b.free {
+		if seen[req] {
+			t.Fatalf("request %p is on the free list twice", req)
+		}
+		seen[req] = true
+		if req.names != nil || req.plan != nil || req.chain || req.attempts != 0 || req.requeues != 0 ||
+			req.replyer != nil || req.err != nil || req.res != (molecule.Result{}) ||
+			req.cres.EdgeLatency != nil || req.cres.Total != 0 || req.done.Len() != 0 {
+			t.Errorf("recycled request still holds its last call: %+v", *req)
+		}
+	}
+}
+
+// TestBossRecycledRequestIsClean: a recycled request shares nothing with
+// the call it served, and a request that fails over or requeues stays off
+// the free list until its client has its reply. Concurrent clients ask for
+// different functions, so a request handed out twice would answer some
+// client with another's function.
+func TestBossRecycledRequestIsClean(t *testing.T) {
+	t.Run("chain-edges", func(t *testing.T) {
+		b := newTestBoss(t, 1, hw.Config{DPUs: 1}, 0, "pyaes", "matmul", "chameleon")
+		b.Env.Spawn("client", func(p *sim.Proc) {
+			first, err := b.InvokeChain(p, []string{"pyaes", "matmul"}, molecule.ChainOptions{})
+			if err != nil || len(first.EdgeLatency) == 0 {
+				t.Fatalf("first chain: %v, edges %v", err, first.EdgeLatency)
+			}
+			kept := append([]time.Duration(nil), first.EdgeLatency...)
+			if len(b.free) != 1 || b.free[0].cres.EdgeLatency != nil {
+				t.Fatalf("released chain request still holds an edge array")
+			}
+			arg := workloads.Arg{N: 5000, Bytes: 1 << 20}
+			if _, err := b.InvokeChain(p, []string{"chameleon", "pyaes", "matmul"}, molecule.ChainOptions{Arg: arg}); err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(first.EdgeLatency) != fmt.Sprint(kept) {
+				t.Errorf("first chain's edges changed under the next request: %v, want %v", first.EdgeLatency, kept)
+			}
+		})
+		b.Run(1)
+		checkFreeListClean(t, b)
+	})
+
+	// tally counts the replies of clients.
+	type tally struct{ ok, failed int }
+	// clients starts one client per function on the boss domain, each
+	// invoking its function every gap until until, and fails the test if a
+	// reply names another function.
+	clients := func(t *testing.T, b *Boss, fns []string, gap time.Duration, until sim.Time, got *tally) {
+		for i, fn := range fns {
+			fn := fn
+			b.Env.SpawnAfter(time.Duration(i)*time.Millisecond, "client-"+fn, func(p *sim.Proc) {
+				for p.Now() < until {
+					res, err := b.Invoke(p, fn, molecule.InvokeOptions{PU: -1})
+					switch {
+					case err != nil:
+						got.failed++
+					case res.Fn != fn:
+						t.Errorf("client for %s got a reply for %s", fn, res.Fn)
+					default:
+						got.ok++
+					}
+					p.Sleep(gap)
+				}
+			})
+		}
+	}
+	fns := []string{"pyaes", "matmul", "chameleon", "helloworld", "image-resize", "linpack"}
+
+	t.Run("failover", func(t *testing.T) {
+		b := newTestBoss(t, 2, hw.Config{}, 0, fns...)
+		home := homeOf(b, "pyaes")
+		pl := faults.NewPlan(home.Env, 1)
+		home.RT.AttachFaults(pl)
+		killAt := sim.Time(time.Second)
+		home.Env.At(killAt, func() {
+			for _, pu := range home.HW.PUs() {
+				pl.Kill(pu.ID)
+			}
+		})
+		var got tally
+		clients(t, b, fns, 50*time.Millisecond, sim.Time(2*time.Second), &got)
+		b.Run(1)
+		if !home.Down() {
+			t.Fatal("the killed machine was never failed over")
+		}
+		if got.ok == 0 {
+			t.Fatalf("no request succeeded (%d failed)", got.failed)
+		}
+		checkQuiescent(t, b, "after failover")
+		checkFreeListClean(t, b)
+		if len(b.free) > len(fns) {
+			t.Errorf("free list holds %d requests for %d concurrent clients", len(b.free), len(fns))
+		}
+	})
+
+	t.Run("requeue", func(t *testing.T) {
+		b := newTestBoss(t, 2, hw.Config{DPUs: 1}, 0, "pyaes")
+		if err := b.Register("matmul", molecule.DefaultProfile(hw.DPU)); err != nil {
+			t.Fatal(err)
+		}
+		// pyaes's home serves only CPUs, so matmul runs on the other
+		// machine. The boss still sees the home with room, but its runtime
+		// admits nothing: each dispatch comes back ErrNoCapacity and
+		// requeues until the requeue budget runs out.
+		home := homeOf(b, "pyaes")
+		restrictKinds(b, home.ID(), hw.CPU)
+		for _, pu := range home.HW.PUs() {
+			if pu.Kind.GeneralPurpose() {
+				home.RT.SetCapacity(pu.ID, 0)
+			}
+		}
+		var requeued error
+		b.Env.Spawn("requeued", func(p *sim.Proc) {
+			_, requeued = b.Invoke(p, "pyaes", molecule.InvokeOptions{PU: -1})
+		})
+		var got tally
+		clients(t, b, []string{"matmul"}, 5*time.Millisecond, sim.Time(time.Second), &got)
+		b.Run(1)
+		if !errors.Is(requeued, molecule.ErrNoCapacity) {
+			t.Fatalf("requeued request: err %v, want ErrNoCapacity after the requeue budget", requeued)
+		}
+		if got.ok == 0 || got.failed != 0 {
+			t.Fatalf("concurrent matmul requests: %d ok, %d failed", got.ok, got.failed)
+		}
+		checkQuiescent(t, b, "after requeues")
+		checkFreeListClean(t, b)
+	})
+
+	t.Run("interrupt", func(t *testing.T) {
+		b := newTestBoss(t, 1, hw.Config{}, 0, "pyaes", "matmul")
+		// The first client is interrupted while its cold start runs; the
+		// second starts asking while that segment still owns the first
+		// request, and goes on past the segment's reply.
+		var interrupted bool
+		first := b.Env.Spawn("interrupted", func(p *sim.Proc) {
+			defer func() {
+				r := recover()
+				if _, interrupted = r.(sim.Interrupted); !interrupted {
+					panic(r)
+				}
+			}()
+			b.Invoke(p, "pyaes", molecule.InvokeOptions{PU: -1})
+		})
+		start := b.Env.Now()
+		b.Env.At(start+sim.Time(10*time.Millisecond), func() {
+			if b.inflight != 1 {
+				t.Errorf("%d requests in flight at the interrupt, want 1", b.inflight)
+			}
+			first.Interrupt()
+		})
+		var got tally
+		b.Env.At(start+sim.Time(20*time.Millisecond), func() {
+			if !interrupted || len(b.free) != 0 {
+				t.Errorf("interrupted %v, free list %d: the request must stay off it while its segment runs", interrupted, len(b.free))
+			}
+			clients(t, b, []string{"matmul"}, 5*time.Millisecond, start+sim.Time(500*time.Millisecond), &got)
+		})
+		b.Run(1)
+		if !interrupted {
+			t.Fatal("the first client finished before its interrupt")
+		}
+		if got.ok == 0 || got.failed != 0 {
+			t.Fatalf("matmul requests after the interrupt: %d ok, %d failed", got.ok, got.failed)
+		}
+		checkQuiescent(t, b, "after interrupt")
+		checkFreeListClean(t, b)
+		if len(b.free) != 1 {
+			t.Errorf("free list holds %d requests, want 1: the interrupted request stays off it", len(b.free))
+		}
+	})
+}
+
+// TestBossFreeListCapped: a burst of more concurrent requests than
+// maxFreeRequests leaves only maxFreeRequests on the free list.
+func TestBossFreeListCapped(t *testing.T) {
+	b := newTestBoss(t, 2, hw.Config{}, 0, "helloworld")
+	const clients = maxFreeRequests + 72
+	failed := 0
+	for i := 0; i < clients; i++ {
+		b.Env.Spawn("client", func(p *sim.Proc) {
+			if _, err := b.Invoke(p, "helloworld", molecule.InvokeOptions{PU: -1}); err != nil {
+				failed++
+			}
+		})
+	}
+	peak := 0
+	b.Env.At(b.Env.Now()+sim.Time(2*params.NetworkBaseLatency), func() { peak = b.Inflight() })
+	b.Run(1)
+	if failed != 0 {
+		t.Fatalf("%d of %d requests failed", failed, clients)
+	}
+	if peak <= maxFreeRequests {
+		t.Fatalf("%d requests in flight mid-burst, want more than %d", peak, maxFreeRequests)
+	}
+	if len(b.free) != maxFreeRequests {
+		t.Errorf("free list holds %d requests after a burst of %d, want %d", len(b.free), clients, maxFreeRequests)
+	}
+	checkFreeListClean(t, b)
 }
 
 func TestBossInvokeCompletes(t *testing.T) {

@@ -100,11 +100,12 @@ type Invoker interface {
 // outcome is one request's result slot, written by exactly one request
 // process and read only after every request finished — no shared-state
 // mutation races, and folding in arrival order keeps Stats deterministic.
+// A run holds one per arrival, so the fields are packed into 16 bytes.
 type outcome struct {
-	err   bool
-	cold  int
-	chain bool
 	total time.Duration
+	cold  int32 // cold-started instances
+	err   bool
+	chain bool
 }
 
 // Run drives the configured request stream against rt from process p,
@@ -123,6 +124,13 @@ func Run(p *sim.Proc, rt *molecule.Runtime, cfg Config) (*Stats, error) {
 // Drive is Run against any Invoker (a runtime, a gateway, a cluster boss);
 // it does not pre-check deployments, since lazily-deploying targets have
 // nothing deployed until first use.
+//
+// Arrivals are drawn lazily: a counting pass over the seeded stream sizes
+// the outcome slots and the request counters, then one sim.AtSeries replays
+// a fresh stream from the same seed, drawing each arrival just before it is
+// due. The draws, the arrival times and every event's sequence number are
+// those of scheduling all arrivals up front, so results are unchanged, but
+// the host keeps only the outcome slots and the requests in flight.
 func Drive(p *sim.Proc, target Invoker, cfg Config) (*Stats, error) {
 	if len(cfg.Functions) == 0 {
 		return nil, fmt.Errorf("loadgen: no functions")
@@ -130,77 +138,71 @@ func Drive(p *sim.Proc, target Invoker, cfg Config) (*Stats, error) {
 	if cfg.RatePerSec <= 0 || cfg.Duration <= 0 {
 		return nil, fmt.Errorf("loadgen: rate and duration must be positive")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var zipf *rand.Zipf
-	if cfg.ZipfS > 1 {
-		zipf = rand.NewZipf(rng, cfg.ZipfS, 1, uint64(len(cfg.Functions)-1))
-	}
-	pick := func() string {
-		if zipf != nil {
-			return cfg.Functions[zipf.Uint64()]
-		}
-		return cfg.Functions[rng.Intn(len(cfg.Functions))]
-	}
-
 	stats := &Stats{PerFunc: make(map[string]int)}
-	env := p.Env()
-	wg := sim.NewWaitGroup(env)
-
-	// Schedule arrivals up front (deterministic given the seed). Each
-	// request writes only its own outcome slot.
-	var slots []outcome
-	meanGap := float64(time.Second) / cfg.RatePerSec
-	for t := time.Duration(0); ; {
-		gap := time.Duration(rng.ExpFloat64() * meanGap)
-		t += gap
-		if t > cfg.Duration {
+	for s := newStream(&cfg); ; {
+		a, ok := s.next()
+		if !ok {
 			break
 		}
 		stats.Requests++
-		slot := len(slots)
-		slots = append(slots, outcome{})
-		if len(cfg.Chains) > 0 && rng.Float64() < cfg.ChainFraction {
-			chain := cfg.Chains[rng.Intn(len(cfg.Chains))]
+		if a.fn < 0 {
 			stats.Chains++
-			for _, fn := range chain {
+			for _, fn := range a.chain {
 				stats.PerFunc[fn]++
 			}
-			wg.Add(1)
-			env.At(p.Now().After(t), func() {
-				env.Spawn("chain-req", func(rp *sim.Proc) {
-					defer wg.Done()
-					res, err := target.InvokeChain(rp, chain, molecule.ChainOptions{Arg: cfg.Arg})
-					out := &slots[slot]
-					out.chain = true
-					if err != nil {
-						out.err = true
-						return
-					}
-					out.cold = res.ColdStarts
-					out.total = res.Total
-				})
-			})
 			continue
 		}
-		fn := pick()
-		stats.PerFunc[fn]++
-		wg.Add(1)
-		env.At(p.Now().After(t), func() {
-			env.Spawn("req-"+fn, func(rp *sim.Proc) {
+		stats.PerFunc[cfg.Functions[a.fn]]++
+	}
+
+	env := p.Env()
+	start := p.Now()
+	wg := sim.NewWaitGroup(env)
+	wg.Add(stats.Requests)
+	// Each request writes only its own outcome slot.
+	slots := make([]outcome, stats.Requests)
+	procNames := make([]string, len(cfg.Functions))
+	for i, fn := range cfg.Functions {
+		procNames[i] = "req-" + fn
+	}
+	replay := newStream(&cfg)
+	// AtSeries draws arrival i+1 while arrival i fires, before it runs, so
+	// the drawn arrivals alternate between two buffers.
+	var drawn [2]arrival
+	env.AtSeries(stats.Requests, func(i int) sim.Time {
+		drawn[i&1], _ = replay.next()
+		return start.After(drawn[i&1].at)
+	}, func(i int) {
+		out := &slots[i]
+		if drawn[i&1].fn < 0 {
+			chain := drawn[i&1].chain
+			env.Spawn("chain-req", func(rp *sim.Proc) {
 				defer wg.Done()
-				res, err := target.Invoke(rp, fn, molecule.InvokeOptions{PU: -1, Arg: cfg.Arg})
-				out := &slots[slot]
+				res, err := target.InvokeChain(rp, chain, molecule.ChainOptions{Arg: cfg.Arg})
+				out.chain = true
 				if err != nil {
 					out.err = true
 					return
 				}
-				if res.Cold {
-					out.cold = 1
-				}
+				out.cold = int32(res.ColdStarts)
 				out.total = res.Total
 			})
+			return
+		}
+		fi := drawn[i&1].fn
+		env.Spawn(procNames[fi], func(rp *sim.Proc) {
+			defer wg.Done()
+			res, err := target.Invoke(rp, cfg.Functions[fi], molecule.InvokeOptions{PU: -1, Arg: cfg.Arg})
+			if err != nil {
+				out.err = true
+				return
+			}
+			if res.Cold {
+				out.cold = 1
+			}
+			out.total = res.Total
 		})
-	}
+	})
 	wg.Wait(p)
 	// Fold the slots in arrival order: single-function latencies feed the
 	// headline recorder, chain latencies their own (the old conflation
@@ -211,7 +213,7 @@ func Drive(p *sim.Proc, target Invoker, cfg Config) (*Stats, error) {
 			stats.Errors++
 			continue
 		}
-		stats.ColdStarts += out.cold
+		stats.ColdStarts += int(out.cold)
 		if out.chain {
 			stats.ChainLatency.Add(out.total)
 		} else {
@@ -219,6 +221,53 @@ func Drive(p *sim.Proc, target Invoker, cfg Config) (*Stats, error) {
 		}
 	}
 	return stats, nil
+}
+
+// arrival is one request of the stream: its offset from the start of the
+// run and either a chain or the index of a single function.
+type arrival struct {
+	at    time.Duration
+	fn    int      // index into Config.Functions, or -1 for a chain
+	chain []string // the chain when fn is -1
+}
+
+// stream is the seeded arrival sequence of a Config. Each next draws one
+// arrival's gap, then its chain coin and chain or function pick, so two
+// streams from the same Config yield the same arrivals.
+type stream struct {
+	cfg     *Config
+	rng     *rand.Rand
+	zipf    *rand.Zipf
+	meanGap float64
+	t       time.Duration
+}
+
+func newStream(cfg *Config) *stream {
+	s := &stream{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), meanGap: float64(time.Second) / cfg.RatePerSec}
+	if cfg.ZipfS > 1 {
+		s.zipf = rand.NewZipf(s.rng, cfg.ZipfS, 1, uint64(len(cfg.Functions)-1))
+	}
+	return s
+}
+
+// next draws the next arrival; ok is false once the arrival time passes
+// the run's duration, which ends the stream.
+func (s *stream) next() (a arrival, ok bool) {
+	s.t += time.Duration(s.rng.ExpFloat64() * s.meanGap)
+	if s.t > s.cfg.Duration {
+		return arrival{}, false
+	}
+	a.at = s.t
+	if len(s.cfg.Chains) > 0 && s.rng.Float64() < s.cfg.ChainFraction {
+		a.fn, a.chain = -1, s.cfg.Chains[s.rng.Intn(len(s.cfg.Chains))]
+		return a, true
+	}
+	if s.zipf != nil {
+		a.fn = int(s.zipf.Uint64())
+	} else {
+		a.fn = s.rng.Intn(len(s.cfg.Functions))
+	}
+	return a, true
 }
 
 // PoissonGap is exposed for tests: the expected inter-arrival gap for a

@@ -1,8 +1,10 @@
 package loadgen
 
 import (
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/hw"
 	"repro/internal/molecule"
@@ -204,5 +206,64 @@ func TestChainMixInStream(t *testing.T) {
 	// Chains cost more than single invokes on average.
 	if stats.ChainLatency.Avg() <= 0 {
 		t.Error("no chain latency recorded")
+	}
+}
+
+// sleepInvoker serves every request in a fixed virtual time, so a stream
+// against it keeps a handful of requests in flight.
+type sleepInvoker time.Duration
+
+func (d sleepInvoker) Invoke(p *sim.Proc, fn string, _ molecule.InvokeOptions) (molecule.Result, error) {
+	p.Sleep(time.Duration(d))
+	return molecule.Result{Fn: fn, Total: time.Duration(d)}, nil
+}
+
+func (d sleepInvoker) InvokeChain(p *sim.Proc, _ []string, _ molecule.ChainOptions) (molecule.ChainResult, error) {
+	p.Sleep(time.Duration(d))
+	return molecule.ChainResult{Total: time.Duration(d)}, nil
+}
+
+// TestDriveLiveHeapBounded: beyond its per-request outcome slots, a running
+// Drive keeps only the requests in flight. The live heap a tenth of the way
+// into a 20000-arrival stream exceeds the one into a 2000-arrival stream by
+// at most the extra slots plus a small constant, so nothing is held per
+// arrival not yet due.
+func TestDriveLiveHeapBounded(t *testing.T) {
+	live := func(window time.Duration) (heap uint64, requests int) {
+		env := sim.NewEnv()
+		var stats *Stats
+		env.Spawn("driver", func(p *sim.Proc) {
+			var err error
+			stats, err = Drive(p, sleepInvoker(time.Millisecond), Config{
+				Seed:          7,
+				Functions:     []string{"matmul", "pyaes", "chameleon"},
+				ZipfS:         1.2,
+				RatePerSec:    10000,
+				Duration:      window,
+				Chains:        [][]string{{"pyaes", "matmul"}},
+				ChainFraction: 0.2,
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		})
+		env.SpawnAfter(window/10, "probe", func(p *sim.Proc) {
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			runtime.KeepAlive(env) // the stream's events and slots must count as live
+			heap = ms.HeapAlloc
+		})
+		env.Run()
+		return heap, stats.Requests
+	}
+	early, nEarly := live(200 * time.Millisecond)
+	late, nLate := live(2 * time.Second)
+	slots := uint64(nLate-nEarly) * uint64(unsafe.Sizeof(outcome{}))
+	const slack = 128 << 10
+	t.Logf("live heap %d B at %d arrivals, %d B at %d (slots %d B)", early, nEarly, late, nLate, slots)
+	if late > early+slots+slack {
+		t.Errorf("live heap grew %d KB from %d to %d arrivals (%d -> %d B), want under %d KB of slots + %d KB",
+			(late-early)>>10, nEarly, nLate, early, late, slots>>10, slack>>10)
 	}
 }

@@ -313,7 +313,9 @@ func (rt *Runtime) coldStart(p *sim.Proc, d *Deployment, pin hw.PUID, parent *ob
 		ps.Finish()
 		return nil, err
 	}
-	ps.SetAttr("pu", fmt.Sprintf("%d", n.pu.ID))
+	if rt.obs != nil {
+		ps.SetAttr("pu", strconv.Itoa(int(n.pu.ID)))
+	}
 	ps.Finish()
 	if err := rt.remoteCommand(p, n.pu.ID, parent); err != nil {
 		return nil, err
@@ -335,8 +337,11 @@ func (rt *Runtime) coldStart(p *sim.Proc, d *Deployment, pin hw.PUID, parent *ob
 		}
 	}
 	n.sandboxSeq++
-	id := fmt.Sprintf("c-%s-%d-%d", d.Fn.Name, n.pu.ID, n.sandboxSeq)
-	p.Tracef("coldstart %s: creating sandbox %s on PU %d", d.Fn.Name, id, n.pu.ID)
+	id := "c-" + d.Fn.Name + "-" + strconv.Itoa(int(n.pu.ID)) + "-" + strconv.Itoa(n.sandboxSeq)
+	tracing := rt.Env.Tracing()
+	if tracing {
+		p.Tracef("coldstart %s: creating sandbox %s on PU %d", d.Fn.Name, id, n.pu.ID)
+	}
 	cs := rt.obs.Span(parent, "sandbox.create", int(n.pu.ID))
 	if err := sandbox.CreateOne(p, n.cr, sandbox.Spec{ID: id, FuncID: d.Fn.Name, Lang: d.Fn.Lang, Pkgs: d.Pkgs}); err != nil {
 		cs.Finish()
@@ -359,7 +364,9 @@ func (rt *Runtime) coldStart(p *sim.Proc, d *Deployment, pin hw.PUID, parent *ob
 		return nil, err
 	}
 	ss.Finish()
-	p.Tracef("coldstart %s: sandbox %s running", d.Fn.Name, id)
+	if tracing {
+		p.Tracef("coldstart %s: sandbox %s running", d.Fn.Name, id)
+	}
 	sb := n.cr.Sandbox(id)
 	if zygote {
 		// Pay the imports the ancestor template did not pre-run, plus the

@@ -336,7 +336,10 @@ type Resource struct {
 	env      *Env
 	capacity int
 	inUse    int
-	waitq    []*Proc
+	// waitq holds the parked acquirers, oldest first. Release shifts the
+	// rest down, as Chan.popRecv does, so the backing array keeps its
+	// capacity and a contended Acquire allocates nothing once it has grown.
+	waitq []*Proc
 }
 
 // NewResource returns a resource with the given capacity (minimum 1).
@@ -376,7 +379,9 @@ func (r *Resource) TryAcquire() bool {
 func (r *Resource) Release() {
 	if len(r.waitq) > 0 {
 		p := r.waitq[0]
-		r.waitq = r.waitq[1:]
+		n := copy(r.waitq, r.waitq[1:])
+		r.waitq[n] = nil
+		r.waitq = r.waitq[:n]
 		r.env.scheduleResume(r.env.now, p, resumeMsg{})
 		return
 	}
@@ -403,11 +408,11 @@ func (wg *WaitGroup) Add(delta int) {
 		panic("sim: negative WaitGroup counter")
 	}
 	if wg.count == 0 {
-		waiters := wg.waiters
-		wg.waiters = nil
-		for _, p := range waiters {
+		for _, p := range wg.waiters {
 			wg.env.scheduleResume(wg.env.now, p, resumeMsg{})
 		}
+		clear(wg.waiters)
+		wg.waiters = wg.waiters[:0]
 	}
 }
 

@@ -186,18 +186,23 @@ func (e *Env) Scheduled() int64 { return e.seq }
 // newEvent takes an event from the recycle pool (or allocates one) and
 // stamps it with the clamped time and the next sequence number.
 func (e *Env) newEvent(t Time) *event {
+	e.seq++
+	return e.eventAt(t, e.seq)
+}
+
+// eventAt is newEvent with a sequence number the caller already reserved.
+func (e *Env) eventAt(t Time, seq int64) *event {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq++
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		ev.t, ev.seq = t, e.seq
+		ev.t, ev.seq = t, seq
 		return ev
 	}
-	return &event{t: t, seq: e.seq}
+	return &event{t: t, seq: seq}
 }
 
 // recycle clears a fired event and returns it to the pool.
@@ -243,6 +248,69 @@ func (e *Env) At(t Time, fn func()) { e.schedule(t, fn) }
 
 // AfterFunc schedules fn to run d after the current time.
 func (e *Env) AfterFunc(d Duration, fn func()) { e.schedule(e.now.After(d), fn) }
+
+// AtSeries schedules n callbacks: member i runs fn(i) at virtual time at(i),
+// in scheduler context like At. It is observably the same as calling
+// e.At(at(i), func() { fn(i) }) for every i now, but only one member is
+// queued at a time, so a long arrival stream costs one event, not n.
+//
+// Exactness: the call reserves the next n sequence numbers, and member i
+// fires at (at(i), s+i+1), where s is Scheduled() before the call. Member
+// i+1 is queued while member i fires, before fn(i) runs. Because times do
+// not decrease and sequence numbers increase, every unqueued member orders
+// after the queued one, so the heap minimum, and with it the firing order,
+// the Sleep fast path and every shard window, is what n At calls would give;
+// Scheduled() and the sequence number of every other event are unchanged.
+// Only Pending() differs. at is called exactly once per member, in order:
+// at(0) during the call, at(i+1) when member i fires. A time below its
+// predecessor panics.
+//
+//molecule:hotpath
+func (e *Env) AtSeries(n int, at func(i int) Time, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	s := &series{env: e, n: n, base: e.seq, last: at(0), at: at, fn: fn}
+	e.seq += int64(n)
+	s.fire = s.step
+	s.queue()
+}
+
+// series is an AtSeries in progress: its queued member and what schedules
+// and runs the rest.
+type series struct {
+	env  *Env
+	n    int
+	i    int   // the queued member
+	base int64 // member i's sequence number is base+i+1
+	last Time  // at(i) of the queued member
+	at   func(i int) Time
+	fn   func(i int)
+	fire func() // s.step, bound once so queueing a member allocates nothing
+}
+
+// queue pushes member s.i at s.last with its reserved sequence number.
+func (s *series) queue() {
+	ev := s.env.eventAt(s.last, s.base+int64(s.i)+1)
+	ev.fn = s.fire
+	s.env.events.pushEv(ev)
+}
+
+// step fires the queued member: it queues the next one, then runs fn.
+//
+//molecule:hotpath
+func (s *series) step() {
+	i := s.i
+	if next := i + 1; next < s.n {
+		t := s.at(next)
+		if t < s.last {
+			panic("sim: AtSeries times decrease")
+		}
+		s.i, s.last = next, t
+		s.queue()
+	}
+	s.fn(i)
+}
 
 // Stop halts the simulation after the currently firing event completes.
 func (e *Env) Stop() { e.stopped = true }
@@ -584,7 +652,8 @@ func (e *Env) nextEventTime() (Time, bool) {
 	return e.events.peek().t, true
 }
 
-// Pending reports the number of queued events.
+// Pending reports the number of queued events. An AtSeries counts as one
+// event until its last member fires.
 func (e *Env) Pending() int { return len(e.events) }
 
 // LiveProcs reports the number of spawned processes that have not exited.

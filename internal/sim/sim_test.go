@@ -350,6 +350,49 @@ func TestTryAcquire(t *testing.T) {
 	}
 }
 
+// TestContendedResourceAllocs pins a steady-state contended Acquire/Release
+// at zero allocations: two processes trade one unit, so every Acquire parks
+// and every Release dequeues, and the wait queue reuses its backing array.
+// A reused WaitGroup's Wait/Done cycle is held to the same bound.
+func TestContendedResourceAllocs(t *testing.T) {
+	env := NewEnv()
+	r := NewResource(env, 1)
+	wg := NewWaitGroup(env)
+	var contended, waited float64
+	done := false
+	cycle := func(p *Proc) {
+		r.Acquire(p)
+		p.Sleep(time.Microsecond)
+		r.Release()
+	}
+	env.Spawn("a", func(p *Proc) {
+		cycle(p) // size the wait queue
+		contended = testing.AllocsPerRun(200, func() { cycle(p) })
+		wg.Add(1)
+		wg.Wait(p) // size the waiter list
+		waited = testing.AllocsPerRun(200, func() {
+			wg.Add(1)
+			wg.Wait(p)
+		})
+		done = true
+	})
+	env.Spawn("b", func(p *Proc) {
+		for !done {
+			if wg.Count() > 0 {
+				wg.Done()
+			}
+			cycle(p)
+		}
+	})
+	env.Run()
+	if contended != 0 {
+		t.Errorf("contended Acquire/Release allocs = %v, want 0", contended)
+	}
+	if waited != 0 {
+		t.Errorf("reused WaitGroup Wait allocs = %v, want 0", waited)
+	}
+}
+
 func TestWaitGroup(t *testing.T) {
 	env := NewEnv()
 	wg := NewWaitGroup(env)
