@@ -64,15 +64,16 @@ bench:
 
 # Fast-path microbenchmarks: the sim kernel (including one sharded round,
 # swept over its size), the nIPC FIFO write path
-# (ns/op and allocs/op), a warm Molecule invocation end to end, a warm
-# cross-PU chain (wiring built and released every call), a warm
+# (ns/op and allocs/op), a warm Molecule invocation end to end, a forced
+# cold start under the zygote forest whose release evicts a warm instance, a
+# warm cross-PU chain (wiring built and released every call), a warm
 # invocation and chain through a one-machine cluster Boss, and the loadgen
 # open-loop stream's own cost (allocs/req).
 microbench:
 	$(GO) test ./internal/sim -bench 'Kernel|ChanPingPong|ShardedRound' -benchmem -run xxx
 	$(GO) test ./internal/mem -bench 'ForkFanout' -benchmem -run xxx
 	$(GO) test ./internal/xpu -bench 'FIFOWrite' -benchmem -run xxx
-	$(GO) test ./internal/molecule -bench 'InvokeWarm|InvokeChainCrossPU' -benchmem -run xxx
+	$(GO) test ./internal/molecule -bench 'InvokeWarm|InvokeCold|InvokeChainCrossPU' -benchmem -run xxx
 	$(GO) test ./internal/cluster -bench 'BossInvoke' -benchmem -run xxx
 	$(GO) test ./internal/loadgen -bench 'DriveOpenLoop' -benchmem -run xxx
 
@@ -83,7 +84,7 @@ bench-smoke:
 	$(GO) test ./internal/sim -bench 'Kernel|ChanPingPong|ShardedRound' -benchtime 1x -run xxx
 	$(GO) test ./internal/mem -bench 'ForkFanout' -benchtime 1x -run xxx
 	$(GO) test ./internal/xpu -bench 'FIFOWrite' -benchtime 1x -run xxx
-	$(GO) test ./internal/molecule -bench 'InvokeWarm|InvokeChainCrossPU' -benchtime 1x -run xxx
+	$(GO) test ./internal/molecule -bench 'InvokeWarm|InvokeCold|InvokeChainCrossPU' -benchtime 1x -run xxx
 	$(GO) test ./internal/cluster -bench 'BossInvoke' -benchtime 1x -run xxx
 	$(GO) test ./internal/loadgen -bench 'DriveOpenLoop' -benchtime 1x -run xxx
 	$(GO) run ./cmd/molecule-bench -scenario soak

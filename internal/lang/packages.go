@@ -178,18 +178,20 @@ func (s PkgSet) Residual(covered PkgSet) PkgSet {
 
 // Intersect returns s ∩ o. The intersection of two dependency-closed sets
 // is itself dependency-closed.
-func (s PkgSet) Intersect(o PkgSet) PkgSet {
-	var out PkgSet
+func (s PkgSet) Intersect(o PkgSet) PkgSet { return s.appendIntersect(nil, o) }
+
+// appendIntersect appends s ∩ o to dst and returns the extended set.
+func (s PkgSet) appendIntersect(dst, o PkgSet) PkgSet {
 	i := 0
 	for _, name := range s {
 		for i < len(o) && o[i] < name {
 			i++
 		}
 		if i < len(o) && o[i] == name {
-			out = append(out, name)
+			dst = append(dst, name)
 		}
 	}
-	return out
+	return dst
 }
 
 // ImportCost sums the host-CPU import time of every member.
@@ -217,4 +219,16 @@ func (s PkgSet) ImportPages() int {
 // Key returns the canonical string identity of the set.
 func (s PkgSet) Key() string {
 	return strings.Join(s, ",")
+}
+
+// appendKey appends the bytes of s.Key() to b: a map lookup through
+// string(b) finds the set's entry without allocating the key.
+func (s PkgSet) appendKey(b []byte) []byte {
+	for i, name := range s {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, name...)
+	}
+	return b
 }

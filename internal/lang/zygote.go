@@ -26,6 +26,7 @@ package lang
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -48,6 +49,9 @@ type ZygoteNode struct {
 	// packages it imported beyond its parent. Budget accounting charges
 	// only this, because everything else is shared upward.
 	residualPages int
+	// cost is Pkgs.ImportCost(), summed once at Grow: resolution compares
+	// it for every covering child on every cold start.
+	cost time.Duration
 
 	pins    int  // in-flight forks from this node; retire defers while > 0
 	retired bool // no longer resolvable; exits when pins drain
@@ -109,6 +113,12 @@ type ZygoteTree struct {
 
 	obs     map[string]*zygoteObs
 	obsKeys []string // insertion-ordered keys of obs (no map iteration)
+
+	// Reused buffers: Observe and Fit build set keys in keyBuf and Fit
+	// builds pairwise intersections in isect, so neither allocates for a
+	// set it has already seen.
+	keyBuf []byte
+	isect  PkgSet
 }
 
 type zygoteObs struct {
@@ -161,9 +171,8 @@ func (t *ZygoteTree) resolveNode(pkgs PkgSet) *ZygoteNode {
 			if c.retired || c.dead || !pkgs.Covers(c.Pkgs) {
 				continue
 			}
-			cost := c.Pkgs.ImportCost()
-			if best == nil || cost > bestCost || (cost == bestCost && c.ID < best.ID) {
-				best, bestCost = c, cost
+			if best == nil || c.cost > bestCost || (c.cost == bestCost && c.ID < best.ID) {
+				best, bestCost = c, c.cost
 			}
 		}
 		if best == nil {
@@ -184,17 +193,22 @@ func (t *ZygoteTree) Unpin(n *ZygoteNode) {
 	}
 }
 
-// Observe records a cold start's package set for the fitter.
+// Observe records a cold start's package set for the fitter. The set's key
+// is built in a reused buffer; its string is allocated only on the set's
+// first observation.
+//
+//molecule:hotpath
 func (t *ZygoteTree) Observe(pkgs PkgSet) {
 	t.cold++
 	if len(pkgs) == 0 {
 		return
 	}
-	k := pkgs.Key()
-	if o, ok := t.obs[k]; ok {
+	t.keyBuf = pkgs.appendKey(t.keyBuf[:0])
+	if o, ok := t.obs[string(t.keyBuf)]; ok {
 		o.count++
 		return
 	}
+	k := string(t.keyBuf)
 	t.obs[k] = &zygoteObs{pkgs: pkgs, count: 1}
 	t.obsKeys = append(t.obsKeys, k)
 }
@@ -253,6 +267,7 @@ func (t *ZygoteTree) Grow(p *sim.Proc, pkgs PkgSet) (*ZygoteNode, error) {
 		Inst:          inst,
 		Parent:        parent,
 		residualPages: residual.ImportPages(),
+		cost:          pkgs.ImportCost(),
 	}
 	parent.children = append(parent.children, node)
 	t.usedPages += node.residualPages
@@ -318,28 +333,29 @@ func (t *ZygoteTree) Fit(p *sim.Proc) {
 		demand int
 		saved  time.Duration
 	}
-	cands := make(map[string]*cand)
-	var order []string
-	add := func(pkgs PkgSet) {
-		if len(pkgs) == 0 {
-			return
-		}
-		k := pkgs.Key()
-		if _, ok := cands[k]; ok {
-			return
-		}
-		cands[k] = &cand{key: k, pkgs: pkgs}
-		order = append(order, k)
-	}
+	cands := make(map[string]*cand, len(t.obsKeys))
+	order := make([]string, 0, len(t.obsKeys))
 	for _, k := range t.obsKeys {
-		add(t.obs[k].pkgs)
+		cands[k] = &cand{key: k, pkgs: t.obs[k].pkgs}
+		order = append(order, k)
 	}
 	// Pairwise intersections of observed sets: the shared prefixes worth
 	// hoisting into interior nodes. Intersections of dependency-closed
-	// sets are themselves closed.
+	// sets are themselves closed. Each is built in t.isect and keyed in
+	// t.keyBuf; only a new candidate copies its set and key.
 	for i := 0; i < len(t.obsKeys); i++ {
 		for j := i + 1; j < len(t.obsKeys); j++ {
-			add(t.obs[t.obsKeys[i]].pkgs.Intersect(t.obs[t.obsKeys[j]].pkgs))
+			t.isect = t.obs[t.obsKeys[i]].pkgs.appendIntersect(t.isect[:0], t.obs[t.obsKeys[j]].pkgs)
+			if len(t.isect) == 0 {
+				continue
+			}
+			t.keyBuf = t.isect.appendKey(t.keyBuf[:0])
+			if _, ok := cands[string(t.keyBuf)]; ok {
+				continue
+			}
+			k := string(t.keyBuf)
+			cands[k] = &cand{key: k, pkgs: slices.Clone(t.isect)}
+			order = append(order, k)
 		}
 	}
 

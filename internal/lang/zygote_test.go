@@ -276,3 +276,42 @@ func TestZygoteResetAbortsInFlightGrow(t *testing.T) {
 			tr.LiveNodes(), tr.UsedPages(), tr.LeakedNodes())
 	}
 }
+
+// TestZygoteObserveKeysWithoutAllocating: Observe keys a set by the bytes
+// of its Key, so only a set's first observation allocates; a grown node
+// caches its import cost.
+func TestZygoteObserveKeysWithoutAllocating(t *testing.T) {
+	for _, names := range [][]string{nil, {"pyutils"}, {"blas"}, {"imageops", "crypto"}} {
+		s, _ := Closure(names)
+		if got := string(s.appendKey(nil)); got != s.Key() {
+			t.Errorf("appendKey(%v) = %q, Key = %q", names, got, s.Key())
+		}
+	}
+	env, os := newOS(hw.CPU)
+	spec, _ := SpecFor(Python)
+	env.Spawn("x", func(p *sim.Proc) {
+		root := BootCold(p, os, spec, "tmpl", true)
+		tr := NewZygoteTree(os, root, ZygoteTreeConfig{BudgetPages: 1 << 20, Seed: 1})
+		blas, _ := Closure([]string{"blas"})
+		img, _ := Closure([]string{"imageops"})
+		tr.Observe(blas)
+		if allocs := testing.AllocsPerRun(100, func() { tr.Observe(blas) }); allocs != 0 {
+			t.Errorf("Observe of a seen set allocates %v/op, want 0", allocs)
+		}
+		tr.Observe(img)
+		if got, want := strings.Join(tr.obsKeys, "|"), blas.Key()+"|"+img.Key(); got != want {
+			t.Errorf("observation keys %q, want %q", got, want)
+		}
+		if o := tr.obs[blas.Key()]; o == nil || o.count != 102 {
+			t.Errorf("blas observation = %+v, want count 102", o)
+		}
+		n, err := tr.Grow(p, blas)
+		if err != nil || n == nil {
+			t.Fatalf("grow blas: %v %v", n, err)
+		}
+		if n.cost != blas.ImportCost() {
+			t.Errorf("cached node cost %v, want %v", n.cost, blas.ImportCost())
+		}
+	})
+	env.Run()
+}

@@ -173,11 +173,11 @@ func (rt *Runtime) Undeploy(p *sim.Proc, funcName string) error {
 	}
 	delete(rt.funcs, funcName)
 	for _, n := range rt.orderedNodes() {
-		if n.cr != nil {
-			for _, inst := range append([]*instance(nil), n.warm[funcName]...) {
-				rt.destroy(p, inst)
+		if wp := n.warmPool(funcName); wp != nil {
+			for len(wp.insts) > 0 {
+				rt.destroy(p, wp.insts[0])
 			}
-			delete(n.warm, funcName)
+			n.dropPool(wp)
 		}
 		if n.runf != nil {
 			for i, fn := range n.fpgaVector {

@@ -16,8 +16,16 @@ func checkWarmTotal(t *testing.T, rt *Runtime, when string) {
 	t.Helper()
 	actual := map[string]int{}
 	for _, n := range rt.orderedNodes() {
-		for fn, pool := range n.warm {
-			actual[fn] += len(pool)
+		sum := 0
+		for i, wp := range n.pools {
+			actual[wp.fn] += len(wp.insts)
+			sum += len(wp.insts)
+			if i > 0 && n.pools[i-1].fn >= wp.fn {
+				t.Errorf("%s: PU %d pools out of name order: %q before %q", when, n.pu.ID, n.pools[i-1].fn, wp.fn)
+			}
+		}
+		if n.warmCount != sum {
+			t.Errorf("%s: PU %d warmCount = %d but pools hold %d", when, n.pu.ID, n.warmCount, sum)
 		}
 	}
 	for fn, want := range actual {
@@ -74,9 +82,9 @@ func TestWarmTotalConsistency(t *testing.T) {
 		// next acquire discards it and cold-starts.
 		host := rt.nodes[rt.hostID]
 		var pooled string
-		for fn, pool := range host.warm {
-			if len(pool) > 0 {
-				pooled, pool[0].sb = fn, nil
+		for _, wp := range host.pools {
+			if len(wp.insts) > 0 {
+				pooled, wp.insts[0].sb = wp.fn, nil
 				break
 			}
 		}
@@ -272,6 +280,107 @@ func BenchmarkInvokeChainCrossPU(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := rt.InvokeChain(p, chain, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	env.Run()
+}
+
+// coldFn is the function the cold-path rig's callers invoke.
+const coldFn = "matmul"
+
+// coldRig boots a host-only runtime with the zygote forest on and a
+// four-instance keep-alive cap, deploys a small cold-start mix and fills the
+// host's warm pools to the cap, so from then on every release evicts one
+// instance.
+func coldRig(tb testing.TB, p *sim.Proc, m *hw.Machine) *Runtime {
+	opts := DefaultOptions()
+	opts.ZygoteTree = true
+	opts.KeepWarmPerPU = 4
+	rt, err := New(p, m, workloads.NewRegistry(), opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mix := []string{coldFn, "pyaes", "linpack", "image-resize", "dd"}
+	for _, fn := range mix {
+		if err := rt.Deploy(p, fn); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	cold := InvokeOptions{PU: -1, ForceCold: true}
+	for i := 0; i < 64; i++ {
+		if _, err := rt.Invoke(p, mix[i%len(mix)], cold); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if host := rt.nodes[rt.hostID]; host.warmCount != opts.KeepWarmPerPU {
+		tb.Fatalf("host holds %d warm instances, want the cap %d", host.warmCount, opts.KeepWarmPerPU)
+	}
+	return rt
+}
+
+// TestColdInvokeAllocs pins the host allocations of one forced cold start
+// under the zygote forest whose release evicts a warm instance: sandbox and
+// instance records, the forked process, the sandbox ID, the prewarm refill
+// proc and the fitter's share. The keep-alive choice, the zygote
+// observation and the container name add nothing. A warm hit and a release
+// that evicts nothing allocate nothing at all.
+func TestColdInvokeAllocs(t *testing.T) {
+	env := sim.NewEnv()
+	m := hw.Build(env, hw.Config{})
+	env.Spawn("client", func(p *sim.Proc) {
+		rt := coldRig(t, p, m)
+		cold := InvokeOptions{PU: -1, ForceCold: true}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := rt.Invoke(p, coldFn, cold); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > coldInvokeAllocs {
+			t.Errorf("cold invoke with eviction allocates %v/op, want <= %d", allocs, coldInvokeAllocs)
+		}
+
+		// One instance out leaves the host below the cap, so each release
+		// below evicts nothing.
+		host := rt.nodes[rt.hostID]
+		inst := rt.popWarm(coldFn, rt.hostID)
+		if inst == nil {
+			t.Fatal("no warm instance to recycle")
+		}
+		if allocs := testing.AllocsPerRun(200, func() {
+			rt.release(p, inst)
+			inst = rt.popWarm(coldFn, rt.hostID)
+		}); allocs != 0 {
+			t.Errorf("warm release below the cap allocates %v/op, want 0", allocs)
+		}
+		if host.warmCount != 3 {
+			t.Errorf("host warm count %d after the warm cycles, want 3", host.warmCount)
+		}
+		rt.release(p, inst)
+	})
+	env.Run()
+}
+
+// coldInvokeAllocs is TestColdInvokeAllocs's ceiling, measured on go1.24
+// amd64; every one of them is a modelled object or an ID the sandbox table
+// keys on.
+const coldInvokeAllocs = 17
+
+// BenchmarkInvokeCold measures a forced cold start on the host under the
+// zygote forest, with the warm pools at the keep-alive cap so every release
+// evicts: placement, zygote resolution and cfork, the residual imports, the
+// prewarm refill and the keep-alive eviction.
+func BenchmarkInvokeCold(b *testing.B) {
+	env := sim.NewEnv()
+	m := hw.Build(env, hw.Config{})
+	env.Spawn("bench", func(p *sim.Proc) {
+		rt := coldRig(b, p, m)
+		cold := InvokeOptions{PU: -1, ForceCold: true}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := rt.Invoke(p, coldFn, cold); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,6 +3,7 @@ package molecule
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -280,15 +281,19 @@ func (rt *Runtime) popWarmOn(n *puNode, fn string) *instance {
 	if n == nil || rt.puDown(n.pu.ID) {
 		return nil // stranded warm instances are reaped, never served
 	}
-	for pool := n.warm[fn]; len(pool) > 0; pool = n.warm[fn] {
-		inst := pool[len(pool)-1]
-		n.warm[fn] = pool[:len(pool)-1]
+	wp := n.warmPool(fn)
+	if wp == nil {
+		return nil
+	}
+	for len(wp.insts) > 0 {
+		inst := wp.insts[len(wp.insts)-1]
+		n.unpool(wp, len(wp.insts)-1)
 		rt.warmTotal[fn]--
 		if inst.sb == nil || inst.sb.State != sandbox.StateRunning {
 			n.liveCount-- // dead instance leaves the machine
 			continue
 		}
-		rt.cache.hit(fn)
+		rt.cache.touch(wp.stat)
 		return inst
 	}
 	return nil
@@ -386,8 +391,7 @@ func (rt *Runtime) coldStart(p *sim.Proc, d *Deployment, pin hw.PUID, parent *ob
 	// Replenish the container pool in the background so the FuncContainer
 	// optimization holds for the next cold start.
 	if rt.Opts.PrewarmContainers > 0 && n.cr.PoolSize() < rt.Opts.PrewarmContainers {
-		cr := n.cr
-		rt.Env.Spawn("prewarm", func(bg *sim.Proc) { cr.Prewarm(bg, 1) })
+		rt.Env.Spawn("prewarm", n.prewarmOne)
 	}
 	return &instance{fn: d.Fn.Name, node: n, sandboxID: id, sb: sb, forked: sb.Forked}, nil
 }
@@ -431,12 +435,14 @@ func (rt *Runtime) restoreFromSnapshot(p *sim.Proc, d *Deployment, n *puNode) (*
 // policy.
 func (rt *Runtime) release(p *sim.Proc, inst *instance) {
 	n := inst.node
-	n.warm[inst.fn] = append(n.warm[inst.fn], inst)
+	wp := n.ensureWarmPool(inst.fn, rt.cache)
+	wp.insts = append(wp.insts, inst)
+	n.warmCount++
 	rt.warmTotal[inst.fn]++
-	evict := rt.cache.admit(inst.fn, n)
-	for _, victim := range evict {
-		// admit already removed the victim from its pool; settle the counter
-		// here (destroy only decrements for instances it finds pooled).
+	for victim := rt.cache.admit(wp, n); victim != nil; victim = rt.cache.evict(n) {
+		// The cache already removed the victim from its pool; settle the
+		// counter here (destroy only decrements for instances it finds
+		// pooled).
 		rt.warmTotal[victim.fn]--
 		if o := rt.obs; o != nil {
 			o.Counter("molecule_keepalive_evictions_total", puLabel(victim.node.pu.ID), obs.L("fn", victim.fn)).Inc()
@@ -484,12 +490,10 @@ func (rt *Runtime) evictForPlacement(p *sim.Proc, d *Deployment, pin hw.PUID) bo
 // destroy deletes a warm instance's sandbox.
 func (rt *Runtime) destroy(p *sim.Proc, inst *instance) {
 	n := inst.node
-	pool := n.warm[inst.fn]
-	for i, cand := range pool {
-		if cand == inst {
-			n.warm[inst.fn] = append(pool[:i], pool[i+1:]...)
+	if wp := n.warmPool(inst.fn); wp != nil {
+		if i := slices.Index(wp.insts, inst); i >= 0 {
+			n.unpool(wp, i)
 			rt.warmTotal[inst.fn]--
-			break
 		}
 	}
 	sandbox.DeleteOne(p, n.cr, inst.sandboxID)

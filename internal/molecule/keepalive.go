@@ -1,6 +1,9 @@
 package molecule
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 // keepAlive implements the keep-alive (warm instance) policy: a
 // greedy-dual-frequency cache in the style of FaasCache (§4.2, §5). Each
@@ -37,8 +40,10 @@ func (ka *keepAlive) stat(fn string) *kaStat {
 }
 
 // hit records a warm-pool hit for fn, boosting its priority.
-func (ka *keepAlive) hit(fn string) {
-	s := ka.stat(fn)
+func (ka *keepAlive) hit(fn string) { ka.touch(ka.stat(fn)) }
+
+// touch counts one use of a function and refreshes its priority.
+func (ka *keepAlive) touch(s *kaStat) {
 	s.freq++
 	s.pri = ka.clock + float64(s.freq)*s.cost
 }
@@ -52,83 +57,131 @@ func (ka *keepAlive) setCost(fn string, cost float64) {
 	ka.stat(fn).cost = cost
 }
 
-// admit is called after an instance of fn joins node n's warm pool. It
-// returns the instances to evict to respect the per-PU cap.
-func (ka *keepAlive) admit(fn string, n *puNode) []*instance {
-	s := ka.stat(fn)
-	s.freq++
-	s.pri = ka.clock + float64(s.freq)*s.cost
+// admit is called after an instance joins node n's warm pool wp: it
+// refreshes the function's priority and returns the first instance to evict
+// for the per-PU cap (nil when the node is within it). The caller destroys
+// each victim and asks evict for the next one until it gets nil, so victims
+// are handed back one at a time, with no slice built per call.
+//
+//molecule:hotpath
+func (ka *keepAlive) admit(wp *warmPool, n *puNode) *instance {
+	ka.touch(wp.stat)
+	return ka.evict(n)
+}
 
-	total := 0
-	for _, pool := range n.warm {
-		total += len(pool)
+// evict shifts the lowest-priority warm instance out of its pool and
+// returns it while node n holds more than the per-PU cap; nil otherwise.
+//
+//molecule:hotpath
+func (ka *keepAlive) evict(n *puNode) *instance {
+	if n.warmCount <= ka.capPerPU {
+		return nil
 	}
-	var evict []*instance
-	for total > ka.capPerPU {
-		names := make([]string, 0, len(n.warm))
-		for name, pool := range n.warm {
-			if len(pool) > 0 {
-				names = append(names, name)
-			}
-		}
-		sort.Strings(names)
-		victimFn := ""
-		victimPri := 0.0
-		for _, name := range names {
-			pri := ka.stat(name).pri
-			if victimFn == "" || pri < victimPri {
-				victimFn, victimPri = name, pri
-			}
-		}
-		if victimFn == "" {
-			break
-		}
-		pool := n.warm[victimFn]
-		evict = append(evict, pool[0])
-		n.warm[victimFn] = pool[1:]
-		// Greedy-dual aging: the clock only ever advances. A victim whose
-		// priority predates the current clock (stale stat from an earlier
-		// era) must not rewind it, or every later admit would inherit an
-		// artificially low base priority and thrash the cache.
-		if victimPri > ka.clock {
-			ka.clock = victimPri
-		}
-		total--
+	v := minPool(n)
+	if v == nil {
+		return nil
 	}
-	return evict
+	inst := v.insts[0]
+	n.unpool(v, 0)
+	ka.age(v.stat.pri)
+	return inst
 }
 
 // victim picks the idle warm instance the policy would give up from node
-// n's pools — lowest greedy-dual priority first, name-sorted tiebreak, the
+// n's pools — lowest greedy-dual priority first, name-ordered tiebreak, the
 // same choice admit makes under the per-PU cap — without removing it from
 // the pool (the caller destroys it, which unpools). Nil when every pool is
 // empty. Used by density-pressure eviction: a cold start that would fail
 // on a capacity-full PU reclaims one idle instance instead.
+//
+//molecule:hotpath
 func (ka *keepAlive) victim(n *puNode) *instance {
-	names := make([]string, 0, len(n.warm))
-	for name, pool := range n.warm {
-		if len(pool) > 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	victimFn := ""
-	victimPri := 0.0
-	for _, name := range names {
-		pri := ka.stat(name).pri
-		if victimFn == "" || pri < victimPri {
-			victimFn, victimPri = name, pri
-		}
-	}
-	if victimFn == "" {
+	v := minPool(n)
+	if v == nil {
 		return nil
 	}
-	// Same greedy-dual aging as admit: the clock never rewinds.
-	if victimPri > ka.clock {
-		ka.clock = victimPri
+	ka.age(v.stat.pri)
+	return v.insts[0]
+}
+
+// age advances the greedy-dual clock to an evicted priority. The clock only
+// ever advances: a victim whose priority predates the current clock (stale
+// stat from an earlier era) must not rewind it, or every later admit would
+// inherit an artificially low base priority and thrash the cache.
+func (ka *keepAlive) age(pri float64) {
+	if pri > ka.clock {
+		ka.clock = pri
 	}
-	return n.warm[victimFn][0]
+}
+
+// minPool returns n's non-empty warm pool with the least (priority, name),
+// or nil when every pool is empty. The pools are kept in name order, so a
+// strict < keeps the first of equal priorities: one pass, no allocation,
+// and the same pick as sorting the names and scanning them.
+func minPool(n *puNode) *warmPool {
+	var v *warmPool
+	for _, wp := range n.pools {
+		if len(wp.insts) > 0 && (v == nil || wp.stat.pri < v.stat.pri) {
+			v = wp
+		}
+	}
+	return v
 }
 
 // Priority exposes a function's current cache priority (for tests).
 func (ka *keepAlive) Priority(fn string) float64 { return ka.stat(fn).pri }
+
+// warmPool is one PU's idle instances of one function. A node makes the
+// record on its first release of the function (never at Deploy) and keeps
+// its records in function-name order, so the keep-alive scan needs no sort;
+// each record carries the function's keep-alive stat, so the scan needs no
+// map lookup either.
+type warmPool struct {
+	fn    string
+	stat  *kaStat
+	insts []*instance
+}
+
+func cmpPoolFn(wp *warmPool, fn string) int { return strings.Compare(wp.fn, fn) }
+
+// warmPool returns node n's pool for fn, or nil before its first release.
+func (n *puNode) warmPool(fn string) *warmPool {
+	if i, ok := slices.BinarySearchFunc(n.pools, fn, cmpPoolFn); ok {
+		return n.pools[i]
+	}
+	return nil
+}
+
+// ensureWarmPool returns node n's pool for fn, making the record in name
+// order on first use.
+func (n *puNode) ensureWarmPool(fn string, ka *keepAlive) *warmPool {
+	i, ok := slices.BinarySearchFunc(n.pools, fn, cmpPoolFn)
+	if !ok {
+		n.pools = slices.Insert(n.pools, i, &warmPool{fn: fn, stat: ka.stat(fn)})
+	}
+	return n.pools[i]
+}
+
+// warmLen reports how many idle instances of fn node n holds.
+func (n *puNode) warmLen(fn string) int {
+	if wp := n.warmPool(fn); wp != nil {
+		return len(wp.insts)
+	}
+	return 0
+}
+
+// unpool removes wp's i-th instance, shifting the later ones down in place;
+// slices.Delete clears the freed slot, so the backing array keeps no
+// removed instance reachable.
+func (n *puNode) unpool(wp *warmPool, i int) {
+	wp.insts = slices.Delete(wp.insts, i, i+1)
+	n.warmCount--
+}
+
+// dropPool deletes wp's record from node n; its instances must already be
+// gone from the warm count.
+func (n *puNode) dropPool(wp *warmPool) {
+	if i := slices.Index(n.pools, wp); i >= 0 {
+		n.pools = slices.Delete(n.pools, i, i+1)
+	}
+}

@@ -13,7 +13,6 @@ package molecule
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -129,13 +128,19 @@ type puNode struct {
 	node *xpu.Node
 
 	// General-purpose PUs.
-	os        *localos.OS
-	cr        *sandbox.ContainerRuntime
-	execXPID  xpu.XPID // the executor process on this PU
-	execDead  bool     // executor crashed; respawned on next command
-	warm      map[string][]*instance
+	os       *localos.OS
+	cr       *sandbox.ContainerRuntime
+	execXPID xpu.XPID // the executor process on this PU
+	execDead bool     // executor crashed; respawned on next command
+	// pools holds the warm-pool records in function-name order (see
+	// warmPool); warmCount is the sum of their lengths.
+	pools     []*warmPool
+	warmCount int
 	capacity  int // max concurrent instances (density model)
 	liveCount int
+	// prewarmOne refills one prepared container; bound once so a cold
+	// start spawns it without building a closure.
+	prewarmOne func(*sim.Proc)
 
 	// Accelerators: an FPGA node has runf, a GPU node rung, and accel is
 	// that runtime's sandbox table, which the two share.
@@ -321,9 +326,9 @@ func New(p *sim.Proc, m *hw.Machine, reg *workloads.Registry, opts Options) (*Ru
 		}
 		rt.nodes[pu.ID] = &puNode{
 			pu: pu, node: node, os: os, cr: cr,
-			warm:      make(map[string][]*instance),
-			snapshots: make(map[string]*lang.Snapshot),
-			capacity:  densityCapacity(pu),
+			snapshots:  make(map[string]*lang.Snapshot),
+			capacity:   densityCapacity(pu),
+			prewarmOne: func(bg *sim.Proc) { cr.Prewarm(bg, 1) },
 		}
 		rt.order = append(rt.order, pu.ID)
 	}
@@ -523,22 +528,8 @@ func (rt *Runtime) KillExecutor(p *sim.Proc, id hw.PUID) error {
 		return fmt.Errorf("molecule: cannot kill the control-plane executor")
 	}
 	n.execDead = true
-	// The executor's children die with it: drop the PU's warm pools, in
-	// sorted function order so the teardown sequence is deterministic.
-	fns := make([]string, 0, len(n.warm))
-	for fn := range n.warm {
-		fns = append(fns, fn)
-	}
-	sort.Strings(fns)
-	for _, fn := range fns {
-		pool := n.warm[fn]
-		for _, inst := range pool {
-			sandbox.DeleteOne(p, n.cr, inst.sandboxID)
-			n.liveCount--
-		}
-		rt.warmTotal[fn] -= len(pool)
-		delete(n.warm, fn)
-	}
+	// The executor's children die with it.
+	rt.dropWarm(p, n)
 	// Specialized zygote templates are the executor's children too; the
 	// generic root template survives, like the flat path's template.
 	n.cr.ResetForests()
@@ -594,24 +585,14 @@ func (rt *Runtime) reapCrashed(p *sim.Proc) {
 		if n.cr == nil || !rt.puDown(n.pu.ID) {
 			continue
 		}
-		fns := make([]string, 0, len(n.warm))
-		for fn := range n.warm {
-			if len(n.warm[fn]) > 0 {
-				fns = append(fns, fn)
-			}
-		}
-		sort.Strings(fns) // map order is random; eviction order must not be
-		for _, fn := range fns {
-			for _, inst := range n.warm[fn] {
-				sandbox.DeleteOne(p, n.cr, inst.sandboxID)
-				n.liveCount--
-				if o := rt.obs; o != nil {
-					o.Counter("molecule_crash_evictions_total", puLabel(n.pu.ID), obs.L("fn", fn)).Inc()
+		if o := rt.obs; o != nil {
+			for _, wp := range n.pools {
+				if len(wp.insts) > 0 {
+					o.Counter("molecule_crash_evictions_total", puLabel(n.pu.ID), obs.L("fn", wp.fn)).Add(int64(len(wp.insts)))
 				}
 			}
-			rt.warmTotal[fn] -= len(n.warm[fn])
-			delete(n.warm, fn)
 		}
+		rt.dropWarm(p, n)
 		// Specialized zygote templates died with the PU; pinned nodes
 		// drain first so address-space refcounts release exactly once.
 		n.cr.ResetForests()
@@ -621,6 +602,22 @@ func (rt *Runtime) reapCrashed(p *sim.Proc) {
 			n.execDead = true
 		}
 	}
+}
+
+// dropWarm deletes every idle instance on node n, pool by pool in
+// function-name order so the teardown sequence is deterministic, and drops
+// the pool records: an executor kill or a PU crash takes the executor's
+// children with it.
+func (rt *Runtime) dropWarm(p *sim.Proc, n *puNode) {
+	for _, wp := range n.pools {
+		for _, inst := range wp.insts {
+			sandbox.DeleteOne(p, n.cr, inst.sandboxID)
+			n.liveCount--
+		}
+		rt.warmTotal[wp.fn] -= len(wp.insts)
+	}
+	n.pools = nil
+	n.warmCount = 0
 }
 
 // ExecutorAlive reports whether the PU's executor is running.
@@ -720,11 +717,15 @@ func scaledDispatch(pu *hw.PU) time.Duration {
 
 // NodeStatus is the observable state of one PU in a Snapshot.
 type NodeStatus struct {
-	PU            hw.PUID
-	Kind          hw.PUKind
-	Name          string
-	Capacity      int
-	Live          int
+	PU       hw.PUID
+	Kind     hw.PUKind
+	Name     string
+	Capacity int
+	Live     int
+	// Warm is the node's running count of idle warm instances, the figure
+	// the keep-alive cap is checked against; it always equals the sum of
+	// WarmPerFunc.
+	Warm          int
 	WarmPerFunc   map[string]int
 	ExecutorAlive bool
 	// Busy is accumulated handler execution time; Utilization divides it by
@@ -741,15 +742,15 @@ func (rt *Runtime) Snapshot() []NodeStatus {
 	for _, n := range rt.orderedNodes() {
 		st := NodeStatus{
 			PU: n.pu.ID, Kind: n.pu.Kind, Name: n.pu.Name,
-			Capacity: n.capacity, Live: n.liveCount,
+			Capacity: n.capacity, Live: n.liveCount, Warm: n.warmCount,
 			ExecutorAlive: n.pu.Kind.GeneralPurpose() && !n.execDead,
 			Busy:          n.busy,
 		}
-		if len(n.warm) > 0 {
-			st.WarmPerFunc = make(map[string]int, len(n.warm))
-			for fn, pool := range n.warm {
-				if len(pool) > 0 {
-					st.WarmPerFunc[fn] = len(pool)
+		if len(n.pools) > 0 {
+			st.WarmPerFunc = make(map[string]int, len(n.pools))
+			for _, wp := range n.pools {
+				if len(wp.insts) > 0 {
+					st.WarmPerFunc[wp.fn] = len(wp.insts)
 				}
 			}
 		}

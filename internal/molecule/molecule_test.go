@@ -327,8 +327,8 @@ func TestKeepAliveEviction(t *testing.T) {
 		// Cap 2: only two of the three stay warm.
 		n := rt.Node(0)
 		warm := 0
-		for _, pool := range n.warm {
-			warm += len(pool)
+		for _, wp := range n.pools {
+			warm += len(wp.insts)
 		}
 		if warm != 2 {
 			t.Errorf("warm pool = %d, want 2 (eviction)", warm)

@@ -133,7 +133,7 @@ func (rt *Runtime) PlaceChain(names []string, policy PlacementPolicy) ([]hw.PUID
 				// Count distinct functions with no warm instance here: each
 				// needs a free slot (repeat occurrences reuse the released
 				// instance).
-				if len(n.warm[names[i]]) == 0 && firstIndex(names, names[i]) == i {
+				if n.warmLen(names[i]) == 0 && firstIndex(names, names[i]) == i {
 					need++
 				}
 			}
@@ -142,13 +142,13 @@ func (rt *Runtime) PlaceChain(names []string, policy PlacementPolicy) ([]hw.PUID
 			// (evictForPlacement), so they count as free slots here.
 			evictable := 0
 			if supported {
-				for fn, pool := range n.warm { //lint:unordered commutative sum of per-pool surpluses; no order-dependent choice
+				for _, wp := range n.pools {
 					keep := 0
-					if firstIndex(names, fn) >= 0 {
+					if firstIndex(names, wp.fn) >= 0 {
 						keep = 1
 					}
-					if len(pool) > keep {
-						evictable += len(pool) - keep
+					if len(wp.insts) > keep {
+						evictable += len(wp.insts) - keep
 					}
 				}
 			}

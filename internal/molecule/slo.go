@@ -98,7 +98,11 @@ func (rt *Runtime) peekWarm(fn string, kind hw.PUKind) *instance {
 		if n.pu.Kind != kind {
 			continue
 		}
-		for _, inst := range n.warm[fn] {
+		wp := n.warmPool(fn)
+		if wp == nil {
+			continue
+		}
+		for _, inst := range wp.insts {
 			if inst.sb != nil {
 				return inst
 			}

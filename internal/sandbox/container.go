@@ -181,15 +181,16 @@ func (cr *ContainerRuntime) Prewarm(p *sim.Proc, n int) {
 // PoolSize reports the number of prepared containers available.
 func (cr *ContainerRuntime) PoolSize() int { return len(cr.pool) }
 
-// takeContainer pops a prepared container, or creates one on the critical
-// path when the pool is empty.
-func (cr *ContainerRuntime) takeContainer(p *sim.Proc, name string) (*localos.Namespace, *localos.Cgroup, bool) {
+// takeContainer pops a prepared container, or creates one named fc-<id> on
+// the critical path when the pool is empty. Only a miss builds the name.
+func (cr *ContainerRuntime) takeContainer(p *sim.Proc, id string) (*localos.Namespace, *localos.Cgroup, bool) {
 	if len(cr.pool) > 0 {
 		c := cr.pool[len(cr.pool)-1]
 		cr.pool = cr.pool[:len(cr.pool)-1]
 		return c.ns, c.cg, true
 	}
 	p.Sleep(params.ContainerCreateTime)
+	name := "fc-" + id
 	return cr.OS.NewNamespace(name), cr.OS.NewCgroup(name, 1, 1<<28), false
 }
 
@@ -209,7 +210,7 @@ func (cr *ContainerRuntime) Create(p *sim.Proc, specs []Spec) error {
 				return fmt.Errorf("sandbox: create %q on PU %d: %w", spec.ID, cr.OS.PU.ID, err)
 			}
 		}
-		ns, cg, pooled := cr.takeContainer(p, "fc-"+spec.ID)
+		ns, cg, pooled := cr.takeContainer(p, spec.ID)
 		series := "sandbox_pool_misses_total"
 		if pooled {
 			series = "sandbox_pool_hits_total"

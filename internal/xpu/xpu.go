@@ -423,26 +423,35 @@ func (s *Shim) HasCap(x XPID, obj ObjID, perm Perm) bool {
 }
 
 // GrantCap implements grant_cap: caller grants perm on obj to target.
-// The caller must hold PermOwner on obj. The update is synchronized to all
-// nodes immediately.
+// The caller must hold PermOwner on obj. A FIFO must still be open, as for
+// FIFOConnect: its holders are what Unlink releases, so a grant on a closed
+// or unknown FIFO would outlive it. The update is synchronized to all nodes
+// immediately.
 func (n *Node) GrantCap(p *sim.Proc, caller, target XPID, obj ObjID, perm Perm) error {
 	if err := n.failfast(); err != nil {
 		return err
 	}
 	n.xcall(p)
+	var f *XPUFIFO
+	if obj.Kind == "fifo" {
+		if f = n.Shim.fifos[obj.UUID]; f == nil || f.closed {
+			return fmt.Errorf("xpu: no FIFO %q", obj.UUID)
+		}
+	}
 	if !n.Shim.HasCap(caller, obj, PermOwner) {
 		return fmt.Errorf("xpu: %v is not an owner of %v", caller, obj)
 	}
 	n.Shim.capsOf(target)[obj] |= perm
 	n.Shim.capGen++
-	if f := n.Shim.fifos[obj.UUID]; f != nil && obj.Kind == "fifo" && !slices.Contains(f.holders, target) {
+	if f != nil && !slices.Contains(f.holders, target) {
 		f.holders = append(f.holders, target)
 	}
 	n.broadcast(p)
 	return nil
 }
 
-// RevokeCap implements revoke_cap.
+// RevokeCap implements revoke_cap. Revoking from a process that holds no
+// capability on obj changes nothing and synchronizes nothing.
 func (n *Node) RevokeCap(p *sim.Proc, caller, target XPID, obj ObjID, perm Perm) error {
 	if err := n.failfast(); err != nil {
 		return err
@@ -451,7 +460,11 @@ func (n *Node) RevokeCap(p *sim.Proc, caller, target XPID, obj ObjID, perm Perm)
 	if !n.Shim.HasCap(caller, obj, PermOwner) {
 		return fmt.Errorf("xpu: %v is not an owner of %v", caller, obj)
 	}
-	n.Shim.capsOf(target)[obj] &^= perm
+	held, ok := n.Shim.caps[target][obj]
+	if !ok {
+		return nil
+	}
+	n.Shim.caps[target][obj] = held &^ perm
 	n.Shim.capGen++
 	n.broadcast(p)
 	return nil

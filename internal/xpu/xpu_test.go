@@ -1,6 +1,7 @@
 package xpu
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -247,6 +248,74 @@ func TestGrantRequiresOwner(t *testing.T) {
 		// DPU process is not the owner.
 		if err := r.dpuNode.GrantCap(p, r.dpuXPID, r.dpuXPID, obj, PermRead); err == nil {
 			t.Error("non-owner grant succeeded")
+		}
+	})
+	r.env.Run()
+}
+
+// TestGrantCapOnDeadFIFOFails: a grant on a FIFO that was aborted, closed
+// or never existed fails like FIFOConnect does, instead of adding an entry
+// no Unlink removes; the peer never gains the permission, and after Unlink
+// NumCaps is back at its idle value.
+func TestGrantCapOnDeadFIFOFails(t *testing.T) {
+	for _, end := range []string{"abort", "close", "unknown"} {
+		t.Run(end, func(t *testing.T) {
+			r := newRig(t)
+			r.env.Spawn("x", func(p *sim.Proc) {
+				groups0, caps0 := r.shim.NumCaps()
+				fd, err := r.cpuNode.FIFOInit(p, r.cpuXPID, "dead", 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				obj := ObjID{Kind: "fifo", UUID: "dead"}
+				switch end {
+				case "abort":
+					fd.Abort()
+				case "close":
+					if err := fd.Close(p); err != nil {
+						t.Fatal(err)
+					}
+				case "unknown":
+					obj.UUID = "never-made"
+				}
+				err = r.cpuNode.GrantCap(p, r.cpuXPID, r.dpuXPID, obj, PermWrite)
+				if err == nil || !strings.Contains(err.Error(), "no FIFO") {
+					t.Errorf("GrantCap (%s): err = %v, want no FIFO", end, err)
+				}
+				if r.shim.HasCap(r.dpuXPID, obj, PermWrite) {
+					t.Errorf("peer holds write after a refused grant (%s)", end)
+				}
+				fd.Unlink()
+				if groups, caps := r.shim.NumCaps(); groups != groups0 || caps != caps0 {
+					t.Errorf("NumCaps = (%d, %d) after Unlink, want (%d, %d)", groups, caps, groups0, caps0)
+				}
+			})
+			r.env.Run()
+		})
+	}
+}
+
+// TestRevokeCapFromNonHolderIsNoop: revoking from a process that never held
+// the capability creates no zero-permission entry, so Unlink leaves NumCaps
+// at its idle value.
+func TestRevokeCapFromNonHolderIsNoop(t *testing.T) {
+	r := newRig(t)
+	r.env.Spawn("x", func(p *sim.Proc) {
+		groups0, caps0 := r.shim.NumCaps()
+		fd, err := r.cpuNode.FIFOInit(p, r.cpuXPID, "f", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj := ObjID{Kind: "fifo", UUID: "f"}
+		if err := r.cpuNode.RevokeCap(p, r.cpuXPID, r.dpuXPID, obj, PermWrite); err != nil {
+			t.Fatal(err)
+		}
+		if groups, caps := r.shim.NumCaps(); groups != groups0 || caps != caps0+1 {
+			t.Errorf("NumCaps = (%d, %d) after revoking from a non-holder, want (%d, %d): the owner only", groups, caps, groups0, caps0+1)
+		}
+		fd.Unlink()
+		if groups, caps := r.shim.NumCaps(); groups != groups0 || caps != caps0 {
+			t.Errorf("NumCaps = (%d, %d) after Unlink, want (%d, %d)", groups, caps, groups0, caps0)
 		}
 	})
 	r.env.Run()

@@ -80,6 +80,20 @@ func TestSoakRandomizedOperations(t *testing.T) {
 			if rt.LiveInstances() > rt.Capacity() {
 				t.Fatalf("step %d: live %d exceeds capacity %d", step, rt.LiveInstances(), rt.Capacity())
 			}
+			// The warm counter == the sum of the warm pools, and between
+			// steps every live container instance is an idle warm one.
+			for _, st := range rt.Snapshot() {
+				sum := 0
+				for _, k := range st.WarmPerFunc {
+					sum += k
+				}
+				if st.Warm != sum {
+					t.Fatalf("step %d: PU %d warm counter %d, pools hold %d", step, st.PU, st.Warm, sum)
+				}
+				if st.Kind.GeneralPurpose() && st.Live != st.Warm {
+					t.Fatalf("step %d: PU %d has %d live instances but %d warm, none busy", step, st.PU, st.Live, st.Warm)
+				}
+			}
 		}
 
 		invocations := 0
