@@ -64,14 +64,15 @@ bench:
 
 # Fast-path microbenchmarks: the sim kernel (including one sharded round,
 # swept over its size), the nIPC FIFO write path
-# (ns/op and allocs/op), a warm Molecule invocation end to end, a forced
+# (ns/op and allocs/op), the address-space fork fan-out and one cold start's
+# fork/map/write/release cycle, a warm Molecule invocation end to end, a forced
 # cold start under the zygote forest whose release evicts a warm instance, a
 # warm cross-PU chain (wiring built and released every call), a warm
 # invocation and chain through a one-machine cluster Boss, and the loadgen
 # open-loop stream's own cost (allocs/req).
 microbench:
 	$(GO) test ./internal/sim -bench 'Kernel|ChanPingPong|ShardedRound' -benchmem -run xxx
-	$(GO) test ./internal/mem -bench 'ForkFanout' -benchmem -run xxx
+	$(GO) test ./internal/mem -bench 'ForkFanout|ColdCycle' -benchmem -run xxx
 	$(GO) test ./internal/xpu -bench 'FIFOWrite' -benchmem -run xxx
 	$(GO) test ./internal/molecule -bench 'InvokeWarm|InvokeCold|InvokeChainCrossPU' -benchmem -run xxx
 	$(GO) test ./internal/cluster -bench 'BossInvoke' -benchmem -run xxx
@@ -82,7 +83,7 @@ microbench:
 # scenario doubles as a fingerprint-equality check across shard counts.
 bench-smoke:
 	$(GO) test ./internal/sim -bench 'Kernel|ChanPingPong|ShardedRound' -benchtime 1x -run xxx
-	$(GO) test ./internal/mem -bench 'ForkFanout' -benchtime 1x -run xxx
+	$(GO) test ./internal/mem -bench 'ForkFanout|ColdCycle' -benchtime 1x -run xxx
 	$(GO) test ./internal/xpu -bench 'FIFOWrite' -benchtime 1x -run xxx
 	$(GO) test ./internal/molecule -bench 'InvokeWarm|InvokeCold|InvokeChainCrossPU' -benchtime 1x -run xxx
 	$(GO) test ./internal/cluster -bench 'BossInvoke' -benchtime 1x -run xxx
@@ -103,7 +104,7 @@ benchjson:
 # The zygote forest under the race detector (the fitter runs on background
 # procs) plus the coldstart scenario (table to stdout, no snapshot).
 coldstart-race:
-	$(GO) test -race -count=1 -run 'Zygote|ColdStart|Release|ForkFanout' ./internal/lang/ ./internal/molecule/ ./internal/mem/ ./internal/bench/
+	$(GO) test -race -count=1 -run 'Zygote|ColdStart|Release|ForkFanout|ColdCycle' ./internal/lang/ ./internal/molecule/ ./internal/mem/ ./internal/bench/
 	$(GO) run ./cmd/molecule-bench -scenario coldstart
 
 # The cluster control plane and the loadgen stream that drives it under the

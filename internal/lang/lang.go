@@ -197,7 +197,11 @@ type CforkOptions struct {
 
 // Cfork produces a new function instance from a template via the paper's
 // container-fork protocol. The returned instance shares the template's
-// memory copy-on-write and is loaded with funcID.
+// memory copy-on-write and is loaded with funcID. Besides the instance and
+// its process, a fork allocates the process's name (ProcName); the
+// container's names only when the caller did not prepare a container.
+//
+//molecule:hotpath
 func Cfork(p *sim.Proc, tmpl *Instance, funcID string, opts CforkOptions) (*Instance, error) {
 	if !tmpl.IsTemplate {
 		return nil, fmt.Errorf("lang: cfork source %q is not a template", tmpl.FuncID)
@@ -209,22 +213,16 @@ func Cfork(p *sim.Proc, tmpl *Instance, funcID string, opts CforkOptions) (*Inst
 	if !opts.PreparedContainer {
 		// Create the function container on the critical path (naive cfork).
 		p.Sleep(scaled(params.ContainerCreateTime, f))
-		ns = os.NewNamespace("fc-" + funcID)
-		cg = os.NewCgroup("fc-"+funcID, 1, 1<<28)
-	} else {
-		if ns == nil {
-			ns = os.NewNamespace("fc-" + funcID)
-		}
-		if cg == nil {
-			cg = os.NewCgroup("fc-"+funcID, 1, 1<<28)
-		}
+		ns, cg = funcContainer(os, funcID, nil, nil)
+	} else if ns == nil || cg == nil {
+		ns, cg = funcContainer(os, funcID, ns, cg)
 	}
 
 	// 1. Merge runtime threads so plain fork is safe.
 	tmpl.MergeThreads(p)
 
 	// 2. OS-level COW fork of the single-threaded template.
-	childProc, err := os.Fork(p, tmpl.Proc, "fn-"+funcID)
+	childProc, err := os.Fork(p, tmpl.Proc, ProcName(funcID))
 	if err != nil {
 		return nil, err
 	}
@@ -254,6 +252,22 @@ func Cfork(p *sim.Proc, tmpl *Instance, funcID string, opts CforkOptions) (*Inst
 	p.Sleep(scaled(params.CforkConnectTime, f))
 	return child, nil
 }
+
+// funcContainer fills in whichever of the function container's namespace
+// and cgroup is missing, both named "fc-<funcID>".
+func funcContainer(os *localos.OS, funcID string, ns *localos.Namespace, cg *localos.Cgroup) (*localos.Namespace, *localos.Cgroup) {
+	name := "fc-" + funcID
+	if ns == nil {
+		ns = os.NewNamespace(name)
+	}
+	if cg == nil {
+		cg = os.NewCgroup(name, 1, 1<<28)
+	}
+	return ns, cg
+}
+
+// ProcName returns the process name of a function instance: "fn-<funcID>".
+func ProcName(funcID string) string { return "fn-" + funcID }
 
 // Invoke runs the loaded function's handler for the given CPU-time cost,
 // scaled by the PU's speed. A freshly forked instance's first request pays

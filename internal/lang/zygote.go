@@ -25,9 +25,9 @@
 package lang
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -49,9 +49,12 @@ type ZygoteNode struct {
 	// packages it imported beyond its parent. Budget accounting charges
 	// only this, because everything else is shared upward.
 	residualPages int
-	// cost is Pkgs.ImportCost(), summed once at Grow: resolution compares
-	// it for every covering child on every cold start.
-	cost time.Duration
+	// cost and pages are Pkgs.ImportCost() and Pkgs.ImportPages(), summed
+	// once at Grow: resolution compares cost for every covering child on
+	// every cold start, and a fit round subtracts both from a candidate's
+	// totals to price its residual over this node.
+	cost  time.Duration
+	pages int
 
 	pins    int  // in-flight forks from this node; retire defers while > 0
 	retired bool // no longer resolvable; exits when pins drain
@@ -112,18 +115,35 @@ type ZygoteTree struct {
 	rounds    int
 
 	obs     map[string]*zygoteObs
-	obsKeys []string // insertion-ordered keys of obs (no map iteration)
+	obsList []*zygoteObs // obs in insertion order (no map iteration)
 
-	// Reused buffers: Observe and Fit build set keys in keyBuf and Fit
-	// builds pairwise intersections in isect, so neither allocates for a
-	// set it has already seen.
-	keyBuf []byte
-	isect  PkgSet
+	// Reused buffers: Observe and Fit build set keys in keyBuf, and Fit
+	// lists its candidates in cands, their pairwise intersections back to
+	// back in isects, and keeps its accepted and grow lists and the prune
+	// pass's post-order walk, so a fit round no larger than the last
+	// allocates nothing.
+	keyBuf   []byte
+	isects   PkgSet
+	cands    []zygoteCand
+	accepted []*zygoteCand
+	grow     []*zygoteCand
+	post     []*ZygoteNode
 }
 
 type zygoteObs struct {
+	key   string
 	pkgs  PkgSet
 	count int
+}
+
+// zygoteCand is one package set a fit round scores, with the totals its
+// comparisons read computed once per round.
+type zygoteCand struct {
+	pkgs  PkgSet // an observed set, or a window of ZygoteTree.isects
+	tie   uint64 // tieBreak(key, Seed)
+	cost  time.Duration
+	pages int
+	score float64
 }
 
 // NewZygoteTree wraps an existing generic template as the root of a tree.
@@ -208,9 +228,9 @@ func (t *ZygoteTree) Observe(pkgs PkgSet) {
 		o.count++
 		return
 	}
-	k := string(t.keyBuf)
-	t.obs[k] = &zygoteObs{pkgs: pkgs, count: 1}
-	t.obsKeys = append(t.obsKeys, k)
+	o := &zygoteObs{key: string(t.keyBuf), pkgs: pkgs, count: 1}
+	t.obs[o.key] = o
+	t.obsList = append(t.obsList, o)
 }
 
 // NeedsFit reports whether enough cold starts accumulated to run a fit
@@ -268,6 +288,7 @@ func (t *ZygoteTree) Grow(p *sim.Proc, pkgs PkgSet) (*ZygoteNode, error) {
 		Parent:        parent,
 		residualPages: residual.ImportPages(),
 		cost:          pkgs.ImportCost(),
+		pages:         pkgs.ImportPages(),
 	}
 	parent.children = append(parent.children, node)
 	t.usedPages += node.residualPages
@@ -312,7 +333,7 @@ func (t *ZygoteTree) reap(n *ZygoteNode) {
 func (t *ZygoteTree) Reset() {
 	t.gen++
 	t.cold = 0
-	for _, n := range t.nodesPostOrder() {
+	for _, n := range appendPostOrder(nil, t.Root) {
 		t.Retire(n)
 	}
 }
@@ -320,123 +341,93 @@ func (t *ZygoteTree) Reset() {
 // Fit runs one fit round: score candidate package sets against observed
 // demand, grow the best under the page budget, prune cold leaves, decay
 // the observation counts. Deterministic for a given seed and observation
-// sequence.
+// sequence: both sorts are total orders. Their last key, slices.Compare
+// on the canonical sets, orders them as strings.Compare orders their keys,
+// since no package name holds a byte at or below the key's ','
+// (TestPkgSetCompareMatchesKeyOrder).
 func (t *ZygoteTree) Fit(p *sim.Proc) {
 	defer func() { t.fitting = false }()
 	gen := t.gen
 	t.cold = 0
 	t.rounds++
-
-	type cand struct {
-		key    string
-		pkgs   PkgSet
-		demand int
-		saved  time.Duration
-	}
-	cands := make(map[string]*cand, len(t.obsKeys))
-	order := make([]string, 0, len(t.obsKeys))
-	for _, k := range t.obsKeys {
-		cands[k] = &cand{key: k, pkgs: t.obs[k].pkgs}
-		order = append(order, k)
-	}
-	// Pairwise intersections of observed sets: the shared prefixes worth
-	// hoisting into interior nodes. Intersections of dependency-closed
-	// sets are themselves closed. Each is built in t.isect and keyed in
-	// t.keyBuf; only a new candidate copies its set and key.
-	for i := 0; i < len(t.obsKeys); i++ {
-		for j := i + 1; j < len(t.obsKeys); j++ {
-			t.isect = t.obs[t.obsKeys[i]].pkgs.appendIntersect(t.isect[:0], t.obs[t.obsKeys[j]].pkgs)
-			if len(t.isect) == 0 {
-				continue
-			}
-			t.keyBuf = t.isect.appendKey(t.keyBuf[:0])
-			if _, ok := cands[string(t.keyBuf)]; ok {
-				continue
-			}
-			k := string(t.keyBuf)
-			cands[k] = &cand{key: k, pkgs: slices.Clone(t.isect)}
-			order = append(order, k)
-		}
-	}
+	t.listCands()
 
 	// Demand for a candidate is the total observed count of sets it can
 	// serve (sets that contain it); saved is the import time a fork from
-	// it would skip relative to today's deepest covering node.
-	accepted := make([]*cand, 0, len(order))
+	// it would skip relative to today's deepest covering node, whose
+	// packages it contains.
+	accepted := t.accepted[:0]
 	estPages := t.usedPages
-	for _, k := range order {
-		c := cands[k]
-		for _, ok := range t.obsKeys {
-			o := t.obs[ok]
+	for i := range t.cands {
+		c := &t.cands[i]
+		demand := 0
+		for _, o := range t.obsList {
 			if o.pkgs.Covers(c.pkgs) {
-				c.demand += o.count
+				demand += o.count
 			}
 		}
-		if c.demand < t.Cfg.MinHits {
+		if demand < t.Cfg.MinHits {
 			continue
 		}
-		cover := t.resolveNode(c.pkgs)
-		c.saved = c.pkgs.Residual(cover.Pkgs).ImportCost()
-		if c.saved <= 0 {
+		saved := c.cost - t.resolveNode(c.pkgs).cost
+		if saved <= 0 {
 			continue
 		}
+		c.score = float64(demand) * saved.Seconds()
 		accepted = append(accepted, c)
 	}
-	score := func(c *cand) float64 {
-		return float64(c.demand) * c.saved.Seconds()
-	}
-	sort.Slice(accepted, func(i, j int) bool {
-		si, sj := score(accepted[i]), score(accepted[j])
-		if si != sj {
-			return si > sj
+	slices.SortFunc(accepted, func(a, b *zygoteCand) int {
+		if a.score != b.score {
+			return cmp.Compare(b.score, a.score)
 		}
-		ti := splitmix64(fnv64a(accepted[i].key) ^ t.Cfg.Seed)
-		tj := splitmix64(fnv64a(accepted[j].key) ^ t.Cfg.Seed)
-		if ti != tj {
-			return ti < tj
+		if a.tie != b.tie {
+			return cmp.Compare(a.tie, b.tie)
 		}
-		return accepted[i].key < accepted[j].key
+		return slices.Compare(a.pkgs, b.pkgs)
 	})
 
 	// Select greedily under the budget, then boot cheapest-first so that
 	// subset nodes exist before their supersets and become their parents.
-	grow := make([]*cand, 0, t.Cfg.MaxGrowPerFit)
+	grow := t.grow[:0]
 	for _, c := range accepted {
 		if len(grow) >= t.Cfg.MaxGrowPerFit {
 			break
 		}
-		need := c.pkgs.Residual(t.resolveNode(c.pkgs).Pkgs).ImportPages()
+		need := c.pages - t.resolveNode(c.pkgs).pages
 		if estPages+need > t.Cfg.BudgetPages {
 			continue
 		}
 		estPages += need
 		grow = append(grow, c)
 	}
-	sort.Slice(grow, func(i, j int) bool {
-		ci, cj := grow[i].pkgs.ImportCost(), grow[j].pkgs.ImportCost()
-		if ci != cj {
-			return ci < cj
+	t.accepted = accepted
+	slices.SortFunc(grow, func(a, b *zygoteCand) int {
+		if a.cost != b.cost {
+			return cmp.Compare(a.cost, b.cost)
 		}
-		return grow[i].key < grow[j].key
+		return slices.Compare(a.pkgs, b.pkgs)
 	})
+	t.grow = grow
 	for _, c := range grow {
 		if t.gen != gen {
 			return
 		}
 		// Re-resolve at boot time: earlier boots this round may have
 		// created a deeper parent, shrinking the residual.
-		need := c.pkgs.Residual(t.resolveNode(c.pkgs).Pkgs).ImportPages()
+		need := c.pages - t.resolveNode(c.pkgs).pages
 		if t.usedPages+need > t.Cfg.BudgetPages {
 			continue
 		}
-		if _, err := t.Grow(p, c.pkgs); err != nil || t.gen != gen {
+		// The node keeps its own copy: an intersection lives in t.isects,
+		// which the next round rewrites.
+		if _, err := t.Grow(p, slices.Clone(c.pkgs)); err != nil || t.gen != gen {
 			return
 		}
 	}
 
 	// Prune leaves that went two full rounds without a hit, newest first.
-	nodes := t.nodesPostOrder()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID > nodes[j].ID })
+	nodes := appendPostOrder(t.post[:0], t.Root)
+	slices.SortFunc(nodes, func(a, b *ZygoteNode) int { return cmp.Compare(b.ID, a.ID) })
 	for _, n := range nodes {
 		if n == t.Root || n.dead || n.retired {
 			continue
@@ -451,34 +442,78 @@ func (t *ZygoteTree) Fit(p *sim.Proc) {
 			t.Retire(n)
 		}
 	}
+	clear(nodes)
+	t.post = nodes[:0]
 
 	// Exponential decay keeps the demand profile tracking the recent mix.
-	keep := t.obsKeys[:0]
-	for _, k := range t.obsKeys {
-		o := t.obs[k]
+	keep := t.obsList[:0]
+	for _, o := range t.obsList {
 		o.count /= 2
 		if o.count > 0 {
-			keep = append(keep, k)
+			keep = append(keep, o)
 		} else {
-			delete(t.obs, k)
+			delete(t.obs, o.key)
 		}
 	}
-	t.obsKeys = keep
+	clear(t.obsList[len(keep):])
+	t.obsList = keep
 }
 
-// nodesPostOrder returns every live node, children before parents, in
-// deterministic (insertion) order.
-func (t *ZygoteTree) nodesPostOrder() []*ZygoteNode {
-	var out []*ZygoteNode
-	var walk func(n *ZygoteNode)
-	walk = func(n *ZygoteNode) {
-		for _, c := range n.children {
-			walk(c)
-		}
-		out = append(out, n)
+// listCands lists the round's candidates: every observed set in
+// observation order, then each pairwise intersection not already listed,
+// in pair order — the shared prefixes worth hoisting into interior nodes.
+// Intersections of dependency-closed sets are themselves closed. Each is
+// built at the end of t.isects and keyed in t.keyBuf, and dropped again if
+// it is empty or already listed.
+func (t *ZygoteTree) listCands() {
+	t.cands, t.isects = t.cands[:0], t.isects[:0]
+	for _, o := range t.obsList {
+		t.addCand(o.pkgs, tieBreak(o.key, t.Cfg.Seed))
 	}
-	walk(t.Root)
-	return out
+	for i, a := range t.obsList {
+		for _, b := range t.obsList[i+1:] {
+			start := len(t.isects)
+			t.isects = a.pkgs.appendIntersect(t.isects, b.pkgs)
+			set := t.isects[start:len(t.isects):len(t.isects)]
+			if len(set) == 0 {
+				continue
+			}
+			t.keyBuf = set.appendKey(t.keyBuf[:0])
+			if tie := tieBreak(t.keyBuf, t.Cfg.Seed); !t.listed(set, tie) {
+				t.addCand(set, tie)
+				continue
+			}
+			t.isects = t.isects[:start]
+		}
+	}
+}
+
+// tieBreak is the seeded score tie-break of the set keyed key.
+func tieBreak[S string | []byte](key S, seed uint64) uint64 { return splitmix64(fnv64a(key) ^ seed) }
+
+// addCand lists set with its tie-break and import totals.
+func (t *ZygoteTree) addCand(set PkgSet, tie uint64) {
+	t.cands = append(t.cands, zygoteCand{pkgs: set, tie: tie, cost: set.ImportCost(), pages: set.ImportPages()})
+}
+
+// listed reports whether the round already lists set, whose tie-break is
+// tie.
+func (t *ZygoteTree) listed(set PkgSet, tie uint64) bool {
+	for i := range t.cands {
+		if c := &t.cands[i]; c.tie == tie && c.pkgs.Equal(set) {
+			return true
+		}
+	}
+	return false
+}
+
+// appendPostOrder appends n's live subtree to dst, children before parents,
+// in deterministic (insertion) order.
+func appendPostOrder(dst []*ZygoteNode, n *ZygoteNode) []*ZygoteNode {
+	for _, c := range n.children {
+		dst = appendPostOrder(dst, c)
+	}
+	return append(dst, n)
 }
 
 // LiveNodes returns the number of live specialized templates (excluding
@@ -496,7 +531,7 @@ func (t *ZygoteTree) Rounds() int { return t.rounds }
 // forever by a lost fork. Always zero unless refcounting broke.
 func (t *ZygoteTree) LeakedNodes() int {
 	n := 0
-	for _, node := range t.nodesPostOrder() {
+	for _, node := range appendPostOrder(nil, t.Root) {
 		if node.retired && !node.dead {
 			n++
 		}
@@ -509,7 +544,7 @@ func (t *ZygoteTree) LeakedNodes() int {
 // so a deep tree costs far less than node-count × footprint.
 func (t *ZygoteTree) TemplatePSSPages() float64 {
 	var pss float64
-	for _, n := range t.nodesPostOrder() {
+	for _, n := range appendPostOrder(nil, t.Root) {
 		if !n.dead && !n.retired {
 			pss += n.Inst.Proc.AS.PSSPages()
 		}
@@ -537,9 +572,9 @@ func (t *ZygoteTree) ShapeString() string {
 	return b.String()
 }
 
-// fnv64a is the FNV-1a hash of a string (no dependency on hash/fnv's
-// allocating writer API).
-func fnv64a(s string) uint64 {
+// fnv64a is the FNV-1a hash of a string or its bytes (no dependency on
+// hash/fnv's allocating writer API).
+func fnv64a[S string | []byte](s S) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])

@@ -1,6 +1,8 @@
 package lang
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -299,7 +301,7 @@ func TestZygoteObserveKeysWithoutAllocating(t *testing.T) {
 			t.Errorf("Observe of a seen set allocates %v/op, want 0", allocs)
 		}
 		tr.Observe(img)
-		if got, want := strings.Join(tr.obsKeys, "|"), blas.Key()+"|"+img.Key(); got != want {
+		if got, want := obsKeys(tr), blas.Key()+"|"+img.Key(); got != want {
 			t.Errorf("observation keys %q, want %q", got, want)
 		}
 		if o := tr.obs[blas.Key()]; o == nil || o.count != 102 {
@@ -314,4 +316,171 @@ func TestZygoteObserveKeysWithoutAllocating(t *testing.T) {
 		}
 	})
 	env.Run()
+}
+
+// obsKeys joins the tree's observation keys in insertion order.
+func obsKeys(tr *ZygoteTree) string {
+	keys := make([]string, len(tr.obsList))
+	for i, o := range tr.obsList {
+		keys[i] = o.key
+	}
+	return strings.Join(keys, "|")
+}
+
+// TestZygoteFitCacheMatchesRebuild drives one observation stream through a
+// tree that reuses its candidate and intersection buffers from round to
+// round and through one whose buffers are dropped before every round, so a
+// stale set or total left in a reused buffer would show. Rare sets decay out and return, which
+// moves slots between observed sets and intersections, and the last rounds
+// observe a steady mix. Each round's candidates must match refCands, and
+// both trees must have grown the same nodes in the same order and agree on
+// shape, used pages and round count.
+func TestZygoteFitCacheMatchesRebuild(t *testing.T) {
+	spec, _ := SpecFor(Python)
+	// The two crypto sets share {pyutils, numpy, crypto}, which is never
+	// observed itself, so some nodes grow from intersections.
+	steady := [][]string{{"blas"}, {"blas"}, {"imageops", "crypto"}, {"imageops", "crypto"}, {"blas", "crypto"}, {"numpy"}, {"numpy"}}
+	rare := [][]string{
+		{"crypto"}, {"templating"}, {"zlibx"}, {"imageops", "crypto"},
+		{"httpkit"}, {"blas", "templating"}, {"pillow", "jinja2"},
+	}
+	const rounds, steadyFrom = 48, 36
+	type roundState struct {
+		cands  string // refCands' rendering of the round's candidates
+		shape  string
+		grown  string // "id:key" of every node grown this round, in ID order
+		used   int
+		rounds int
+	}
+	observed := map[string]bool{}
+	run := func(fresh bool) []roundState {
+		env, os := newOS(hw.CPU)
+		var states []roundState
+		env.Spawn("x", func(p *sim.Proc) {
+			root := BootCold(p, os, spec, "tmpl", true)
+			tr := NewZygoteTree(os, root, ZygoteTreeConfig{
+				BudgetPages: mbPages(64), FitInterval: 8, MinHits: 2, MaxGrowPerFit: 3, Seed: 11,
+			})
+			lastID := 0
+			for r := 0; r < rounds; r++ {
+				mix := append([][]string(nil), steady...)
+				if r < steadyFrom {
+					mix = append(mix, rare[(r*5)%len(rare)])
+				} else {
+					mix = append(mix, steady[0])
+				}
+				for _, names := range mix {
+					s, _ := Closure(names)
+					observed[s.Key()] = true
+					tr.Resolve(s)
+					tr.Observe(s)
+				}
+				if !tr.NeedsFit() {
+					t.Fatalf("round %d: no fit due after %d observations", r, len(mix))
+				}
+				if fresh {
+					tr.cands, tr.isects = nil, nil
+				}
+				want := refCands(tr)
+				tr.BeginFit()
+				tr.Fit(p)
+				st := roundState{shape: tr.ShapeString(), used: tr.UsedPages(), rounds: tr.Rounds()}
+				for _, c := range tr.cands {
+					st.cands += fmt.Sprintf("%s/%d/%v/%d ", c.pkgs.Key(), c.tie, c.cost, c.pages)
+				}
+				if st.cands != want {
+					t.Fatalf("round %d (fresh buffers %v): candidates\n%s\nwant\n%s", r, fresh, st.cands, want)
+				}
+				nodes := appendPostOrder(nil, tr.Root)
+				slices.SortFunc(nodes, func(a, b *ZygoteNode) int { return a.ID - b.ID })
+				for _, n := range nodes {
+					if n.ID > lastID {
+						st.grown += fmt.Sprintf("%d:%s ", n.ID, n.Pkgs.Key())
+						lastID = n.ID
+					}
+				}
+				states = append(states, st)
+			}
+		})
+		env.Run()
+		return states
+	}
+	reused, fresh := run(false), run(true)
+	grew, grewIsect := false, false
+	for _, st := range reused {
+		for _, g := range strings.Fields(st.grown) {
+			grewIsect = grewIsect || !observed[g[strings.IndexByte(g, ':')+1:]]
+		}
+	}
+	if !grewIsect {
+		t.Error("no node grew from an intersection; reuse of the intersection buffer is untested")
+	}
+	for r := range reused {
+		c, w := reused[r], fresh[r]
+		if c != w {
+			t.Fatalf("round %d: reused buffers diverged from fresh ones\nreused: grew %q used %d rounds %d\n%s\nfresh: grew %q used %d rounds %d\n%s",
+				r, c.grown, c.used, c.rounds, c.shape, w.grown, w.used, w.rounds, w.shape)
+		}
+		grew = grew || c.grown != ""
+	}
+	if !grew {
+		t.Error("no round grew a node; the comparison proves nothing")
+	}
+}
+
+// refCands renders the candidates a fit round over tr's current
+// observations must score, built the straightforward way: observed keys in
+// insertion order, then each new pairwise intersection in pair order,
+// deduplicated through a map, each with its tie-break and import totals.
+func refCands(tr *ZygoteTree) string {
+	seen := map[string]bool{}
+	var sets []PkgSet
+	for _, o := range tr.obsList {
+		seen[o.key] = true
+		sets = append(sets, o.pkgs)
+	}
+	for i, a := range tr.obsList {
+		for _, b := range tr.obsList[i+1:] {
+			if s := a.pkgs.Intersect(b.pkgs); len(s) > 0 && !seen[s.Key()] {
+				seen[s.Key()] = true
+				sets = append(sets, s)
+			}
+		}
+	}
+	var out string
+	for _, s := range sets {
+		k := s.Key()
+		out += fmt.Sprintf("%s/%d/%v/%d ", k, splitmix64(fnv64a(k)^tr.Cfg.Seed), s.ImportCost(), s.ImportPages())
+	}
+	return out
+}
+
+// TestPkgSetCompareMatchesKeyOrder checks the premise of Fit's last sort
+// key: over every pair of sets of up to two catalog packages and their
+// closures, slices.Compare orders the canonical sets as strings.Compare
+// orders their keys.
+func TestPkgSetCompareMatchesKeyOrder(t *testing.T) {
+	var names []string
+	for _, pkg := range catalogList {
+		names = append(names, pkg.Name)
+	}
+	var sets []PkgSet
+	for i, a := range names {
+		sets = append(sets, PkgSet{a})
+		for _, b := range names[i+1:] {
+			sets = append(sets, PkgSet{a, b})
+			s, err := Closure([]string{a, b})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sets = append(sets, s)
+		}
+	}
+	for _, a := range sets {
+		for _, b := range sets {
+			if got, want := slices.Compare(a, b), strings.Compare(a.Key(), b.Key()); got != want {
+				t.Fatalf("slices.Compare(%q, %q) = %d, key order %d", a, b, got, want)
+			}
+		}
+	}
 }

@@ -20,6 +20,11 @@
 // the number of runs, not on the number of simulated pages. The observable
 // semantics (fault counts, RSS, PSS, shared-page counts) are identical to a
 // per-page model.
+//
+// A cold start's host work edits in place: splice rewrites the mapping list
+// within its capacity, Fork leaves the child spare slots for the mappings a
+// cold start adds, and an extent no page of which is referenced any more
+// goes on its family's free list for the next Map or Write to reuse.
 package mem
 
 import "slices"
@@ -51,11 +56,39 @@ type mapping struct {
 	ext *extent
 }
 
+// extentPool is the free list of one address-space family: a space made by
+// NewAddressSpace and every space forked from it, the only spaces that can
+// map the family's extents. The family's first Fork creates it, so a space
+// that is never forked (a gateway, a plain boot) allocates nothing for it.
+// An extent goes on it once every one of its pages has zero references,
+// which no mapped page can have, so nothing reaches it until newExtent
+// hands it out again. It is per family, never package-level: parallel
+// simulations keep separate families.
+type extentPool struct {
+	n    int // free[:n] are free
+	free [maxFreeExtents]*extent
+}
+
+// maxFreeExtents caps a family's free list. A cold start takes at most
+// three extents and the exit it pairs with frees as many, so three cover
+// the steady fork/exit cycle; extents freed past the cap by a burst of
+// exits are left to the garbage collector rather than held for the life
+// of the family.
+const maxFreeExtents = 3
+
+// forkSpare is how many mapping slots Fork leaves free in the child: a cold
+// start maps the function's private pages and splits the base mapping in
+// two with its first write. A zygote child that also maps residual imports
+// grows its list once; a spare slot for it would sit empty in every other
+// live instance.
+const forkSpare = 2
+
 // AddressSpace is a process's page table: a sorted, non-overlapping list of
 // extent windows.
 type AddressSpace struct {
 	maps []mapping
-	next int // next unused virtual page number for Map allocations
+	next int         // next unused virtual page number for Map allocations
+	pool *extentPool // the family's free extents; nil until its first Fork
 	// released guards the refcount decrement in Release: an address space
 	// can be torn down from more than one path (keep-alive eviction vs an
 	// in-flight fork's error cleanup), and decrementing shared extents
@@ -63,17 +96,35 @@ type AddressSpace struct {
 	released bool
 }
 
-// NewAddressSpace returns an empty address space.
+// NewAddressSpace returns an empty address space, the root of a new family.
 func NewAddressSpace() *AddressSpace {
 	return &AddressSpace{}
 }
 
-// newExtent returns n pages with one reference each, in one allocation.
-func newExtent(n int) *extent {
-	e := &extent{}
-	e.first[0] = run{end: n, refs: 1}
-	e.runs = e.first[:]
+// newExtent returns n pages with one reference each: a free extent of the
+// family if there is one, else a fresh one in one allocation.
+func (as *AddressSpace) newExtent(n int) *extent {
+	var e *extent
+	if p := as.pool; p != nil && p.n > 0 {
+		p.n--
+		e, p.free[p.n] = p.free[p.n], nil
+	} else {
+		e = &extent{}
+		e.runs = e.first[:0]
+	}
+	e.runs = append(e.runs[:0], run{end: n, refs: 1})
 	return e
+}
+
+// unref drops this space's reference to pages [lo, hi) of e, and frees e
+// to the family's list, if it has room, once none of its pages is
+// referenced.
+func (as *AddressSpace) unref(e *extent, lo, hi int) {
+	e.add(lo, hi, -1)
+	if p := as.pool; p != nil && p.n < maxFreeExtents && len(e.runs) == 1 && e.runs[0].refs == 0 {
+		p.free[p.n] = e
+		p.n++
+	}
 }
 
 // runAt returns the index of the run containing page p, or len(e.runs) when
@@ -173,25 +224,26 @@ func (as *AddressSpace) search(vpn int) int {
 	return lo
 }
 
-// splice replaces as.maps[i] with the given replacement mappings.
+// splice replaces as.maps[i] with the given replacement mappings, in place
+// when the list's capacity allows. No other space shares the backing array:
+// Fork copies it.
+//
+//molecule:hotpath
 func (as *AddressSpace) splice(i int, repl ...mapping) {
-	tail := as.maps[i+1:]
-	out := make([]mapping, 0, len(as.maps)-1+len(repl))
-	out = append(out, as.maps[:i]...)
-	out = append(out, repl...)
-	out = append(out, tail...)
-	as.maps = out
+	as.maps = slices.Replace(as.maps, i, i+1, repl...)
 }
 
 // Map allocates n fresh private pages and returns the first virtual page
 // number of the contiguous run.
+//
+//molecule:hotpath
 func (as *AddressSpace) Map(n int) int {
 	start := as.next
 	if n > 0 {
 		// as.next never lies inside an existing mapping (Map and demand
 		// paging both advance it past what they touch), so appending keeps
 		// the list sorted.
-		as.maps = append(as.maps, mapping{vpn: start, n: n, off: 0, ext: newExtent(n)})
+		as.maps = append(as.maps, mapping{vpn: start, n: n, off: 0, ext: as.newExtent(n)})
 		as.next += n
 		as.released = false // mapping into a released space revives it
 	}
@@ -200,6 +252,8 @@ func (as *AddressSpace) Map(n int) int {
 
 // Unmap releases n pages starting at virtual page vpn. Unmapping a hole is
 // a no-op for the missing pages.
+//
+//molecule:hotpath
 func (as *AddressSpace) Unmap(vpn, n int) {
 	end := vpn + n
 	cur := vpn
@@ -219,10 +273,11 @@ func (as *AddressSpace) Unmap(vpn, n int) {
 		if end < chunkEnd {
 			chunkEnd = end
 		}
-		m.ext.add(m.off+cur-m.vpn, m.off+chunkEnd-m.vpn, -1)
+		as.unref(m.ext, m.off+cur-m.vpn, m.off+chunkEnd-m.vpn)
 		lo := cur - m.vpn
 		hi := m.vpn + m.n - chunkEnd
-		var repl []mapping
+		var buf [2]mapping
+		repl := buf[:0]
 		if lo > 0 {
 			repl = append(repl, mapping{vpn: m.vpn, n: lo, off: m.off, ext: m.ext})
 		}
@@ -235,11 +290,19 @@ func (as *AddressSpace) Unmap(vpn, n int) {
 }
 
 // Fork returns a copy-on-write clone: every page is shared with the parent
-// and each side's first write will privatize its copy.
+// and each side's first write will privatize its copy. The child joins the
+// parent's family and gets its own mapping list, with forkSpare free slots.
 //
 //molecule:hotpath
 func (as *AddressSpace) Fork() *AddressSpace {
-	child := &AddressSpace{maps: make([]mapping, len(as.maps)), next: as.next}
+	if as.pool == nil {
+		as.pool = &extentPool{}
+	}
+	child := &AddressSpace{
+		maps: make([]mapping, len(as.maps), len(as.maps)+forkSpare),
+		next: as.next,
+		pool: as.pool,
+	}
 	copy(child.maps, as.maps)
 	for _, m := range as.maps {
 		m.ext.add(m.off, m.off+m.n, 1)
@@ -288,11 +351,12 @@ func (as *AddressSpace) Write(vpn, n int) int {
 		faults += f
 		lo := cur - m.vpn
 		hi := m.vpn + m.n - chunkEnd
-		repl := make([]mapping, 0, 3)
+		var buf [3]mapping
+		repl := buf[:0]
 		if lo > 0 {
 			repl = append(repl, mapping{vpn: m.vpn, n: lo, off: m.off, ext: m.ext})
 		}
-		repl = append(repl, mapping{vpn: cur, n: chunkEnd - cur, off: 0, ext: newExtent(chunkEnd - cur)})
+		repl = append(repl, mapping{vpn: cur, n: chunkEnd - cur, off: 0, ext: as.newExtent(chunkEnd - cur)})
 		if hi > 0 {
 			repl = append(repl, mapping{vpn: chunkEnd, n: hi, off: m.off + m.n - hi, ext: m.ext})
 		}
@@ -305,18 +369,11 @@ func (as *AddressSpace) Write(vpn, n int) int {
 // demandPage maps [start, end) as fresh private pages, inserting the new
 // mapping at index i (the caller's search result for start).
 func (as *AddressSpace) demandPage(i, start, end int) {
-	as.splice2(i, mapping{vpn: start, n: end - start, off: 0, ext: newExtent(end - start)})
+	as.maps = slices.Insert(as.maps, i, mapping{vpn: start, n: end - start, off: 0, ext: as.newExtent(end - start)})
 	if end > as.next {
 		as.next = end
 	}
 	as.released = false
-}
-
-// splice2 inserts a mapping before index i (without replacing anything).
-func (as *AddressSpace) splice2(i int, m mapping) {
-	as.maps = append(as.maps, mapping{})
-	copy(as.maps[i+1:], as.maps[i:])
-	as.maps[i] = m
 }
 
 // Release drops every page mapping, decrementing shared reference counts.
@@ -331,7 +388,7 @@ func (as *AddressSpace) Release() {
 	}
 	as.released = true
 	for _, m := range as.maps {
-		m.ext.add(m.off, m.off+m.n, -1)
+		as.unref(m.ext, m.off, m.off+m.n)
 	}
 	as.maps = nil
 }

@@ -205,7 +205,10 @@ func TestReleaseReviveRelease(t *testing.T) {
 }
 
 // Fork is on the template fan-out hot path: pin its allocation count so a
-// refcount-layout change cannot silently turn cold starts quadratic.
+// refcount-layout change cannot silently turn cold starts quadratic. A whole
+// warm cold start on one template family allocates the same two objects:
+// the child's mappings fit its spare slots, splice edits them in place, and
+// its extents come off the family's free list and go back on it.
 func TestForkAllocsPinned(t *testing.T) {
 	tmpl := NewAddressSpace()
 	tmpl.Map(3072)
@@ -217,6 +220,65 @@ func TestForkAllocsPinned(t *testing.T) {
 	// One alloc for the AddressSpace, one for its mapping slice.
 	if allocs > 2 {
 		t.Errorf("Fork+Release = %.1f allocs, want <= 2", allocs)
+	}
+
+	coldCycle(tmpl) // fills the free list
+	free := tmpl.pool.n
+	if allocs := testing.AllocsPerRun(200, func() { coldCycle(tmpl) }); allocs != 2 {
+		t.Errorf("Fork+Map+Write+Release = %.1f allocs, want 2 (the AddressSpace and its mapping slice)", allocs)
+	}
+	if got := tmpl.pool.n; got != free {
+		t.Errorf("free list holds %d extents after warm cycles, want %d: a cycle made or lost extents", got, free)
+	}
+}
+
+// The page counts of coldCycle: a Python template's runtime footprint, a
+// function's private working set, and the runtime pages its load dirties.
+const (
+	coldTemplatePages = 3072
+	coldPrivatePages  = 1024
+	coldDirtyPages    = 1597
+)
+
+// coldCycle is one cold start's address-space work, shaped like a cfork
+// followed by LoadFunction: fork the template, map the function's private
+// pages, dirty part of the runtime's pages, and exit.
+func coldCycle(tmpl *AddressSpace) {
+	c := tmpl.Fork()
+	c.Map(coldPrivatePages)
+	c.Write(0, coldDirtyPages)
+	c.Release()
+}
+
+// TestAddressSpaceColdCycle runs warm cold-start cycles on one template
+// family and checks that each leaves the template as it found it: sole
+// owner of every page, with the free list neither growing nor shrinking.
+func TestAddressSpaceColdCycle(t *testing.T) {
+	tmpl := NewAddressSpace()
+	tmpl.Map(coldTemplatePages)
+	coldCycle(tmpl)
+	free := tmpl.pool.n
+	for i := 0; i < 100; i++ {
+		coldCycle(tmpl)
+		if got := tmpl.PSSPages(); got != coldTemplatePages {
+			t.Fatalf("cycle %d: template PSS = %v, want %d", i, got, coldTemplatePages)
+		}
+		if got := tmpl.pool.n; got != free {
+			t.Fatalf("cycle %d: free list holds %d extents, want %d", i, got, free)
+		}
+	}
+}
+
+// BenchmarkAddressSpaceColdCycle measures coldCycle on a warm template
+// family: two allocations per cycle, whatever the page counts.
+func BenchmarkAddressSpaceColdCycle(b *testing.B) {
+	tmpl := NewAddressSpace()
+	tmpl.Map(coldTemplatePages)
+	coldCycle(tmpl)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		coldCycle(tmpl)
 	}
 }
 
@@ -523,6 +585,42 @@ func (as *refSpace) SharedPages() int {
 	return n
 }
 
+// checkFamilies reports a broken in-place invariant across the live spaces:
+// two spaces sharing a mapping list's backing array (an in-place edit of
+// one would rewrite the other), an extent on a free list twice, or an
+// extent on a free list that a live mapping still reaches.
+func checkFamilies(t *testing.T, step int, spaces []*AddressSpace) {
+	t.Helper()
+	free := make(map[*extent]bool)
+	seen := make(map[*extentPool]bool)
+	for i, as := range spaces {
+		if c := cap(as.maps); c > 0 {
+			for j, o := range spaces[i+1:] {
+				if cap(o.maps) > 0 && &as.maps[:c][0] == &o.maps[:cap(o.maps)][0] {
+					t.Fatalf("step %d: spaces %d and %d share a mapping array", step, i, i+1+j)
+				}
+			}
+		}
+		if as.pool == nil || seen[as.pool] {
+			continue
+		}
+		seen[as.pool] = true
+		for _, e := range as.pool.free[:as.pool.n] {
+			if free[e] {
+				t.Fatalf("step %d: extent %p is on a free list twice", step, e)
+			}
+			free[e] = true
+		}
+	}
+	for i, as := range spaces {
+		for j, m := range as.maps {
+			if free[m.ext] {
+				t.Fatalf("step %d space %d: mapping %d %+v reaches a free extent", step, i, j, m)
+			}
+		}
+	}
+}
+
 // checkRuns reports a broken run invariant in any extent as maps: run ends
 // strictly increasing, no two equal neighbours, no negative refs, and every
 // window inside its extent.
@@ -545,8 +643,10 @@ func checkRuns(t *testing.T, as *AddressSpace) {
 // over four address spaces, four bytes per operation (op, space, a, b), and
 // runs each against the run-length extents and the per-page refSpace. After
 // every operation both must agree on Write's fault count, the mapping list,
-// and every space's RSS, shared pages and PSS (bit for bit), and every
-// extent must keep its run invariant. Fork(src=space, dst=a%4) overwrites
+// and every space's RSS, shared pages and PSS (bit for bit), every extent
+// must keep its run invariant, and checkFamilies must hold. A released
+// space that Map or Write revives must be live again and match the
+// reference like any other. Fork(src=space, dst=a%4) overwrites
 // dst without releasing it, which leaves its references held for good.
 // Only the first maxFuzzOps operations run: Map grows a space without bound,
 // and the per-page reference checks make long inputs quadratic.
@@ -563,6 +663,7 @@ func FuzzAddressSpace(f *testing.F) {
 		}
 		for step := 0; len(data) >= 4; step, data = step+1, data[4:] {
 			op, s, a, b := data[0]%5, int(data[1]%4), int(data[2]%64), int(data[3]%32)
+			revives := got[s].Released() && (op == 0 || op == 2) && b > 0
 			switch op {
 			case 0:
 				if g, w := got[s].Map(b), want[s].Map(b); g != w {
@@ -581,6 +682,10 @@ func FuzzAddressSpace(f *testing.F) {
 				got[s].Release()
 				want[s].Release()
 			}
+			if revives && got[s].Released() {
+				t.Fatalf("step %d: op %d on released space %d left it released", step, op, s)
+			}
+			checkFamilies(t, step, got[:])
 			for i, g := range got {
 				w := want[i]
 				checkRuns(t, g)

@@ -322,10 +322,11 @@ func coldRig(tb testing.TB, p *sim.Proc, m *hw.Machine) *Runtime {
 
 // TestColdInvokeAllocs pins the host allocations of one forced cold start
 // under the zygote forest whose release evicts a warm instance: sandbox and
-// instance records, the forked process, the sandbox ID, the prewarm refill
-// proc and the fitter's share. The keep-alive choice, the zygote
-// observation and the container name add nothing. A warm hit and a release
-// that evicts nothing allocate nothing at all.
+// instance records, the forked process with its name, address space and
+// mapping list, the sandbox ID, and the prewarm refill's container and
+// proc. The keep-alive choice, the zygote observation, the child's extents,
+// the container names and the fitter's rounds add nothing. A warm hit and
+// a release that evicts nothing allocate nothing at all.
 func TestColdInvokeAllocs(t *testing.T) {
 	env := sim.NewEnv()
 	m := hw.Build(env, hw.Config{})
@@ -363,9 +364,11 @@ func TestColdInvokeAllocs(t *testing.T) {
 }
 
 // coldInvokeAllocs is TestColdInvokeAllocs's ceiling, measured on go1.24
-// amd64; every one of them is a modelled object or an ID the sandbox table
-// keys on.
-const coldInvokeAllocs = 17
+// amd64: the 12 objects listed there (the sandbox, molecule and lang
+// instance records, the process, its name, address space and mapping list,
+// the ID, and the refill's prepared container, namespace, cgroup and
+// proc), with no scratch or regrowth.
+const coldInvokeAllocs = 12
 
 // BenchmarkInvokeCold measures a forced cold start on the host under the
 // zygote forest, with the warm pools at the keep-alive cap so every release

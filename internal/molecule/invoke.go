@@ -303,6 +303,8 @@ func (rt *Runtime) popWarmOn(n *puNode, fn string) *instance {
 // With cfork, Molecule forks from a dedicated template (code and
 // dependencies preloaded, §4.2), so the per-function dependency import is
 // off the critical path; plain boots pay it.
+//
+//molecule:hotpath
 func (rt *Runtime) coldStart(p *sim.Proc, d *Deployment, pin hw.PUID, parent *obs.Span) (*instance, error) {
 	ps := rt.obs.Span(parent, "placement", -1)
 	n, err := rt.placeGeneral(d, pin)
@@ -341,8 +343,7 @@ func (rt *Runtime) coldStart(p *sim.Proc, d *Deployment, pin hw.PUID, parent *ob
 			return nil, err
 		}
 	}
-	n.sandboxSeq++
-	id := "c-" + d.Fn.Name + "-" + strconv.Itoa(int(n.pu.ID)) + "-" + strconv.Itoa(n.sandboxSeq)
+	id := n.nextContainerID(d.Fn.Name)
 	tracing := rt.Env.Tracing()
 	if tracing {
 		p.Tracef("coldstart %s: creating sandbox %s on PU %d", d.Fn.Name, id, n.pu.ID)
@@ -394,6 +395,19 @@ func (rt *Runtime) coldStart(p *sim.Proc, d *Deployment, pin hw.PUID, parent *ob
 		rt.Env.Spawn("prewarm", n.prewarmOne)
 	}
 	return &instance{fn: d.Fn.Name, node: n, sandboxID: id, sb: sb, forked: sb.Forked}, nil
+}
+
+// nextContainerID numbers the node's next sandbox and returns its ID,
+// c-<fn>-<pu>-<seq>, built in the node's reused buffer: one allocation.
+func (n *puNode) nextContainerID(fn string) string {
+	n.sandboxSeq++
+	n.idBuf = append(n.idBuf[:0], "c-"...)
+	n.idBuf = append(n.idBuf, fn...)
+	n.idBuf = append(n.idBuf, '-')
+	n.idBuf = strconv.AppendInt(n.idBuf, int64(n.pu.ID), 10)
+	n.idBuf = append(n.idBuf, '-')
+	n.idBuf = strconv.AppendInt(n.idBuf, int64(n.sandboxSeq), 10)
+	return string(n.idBuf)
 }
 
 // restoreFromSnapshot serves a cold start by restoring a per-function

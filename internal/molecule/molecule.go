@@ -153,8 +153,10 @@ type puNode struct {
 	snapshots map[string]*lang.Snapshot
 	// busy accumulates handler execution time on this PU (utilization).
 	busy time.Duration
-	// sandboxSeq numbers FPGA/GPU sandbox IDs.
+	// sandboxSeq numbers sandbox IDs; idBuf is where a container ID is
+	// built.
 	sandboxSeq int
+	idBuf      []byte
 }
 
 // Runtime is the Molecule serverless runtime for one heterogeneous

@@ -259,7 +259,7 @@ func (cr *ContainerRuntime) Start(p *sim.Proc, ids []string) error {
 			sb.Inst, sb.Forked = inst, true
 			cr.count("sandbox_cfork_total")
 		} else {
-			inst := lang.BootCold(p, cr.OS, spec, "fn-"+sb.Spec.FuncID, false)
+			inst := lang.BootCold(p, cr.OS, spec, lang.ProcName(sb.Spec.FuncID), false)
 			inst.Proc.NS, inst.Proc.CG = sb.ns, sb.cg
 			inst.LoadFunction(p, sb.Spec.FuncID)
 			sb.Inst, sb.Forked = inst, false
