@@ -69,7 +69,8 @@ bench:
 # cold start under the zygote forest whose release evicts a warm instance, a
 # warm cross-PU chain (wiring built and released every call), a warm
 # invocation and chain through a one-machine cluster Boss, and the loadgen
-# open-loop stream's own cost (allocs/req).
+# open-loop stream's own cost (allocs/req), and the sharded-kernel soak's
+# throughput (events/s) at 1, 2 and 4 shards.
 microbench:
 	$(GO) test ./internal/sim -bench 'Kernel|ChanPingPong|ShardedRound' -benchmem -run xxx
 	$(GO) test ./internal/mem -bench 'ForkFanout|ColdCycle' -benchmem -run xxx
@@ -77,10 +78,10 @@ microbench:
 	$(GO) test ./internal/molecule -bench 'InvokeWarm|InvokeCold|InvokeChainCrossPU' -benchmem -run xxx
 	$(GO) test ./internal/cluster -bench 'BossInvoke' -benchmem -run xxx
 	$(GO) test ./internal/loadgen -bench 'DriveOpenLoop' -benchmem -run xxx
+	$(GO) test ./internal/bench -bench 'ShardSoak' -run xxx
 
 # One iteration of every microbenchmark — a CI smoke test that the bench
-# rigs still build and run, without paying for stable numbers. The soak
-# scenario doubles as a fingerprint-equality check across shard counts.
+# rigs still build and run, without paying for stable numbers.
 bench-smoke:
 	$(GO) test ./internal/sim -bench 'Kernel|ChanPingPong|ShardedRound' -benchtime 1x -run xxx
 	$(GO) test ./internal/mem -bench 'ForkFanout|ColdCycle' -benchtime 1x -run xxx
@@ -88,13 +89,16 @@ bench-smoke:
 	$(GO) test ./internal/molecule -bench 'InvokeWarm|InvokeCold|InvokeChainCrossPU' -benchtime 1x -run xxx
 	$(GO) test ./internal/cluster -bench 'BossInvoke' -benchtime 1x -run xxx
 	$(GO) test ./internal/loadgen -bench 'DriveOpenLoop' -benchtime 1x -run xxx
-	$(GO) run ./cmd/molecule-bench -scenario soak
+	$(GO) test ./internal/bench -bench 'ShardSoak' -benchtime 1x -run xxx
 
 # Regenerate every BENCH_*.json snapshot, each in the one envelope
-# (scenario, host, result): the batched-nIPC sweep, the sharded-kernel
-# soak, the cluster scaling curve and the cold-start comparison. Every soak
-# point must fingerprint-match shards=1, and each cold-start arm must match
+# (scenario, result): the batched-nIPC sweep, the sharded-kernel soak, the
+# cluster scaling curve and the cold-start comparison. Every soak point
+# must fingerprint-match shards=1, and each cold-start arm must match
 # between the classic kernel and the windowed driver, before it is written.
+# The files hold no wall-clock figure, so they come out the same bytes on
+# any host: after a run, `git diff -- 'BENCH_*.json'` is empty unless the
+# simulation changed.
 benchjson:
 	$(GO) run ./cmd/molecule-bench -scenario nipc -o BENCH_nipc.json > /dev/null
 	$(GO) run ./cmd/molecule-bench -scenario soak -o BENCH_sim.json

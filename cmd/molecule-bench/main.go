@@ -2,11 +2,9 @@
 //
 // Usage:
 //
-//	molecule-bench                        # run every experiment (parallel)
-//	molecule-bench -parallel 1            # sequential run (same bytes)
+//	molecule-bench                        # run every experiment
 //	molecule-bench -exp fig10c            # run one experiment
 //	molecule-bench -list                  # list experiment IDs and scenarios
-//	molecule-bench -timing                # append per-experiment wall times
 //	molecule-bench -scenario soak         # run one scenario, tables to stdout
 //	molecule-bench -scenario soak -o BENCH_sim.json
 //	                                      # + its artifact as a JSON snapshot
@@ -19,14 +17,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/bench"
 )
-
-var parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "experiments to run concurrently (1 = sequential; output is identical either way)")
 
 // scenarios is every -scenario, in -list order. Each run prints its tables
 // to w and returns the artifact that -o records.
@@ -115,25 +109,15 @@ func runScenario(name string, w io.Writer, path string) error {
 }
 
 // snapshot is the one envelope every -o artifact is written in: which
-// scenario produced it, on what host, and the scenario's own result.
+// scenario produced it and the scenario's own result. Every result is a
+// pure function of the code, so the file's bytes are the same on any host.
 type snapshot struct {
 	Scenario string `json:"scenario"`
-	Host     struct {
-		GoVersion  string `json:"go_version"`
-		GOOS       string `json:"goos"`
-		GOARCH     string `json:"goarch"`
-		NumCPU     int    `json:"num_cpu"`
-		GOMAXPROCS int    `json:"gomaxprocs"`
-	} `json:"host"`
-	Result any `json:"result"`
+	Result   any    `json:"result"`
 }
 
 func writeSnapshot(path, name string, result any) error {
-	snap := snapshot{Scenario: name, Result: result}
-	snap.Host.GoVersion = runtime.Version()
-	snap.Host.GOOS, snap.Host.GOARCH = runtime.GOOS, runtime.GOARCH
-	snap.Host.NumCPU, snap.Host.GOMAXPROCS = runtime.NumCPU(), runtime.GOMAXPROCS(0)
-	buf, err := json.MarshalIndent(snap, "", "  ")
+	buf, err := json.MarshalIndent(snapshot{Scenario: name, Result: result}, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -152,8 +136,8 @@ func tee(w io.Writer, render func(io.Writer) error) (string, error) {
 }
 
 func runShardSoak(w io.Writer) (any, error) {
-	const machines, inv, reps = 4, 50000, 11
-	points, err := bench.ShardSoakSweep(machines, inv, reps, []int{1, 2, 4})
+	const machines, inv = 4, 50000
+	points, err := bench.ShardSoakSweep(machines, inv, []int{1, 2, 4})
 	if err != nil {
 		return nil, err
 	}
@@ -162,23 +146,12 @@ func runShardSoak(w io.Writer) (any, error) {
 	return points, points[len(points)-1].Telemetry.WriteText(w)
 }
 
-func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-
-func printTimings(w io.Writer, timings []bench.Timing, total time.Duration) {
-	fmt.Fprintf(w, "### timing — wall clock, %d worker(s)\n\n", *parallel)
-	for _, t := range timings {
-		fmt.Fprintf(w, "    %-16s %8.1f ms\n", t.ID, t.WallMS)
-	}
-	fmt.Fprintf(w, "    %-16s %8.1f ms\n\n", "TOTAL", ms(total))
-}
-
 func main() {
 	exp := flag.String("exp", "", "experiment id(s) to run, comma separated (default: all)")
 	list := flag.Bool("list", false, "list experiment ids, then scenario names")
 	md := flag.Bool("md", false, "emit the full report as markdown")
-	timing := flag.Bool("timing", false, "append per-experiment wall time and total after the report")
 	scenario := flag.String("scenario", "", "run the named scenario (see -list), print its tables, then exit")
-	out := flag.String("o", "", "with -scenario: also write its artifact as a JSON snapshot (scenario, host, result) to this `file`")
+	out := flag.String("o", "", "with -scenario: also write its artifact as a JSON snapshot (scenario, result) to this `file`")
 	flag.Parse()
 
 	if *out != "" && *scenario == "" {
@@ -220,11 +193,7 @@ func main() {
 		return
 	}
 
-	// Full report. Report streams results in evaluation-section order, so
-	// the report bytes match a sequential run at any -parallel value.
-	start := time.Now()
-	timings := bench.Report(os.Stdout, *parallel, *md)
-	if *timing {
-		printTimings(os.Stdout, timings, time.Since(start))
-	}
+	// Full report on GOMAXPROCS workers. Report streams results in
+	// evaluation-section order, so the bytes match a sequential run.
+	bench.Report(os.Stdout, 0, *md)
 }

@@ -1,17 +1,23 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
 
+// benchJSON is every scenario `make benchjson` writes to a BENCH file.
+var benchJSON = map[string]bool{"nipc": true, "soak": true, "cluster": true, "coldstart": true}
+
 // TestScenariosWriteEnvelope runs every scenario through the table main
-// uses and checks that each artifact is the one snapshot envelope: the
-// scenario's name, a host block, and a result.
+// uses and checks that each artifact is the one snapshot envelope: exactly
+// the scenario's name and a result. A BENCH scenario runs a second time
+// and must write the same bytes.
 func TestScenariosWriteEnvelope(t *testing.T) {
 	dir := t.TempDir()
 	for _, s := range scenarios {
@@ -24,22 +30,35 @@ func TestScenariosWriteEnvelope(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var snap struct {
-				Scenario string          `json:"scenario"`
-				Host     map[string]any  `json:"host"`
-				Result   json.RawMessage `json:"result"`
-			}
+			var snap map[string]json.RawMessage
 			if err := json.Unmarshal(buf, &snap); err != nil {
 				t.Fatalf("artifact is not JSON: %v", err)
 			}
-			if snap.Scenario != s.name {
-				t.Errorf("scenario = %q, want %q", snap.Scenario, s.name)
+			keys := make([]string, 0, len(snap))
+			for k := range snap {
+				keys = append(keys, k)
 			}
-			if len(snap.Host) == 0 {
-				t.Error("artifact has no host block")
+			sort.Strings(keys)
+			if got := strings.Join(keys, ","); got != "result,scenario" {
+				t.Errorf("envelope keys = %s, want result,scenario", got)
 			}
-			if len(snap.Result) == 0 || string(snap.Result) == "null" {
+			if got := string(snap["scenario"]); got != `"`+s.name+`"` {
+				t.Errorf("scenario = %s, want %q", got, s.name)
+			}
+			if r := snap["result"]; len(r) == 0 || string(r) == "null" {
 				t.Error("artifact has no result")
+			}
+			if !benchJSON[s.name] {
+				return
+			}
+			again := filepath.Join(dir, s.name+"-again.json")
+			if err := runScenario(s.name, io.Discard, again); err != nil {
+				t.Fatal(err)
+			}
+			if buf2, err := os.ReadFile(again); err != nil {
+				t.Fatal(err)
+			} else if !bytes.Equal(buf, buf2) {
+				t.Errorf("second run wrote different bytes (%d vs %d)", len(buf2), len(buf))
 			}
 		})
 	}

@@ -78,13 +78,11 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Result is one executed experiment: its tables plus the wall-clock time
-// Run took. Tables are pure data, so rendering can happen later, on a
-// different goroutine, in any order.
+// Result is one executed experiment and its tables. Tables are pure data,
+// so rendering can happen later, on a different goroutine, in any order.
 type Result struct {
 	Experiment
 	Tables []*metrics.Table
-	Wall   time.Duration
 }
 
 // RunEach executes every experiment and calls emit for each, always in
@@ -132,42 +130,25 @@ func RunEach(workers int, emit func(Result)) {
 	}
 }
 
-func runOne(e Experiment) Result {
-	start := time.Now()
-	tables := e.Run()
-	return Result{Experiment: e, Tables: tables, Wall: time.Since(start)}
-}
-
-// Timing is one experiment's wall-clock run time in a report.
-type Timing struct {
-	ID     string  `json:"id"`
-	WallMS float64 `json:"wall_ms"`
-}
+func runOne(e Experiment) Result { return Result{Experiment: e, Tables: e.Run()} }
 
 // Report executes every experiment on workers goroutines (see RunEach) and
 // writes the full report to w, as markdown when md is set. The bytes are
-// identical at any worker count. It returns each experiment's wall time in
-// report order.
-func Report(w io.Writer, workers int, md bool) []Timing {
+// identical at any worker count.
+func Report(w io.Writer, workers int, md bool) {
 	head, render := "### %s — %s\n    paper: %s\n\n", (*metrics.Table).Fprint
 	if md {
 		fmt.Fprintln(w, "# Molecule reproduction — experiment report")
 		fmt.Fprintln(w)
 		head, render = "## %s — %s\n\n> paper: %s\n\n", (*metrics.Table).Markdown
 	}
-	var timings []Timing
 	RunEach(workers, func(r Result) {
 		fmt.Fprintf(w, head, r.ID, r.Title, r.Paper)
 		for _, t := range r.Tables {
 			render(t, w)
 		}
-		timings = append(timings, Timing{ID: r.ID, WallMS: ms(r.Wall)})
 	})
-	return timings
 }
-
-// ms converts a wall-clock duration to float milliseconds.
-func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 // kernel selects the scheduler a single-domain simulation runs on.
 type kernel int

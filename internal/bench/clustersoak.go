@@ -57,16 +57,13 @@ type ClusterSoakResult struct {
 	VirtualMS   float64 `json:"virtual_ms"`
 	ReqPerVSec  float64 `json:"req_per_virtual_sec"`
 	Speedup     float64 `json:"speedup_vs_machines1"` // filled by ClusterSoakSweep
-	WallMS      float64 `json:"wall_ms"`
 	Served      []int   `json:"served_per_machine"`
 	Fingerprint string  `json:"fingerprint"`
 }
 
-// ClusterSoak runs the soak at one machine count and times it.
+// ClusterSoak runs the soak at one machine count.
 func ClusterSoak(machines int) (ClusterSoakResult, error) {
-	start := time.Now()
 	res, err := cluster.Soak(clusterSoakConfig(machines))
-	wall := time.Since(start)
 	if err != nil {
 		return ClusterSoakResult{}, fmt.Errorf("machines=%d: %w", machines, err)
 	}
@@ -84,7 +81,6 @@ func ClusterSoak(machines int) (ClusterSoakResult, error) {
 		Events:      res.Events,
 		VirtualMS:   time.Duration(res.FinalTime).Seconds() * 1000,
 		ReqPerVSec:  float64(res.Stats.Requests) / vsec,
-		WallMS:      ms(wall),
 		Served:      res.Served,
 		Fingerprint: res.Fingerprint(),
 	}
@@ -118,7 +114,7 @@ func ClusterSoakTable(results []ClusterSoakResult) *metrics.Table {
 	t := &metrics.Table{
 		Title:  "Cluster soak — virtual req/sec vs machine count",
 		Note:   "same seeded arrival stream at every point",
-		Header: []string{"machines", "requests", "stolen", "qpeak", "virtual ms", "req/vsec", "speedup", "wall ms"},
+		Header: []string{"machines", "requests", "stolen", "qpeak", "virtual ms", "req/vsec", "speedup"},
 	}
 	for _, r := range results {
 		t.AddRow(
@@ -129,7 +125,6 @@ func ClusterSoakTable(results []ClusterSoakResult) *metrics.Table {
 			fmt.Sprintf("%.1f", r.VirtualMS),
 			fmt.Sprintf("%.1f", r.ReqPerVSec),
 			fr(r.Speedup),
-			fmt.Sprintf("%.1f", r.WallMS),
 		)
 	}
 	return t

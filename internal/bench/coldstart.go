@@ -19,15 +19,14 @@ package bench
 // pages are shared COW down the tree and into every forked instance, so
 // specialization adds far less memory than it saves imports.
 //
-// Each arm runs on the classic sequential kernel, timed, and again through
-// the sharded windowed driver; both runs must produce a byte-identical
+// Each arm runs on the classic sequential kernel and again through the
+// sharded windowed driver; both runs must produce a byte-identical
 // fingerprint (per-invocation latencies, final tree shapes, PSS sums)
 // before the arm is reported.
 
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/hw"
 	"repro/internal/lang"
@@ -71,7 +70,6 @@ type ColdStartArm struct {
 	InstPSSMB     float64 `json:"instance_pss_mb"`
 	TemplatePSSMB float64 `json:"template_pss_mb"`
 	TotalPSSMB    float64 `json:"total_pss_mb"`
-	WallMS        float64 `json:"wall_ms"`
 	Fingerprint   string  `json:"fingerprint"`
 }
 
@@ -186,17 +184,14 @@ func runColdStartArm(cfg coldStartConfig, zygote bool, k kernel) coldStartRun {
 	return out
 }
 
-// ColdStartArmSweep runs one arm on the classic kernel, timed and
-// reported, then on the windowed driver, and fails unless both runs
-// fingerprint identically.
+// ColdStartArmSweep runs one arm on the classic kernel, reported, then on
+// the windowed driver, and fails unless both runs fingerprint identically.
 func ColdStartArmSweep(cfg coldStartConfig, zygote bool) (ColdStartArm, error) {
 	mode := "flat-cfork"
 	if zygote {
 		mode = "zygote-tree"
 	}
-	start := time.Now()
 	run := runColdStartArm(cfg, zygote, classic)
-	wall := time.Since(start)
 	if w := runColdStartArm(cfg, zygote, windowed); w.fp != run.fp {
 		return ColdStartArm{}, fmt.Errorf("coldstart %s: windowed driver diverged:\n  got  %s\n  want %s (classic kernel)", mode, w.fp, run.fp)
 	}
@@ -213,7 +208,6 @@ func ColdStartArmSweep(cfg coldStartConfig, zygote bool) (ColdStartArm, error) {
 		InstPSSMB:     run.instPSS * mb,
 		TemplatePSSMB: run.tmplPSS * mb,
 		TotalPSSMB:    (run.instPSS + run.tmplPSS) * mb,
-		WallMS:        ms(wall),
 		Fingerprint:   run.fp,
 	}, nil
 }

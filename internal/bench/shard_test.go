@@ -7,6 +7,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -103,11 +104,11 @@ func TestShardedObsTrace(t *testing.T) {
 // inside ShardSoakSweep) and that the whole sweep is repeatable.
 func TestShardSoakSweepDeterminism(t *testing.T) {
 	shardCounts := []int{1, 2, 4}
-	a, err := ShardSoakSweep(4, 1500, 1, shardCounts)
+	a, err := ShardSoakSweep(4, 1500, shardCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ShardSoakSweep(4, 1500, 1, shardCounts)
+	b, err := ShardSoakSweep(4, 1500, shardCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,16 +132,36 @@ func TestShardSoakSweepDeterminism(t *testing.T) {
 // from the monolithic baseline and must reject configurations that cannot
 // partition the machines.
 func TestShardSoakRejectsBadSweep(t *testing.T) {
-	if _, err := ShardSoakSweep(4, 100, 1, []int{2, 4}); err == nil {
+	if _, err := ShardSoakSweep(4, 100, []int{2, 4}); err == nil {
 		t.Fatal("sweep without a shards=1 baseline was accepted")
-	}
-	if _, err := ShardSoakSweep(4, 100, 0, []int{1}); err == nil {
-		t.Fatal("sweep without a timed rep was accepted")
 	}
 	if _, err := ShardSoak(ShardSoakConfig{Machines: 2, Invocations: 10, Shards: 3}); err == nil {
 		t.Fatal("more shards than machines was accepted")
 	}
 	if _, err := ShardSoak(ShardSoakConfig{Machines: 1, Invocations: 10, Shards: 1}); err == nil {
 		t.Fatal("single-machine soak was accepted")
+	}
+}
+
+// BenchmarkShardSoak times the BENCH_sim.json soak, 4 machines x 50000
+// invocations, unobserved at each shard count and reports the kernel's
+// throughput as events/s. The rounds and fingerprints it runs are the
+// ones ShardSoakSweep checks; the wall numbers live only here:
+//
+//	go test ./internal/bench -run '^$' -bench ShardSoak -count 10 | benchstat -
+func BenchmarkShardSoak(b *testing.B) {
+	const machines, invocations = 4, 50000
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			var events int64
+			for i := 0; i < b.N; i++ {
+				r, err := ShardSoak(ShardSoakConfig{Machines: machines, Invocations: invocations, Shards: shards})
+				if err != nil {
+					b.Fatal(err)
+				}
+				events += r.Events
+			}
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+		})
 	}
 }

@@ -18,8 +18,9 @@ package bench
 // latency as the lookahead. Smaller per-domain heaps are the whole speedup:
 // the driver runs every domain on one goroutine. The sweep verifies every
 // point produces the identical fingerprint (per-machine counters, total
-// scheduled events, final virtual clock) before reporting throughput, so the
-// speedup column can never come from a divergent simulation.
+// scheduled events, final virtual clock) before reporting it, and the
+// BENCH_sim.json snapshot test pins those fingerprints. BenchmarkShardSoak
+// times the same configurations for the kernel's throughput.
 //
 // All event timestamps are residue-quantized (see quantum below) so no two
 // machines ever act at the same virtual instant; the global event order is
@@ -49,39 +50,30 @@ type ShardSoakConfig struct {
 	Shards      int // event-heap domains; machines are dealt round-robin
 
 	// Telemetry, when non-nil, is attached as the kernel's window observer
-	// and accumulates round/stall/flow counters over the run. Attach it to
-	// a dedicated run, not the timed sweep points — observation is cheap
-	// but not free, and BENCH_sim.json throughput should stay clean.
+	// and accumulates round/stall/flow counters over the run. Leave it nil
+	// in timed runs: observation is cheap but not free.
 	Telemetry *obs.WindowTelemetry
 }
 
 // ShardSoakResult is one sweep point, serialized into BENCH_sim.json.
-// ShardSoak fills one run's wall_ms; ShardSoakSweep replaces it with the
-// median over its reps and fills the fields marked below.
 type ShardSoakResult struct {
 	Shards      int   `json:"shards"`
 	Machines    int   `json:"machines"`
 	Invocations int   `json:"invocations_per_machine"`
 	Events      int64 `json:"events"`
 
-	// Windowed rounds and the events they fired, per round, from a
-	// dedicated observed run. Deterministic; filled by ShardSoakSweep.
+	// Windowed rounds and the events they fired, per round, from the
+	// run's window telemetry. Filled by ShardSoakSweep.
 	Rounds         int64   `json:"rounds"`
 	EventsPerRound float64 `json:"events_per_round"`
 
-	Reps         int     `json:"reps"` // timed runs behind the wall fields
-	WallMS       float64 `json:"wall_ms"`
-	WallQ1MS     float64 `json:"wall_ms_q1"`
-	WallQ3MS     float64 `json:"wall_ms_q3"`
-	EventsPerSec float64 `json:"events_per_sec"`     // events over the median wall
-	Speedup      float64 `json:"speedup_vs_shards1"` // filled by ShardSoakSweep
-	Fingerprint  string  `json:"fingerprint"`
+	Fingerprint string `json:"fingerprint"`
 
 	// Telemetry is the observed run's window telemetry.
 	Telemetry *obs.WindowTelemetry `json:"-"`
 }
 
-// ShardSoak runs one soak configuration and reports its throughput and
+// ShardSoak runs one soak configuration and reports its event count and
 // fingerprint. It fails if any cross-machine message is lost or if messages
 // arrive out of (virtual-time) order at any machine — the zero-lost-work and
 // monotone-clock invariants the long soak test leans on.
@@ -147,9 +139,7 @@ func ShardSoak(cfg ShardSoakConfig) (ShardSoakResult, error) {
 		})
 	}
 
-	start := time.Now()
 	sh.Run()
-	wall := time.Since(start)
 
 	if arriveErr != nil {
 		return ShardSoakResult{}, arriveErr
@@ -165,76 +155,40 @@ func ShardSoak(cfg ShardSoakConfig) (ShardSoakResult, error) {
 	}
 
 	events := sh.Scheduled()
-	res := ShardSoakResult{
-		Shards:       cfg.Shards,
-		Machines:     m,
-		Invocations:  cfg.Invocations,
-		Events:       events,
-		WallMS:       ms(wall),
-		EventsPerSec: float64(events) / wall.Seconds(),
-		Fingerprint:  fmt.Sprintf("inv=%v recv=%v sent=%v events=%d now=%d", inv, recv, sent, events, sh.Now()),
-	}
-	return res, nil
+	return ShardSoakResult{
+		Shards:      cfg.Shards,
+		Machines:    m,
+		Invocations: cfg.Invocations,
+		Events:      events,
+		Fingerprint: fmt.Sprintf("inv=%v recv=%v sent=%v events=%d now=%d", inv, recv, sent, events, sh.Now()),
+	}, nil
 }
 
-// ShardSoakSweep runs the soak at each shard count and verifies that every
-// run produced the bit-identical fingerprint before computing speedups
-// relative to the first point, which must be the monolithic heap: shards=1.
-//
-// Each point runs once with window telemetry attached, for its rounds and
-// events per round. Then every point runs reps more times unobserved, for
-// its wall-time median and quartiles; the reps go round-robin over the
-// points, so a drift in host speed reaches every point alike.
-func ShardSoakSweep(machines, invocations, reps int, shardCounts []int) ([]ShardSoakResult, error) {
+// ShardSoakSweep runs the soak once at each shard count, with window
+// telemetry attached for its rounds and events per round, and verifies
+// that every point produced the bit-identical fingerprint of the first,
+// which must be the monolithic heap: shards=1.
+func ShardSoakSweep(machines, invocations int, shardCounts []int) ([]ShardSoakResult, error) {
 	if len(shardCounts) == 0 || shardCounts[0] != 1 {
 		return nil, fmt.Errorf("sweep must start at shards=1 (the monolithic baseline), got %v", shardCounts)
 	}
-	if reps < 1 {
-		return nil, fmt.Errorf("sweep needs at least one timed rep, got %d", reps)
-	}
 	out := make([]ShardSoakResult, 0, len(shardCounts))
-	run := func(shards int, wt *obs.WindowTelemetry) (ShardSoakResult, error) {
+	for _, n := range shardCounts {
+		wt := &obs.WindowTelemetry{}
 		r, err := ShardSoak(ShardSoakConfig{
 			Machines: machines, Invocations: invocations,
-			Shards: shards, Telemetry: wt,
+			Shards: n, Telemetry: wt,
 		})
 		if err == nil && len(out) > 0 && r.Fingerprint != out[0].Fingerprint {
 			err = fmt.Errorf("diverged:\n  got  %s\n  want %s", r.Fingerprint, out[0].Fingerprint)
 		}
 		if err != nil {
-			err = fmt.Errorf("shards=%d: %w", shards, err)
-		}
-		return r, err
-	}
-	for _, n := range shardCounts {
-		wt := &obs.WindowTelemetry{}
-		r, err := run(n, wt)
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("shards=%d: %w", n, err)
 		}
 		r.Telemetry = wt
 		r.Rounds = wt.Rounds()
 		r.EventsPerRound = float64(wt.Events()) / float64(r.Rounds)
 		out = append(out, r)
-	}
-	walls := make([]metrics.Recorder, len(shardCounts))
-	for rep := 0; rep < reps; rep++ {
-		for i, n := range shardCounts {
-			r, err := run(n, nil)
-			if err != nil {
-				return nil, err
-			}
-			walls[i].Add(time.Duration(r.WallMS * 1e6))
-		}
-	}
-	for i := range out {
-		med := walls[i].Percentile(50)
-		out[i].Reps = reps
-		out[i].WallMS = ms(med)
-		out[i].WallQ1MS = ms(walls[i].Percentile(25))
-		out[i].WallQ3MS = ms(walls[i].Percentile(75))
-		out[i].EventsPerSec = float64(out[i].Events) / med.Seconds()
-		out[i].Speedup = out[i].EventsPerSec / out[0].EventsPerSec
 	}
 	return out, nil
 }
@@ -242,10 +196,10 @@ func ShardSoakSweep(machines, invocations, reps int, shardCounts []int) ([]Shard
 // ShardSoakTable renders a sweep as a report table.
 func ShardSoakTable(results []ShardSoakResult) *metrics.Table {
 	t := &metrics.Table{
-		Title: "Sharded kernel soak — events/sec vs shard count",
-		Note: fmt.Sprintf("%d machines x %d invocations, identical fingerprint at every point; wall: median of %d reps",
-			results[0].Machines, results[0].Invocations, results[0].Reps),
-		Header: []string{"shards", "events", "rounds", "events/round", "wall ms [q1, q3]", "events/sec", "speedup"},
+		Title: "Sharded kernel soak — windowed rounds vs shard count",
+		Note: fmt.Sprintf("%d machines x %d invocations, identical fingerprint at every point",
+			results[0].Machines, results[0].Invocations),
+		Header: []string{"shards", "events", "rounds", "events/round"},
 	}
 	for _, r := range results {
 		t.AddRow(
@@ -253,9 +207,6 @@ func ShardSoakTable(results []ShardSoakResult) *metrics.Table {
 			fmt.Sprintf("%d", r.Events),
 			fmt.Sprintf("%d", r.Rounds),
 			fmt.Sprintf("%.1f", r.EventsPerRound),
-			fmt.Sprintf("%.1f [%.1f, %.1f]", r.WallMS, r.WallQ1MS, r.WallQ3MS),
-			fmt.Sprintf("%.0f", r.EventsPerSec),
-			fr(r.Speedup),
 		)
 	}
 	return t

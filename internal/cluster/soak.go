@@ -4,9 +4,9 @@ package cluster
 // through a Boss, so the whole boss/worker control plane — rendezvous
 // routing, work stealing, the central queue, cross-machine chains — runs
 // under seeded load and folds into one canonical fingerprint. The bench
-// harness wraps this with wall-clock timing for the scaling curve; this
-// package stays wall-clock-free (it runs under the virtual clock and its
-// fingerprints feed golden comparisons).
+// harness sweeps it over machine counts for the virtual-time scaling
+// curve; like the harness, this package stays wall-clock-free (it runs
+// under the virtual clock and its fingerprints feed golden comparisons).
 
 import (
 	"fmt"

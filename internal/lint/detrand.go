@@ -12,7 +12,7 @@ import (
 
 // DetRand forbids nondeterministic randomness in simulation-facing packages.
 // The global math/rand generator is seeded from the wall clock and shared
-// across goroutines, so two runs (or two -parallel settings) diverge; and
+// across goroutines, so two runs (or two worker counts) diverge; and
 // crypto/rand is nondeterministic by construction. Randomness must flow from
 // an explicit seeded source — rand.New(rand.NewSource(seed)) — threaded
 // through the call graph, the way internal/faults and internal/loadgen do.

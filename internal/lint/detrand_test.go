@@ -14,5 +14,5 @@ func TestDetRand(t *testing.T) {
 
 func TestDetRandAllowsNonSimLayers(t *testing.T) {
 	linttest.Run(t, lint.DetRand,
-		linttest.Package{Path: "repro/internal/bench", Dir: "testdata/detrand/bench"})
+		linttest.Package{Path: "repro/internal/httpd", Dir: "testdata/detrand/httpd"})
 }

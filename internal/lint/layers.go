@@ -81,10 +81,13 @@ var Table = map[string]Layer{
 	// cluster soak drives the boss with the standard traffic model.
 	"cluster": {Level: 7, Sim: true, Report: true},
 
-	// Level 8-9: the experiment harness and its HTTP front end. These
-	// produce the human-facing output and may read the wall clock (to
-	// report harness runtime), so Sim is off — but their own map iteration
-	// still must not reorder that output.
-	"bench": {Level: 8, Report: true},
+	// Level 8: the experiment harness. Every number it reports is a
+	// virtual-time or count result, so it is held to the same no-wall-clock,
+	// seeded-randomness rules as the simulation it drives.
+	"bench": {Level: 8, Sim: true, Report: true},
+
+	// Level 9: the HTTP front end. It serves real requests and may read the
+	// wall clock, so Sim is off — but its own map iteration still must not
+	// reorder its output.
 	"httpd": {Level: 9, Report: true},
 }

@@ -12,7 +12,7 @@ import (
 // SimTime forbids wall-clock calls in simulation-facing packages. Everything
 // under the virtual clock must derive time from sim.Env / sim.Proc: a single
 // time.Now or time.Sleep makes golden reports diverge across runs and
-// -parallel settings, which is exactly the nondeterminism the byte-identical
+// worker counts, which is exactly the nondeterminism the byte-identical
 // report tests exist to rule out. time.Duration and the time constants are
 // fine — they are values, not clock reads.
 var SimTime = &analysis.Analyzer{

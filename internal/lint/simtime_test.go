@@ -14,5 +14,5 @@ func TestSimTime(t *testing.T) {
 
 func TestSimTimeAllowsNonSimLayers(t *testing.T) {
 	linttest.Run(t, lint.SimTime,
-		linttest.Package{Path: "repro/internal/bench", Dir: "testdata/simtime/bench"})
+		linttest.Package{Path: "repro/internal/httpd", Dir: "testdata/simtime/httpd"})
 }

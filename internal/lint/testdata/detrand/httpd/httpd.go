@@ -1,7 +1,7 @@
-package bench
+package httpd
 
 import "math/rand"
 
-// Harness-side shuffling does not feed the simulation; bench is not a Sim
+// Server-side jitter does not feed the simulation; httpd is not a Sim
 // layer and the global generator is allowed.
 func Jitter() int { return rand.Intn(100) }

@@ -3,7 +3,8 @@ package repro
 // Snapshot tests: regenerate the deterministic half of a committed BENCH_*.json
 // file and compare it exactly, so a change that moves a fingerprint, an event
 // count or a virtual-time figure fails `go test ./...` instead of waiting for
-// someone to spot it in a JSON diff. Wall-clock fields are skipped by name.
+// someone to spot it in a JSON diff. The files hold no wall-clock field, so
+// every field is compared.
 
 import (
 	"encoding/json"
@@ -17,38 +18,35 @@ import (
 )
 
 // TestBenchClusterSnapshot reruns the cluster scaling sweep at 1/2/4
-// machines and checks every field of BENCH_cluster.json's result but
-// wall_ms.
+// machines and checks every field of BENCH_cluster.json's result.
 func TestBenchClusterSnapshot(t *testing.T) {
 	sweep, err := bench.ClusterSoakSweep([]int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareSnapshot(t, "BENCH_cluster.json", sweep, "wall_ms")
+	compareSnapshot(t, "BENCH_cluster.json", sweep)
 }
 
 // TestBenchSimSnapshot reruns the sharded-kernel soak sweep and checks
-// BENCH_sim.json's events, fingerprints, rounds and events per round. It
-// skips the wall fields and reps: this run times each point once, while
-// `molecule-bench -scenario soak` takes the median of several.
+// every field of BENCH_sim.json's result: events, fingerprints, rounds and
+// events per round.
 func TestBenchSimSnapshot(t *testing.T) {
-	sweep, err := bench.ShardSoakSweep(4, 50000, 1, []int{1, 2, 4})
+	sweep, err := bench.ShardSoakSweep(4, 50000, []int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareSnapshot(t, "BENCH_sim.json", sweep,
-		"reps", "wall_ms", "wall_ms_q1", "wall_ms_q3", "events_per_sec", "speedup_vs_shards1")
+	compareSnapshot(t, "BENCH_sim.json", sweep)
 }
 
 // TestBenchColdStartSnapshot reruns both cold-start arms and checks every
 // field of BENCH_coldstart.json's result: startup latencies, PSS, zygote
-// tree shape and fingerprints. It skips only wall_ms.
+// tree shape and fingerprints.
 func TestBenchColdStartSnapshot(t *testing.T) {
 	res, err := bench.ColdStartSweep(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareSnapshot(t, "BENCH_coldstart.json", res, "wall_ms")
+	compareSnapshot(t, "BENCH_coldstart.json", res)
 }
 
 // TestBenchNIPCSnapshot reruns the batched-nIPC sweep and checks every
@@ -58,9 +56,9 @@ func TestBenchNIPCSnapshot(t *testing.T) {
 }
 
 // compareSnapshot checks every field of result, at any depth, against file's
-// committed result, except the fields named in skip. A failure names the
-// field by its path, e.g. result[1].points[2].batched_us.
-func compareSnapshot(t *testing.T, file string, result any, skip ...string) {
+// committed result. A failure names the field by its path, e.g.
+// result[1].points[2].batched_us.
+func compareSnapshot(t *testing.T, file string, result any) {
 	t.Helper()
 	raw, err := os.ReadFile(file)
 	if err != nil {
@@ -78,16 +76,12 @@ func compareSnapshot(t *testing.T, file string, result any, skip ...string) {
 	} else if err := json.Unmarshal(b, &fresh); err != nil {
 		t.Fatal(err)
 	}
-	skipped := make(map[string]bool, len(skip))
-	for _, k := range skip {
-		skipped[k] = true
-	}
-	diffJSON(t, file, "result", fresh, committed.Result, skipped)
+	diffJSON(t, file, "result", fresh, committed.Result)
 }
 
 // diffJSON reports every leaf where got differs from want, walking objects
 // in key order and arrays by index.
-func diffJSON(t *testing.T, file, path string, got, want any, skip map[string]bool) {
+func diffJSON(t *testing.T, file, path string, got, want any) {
 	t.Helper()
 	switch w := want.(type) {
 	case map[string]any:
@@ -107,9 +101,7 @@ func diffJSON(t *testing.T, file, path string, got, want any, skip map[string]bo
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			if !skip[k] {
-				diffJSON(t, file, path+"."+k, g[k], w[k], skip)
-			}
+			diffJSON(t, file, path+"."+k, g[k], w[k])
 		}
 	case []any:
 		g, ok := got.([]any)
@@ -118,7 +110,7 @@ func diffJSON(t *testing.T, file, path string, got, want any, skip map[string]bo
 			return
 		}
 		for i := range w {
-			diffJSON(t, file, fmt.Sprintf("%s[%d]", path, i), g[i], w[i], skip)
+			diffJSON(t, file, fmt.Sprintf("%s[%d]", path, i), g[i], w[i])
 		}
 	default:
 		if !reflect.DeepEqual(got, want) {

@@ -30,18 +30,20 @@ func TestSoakShardedTenMillion(t *testing.T) {
 		t.Skip("10^7-event sharded soak in -short mode")
 	}
 	const machines, invocations = 4, 2_150_000
+	start := time.Now()
 	res, err := bench.ShardSoak(bench.ShardSoakConfig{
 		Machines:    machines,
 		Invocations: invocations,
 		Shards:      machines,
 	})
+	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Events < 10_000_000 {
 		t.Fatalf("soak scheduled only %d events, want >= 10^7", res.Events)
 	}
-	t.Logf("%d events at %.0f events/sec across %d shards", res.Events, res.EventsPerSec, res.Shards)
+	t.Logf("%d events at %.0f events/sec across %d shards", res.Events, float64(res.Events)/wall.Seconds(), res.Shards)
 }
 
 func TestSoakRandomizedOperations(t *testing.T) {
