@@ -1,5 +1,5 @@
 // MapReduce: a fan-out/fan-in DAG — one splitter, parallel mappers, one
-// reducer — executing on Molecule's general DAG engine, with the word-count
+// reducer — on the wired FIFO edges Molecule runs chains over, with the word-count
 // computation performed for real while the latency comes from the model.
 //
 //	go run ./examples/mapreduce
@@ -50,21 +50,20 @@ func main() {
 		// Modeled execution: the same shape as a fan-out DAG on the machine,
 		// warm vs the serialized equivalent.
 		dag := molecule.MapReduceDAG(mappers)
-		if _, err := rt.InvokeDAG(p, dag, molecule.DAGOptions{}); err != nil {
+		if _, err := rt.InvokeDAG(p, dag, molecule.ChainOptions{}); err != nil {
 			log.Fatal(err) // boot instances
 		}
-		fan, err := rt.InvokeDAG(p, dag, molecule.DAGOptions{})
+		fan, err := rt.InvokeDAG(p, dag, molecule.ChainOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		serial, err := rt.InvokeDAG(p, molecule.Chain("mr-splitter", "mr-mapper", "mr-mapper", "mr-reducer"),
-			molecule.DAGOptions{})
+			molecule.ChainOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("fan-out DAG (%d mappers): %v   serialized: %v   (%.2fx from parallel mappers)\n",
+		fmt.Printf("fan-out DAG (%d mappers): %v   serialized: %v   (%.2fx from parallel mappers)\n\n",
 			mappers, fan.Total, serial.Total, float64(serial.Total)/float64(fan.Total))
-		fmt.Printf("node finish times: %v\n\n", fan.NodeFinish)
 
 		// Top words from the real computation.
 		type wc struct {

@@ -13,7 +13,97 @@ import (
 	"repro/internal/xpu"
 )
 
-// ChainOptions configure a function-chain (serverless DAG) invocation.
+// DAGNode is one vertex of a general serverless DAG: a function plus the
+// indices of the nodes whose outputs it consumes.
+type DAGNode struct {
+	Fn   string
+	Deps []int
+}
+
+// DAG is a directed acyclic graph of functions — the general form of the
+// paper's "function chain (or DAG)" (§4.1). Fan-out (one producer, many
+// consumers) and fan-in (a consumer joining several producers) both work;
+// independent branches execute concurrently.
+type DAG struct {
+	Nodes []DAGNode
+}
+
+// Chain builds a linear DAG from a function list.
+func Chain(names ...string) DAG {
+	d := DAG{}
+	for i, n := range names {
+		node := DAGNode{Fn: n}
+		if i > 0 {
+			node.Deps = []int{i - 1}
+		}
+		d.Nodes = append(d.Nodes, node)
+	}
+	return d
+}
+
+// MapReduceDAG builds the fan-out/fan-in MapReduce application: one
+// splitter, `mappers` parallel mappers, one reducer.
+func MapReduceDAG(mappers int) DAG {
+	d := DAG{Nodes: []DAGNode{{Fn: "mr-splitter"}}}
+	var mapIdx []int
+	for i := 0; i < mappers; i++ {
+		d.Nodes = append(d.Nodes, DAGNode{Fn: "mr-mapper", Deps: []int{0}})
+		mapIdx = append(mapIdx, i+1)
+	}
+	d.Nodes = append(d.Nodes, DAGNode{Fn: "mr-reducer", Deps: mapIdx})
+	return d
+}
+
+// Validate checks acyclicity and dependency bounds, returning a topological
+// order.
+func (d DAG) Validate() ([]int, error) {
+	n := len(d.Nodes)
+	if n == 0 {
+		return nil, fmt.Errorf("molecule: empty DAG")
+	}
+	indeg := make([]int, n)
+	for i, node := range d.Nodes {
+		for _, dep := range node.Deps {
+			if dep < 0 || dep >= n {
+				return nil, fmt.Errorf("molecule: node %d depends on out-of-range node %d", i, dep)
+			}
+			if dep == i {
+				return nil, fmt.Errorf("molecule: node %d depends on itself", i)
+			}
+			indeg[i]++
+		}
+	}
+	var order []int
+	queue := make([]int, 0, n)
+	for i, deg := range indeg {
+		if deg == 0 {
+			queue = append(queue, i)
+		}
+	}
+	consumers := make([][]int, n)
+	for i, node := range d.Nodes {
+		for _, dep := range node.Deps {
+			consumers[dep] = append(consumers[dep], i)
+		}
+	}
+	for len(queue) > 0 {
+		i := queue[0]
+		queue = queue[1:]
+		order = append(order, i)
+		for _, c := range consumers[i] {
+			indeg[c]--
+			if indeg[c] == 0 {
+				queue = append(queue, c)
+			}
+		}
+	}
+	if len(order) != n {
+		return nil, fmt.Errorf("molecule: DAG contains a cycle")
+	}
+	return order, nil
+}
+
+// ChainOptions configure a function-chain or DAG invocation.
 type ChainOptions struct {
 	// Placement pins each function to a PU; nil applies the chain-affinity
 	// policy (§5 "Profile selections"): the whole chain lands on the host.
@@ -23,11 +113,15 @@ type ChainOptions struct {
 	Arg workloads.Arg
 }
 
-// ChainResult reports a chain invocation's end-to-end outcome.
+// ChainResult reports a chain or DAG invocation's end-to-end outcome.
 type ChainResult struct {
 	Total time.Duration
 	// EdgeLatency is the per-edge request latency: caller write start →
-	// callee dispatch complete (what Fig 12 plots).
+	// callee dispatch complete (what Fig 12 plots). InvokeChain and
+	// InvokeDAG give one entry per dependency edge, in node order and then
+	// Deps order, and drop the gateway's edges into the sources.
+	// InvokeAccelChain, which has no edges, gives each stage's time
+	// instead, one entry per stage.
 	EdgeLatency []time.Duration
 	// ExecTotal sums handler execution across the chain.
 	ExecTotal time.Duration
@@ -110,9 +204,14 @@ func (pp *pipe) unlink() {
 
 // edge is the full-duplex direct connection between a caller and callee
 // (§4.3 "direct connect": a pair of FIFOs, no intermediate bus or engine).
+// Each call sends one request and one response over it.
 type edge struct {
 	req  pipe
 	resp pipe
+	// to is the callee's stage.
+	to int
+	// sentAt is when the caller began the request, for EdgeLatency.
+	sentAt sim.Time
 }
 
 // chainAbort tears a chain down on its first error. A stage (or the
@@ -135,14 +234,25 @@ func (a *chainAbort) fail(err error) {
 	}
 }
 
+// span is a half-open range of edge indices.
+type span struct{ lo, hi int }
+
 // chainWiring is one call's FIFO plumbing: a gateway process on the host
-// and the edges from it through every stage. wireChain builds it and
-// unwireChain releases it; the Runtime recycles the struct and its slices.
+// and the edges of the call graph. wireChain builds it and unwireChain
+// releases it; the Runtime recycles the struct and its slices.
 type chainWiring struct {
 	gw endpoint
-	// edges[0] connects the gateway to stage 0; edges[i] connects stage i
-	// to its caller.
-	edges   []edge
+	// edges holds one gateway edge into each source stage, then one edge
+	// per dependency, in stage order and then Deps order. On a path
+	// edges[i] is stage i's in-edge.
+	edges []edge
+	// sources counts the gateway edges at the front of edges.
+	sources int
+	// Stage i reads its requests on edges[in[i].lo:in[i].hi] and sends on
+	// edges[out[k]] for k in [outAt[i], outAt[i+1]).
+	in      []span
+	out     []int
+	outAt   []int
 	abort   chainAbort
 	execDur []time.Duration
 }
@@ -158,11 +268,26 @@ func instEndpoint(inst *instance) endpoint {
 	return endpoint{node: inst.node, proc: inst.sb.Inst.Proc}
 }
 
-// wireChain starts a gateway process and wires a duplex edge from it
-// through every instance in order. It is all or nothing: on an error it
-// releases what it built and returns no wiring; otherwise the caller hands
-// the wiring back with unwireChain once no process uses its FIFOs.
-func (rt *Runtime) wireChain(p *sim.Proc, insts []*instance) (*chainWiring, error) {
+// depsOf returns stage i's producers: nodes[i].Deps, or, when nodes is nil
+// (a path), i-1 written to buf.
+func depsOf(nodes []DAGNode, i int, buf *[1]int) []int {
+	if nodes != nil {
+		return nodes[i].Deps
+	}
+	if i == 0 {
+		return nil
+	}
+	buf[0] = i - 1
+	return buf[:]
+}
+
+// wireChain starts a gateway process and wires the call graph over insts:
+// a duplex edge from the gateway into each source stage, then one from
+// producer to consumer per dependency. nodes gives the dependencies; nil
+// wires a path, so a chain builds no DAG. It is all or nothing: on an error
+// it releases what it built and returns no wiring; otherwise the caller
+// hands the wiring back with unwireChain once no process uses its FIFOs.
+func (rt *Runtime) wireChain(p *sim.Proc, insts []*instance, nodes []DAGNode) (*chainWiring, error) {
 	var w *chainWiring
 	if n := len(rt.freeWirings); n > 0 {
 		w = rt.freeWirings[n-1]
@@ -179,17 +304,46 @@ func (rt *Runtime) wireChain(p *sim.Proc, insts []*instance) (*chainWiring, erro
 			rt.unwireChain(w)
 		}
 	}()
-	if cap(w.edges) < len(insts) {
-		w.edges = make([]edge, 0, len(insts))
-	}
-	caller := w.gw
-	for _, inst := range insts {
-		callee := instEndpoint(inst)
-		w.edges = append(w.edges, edge{})
-		if err := rt.buildEdge(p, &w.edges[len(w.edges)-1], caller, callee); err != nil {
-			return nil, err
+	n := len(insts)
+	var buf [1]int
+	w.in = append(w.in, make([]span, n)...)
+	w.outAt = append(w.outAt, make([]int, n+1)...)
+	for i, inst := range insts {
+		if len(depsOf(nodes, i, &buf)) == 0 {
+			w.in[i] = span{len(w.edges), len(w.edges) + 1}
+			if err := rt.addEdge(p, w, w.gw, i, inst); err != nil {
+				return nil, err
+			}
 		}
-		caller = callee
+	}
+	w.sources = len(w.edges)
+	for i, inst := range insts {
+		ds := depsOf(nodes, i, &buf)
+		if len(ds) == 0 {
+			continue
+		}
+		w.in[i].lo = len(w.edges)
+		for _, d := range ds {
+			w.outAt[d]++
+			if err := rt.addEdge(p, w, instEndpoint(insts[d]), i, inst); err != nil {
+				return nil, err
+			}
+		}
+		w.in[i].hi = len(w.edges)
+	}
+	// Group the dependency edges by producer, in edge order: out-degrees
+	// become running totals, and placing the edges last to first leaves
+	// outAt[i] at the start of stage i's group.
+	for i := 1; i <= n; i++ {
+		w.outAt[i] += w.outAt[i-1]
+	}
+	w.out = append(w.out, make([]int, w.outAt[n])...)
+	for i := n - 1; i >= 0; i-- {
+		ds := depsOf(nodes, i, &buf)
+		for k := len(ds) - 1; k >= 0; k-- {
+			w.outAt[ds[k]]--
+			w.out[w.outAt[ds[k]]] = w.in[i].lo + k
+		}
 	}
 	w.abort.edges = w.edges
 	ok = true
@@ -209,14 +363,21 @@ func (rt *Runtime) unwireChain(w *chainWiring) {
 	gw := w.gw
 	gw.node.node.Unregister(gw.proc)
 	gw.node.os.Exit(gw.proc)
-	*w = chainWiring{edges: w.edges[:0], execDur: w.execDur[:0]}
+	*w = chainWiring{
+		edges: w.edges[:0], in: w.in[:0], out: w.out[:0], outAt: w.outAt[:0],
+		execDur: w.execDur[:0],
+	}
 	rt.freeWirings = append(rt.freeWirings, w)
 }
 
-// buildEdge wires e as a duplex connection from caller to callee. The
-// request FIFO is homed at the callee (its self_fifo); the response FIFO at
-// the caller. On an error e holds what was built, for unwireChain.
-func (rt *Runtime) buildEdge(p *sim.Proc, e *edge, caller, callee endpoint) error {
+// addEdge appends to w a duplex connection from caller to stage to's
+// instance and wires it. The request FIFO is homed at the callee (its
+// self_fifo); the response FIFO at the caller. On an error the edge holds
+// what was built, for unwireChain.
+func (rt *Runtime) addEdge(p *sim.Proc, w *chainWiring, caller endpoint, to int, inst *instance) error {
+	w.edges = append(w.edges, edge{to: to})
+	e := &w.edges[len(w.edges)-1]
+	callee := instEndpoint(inst)
 	if caller.node.pu.ID == callee.node.pu.ID {
 		os := caller.node.os
 		e.req.local = os.CreateFIFO(rt.nextFIFO("req"), 4)
@@ -253,16 +414,37 @@ func (rt *Runtime) connect(p *sim.Proc, pp *pipe, home endpoint, homeX, peerX xp
 	return nil
 }
 
-// chainMeta is the per-request metadata carried in FIFO messages.
-type chainMeta struct {
-	sentAt sim.Time
-}
-
 // InvokeChain runs a synchronous function chain over direct-connect
 // IPC/nIPC: each function instance runs as its own process, blocked on its
 // request FIFO; requests flow down the chain and the response propagates
 // back up (Fig 12, Fig 14e).
 func (rt *Runtime) InvokeChain(p *sim.Proc, names []string, opts ChainOptions) (ChainResult, error) {
+	return rt.invokeGraph(p, names, nil, nil, opts)
+}
+
+// InvokeDAG runs a general DAG on InvokeChain's executor and wiring. The
+// gateway calls every source; each node waits for a request from every
+// producer, executes, calls every consumer and collects their responses,
+// then answers every producer. Independent branches overlap in time, so
+// fan-out parallelizes; a path DAG runs exactly as the chain of its
+// functions. EdgeLatency has one entry per dependency.
+func (rt *Runtime) InvokeDAG(p *sim.Proc, dag DAG, opts ChainOptions) (ChainResult, error) {
+	order, err := dag.Validate()
+	if err != nil {
+		return ChainResult{}, err
+	}
+	names := make([]string, len(dag.Nodes))
+	for i, node := range dag.Nodes {
+		names[i] = node.Fn
+	}
+	return rt.invokeGraph(p, names, dag.Nodes, order, opts)
+}
+
+// invokeGraph is the executor behind InvokeChain and InvokeDAG: stage i
+// runs names[i] and depends on nodes[i].Deps (nil nodes: a path). order is
+// a topological order (nil: index order); instances are acquired in it and
+// stages spawned in its reverse.
+func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, order []int, opts ChainOptions) (ChainResult, error) {
 	if len(names) == 0 {
 		return ChainResult{}, fmt.Errorf("molecule: empty chain")
 	}
@@ -275,103 +457,113 @@ func (rt *Runtime) InvokeChain(p *sim.Proc, names []string, opts ChainOptions) (
 		}
 	}
 	if len(placement) != n {
-		return ChainResult{}, fmt.Errorf("molecule: placement length %d != chain length %d", len(placement), n)
+		return ChainResult{}, fmt.Errorf("molecule: placement length %d != %d functions", len(placement), n)
 	}
 
-	insts, deps, cold, err := rt.acquireAll(p, names, placement, nil)
+	insts, deps, cold, err := rt.acquireAll(p, names, placement, order)
 	if err != nil {
 		return ChainResult{}, err
 	}
 	defer rt.releaseAll(p, insts)
 	res := ChainResult{ColdStarts: cold}
 
-	w, err := rt.wireChain(p, insts)
+	w, err := rt.wireChain(p, insts, nodes)
 	if err != nil {
 		return ChainResult{}, err
 	}
-	// Every stage has exited by the time this runs: InvokeChain waits for
+	// Every stage has exited by the time this runs: invokeGraph waits for
 	// them below on every path.
 	defer rt.unwireChain(w)
-	edges, abort := w.edges, &w.abort
 
-	edgeLat := make([]time.Duration, n)
+	edgeLat := make([]time.Duration, len(w.edges))
 	w.execDur = append(w.execDur, make([]time.Duration, n)...)
-	execDur := w.execDur
+	edges, execDur := w.edges, w.execDur
 
-	// Spawn one process per instance.
+	// Spawn one process per instance, consumers first.
 	done := sim.NewWaitGroup(rt.Env)
 	done.Add(n)
-	for i := n - 1; i >= 0; i-- {
-		i := i
-		inst, d := insts[i], deps[i]
-		in := &edges[i]
-		var out *edge
-		if i < n-1 {
-			out = &edges[i+1]
+	for k := n - 1; k >= 0; k-- {
+		i := k
+		if order != nil {
+			i = order[k]
 		}
+		inst := insts[i]
 		rt.Env.Spawn("chain-"+inst.fn, func(fp *sim.Proc) {
 			defer done.Done()
+			abort := &w.abort
+			in, out := w.in[i], w.out[w.outAt[i]:w.outAt[i+1]]
+			d := deps[i]
 			// The language runtime's per-hop dispatch work splits between
 			// the sender (serialize the event) and the receiver
 			// (deserialize, schedule the handler), each on its own PU.
 			half := scaledDispatch(inst.node.pu) / 2
-			msg, err := in.req.recv(fp)
-			if err != nil {
-				abort.fail(err)
-				return
+			for e := in.lo; e < in.hi; e++ {
+				if _, err := edges[e].req.recv(fp); err != nil {
+					abort.fail(err)
+					return
+				}
 			}
 			fp.Sleep(half)
-			if meta, ok := msg.Meta.(chainMeta); ok {
-				edgeLat[i] = time.Duration(fp.Now() - meta.sentAt)
+			for e := in.lo; e < in.hi; e++ {
+				edgeLat[e] = fp.Now().Sub(edges[e].sentAt)
 			}
 			start := fp.Now()
 			inst.sb.Inst.Invoke(fp, d.Fn.CPUCost(opts.Arg), inst.forked)
 			execDur[i] = fp.Now().Sub(start)
 			inst.node.busy += execDur[i]
 
+			// Call every consumer, then collect their responses; the last
+			// one goes back up. A sink answers with its own result.
 			var respPayload []byte
-			_, resB := d.Fn.Sizes(opts.Arg)
-			if out != nil {
-				nextArg, _ := deps[i+1].Fn.Sizes(opts.Arg)
-				sentAt := fp.Now()
+			for _, e := range out {
+				argB, _ := deps[edges[e].to].Fn.Sizes(opts.Arg)
+				edges[e].sentAt = fp.Now()
 				fp.Sleep(half) // serialize the downstream request
-				if err := out.req.send(fp, localos.Message{
-					From: inst.fn, Kind: "req",
-					Payload: payload(nextArg),
-					Meta:    chainMeta{sentAt: sentAt},
+				if err := edges[e].req.send(fp, localos.Message{
+					From: inst.fn, Kind: "req", Payload: payload(argB),
 				}); err != nil {
 					abort.fail(err)
 					return
 				}
-				resp, err := out.resp.recv(fp)
+			}
+			for _, e := range out {
+				resp, err := edges[e].resp.recv(fp)
 				if err != nil {
 					abort.fail(err)
 					return
 				}
 				fp.Sleep(half) // deserialize the downstream response
 				respPayload = resp.Payload
-			} else {
+			}
+			if len(out) == 0 {
+				_, resB := d.Fn.Sizes(opts.Arg)
 				respPayload = payload(resB)
 			}
-			fp.Sleep(half) // serialize the response
-			if err := in.resp.send(fp, localos.Message{From: inst.fn, Kind: "resp", Payload: respPayload}); err != nil {
-				abort.fail(err)
+			for e := in.lo; e < in.hi; e++ {
+				fp.Sleep(half) // serialize the response
+				if err := edges[e].resp.send(fp, localos.Message{
+					From: inst.fn, Kind: "resp", Payload: respPayload,
+				}); err != nil {
+					abort.fail(err)
+					return
+				}
 			}
 		})
 	}
 
-	// Drive the request from the gateway and wait for the response. On an
-	// abort the driver still waits for every stage to exit, so the deferred
-	// release never hands back an instance a stage is still running on.
-	argB, _ := deps[0].Fn.Sizes(opts.Arg)
+	// Drive a request from the gateway into every source and wait for
+	// their responses. On an abort the driver still waits for every stage
+	// to exit, so the deferred release never hands back an instance a
+	// stage is still running on.
+	abort := &w.abort
 	start := p.Now()
-	err = edges[0].req.send(p, localos.Message{
-		From: "gateway", Kind: "req",
-		Payload: payload(argB),
-		Meta:    chainMeta{sentAt: p.Now()},
-	})
-	if err == nil {
-		_, err = edges[0].resp.recv(p)
+	for e := 0; e < w.sources && err == nil; e++ {
+		argB, _ := deps[edges[e].to].Fn.Sizes(opts.Arg)
+		edges[e].sentAt = p.Now()
+		err = edges[e].req.send(p, localos.Message{From: "gateway", Kind: "req", Payload: payload(argB)})
+	}
+	for e := 0; e < w.sources && err == nil; e++ {
+		_, err = edges[e].resp.recv(p)
 	}
 	if err != nil {
 		abort.fail(err)
@@ -382,7 +574,7 @@ func (rt *Runtime) InvokeChain(p *sim.Proc, names []string, opts ChainOptions) (
 		return ChainResult{}, abort.err
 	}
 
-	res.EdgeLatency = edgeLat[1:] // drop the gateway edge
+	res.EdgeLatency = edgeLat[w.sources:]
 	for _, d := range execDur {
 		res.ExecTotal += d
 	}

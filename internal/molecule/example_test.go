@@ -60,7 +60,8 @@ func ExampleRuntime_InvokeChain() {
 	// 3-function chain, 0 cold starts, 2 measured edges
 }
 
-// DAGs support fan-out: both mappers run concurrently.
+// DAGs support fan-out: both mappers run concurrently, so the MapReduce DAG
+// finishes before the chain that runs the same functions one by one.
 func ExampleRuntime_InvokeDAG() {
 	env := sim.NewEnv()
 	machine := hw.Build(env, hw.Config{})
@@ -70,13 +71,14 @@ func ExampleRuntime_InvokeDAG() {
 		for _, fn := range workloads.MapReduceChain() {
 			rt.Deploy(p, fn)
 		}
-		dag := molecule.MapReduceDAG(2)
-		rt.InvokeDAG(p, dag, molecule.DAGOptions{}) // boot
-		res, _ := rt.InvokeDAG(p, dag, molecule.DAGOptions{})
-		fmt.Printf("mappers finished together: %v\n",
-			res.NodeFinish[1] == res.NodeFinish[2])
+		fan := molecule.MapReduceDAG(2)
+		serial := molecule.Chain("mr-splitter", "mr-mapper", "mr-mapper", "mr-reducer")
+		rt.InvokeDAG(p, fan, molecule.ChainOptions{}) // boot
+		fres, _ := rt.InvokeDAG(p, fan, molecule.ChainOptions{})
+		sres, _ := rt.InvokeDAG(p, serial, molecule.ChainOptions{})
+		fmt.Printf("fan-out %v, serialized %v\n", fres.Total, sres.Total)
 	})
 	env.Run()
 	// Output:
-	// mappers finished together: true
+	// fan-out 5.014ms, serialized 6.484ms
 }

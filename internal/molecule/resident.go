@@ -44,7 +44,7 @@ func (rt *Runtime) StartResident(p *sim.Proc, fn string, pu hw.PUID) (*Resident,
 	if err != nil {
 		return nil, err
 	}
-	w, err := rt.wireChain(p, []*instance{inst})
+	w, err := rt.wireChain(p, []*instance{inst}, nil)
 	if err != nil {
 		rt.release(p, inst)
 		return nil, err

@@ -57,10 +57,23 @@ func chainRig(t testing.TB, p *sim.Proc, m *hw.Machine) (*Runtime, []string, []h
 	return rt, chain, []hw.PUID{host, dpu0, host, dpu1, dpu0}
 }
 
-// TestChainWiringReleased runs local and cross-PU chains, a resident, and
-// cross-PU chains whose DPU crashes at points through wiring and execution
-// (the TestInvokeChainMidChainCrashUnwinds shape), and checks that each
-// leaves no gateway process, FIFO or capability behind.
+// alexaDiamond is a DAG over the five Alexa functions with a fan-out and a
+// fan-in: 0 → {1, 2} → 3 → 4.
+func alexaDiamond(chain []string) DAG {
+	return DAG{Nodes: []DAGNode{
+		{Fn: chain[0]},
+		{Fn: chain[1], Deps: []int{0}},
+		{Fn: chain[2], Deps: []int{0}},
+		{Fn: chain[3], Deps: []int{1, 2}},
+		{Fn: chain[4], Deps: []int{3}},
+	}}
+}
+
+// TestChainWiringReleased runs local and cross-PU chains and DAGs, a
+// resident, a DAG whose DPU crashes mid-run, and cross-PU chains whose DPU
+// crashes at points through wiring and execution (the
+// TestInvokeChainMidChainCrashUnwinds shape), and checks that each leaves no
+// gateway process, FIFO or capability behind.
 func TestChainWiringReleased(t *testing.T) {
 	type body func(t *testing.T, p *sim.Proc, rt *Runtime, chain []string, cross []hw.PUID)
 	released := func(t *testing.T, run body) {
@@ -113,6 +126,33 @@ func TestChainWiringReleased(t *testing.T) {
 			}
 			if groups[1] != groups[0] {
 				t.Errorf("a warm cross-PU chain left %d CAP_Groups behind", groups[1]-groups[0])
+			}
+		})
+	})
+	t.Run("dag/local", func(t *testing.T) {
+		released(t, func(t *testing.T, p *sim.Proc, rt *Runtime, chain []string, _ []hw.PUID) {
+			if _, err := rt.InvokeDAG(p, alexaDiamond(chain), ChainOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+	t.Run("dag/cross-PU", func(t *testing.T) {
+		released(t, func(t *testing.T, p *sim.Proc, rt *Runtime, chain []string, cross []hw.PUID) {
+			if _, err := rt.InvokeDAG(p, alexaDiamond(chain), ChainOptions{Placement: cross}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+	// At 3ms the diamond is wired and both branches out of stage 0 are in
+	// flight; the first write into dpu1 fails, and the abort must wake the
+	// fan-out stage parked on its two responses.
+	t.Run("dag/crash/3ms", func(t *testing.T) {
+		released(t, func(t *testing.T, p *sim.Proc, rt *Runtime, chain []string, cross []hw.PUID) {
+			pl := faults.NewPlan(rt.Env, 1)
+			rt.AttachFaults(pl)
+			rt.Env.AfterFunc(3*time.Millisecond, func() { pl.Kill(cross[3]) })
+			if _, err := rt.InvokeDAG(p, alexaDiamond(chain), ChainOptions{Placement: cross}); !errors.Is(err, xpu.ErrNodeDown) {
+				t.Errorf("InvokeDAG error = %v, want one wrapping xpu.ErrNodeDown", err)
 			}
 		})
 	})

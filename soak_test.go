@@ -140,7 +140,7 @@ func TestSoakRandomizedOperations(t *testing.T) {
 					{Fn: general[rng.Intn(len(general))], Deps: []int{0}},
 					{Fn: general[rng.Intn(len(general))], Deps: []int{1, 2}},
 				}}
-				if _, err := rt.InvokeDAG(p, dag, molecule.DAGOptions{}); err != nil {
+				if _, err := rt.InvokeDAG(p, dag, molecule.ChainOptions{}); err != nil {
 					t.Fatalf("step %d dag: %v", step, err)
 				}
 				invocations += 4
