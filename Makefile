@@ -62,8 +62,9 @@ chaos:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Fast-path microbenchmarks: the sim kernel (including one sharded round,
-# swept over its size), the nIPC FIFO write path
+# Fast-path microbenchmarks: the sim kernel (including a Sleep that fires a
+# due callback inline, and one sharded round, swept over its size), the nIPC
+# FIFO write path
 # (ns/op and allocs/op), the address-space fork fan-out and one cold start's
 # fork/map/write/release cycle, a warm Molecule invocation end to end, a forced
 # cold start under the zygote forest whose release evicts a warm instance, a
@@ -106,9 +107,12 @@ benchjson:
 	$(GO) run ./cmd/molecule-bench -scenario coldstart -o BENCH_coldstart.json
 
 # The zygote forest under the race detector (the fitter runs on background
-# procs) plus the coldstart scenario (table to stdout, no snapshot).
+# procs; the container-pool refill is two scheduler callbacks, which Sleep
+# may fire inline), the kernel's fast-path, inline-callback and differential
+# tests, plus the coldstart scenario (table to stdout, no snapshot).
 coldstart-race:
 	$(GO) test -race -count=1 -run 'Zygote|ColdStart|Release|ForkFanout|ColdCycle' ./internal/lang/ ./internal/molecule/ ./internal/mem/ ./internal/bench/
+	$(GO) test -race -count=1 -run 'FastPath|Inline|Differential' ./internal/sim/
 	$(GO) run ./cmd/molecule-bench -scenario coldstart
 
 # The cluster control plane and the loadgen stream that drives it under the

@@ -129,8 +129,10 @@ type Node struct {
 	// Machine-side admission state (an epoch queue local to this machine):
 	// a request that hits ErrNoCapacity parks here and retries when a local
 	// completion frees an instance slot, instead of bouncing back to the
-	// boss. FIFO-fair against the warm pool and free of the cross-machine
-	// round trip.
+	// boss, which saves the cross-machine round trip. It is not FIFO: every
+	// attempt, failed ones included, wakes all parked requests, and those
+	// that see no epoch advance re-park behind the request that failed, so
+	// a saturated machine pays a herd of spurious wake-ups (ROADMAP).
 	active int                 // local execs inside an RT call
 	epoch  int                 // bumped on every successful completion
 	waitq  *sim.Chan[struct{}] // rendezvous the parked local requests wait on

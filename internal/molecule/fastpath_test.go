@@ -2,10 +2,13 @@ package molecule
 
 import (
 	"errors"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/hw"
+	"repro/internal/params"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -323,10 +326,11 @@ func coldRig(tb testing.TB, p *sim.Proc, m *hw.Machine) *Runtime {
 // TestColdInvokeAllocs pins the host allocations of one forced cold start
 // under the zygote forest whose release evicts a warm instance: sandbox and
 // instance records, the forked process with its name, address space and
-// mapping list, the sandbox ID, and the prewarm refill's container and
-// proc. The keep-alive choice, the zygote observation, the child's extents,
-// the container names and the fitter's rounds add nothing. A warm hit and
-// a release that evicts nothing allocate nothing at all.
+// mapping list, the sandbox ID, and the pool refill's namespace and cgroup.
+// The keep-alive choice, the zygote observation, the child's extents, the
+// container names, the refill's callbacks and the fitter's rounds add
+// nothing. A warm hit and a release that evicts nothing allocate nothing at
+// all.
 func TestColdInvokeAllocs(t *testing.T) {
 	env := sim.NewEnv()
 	m := hw.Build(env, hw.Config{})
@@ -364,16 +368,72 @@ func TestColdInvokeAllocs(t *testing.T) {
 }
 
 // coldInvokeAllocs is TestColdInvokeAllocs's ceiling, measured on go1.24
-// amd64: the 12 objects listed there (the sandbox, molecule and lang
+// amd64: the 10 objects listed there (the sandbox, molecule and lang
 // instance records, the process, its name, address space and mapping list,
-// the ID, and the refill's prepared container, namespace, cgroup and
-// proc), with no scratch or regrowth.
-const coldInvokeAllocs = 12
+// the ID, and the refill's namespace and cgroup), with no scratch or
+// regrowth. The pool holds prepared containers by value, and the refill
+// runs as two bound scheduler callbacks, so neither a container record nor
+// a process is allocated.
+const coldInvokeAllocs = 10
+
+// TestColdStartRefill pins the pool refill a cold start issues: the
+// prepared container lands exactly ContainerCreateTime after the cold start
+// returns, and the refill sequences the same events as the process it
+// replaced, a spawned prewarm proc sleeping ContainerCreateTime, which the
+// test keeps as its reference: Scheduled() matches at every probe.
+func TestColdStartRefill(t *testing.T) {
+	type probes struct{ sched, pool []int64 }
+	run := func(spawnedRefill bool) probes {
+		env := sim.NewEnv()
+		m := hw.Build(env, hw.Config{})
+		var got probes
+		env.Spawn("client", func(p *sim.Proc) {
+			rt := coldRig(t, p, m)
+			p.Sleep(time.Second) // let the rig's refills and fitter rounds land
+			host := rt.nodes[rt.hostID]
+			d, err := rt.Deployment(coldFn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if spawnedRefill {
+				rt.Opts.PrewarmContainers = 0 // the cold start refills nothing
+			}
+			inst, err := rt.coldStart(p, d, rt.hostID, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if spawnedRefill {
+				env.Spawn("prewarm", func(bg *sim.Proc) { host.cr.Prewarm(bg, 1) })
+			}
+			probe := func() {
+				got.sched = append(got.sched, env.Scheduled())
+				got.pool = append(got.pool, int64(host.cr.PoolSize()))
+			}
+			probe()
+			p.Sleep(params.ContainerCreateTime - 1)
+			probe()
+			p.Sleep(1)
+			probe()
+			rt.destroy(p, inst)
+		})
+		env.Run()
+		return got
+	}
+	got, ref := run(false), run(true)
+	pool := DefaultOptions().PrewarmContainers
+	if want := []int64{int64(pool - 1), int64(pool - 1), int64(pool)}; !slices.Equal(got.pool, want) {
+		t.Errorf("pool at +0, +ContainerCreateTime-1ns, +ContainerCreateTime = %v, want %v", got.pool, want)
+	}
+	if !slices.Equal(got.pool, ref.pool) || !slices.Equal(got.sched, ref.sched) {
+		t.Errorf("callback refill: pool %v, Scheduled() %v; spawned refill: pool %v, Scheduled() %v",
+			got.pool, got.sched, ref.pool, ref.sched)
+	}
+}
 
 // BenchmarkInvokeCold measures a forced cold start on the host under the
 // zygote forest, with the warm pools at the keep-alive cap so every release
 // evicts: placement, zygote resolution and cfork, the residual imports, the
-// prewarm refill and the keep-alive eviction.
+// pool refill and the keep-alive eviction.
 func BenchmarkInvokeCold(b *testing.B) {
 	env := sim.NewEnv()
 	m := hw.Build(env, hw.Config{})

@@ -392,7 +392,7 @@ func (rt *Runtime) coldStart(p *sim.Proc, d *Deployment, pin hw.PUID, parent *ob
 	// Replenish the container pool in the background so the FuncContainer
 	// optimization holds for the next cold start.
 	if rt.Opts.PrewarmContainers > 0 && n.cr.PoolSize() < rt.Opts.PrewarmContainers {
-		rt.Env.Spawn("prewarm", n.prewarmOne)
+		n.cr.Refill()
 	}
 	return &instance{fn: d.Fn.Name, node: n, sandboxID: id, sb: sb, forked: sb.Forked}, nil
 }

@@ -138,9 +138,6 @@ type puNode struct {
 	warmCount int
 	capacity  int // max concurrent instances (density model)
 	liveCount int
-	// prewarmOne refills one prepared container; bound once so a cold
-	// start spawns it without building a closure.
-	prewarmOne func(*sim.Proc)
 
 	// Accelerators: an FPGA node has runf, a GPU node rung, and accel is
 	// that runtime's sandbox table, which the two share.
@@ -328,9 +325,8 @@ func New(p *sim.Proc, m *hw.Machine, reg *workloads.Registry, opts Options) (*Ru
 		}
 		rt.nodes[pu.ID] = &puNode{
 			pu: pu, node: node, os: os, cr: cr,
-			snapshots:  make(map[string]*lang.Snapshot),
-			capacity:   densityCapacity(pu),
-			prewarmOne: func(bg *sim.Proc) { cr.Prewarm(bg, 1) },
+			snapshots: make(map[string]*lang.Snapshot),
+			capacity:  densityCapacity(pu),
 		}
 		rt.order = append(rt.order, pu.ID)
 	}

@@ -51,30 +51,62 @@ func firstIndex(names []string, s string) int {
 	return -1
 }
 
-// candidatePUs returns the general-purpose PUs (in preference order) that
-// can host deployment d under the policy.
-func (rt *Runtime) candidatePUs(d *Deployment, policy PlacementPolicy) []hw.PUID {
-	var cpus, dpus []hw.PUID
+// candidate returns the k-th general-purpose PU, in the policy's preference
+// order, with room for a new instance of d, and whether there is one. The
+// order is CPUs first, then the other general-purpose kinds (those first
+// under PlaceCheapest), machine order within each group. It scans the
+// machine in place, so asking allocates nothing.
+func (rt *Runtime) candidate(d *Deployment, policy PlacementPolicy, k int) (hw.PUID, bool) {
+	cpuFirst := policy != PlaceCheapest
+	for _, wantCPU := range [2]bool{cpuFirst, !cpuFirst} {
+		for _, pu := range rt.Machine.PUs() {
+			if (pu.Kind == hw.CPU) != wantCPU || !rt.hasRoom(pu, d) {
+				continue
+			}
+			if k == 0 {
+				return pu.ID, true
+			}
+			k--
+		}
+	}
+	return 0, false
+}
+
+// candidateCount reports how many PUs candidate can return for d.
+func (rt *Runtime) candidateCount(d *Deployment) int {
+	n := 0
 	for _, pu := range rt.Machine.PUs() {
-		n := rt.nodes[pu.ID]
-		if n == nil || n.cr == nil || !d.SupportsKind(pu.Kind) {
-			continue
-		}
-		if n.liveCount >= n.capacity {
-			continue
-		}
-		if pu.Kind == hw.CPU {
-			cpus = append(cpus, pu.ID)
-		} else {
-			dpus = append(dpus, pu.ID)
+		if rt.hasRoom(pu, d) {
+			n++
 		}
 	}
-	switch policy {
-	case PlaceCheapest:
-		return append(dpus, cpus...)
-	default:
-		return append(cpus, dpus...)
+	return n
+}
+
+// hasRoom reports whether the general-purpose PU pu supports d and is below
+// its instance capacity.
+func (rt *Runtime) hasRoom(pu *hw.PU, d *Deployment) bool {
+	n := rt.nodes[pu.ID]
+	return n != nil && n.cr != nil && d.SupportsKind(pu.Kind) && n.liveCount < n.capacity
+}
+
+// supportsChain reports whether every function of the chain supports kind.
+func (rt *Runtime) supportsChain(names []string, kind hw.PUKind) bool {
+	for _, name := range names {
+		if !rt.funcs[name].SupportsKind(kind) {
+			return false
+		}
 	}
+	return true
+}
+
+// onePU returns a placement of n functions all on id.
+func onePU(n int, id hw.PUID) []hw.PUID {
+	out := make([]hw.PUID, n)
+	for i := range out {
+		out[i] = id
+	}
+	return out
 }
 
 // errChainFull is PlaceChain's refusal when the right PU exists but is
@@ -85,34 +117,25 @@ var errChainFull = fmt.Errorf("molecule: %w: every PU supporting the whole chain
 
 // PlaceChain assigns each function of a chain to a PU according to the
 // policy, respecting capacity and profile support. It returns one PUID per
-// function.
+// function. A chain-affinity refusal on a full machine allocates nothing:
+// the placement slice is made only on success.
 func (rt *Runtime) PlaceChain(names []string, policy PlacementPolicy) ([]hw.PUID, error) {
-	out := make([]hw.PUID, len(names))
-	deps := make([]*Deployment, len(names))
-	for i, name := range names {
-		d, err := rt.Deployment(name)
-		if err != nil {
+	for _, name := range names {
+		if _, err := rt.Deployment(name); err != nil {
 			return nil, err
 		}
-		deps[i] = d
 	}
 	switch policy {
 	case PlaceChainAffinity:
 		// Find one PU every function supports, preferring the host.
-		for _, cand := range rt.candidatePUs(deps[0], PlaceFastest) {
-			ok := true
-			kind := rt.Machine.PU(cand).Kind
-			for _, d := range deps {
-				if !d.SupportsKind(kind) {
-					ok = false
-					break
-				}
+		first := rt.funcs[names[0]]
+		for k := 0; ; k++ {
+			cand, ok := rt.candidate(first, PlaceFastest, k)
+			if !ok {
+				break
 			}
-			if ok {
-				for i := range out {
-					out[i] = cand
-				}
-				return out, nil
+			if rt.supportsChain(names, rt.Machine.PU(cand).Kind) {
+				return onePU(len(names), cand), nil
 			}
 		}
 		// Second chance: a PU at capacity can still run the chain when the
@@ -124,16 +147,15 @@ func (rt *Runtime) PlaceChain(names []string, policy PlacementPolicy) ([]hw.PUID
 			if n == nil || n.cr == nil {
 				continue
 			}
-			supported, need := true, 0
-			for i, d := range deps {
-				if !d.SupportsKind(pu.Kind) {
-					supported = false
-					break
-				}
-				// Count distinct functions with no warm instance here: each
-				// needs a free slot (repeat occurrences reuse the released
-				// instance).
-				if n.warmLen(names[i]) == 0 && firstIndex(names, names[i]) == i {
+			if !rt.supportsChain(names, pu.Kind) {
+				continue
+			}
+			// Count distinct functions with no warm instance here: each
+			// needs a free slot (repeat occurrences reuse the released
+			// instance).
+			need := 0
+			for i, name := range names {
+				if n.warmLen(name) == 0 && firstIndex(names, name) == i {
 					need++
 				}
 			}
@@ -141,50 +163,44 @@ func (rt *Runtime) PlaceChain(names []string, policy PlacementPolicy) ([]hw.PUID
 			// reclaimable: the pinned cold starts evict them on demand
 			// (evictForPlacement), so they count as free slots here.
 			evictable := 0
-			if supported {
-				for _, wp := range n.pools {
-					keep := 0
-					if firstIndex(names, wp.fn) >= 0 {
-						keep = 1
-					}
-					if len(wp.insts) > keep {
-						evictable += len(wp.insts) - keep
-					}
+			for _, wp := range n.pools {
+				keep := 0
+				if firstIndex(names, wp.fn) >= 0 {
+					keep = 1
+				}
+				if len(wp.insts) > keep {
+					evictable += len(wp.insts) - keep
 				}
 			}
 			// need==0 is accepted even when liveCount overshot capacity
 			// (concurrent cold starts reserve only at start-finish): the
 			// chain then runs purely on warm reuse.
-			if supported && (need == 0 || n.capacity-n.liveCount+evictable >= need) {
-				for i := range out {
-					out[i] = pu.ID
-				}
-				return out, nil
+			if need == 0 || n.capacity-n.liveCount+evictable >= need {
+				return onePU(len(names), pu.ID), nil
 			}
-			if supported {
-				return nil, errChainFull
-			}
+			return nil, errChainFull
 		}
 		return nil, fmt.Errorf("molecule: no single PU supports the whole chain")
 	case PlaceScatter:
 		// Round-robin across every eligible PU per function.
-		rot := 0
-		for i, d := range deps {
-			cands := rt.candidatePUs(d, PlaceFastest)
-			if len(cands) == 0 {
-				return nil, fmt.Errorf("molecule: %w for %q", ErrNoCapacity, names[i])
+		out := make([]hw.PUID, len(names))
+		for i, name := range names {
+			d := rt.funcs[name]
+			count := rt.candidateCount(d)
+			if count == 0 {
+				return nil, fmt.Errorf("molecule: %w for %q", ErrNoCapacity, name)
 			}
-			out[i] = cands[rot%len(cands)]
-			rot++
+			out[i], _ = rt.candidate(d, PlaceFastest, i%count)
 		}
 		return out, nil
 	default: // PlaceCheapest, PlaceFastest
-		for i, d := range deps {
-			cands := rt.candidatePUs(d, policy)
-			if len(cands) == 0 {
-				return nil, fmt.Errorf("molecule: %w for %q", ErrNoCapacity, names[i])
+		out := make([]hw.PUID, len(names))
+		for i, name := range names {
+			cand, ok := rt.candidate(rt.funcs[name], policy, 0)
+			if !ok {
+				return nil, fmt.Errorf("molecule: %w for %q", ErrNoCapacity, name)
 			}
-			out[i] = cands[0]
+			out[i] = cand
 		}
 		return out, nil
 	}

@@ -74,6 +74,31 @@ func TestPlaceChainAffinityFullIsNoCapacity(t *testing.T) {
 	})
 }
 
+// TestPlaceChainRefusalAllocs: a saturated cluster meets the affinity
+// refusal on every admission attempt, so refusing on a full PU allocates
+// nothing, and a placement allocates only the slice it returns.
+func TestPlaceChainRefusalAllocs(t *testing.T) {
+	run(t, hw.Config{}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
+		deployAlexaBoth(t, p, rt)
+		chain := workloads.AlexaChain()
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := rt.PlaceChain(chain, PlaceChainAffinity); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 1 {
+			t.Errorf("affinity placement allocates %v/op, want 1 (the placement)", allocs)
+		}
+		rt.Node(0).liveCount = rt.Node(0).capacity
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := rt.PlaceChain(chain, PlaceChainAffinity); !errors.Is(err, ErrNoCapacity) {
+				t.Fatalf("PlaceChain error = %v, want ErrNoCapacity", err)
+			}
+		}); allocs != 0 {
+			t.Errorf("affinity refusal on a full PU allocates %v/op, want 0", allocs)
+		}
+	})
+}
+
 func TestPlaceCheapestPrefersDPU(t *testing.T) {
 	run(t, hw.Config{DPUs: 1}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
 		deployAlexaBoth(t, p, rt)

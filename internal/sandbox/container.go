@@ -83,8 +83,12 @@ type ContainerRuntime struct {
 
 	templates map[lang.Kind]*lang.Instance
 	forest    map[lang.Kind]*lang.ZygoteTree
-	pool      []*preparedContainer // pre-initialized function containers
+	pool      []preparedContainer // pre-initialized function containers
 	sandboxes map[string]*ContainerSandbox
+
+	// refillStart and refillAdd are Refill's two callbacks, bound once so a
+	// refill allocates nothing but the container.
+	refillStart, refillAdd func()
 }
 
 type preparedContainer struct {
@@ -171,11 +175,30 @@ func (cr *ContainerRuntime) ResetForests() {
 func (cr *ContainerRuntime) Prewarm(p *sim.Proc, n int) {
 	for i := 0; i < n; i++ {
 		p.Sleep(params.ContainerCreateTime)
-		cr.pool = append(cr.pool, &preparedContainer{
-			ns: cr.OS.NewNamespace("pool"),
-			cg: cr.OS.NewCgroup("pool", 1, 1<<28),
-		})
+		cr.addPrepared()
 	}
+}
+
+// Refill prepares one more function container in the background: it joins
+// the pool ContainerCreateTime from now. The refill is two scheduler
+// callbacks, one due now that schedules the other, so its events take the
+// same (time, seq) positions, and Scheduled() the same count, as a process
+// spawned now that runs Prewarm(p, 1), without its coroutine switches.
+func (cr *ContainerRuntime) Refill() {
+	env := cr.OS.Env
+	if cr.refillStart == nil {
+		cr.refillAdd = cr.addPrepared
+		cr.refillStart = func() { env.AfterFunc(params.ContainerCreateTime, cr.refillAdd) }
+	}
+	env.AfterFunc(0, cr.refillStart)
+}
+
+// addPrepared creates one function container and adds it to the pool.
+func (cr *ContainerRuntime) addPrepared() {
+	cr.pool = append(cr.pool, preparedContainer{
+		ns: cr.OS.NewNamespace("pool"),
+		cg: cr.OS.NewCgroup("pool", 1, 1<<28),
+	})
 }
 
 // PoolSize reports the number of prepared containers available.
@@ -184,9 +207,10 @@ func (cr *ContainerRuntime) PoolSize() int { return len(cr.pool) }
 // takeContainer pops a prepared container, or creates one named fc-<id> on
 // the critical path when the pool is empty. Only a miss builds the name.
 func (cr *ContainerRuntime) takeContainer(p *sim.Proc, id string) (*localos.Namespace, *localos.Cgroup, bool) {
-	if len(cr.pool) > 0 {
-		c := cr.pool[len(cr.pool)-1]
-		cr.pool = cr.pool[:len(cr.pool)-1]
+	if n := len(cr.pool); n > 0 {
+		c := cr.pool[n-1]
+		cr.pool[n-1] = preparedContainer{}
+		cr.pool = cr.pool[:n-1]
 		return c.ns, c.cg, true
 	}
 	p.Sleep(params.ContainerCreateTime)

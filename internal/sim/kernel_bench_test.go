@@ -13,8 +13,9 @@ import (
 	"repro/internal/sim/simbench"
 )
 
-func BenchmarkKernelSleep(b *testing.B)          { simbench.Sleep(b) }
-func BenchmarkKernelSleepContended(b *testing.B) { simbench.SleepContended(b) }
-func BenchmarkKernelSpawn(b *testing.B)          { simbench.Spawn(b) }
-func BenchmarkChanPingPong(b *testing.B)         { simbench.ChanPingPong(b) }
-func BenchmarkKernelCrossShardSend(b *testing.B) { simbench.CrossShardSend(b) }
+func BenchmarkKernelSleep(b *testing.B)              { simbench.Sleep(b) }
+func BenchmarkKernelSleepContended(b *testing.B)     { simbench.SleepContended(b) }
+func BenchmarkKernelSleepPastCallbacks(b *testing.B) { simbench.SleepPastCallbacks(b) }
+func BenchmarkKernelSpawn(b *testing.B)              { simbench.Spawn(b) }
+func BenchmarkChanPingPong(b *testing.B)             { simbench.ChanPingPong(b) }
+func BenchmarkKernelCrossShardSend(b *testing.B)     { simbench.CrossShardSend(b) }

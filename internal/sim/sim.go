@@ -145,6 +145,7 @@ type Env struct {
 	group       *Sharded
 	domain      int
 	windowBound Time
+	inlined     int // callbacks Sleep fired inline since the window opened
 
 	tracing bool
 	trace   []TraceEvent
@@ -224,7 +225,14 @@ func (e *Env) schedule(t Time, fn func()) {
 // a closure. Resuming an exited process is a no-op, so callers need not
 // guard against the target dying first.
 func (e *Env) scheduleResume(t Time, p *Proc, msg resumeMsg) {
-	ev := e.newEvent(t)
+	e.seq++
+	e.queueResume(t, e.seq, p, msg)
+}
+
+// queueResume is scheduleResume with a sequence number the caller already
+// reserved.
+func (e *Env) queueResume(t Time, seq int64, p *Proc, msg resumeMsg) {
+	ev := e.eventAt(t, seq)
 	ev.p, ev.msg = p, msg
 	e.events.pushEv(ev)
 }
@@ -418,7 +426,9 @@ func (c *coro) run(yield func(struct{}) bool) {
 // process. An Interrupted panic ends the body cleanly. Any other panic, and
 // runtime.Goexit (t.Fatal in a test body), ends the coroutine instead:
 // iter.Pull re-raises it in the goroutine that resumed the process, so it
-// reaches the caller of Run.
+// reaches the caller of Run. A panic from a callback that Sleep fired
+// inline (e.running is nil only then) is re-raised with its own value, as
+// the scheduler loop would have raised it.
 func (c *coro) exec() {
 	p := c.p
 	body := p.body
@@ -434,6 +444,9 @@ func (c *coro) exec() {
 		r := recover()
 		if r == nil {
 			return // runtime.Goexit: let it unwind
+		}
+		if c.env.running == nil {
+			panic(r)
 		}
 		if _, ok := r.(Interrupted); ok {
 			return
@@ -528,31 +541,80 @@ func (p *Proc) park() resumeMsg {
 
 // Sleep advances the process by d of virtual time.
 //
-// Fast path: when p is the running process and its wake-up would be the very
-// next event to fire (no other event is due at or before the wake time, no
-// Stop, RunUntil horizon, or shard-window bound intervenes), the kernel
-// advances the clock and
-// returns directly — the outcome is identical to parking, having the
-// scheduler pop the wake event, and resuming, but without the two coroutine
-// switches or the heap traffic. Pending same-instant events (including
-// Interrupts, which are scheduled at the current time) always have an
-// earlier (time, seq) position and therefore disable the fast path, so
-// event ordering is preserved exactly.
+// Sleep first reserves the sequence number of its wake-up, so the wake
+// orders at (t, wake) exactly as a queued one would. It then fires, inline
+// on the calling coroutine, every queued callback (At, AfterFunc) that
+// orders before the wake, in heap order and with no process running, as the
+// scheduler would after the park. It stops at the first resume event, which
+// needs a coroutine switch, at Stop, and at the RunUntil horizon and the
+// shard-window bound, which the scheduler loop must observe.
+//
+// Fast path: when p's wake-up is then the very next event to fire (nothing
+// else orders before (t, wake) and no Stop, horizon or window bound
+// intervenes), the kernel advances the clock and returns directly; otherwise
+// it queues the wake with the reserved number and parks. Either way the
+// outcome is identical to parking at once and letting the scheduler pop
+// every event in turn: the callbacks fire in the same (time, seq) order at
+// the same clock, anything they schedule takes the same sequence number,
+// and Scheduled() counts the same events. Pending same-instant resumes
+// (including Interrupts, which are scheduled at the current time) order
+// before the wake and therefore send it through the park, so event order is
+// preserved exactly. The zero-lookahead merge, where a cross-domain message
+// may arrive between any two events, turns both shortcuts off.
+//
+// An inline callback runs on p's stack, so a panic in it unwinds through
+// p's body before it leaves Run with its own value, as from the loop; a
+// body that recovers every panic around a Sleep would see it first.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
 	env := p.env
 	t := env.now.After(d)
-	if env.running == p && !env.stopped && (env.limit == 0 || t <= env.limit) &&
-		(env.windowBound == 0 || (env.windowBound > 0 && t < env.windowBound)) &&
-		(len(env.events) == 0 || env.events.peek().t > t) {
-		env.seq++ // account for the wake event this path elides
-		env.now = t
-		return
+	env.seq++
+	wake := env.seq
+	if env.running == p && env.windowBound >= 0 {
+		if len(env.events) > 0 {
+			env.fireDue(t, wake)
+		}
+		if !env.stopped && (env.limit == 0 || t <= env.limit) &&
+			(env.windowBound == 0 || t < env.windowBound) &&
+			(len(env.events) == 0 || orderedBefore(t, wake, env.events.peek())) {
+			env.now = t
+			return
+		}
 	}
-	env.scheduleResume(t, p, resumeMsg{})
+	env.queueResume(t, wake, p, resumeMsg{})
 	p.park()
+}
+
+// orderedBefore reports whether an event at (t, seq) fires before ev.
+// Sequence numbers are unique, so otherwise ev fires first.
+func orderedBefore(t Time, seq int64, ev *event) bool {
+	return t < ev.t || (t == ev.t && seq < ev.seq)
+}
+
+// fireDue fires the queued callbacks that order before the running
+// process's reserved wake-up at (t, wake); see Sleep. Each runs with
+// e.running nil, which is how coro.exec tells a panicking callback from a
+// panicking body. Callbacks fired here count in the current window's tally.
+//
+//molecule:hotpath
+func (e *Env) fireDue(t Time, wake int64) {
+	p := e.running
+	for len(e.events) > 0 && !e.stopped {
+		ev := e.events.peek()
+		if ev.fn == nil || orderedBefore(t, wake, ev) ||
+			(e.limit > 0 && ev.t > e.limit) || (e.windowBound > 0 && ev.t >= e.windowBound) {
+			break
+		}
+		e.events.popEv()
+		e.now = ev.t
+		e.inlined++
+		e.running = nil
+		e.fire(ev)
+		e.running = p
+	}
 }
 
 // Yield parks the process and reschedules it at the same virtual time, after
@@ -607,16 +669,18 @@ func (e *Env) loop() Time {
 }
 
 // window is the shard dispatch loop: it fires every queued event with
-// t < bound and returns the number fired. Events at or beyond the bound stay
-// queued for a later window, after the group barrier has delivered pending
-// cross-domain messages. While the window is open the Sleep fast path is
-// capped at the bound, so no process can advance past a barrier it must
-// observe. The loop itself allocates nothing; all allocation happens (or is
+// t < bound and returns the number fired, counting the callbacks Sleep
+// fired inline. Events at or beyond the bound stay queued for a later
+// window, after the group barrier has delivered pending cross-domain
+// messages. While the window is open the Sleep fast path and its inline
+// callbacks are capped at the bound, so no process can advance past a
+// barrier it must observe. The loop itself allocates nothing; all allocation happens (or is
 // elided) inside the fired events, exactly as in the classic loop.
 //
 //molecule:hotpath
 func (e *Env) window(bound Time) int {
 	e.windowBound = bound
+	e.inlined = 0
 	n := 0
 	for len(e.events) > 0 && !e.stopped {
 		if e.events.peek().t >= bound {
@@ -628,7 +692,7 @@ func (e *Env) window(bound Time) int {
 		n++
 	}
 	e.windowBound = 0
-	return n
+	return n + e.inlined
 }
 
 // fireNext pops and fires the single earliest event with the fast path

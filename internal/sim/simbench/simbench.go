@@ -48,6 +48,28 @@ func SleepContended(b *testing.B) {
 	env.Run()
 }
 
+// SleepPastCallbacks measures a Sleep with a scheduler callback due before
+// its wake-up, the shape of a cold start's container-pool refill: Sleep
+// fires the callback inline, then takes the fast path, so neither needs a
+// coroutine switch. Queueing the callback reuses a recycled event.
+func SleepPastCallbacks(b *testing.B) {
+	b.ReportAllocs()
+	env := sim.NewEnv()
+	fired := 0
+	tick := func() { fired++ }
+	env.Spawn("sleeper", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			env.AfterFunc(time.Microsecond/2, tick)
+			p.Sleep(time.Microsecond)
+		}
+	})
+	b.ResetTimer()
+	env.Run()
+	if fired != b.N {
+		b.Fatalf("fired %d callbacks, want %d", fired, b.N)
+	}
+}
+
 // Spawn measures process creation + exit, including the kernel's bookkeeping
 // of spawned processes (long soak runs spawn millions).
 func Spawn(b *testing.B) {
