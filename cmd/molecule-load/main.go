@@ -51,7 +51,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		fns      = flag.String("functions", "matmul,pyaes,chameleon,image-resize,dd",
 			"comma-separated function population")
-		cfork   = flag.Bool("cfork", true, "use cfork-based cold starts")
+		cfork   = flag.Bool("cfork", true, "use cfork-based cold starts (false: plain boots)")
 		trace   = flag.String("trace", "", "write the load run's span tree as Chrome trace_event JSON to `file` (\"-\" = stdout)")
 		metrics = flag.String("metrics", "", "write the load run's metrics as Prometheus text exposition to `file` (\"-\" = stdout)")
 	)
@@ -71,7 +71,9 @@ func main() {
 	env.Spawn("loadgen", func(p *sim.Proc) {
 		opts := molecule.DefaultOptions()
 		opts.KeepWarmPerPU = *cache
-		opts.UseCfork = *cfork
+		if !*cfork {
+			opts.Startup = molecule.StartupPlain
+		}
 		rt, err := molecule.New(p, machine, workloads.NewRegistry(), opts)
 		if err != nil {
 			log.Fatal(err)

@@ -430,11 +430,11 @@ func runAblTemplates() []*metrics.Table {
 		Header: []string{"function", "generic template", "dedicated template", "saving"},
 	}
 	for _, fn := range []string{"linpack", "matmul", "pyaes"} {
-		measure := func(generic bool) time.Duration {
+		measure := func(mode molecule.StartupMode) time.Duration {
 			var d time.Duration
 			sandboxed(func(p *sim.Proc) {
 				opts := molecule.DefaultOptions()
-				opts.GenericTemplates = generic
+				opts.Startup = mode
 				rt := newMolecule(p, hw.Config{}, opts)
 				if err := rt.Deploy(p, fn); err != nil {
 					panic(err)
@@ -448,7 +448,7 @@ func runAblTemplates() []*metrics.Table {
 			})
 			return d
 		}
-		gen, ded := measure(true), measure(false)
+		gen, ded := measure(molecule.StartupGenericCfork), measure(molecule.StartupCfork)
 		t.AddRow(fn, fd(gen), fd(ded), fd(gen-ded))
 	}
 	return []*metrics.Table{t}

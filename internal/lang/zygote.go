@@ -92,7 +92,7 @@ type ZygoteTreeConfig struct {
 func DefaultZygoteTreeConfig() ZygoteTreeConfig {
 	return ZygoteTreeConfig{
 		BudgetPages:   params.ZygoteBudgetMB << 20 / params.PageSize,
-		FitInterval:   params.ZygoteFitInterval,
+		FitInterval:   params.ZygoteFitColdStarts,
 		MinHits:       params.ZygoteMinHits,
 		MaxGrowPerFit: params.ZygoteMaxGrowPerFit,
 		Seed:          1,
@@ -149,7 +149,7 @@ type zygoteCand struct {
 // NewZygoteTree wraps an existing generic template as the root of a tree.
 func NewZygoteTree(os *localos.OS, root *Instance, cfg ZygoteTreeConfig) *ZygoteTree {
 	if cfg.FitInterval <= 0 {
-		cfg.FitInterval = params.ZygoteFitInterval
+		cfg.FitInterval = params.ZygoteFitColdStarts
 	}
 	if cfg.MinHits <= 0 {
 		cfg.MinHits = params.ZygoteMinHits

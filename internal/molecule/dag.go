@@ -508,7 +508,7 @@ func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, ord
 				edgeLat[e] = fp.Now().Sub(edges[e].sentAt)
 			}
 			start := fp.Now()
-			inst.sb.Inst.Invoke(fp, d.Fn.CPUCost(opts.Arg), inst.forked)
+			inst.sb.Inst.Invoke(fp, d.Fn.CPUCost(opts.Arg), inst.sb.Forked)
 			execDur[i] = fp.Now().Sub(start)
 			inst.node.busy += execDur[i]
 
@@ -657,7 +657,7 @@ func (rt *Runtime) InvokeAccelChain(p *sim.Proc, names []string, opts AccelChain
 				res.ColdStarts++
 			}
 			p.Sleep(scaledDispatch(inst.node.pu))
-			inst.sb.Inst.Invoke(p, st.d.Fn.CPUCost(opts.Arg), inst.forked)
+			inst.sb.Inst.Invoke(p, st.d.Fn.CPUCost(opts.Arg), inst.sb.Forked)
 			rt.release(p, inst)
 		}
 		d := p.Now().Sub(execStart)

@@ -22,7 +22,6 @@ type instance struct {
 	node      *puNode
 	sandboxID string
 	sb        *sandbox.ContainerSandbox
-	forked    bool
 }
 
 // InvokeOptions tune one invocation.
@@ -163,13 +162,13 @@ func (rt *Runtime) invokeGeneral(p *sim.Proc, d *Deployment, opts InvokeOptions,
 		}
 	}
 	hs := rt.obs.Span(root, "handler", int(inst.node.pu.ID))
-	if inst.forked && inst.sb.Inst.COWPending {
+	if inst.sb.Forked && inst.sb.Inst.COWPending {
 		hs.SetAttr("cow", "1")
 		if o := rt.obs; o != nil {
 			o.Counter("sandbox_cow_faults_total", puLabel(inst.node.pu.ID)).Inc()
 		}
 	}
-	inst.sb.Inst.Invoke(p, rt.jitter(d.Fn.CPUCost(opts.Arg)), inst.forked)
+	inst.sb.Inst.Invoke(p, rt.jitter(d.Fn.CPUCost(opts.Arg)), inst.sb.Forked)
 	hs.Finish()
 	res := Result{
 		Fn: d.Fn.Name, PU: inst.node.pu.ID, Kind: inst.node.pu.Kind, Cold: cold,
@@ -299,10 +298,9 @@ func (rt *Runtime) popWarmOn(n *puNode, fn string) *instance {
 	return nil
 }
 
-// coldStart creates and starts a new container sandbox for the function.
-// With cfork, Molecule forks from a dedicated template (code and
-// dependencies preloaded, §4.2), so the per-function dependency import is
-// off the critical path; plain boots pay it.
+// coldStart makes a new instance of the function by the runtime's startup
+// mode. A cfork from a dedicated template (§4.2) has the dependencies
+// preloaded; generic-template cforks and plain boots import them.
 //
 //molecule:hotpath
 func (rt *Runtime) coldStart(p *sim.Proc, d *Deployment, pin hw.PUID, parent *obs.Span) (*instance, error) {
@@ -327,23 +325,22 @@ func (rt *Runtime) coldStart(p *sim.Proc, d *Deployment, pin hw.PUID, parent *ob
 	if err := rt.remoteCommand(p, n.pu.ID, parent); err != nil {
 		return nil, err
 	}
-	if !rt.Opts.UseCfork && rt.Opts.Startup == StartupSnapshot {
+	// Template boot is a one-time cost per (PU, language), off the
+	// per-request critical path in steady state; it is charged here on
+	// first use.
+	zygote := n.cr.Mode == sandbox.StartZygote
+	switch {
+	case rt.Opts.Startup == StartupSnapshot:
 		return rt.restoreFromSnapshot(p, d, n)
+	case zygote:
+		_, err = n.cr.EnsureForest(p, d.Fn.Lang)
+	case n.cr.Mode == sandbox.StartCfork:
+		_, err = n.cr.EnsureTemplate(p, d.Fn.Lang)
 	}
-	zygote := rt.zygoteOn()
-	if rt.Opts.UseCfork {
-		// Template boot is a one-time cost per (PU, language), off the
-		// per-request critical path in steady state; it is charged here on
-		// first use.
-		if zygote {
-			if _, err := n.cr.EnsureForest(p, d.Fn.Lang); err != nil {
-				return nil, err
-			}
-		} else if _, err := n.cr.EnsureTemplate(p, d.Fn.Lang); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
-	id := n.nextContainerID(d.Fn.Name)
+	id := n.nextContainerID("c-", d.Fn.Name)
 	tracing := rt.Env.Tracing()
 	if tracing {
 		p.Tracef("coldstart %s: creating sandbox %s on PU %d", d.Fn.Name, id, n.pu.ID)
@@ -385,7 +382,7 @@ func (rt *Runtime) coldStart(p *sim.Proc, d *Deployment, pin hw.PUID, parent *ob
 	// Dedicated templates preload each hot function's dependencies (§4.2),
 	// keeping the import off the critical path; plain boots — and cforks
 	// from generic templates — pay it.
-	if !rt.Opts.UseCfork || (rt.Opts.GenericTemplates && !zygote) {
+	if rt.Opts.Startup != StartupCfork {
 		p.Sleep(n.pu.StartupTime(d.Fn.DepImport))
 	}
 	n.liveCount++
@@ -394,14 +391,15 @@ func (rt *Runtime) coldStart(p *sim.Proc, d *Deployment, pin hw.PUID, parent *ob
 	if rt.Opts.PrewarmContainers > 0 && n.cr.PoolSize() < rt.Opts.PrewarmContainers {
 		n.cr.Refill()
 	}
-	return &instance{fn: d.Fn.Name, node: n, sandboxID: id, sb: sb, forked: sb.Forked}, nil
+	return &instance{fn: d.Fn.Name, node: n, sandboxID: id, sb: sb}, nil
 }
 
 // nextContainerID numbers the node's next sandbox and returns its ID,
-// c-<fn>-<pu>-<seq>, built in the node's reused buffer: one allocation.
-func (n *puNode) nextContainerID(fn string) string {
+// <prefix><fn>-<pu>-<seq>, built in the node's reused buffer: one
+// allocation.
+func (n *puNode) nextContainerID(prefix, fn string) string {
 	n.sandboxSeq++
-	n.idBuf = append(n.idBuf[:0], "c-"...)
+	n.idBuf = append(n.idBuf[:0], prefix...)
 	n.idBuf = append(n.idBuf, fn...)
 	n.idBuf = append(n.idBuf, '-')
 	n.idBuf = strconv.AppendInt(n.idBuf, int64(n.pu.ID), 10)
@@ -431,8 +429,7 @@ func (rt *Runtime) restoreFromSnapshot(p *sim.Proc, d *Deployment, n *puNode) (*
 		n.snapshots[d.Fn.Name] = snap
 	}
 	inst := snap.Restore(p, n.os)
-	n.sandboxSeq++
-	id := fmt.Sprintf("s-%s-%d-%d", d.Fn.Name, n.pu.ID, n.sandboxSeq)
+	id := n.nextContainerID("s-", d.Fn.Name)
 	// Register the restored instance under a sandbox record so the rest of
 	// the lifecycle (warm pool, kill, delete) is uniform.
 	sb := &sandbox.ContainerSandbox{
@@ -442,7 +439,7 @@ func (rt *Runtime) restoreFromSnapshot(p *sim.Proc, d *Deployment, n *puNode) (*
 	}
 	n.cr.Adopt(id, sb)
 	n.liveCount++
-	return &instance{fn: d.Fn.Name, node: n, sandboxID: id, sb: sb, forked: false}, nil
+	return &instance{fn: d.Fn.Name, node: n, sandboxID: id, sb: sb}, nil
 }
 
 // release returns an instance to the warm pool, evicting per keep-alive

@@ -32,9 +32,12 @@ import (
 type StartupMode int
 
 const (
-	// StartupCfork forks instances from language templates (§4.2, the
-	// paper's contribution).
+	// StartupCfork forks instances from dedicated language templates with
+	// the function's dependencies preloaded (§4.2, the paper's contribution).
 	StartupCfork StartupMode = iota
+	// StartupGenericCfork forks from a generic language template: the
+	// child imports the function's dependencies on the critical path.
+	StartupGenericCfork
 	// StartupPlain boots a fresh runtime per instance (the baseline path).
 	StartupPlain
 	// StartupSnapshot restores instances from per-function snapshots — the
@@ -42,26 +45,23 @@ const (
 	StartupSnapshot
 )
 
-var startupModeNames = map[StartupMode]string{
-	StartupCfork: "cfork", StartupPlain: "plain", StartupSnapshot: "snapshot",
-}
-
 func (m StartupMode) String() string {
-	if s, ok := startupModeNames[m]; ok {
-		return s
+	switch m {
+	case StartupCfork:
+		return "cfork"
+	case StartupGenericCfork:
+		return "generic-cfork"
+	case StartupPlain:
+		return "plain"
+	case StartupSnapshot:
+		return "snapshot"
 	}
 	return fmt.Sprintf("StartupMode(%d)", int(m))
 }
 
 // Options configure a Molecule runtime.
 type Options struct {
-	// UseCfork enables fork-based startup from language templates (§4.2).
-	// When false, Startup selects the alternative mechanism. Retained as a
-	// boolean for compatibility: UseCfork=true forces StartupCfork.
-	UseCfork bool
-	// Startup is read only when UseCfork is false: StartupSnapshot restores
-	// from snapshots, and any other value boots plainly — including the zero
-	// value, which is StartupCfork.
+	// Startup alone picks the cold-start mechanism (zero: StartupCfork).
 	Startup StartupMode
 	// CpusetMutexPatch applies the kernel cpuset patch (Fig 11a). The
 	// paper's server-side results (Fig 14) run without it.
@@ -77,25 +77,17 @@ type Options struct {
 	// general-purpose PU off the critical path (the FuncContainer
 	// optimization); they are replenished in the background.
 	PrewarmContainers int
-	// GenericTemplates disables §4.2's dedicated templates: cforked
-	// children then import the function's dependencies on the critical
-	// path instead of inheriting them from a per-function template.
-	GenericTemplates bool
-	// ZygoteTree replaces the single generic template per runtime with a
-	// package-aware zygote forest (SOCK/Forklift lineage): cold starts fork
-	// from the deepest pre-warmed template covering the function's package
-	// manifest and pay only the residual imports plus the function's
-	// private tail. Requires UseCfork; off (the default) leaves the flat
-	// cfork path literally untouched.
+	// ZygoteTree, under StartupCfork only, replaces the single template per
+	// runtime with a package-aware zygote forest (SOCK/Forklift lineage):
+	// cold starts fork from the deepest pre-warmed template covering the
+	// function's package manifest and pay only the residual imports plus
+	// the function's private tail.
 	ZygoteTree bool
 	// ZygoteBudgetMB caps the summed residual pages of specialized
 	// templates per (runtime, PU). Zero picks params.ZygoteBudgetMB;
 	// negative means no budget at all — the forest stays root-only, which
 	// is flat cfork plus full on-child imports (the comparison baseline).
 	ZygoteBudgetMB int
-	// ZygoteFitInterval is how many observed cold starts trigger one
-	// background fit round (0 = params.ZygoteFitInterval).
-	ZygoteFitInterval int
 	// ZygoteSeed seeds the fitter's deterministic tie-breaking (0 = 1).
 	ZygoteSeed uint64
 	// JitterPct adds deterministic per-request latency variation (e.g. 0.08
@@ -113,7 +105,7 @@ type Options struct {
 // "Molecule".
 func DefaultOptions() Options {
 	return Options{
-		UseCfork:          true,
+		Startup:           StartupCfork,
 		CpusetMutexPatch:  false,
 		Retention:         true,
 		ErasePolicy:       sandbox.NoErase,
@@ -304,6 +296,17 @@ func New(p *sim.Proc, m *hw.Machine, reg *workloads.Registry, opts Options) (*Ru
 		warmTotal: make(map[string]int),
 	}
 	rt.cache = newKeepAlive(opts.KeepWarmPerPU)
+	start := sandbox.StartBoot // plain boots; snapshot restores skip Start
+	switch opts.Startup {
+	case StartupCfork, StartupGenericCfork:
+		start = sandbox.StartCfork
+		if opts.Startup == StartupCfork && opts.ZygoteTree {
+			start = sandbox.StartZygote
+		}
+	case StartupPlain, StartupSnapshot:
+	default:
+		return nil, fmt.Errorf("molecule: unknown startup mode %v", opts.Startup)
+	}
 
 	// Pass 1: general-purpose PUs get a local OS and a shim node.
 	var host *hw.PU
@@ -317,12 +320,9 @@ func New(p *sim.Proc, m *hw.Machine, reg *workloads.Registry, opts Options) (*Ru
 		os := localos.New(env, pu)
 		node := rt.Shim.AddNode(pu, os)
 		cr := sandbox.NewContainerRuntime(os)
-		cr.UseCfork = opts.UseCfork
+		cr.Mode = start
 		cr.CpusetMutexPatch = opts.CpusetMutexPatch
-		if opts.ZygoteTree && opts.UseCfork {
-			cr.UseZygoteTree = true
-			cr.ZygoteCfg = zygoteConfig(opts)
-		}
+		cr.ZygoteCfg = zygoteConfig(opts)
 		rt.nodes[pu.ID] = &puNode{
 			pu: pu, node: node, os: os, cr: cr,
 			snapshots: make(map[string]*lang.Snapshot),
@@ -403,19 +403,10 @@ func zygoteConfig(opts Options) lang.ZygoteTreeConfig {
 	case opts.ZygoteBudgetMB > 0:
 		cfg.BudgetPages = opts.ZygoteBudgetMB << 20 / params.PageSize
 	}
-	if opts.ZygoteFitInterval > 0 {
-		cfg.FitInterval = opts.ZygoteFitInterval
-	}
 	if opts.ZygoteSeed != 0 {
 		cfg.Seed = opts.ZygoteSeed
 	}
 	return cfg
-}
-
-// zygoteOn reports whether the zygote forest drives this runtime's cold
-// starts.
-func (rt *Runtime) zygoteOn() bool {
-	return rt.Opts.ZygoteTree && rt.Opts.UseCfork
 }
 
 // densityCapacity models how many concurrent instances a PU's resources

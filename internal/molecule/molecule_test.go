@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/hw"
+	"repro/internal/lang"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -109,7 +110,7 @@ func TestColdStartCforkVsPlainBoot(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Warm the template off the measured path.
-			if opts.UseCfork {
+			if opts.Startup == StartupCfork {
 				rt.ContainerRuntimeOn(0).EnsureTemplate(p, "python")
 			}
 			res, err := rt.Invoke(p, "image-processing", InvokeOptions{PU: -1, ForceCold: true})
@@ -121,7 +122,7 @@ func TestColdStartCforkVsPlainBoot(t *testing.T) {
 		return total
 	}
 	forked := coldTotal(DefaultOptions())
-	plain := coldTotal(Options{UseCfork: false, KeepWarmPerPU: 64})
+	plain := coldTotal(Options{Startup: StartupPlain, KeepWarmPerPU: 64})
 	if forked > 35*time.Millisecond || forked < 25*time.Millisecond {
 		t.Errorf("cfork cold start = %v, want ~30ms", forked)
 	}
@@ -315,7 +316,7 @@ func TestAcceleratorInvokeRunsBody(t *testing.T) {
 }
 
 func TestKeepAliveEviction(t *testing.T) {
-	run(t, hw.Config{}, Options{UseCfork: true, KeepWarmPerPU: 2, PrewarmContainers: 4}, func(p *sim.Proc, rt *Runtime) {
+	run(t, hw.Config{}, Options{KeepWarmPerPU: 2, PrewarmContainers: 4}, func(p *sim.Proc, rt *Runtime) {
 		for _, fn := range []string{"matmul", "pyaes", "chameleon"} {
 			if err := rt.Deploy(p, fn); err != nil {
 				t.Fatal(err)
@@ -653,11 +654,82 @@ func TestSnapshotStartupMode(t *testing.T) {
 	}
 }
 
-func TestStartupModeString(t *testing.T) {
-	if StartupCfork.String() != "cfork" || StartupSnapshot.String() != "snapshot" ||
-		StartupMode(9).String() == "" {
-		t.Error("StartupMode String broken")
+// TestColdStartModes: Options.Startup alone picks how a cold start makes an
+// instance. Each row cold-starts image-processing twice — the first start
+// also boots the template, the forest root or the snapshot donor — and
+// checks both startups exactly and what built the second instance.
+func TestColdStartModes(t *testing.T) {
+	with := func(mode StartupMode, zygote bool) Options {
+		opts := DefaultOptions()
+		opts.Startup, opts.ZygoteTree = mode, zygote
+		return opts
 	}
+	cases := []struct {
+		name          string
+		opts          Options
+		mode          string // opts.Startup.String()
+		first, steady time.Duration
+		forked        bool   // a cfork made the instance
+		forest        bool   // the host runs a zygote forest
+		sandbox       string // the second instance's sandbox ID
+	}{
+		{"cfork", DefaultOptions(), "cfork", 95_399_250, 30_049_250, true, false, "c-image-processing-0-2"},
+		{"generic-cfork", with(StartupGenericCfork, false), "generic-cfork", 191_399_250, 126_049_250, true, false, "c-image-processing-0-2"},
+		{"plain", Options{Startup: StartupPlain, KeepWarmPerPU: 64}, "plain", 181_550_000, 181_550_000, false, false, "c-image-processing-0-2"},
+		{"snapshot", Options{Startup: StartupSnapshot, KeepWarmPerPU: 64}, "snapshot", 356_400_000, 44_850_000, false, false, "s-image-processing-0-2"},
+		{"cfork+zygote", with(StartupCfork, true), "cfork", 190_899_250, 125_249_250, true, true, "c-image-processing-0-2"},
+		// ZygoteTree applies only under StartupCfork.
+		{"generic-cfork+zygote", with(StartupGenericCfork, true), "generic-cfork", 191_399_250, 126_049_250, true, false, "c-image-processing-0-2"},
+		// The zero mode forks even without DefaultOptions. With no
+		// prepared-container pool, each start also creates its container
+		// (params.ContainerCreateTime).
+		{"cfork-literal", Options{Startup: StartupCfork, KeepWarmPerPU: 64}, "cfork", 112_599_250, 47_249_250, true, false, "c-image-processing-0-2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.opts.Startup.String(); got != tc.mode {
+				t.Errorf("String() = %q, want %q", got, tc.mode)
+			}
+			run(t, hw.Config{}, tc.opts, func(p *sim.Proc, rt *Runtime) {
+				if err := rt.Deploy(p, "image-processing"); err != nil {
+					t.Fatal(err)
+				}
+				var got [2]time.Duration
+				for i := range got {
+					res, err := rt.Invoke(p, "image-processing", InvokeOptions{PU: -1, ForceCold: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got[i] = res.Startup
+				}
+				if want := [2]time.Duration{tc.first, tc.steady}; got != want {
+					t.Errorf("startups %v, want %v", got, want)
+				}
+				wp := rt.nodes[rt.hostID].warmPool("image-processing")
+				inst := wp.insts[len(wp.insts)-1]
+				if inst.sandboxID != tc.sandbox || inst.sb.Forked != tc.forked || inst.sb.ZygoteDepth != 0 {
+					t.Errorf("instance %s forked=%v depth %d, want %s forked=%v depth 0",
+						inst.sandboxID, inst.sb.Forked, inst.sb.ZygoteDepth, tc.sandbox, tc.forked)
+				}
+				if forest := rt.ContainerRuntimeOn(rt.hostID).Forest(lang.Python) != nil; forest != tc.forest {
+					t.Errorf("zygote forest = %v, want %v", forest, tc.forest)
+				}
+			})
+		})
+	}
+	t.Run("unknown", func(t *testing.T) {
+		if got := StartupMode(9).String(); got != "StartupMode(9)" {
+			t.Errorf("String() = %q", got)
+		}
+		env := sim.NewEnv()
+		m := hw.Build(env, hw.Config{})
+		env.Spawn("driver", func(p *sim.Proc) {
+			if _, err := New(p, m, workloads.NewRegistry(), Options{Startup: 9}); err == nil {
+				t.Error("New accepted an unknown startup mode")
+			}
+		})
+		env.Run()
+	})
 }
 
 // TestExecutorCrashAndRespawn injects an executor failure on the DPU: warm
@@ -716,7 +788,7 @@ func TestKillExecutorValidation(t *testing.T) {
 // that is costlier to recreate wins the cache over an equally-popular cheap
 // one.
 func TestKeepAliveGreedyDualPrefersExpensive(t *testing.T) {
-	opts := Options{UseCfork: false, Startup: StartupPlain, KeepWarmPerPU: 1, PrewarmContainers: 4}
+	opts := Options{Startup: StartupPlain, KeepWarmPerPU: 1, PrewarmContainers: 4}
 	run(t, hw.Config{}, opts, func(p *sim.Proc, rt *Runtime) {
 		// linpack's dependency import (280ms) dwarfs pyaes's (59ms).
 		for _, fn := range []string{"linpack", "pyaes"} {
@@ -918,13 +990,13 @@ func TestUtilizationAccounting(t *testing.T) {
 	})
 }
 
-// TestDedicatedVsGenericTemplates: cfork from a generic template still pays
+// TestDedicatedVsGenericCfork: cfork from a generic template still pays
 // the dependency import; dedicated templates keep it off the critical path
 // (§4.2).
-func TestDedicatedVsGenericTemplates(t *testing.T) {
-	startup := func(generic bool) time.Duration {
+func TestDedicatedVsGenericCfork(t *testing.T) {
+	startup := func(mode StartupMode) time.Duration {
 		opts := DefaultOptions()
-		opts.GenericTemplates = generic
+		opts.Startup = mode
 		var d time.Duration
 		run(t, hw.Config{}, opts, func(p *sim.Proc, rt *Runtime) {
 			if err := rt.Deploy(p, "linpack"); err != nil { // 280ms deps
@@ -939,8 +1011,8 @@ func TestDedicatedVsGenericTemplates(t *testing.T) {
 		})
 		return d
 	}
-	dedicated := startup(false)
-	generic := startup(true)
+	dedicated := startup(StartupCfork)
+	generic := startup(StartupGenericCfork)
 	if generic-dedicated < 250*time.Millisecond {
 		t.Errorf("generic templates (%v) should pay ~280ms deps over dedicated (%v)", generic, dedicated)
 	}

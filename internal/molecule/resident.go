@@ -68,7 +68,7 @@ func (rt *Runtime) StartResident(p *sim.Proc, fn string, pu hw.PUID) (*Resident,
 			}
 			sp.Sleep(scaledDispatch(inst.node.pu))
 			arg, _ := msg.Meta.(workloads.Arg)
-			inst.sb.Inst.Invoke(sp, d.Fn.CPUCost(arg), inst.forked)
+			inst.sb.Inst.Invoke(sp, d.Fn.CPUCost(arg), inst.sb.Forked)
 			_, resB := d.Fn.Sizes(arg)
 			e.resp.send(sp, localos.Message{Kind: "resp", Payload: payload(resB)})
 		}

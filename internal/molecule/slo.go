@@ -69,21 +69,23 @@ func (rt *Runtime) EstimateLatency(funcName string, kind hw.PUKind, arg workload
 		}
 		return d.Fn.GPUKernel + 2*params.DMABaseLatency + 50*time.Microsecond, nil
 	default:
-		// General-purpose: find a PU of this kind.
-		var pu *hw.PU
-		for _, cand := range rt.Machine.PUsOfKind(kind) {
-			pu = cand
-			break
-		}
-		if pu == nil {
+		// General-purpose: price the first PU of this kind.
+		pus := rt.Machine.PUsOfKind(kind)
+		if len(pus) == 0 {
 			return 0, fmt.Errorf("molecule: machine has no %v", kind)
 		}
+		pu := pus[0]
 		est := params.WarmDispatchTime + pu.ComputeTime(d.Fn.CPUCost(arg))
 		if rt.peekWarm(funcName, kind) == nil {
-			// Cold start: cfork or plain boot + dependency import.
-			if rt.Opts.UseCfork {
+			// Cold start, priced by the startup mode.
+			switch rt.Opts.Startup {
+			case StartupCfork:
 				est += pu.StartupTime(30 * time.Millisecond) // cfork class
-			} else {
+			case StartupGenericCfork:
+				est += pu.StartupTime(30*time.Millisecond + d.Fn.DepImport)
+			case StartupSnapshot:
+				est += pu.StartupTime(params.SnapshotRestoreTime)
+			default: // plain boot + dependency import
 				est += pu.StartupTime(params.ContainerCreateTime + params.PythonInitTime + d.Fn.DepImport)
 			}
 		}

@@ -59,6 +59,42 @@ func TestEstimateColdVsWarm(t *testing.T) {
 	})
 }
 
+// TestEstimateColdStartModes: the cold-start estimate follows the startup
+// mode and ranks image-processing's modes in the order of their measured
+// steady cold starts (TestColdStartModes): cfork 30.05 < snapshot 44.85 <
+// generic cfork 126.05 < plain 181.55 ms. The default estimate does not
+// move, and the zygote forest prices as cfork.
+func TestEstimateColdStartModes(t *testing.T) {
+	estimate := func(mode StartupMode, zygote bool) time.Duration {
+		opts := DefaultOptions()
+		opts.Startup, opts.ZygoteTree = mode, zygote
+		var e time.Duration
+		run(t, hw.Config{}, opts, func(p *sim.Proc, rt *Runtime) {
+			if err := rt.Deploy(p, "image-processing"); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if e, err = rt.EstimateLatency("image-processing", hw.CPU, workloads.Arg{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return e
+	}
+	if got := estimate(StartupCfork, false); got != 42_350_000 {
+		t.Errorf("default cold estimate %v, want 42.35ms", got)
+	}
+	if got, want := estimate(StartupCfork, true), estimate(StartupCfork, false); got != want {
+		t.Errorf("zygote cold estimate %v, want cfork's %v", got, want)
+	}
+	order := []StartupMode{StartupCfork, StartupSnapshot, StartupGenericCfork, StartupPlain}
+	for i := 1; i < len(order); i++ {
+		lo, hi := estimate(order[i-1], false), estimate(order[i], false)
+		if lo >= hi {
+			t.Errorf("%v estimate %v not below %v estimate %v", order[i-1], lo, order[i], hi)
+		}
+	}
+}
+
 // TestInvokeWithSLO: a loose deadline picks the cheap DPU; a tight one
 // forces the faster (pricier) CPU; an infeasible one falls back to the
 // fastest profile.

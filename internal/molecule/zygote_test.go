@@ -12,7 +12,6 @@ import (
 func zygoteOpts() Options {
 	opts := DefaultOptions()
 	opts.ZygoteTree = true
-	opts.ZygoteFitInterval = 8
 	return opts
 }
 
@@ -25,7 +24,7 @@ func TestZygoteColdStartGetsCheaper(t *testing.T) {
 			t.Fatal(err)
 		}
 		var first, last time.Duration
-		for i := 0; i < 12; i++ {
+		for i := 0; i < 24; i++ {
 			res, err := rt.Invoke(p, "matmul", InvokeOptions{PU: -1, ForceCold: true})
 			if err != nil {
 				t.Fatal(err)
@@ -83,7 +82,7 @@ func TestZygoteDisabledMatchesFlatCfork(t *testing.T) {
 	// DepImport, the same bill as a cfork from a *generic* template. That
 	// calibration makes the bench's flat arm a true generic-cfork baseline.
 	generic := DefaultOptions()
-	generic.GenericTemplates = true
+	generic.Startup = StartupGenericCfork
 	genericFlat := coldStartup(generic)
 	rootOnly := zygoteOpts()
 	rootOnly.ZygoteBudgetMB = -1
@@ -101,7 +100,7 @@ func TestZygoteExecutorCrashResetsForest(t *testing.T) {
 			t.Fatal(err)
 		}
 		dpu := rt.Machine.PUsOfKind(hw.DPU)[0].ID
-		for i := 0; i < 12; i++ {
+		for i := 0; i < 24; i++ {
 			if _, err := rt.Invoke(p, "matmul", InvokeOptions{PU: dpu, ForceCold: true}); err != nil {
 				t.Fatal(err)
 			}

@@ -318,9 +318,9 @@ const (
 	// totals ~71MB; 48MB forces the fitter to choose.
 	ZygoteBudgetMB = 48
 
-	// ZygoteFitInterval is how many observed cold starts trigger one
+	// ZygoteFitColdStarts is how many observed cold starts trigger one
 	// background fit round.
-	ZygoteFitInterval = 16
+	ZygoteFitColdStarts = 16
 
 	// ZygoteMinHits is the observed-demand floor below which a candidate
 	// package set is not worth a template.

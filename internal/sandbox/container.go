@@ -32,9 +32,6 @@ type ContainerSandbox struct {
 	cg *localos.Cgroup
 }
 
-// ContainerRuntime is the runc-style sandbox runtime for general-purpose
-// PUs, extended with container fork. It is always driven with one-sized
-// vectors, mirroring the paper's modified Docker runc.
 // FaultInjector lets a fault plan fail sandbox creations probabilistically.
 // Declared consumer-side so sandbox need not import the faults package;
 // *faults.Plan implements it.
@@ -55,12 +52,23 @@ type MetricSink interface {
 	Counter(name, labelKey, labelValue string) Counter
 }
 
+// StartMode selects how ContainerRuntime.Start makes a sandbox's instance.
+type StartMode int
+
+const (
+	StartBoot   StartMode = iota // cold-boot a fresh language runtime
+	StartCfork                   // cfork the language's template (§4.2)
+	StartZygote                  // cfork the deepest covering zygote template
+)
+
+// ContainerRuntime is the runc-style sandbox runtime for general-purpose
+// PUs, extended with container fork. It is always driven with one-sized
+// vectors, mirroring the paper's modified Docker runc.
 type ContainerRuntime struct {
 	OS *localos.OS
 
-	// UseCfork starts sandboxes by forking a language template instead of
-	// cold-booting a fresh runtime.
-	UseCfork bool
+	// Mode picks how Start makes each sandbox's instance.
+	Mode StartMode
 	// CpusetMutexPatch applies the kernel cpuset patch (Fig 11a).
 	CpusetMutexPatch bool
 	// Metrics, when non-nil, counts fork/boot and container-pool events.
@@ -71,14 +79,10 @@ type ContainerRuntime struct {
 	// failure never consumes a prepared container.
 	Faults FaultInjector
 
-	// UseZygoteTree replaces the single template per runtime with a fitted
-	// zygote forest: Start forks from the deepest template whose package
-	// set the spec's manifest covers. Requires UseCfork.
-	UseZygoteTree bool
-	// ZygoteCfg carries the forest's budget/fitter knobs; the zero value
-	// is replaced by lang.DefaultZygoteTreeConfig at first use except for
-	// BudgetPages, which is taken as-is (zero budget = root-only forest,
-	// the flat-cfork arm of the comparison).
+	// ZygoteCfg carries the forest's budget/fitter knobs under StartZygote.
+	// A zero FitInterval, MinHits or MaxGrowPerFit takes its params
+	// default; BudgetPages and Seed are used as-is (a zero budget is a
+	// root-only forest, the flat-cfork arm of the comparison).
 	ZygoteCfg lang.ZygoteTreeConfig
 
 	templates map[lang.Kind]*lang.Instance
@@ -262,35 +266,44 @@ func (cr *ContainerRuntime) Start(p *sim.Proc, ids []string) error {
 		if err != nil {
 			return err
 		}
-		if cr.UseCfork && cr.UseZygoteTree {
-			if err := cr.startZygote(p, sb); err != nil {
-				return err
+		switch cr.Mode {
+		case StartZygote:
+			err = cr.startZygote(p, sb)
+		case StartCfork:
+			var tmpl *lang.Instance
+			if tmpl, err = cr.EnsureTemplate(p, sb.Spec.Lang); err == nil {
+				err = cr.cfork(p, sb, tmpl, false)
 			}
-		} else if cr.UseCfork {
-			tmpl, err := cr.EnsureTemplate(p, sb.Spec.Lang)
-			if err != nil {
-				return err
-			}
-			inst, err := lang.Cfork(p, tmpl, sb.Spec.FuncID, lang.CforkOptions{
-				PreparedContainer: true,
-				CpusetMutexPatch:  cr.CpusetMutexPatch,
-				Namespace:         sb.ns,
-				Cgroup:            sb.cg,
-			})
-			if err != nil {
-				return err
-			}
-			sb.Inst, sb.Forked = inst, true
-			cr.count("sandbox_cfork_total")
-		} else {
+		default:
 			inst := lang.BootCold(p, cr.OS, spec, lang.ProcName(sb.Spec.FuncID), false)
 			inst.Proc.NS, inst.Proc.CG = sb.ns, sb.cg
 			inst.LoadFunction(p, sb.Spec.FuncID)
 			sb.Inst, sb.Forked = inst, false
 			cr.count("sandbox_plain_boots_total")
 		}
+		if err != nil {
+			return err
+		}
 		sb.State = StateRunning
 	}
+	return nil
+}
+
+// cfork forks the sandbox's instance from tmpl into its prepared
+// container. keepMerged leaves tmpl parked single-threaded afterwards.
+func (cr *ContainerRuntime) cfork(p *sim.Proc, sb *ContainerSandbox, tmpl *lang.Instance, keepMerged bool) error {
+	inst, err := lang.Cfork(p, tmpl, sb.Spec.FuncID, lang.CforkOptions{
+		PreparedContainer:  true,
+		CpusetMutexPatch:   cr.CpusetMutexPatch,
+		Namespace:          sb.ns,
+		Cgroup:             sb.cg,
+		KeepTemplateMerged: keepMerged,
+	})
+	if err != nil {
+		return err
+	}
+	sb.Inst, sb.Forked = inst, true
+	cr.count("sandbox_cfork_total")
 	return nil
 }
 
@@ -308,22 +321,14 @@ func (cr *ContainerRuntime) startZygote(p *sim.Proc, sb *ContainerSandbox) error
 	}
 	node := tree.Resolve(sb.Spec.Pkgs)
 	tree.Pin(node)
-	inst, err := lang.Cfork(p, node.Inst, sb.Spec.FuncID, lang.CforkOptions{
-		PreparedContainer: true,
-		CpusetMutexPatch:  cr.CpusetMutexPatch,
-		Namespace:         sb.ns,
-		Cgroup:            sb.cg,
-		// Zygote templates park merged between forks (SOCK-style).
-		KeepTemplateMerged: true,
-	})
+	// Zygote templates park merged between forks (SOCK-style).
+	err = cr.cfork(p, sb, node.Inst, true)
 	tree.Unpin(node)
 	if err != nil {
 		return err
 	}
-	sb.Inst, sb.Forked = inst, true
 	sb.Residual = sb.Spec.Pkgs.Residual(node.Pkgs)
 	sb.ZygoteDepth = node.Depth()
-	cr.count("sandbox_cfork_total")
 	cr.count("sandbox_zygote_forks_total")
 	if node.ID != 0 {
 		cr.count("sandbox_zygote_ancestor_hits_total")

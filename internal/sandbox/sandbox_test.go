@@ -101,13 +101,13 @@ func TestContainerErrors(t *testing.T) {
 }
 
 func TestContainerColdVsCfork(t *testing.T) {
-	startLatency := func(useCfork bool, prewarm bool) time.Duration {
+	startLatency := func(mode StartMode, prewarm bool) time.Duration {
 		env, cr := cpuRig()
-		cr.UseCfork = useCfork
+		cr.Mode = mode
 		cr.CpusetMutexPatch = true
 		var d time.Duration
 		env.Spawn("x", func(p *sim.Proc) {
-			if useCfork {
+			if mode == StartCfork {
 				cr.EnsureTemplate(p, lang.Python) // template prepared off-path
 			}
 			if prewarm {
@@ -121,8 +121,8 @@ func TestContainerColdVsCfork(t *testing.T) {
 		env.Run()
 		return d
 	}
-	cold := startLatency(false, false)
-	forked := startLatency(true, true)
+	cold := startLatency(StartBoot, false)
+	forked := startLatency(StartCfork, true)
 	if ratio := float64(cold) / float64(forked); ratio < 8 {
 		t.Errorf("cfork speedup %.1fx, want ~10x (cold=%v forked=%v)", ratio, cold, forked)
 	}
