@@ -274,12 +274,18 @@ func ProcName(funcID string) string { return "fn-" + funcID }
 // the copy-on-write fault penalty; once its working set is private, later
 // requests do not (§6.6).
 func (inst *Instance) Invoke(p *sim.Proc, cpuCost time.Duration, forked bool) {
+	p.Sleep(inst.StartHandler(cpuCost, forked))
+}
+
+// StartHandler starts one request's handler and returns how long it runs:
+// Invoke without the sleep, for a caller that waits as a stepped wait.
+func (inst *Instance) StartHandler(cpuCost time.Duration, forked bool) time.Duration {
 	d := inst.OS.PU.ComputeTime(cpuCost)
 	if forked && inst.COWPending {
 		d += params.CforkCOWFaultPenalty
 		inst.COWPending = false
 	}
-	p.Sleep(d)
+	return d
 }
 
 // Exit terminates the instance's process, releasing its memory.

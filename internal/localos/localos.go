@@ -323,11 +323,60 @@ func (f *FIFO) Write(p *sim.Proc, m Message) bool {
 }
 
 // Read receives a message, charging one FIFO syscall. ok is false when the
-// FIFO was removed.
+// FIFO was removed. It is a Reader driven on the caller's coroutine.
 func (f *FIFO) Read(p *sim.Proc) (Message, bool) {
-	p.Sleep(f.os.Costs.FIFOOp)
-	return f.ch.Recv(p)
+	r := Reader{f: f}
+	for val := any(nil); !r.Step(p, val); {
+		val = p.Park()
+	}
+	return r.Finish()
 }
+
+// Reader is one FIFO read as a stepped wait (sim.Step): Step charges the
+// read syscall, then waits for a message, and Finish returns it. Read is
+// the same Reader driven by a blocking call, so the stepped and the
+// blocking read share one cost model. A Reader serves one read at a time;
+// Reset arms it.
+type Reader struct {
+	f     *FIFO
+	phase uint8 // 0: charge the syscall; 1: receive; 2: parked among the receivers
+	m     Message
+	ok    bool
+}
+
+// Reset arms r for one read on f.
+func (r *Reader) Reset(f *FIFO) { *r = Reader{f: f} }
+
+// Step runs the read on from where it stopped; see sim.Step.
+//
+//molecule:hotpath
+func (r *Reader) Step(p *sim.Proc, val any) bool {
+	switch r.phase {
+	case 0:
+		r.phase = 1
+		if !p.SleepStep(r.f.os.Costs.FIFOOp) {
+			return false
+		}
+		fallthrough
+	case 1:
+		var got bool
+		if r.ok, got = r.f.ch.RecvStep(p, &r.m); got {
+			return true
+		}
+		r.phase = 2
+		return false
+	default:
+		r.ok = r.f.ch.Handed(val, &r.m)
+		return true
+	}
+}
+
+// Settled reports, once r's wait is over, that the read took a message.
+func (r *Reader) Settled() bool { return r.ok }
+
+// Finish returns what Read would once r's wait is over; ok is false when
+// the FIFO closed first.
+func (r *Reader) Finish() (Message, bool) { return r.m, r.ok }
 
 // TryRead receives without blocking (the syscall is still charged only on
 // success).

@@ -136,7 +136,19 @@ type pipe struct {
 	// sender / receiver descriptors for the nIPC case.
 	sendFD *xpu.FD
 	recvFD *xpu.FD
+	// The receiver's read in progress, on local or on recvFD: a pipe has
+	// one reader, which waits for each message without its stack (see
+	// pipe.Step). after is the dispatch work the reader does next when the
+	// read succeeds, or noDispatch; owed is set until it is charged.
+	localRead localos.Reader
+	nipcRead  xpu.Reader
+	after     time.Duration
+	reading   bool
+	owed      bool
 }
+
+// noDispatch marks a pipe read that no dispatch work follows.
+const noDispatch time.Duration = -1
 
 var errChainFIFOClosed = errors.New("molecule: chain FIFO closed")
 
@@ -165,7 +177,17 @@ func (pp *pipe) send(p *sim.Proc, m localos.Message) error {
 	return pp.sendFD.Write(p, m)
 }
 
-func (pp *pipe) recv(p *sim.Proc) (localos.Message, error) {
+// recv reads the next message as a stepped wait, then charges after of
+// dispatch work (unless after is noDispatch) if the read succeeds.
+func (pp *pipe) recv(p *sim.Proc, after time.Duration) (localos.Message, error) {
+	p.Wait(pp.read(after))
+	return pp.endRead(p)
+}
+
+// recvShared is recv for a pipe with several readers, which cannot share
+// its one stepped read (a Resident's callers share its response pipe): a
+// blocking read on the caller's coroutine.
+func (pp *pipe) recvShared(p *sim.Proc) (localos.Message, error) {
 	if pp.local != nil {
 		m, ok := pp.local.Read(p)
 		if !ok {
@@ -174,6 +196,66 @@ func (pp *pipe) recv(p *sim.Proc) (localos.Message, error) {
 		return m, nil
 	}
 	return pp.recvFD.Read(p)
+}
+
+// read arms the pipe's read for its reader and returns it as the wait to
+// step; endRead completes it once the wait is over.
+func (pp *pipe) read(after time.Duration) sim.Step {
+	if pp.local != nil {
+		pp.localRead.Reset(pp.local)
+	} else {
+		pp.nipcRead.Reset(pp.recvFD)
+	}
+	pp.after, pp.reading, pp.owed = after, true, after != noDispatch
+	return pp
+}
+
+// Step reads the message, then, when the read has settled with nothing
+// left for the reader's coroutine, charges the dispatch work that follows
+// it: the reader's process would do nothing but sleep until then. See
+// sim.Step.
+func (pp *pipe) Step(p *sim.Proc, val any) bool {
+	if !pp.reading {
+		return true // the dispatch sleep is over
+	}
+	var settled bool
+	if pp.local != nil {
+		if !pp.localRead.Step(p, val) {
+			return false
+		}
+		settled = pp.localRead.Settled()
+	} else {
+		if !pp.nipcRead.Step(p, val) {
+			return false
+		}
+		settled = pp.nipcRead.Settled()
+	}
+	pp.reading = false
+	if !pp.owed || !settled {
+		return true
+	}
+	pp.owed = false
+	return p.SleepStep(pp.after)
+}
+
+// endRead completes the read on the reader's coroutine, charging the
+// dispatch work the wait could not.
+func (pp *pipe) endRead(p *sim.Proc) (localos.Message, error) {
+	var m localos.Message
+	var err error
+	if pp.local != nil {
+		var ok bool
+		if m, ok = pp.localRead.Finish(); !ok {
+			err = errChainFIFOClosed
+		}
+	} else {
+		m, err = pp.nipcRead.Finish(p)
+	}
+	if err == nil && pp.owed {
+		pp.owed = false
+		p.Sleep(pp.after)
+	}
+	return m, err
 }
 
 // close wakes every process blocked on the pipe. Both descriptors of an
@@ -255,6 +337,7 @@ type chainWiring struct {
 	outAt   []int
 	abort   chainAbort
 	execDur []time.Duration
+	waits   []stageWait // stage i's first wait
 }
 
 // endpoint is one side of a chain edge: a shim node plus the OS process
@@ -363,9 +446,10 @@ func (rt *Runtime) unwireChain(w *chainWiring) {
 	gw := w.gw
 	gw.node.node.Unregister(gw.proc)
 	gw.node.os.Exit(gw.proc)
+	clear(w.waits)
 	*w = chainWiring{
 		edges: w.edges[:0], in: w.in[:0], out: w.out[:0], outAt: w.outAt[:0],
-		execDur: w.execDur[:0],
+		execDur: w.execDur[:0], waits: w.waits[:0],
 	}
 	rt.freeWirings = append(rt.freeWirings, w)
 }
@@ -477,9 +561,12 @@ func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, ord
 
 	edgeLat := make([]time.Duration, len(w.edges))
 	w.execDur = append(w.execDur, make([]time.Duration, n)...)
+	w.waits = append(w.waits, make([]stageWait, n)...)
 	edges, execDur := w.edges, w.execDur
 
-	// Spawn one process per instance, consumers first.
+	// Spawn one process per instance, consumers first. Each starts parked
+	// in its first wait (every stage has an in-edge), so it takes a
+	// coroutine only once that wait is over.
 	done := sim.NewWaitGroup(rt.Env)
 	done.Add(n)
 	for k := n - 1; k >= 0; k-- {
@@ -488,27 +575,44 @@ func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, ord
 			i = order[k]
 		}
 		inst := insts[i]
-		rt.Env.Spawn("chain-"+inst.fn, func(fp *sim.Proc) {
+		in := w.in[i]
+		sw := &w.waits[i]
+		*sw = stageWait{
+			req: &edges[in.lo].req, inst: inst, cost: deps[i].Fn.CPUCost(opts.Arg), last: in.hi-in.lo == 1,
+		}
+		sw.req.read(stageDispatch(in, in.lo, inst))
+		rt.Env.SpawnWaiting("chain-"+inst.fn, sw, func(fp *sim.Proc) {
 			defer done.Done()
+			// in and sw are re-derived, not captured: every captured
+			// variable grows each stage's closure, and chain-nipc's peak
+			// heap moves with the bytes a chain allocates.
 			abort := &w.abort
 			in, out := w.in[i], w.out[w.outAt[i]:w.outAt[i+1]]
 			d := deps[i]
+			sw := &w.waits[i]
 			// The language runtime's per-hop dispatch work splits between
 			// the sender (serialize the event) and the receiver
-			// (deserialize, schedule the handler), each on its own PU.
+			// (deserialize, schedule the handler), each on its own PU. The
+			// last request read charges the receiver's half.
 			half := scaledDispatch(inst.node.pu) / 2
-			for e := in.lo; e < in.hi; e++ {
-				if _, err := edges[e].req.recv(fp); err != nil {
-					abort.fail(err)
-					return
-				}
+			_, err := edges[in.lo].req.endRead(fp)
+			for e := in.lo + 1; e < in.hi && err == nil; e++ {
+				_, err = edges[e].req.recv(fp, stageDispatch(in, e, inst))
 			}
-			fp.Sleep(half)
-			for e := in.lo; e < in.hi; e++ {
-				edgeLat[e] = fp.Now().Sub(edges[e].sentAt)
+			if err != nil {
+				abort.fail(err)
+				return
 			}
 			start := fp.Now()
-			inst.sb.Inst.Invoke(fp, d.Fn.CPUCost(opts.Arg), inst.sb.Forked)
+			if sw.ran {
+				start = sw.start
+			}
+			for e := in.lo; e < in.hi; e++ {
+				edgeLat[e] = start.Sub(edges[e].sentAt)
+			}
+			if !sw.ran {
+				inst.sb.Inst.Invoke(fp, d.Fn.CPUCost(opts.Arg), inst.sb.Forked)
+			}
 			execDur[i] = fp.Now().Sub(start)
 			inst.node.busy += execDur[i]
 
@@ -527,12 +631,11 @@ func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, ord
 				}
 			}
 			for _, e := range out {
-				resp, err := edges[e].resp.recv(fp)
+				resp, err := edges[e].resp.recv(fp, half) // then deserialize it
 				if err != nil {
 					abort.fail(err)
 					return
 				}
-				fp.Sleep(half) // deserialize the downstream response
 				respPayload = resp.Payload
 			}
 			if len(out) == 0 {
@@ -563,7 +666,7 @@ func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, ord
 		err = edges[e].req.send(p, localos.Message{From: "gateway", Kind: "req", Payload: payload(argB)})
 	}
 	for e := 0; e < w.sources && err == nil; e++ {
-		_, err = edges[e].resp.recv(p)
+		_, err = edges[e].resp.recv(p, noDispatch)
 	}
 	if err != nil {
 		abort.fail(err)
@@ -583,6 +686,43 @@ func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, ord
 		rt.bill.Record(d.Fn.Name, insts[i].node.pu.Kind, execDur[i], pr.PricePerMs)
 	}
 	return res, nil
+}
+
+// stageWait is a stage's first wait (a sim.Step): its first request read
+// (pipe.Step), then, when that read is the stage's only one and has
+// settled with the dispatch half charged, its handler's run. The stage
+// body starts once the handler is done, or where the read left off.
+type stageWait struct {
+	req   *pipe
+	inst  *instance
+	cost  time.Duration // the handler's CPU cost
+	last  bool          // req is the stage's last request read
+	ran   bool          // the wait ran the handler
+	start sim.Time      // when the handler started, if the wait ran it
+}
+
+func (s *stageWait) Step(p *sim.Proc, val any) bool {
+	if s.ran {
+		return true // the handler is done
+	}
+	if !s.req.Step(p, val) {
+		return false
+	}
+	if !s.last || s.req.owed {
+		return true // the body reads on, or finishes the read itself
+	}
+	s.ran, s.start = true, p.Now()
+	return p.SleepStep(s.inst.sb.Inst.StartHandler(s.cost, s.inst.sb.Forked))
+}
+
+// stageDispatch is the dispatch work that follows a stage's request read
+// on edge e of its in-edges: the receiver's half of the hop, after the
+// last one.
+func stageDispatch(in span, e int, inst *instance) time.Duration {
+	if e < in.hi-1 {
+		return noDispatch
+	}
+	return scaledDispatch(inst.node.pu) / 2
 }
 
 // AccelChainOptions configure a host-driven accelerator chain.

@@ -290,6 +290,47 @@ func BenchmarkInvokeChainCrossPU(b *testing.B) {
 	env.Run()
 }
 
+// TestInvokeChainAllocs pins the host allocations of one warm cross-PU
+// chain (BenchmarkInvokeChainCrossPU's call) at chainCrossPUAllocs. The
+// ceiling guards more than allocation speed: the benchmark's chain-nipc
+// peak heap is bimodal, and garbage per op moves reps between the modes
+// (a few hundred bytes per op sent most reps to the high one), so a change
+// to a chain's allocations must be measured against the peak heap, not
+// only against time.
+func TestInvokeChainAllocs(t *testing.T) {
+	env := sim.NewEnv()
+	m := hw.Build(env, hw.Config{DPUs: 2})
+	env.Spawn("client", func(p *sim.Proc) {
+		rt, chain, cross := chainRig(t, p, m)
+		opts := ChainOptions{Placement: cross}
+		if _, err := rt.InvokeChain(p, chain, opts); err != nil {
+			t.Fatal(err) // cold starts outside the measured calls
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := rt.InvokeChain(p, chain, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		switch {
+		case raceEnabled:
+			// The calls still run under the detector; only the count is
+			// the detector's (35 with go1.24).
+			t.Logf("warm cross-PU chain allocates %v/op under the race detector", allocs)
+		case allocs > chainCrossPUAllocs:
+			t.Errorf("warm cross-PU chain allocates %v/op, want <= %d", allocs, chainCrossPUAllocs)
+		}
+	})
+	env.Run()
+}
+
+// chainCrossPUAllocs is TestInvokeChainAllocs's ceiling, measured on go1.24
+// amd64: per call, the five stage processes with their closures and names,
+// the WaitGroup and the edge-latency slice, the ten FIFO names, the
+// gateway's OS process and address space, and acquireAll's two slices.
+// Stages waiting on their FIFOs keep their read state in the recycled
+// wiring, so the waits allocate nothing.
+const chainCrossPUAllocs = 31
+
 // coldFn is the function the cold-path rig's callers invoke.
 const coldFn = "matmul"
 

@@ -58,7 +58,7 @@ func (rt *Runtime) StartResident(p *sim.Proc, fn string, pu hw.PUID) (*Resident,
 			r.unwireIfIdle()
 		}()
 		for {
-			msg, err := e.req.recv(sp)
+			msg, err := e.req.recv(sp, noDispatch)
 			if err != nil {
 				r.exitErr = err
 				return // connection closed: shut down
@@ -111,7 +111,7 @@ func (r *Resident) Call(p *sim.Proc, arg workloads.Arg) (time.Duration, error) {
 	}); err != nil {
 		return 0, err
 	}
-	if _, err := e.resp.recv(p); err != nil {
+	if _, err := e.resp.recvShared(p); err != nil {
 		return 0, err
 	}
 	r.served++

@@ -198,8 +198,7 @@ func (c *Chan[T]) send(p *Proc, v T) bool {
 	}
 	// Block until a receiver drains us — or Close wakes us empty-handed.
 	c.sendq = append(c.sendq, sendWaiter[T]{p: p, val: v})
-	msg := p.park()
-	if _, wasClosed := msg.val.(closedSend); wasClosed {
+	if _, wasClosed := p.park().(closedSend); wasClosed {
 		return false
 	}
 	return true
@@ -229,15 +228,37 @@ func (c *Chan[T]) TrySend(v T) bool {
 //
 //molecule:hotpath
 func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
-	if v, ok, got := c.tryRecvLocked(); got {
+	if ok, got := c.RecvStep(p, &v); got {
 		return v, ok
 	}
+	ok = c.Handed(p.park(), &v)
+	return v, ok
+}
+
+// RecvStep is Recv for a step (see Step): got reports a value (or a
+// closed-channel signal) taken at once into *dst; otherwise p joins the
+// parked receivers, and the hand-off that resumes it carries the value for
+// Handed.
+//
+//molecule:hotpath
+func (c *Chan[T]) RecvStep(p *Proc, dst *T) (ok, got bool) {
+	if ok, got = c.tryRecv(dst); got {
+		return ok, true
+	}
 	c.recvq = append(c.recvq, p)
-	r := p.park().val.(*recvResult[T])
-	v, ok = r.val, r.ok
+	return false, false
+}
+
+// Handed takes into *dst the value a hand-off resumed a receiver queued by
+// RecvStep with; val is that resume's value.
+//
+//molecule:hotpath
+func (c *Chan[T]) Handed(val any, dst *T) (ok bool) {
+	r := val.(*recvResult[T])
+	*dst, ok = r.val, r.ok
 	*r = recvResult[T]{next: c.free}
 	c.free = r
-	return v, ok
+	return ok
 }
 
 // popRecv removes and returns the oldest parked receiver.
@@ -261,30 +282,34 @@ func (c *Chan[T]) popSend() sendWaiter[T] {
 // TryRecv receives without blocking. got reports whether a value (or a
 // closed-channel signal) was available.
 func (c *Chan[T]) TryRecv() (v T, ok, got bool) {
-	return c.tryRecvLocked()
+	ok, got = c.tryRecv(&v)
+	return v, ok, got
 }
 
-func (c *Chan[T]) tryRecvLocked() (v T, ok, got bool) {
+// tryRecv receives into *dst without blocking; see TryRecv.
+func (c *Chan[T]) tryRecv(dst *T) (ok, got bool) {
 	if c.count > 0 {
-		v = c.pop()
+		*dst = c.pop()
 		// Promote a blocked sender's value into the freed slot.
 		if c.liveSend() {
 			w := c.popSend()
 			c.push(w.val)
 			c.env.scheduleResume(c.env.now, w.p, resumeMsg{})
 		}
-		return v, true, true
+		return true, true
 	}
 	if c.liveSend() { // unbuffered rendezvous
 		w := c.popSend()
 		c.env.scheduleResume(c.env.now, w.p, resumeMsg{})
-		return w.val, true, true
+		*dst = w.val
+		return true, true
 	}
 	if c.closed {
 		var zero T
-		return zero, false, true
+		*dst = zero
+		return false, true
 	}
-	return v, false, false
+	return false, false
 }
 
 // Event is a one-shot broadcast: processes Wait until someone Triggers it,
@@ -326,8 +351,7 @@ func (ev *Event) Wait(p *Proc) any {
 		return ev.payload
 	}
 	ev.waiters = append(ev.waiters, p)
-	msg := p.park()
-	return msg.val
+	return p.park()
 }
 
 // Resource is a counting semaphore over virtual time: Acquire parks the
@@ -358,12 +382,21 @@ func (r *Resource) InUse() int { return r.inUse }
 
 // Acquire obtains one unit, parking p until one is free.
 func (r *Resource) Acquire(p *Proc) {
+	if !r.AcquireStep(p) {
+		p.park()
+	}
+}
+
+// AcquireStep is Acquire for a step (see Step): it takes a free unit and
+// reports true, or queues p for a released unit and reports false; the
+// hand-off then resumes p holding the unit.
+func (r *Resource) AcquireStep(p *Proc) bool {
 	if r.inUse < r.capacity {
 		r.inUse++
-		return
+		return true
 	}
 	r.waitq = append(r.waitq, p)
-	p.park()
+	return false
 }
 
 // TryAcquire obtains a unit without blocking; it reports success.
@@ -375,15 +408,19 @@ func (r *Resource) TryAcquire() bool {
 	return false
 }
 
-// Release returns one unit, waking the oldest waiter if any.
+// Release returns one unit, handing it to the oldest waiter that can take
+// it. A waiter that has exited, or has an Interrupt on its way, is dropped
+// instead, as Chan drops such receivers: the unit would never come back.
 func (r *Resource) Release() {
-	if len(r.waitq) > 0 {
+	for len(r.waitq) > 0 {
 		p := r.waitq[0]
 		n := copy(r.waitq, r.waitq[1:])
 		r.waitq[n] = nil
 		r.waitq = r.waitq[:n]
-		r.env.scheduleResume(r.env.now, p, resumeMsg{})
-		return
+		if p.canHandOff() {
+			r.env.scheduleResume(r.env.now, p, resumeMsg{})
+			return
+		}
 	}
 	if r.inUse > 0 {
 		r.inUse--

@@ -14,44 +14,55 @@ import (
 
 // kernelRun is what a run exposes for comparison.
 type kernelRun struct {
-	trace []TraceEvent
-	sched int64
-	end   Time
+	trace  []TraceEvent
+	sched  int64
+	end    Time
+	digest uint64
 }
 
 // runner is one kernel driver: run builds a program on a fresh Env, drives
-// it, and captures its trace, Scheduled() and end time.
+// it, and captures its trace, Scheduled(), end time and event digest.
 type runner struct {
 	name string
 	run  func(program func(e *Env)) kernelRun
 }
 
-// kernelRunners are the three drivers a program must behave identically
-// on: the classic loop (inline and fast path on), a one-domain windowed
-// group (both on, capped at each window's bound), and the two-domain
-// zero-lookahead merge (both off), whose second domain stays empty.
+// windowed returns the driver that runs a program on domain 0 of a group
+// of n domains with a 4 ns lookahead; the other domains stay empty.
+func windowed(n int) runner {
+	return runner{fmt.Sprintf("windowed-%d", n), func(program func(e *Env)) kernelRun {
+		sh := NewSharded(n)
+		sh.LimitLookahead(4)
+		sh.EnableTrace()
+		sh.Domain(0).EnableDigest()
+		program(sh.Domain(0))
+		end := sh.Run()
+		return kernelRun{sh.TraceLog(), sh.Scheduled(), end, sh.Domain(0).Digest()}
+	}}
+}
+
+// kernelRunners are the drivers a program must behave identically on: the
+// classic loop (inline and fast path on), windowed groups of 1, 2 and 4
+// domains (both on, capped at each window's bound), and the two-domain
+// zero-lookahead merge (both off). The program runs on domain 0; the other
+// domains stay empty.
 var kernelRunners = []runner{
 	{"plain", func(program func(e *Env)) kernelRun {
 		e := NewEnv()
 		e.EnableTrace()
+		e.EnableDigest()
 		program(e)
 		end := e.Run()
-		return kernelRun{e.TraceLog(), e.Scheduled(), end}
+		return kernelRun{e.TraceLog(), e.Scheduled(), end, e.Digest()}
 	}},
-	{"windowed", func(program func(e *Env)) kernelRun {
-		sh := NewSharded(1)
-		sh.LimitLookahead(4)
-		sh.EnableTrace()
-		program(sh.Domain(0))
-		end := sh.Run()
-		return kernelRun{sh.TraceLog(), sh.Scheduled(), end}
-	}},
+	windowed(1), windowed(2), windowed(4),
 	{"merge", func(program func(e *Env)) kernelRun {
 		sh := NewSharded(2)
 		sh.EnableTrace()
+		sh.Domain(0).EnableDigest()
 		program(sh.Domain(0))
 		end := sh.Run()
-		return kernelRun{sh.TraceLog(), sh.Scheduled(), end}
+		return kernelRun{sh.TraceLog(), sh.Scheduled(), end, sh.Domain(0).Digest()}
 	}},
 }
 
@@ -128,8 +139,8 @@ func randomProgram(seed int64) func(e *Env) {
 }
 
 // TestInlineDifferential runs seeded random programs on every driver and
-// requires identical traces, Scheduled() and end times: the inline
-// callbacks and the fast path are invisible.
+// requires identical traces, Scheduled(), end times and event digests: the
+// inline callbacks and the fast path are invisible.
 func TestInlineDifferential(t *testing.T) {
 	stops := 0
 	for seed := int64(0); seed < 300; seed++ {
@@ -143,9 +154,9 @@ func TestInlineDifferential(t *testing.T) {
 				}
 				continue
 			}
-			if got.sched != want.sched || got.end != want.end {
-				t.Fatalf("seed %d: %s ran sched=%d end=%v, plain sched=%d end=%v",
-					seed, r.name, got.sched, got.end, want.sched, want.end)
+			if got.sched != want.sched || got.end != want.end || got.digest != want.digest {
+				t.Fatalf("seed %d: %s ran sched=%d end=%v digest=%x, plain sched=%d end=%v digest=%x",
+					seed, r.name, got.sched, got.end, got.digest, want.sched, want.end, want.digest)
 			}
 			if !slices.Equal(got.trace, want.trace) {
 				t.Fatalf("seed %d: %s trace differs from plain\n got %v\nwant %v", seed, r.name, got.trace, want.trace)
@@ -164,9 +175,9 @@ func sameOnEveryDriver(t *testing.T, program func(e *Env)) kernelRun {
 	want := kernelRunners[0].run(program)
 	for _, r := range kernelRunners[1:] {
 		got := r.run(program)
-		if got.sched != want.sched || got.end != want.end || !slices.Equal(got.trace, want.trace) {
-			t.Fatalf("%s run differs from plain:\n got sched=%d end=%v %v\nwant sched=%d end=%v %v",
-				r.name, got.sched, got.end, got.trace, want.sched, want.end, want.trace)
+		if got.sched != want.sched || got.end != want.end || got.digest != want.digest || !slices.Equal(got.trace, want.trace) {
+			t.Fatalf("%s run differs from plain:\n got sched=%d end=%v digest=%x %v\nwant sched=%d end=%v digest=%x %v",
+				r.name, got.sched, got.end, got.digest, got.trace, want.sched, want.end, want.digest, want.trace)
 		}
 	}
 	return want

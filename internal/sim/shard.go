@@ -364,6 +364,16 @@ func (sh *Sharded) Scheduled() int64 {
 	return n
 }
 
+// HostCost reports the kernel's host-side work summed over all domains; see
+// Env.HostCost.
+func (sh *Sharded) HostCost() HostCost {
+	var c HostCost
+	for _, d := range sh.doms {
+		c = c.Add(d.cost)
+	}
+	return c
+}
+
 // BlockedProcs returns the names of blocked processes across all domains,
 // sorted lexicographically (the same documented guarantee as
 // Env.BlockedProcs, so output is identical at every shard count).

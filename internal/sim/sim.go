@@ -151,6 +151,29 @@ type Env struct {
 	trace   []TraceEvent
 	spawned []*Proc // procs visible to BlockedProcs; compacted as procs exit
 	exited  int     // exited procs still occupying a spawned slot
+
+	cost HostCost
+	// digesting turns on digest, the running hash of every event that
+	// takes effect; see EnableDigest.
+	digesting bool
+	digest    uint64
+}
+
+// HostCost counts the kernel's host-side work. Like Scheduled(), each count
+// depends only on the program and the driver (classic loop, or a sharded
+// group at a given shard count), never on the host, so a test can pin it
+// exactly. A coroutine switch costs several heap events' worth of host
+// time, which is why stepped waits exist.
+type HostCost struct {
+	Switches int64 // coroutine switches into a process, body starts included
+	Pops     int64 // events popped off the heap, inline callbacks included
+	Inline   int64 // callbacks a Sleep fired inline (fireDue)
+	Stepped  int64 // resumes a stepped wait took without a switch
+}
+
+// Add returns the sum of two counts.
+func (c HostCost) Add(o HostCost) HostCost {
+	return HostCost{c.Switches + o.Switches, c.Pops + o.Pops, c.Inline + o.Inline, c.Stepped + o.Stepped}
 }
 
 // fastPathOff is the windowBound sentinel that disables the Sleep fast path.
@@ -183,6 +206,49 @@ func (e *Env) Domain() int { return e.domain }
 // events/sec numerator of the scaling benchmarks and a cheap determinism
 // fingerprint.
 func (e *Env) Scheduled() int64 { return e.seq }
+
+// HostCost reports the kernel's host-side work since creation.
+func (e *Env) HostCost() HostCost { return e.cost }
+
+// EnableDigest starts the event digest: from now on every event that takes
+// effect, whether popped off the heap, fired inline by a Sleep, or elided
+// by the Sleep fast path, folds its (time, sequence number, target) into a
+// running 64-bit hash. The target is the resumed process's name, or a fixed
+// marker for a callback. Two runs that sequence the same events in the same
+// order give the same digest, whichever path each event took, so the digest
+// holds a change to the kernel's host mechanics to exact event order. Off by
+// default; when off it costs one branch per event.
+func (e *Env) EnableDigest() {
+	if !e.digesting {
+		e.digesting, e.digest = true, digestSeed
+	}
+}
+
+// Digest returns the event digest; 0 when EnableDigest was never called.
+func (e *Env) Digest() uint64 { return e.digest }
+
+const (
+	digestSeed  uint64 = 14695981039346656037 // FNV-1a offset basis
+	digestPrime uint64 = 1099511628211        // FNV-1a prime
+	// digestCallback stands for a callback target: function addresses
+	// differ between builds.
+	digestCallback uint64 = 0x9e3779b97f4a7c15
+)
+
+// mix folds one event that takes effect into the digest.
+func (e *Env) mix(t Time, seq int64, p *Proc) {
+	h := (e.digest ^ uint64(t)) * digestPrime
+	h = (h ^ uint64(seq)) * digestPrime
+	if p == nil {
+		h = (h ^ digestCallback) * digestPrime
+	} else {
+		for i := 0; i < len(p.name); i++ {
+			h = (h ^ uint64(p.name[i])) * digestPrime
+		}
+		h = (h ^ uint64(len(p.name))) * digestPrime
+	}
+	e.digest = h
+}
 
 // newEvent takes an event from the recycle pool (or allocates one) and
 // stamps it with the clamped time and the next sequence number.
@@ -237,10 +303,15 @@ func (e *Env) queueResume(t Time, seq int64, p *Proc, msg resumeMsg) {
 	e.events.pushEv(ev)
 }
 
-// fire dispatches a dequeued event. The event is recycled first (its fields
-// are copied out), so callbacks may immediately reuse the slot.
+// fire dispatches an event just popped off the heap. The event is recycled
+// first (its fields are copied out), so callbacks may immediately reuse the
+// slot.
 func (e *Env) fire(ev *event) {
 	fn, p, msg := ev.fn, ev.p, ev.msg
+	e.cost.Pops++
+	if e.digesting {
+		e.mix(ev.t, ev.seq, p)
+	}
 	e.recycle(ev)
 	if fn != nil {
 		fn()
@@ -328,13 +399,21 @@ func (e *Env) Stop() { e.stopped = true }
 // a blocking method (Sleep, channel Recv, ...) parks the body by yielding
 // control back to the scheduler. When the body exits, its coroutine goes to
 // the Env's idle list, and a later Spawn runs its body on it.
+//
+// The fields are laid out to fit the 80-byte allocation class: every chain
+// stage and request is a Proc, so one more word costs 16 bytes per process.
 type Proc struct {
-	env    *Env
-	name   string
-	body   func(p *Proc) // set by Spawn, cleared when the body starts
-	co     *coro         // the coroutine running the body, from start to exit
-	inbox  resumeMsg     // the message of the resume in progress; park clears it
-	exited bool
+	env  *Env
+	name string
+	body func(p *Proc) // set by Spawn, cleared when the body starts
+	co   *coro         // the coroutine running the body, from start to exit
+	// step is the stepped wait p is parked in, if any: p's resumes run it
+	// in scheduler context until it reports the wait over.
+	step  Step
+	inbox any // the value of the resume in progress; park clears it
+	// interrupted marks the resume in progress as an Interrupt.
+	interrupted bool
+	exited      bool
 	// interrupting is set from Interrupt until the interrupt reaches the
 	// body; channels hand no value to, and take none from, such a process.
 	interrupting bool
@@ -433,7 +512,7 @@ func (c *coro) exec() {
 	p := c.p
 	body := p.body
 	p.body = nil
-	p.inbox = resumeMsg{}
+	p.inbox, p.interrupted = nil, false
 	returned := false
 	defer func() {
 		c.p, p.co = nil, nil
@@ -499,13 +578,21 @@ func (e *Env) noteExit() {
 }
 
 // resume hands control to p with msg and returns once p parks again or
-// exits. A process interrupted before its first run exits without ever
-// taking a coroutine.
+// exits. A process parked in a stepped wait first runs its step, and is
+// switched to only once the step reports the wait over; an interrupt
+// bypasses the step. A process interrupted before its first run exits
+// without ever taking a coroutine.
 //
 //molecule:hotpath
 func (e *Env) resume(p *Proc, msg resumeMsg) {
 	if p.exited {
 		return
+	}
+	if p.step != nil {
+		if !msg.interrupted && !e.runStep(p, msg.val) {
+			return
+		}
+		p.step, msg.val = nil, nil // the wait is over, or an interrupt bypasses it
 	}
 	c := p.co
 	if c == nil {
@@ -518,26 +605,51 @@ func (e *Env) resume(p *Proc, msg resumeMsg) {
 	}
 	prev := e.running
 	e.running = p
-	p.inbox = msg
+	p.inbox, p.interrupted = msg.val, msg.interrupted
+	e.cost.Switches++
 	c.next()
 	e.running = prev
 }
 
-// park yields control back to the scheduler and returns the message of the
+// runStep runs p's step on a resume's value in scheduler context and
+// reports whether the wait is over. The step runs with p as the running
+// process, since that is where the process itself would be: its SleepStep
+// takes the Sleep fast path exactly when the process's own Sleep would
+// have, and a Tracef in it names p.
+func (e *Env) runStep(p *Proc, val any) bool {
+	prev := e.running
+	e.running = p
+	done := p.step.Step(p, val)
+	e.running = prev
+	if !done {
+		e.cost.Stepped++
+	}
+	return done
+}
+
+// park yields control back to the scheduler and returns the value of the
 // resume that wakes it. It clears the inbox so a parked or exited process
 // does not pin the last value it received.
 //
 //molecule:hotpath
-func (p *Proc) park() resumeMsg {
+func (p *Proc) park() any {
 	p.co.yield(struct{}{})
-	msg := p.inbox
-	p.inbox = resumeMsg{}
-	if msg.interrupted {
+	val, interrupted := p.inbox, p.interrupted
+	p.inbox, p.interrupted = nil, false
+	if interrupted {
 		p.interrupting = false
 		panic(Interrupted{Proc: p.name})
 	}
-	return msg
+	return val
 }
+
+// Park blocks p until its next resume and returns the resume's value. It is
+// the blocking driver of a step: a process that runs a step on its own
+// coroutine calls Park whenever the step reports false, then steps again
+// with the value, so a blocking call and a stepped wait share one
+// definition of the work (see Step). An Interrupt panics Interrupted out of
+// Park.
+func (p *Proc) Park() any { return p.park() }
 
 // Sleep advances the process by d of virtual time.
 //
@@ -565,7 +677,19 @@ func (p *Proc) park() resumeMsg {
 // An inline callback runs on p's stack, so a panic in it unwinds through
 // p's body before it leaves Run with its own value, as from the loop; a
 // body that recovers every panic around a Sleep would see it first.
-func (p *Proc) Sleep(d Duration) {
+func (p *Proc) Sleep(d Duration) { p.sleep(d, true) }
+
+// SleepStep is Sleep for a step (see Step): it reserves the wake-up's
+// sequence number and fires the due callbacks as Sleep does, then either
+// takes the fast path, advancing the clock by d and reporting true, or
+// queues the wake-up and reports false, leaving p to wait for it.
+func (p *Proc) SleepStep(d Duration) bool { return p.sleep(d, false) }
+
+// sleep is Sleep when park is set and SleepStep otherwise; one body keeps
+// the hottest primitive a single call.
+//
+//molecule:hotpath
+func (p *Proc) sleep(d Duration, park bool) bool {
 	if d < 0 {
 		d = 0
 	}
@@ -581,11 +705,18 @@ func (p *Proc) Sleep(d Duration) {
 			(env.windowBound == 0 || t < env.windowBound) &&
 			(len(env.events) == 0 || orderedBefore(t, wake, env.events.peek())) {
 			env.now = t
-			return
+			if env.digesting {
+				env.mix(t, wake, p)
+			}
+			return true
 		}
 	}
 	env.queueResume(t, wake, p, resumeMsg{})
-	p.park()
+	if park {
+		p.park()
+		return true
+	}
+	return false
 }
 
 // orderedBefore reports whether an event at (t, seq) fires before ev.
@@ -611,6 +742,7 @@ func (e *Env) fireDue(t Time, wake int64) {
 		e.events.popEv()
 		e.now = ev.t
 		e.inlined++
+		e.cost.Inline++
 		e.running = nil
 		e.fire(ev)
 		e.running = p

@@ -235,35 +235,126 @@ func (fd *FD) Write(p *sim.Proc, m localos.Message) error {
 
 // Read implements xfifo_read, blocking until a message is available. The
 // caller must hold read permission. Readers hosted away from the queue's
-// physical home pull the payload across the interconnect.
+// physical home pull the payload across the interconnect. It is a Reader
+// driven on the caller's coroutine.
 //
 //molecule:hotpath
 func (fd *FD) Read(p *sim.Proc) (localos.Message, error) {
+	r := Reader{fd: fd}
+	r.block(p)
+	return r.Finish(p)
+}
+
+// Reader is one xfifo_read split at its wait, so a process can wait for the
+// message without its stack. Its Step (a sim.Step) runs the syscall
+// prefix (the fail-fast checks, the XPUcall and the capability check),
+// waits for a message, and settles the read: the fail-fast checks again and
+// the depth gauge. Finish then completes the read on the reader's
+// coroutine; only a reader hosted away from the queue's home has work left
+// there, pulling the payload across the interconnect. Read is the same
+// Reader driven by a blocking call, so the stepped and the blocking read
+// share one cost model. A Reader serves one read at a time; Reset arms it.
+type Reader struct {
+	fd    *FD
+	phase readPhase
+	xc    xcallPhase
+	m     localos.Message
+	err   error // what ended the read early, if anything
+}
+
+// readPhase is how far a Reader's wait has got.
+type readPhase uint8
+
+const (
+	readStart  readPhase = iota // fail-fast checks
+	readCall                    // the XPUcall, then the capability check and the receive
+	readHanded                  // parked among the queue's receivers
+)
+
+// Reset arms r for one read on fd.
+func (r *Reader) Reset(fd *FD) { *r = Reader{fd: fd} }
+
+// block drives r's wait on p's own coroutine.
+func (r *Reader) block(p *sim.Proc) {
+	for val := any(nil); !r.Step(p, val); {
+		val = p.Park()
+	}
+}
+
+// Step runs the read on from where it stopped; see sim.Step.
+//
+//molecule:hotpath
+func (r *Reader) Step(p *sim.Proc, val any) bool {
+	fd := r.fd
 	n := fd.node
-	if err := n.failfast(); err != nil {
-		return localos.Message{}, err
+	switch r.phase {
+	case readStart:
+		if err := n.failfast(); err != nil {
+			return r.fail(err)
+		}
+		if n.Shim.down(fd.fifo.Home) {
+			return r.fail(fmt.Errorf("xpu: FIFO %q home PU %d: %w", fd.fifo.UUID, fd.fifo.Home, ErrNodeDown))
+		}
+		r.phase = readCall
+		fallthrough
+	case readCall:
+		if !n.xcallStep(p, &r.xc) {
+			return false
+		}
+		if !fd.hasCap(PermRead) {
+			return r.fail(fmt.Errorf("xpu: %v lacks read permission on FIFO %q", fd.pid, fd.fifo.UUID))
+		}
+		if ok, got := fd.fifo.ch.RecvStep(p, &r.m); got {
+			return r.take(ok)
+		}
+		r.phase = readHanded
+		return false
+	default:
+		return r.take(fd.fifo.ch.Handed(val, &r.m))
 	}
-	if n.Shim.down(fd.fifo.Home) {
-		return localos.Message{}, fmt.Errorf("xpu: FIFO %q home PU %d: %w", fd.fifo.UUID, fd.fifo.Home, ErrNodeDown)
-	}
-	n.xcall(p)
-	if !fd.hasCap(PermRead) {
-		return localos.Message{}, fmt.Errorf("xpu: %v lacks read permission on FIFO %q", fd.pid, fd.fifo.UUID)
-	}
-	m, ok := fd.fifo.ch.Recv(p)
+}
+
+// fail ends the wait with err.
+func (r *Reader) fail(err error) bool {
+	r.err = err
+	return true
+}
+
+// take settles the read on what came off the queue: r.m, or the FIFO's
+// close when ok is false. The wait may have lasted arbitrary virtual time,
+// so it re-runs the fail-fast checks: a reader whose node (or the queue's
+// home) crashed while it waited gets ErrNodeDown instead of a stale read.
+func (r *Reader) take(ok bool) bool {
+	fd := r.fd
 	if !ok {
-		return localos.Message{}, fmt.Errorf("xpu: FIFO %q closed", fd.fifo.UUID)
+		return r.fail(fmt.Errorf("xpu: FIFO %q closed", fd.fifo.UUID))
 	}
-	// The Recv may have blocked for arbitrary virtual time; re-run the
-	// fail-fast checks so a reader whose node (or the queue's home) crashed
-	// while it was parked surfaces ErrNodeDown instead of a stale read.
-	if err := n.failfast(); err != nil {
-		return localos.Message{}, err
+	if err := fd.node.failfast(); err != nil {
+		return r.fail(err)
 	}
-	if n.Shim.down(fd.fifo.Home) {
-		return localos.Message{}, fmt.Errorf("xpu: FIFO %q home PU %d: %w", fd.fifo.UUID, fd.fifo.Home, ErrNodeDown)
+	if fd.node.Shim.down(fd.fifo.Home) {
+		return r.fail(fmt.Errorf("xpu: FIFO %q home PU %d: %w", fd.fifo.UUID, fd.fifo.Home, ErrNodeDown))
 	}
-	n.Shim.recordDepth(fd.fifo)
+	fd.node.Shim.recordDepth(fd.fifo)
+	return true
+}
+
+// Settled reports, once r's wait is over, that the read succeeded and
+// Finish has no virtual time left to charge.
+func (r *Reader) Settled() bool {
+	return r.err == nil && r.fd.node.Host.ID == r.fd.fifo.homeHost
+}
+
+// Finish completes the read once r's wait is over, on the reading process
+// p, and returns what Read would.
+//
+//molecule:hotpath
+func (r *Reader) Finish(p *sim.Proc) (localos.Message, error) {
+	if r.err != nil {
+		return localos.Message{}, r.err
+	}
+	fd, m := r.fd, r.m
+	n := fd.node
 	home := fd.fifo.homeHost
 	if n.Host.ID != home {
 		if _, err := n.Shim.Machine.Transfer(p, home, n.Host.ID, m.Size()); err != nil {
@@ -330,29 +421,14 @@ func (fd *FD) ReadBatch(p *sim.Proc, max int) ([]localos.Message, error) {
 	if max < 1 {
 		max = 1
 	}
+	r := Reader{fd: fd}
+	r.block(p)
+	if r.err != nil {
+		return nil, r.err
+	}
 	n := fd.node
-	if err := n.failfast(); err != nil {
-		return nil, err
-	}
-	if n.Shim.down(fd.fifo.Home) {
-		return nil, fmt.Errorf("xpu: FIFO %q home PU %d: %w", fd.fifo.UUID, fd.fifo.Home, ErrNodeDown)
-	}
-	n.xcall(p)
-	if !fd.hasCap(PermRead) {
-		return nil, fmt.Errorf("xpu: %v lacks read permission on FIFO %q", fd.pid, fd.fifo.UUID)
-	}
-	first, ok := fd.fifo.ch.Recv(p)
-	if !ok {
-		return nil, fmt.Errorf("xpu: FIFO %q closed", fd.fifo.UUID)
-	}
-	if err := n.failfast(); err != nil {
-		return nil, err
-	}
-	if n.Shim.down(fd.fifo.Home) {
-		return nil, fmt.Errorf("xpu: FIFO %q home PU %d: %w", fd.fifo.UUID, fd.fifo.Home, ErrNodeDown)
-	}
 	out := make([]localos.Message, 1, max)
-	out[0] = first
+	out[0] = r.m
 	for len(out) < max {
 		m, _, got := fd.fifo.ch.TryRecv()
 		if !got {

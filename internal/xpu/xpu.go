@@ -330,11 +330,51 @@ func (n *Node) failfast() error {
 // xcall charges the user↔shim XPUcall transport cost on this node; the
 // shim-side handling portion contends on the handler threads.
 func (n *Node) xcall(p *sim.Proc) {
-	overhead := n.Mode.CallOverhead(n.Host.Kind) - params.XPUCallShimHandling
-	p.Sleep(overhead)
-	n.handlers.Acquire(p)
-	p.Sleep(params.XPUCallShimHandling)
-	n.handlers.Release()
+	var ph xcallPhase
+	for !n.xcallStep(p, &ph) {
+		p.Park()
+	}
+}
+
+// xcallPhase is how far an XPUcall has got: the phase whose work runs next.
+type xcallPhase uint8
+
+const (
+	xcallTransport xcallPhase = iota // charge the transport overhead
+	xcallAcquire                     // take a handler thread
+	xcallHandle                      // charge the shim-side handling
+	xcallRelease                     // free the handler thread
+)
+
+// xcallStep is xcall as a step (see sim.Step): it runs the call on from
+// *ph, reporting true once the call is done, or false with p waiting for
+// its next resume. The XPUcall cost model is written here only.
+//
+//molecule:hotpath
+func (n *Node) xcallStep(p *sim.Proc, ph *xcallPhase) bool {
+	switch *ph {
+	case xcallTransport:
+		*ph = xcallAcquire
+		if !p.SleepStep(n.Mode.CallOverhead(n.Host.Kind) - params.XPUCallShimHandling) {
+			return false
+		}
+		fallthrough
+	case xcallAcquire:
+		*ph = xcallHandle
+		if !n.handlers.AcquireStep(p) {
+			return false
+		}
+		fallthrough
+	case xcallHandle:
+		*ph = xcallRelease
+		if !p.SleepStep(params.XPUCallShimHandling) {
+			return false
+		}
+		fallthrough
+	default:
+		n.handlers.Release()
+		return true
+	}
 }
 
 // broadcast charges the cost of an immediate state synchronization from this
