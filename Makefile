@@ -123,10 +123,12 @@ coldstart-race:
 	$(GO) run ./cmd/molecule-load -cfork=false -duration 2s
 
 # The cluster control plane and the loadgen stream that drives it under the
-# race detector, plus the scaling-sweep smoke (tables to stdout, no snapshot
-# rewrite).
+# race detector, plus the kernel's stepped-wait tests the cluster round trip
+# and admission queue rest on, and the scaling-sweep smoke (tables to
+# stdout, no snapshot rewrite).
 cluster-race:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/httpd/ ./internal/loadgen/
+	$(GO) test -race -count=1 -run 'Stepped|SpawnWaiting|WaitSteps|Differential' ./internal/sim/
 	$(GO) run ./cmd/molecule-bench -scenario cluster
 
 # Regenerate every paper table/figure (plus ablations) to stdout.

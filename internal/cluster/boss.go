@@ -98,9 +98,6 @@ type registration struct {
 // without reaching into this package.
 var errClusterSaturated = fmt.Errorf("cluster: saturated with nothing inflight: %w", molecule.ErrUnavailable)
 
-// ingress charges the client↔boss network hop one way.
-func ingress(p *sim.Proc) { p.Sleep(params.NetworkBaseLatency) }
-
 // Node is one worker machine of a Boss cluster: a shard domain owning its
 // own hardware and Molecule runtime. Boss-side fields (inflight, draining,
 // down, counters) are only touched from domain 0; machine-side fields
@@ -127,12 +124,14 @@ type Node struct {
 	deploying map[string]*sim.WaitGroup
 
 	// Machine-side admission state (an epoch queue local to this machine):
-	// a request that hits ErrNoCapacity parks here and retries when a local
-	// completion frees an instance slot, instead of bouncing back to the
-	// boss, which saves the cross-machine round trip. It is not FIFO: every
-	// attempt, failed ones included, wakes all parked requests, and those
-	// that see no epoch advance re-park behind the request that failed, so
-	// a saturated machine pays a herd of spurious wake-ups (ROADMAP).
+	// a segment that hits ErrNoCapacity waits here (awaitLocal, a stepped
+	// wait) and retries when a local completion frees an instance slot,
+	// instead of bouncing back to the boss, which saves the cross-machine
+	// round trip. It is not FIFO: every attempt, failed ones included,
+	// wakes all waiting segments, and those that see no epoch advance
+	// re-park behind the one that failed. A saturated machine pays that
+	// herd of spurious wake-ups in events (ROADMAP), but each costs a
+	// stepped resume on the host, not a coroutine switch.
 	active int                 // local execs inside an RT call
 	epoch  int                 // bumped on every successful completion
 	waitq  *sim.Chan[struct{}] // rendezvous the parked local requests wait on
@@ -203,7 +202,8 @@ type chainSeg struct {
 // function is the one-segment plan [{node, [fn]}]. It travels with its
 // interconnect messages, so one domain at a time touches it. Requests are
 // recycled through the Boss's free list: the reply channel and the three
-// callbacks are made once per request object, not once per call.
+// callbacks are made once per request object, not once per call, and so is
+// the state of the request's two stepped waits.
 type request struct {
 	boss  *Boss
 	names []string               // functions in call order
@@ -236,7 +236,24 @@ type request struct {
 	// allocates nothing beyond the request.
 	one [1]string
 	seg [1]chainSeg
+
+	// The client's round trip (request.Step): how far it has got, and the
+	// reply it carries back to the client.
+	trip tripPhase
+	rep  reply
+	// The segment's wait on its machine's admission queue, if any.
+	admit admission
 }
+
+// tripPhase is how far a client's round trip (request.Step) has got.
+type tripPhase uint8
+
+const (
+	tripIn     tripPhase = iota // the client → boss hop
+	tripSubmit                  // route and dispatch, or queue
+	tripReply                   // waiting for the reply
+	tripOut                     // the boss → client hop
+)
 
 // maxFreeRequests caps the Boss's request free list. Open-loop traffic
 // starts most requests with far fewer in flight than it reaches in a
@@ -652,10 +669,10 @@ func (b *Boss) newRequest() *request {
 
 // release clears a finished request and returns it to the free list. Only
 // call sees a request finish, so nothing else may hold it: the reply it
-// carried has been received, and a request that failed over or requeued is
-// still in flight and never reaches here. The result fields are zeroed, not
-// truncated, so the next request cannot alias a returned chain's
-// EdgeLatency.
+// carried has been received and the return hop paid, and a request that
+// failed over or requeued is still in flight and never reaches here. The
+// result fields are zeroed, not truncated, so the next request cannot alias
+// a returned chain's EdgeLatency.
 func (b *Boss) release(req *request) {
 	req.done.Reset(1)
 	*req = request{boss: b, done: req.done, execMsg: req.execMsg, body: req.body, replyMsg: req.replyMsg}
@@ -665,23 +682,49 @@ func (b *Boss) release(req *request) {
 }
 
 // call carries a request from a client process on the boss domain through
-// the cluster and back, paying the network hop each way, and releases it.
+// the cluster and back, and releases it. The whole round trip is one
+// stepped wait (request.Step), so the client takes one coroutine switch, at
+// its end. A client interrupted in the wait leaves its request to the GC:
+// until the reply, a segment in flight may still own it.
 //
 //molecule:hotpath
 func (b *Boss) call(p *sim.Proc, req *request) reply {
-	ingress(p) // client → boss network hop
-	if err := b.submit(req); err != nil {
-		b.release(req)
-		return reply{machine: -1, err: err}
-	}
-	rep, ok := req.done.Recv(p)
-	if ok {
-		// A request whose reply was never received may still be owned
-		// by a segment in flight; it is left to the GC.
-		b.release(req)
-	}
-	ingress(p) // boss → client
+	p.Wait(req)
+	rep := req.rep
+	b.release(req)
 	return rep
+}
+
+// Step is the client's round trip, a sim.Step: the client → boss network
+// hop, submit (in scheduler context, as complete submits), the wait for
+// the reply, and the boss → client hop. A request that submit rejects at
+// once pays the return hop like every other error.
+//
+//molecule:hotpath
+func (req *request) Step(p *sim.Proc, val any) bool {
+	switch req.trip {
+	case tripIn:
+		req.trip = tripSubmit
+		if !p.SleepStep(params.NetworkBaseLatency) {
+			return false
+		}
+		fallthrough
+	case tripSubmit:
+		if err := req.boss.submit(req); err != nil {
+			req.rep = reply{machine: -1, err: err}
+			break
+		}
+		req.trip = tripReply
+		if _, got := req.done.RecvStep(p, &req.rep); !got {
+			return false
+		}
+	case tripReply:
+		req.done.Handed(val, &req.rep)
+	case tripOut:
+		return true // the return hop is over
+	}
+	req.trip = tripOut
+	return p.SleepStep(params.NetworkBaseLatency)
 }
 
 // submit routes a request and dispatches it, or queues it when every
@@ -799,20 +842,48 @@ func (n *Node) wakeLocal() {
 	}
 }
 
-// awaitLocal parks the request until a local completion advances the
+// awaitLocal parks the segment until a local completion advances the
 // epoch. It reports false — give up — when nothing else is running on the
-// machine, so no completion can ever free a slot. Waiters woken without an
-// epoch advance re-park (wake-all is only an invitation to re-check), and
-// a give-up cascades the wake so other parked requests also notice.
-func (n *Node) awaitLocal(wp *sim.Proc) bool {
-	seen := n.epoch
-	for n.epoch == seen {
+// machine, so no completion can ever free a slot. The wait is the stepped
+// wait a (admission.Step), so a wake-up that only leads to a re-check
+// costs no coroutine switch.
+func (n *Node) awaitLocal(wp *sim.Proc, a *admission) bool {
+	*a = admission{node: n, seen: n.epoch}
+	wp.Wait(a)
+	return a.ok
+}
+
+// admission is a segment's wait on its machine's admission queue, a
+// sim.Step: the epoch it started at, and whether the wait ended in an epoch
+// advance (ok) or a give-up.
+type admission struct {
+	node *Node
+	seen int
+	ok   bool
+}
+
+// Step re-checks admission on every wake-up. Woken without an epoch
+// advance, the segment re-parks (wake-all is only an invitation to
+// re-check); with nothing left running it gives up, cascading the wake so
+// other parked segments also notice.
+//
+//molecule:hotpath
+func (a *admission) Step(wp *sim.Proc, val any) bool {
+	n := a.node
+	var tok struct{}
+	if val != nil {
+		n.waitq.Handed(val, &tok)
+	}
+	for n.epoch == a.seen {
 		if n.active == 0 {
 			n.wakeLocal()
+			return true
+		}
+		if _, got := n.waitq.RecvStep(wp, &tok); !got {
 			return false
 		}
-		n.waitq.Recv(wp)
 	}
+	a.ok = true
 	return true
 }
 
@@ -836,7 +907,7 @@ func (n *Node) run(wp *sim.Proc, req *request, names []string) error {
 			n.epoch++
 		}
 		n.wakeLocal()
-		if err == nil || !errors.Is(err, molecule.ErrNoCapacity) || !n.awaitLocal(wp) {
+		if err == nil || !errors.Is(err, molecule.ErrNoCapacity) || !n.awaitLocal(wp, &req.admit) {
 			return err
 		}
 	}

@@ -378,7 +378,8 @@ func TestAdmissionWaitersWakeInParkOrder(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		n.Env.SpawnAfter(time.Duration(i), "waiter", func(p *sim.Proc) {
-			if !n.awaitLocal(p) {
+			var a admission
+			if !n.awaitLocal(p, &a) {
 				t.Errorf("waiter %d gave up with an exec still active", i)
 			}
 			order = append(order, i)
@@ -387,7 +388,8 @@ func TestAdmissionWaitersWakeInParkOrder(t *testing.T) {
 	allocs := -1.0
 	done := false
 	n.Env.SpawnAfter(10, "measured", func(p *sim.Proc) {
-		allocs = testing.AllocsPerRun(100, func() { n.awaitLocal(p) })
+		var a admission
+		allocs = testing.AllocsPerRun(100, func() { n.awaitLocal(p, &a) })
 		done = true
 	})
 	n.Env.SpawnAfter(5, "completer", func(p *sim.Proc) {
@@ -408,6 +410,42 @@ func TestAdmissionWaitersWakeInParkOrder(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("admission wait allocates %v/op, want 0", allocs)
 	}
+}
+
+// TestAdmissionInterruptedWaiterSkipped: a segment interrupted while it
+// waits on the admission queue ends there, the wake-up skips it, and the
+// other waiters are still admitted in the order they parked.
+func TestAdmissionInterruptedWaiterSkipped(t *testing.T) {
+	b := newTestBoss(t, 1, hw.Config{}, 0)
+	n := b.nodes[0]
+	n.active = 1
+	var order []int
+	var waiters []*sim.Proc
+	for i := 0; i < 4; i++ {
+		waiters = append(waiters, n.Env.SpawnAfter(time.Duration(i), "waiter", func(p *sim.Proc) {
+			var a admission
+			if !n.awaitLocal(p, &a) {
+				t.Errorf("waiter %d gave up with an exec still active", i)
+			}
+			order = append(order, i)
+		}))
+	}
+	n.Env.SpawnAfter(5, "completer", func(p *sim.Proc) {
+		waiters[1].Interrupt()
+		p.Sleep(1)
+		n.epoch++
+		n.wakeLocal()
+		n.active = 0
+	})
+	b.Run(1)
+	if fmt.Sprint(order) != "[0 2 3]" {
+		t.Errorf("waiters admitted as %v, want [0 2 3] (park order, the interrupted one skipped)", order)
+	}
+	if live := n.Env.LiveProcs(); live != 0 {
+		t.Errorf("%d procs still live: %v", live, n.Env.BlockedProcs())
+	}
+	checkQuiescent(t, b, "after the interrupt")
+	checkFreeListClean(t, b)
 }
 
 // TestBurstAboveCapacityCompletes: a burst of twice the cluster's total
@@ -591,7 +629,9 @@ func checkFreeListClean(t *testing.T, b *Boss) {
 		seen[req] = true
 		if req.names != nil || req.plan != nil || req.chain || req.attempts != 0 || req.requeues != 0 ||
 			req.replyer != nil || req.err != nil || req.res != (molecule.Result{}) ||
-			req.cres.EdgeLatency != nil || req.cres.Total != 0 || req.done.Len() != 0 {
+			req.cres.EdgeLatency != nil || req.cres.Total != 0 || req.done.Len() != 0 ||
+			req.trip != tripIn || req.rep.res != (molecule.Result{}) || req.rep.cres.EdgeLatency != nil ||
+			req.rep.err != nil || req.admit != (admission{}) {
 			t.Errorf("recycled request still holds its last call: %+v", *req)
 		}
 	}
@@ -753,6 +793,76 @@ func TestBossRecycledRequestIsClean(t *testing.T) {
 		if len(b.free) != 1 {
 			t.Errorf("free list holds %d requests, want 1: the interrupted request stays off it", len(b.free))
 		}
+	})
+
+	// interruptAt runs a client whose pyaes invoke is interrupted at
+	// offset after it starts, checks the client did not finish, then runs
+	// another invoke to completion.
+	interruptAt := func(t *testing.T, b *Boss, offset sim.Time, check func()) {
+		var interrupted bool
+		client := b.Env.Spawn("interrupted", func(p *sim.Proc) {
+			defer func() {
+				r := recover()
+				if _, interrupted = r.(sim.Interrupted); !interrupted {
+					panic(r)
+				}
+			}()
+			b.Invoke(p, "pyaes", molecule.InvokeOptions{PU: -1})
+		})
+		b.Env.At(b.Env.Now()+offset, func() {
+			check()
+			client.Interrupt()
+		})
+		b.Run(1)
+		if !interrupted {
+			t.Fatal("the client finished before its interrupt")
+		}
+		checkQuiescent(t, b, "after the interrupt")
+		checkFreeListClean(t, b)
+		if len(b.free) != 0 {
+			t.Errorf("free list holds %d requests, want 0: the interrupted request stays off it", len(b.free))
+		}
+		var got tally
+		clients(t, b, []string{"pyaes"}, time.Millisecond, b.Env.Now()+1, &got)
+		b.Run(1)
+		if got.ok != 1 || got.failed != 0 {
+			t.Fatalf("invoke after the interrupt: %d ok, %d failed", got.ok, got.failed)
+		}
+		checkQuiescent(t, b, "after the next invoke")
+		checkFreeListClean(t, b)
+	}
+
+	t.Run("interrupt-first-hop", func(t *testing.T) {
+		// Interrupted on its way to the boss, the request is never
+		// submitted: no machine sees it.
+		b := newTestBoss(t, 1, hw.Config{}, 0, "pyaes")
+		interruptAt(t, b, sim.Time(params.NetworkBaseLatency/2), func() {
+			if b.Inflight() != 0 {
+				t.Errorf("%d requests in flight during the first hop, want 0", b.Inflight())
+			}
+		})
+		if b.nodes[0].Served() != 1 {
+			t.Errorf("machine served %d requests, want only the one after the interrupt", b.nodes[0].Served())
+		}
+	})
+
+	t.Run("interrupt-return-hop", func(t *testing.T) {
+		// Interrupted on its way back, after its reply: the request is
+		// left to the GC, as for an interrupted reply wait.
+		b := newTestBoss(t, 1, hw.Config{}, 0, "pyaes")
+		var took sim.Time
+		b.Env.Spawn("warm-up", func(p *sim.Proc) {
+			b.Invoke(p, "pyaes", molecule.InvokeOptions{PU: -1}) // cold start
+			start := p.Now()
+			b.Invoke(p, "pyaes", molecule.InvokeOptions{PU: -1})
+			took = p.Now() - start
+		})
+		b.Run(1)
+		interruptAt(t, b, took-sim.Time(params.NetworkBaseLatency/2), func() {
+			if b.Inflight() != 0 || len(b.free) != 0 {
+				t.Errorf("inflight %d, free list %d at the interrupt: want the request replied and held by its client", b.Inflight(), len(b.free))
+			}
+		})
 	})
 }
 
@@ -1108,16 +1218,23 @@ func TestBossSaturatedIdleFailsQueue(t *testing.T) {
 }
 
 // TestBossUnregisteredFunction: a request for an unknown function errors
-// without charging any inflight window.
+// without charging any inflight window, after the network hop each way,
+// like every other error.
 func TestBossUnregisteredFunction(t *testing.T) {
 	b := newTestBoss(t, 1, hw.Config{}, 0)
 	var err error
+	var took time.Duration
 	b.Env.Spawn("client", func(p *sim.Proc) {
+		start := p.Now()
 		_, err = b.Invoke(p, "nope", molecule.InvokeOptions{PU: -1})
+		took = time.Duration(p.Now() - start)
 	})
 	b.Run(1)
 	if err == nil {
 		t.Fatalf("want error for unregistered function")
+	}
+	if took != 2*params.NetworkBaseLatency {
+		t.Errorf("unregistered invoke returned after %v, want %v (both network hops)", took, 2*params.NetworkBaseLatency)
 	}
 	if got := b.Inflight(); got != 0 {
 		t.Fatalf("inflight = %d, want 0", got)
