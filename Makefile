@@ -110,14 +110,15 @@ benchjson:
 # procs; the container-pool refill is two scheduler callbacks, which Sleep
 # may fire inline), the kernel's fast-path, inline-callback and differential
 # tests, its stepped-wait, host-cost, digest and Resource hand-off tests,
-# and the chain executor's exact-events, host-cost and allocation tests
-# (chain stages wait on their FIFOs as stepped waits), plus the coldstart
+# and the chain executor's exact-events, host-cost, allocation, wiring
+# release, FPGA chain and FPGA billing tests (chain stages wait on their
+# FIFOs as stepped waits; FPGA functions run on the driver), plus the coldstart
 # scenario (table to stdout, no snapshot) and a molecule-load run with
 # cfork on and one with plain boots.
 coldstart-race:
 	$(GO) test -race -count=1 -run 'Zygote|ColdStart|Release|ForkFanout|ColdCycle' ./internal/lang/ ./internal/molecule/ ./internal/mem/ ./internal/bench/
 	$(GO) test -race -count=1 -run 'FastPath|Inline|Differential|Stepped|SpawnWaiting|WaitSteps|Digest|ResourceRelease' ./internal/sim/
-	$(GO) test -race -count=1 -run 'ChainEventsExact|ChainAllocs|HostCostExact' ./internal/molecule/
+	$(GO) test -race -count=1 -run 'ChainEventsExact|ChainAllocs|HostCostExact|ChainWiringReleased|FPGAChain|ChainBillsFPGANodes' ./internal/molecule/
 	$(GO) run ./cmd/molecule-bench -scenario coldstart
 	$(GO) run ./cmd/molecule-load -cfork=true
 	$(GO) run ./cmd/molecule-load -cfork=false -duration 2s

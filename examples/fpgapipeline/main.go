@@ -50,17 +50,18 @@ func main() {
 		}
 		fmt.Printf("frontend (DPU) pulled 25MB from storage in %v\n", p.Now().Sub(pullStart))
 
-		// Mixed chain: general-purpose frontend + FPGA compressor, driven by
-		// the host executor. The 25MB payload is past the CPU/FPGA
-		// crossover, so the FPGA profile wins.
+		// Mixed chain: general-purpose frontend on the host + FPGA
+		// compressor, which the host executor runs. The 25MB payload is past
+		// the CPU/FPGA crossover, so the FPGA profile wins.
 		arg := workloads.Arg{Bytes: 25 << 20}
-		res, err := rt.InvokeAccelChain(p, []string{"image-processing", "gzip-compression"},
-			molecule.AccelChainOptions{Arg: arg})
+		fpga := machine.PUsOfKind(hw.FPGA)[0].ID
+		res, err := rt.InvokeChain(p, []string{"image-processing", "gzip-compression"},
+			molecule.ChainOptions{Placement: []hw.PUID{rt.HostID(), fpga}, Arg: arg})
 		if err != nil {
 			log.Fatal(err)
 		}
-		cpuOnly, err := rt.InvokeAccelChain(p, []string{"image-processing", "gzip-compression"},
-			molecule.AccelChainOptions{Arg: arg, CPUFallback: true})
+		cpuOnly, err := rt.InvokeChain(p, []string{"image-processing", "gzip-compression"},
+			molecule.ChainOptions{Arg: arg})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -83,8 +84,9 @@ func main() {
 			log.Fatal(err)
 		}
 		chain := []string{"vecstage", "vecstage", "vecstage", "vecstage", "vecstage"}
-		copying, _ := rt.InvokeAccelChain(p, chain, molecule.AccelChainOptions{ForceCopy: true})
-		zerocopy, _ := rt.InvokeAccelChain(p, chain, molecule.AccelChainOptions{})
+		onFPGA := []hw.PUID{fpga, fpga, fpga, fpga, fpga}
+		copying, _ := rt.InvokeChain(p, chain, molecule.ChainOptions{Placement: onFPGA, ForceCopy: true})
+		zerocopy, _ := rt.InvokeChain(p, chain, molecule.ChainOptions{Placement: onFPGA})
 		fmt.Printf("5-stage FPGA chain: copying %v, zero-copy %v (%.2fx)\n",
 			copying.Total, zerocopy.Total, float64(copying.Total)/float64(zerocopy.Total))
 	})

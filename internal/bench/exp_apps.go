@@ -289,12 +289,12 @@ func runFig14h() []*metrics.Table {
 			panic(err)
 		}
 		chain := []string{"matrix-comput"}
-		rt.InvokeAccelChain(p, chain, molecule.AccelChainOptions{CPUFallback: true}) // warm
-		cpu, err := rt.InvokeAccelChain(p, chain, molecule.AccelChainOptions{CPUFallback: true})
+		rt.InvokeChain(p, chain, molecule.ChainOptions{}) // warm
+		cpu, err := rt.InvokeChain(p, chain, molecule.ChainOptions{})
 		if err != nil {
 			panic(err)
 		}
-		fp, err := rt.InvokeAccelChain(p, chain, molecule.AccelChainOptions{})
+		fp, err := rt.InvokeChain(p, chain, molecule.ChainOptions{Placement: []hw.PUID{rt.Machine.PUsOfKind(hw.FPGA)[0].ID}})
 		if err != nil {
 			panic(err)
 		}

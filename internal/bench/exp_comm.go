@@ -102,16 +102,18 @@ func runFig13() []*metrics.Table {
 		if err := rt.Deploy(p, "vecstage", molecule.DefaultProfile(hw.FPGA)); err != nil {
 			panic(err)
 		}
+		fpga := rt.Machine.PUsOfKind(hw.FPGA)[0].ID
 		for n := 1; n <= 5; n++ {
 			chain := make([]string, n)
+			placement := make([]hw.PUID, n)
 			for i := range chain {
-				chain[i] = "vecstage"
+				chain[i], placement[i] = "vecstage", fpga
 			}
-			copied, err := rt.InvokeAccelChain(p, chain, molecule.AccelChainOptions{ForceCopy: true})
+			copied, err := rt.InvokeChain(p, chain, molecule.ChainOptions{Placement: placement, ForceCopy: true})
 			if err != nil {
 				panic(err)
 			}
-			shm, err := rt.InvokeAccelChain(p, chain, molecule.AccelChainOptions{})
+			shm, err := rt.InvokeChain(p, chain, molecule.ChainOptions{Placement: placement})
 			if err != nil {
 				panic(err)
 			}

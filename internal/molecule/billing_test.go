@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
 // refLedger is the per-entry ledger the aggregated Billing replaces: it
@@ -139,4 +140,31 @@ func TestBillingMatchesPerEntryLedger(t *testing.T) {
 			t.Fatalf("seed %d: Report = %+v, want %+v", seed, got, want)
 		}
 	}
+}
+
+// TestChainBillsFPGANodes: a host → FPGA chain charges both functions, the
+// FPGA one at its FPGA profile's price for its run.
+func TestChainBillsFPGANodes(t *testing.T) {
+	run(t, hw.Config{FPGAs: 1}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
+		if err := rt.Deploy(p, "image-processing"); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Deploy(p, "gzip-compression", DefaultProfile(hw.CPU), DefaultProfile(hw.FPGA)); err != nil {
+			t.Fatal(err)
+		}
+		fns := []string{"image-processing", "gzip-compression"}
+		pins := []hw.PUID{rt.hostID, fpgaPins(rt, 1)[0]}
+		before := rt.Billing().Count()
+		if _, err := rt.InvokeChain(p, fns, ChainOptions{Placement: pins}); err != nil {
+			t.Fatal(err)
+		}
+		if got := rt.Billing().Count() - before; got != 2 {
+			t.Fatalf("a host → FPGA chain billed %d entries, want 2", got)
+		}
+		e, _ := rt.Billing().Last()
+		price := DefaultProfile(hw.FPGA).PricePerMs
+		if e.Fn != fns[1] || e.Kind != hw.FPGA || e.Duration <= 0 || e.Charge != float64(e.BilledMs)*price {
+			t.Errorf("FPGA entry %+v, want %s on FPGA charged %v per ms", e, fns[1], price)
+		}
+	})
 }

@@ -107,21 +107,24 @@ func (d DAG) Validate() ([]int, error) {
 type ChainOptions struct {
 	// Placement pins each function to a PU; nil applies the chain-affinity
 	// policy (§5 "Profile selections"): the whole chain lands on the host.
-	// Entries of -1 fall back to the host.
+	// Entries of -1 fall back to the host. InvokeChain also takes FPGA pins.
 	Placement []hw.PUID
 	// Arg parameterizes cost models.
 	Arg workloads.Arg
+	// ForceCopy turns off DRAM retention between neighbouring FPGA
+	// functions (the Fig 13 "Copying" series).
+	ForceCopy bool
 }
 
 // ChainResult reports a chain or DAG invocation's end-to-end outcome.
 type ChainResult struct {
 	Total time.Duration
 	// EdgeLatency is the per-edge request latency: caller write start →
-	// callee dispatch complete (what Fig 12 plots). InvokeChain and
-	// InvokeDAG give one entry per dependency edge, in node order and then
-	// Deps order, and drop the gateway's edges into the sources.
-	// InvokeAccelChain, which has no edges, gives each stage's time
-	// instead, one entry per stage.
+	// callee dispatch complete (what Fig 12 plots), one entry per FIFO
+	// edge between two functions, in node order and then Deps order. The
+	// gateway's edges into the sources are dropped, and an edge into or out
+	// of an FPGA function is no FIFO: its DMA or DRAM retention is charged
+	// inside that function's run.
 	EdgeLatency []time.Duration
 	// ExecTotal sums handler execution across the chain.
 	ExecTotal time.Duration
@@ -326,7 +329,7 @@ type chainWiring struct {
 	gw endpoint
 	// edges holds one gateway edge into each source stage, then one edge
 	// per dependency, in stage order and then Deps order. On a path
-	// edges[i] is stage i's in-edge.
+	// without FPGA nodes edges[i] is stage i's in-edge.
 	edges []edge
 	// sources counts the gateway edges at the front of edges.
 	sources int
@@ -351,13 +354,13 @@ func instEndpoint(inst *instance) endpoint {
 	return endpoint{node: inst.node, proc: inst.sb.Inst.Proc}
 }
 
-// depsOf returns stage i's producers: nodes[i].Deps, or, when nodes is nil
-// (a path), i-1 written to buf.
-func depsOf(nodes []DAGNode, i int, buf *[1]int) []int {
+// depsOf returns stage i's FIFO producers: nodes[i].Deps, or, when nodes
+// is nil (a path), i-1 written to buf unless either is an FPGA node.
+func depsOf(nodes []DAGNode, insts []*instance, i int, buf *[1]int) []int {
 	if nodes != nil {
 		return nodes[i].Deps
 	}
-	if i == 0 {
+	if i == 0 || insts[i] == nil || insts[i-1] == nil {
 		return nil
 	}
 	buf[0] = i - 1
@@ -365,11 +368,11 @@ func depsOf(nodes []DAGNode, i int, buf *[1]int) []int {
 }
 
 // wireChain starts a gateway process and wires the call graph over insts:
-// a duplex edge from the gateway into each source stage, then one from
-// producer to consumer per dependency. nodes gives the dependencies; nil
-// wires a path, so a chain builds no DAG. It is all or nothing: on an error
-// it releases what it built and returns no wiring; otherwise the caller
-// hands the wiring back with unwireChain once no process uses its FIFOs.
+// a duplex edge from the gateway into each source stage, then one per
+// dependency. nodes gives them; nil wires a path, whose FPGA nodes (nil
+// instances) take no edge. It is all or nothing: on an error it releases
+// what it built and returns no wiring; otherwise the caller hands the
+// wiring back with unwireChain once no process uses its FIFOs.
 func (rt *Runtime) wireChain(p *sim.Proc, insts []*instance, nodes []DAGNode) (*chainWiring, error) {
 	var w *chainWiring
 	if n := len(rt.freeWirings); n > 0 {
@@ -392,7 +395,7 @@ func (rt *Runtime) wireChain(p *sim.Proc, insts []*instance, nodes []DAGNode) (*
 	w.in = append(w.in, make([]span, n)...)
 	w.outAt = append(w.outAt, make([]int, n+1)...)
 	for i, inst := range insts {
-		if len(depsOf(nodes, i, &buf)) == 0 {
+		if inst != nil && len(depsOf(nodes, insts, i, &buf)) == 0 {
 			w.in[i] = span{len(w.edges), len(w.edges) + 1}
 			if err := rt.addEdge(p, w, w.gw, i, inst); err != nil {
 				return nil, err
@@ -401,7 +404,7 @@ func (rt *Runtime) wireChain(p *sim.Proc, insts []*instance, nodes []DAGNode) (*
 	}
 	w.sources = len(w.edges)
 	for i, inst := range insts {
-		ds := depsOf(nodes, i, &buf)
+		ds := depsOf(nodes, insts, i, &buf)
 		if len(ds) == 0 {
 			continue
 		}
@@ -422,7 +425,7 @@ func (rt *Runtime) wireChain(p *sim.Proc, insts []*instance, nodes []DAGNode) (*
 	}
 	w.out = append(w.out, make([]int, w.outAt[n])...)
 	for i := n - 1; i >= 0; i-- {
-		ds := depsOf(nodes, i, &buf)
+		ds := depsOf(nodes, insts, i, &buf)
 		for k := len(ds) - 1; k >= 0; k-- {
 			w.outAt[ds[k]]--
 			w.out[w.outAt[ds[k]]] = w.in[i].lo + k
@@ -501,7 +504,8 @@ func (rt *Runtime) connect(p *sim.Proc, pp *pipe, home endpoint, homeX, peerX xp
 // InvokeChain runs a synchronous function chain over direct-connect
 // IPC/nIPC: each function instance runs as its own process, blocked on its
 // request FIFO; requests flow down the chain and the response propagates
-// back up (Fig 12, Fig 14e).
+// back up (Fig 12, Fig 14e). A function pinned to an FPGA runs on the
+// driver instead, between FIFO-wired runs of the others (§4.3, Fig 13).
 func (rt *Runtime) InvokeChain(p *sim.Proc, names []string, opts ChainOptions) (ChainResult, error) {
 	return rt.invokeGraph(p, names, nil, nil, opts)
 }
@@ -527,24 +531,20 @@ func (rt *Runtime) InvokeDAG(p *sim.Proc, dag DAG, opts ChainOptions) (ChainResu
 // invokeGraph is the executor behind InvokeChain and InvokeDAG: stage i
 // runs names[i] and depends on nodes[i].Deps (nil nodes: a path). order is
 // a topological order (nil: index order); instances are acquired in it and
-// stages spawned in its reverse.
+// stages spawned in its reverse. FPGA nodes are a path's only.
 func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, order []int, opts ChainOptions) (ChainResult, error) {
 	if len(names) == 0 {
 		return ChainResult{}, fmt.Errorf("molecule: empty chain")
 	}
 	n := len(names)
-	placement := opts.Placement
-	if placement == nil {
-		placement = make([]hw.PUID, n)
-		for i := range placement {
-			placement[i] = rt.hostID // chain affinity: co-locate the chain
-		}
+	if pl := opts.Placement; pl != nil && len(pl) != n {
+		return ChainResult{}, fmt.Errorf("molecule: placement length %d != %d functions", len(pl), n)
 	}
-	if len(placement) != n {
-		return ChainResult{}, fmt.Errorf("molecule: placement length %d != %d functions", len(placement), n)
+	accel, err := rt.accelNodes(p, names, opts.Placement, nodes != nil)
+	if err != nil {
+		return ChainResult{}, err
 	}
-
-	insts, deps, cold, err := rt.acquireAll(p, names, placement, order)
+	insts, deps, cold, err := rt.acquireAll(p, names, opts.Placement, order, accel)
 	if err != nil {
 		return ChainResult{}, err
 	}
@@ -568,13 +568,16 @@ func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, ord
 	// in its first wait (every stage has an in-edge), so it takes a
 	// coroutine only once that wait is over.
 	done := sim.NewWaitGroup(rt.Env)
-	done.Add(n)
 	for k := n - 1; k >= 0; k-- {
 		i := k
 		if order != nil {
 			i = order[k]
 		}
 		inst := insts[i]
+		if inst == nil {
+			continue // the driver runs FPGA nodes
+		}
+		done.Add(1)
 		in := w.in[i]
 		sw := &w.waits[i]
 		*sw = stageWait{
@@ -654,19 +657,31 @@ func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, ord
 		})
 	}
 
-	// Drive a request from the gateway into every source and wait for
-	// their responses. On an abort the driver still waits for every stage
-	// to exit, so the deferred release never hands back an instance a
-	// stage is still running on.
+	// Drive the graph from the gateway: send a request into each source and
+	// collect the responses before each FPGA node, which the driver runs,
+	// and at the end. On an abort the driver still waits for every stage to
+	// exit, so the deferred release never hands back an instance in use.
 	abort := &w.abort
 	start := p.Now()
-	for e := 0; e < w.sources && err == nil; e++ {
-		argB, _ := deps[edges[e].to].Fn.Sizes(opts.Arg)
-		edges[e].sentAt = p.Now()
-		err = edges[e].req.send(p, localos.Message{From: "gateway", Kind: "req", Payload: payload(argB)})
-	}
-	for e := 0; e < w.sources && err == nil; e++ {
-		_, err = edges[e].resp.recv(p, noDispatch)
+	sent, got := 0, 0
+	for i := 0; i <= n && err == nil; i++ {
+		if i < n && insts[i] != nil {
+			if sent < w.sources && edges[sent].to == i {
+				argB, _ := deps[i].Fn.Sizes(opts.Arg)
+				edges[sent].sentAt = p.Now()
+				err = edges[sent].req.send(p, localos.Message{From: "gateway", Kind: "req", Payload: payload(argB)})
+				sent++
+			}
+			continue
+		}
+		for ; got < sent && err == nil; got++ {
+			_, err = edges[got].resp.recv(p, noDispatch)
+		}
+		if i < n && err == nil {
+			t := p.Now()
+			err = runAccel(p, accel, i, deps[i], opts)
+			execDur[i] = p.Now().Sub(t)
+		}
 	}
 	if err != nil {
 		abort.fail(err)
@@ -682,8 +697,12 @@ func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, ord
 		res.ExecTotal += d
 	}
 	for i, d := range deps {
-		pr, _ := d.ProfileFor(insts[i].node.pu.Kind)
-		rt.bill.Record(d.Fn.Name, insts[i].node.pu.Kind, execDur[i], pr.PricePerMs)
+		kind := hw.FPGA
+		if insts[i] != nil {
+			kind = insts[i].node.pu.Kind
+		}
+		pr, _ := d.ProfileFor(kind)
+		rt.bill.Record(d.Fn.Name, kind, execDur[i], pr.PricePerMs)
 	}
 	return res, nil
 }
@@ -725,85 +744,56 @@ func stageDispatch(in span, e int, inst *instance) time.Duration {
 	return scaledDispatch(inst.node.pu) / 2
 }
 
-// AccelChainOptions configure a host-driven accelerator chain.
-type AccelChainOptions struct {
-	Arg workloads.Arg
-	// ForceCopy disables the DRAM-retention zero-copy path even when the
-	// device supports it (the Fig 13 "Copying" series).
-	ForceCopy bool
-	// CPUFallback executes every stage on the CPU instead (comparison
-	// series of Fig 14f/g/h).
-	CPUFallback bool
+// accelNode is an FPGA node's sandbox: its device and sandbox ID.
+type accelNode struct {
+	node *puNode
+	id   string
 }
 
-// InvokeAccelChain runs a chain whose stages may live on accelerators. The
-// host executor drives the pipeline; consecutive FPGA stages on the same
-// device exchange data through retained DRAM banks (zero copy, §4.3)
-// unless ForceCopy is set.
-func (rt *Runtime) InvokeAccelChain(p *sim.Proc, names []string, opts AccelChainOptions) (ChainResult, error) {
-	if len(names) == 0 {
-		return ChainResult{}, fmt.Errorf("molecule: empty chain")
-	}
-	var res ChainResult
-	start := p.Now()
-
-	type stage struct {
-		d    *Deployment
-		fpga *puNode
-		id   string
-	}
-	stages := make([]stage, len(names))
-	for i, name := range names {
-		d, err := rt.Deployment(name)
+// accelNodes resolves each function pinned to an FPGA to its one running
+// sandbox, installing it on a miss; nil when no pin names an FPGA. A DAG
+// takes no FPGA pin: fan-in and fan-out FPGA nodes are not modelled.
+func (rt *Runtime) accelNodes(p *sim.Proc, names []string, pins []hw.PUID, dag bool) ([]accelNode, error) {
+	var accel []accelNode
+	for i, pin := range pins {
+		if n := rt.nodes[pin]; n == nil || n.pu.Kind != hw.FPGA {
+			continue
+		}
+		if dag {
+			return nil, fmt.Errorf("molecule: DAG node %d pinned to FPGA %d; only a chain runs FPGA functions", i, pin)
+		}
+		if d := rt.funcs[names[i]]; d == nil || !d.SupportsKind(hw.FPGA) {
+			return nil, fmt.Errorf("molecule: %q pinned to FPGA %d is not deployed with an FPGA profile", names[i], pin)
+		}
+		n, id, err := rt.ensureAccel(p, hw.FPGA, names[i], nil)
+		if err == nil && n.pu.ID != pin {
+			err = fmt.Errorf("molecule: %q pinned to FPGA %d runs on FPGA %d", names[i], pin, n.pu.ID)
+		}
 		if err != nil {
-			return ChainResult{}, err
+			return nil, err
 		}
-		stages[i].d = d
-		if !opts.CPUFallback && d.SupportsKind(hw.FPGA) {
-			n, id, err := rt.ensureAccel(p, hw.FPGA, name, nil)
-			if err != nil {
-				return ChainResult{}, err
-			}
-			stages[i].fpga, stages[i].id = n, id
+		if accel == nil {
+			accel = make([]accelNode, len(pins))
 		}
+		accel[i] = accelNode{node: n, id: id}
 	}
+	return accel, nil
+}
 
-	for i, st := range stages {
-		execStart := p.Now()
-		if st.fpga != nil {
-			prevFPGA := i > 0 && stages[i-1].fpga == st.fpga
-			nextFPGA := i < len(stages)-1 && stages[i+1].fpga == st.fpga
-			retention := st.fpga.pu.Device.Retention() && !opts.ForceCopy
-			argB, resB := st.d.Fn.Sizes(opts.Arg)
-			iopts := sandbox.InvokeOptions{
-				InputRetained: prevFPGA && retention,
-				RetainOutput:  nextFPGA && retention,
-			}
-			if iopts.InputRetained {
-				if err := st.fpga.runf.MarkRetained(st.d.Fn.Name); err != nil {
-					return ChainResult{}, err
-				}
-			}
-			if err := st.fpga.runf.Invoke(p, st.id, argB, resB, st.d.Fn.FabricCost(opts.Arg), iopts); err != nil {
-				return ChainResult{}, err
-			}
-		} else {
-			// General-purpose stage on the host: warm instance + dispatch.
-			inst, cold, err := rt.acquire(p, st.d, rt.hostID, false, nil)
-			if err != nil {
-				return ChainResult{}, err
-			}
-			if cold {
-				res.ColdStarts++
-			}
-			p.Sleep(scaledDispatch(inst.node.pu))
-			inst.sb.Inst.Invoke(p, st.d.Fn.CPUCost(opts.Arg), inst.sb.Forked)
-			rt.release(p, inst)
-		}
-		d := p.Now().Sub(execStart)
-		res.ExecTotal += d
-		res.EdgeLatency = append(res.EdgeLatency, d)
+// runAccel runs FPGA node i on the driver. Data stays in a retaining FPGA's
+// DRAM between neighbours on it (§4.3) unless ForceCopy; the rest is DMA'd.
+func runAccel(p *sim.Proc, accel []accelNode, i int, d *Deployment, opts ChainOptions) error {
+	a := accel[i]
+	retain := a.node.pu.Device.Retention() && !opts.ForceCopy
+	iopts := sandbox.InvokeOptions{
+		InputRetained: retain && i > 0 && accel[i-1].node == a.node,
+		RetainOutput:  retain && i+1 < len(accel) && accel[i+1].node == a.node,
 	}
-	res.Total = p.Now().Sub(start)
-	return res, nil
+	if iopts.InputRetained {
+		if err := a.node.runf.MarkRetained(d.Fn.Name); err != nil {
+			return err
+		}
+	}
+	argB, resB := d.Fn.Sizes(opts.Arg)
+	return a.node.runf.Invoke(p, a.id, argB, resB, d.Fn.FabricCost(opts.Arg), iopts)
 }

@@ -243,7 +243,7 @@ func TestInvokeDAGCrossPUEdges(t *testing.T) {
 }
 
 func TestInvokeDAGErrors(t *testing.T) {
-	run(t, hw.Config{}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
+	run(t, hw.Config{FPGAs: 1}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
 		if _, err := rt.InvokeDAG(p, DAG{}, ChainOptions{}); err == nil {
 			t.Error("empty DAG invoked")
 		}
@@ -253,6 +253,14 @@ func TestInvokeDAGErrors(t *testing.T) {
 		rt.Deploy(p, "matmul")
 		if _, err := rt.InvokeDAG(p, Chain("matmul"), ChainOptions{Placement: []hw.PUID{0, 0}}); err == nil {
 			t.Error("bad placement length accepted")
+		}
+		// Fan-in and fan-out FPGA nodes are not modelled: a DAG, even a
+		// path, takes no FPGA pin.
+		if err := rt.Deploy(p, "vecstage", DefaultProfile(hw.FPGA)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.InvokeDAG(p, Chain("vecstage"), ChainOptions{Placement: fpgaPins(rt, 1)}); err == nil {
+			t.Error("DAG node pinned to an FPGA accepted")
 		}
 	})
 }

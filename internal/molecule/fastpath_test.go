@@ -2,6 +2,7 @@ package molecule
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -291,12 +292,12 @@ func BenchmarkInvokeChainCrossPU(b *testing.B) {
 }
 
 // TestInvokeChainAllocs pins the host allocations of one warm cross-PU
-// chain (BenchmarkInvokeChainCrossPU's call) at chainCrossPUAllocs. The
-// ceiling guards more than allocation speed: the benchmark's chain-nipc
-// peak heap is bimodal, and garbage per op moves reps between the modes
-// (a few hundred bytes per op sent most reps to the high one), so a change
-// to a chain's allocations must be measured against the peak heap, not
-// only against time.
+// chain (BenchmarkInvokeChainCrossPU's call) at chainCrossPUAllocs and
+// their bytes at chainCrossPUBytes. The ceilings guard more than
+// allocation speed: the benchmark's chain-nipc peak heap is bimodal, and
+// garbage per op moves reps between the modes (a few hundred bytes per op
+// sent most reps to the high one), so a change to a chain's allocations
+// must be measured against the peak heap, not only against time.
 func TestInvokeChainAllocs(t *testing.T) {
 	env := sim.NewEnv()
 	m := hw.Build(env, hw.Config{DPUs: 2})
@@ -306,18 +307,33 @@ func TestInvokeChainAllocs(t *testing.T) {
 		if _, err := rt.InvokeChain(p, chain, opts); err != nil {
 			t.Fatal(err) // cold starts outside the measured calls
 		}
-		allocs := testing.AllocsPerRun(200, func() {
+		call := func() {
 			if _, err := rt.InvokeChain(p, chain, opts); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		allocs := testing.AllocsPerRun(200, call)
+		// Bytes as the benchmark's B/op counts them.
+		const runs = 200
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for i := 0; i < runs; i++ {
+			call()
+		}
+		runtime.ReadMemStats(&ms)
+		bytes := (ms.TotalAlloc - before) / runs
 		switch {
 		case raceEnabled:
-			// The calls still run under the detector; only the count is
-			// the detector's (35 with go1.24).
-			t.Logf("warm cross-PU chain allocates %v/op under the race detector", allocs)
+			// The calls still run under the detector; only the counts are
+			// the detector's (35 allocs with go1.24).
+			t.Logf("warm cross-PU chain allocates %v/op, %d B/op under the race detector", allocs, bytes)
 		case allocs > chainCrossPUAllocs:
 			t.Errorf("warm cross-PU chain allocates %v/op, want <= %d", allocs, chainCrossPUAllocs)
+		case bytes > chainCrossPUBytes:
+			t.Errorf("warm cross-PU chain allocates %d B/op, want <= %d", bytes, chainCrossPUBytes)
+		default:
+			t.Logf("warm cross-PU chain allocates %v/op, %d B/op", allocs, bytes)
 		}
 	})
 	env.Run()
@@ -330,6 +346,11 @@ func TestInvokeChainAllocs(t *testing.T) {
 // Stages waiting on their FIFOs keep their read state in the recycled
 // wiring, so the waits allocate nothing.
 const chainCrossPUAllocs = 31
+
+// chainCrossPUBytes is TestInvokeChainAllocs's B/op ceiling, measured on
+// go1.24 amd64. BenchmarkInvokeChainCrossPU reads 2014-2015 B/op for the
+// same call: its longer runs number the FIFO names with more digits.
+const chainCrossPUBytes = 1976
 
 // coldFn is the function the cold-path rig's callers invoke.
 const coldFn = "matmul"

@@ -527,11 +527,12 @@ func (rt *Runtime) AcquireHeld(p *sim.Proc, funcName string, pin hw.PUID) (*inst
 func (rt *Runtime) ReleaseHeld(p *sim.Proc, inst *instance) { rt.release(p, inst) }
 
 // acquireAll acquires one instance per function for a chain or DAG, warm
-// where possible: names[i] pinned to pins[i] (-1 = the host), visiting
-// indices in order (nil = index order). It is all or nothing. On any error
-// it releases what it already took and returns no instances; otherwise the
-// caller owns every instance and hands them back with releaseAll.
-func (rt *Runtime) acquireAll(p *sim.Proc, names []string, pins []hw.PUID, order []int) ([]*instance, []*Deployment, int, error) {
+// where possible: names[i] pinned to pins[i] (nil or -1: the host), visiting
+// indices in order (nil = index order); an FPGA node of accel takes none.
+// It is all or nothing. On any error it releases what it already took and
+// returns no instances; otherwise the caller owns every instance and hands
+// them back with releaseAll.
+func (rt *Runtime) acquireAll(p *sim.Proc, names []string, pins []hw.PUID, order []int, accel []accelNode) ([]*instance, []*Deployment, int, error) {
 	insts := make([]*instance, len(names))
 	deps := make([]*Deployment, len(names))
 	ok := false
@@ -551,9 +552,12 @@ func (rt *Runtime) acquireAll(p *sim.Proc, names []string, pins []hw.PUID, order
 			return nil, nil, 0, err
 		}
 		deps[i] = d
-		pin := pins[i]
-		if pin < 0 {
-			pin = rt.hostID
+		if accel != nil && accel[i].node != nil {
+			continue
+		}
+		pin := rt.hostID
+		if pins != nil && pins[i] >= 0 {
+			pin = pins[i]
 		}
 		inst, c, err := rt.acquire(p, d, pin, false, nil)
 		if err != nil {

@@ -493,7 +493,7 @@ func TestPayloadSharesZeroArray(t *testing.T) {
 }
 
 func TestInvokeChainErrors(t *testing.T) {
-	run(t, hw.Config{}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
+	run(t, hw.Config{FPGAs: 2}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
 		if _, err := rt.InvokeChain(p, nil, ChainOptions{}); err == nil {
 			t.Error("empty chain accepted")
 		}
@@ -504,7 +504,30 @@ func TestInvokeChainErrors(t *testing.T) {
 		if _, err := rt.InvokeChain(p, []string{"matmul"}, ChainOptions{Placement: []hw.PUID{0, 0}}); err == nil {
 			t.Error("mismatched placement accepted")
 		}
+		// The first FPGA takes vecstage's sandbox, so the second runs none,
+		// and an install of gzip-compression (which has an FPGA kernel but
+		// is deployed without an FPGA profile) would land there.
+		if err := rt.Deploy(p, "vecstage", DefaultProfile(hw.FPGA)); err != nil {
+			t.Fatal(err)
+		}
+		rt.Deploy(p, "gzip-compression")
+		fpgas := rt.Machine.PUsOfKind(hw.FPGA)
+		if _, err := rt.InvokeChain(p, []string{"gzip-compression"}, ChainOptions{Placement: []hw.PUID{fpgas[1].ID}}); err == nil {
+			t.Error("FPGA pin for a function with no FPGA profile accepted")
+		}
+		if _, err := rt.InvokeChain(p, []string{"vecstage"}, ChainOptions{Placement: []hw.PUID{fpgas[1].ID}}); err == nil {
+			t.Error("FPGA pin off the FPGA running the function's sandbox accepted")
+		}
 	})
+}
+
+// fpgaPins pins n chain functions to the machine's first FPGA.
+func fpgaPins(rt *Runtime, n int) []hw.PUID {
+	pins := make([]hw.PUID, n)
+	for i := range pins {
+		pins[i] = rt.Machine.PUsOfKind(hw.FPGA)[0].ID
+	}
+	return pins
 }
 
 // TestFig13FPGAChainRetention: the zero-copy (data retention) chain is
@@ -515,11 +538,12 @@ func TestFig13FPGAChainRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 		chain := []string{"vecstage", "vecstage", "vecstage", "vecstage", "vecstage"}
-		copied, err := rt.InvokeAccelChain(p, chain, AccelChainOptions{ForceCopy: true})
+		pins := fpgaPins(rt, len(chain))
+		copied, err := rt.InvokeChain(p, chain, ChainOptions{Placement: pins, ForceCopy: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		shm, err := rt.InvokeAccelChain(p, chain, AccelChainOptions{})
+		shm, err := rt.InvokeChain(p, chain, ChainOptions{Placement: pins})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -528,27 +552,29 @@ func TestFig13FPGAChainRetention(t *testing.T) {
 			t.Errorf("copy/shm = %.2f (copied=%v shm=%v), want ~1.95", ratio, copied.Total, shm.Total)
 		}
 		// Single-stage chains must cost the same either way.
-		c1, _ := rt.InvokeAccelChain(p, chain[:1], AccelChainOptions{ForceCopy: true})
-		s1, _ := rt.InvokeAccelChain(p, chain[:1], AccelChainOptions{})
+		c1, _ := rt.InvokeChain(p, chain[:1], ChainOptions{Placement: pins[:1], ForceCopy: true})
+		s1, _ := rt.InvokeChain(p, chain[:1], ChainOptions{Placement: pins[:1]})
 		if c1.Total != s1.Total {
 			t.Errorf("1-stage chain differs: copy=%v shm=%v", c1.Total, s1.Total)
 		}
 	})
 }
 
-func TestAccelChainCPUFallback(t *testing.T) {
+// TestFig14hFPGAChain: matrix-comput pinned to the FPGA beats the same
+// chain on the host.
+func TestFig14hFPGAChain(t *testing.T) {
 	run(t, hw.Config{FPGAs: 1}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
 		if err := rt.Deploy(p, "matrix-comput", DefaultProfile(hw.CPU), DefaultProfile(hw.FPGA)); err != nil {
 			t.Fatal(err)
 		}
 		chain := []string{"matrix-comput"}
 		// Warm up the CPU instance.
-		rt.InvokeAccelChain(p, chain, AccelChainOptions{CPUFallback: true})
-		cpu, err := rt.InvokeAccelChain(p, chain, AccelChainOptions{CPUFallback: true})
+		rt.InvokeChain(p, chain, ChainOptions{})
+		cpu, err := rt.InvokeChain(p, chain, ChainOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fpga, err := rt.InvokeAccelChain(p, chain, AccelChainOptions{})
+		fpga, err := rt.InvokeChain(p, chain, ChainOptions{Placement: fpgaPins(rt, 1)})
 		if err != nil {
 			t.Fatal(err)
 		}

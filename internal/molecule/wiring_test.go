@@ -70,15 +70,17 @@ func alexaDiamond(chain []string) DAG {
 }
 
 // TestChainWiringReleased runs local and cross-PU chains and DAGs, a
-// resident, a DAG whose DPU crashes mid-run, and cross-PU chains whose DPU
-// crashes at points through wiring and execution (the
-// TestInvokeChainMidChainCrashUnwinds shape), and checks that each leaves no
-// gateway process, FIFO or capability behind.
+// resident, a host → DPU → FPGA chain, a DAG whose DPU crashes mid-run, and
+// cross-PU chains whose DPU crashes at points through wiring and execution
+// (the TestInvokeChainMidChainCrashUnwinds shape), and checks that each
+// leaves no gateway process, FIFO or capability behind.
 func TestChainWiringReleased(t *testing.T) {
 	type body func(t *testing.T, p *sim.Proc, rt *Runtime, chain []string, cross []hw.PUID)
-	released := func(t *testing.T, run body) {
+	// releasedOn boots cfg, warms the rig's instances, runs prime when set,
+	// and checks that run leaves the counts prime left.
+	releasedOn := func(t *testing.T, cfg hw.Config, prime, run body) {
 		env := sim.NewEnv()
-		m := hw.Build(env, hw.Config{DPUs: 2})
+		m := hw.Build(env, cfg)
 		env.Spawn("client", func(p *sim.Proc) {
 			rt, chain, cross := chainRig(t, p, m)
 			// Warm every instance the bodies use with plain invokes, so the
@@ -92,6 +94,9 @@ func TestChainWiringReleased(t *testing.T) {
 					}
 				}
 			}
+			if prime != nil {
+				prime(t, p, rt, chain, cross)
+			}
 			want := countWiring(rt)
 			run(t, p, rt, chain, cross)
 			p.Sleep(10 * time.Millisecond) // a stopped resident's server returns
@@ -104,6 +109,7 @@ func TestChainWiringReleased(t *testing.T) {
 			t.Errorf("%d procs still live: %v", n, env.BlockedProcs())
 		}
 	}
+	released := func(t *testing.T, run body) { releasedOn(t, hw.Config{DPUs: 2}, nil, run) }
 
 	t.Run("local", func(t *testing.T) {
 		released(t, func(t *testing.T, p *sim.Proc, rt *Runtime, chain []string, _ []hw.PUID) {
@@ -140,6 +146,55 @@ func TestChainWiringReleased(t *testing.T) {
 		released(t, func(t *testing.T, p *sim.Proc, rt *Runtime, chain []string, cross []hw.PUID) {
 			if _, err := rt.InvokeDAG(p, alexaDiamond(chain), ChainOptions{Placement: cross}); err != nil {
 				t.Fatal(err)
+			}
+		})
+	})
+	// The FPGA function runs on the driver, between the DPU stage's
+	// response and the gateway's: no instance, process or FIFO edge.
+	t.Run("fpga", func(t *testing.T) {
+		fns := []string{"image-processing", "image-processing", "gzip-compression"}
+		var pins []hw.PUID
+		var pairExec, fpgaExec time.Duration
+		prime := func(t *testing.T, p *sim.Proc, rt *Runtime, _ []string, cross []hw.PUID) {
+			if err := rt.Deploy(p, fns[0], DefaultProfile(hw.CPU), DefaultProfile(hw.DPU)); err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Deploy(p, fns[2], DefaultProfile(hw.CPU), DefaultProfile(hw.FPGA)); err != nil {
+				t.Fatal(err)
+			}
+			pins = []hw.PUID{rt.hostID, cross[1], fpgaPins(rt, 1)[0]}
+			res, err := rt.InvokeChain(p, fns, ChainOptions{Placement: pins})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ColdStarts != 2 {
+				t.Errorf("cold chain ColdStarts = %d, want the 2 general-purpose instances", res.ColdStarts)
+			}
+			pair, err := rt.InvokeChain(p, fns[:2], ChainOptions{Placement: pins[:2]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := DefaultInvokeOptions()
+			opts.PU = pins[2]
+			fr, err := rt.Invoke(p, fns[2], opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairExec, fpgaExec = pair.ExecTotal, fr.Exec
+		}
+		releasedOn(t, hw.Config{DPUs: 2, FPGAs: 1}, prime, func(t *testing.T, p *sim.Proc, rt *Runtime, _ []string, _ []hw.PUID) {
+			res, err := rt.InvokeChain(p, fns, ChainOptions{Placement: pins})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ColdStarts != 0 {
+				t.Errorf("warm chain ColdStarts = %d, want 0", res.ColdStarts)
+			}
+			if len(res.EdgeLatency) != 1 || res.EdgeLatency[0] <= 0 {
+				t.Errorf("EdgeLatency = %v, want one entry, for host → DPU", res.EdgeLatency)
+			}
+			if res.ExecTotal != pairExec+fpgaExec {
+				t.Errorf("ExecTotal = %v, want the host → DPU pair's %v + the FPGA run's %v", res.ExecTotal, pairExec, fpgaExec)
 			}
 		})
 	})
