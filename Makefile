@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-fixtures test race bench-test fuzz-smoke chaos bench microbench bench-smoke benchjson coldstart-race cluster-race report report-md golden trace-demo attrib-demo examples outputs
+.PHONY: all check build vet lint lint-fixtures test race bench-test fuzz-smoke chaos bench microbench bench-smoke benchjson coldstart-smoke cluster-smoke report report-md golden trace-demo attrib-demo examples outputs
 
 all: check
 
@@ -36,8 +36,9 @@ lint-fixtures:
 test:
 	$(GO) test ./...
 
+# -count=1: a cached result would skip the race detector's run.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 
 # The benchmark's own tests; benchmark/ is a separate module, so `test`
 # skips them. Every workload runs at 1/100 scale with its invariants
@@ -106,30 +107,20 @@ benchjson:
 	$(GO) run ./cmd/molecule-bench -scenario cluster -o BENCH_cluster.json
 	$(GO) run ./cmd/molecule-bench -scenario coldstart -o BENCH_coldstart.json
 
-# The zygote forest under the race detector (the fitter runs on background
-# procs; the container-pool refill is two scheduler callbacks, which Sleep
-# may fire inline), the kernel's fast-path, inline-callback and differential
-# tests, its stepped-wait, host-cost, digest and Resource hand-off tests,
-# and the chain executor's exact-events, host-cost, allocation, wiring
-# release, FPGA chain and FPGA billing tests (chain stages wait on their
-# FIFOs as stepped waits; FPGA functions run on the driver), plus the coldstart
-# scenario (table to stdout, no snapshot) and a molecule-load run with
-# cfork on and one with plain boots.
-coldstart-race:
-	$(GO) test -race -count=1 -run 'Zygote|ColdStart|Release|ForkFanout|ColdCycle' ./internal/lang/ ./internal/molecule/ ./internal/mem/ ./internal/bench/
-	$(GO) test -race -count=1 -run 'FastPath|Inline|Differential|Stepped|SpawnWaiting|WaitSteps|Digest|ResourceRelease' ./internal/sim/
-	$(GO) test -race -count=1 -run 'ChainEventsExact|ChainAllocs|HostCostExact|ChainWiringReleased|FPGAChain|ChainBillsFPGANodes' ./internal/molecule/
+# The cold-start paths end to end: the coldstart scenario (both arms are
+# fingerprint-checked, classic kernel against windowed driver, before the
+# table goes to stdout; no snapshot) and a molecule-load run with cfork on
+# and one with plain boots. Their packages' tests run under the race
+# detector in `race`.
+coldstart-smoke:
 	$(GO) run ./cmd/molecule-bench -scenario coldstart
 	$(GO) run ./cmd/molecule-load -cfork=true
 	$(GO) run ./cmd/molecule-load -cfork=false -duration 2s
 
-# The cluster control plane and the loadgen stream that drives it under the
-# race detector, plus the kernel's stepped-wait tests the cluster round trip
-# and admission queue rest on, and the scaling-sweep smoke (tables to
-# stdout, no snapshot rewrite).
-cluster-race:
-	$(GO) test -race -count=1 ./internal/cluster/ ./internal/httpd/ ./internal/loadgen/
-	$(GO) test -race -count=1 -run 'Stepped|SpawnWaiting|WaitSteps|Differential' ./internal/sim/
+# The cluster scaling-sweep smoke (tables to stdout, no snapshot rewrite).
+# The cluster, httpd, loadgen and kernel tests run under the race detector
+# in `race`.
+cluster-smoke:
 	$(GO) run ./cmd/molecule-bench -scenario cluster
 
 # Regenerate every paper table/figure (plus ablations) to stdout.

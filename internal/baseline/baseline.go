@@ -251,16 +251,3 @@ func AWSLambda() Commercial {
 func OpenWhisk() Commercial {
 	return Commercial{Name: "OpenWhisk", Startup: params.OpenWhiskStartup, Comm: params.OpenWhiskComm}
 }
-
-// ColdStart advances p by the platform's cold-start latency and returns it.
-func (c Commercial) ColdStart(p *sim.Proc) time.Duration {
-	p.Sleep(c.Startup)
-	return c.Startup
-}
-
-// Communicate advances p by one inter-function communication and returns
-// its latency.
-func (c Commercial) Communicate(p *sim.Proc) time.Duration {
-	p.Sleep(c.Comm)
-	return c.Comm
-}

@@ -67,7 +67,7 @@ func runAblAutoscale() []*metrics.Table {
 				})
 			}
 			wg.Wait(p)
-			_, peak, outs, _ = a.Stats()
+			_, peak, outs = a.Stats()
 			a.Close(p)
 		})
 		return lat, peak, outs

@@ -402,10 +402,6 @@ func (b *Boss) Drain(worker int) error { return b.mark(worker, func(n *Node) { n
 // Undrain re-admits a drained machine to routing.
 func (b *Boss) Undrain(worker int) error { return b.mark(worker, func(n *Node) { n.draining = false }) }
 
-// Readmit clears a machine's down mark after the operator revived it
-// (faults.Revive), letting routing use it again.
-func (b *Boss) Readmit(worker int) error { return b.mark(worker, func(n *Node) { n.down = false }) }
-
 // mark applies an operator change to one machine's routing state, then
 // pumps the central queue, since the eligible set changed.
 func (b *Boss) mark(worker int, change func(n *Node)) error {
@@ -984,7 +980,7 @@ func (b *Boss) complete(req *request) {
 	switch {
 	case err != nil && retryable(err) && req.attempts < len(b.nodes):
 		// The machine is unhealthy: mark it down and route the request
-		// again, away from it. Readmit() re-admits after a revive.
+		// again, away from it.
 		n.down = true
 		req.attempts++
 		if rerr := b.submit(req); rerr != nil {

@@ -175,9 +175,6 @@ func (d *FPGADevice) Retention() bool { return d.retention }
 // Banks returns the device's DRAM banks.
 func (d *FPGADevice) Banks() []*DRAMBank { return d.banks }
 
-// Regions returns the execution-region semaphore.
-func (d *FPGADevice) Regions() *sim.Resource { return d.regions }
-
 // ProgramCounts reports lifetime (program, erase) operation counts.
 func (d *FPGADevice) ProgramCounts() (programs, erases int) { return d.programs, d.erases }
 

@@ -402,28 +402,3 @@ func minBW(a, b float64) float64 {
 	}
 	return b
 }
-
-// Describe summarizes the machine topology as human-readable rows
-// (PU id, kind, name, cores/frequency, memory, link to the host).
-func (m *Machine) Describe() [][]string {
-	var rows [][]string
-	for _, pu := range m.pus {
-		compute := "-"
-		if pu.Cores > 0 {
-			compute = fmt.Sprintf("%d x %dMHz", pu.Cores, pu.FreqMHz)
-		}
-		link := "local"
-		if pu.ID != 0 {
-			if l, ok := m.LinkBetween(0, pu.ID); ok {
-				link = fmt.Sprintf("%s (%v base)", l.Kind, l.BaseLat)
-			} else {
-				link = "none"
-			}
-		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", pu.ID), pu.Kind.String(), pu.Name, compute,
-			fmt.Sprintf("%dGB", pu.Memory>>30), link,
-		})
-	}
-	return rows
-}

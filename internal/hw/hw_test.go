@@ -445,17 +445,3 @@ func TestLinkContentionSerializesBandwidth(t *testing.T) {
 		t.Errorf("duplex transfers = %v/%v, want both %v", time.Duration(aDone), time.Duration(bDone), one)
 	}
 }
-
-func TestDescribe(t *testing.T) {
-	_, m := testMachine(t, Config{DPUs: 1, FPGAs: 1})
-	rows := m.Describe()
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	if rows[0][1] != "CPU" || rows[1][1] != "DPU" || rows[2][1] != "FPGA" {
-		t.Errorf("kinds wrong: %v", rows)
-	}
-	if rows[1][5] == "local" || rows[0][5] != "local" {
-		t.Errorf("links wrong: %v", rows)
-	}
-}

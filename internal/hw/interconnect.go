@@ -108,25 +108,3 @@ func (m *Machine) HostLinkLat(k PUKind) (time.Duration, bool) {
 	}
 	return best, found
 }
-
-// MinBaseLat returns the smallest base latency over the machine's installed
-// non-local links — the machine-internal lookahead floor. A sharded
-// simulation that partitions at sub-machine granularity (one domain per PU
-// group) would use this as its window; the standard machine-per-domain
-// partition uses the interconnect's BaseLat instead, which is far larger.
-// Returns 0 when the machine has no non-local links.
-func (m *Machine) MinBaseLat() time.Duration {
-	var min time.Duration
-	for _, a := range m.pus {
-		for _, b := range m.pus {
-			l, ok := m.links[[2]PUID{a.ID, b.ID}]
-			if !ok || l.Kind == LinkLocal {
-				continue
-			}
-			if min == 0 || l.BaseLat < min {
-				min = l.BaseLat
-			}
-		}
-	}
-	return min
-}

@@ -76,21 +76,3 @@ func TestInterconnectSendDelivery(t *testing.T) {
 		t.Fatalf("blocked procs after run: %v", sh.BlockedProcs())
 	}
 }
-
-// TestMachineMinBaseLat: the sub-machine lookahead floor is the smallest
-// non-local link latency on the box.
-func TestMachineMinBaseLat(t *testing.T) {
-	env := sim.NewEnv()
-	m := hw.Build(env, hw.Config{DPUs: 1, FPGAs: 1})
-	got := m.MinBaseLat()
-	want := params.RDMABaseLatency
-	if params.DMABaseLatency < want {
-		want = params.DMABaseLatency
-	}
-	if got != want {
-		t.Fatalf("MinBaseLat = %v, want %v", got, want)
-	}
-	if hw.NewMachine(env).MinBaseLat() != 0 {
-		t.Fatal("empty machine should report zero MinBaseLat")
-	}
-}

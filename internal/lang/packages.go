@@ -67,12 +67,6 @@ var catalog = func() map[string]*Package {
 	return m
 }()
 
-// LookupPackage returns the catalog entry for a package name.
-func LookupPackage(name string) (*Package, bool) {
-	p, ok := catalog[name]
-	return p, ok
-}
-
 // CatalogNames returns every catalog package name in catalog order.
 func CatalogNames() []string {
 	out := make([]string, len(catalogList))
@@ -175,10 +169,6 @@ func (s PkgSet) Residual(covered PkgSet) PkgSet {
 	}
 	return out
 }
-
-// Intersect returns s ∩ o. The intersection of two dependency-closed sets
-// is itself dependency-closed.
-func (s PkgSet) Intersect(o PkgSet) PkgSet { return s.appendIntersect(nil, o) }
 
 // appendIntersect appends s ∩ o to dst and returns the extended set.
 func (s PkgSet) appendIntersect(dst, o PkgSet) PkgSet {

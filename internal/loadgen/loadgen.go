@@ -12,7 +12,6 @@ package loadgen
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -268,10 +267,4 @@ func (s *stream) next() (a arrival, ok bool) {
 		a.fn = s.rng.Intn(len(s.cfg.Functions))
 	}
 	return a, true
-}
-
-// PoissonGap is exposed for tests: the expected inter-arrival gap for a
-// rate.
-func PoissonGap(ratePerSec float64) time.Duration {
-	return time.Duration(math.Round(float64(time.Second) / ratePerSec))
 }

@@ -157,12 +157,6 @@ func TestConfigValidation(t *testing.T) {
 	env.Run()
 }
 
-func TestPoissonGap(t *testing.T) {
-	if PoissonGap(10) != 100*time.Millisecond {
-		t.Errorf("gap = %v, want 100ms", PoissonGap(10))
-	}
-}
-
 func TestChainMixInStream(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Chains = [][]string{{"mr-splitter", "mr-mapper", "mr-reducer"}}

@@ -283,24 +283,6 @@ func (os *OS) CreateFIFO(name string, capacity int) *FIFO {
 // NumFIFOs reports the number of named FIFOs.
 func (os *OS) NumFIFOs() int { return len(os.fifos) }
 
-// OpenFIFO returns the named FIFO, or an error if it does not exist.
-func (os *OS) OpenFIFO(name string) (*FIFO, error) {
-	f, ok := os.fifos[name]
-	if !ok {
-		return nil, fmt.Errorf("localos: no FIFO %q on %s", name, os.PU.Name)
-	}
-	return f, nil
-}
-
-// RemoveFIFO unlinks the named FIFO. Blocked readers are woken with a
-// closed-channel result.
-func (os *OS) RemoveFIFO(name string) {
-	if f, ok := os.fifos[name]; ok {
-		f.Close()
-		delete(os.fifos, name)
-	}
-}
-
 // Remove unlinks f and recycles it for a later CreateFIFO on the same OS,
 // charging no time and waking no one. The caller must drop every reference
 // to f, and no process may be parked on it.
@@ -377,17 +359,6 @@ func (r *Reader) Settled() bool { return r.ok }
 // Finish returns what Read would once r's wait is over; ok is false when
 // the FIFO closed first.
 func (r *Reader) Finish() (Message, bool) { return r.m, r.ok }
-
-// TryRead receives without blocking (the syscall is still charged only on
-// success).
-func (f *FIFO) TryRead(p *sim.Proc) (Message, bool) {
-	m, ok, got := f.ch.TryRecv()
-	if !got {
-		return Message{}, false
-	}
-	p.Sleep(f.os.Costs.FIFOOp)
-	return m, ok
-}
 
 // Len reports queued messages.
 func (f *FIFO) Len() int { return f.ch.Len() }

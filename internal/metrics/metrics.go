@@ -67,16 +67,6 @@ func (r *Recorder) Min() time.Duration { return r.Percentile(0) }
 // Max returns the largest sample.
 func (r *Recorder) Max() time.Duration { return r.Percentile(100) }
 
-// Merge appends all of other's samples into r. Other is unchanged; merging
-// a nil or empty recorder is a no-op.
-func (r *Recorder) Merge(other *Recorder) {
-	if other == nil || len(other.samples) == 0 {
-		return
-	}
-	r.samples = append(r.samples, other.samples...)
-	r.sorted = false
-}
-
 // Reset drops all samples, keeping the allocated capacity for reuse.
 func (r *Recorder) Reset() {
 	r.samples = r.samples[:0]

@@ -18,18 +18,16 @@ type AutoScalerOptions struct {
 	// when a request waits longer than this for a free resident, a new one
 	// is started (cold start off the request path).
 	TargetQueue time.Duration
-	// IdleTimeout retires residents that served nothing for this long.
-	IdleTimeout time.Duration
 }
 
 // DefaultAutoScalerOptions returns sane bounds.
 func DefaultAutoScalerOptions() AutoScalerOptions {
-	return AutoScalerOptions{Min: 1, Max: 32, TargetQueue: 5 * time.Millisecond, IdleTimeout: 30 * time.Second}
+	return AutoScalerOptions{Min: 1, Max: 32, TargetQueue: 5 * time.Millisecond}
 }
 
 // AutoScaler maintains a pool of resident instances for one function,
-// growing it when requests queue and shrinking it when residents idle —
-// the auto-scaling loop a serverless platform runs per function.
+// growing it when requests queue — the scale-out loop a serverless
+// platform runs per function.
 type AutoScaler struct {
 	rt   *Runtime
 	fn   string
@@ -40,11 +38,10 @@ type AutoScaler struct {
 	total    int
 	reserved int // scale-outs in flight, counted against Max
 	waiters  *sim.Chan[*Resident]
-	lastBusy sim.Time
 
-	scaleOuts, scaleIns int
-	maxObserved         int
-	closed              bool
+	scaleOuts   int
+	maxObserved int
+	closed      bool
 }
 
 // NewAutoScaler builds an autoscaler for fn on the given PU (use -1 for
@@ -75,9 +72,9 @@ func (rt *Runtime) NewAutoScaler(p *sim.Proc, fn string, pu hw.PUID, opts AutoSc
 	return a, nil
 }
 
-// Stats reports (current residents, peak residents, scale-outs, scale-ins).
-func (a *AutoScaler) Stats() (current, peak, outs, ins int) {
-	return a.total, a.maxObserved, a.scaleOuts, a.scaleIns
+// Stats reports (current residents, peak residents, scale-outs).
+func (a *AutoScaler) Stats() (current, peak, outs int) {
+	return a.total, a.maxObserved, a.scaleOuts
 }
 
 // Serve handles one request: take an idle resident, or wait TargetQueue for
@@ -93,7 +90,6 @@ func (a *AutoScaler) Serve(p *sim.Proc, arg workloads.Arg) (time.Duration, error
 		return 0, err
 	}
 	a.replace(p, r)
-	a.lastBusy = p.Now()
 	return p.Now().Sub(start), nil
 }
 
@@ -169,27 +165,6 @@ func (a *AutoScaler) replace(p *sim.Proc, r *Resident) {
 		return
 	}
 	a.idle = append(a.idle, r)
-}
-
-// ShrinkIdle retires idle residents beyond Min if the pool has been idle
-// for IdleTimeout; called periodically by the platform (or tests).
-func (a *AutoScaler) ShrinkIdle(p *sim.Proc) int {
-	if p.Now().Sub(a.lastBusy) < a.opts.IdleTimeout {
-		return 0
-	}
-	retired := 0
-	for len(a.idle) > 0 && a.total > a.opts.Min {
-		r := a.idle[len(a.idle)-1]
-		a.idle = a.idle[:len(a.idle)-1]
-		r.Stop(p)
-		a.total--
-		a.scaleIns++
-		if o := a.rt.obs; o != nil {
-			o.Counter("molecule_autoscale_scale_ins_total", obs.L("fn", a.fn)).Inc()
-		}
-		retired++
-	}
-	return retired
 }
 
 // Close stops every idle resident; in-flight residents retire as their

@@ -23,9 +23,9 @@ func TestAutoScalerServesAtMin(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cur, peak, outs, ins := a.Stats()
-		if cur != 1 || peak != 1 || outs != 0 || ins != 0 {
-			t.Errorf("sequential load scaled: cur=%d peak=%d outs=%d ins=%d", cur, peak, outs, ins)
+		cur, peak, outs := a.Stats()
+		if cur != 1 || peak != 1 || outs != 0 {
+			t.Errorf("sequential load scaled: cur=%d peak=%d outs=%d", cur, peak, outs)
 		}
 		a.Close(p)
 	})
@@ -61,7 +61,7 @@ func TestAutoScalerScalesOutUnderBurst(t *testing.T) {
 			})
 		}
 		wg.Wait(p)
-		_, peak, outs, _ := a.Stats()
+		_, peak, outs := a.Stats()
 		if peak < 3 {
 			t.Errorf("peak residents = %d, want scale-out under burst", peak)
 		}
@@ -100,45 +100,8 @@ func TestAutoScalerRespectsMax(t *testing.T) {
 			})
 		}
 		wg.Wait(p)
-		if cur, peak, _, _ := a.Stats(); cur > 2 || peak > 2 {
+		if cur, peak, _ := a.Stats(); cur > 2 || peak > 2 {
 			t.Errorf("pool exceeded Max: cur=%d peak=%d", cur, peak)
-		}
-		a.Close(p)
-	})
-}
-
-func TestAutoScalerShrinksWhenIdle(t *testing.T) {
-	run(t, hw.Config{}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
-		if err := rt.Deploy(p, "pyaes"); err != nil {
-			t.Fatal(err)
-		}
-		opts := DefaultAutoScalerOptions()
-		opts.TargetQueue = time.Millisecond
-		opts.Max = 8
-		opts.IdleTimeout = 100 * time.Millisecond
-		a, err := rt.NewAutoScaler(p, "pyaes", 0, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg := sim.NewWaitGroup(rt.Env)
-		for i := 0; i < 6; i++ {
-			wg.Add(1)
-			rt.Env.Spawn("req", func(cp *sim.Proc) {
-				defer wg.Done()
-				a.Serve(cp, workloads.Arg{})
-			})
-		}
-		wg.Wait(p)
-		if retired := a.ShrinkIdle(p); retired != 0 {
-			t.Error("shrink before idle timeout retired residents")
-		}
-		p.Sleep(150 * time.Millisecond)
-		if retired := a.ShrinkIdle(p); retired == 0 {
-			t.Error("idle pool not shrunk")
-		}
-		cur, _, _, ins := a.Stats()
-		if cur != opts.Min || ins == 0 {
-			t.Errorf("after shrink: cur=%d ins=%d, want Min=%d", cur, ins, opts.Min)
 		}
 		a.Close(p)
 	})

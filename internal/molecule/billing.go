@@ -87,14 +87,6 @@ func (b *Billing) Last() (e BillEntry, ok bool) { return b.last, b.count > 0 }
 // Total returns the summed charge.
 func (b *Billing) Total() float64 { return b.total }
 
-// TotalFor returns the summed charge for one function.
-func (b *Billing) TotalFor(fn string) float64 {
-	if f := b.fns[fn]; f != nil {
-		return f.total
-	}
-	return 0
-}
-
 // Report renders the ledger as a per-function, per-PU summary table.
 func (b *Billing) Report() *metrics.Table {
 	fns := make([]string, 0, len(b.fns))

@@ -52,10 +52,9 @@ type Deployment struct {
 	Fn       *workloads.Function
 	Profiles []Profile
 
-	// Pkgs is the deploy's dependency-closed package manifest — by default
-	// the closure of the function's catalog imports, overridable per deploy
-	// with DeployWithManifest. The zygote forest resolves cold starts
-	// against it.
+	// Pkgs is the deploy's dependency-closed package manifest: the closure
+	// of the function's catalog imports. The zygote forest resolves cold
+	// starts against it.
 	Pkgs lang.PkgSet
 	// PkgTail is the function's private import tail: DepImport minus the
 	// manifest closure's import cost, the initialization no shared template
@@ -101,21 +100,6 @@ func (d *Deployment) ProfileFor(k hw.PUKind) (Profile, bool) {
 // deployment extends the device's vectorized image (one reprogramming per
 // deploy batch — use DeployAll for whole applications).
 func (rt *Runtime) Deploy(p *sim.Proc, funcName string, profiles ...Profile) error {
-	return rt.deploy(p, funcName, nil, profiles...)
-}
-
-// DeployWithManifest registers a function with an explicit package manifest
-// overriding the function's catalog imports — a deploy that vendors its own
-// dependencies, or strips unused ones. The manifest is closed over package
-// dependencies before use.
-func (rt *Runtime) DeployWithManifest(p *sim.Proc, funcName string, packages []string, profiles ...Profile) error {
-	if packages == nil {
-		packages = []string{}
-	}
-	return rt.deploy(p, funcName, packages, profiles...)
-}
-
-func (rt *Runtime) deploy(p *sim.Proc, funcName string, manifest []string, profiles ...Profile) error {
 	fn, err := rt.Registry.Get(funcName)
 	if err != nil {
 		return err
@@ -136,11 +120,7 @@ func (rt *Runtime) deploy(p *sim.Proc, funcName string, manifest []string, profi
 		}
 	}
 	d := &Deployment{Fn: fn, Profiles: profiles}
-	direct := fn.Packages
-	if manifest != nil {
-		direct = manifest
-	}
-	if d.Pkgs, err = lang.Closure(direct); err != nil {
+	if d.Pkgs, err = lang.Closure(fn.Packages); err != nil {
 		return fmt.Errorf("molecule: deploy %q: %w", funcName, err)
 	}
 	if d.PkgTail = fn.DepImport - d.Pkgs.ImportCost(); d.PkgTail < 0 {

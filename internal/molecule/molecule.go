@@ -247,7 +247,6 @@ func (rt *Runtime) SetObserver(o *obs.Observer) {
 		o.Metrics.SetHelp("molecule_keepalive_evictions_total", "Warm instances evicted by the greedy-dual keep-alive policy.")
 		o.Metrics.SetHelp("molecule_nipc_commands_total", "Control-plane executor commands sent over the interconnect, by target PU.")
 		o.Metrics.SetHelp("molecule_autoscale_scale_outs_total", "Autoscaler pool growth events, by function.")
-		o.Metrics.SetHelp("molecule_autoscale_scale_ins_total", "Autoscaler pool shrink events (residents retired), by function.")
 		o.Metrics.SetHelp("xpu_nipc_messages_total", "Cross-PU FIFO payloads by directed interconnect link.")
 		o.Metrics.SetHelp("xpu_nipc_bytes_total", "Cross-PU FIFO payload bytes by directed interconnect link.")
 		o.Metrics.SetHelp("xpu_fifo_depth", "Current queue depth of each XPU-FIFO.")
@@ -451,14 +450,6 @@ func (rt *Runtime) ContainerRuntimeOn(id hw.PUID) *sandbox.ContainerRuntime {
 func (rt *Runtime) RunFOn(id hw.PUID) *sandbox.RunF {
 	if n := rt.nodes[id]; n != nil {
 		return n.runf
-	}
-	return nil
-}
-
-// RunGOn returns the GPU runtime for a GPU PU, or nil.
-func (rt *Runtime) RunGOn(id hw.PUID) *sandbox.RunG {
-	if n := rt.nodes[id]; n != nil {
-		return n.rung
 	}
 	return nil
 }

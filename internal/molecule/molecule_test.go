@@ -53,7 +53,7 @@ func TestNewBuildsAllNodes(t *testing.T) {
 			t.Error("FPGA shim node not virtual")
 		}
 		gpu := rt.Machine.PUsOfKind(hw.GPU)[0]
-		if rt.RunGOn(gpu.ID) == nil {
+		if rt.nodes[gpu.ID].rung == nil {
 			t.Error("GPU has no rung")
 		}
 	})

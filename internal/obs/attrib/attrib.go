@@ -102,13 +102,6 @@ var stageOrder = [...]Stage{
 // NumStages is the size of the taxonomy.
 const NumStages = len(stageOrder)
 
-// AllStages returns the stages in canonical presentation order.
-func AllStages() []Stage {
-	out := make([]Stage, NumStages)
-	copy(out, stageOrder[:])
-	return out
-}
-
 func stageIndex(s Stage) int {
 	for i, st := range stageOrder {
 		if st == s {

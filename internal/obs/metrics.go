@@ -142,18 +142,6 @@ func (h *Histogram) Sum() time.Duration {
 	return h.sum
 }
 
-// Buckets returns a copy of the non-cumulative per-bucket counts, the +Inf
-// overflow count last. Snapshot semantics: mutating the result cannot
-// corrupt the histogram.
-func (h *Histogram) Buckets() []int64 {
-	if h == nil {
-		return nil
-	}
-	out := make([]int64, 0, len(histBuckets)+1)
-	out = append(out, h.counts[:]...)
-	return append(out, h.inf)
-}
-
 // Registry is a metrics registry: counters, gauges, and histograms keyed by
 // (name, label set). Get-or-create lookups make call sites declarative; the
 // registry is not safe for concurrent use (the simulation is
@@ -243,22 +231,6 @@ func (r *Registry) GaugeSet(ls LabelSet) *Gauge {
 		r.gauges[ls.key] = g
 	}
 	return g
-}
-
-// HistogramSet returns the histogram series for a pre-interned LabelSet,
-// creating it on first use. Zero allocations on the hit path. Nil-safe.
-//
-//molecule:hotpath
-func (r *Registry) HistogramSet(ls LabelSet) *Histogram {
-	if r == nil {
-		return nil
-	}
-	h, ok := r.hists[ls.key]
-	if !ok {
-		h = &Histogram{labels: ls.labels}
-		r.hists[ls.key] = h
-	}
-	return h
 }
 
 // Counter returns the counter series for (name, labels), creating it on

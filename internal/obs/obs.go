@@ -100,16 +100,6 @@ func (o *Observer) GaugeSet(ls LabelSet) *Gauge {
 	return o.Metrics.GaugeSet(ls)
 }
 
-// HistogramSet is Histogram for a pre-interned LabelSet. Nil-safe.
-//
-//molecule:hotpath
-func (o *Observer) HistogramSet(ls LabelSet) *Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.Metrics.HistogramSet(ls)
-}
-
 // RecordSLO feeds one settled invocation's end-to-end latency into the SLO
 // engine, if one is attached. Nil-safe on both the Observer and the engine —
 // the detached fast path is two nil checks.

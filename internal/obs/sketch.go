@@ -24,10 +24,9 @@ const (
 //     the same multiset of observations yields identical state regardless
 //     of arrival order or shard partitioning — quantiles
 //     can be byte-compared across runs.
-//   - Mergeable: Merge is element-wise addition, and
-//     merge(sketch(A), sketch(B)) == sketch(A ∪ B) exactly. Per-shard or
-//     per-machine sketches roll up without error, which is what the
-//     cluster boss/worker design needs.
+//   - Mergeable: element-wise addition gives
+//     merge(sketch(A), sketch(B)) == sketch(A ∪ B) exactly, so per-shard or
+//     per-machine sketches can roll up without error.
 //
 // Quantile answers are upper bounds with relative error <= 1/16, clamped
 // to the observed maximum. A nil *Sketch no-ops, like every obs type.
@@ -99,23 +98,6 @@ func (s *Sketch) Max() time.Duration {
 		return 0
 	}
 	return s.max
-}
-
-// Merge folds other into s: element-wise count addition, exactly
-// equivalent to having observed other's values directly. Nil-safe on both
-// sides.
-func (s *Sketch) Merge(other *Sketch) {
-	if s == nil || other == nil {
-		return
-	}
-	for i, c := range other.counts {
-		s.counts[i] += c
-	}
-	s.n += other.n
-	s.sum += other.sum
-	if other.max > s.max {
-		s.max = other.max
-	}
 }
 
 // Quantile returns an upper bound on the q-quantile (0 < q <= 1), nearest

@@ -26,10 +26,10 @@ type sloSeries struct {
 
 // SLOEngine tracks per-deployment latency objectives over virtual time:
 // attainment, error-budget burn, and deterministic quantile sketches. It is
-// the scoring function for policy comparison — two runs (or two shards of
-// one run, via Merge) produce byte-identical WriteJSON output for the same
-// observed latencies. A nil *SLOEngine no-ops; Observer.RecordSLO guards it
-// so the detached fast path stays allocation-free.
+// the scoring function for policy comparison — two runs produce
+// byte-identical WriteJSON output for the same observed latencies. A nil
+// *SLOEngine no-ops; Observer.RecordSLO guards it so the detached fast path
+// stays allocation-free.
 type SLOEngine struct {
 	def    SLOConfig
 	series map[string]*sloSeries
@@ -83,31 +83,6 @@ func (e *SLOEngine) Record(fn string, d time.Duration) {
 		s.good++
 	}
 	s.sketch.Observe(d)
-}
-
-// Merge folds other's counts and sketches into e (per-shard engines
-// rolling up to one). Objectives must agree where both sides configured
-// the same function; other's explicit objectives win on functions e only
-// tracked by default. Nil-safe on both sides.
-func (e *SLOEngine) Merge(other *SLOEngine) {
-	if e == nil || other == nil {
-		return
-	}
-	names := make([]string, 0, len(other.series))
-	for fn := range other.series { //lint:unordered collected then sorted below
-		names = append(names, fn)
-	}
-	sort.Strings(names)
-	for _, fn := range names {
-		os := other.series[fn]
-		s := e.get(fn)
-		if os.hasCfg && !s.hasCfg {
-			s.cfg, s.hasCfg = os.cfg, true
-		}
-		s.total += os.total
-		s.good += os.good
-		s.sketch.Merge(&os.sketch)
-	}
 }
 
 // SLOStatus is one function's scored objective, the unit of the /slo JSON

@@ -53,16 +53,6 @@ type windowRound struct {
 	events    []int
 }
 
-// KeepRounds retains up to max per-round samples for the Perfetto counter
-// tracks (WriteChromeTrace). 0 (the default) keeps none — the summary
-// counters cost O(domains) memory regardless of run length. Nil-safe.
-func (wt *WindowTelemetry) KeepRounds(max int) {
-	if wt == nil {
-		return
-	}
-	wt.keep = max
-}
-
 // WindowRound implements sim.WindowObserver. The stats' Events and Flow
 // slices are the kernel's reused buffers; everything needed later is
 // copied here.

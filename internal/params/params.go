@@ -119,7 +119,6 @@ const (
 	HostFreqMHz  = 2100
 	BF1FreqMHz   = 800
 	BF2FreqMHz   = 2750
-	FPGACount    = 8 // AWS F1.x16large
 )
 
 // ---------------------------------------------------------------------------

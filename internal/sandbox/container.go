@@ -133,11 +133,6 @@ func (cr *ContainerRuntime) EnsureTemplate(p *sim.Proc, kind lang.Kind) (*lang.I
 	return t, nil
 }
 
-// Template returns the booted template for kind, or nil.
-func (cr *ContainerRuntime) Template(kind lang.Kind) *lang.Instance {
-	return cr.templates[kind]
-}
-
 // EnsureForest boots (once) the zygote tree for a language runtime, rooted
 // at the runtime's generic template.
 func (cr *ContainerRuntime) EnsureForest(p *sim.Proc, kind lang.Kind) (*lang.ZygoteTree, error) {

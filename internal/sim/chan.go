@@ -124,12 +124,6 @@ func (c *Chan[T]) pop() T {
 	return v
 }
 
-// Cap reports the channel capacity.
-func (c *Chan[T]) Cap() int { return c.cap }
-
-// Closed reports whether the channel has been closed.
-func (c *Chan[T]) Closed() bool { return c.closed }
-
 // Close closes the channel. Parked receivers are woken with ok=false, and
 // parked senders are woken with a closed-channel signal: their value is
 // dropped, Send panics (like native channels) and SendOrClosed returns
@@ -377,9 +371,6 @@ func NewResource(env *Env, capacity int) *Resource {
 // Capacity reports the total units.
 func (r *Resource) Capacity() int { return r.capacity }
 
-// InUse reports the units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 // Acquire obtains one unit, parking p until one is free.
 func (r *Resource) Acquire(p *Proc) {
 	if !r.AcquireStep(p) {
@@ -396,15 +387,6 @@ func (r *Resource) AcquireStep(p *Proc) bool {
 		return true
 	}
 	r.waitq = append(r.waitq, p)
-	return false
-}
-
-// TryAcquire obtains a unit without blocking; it reports success.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity {
-		r.inUse++
-		return true
-	}
 	return false
 }
 

@@ -326,25 +326,6 @@ func (sh *Sharded) Now() Time {
 	return t
 }
 
-// Clocks returns each domain's current virtual time, indexed by domain.
-func (sh *Sharded) Clocks() []Time {
-	out := make([]Time, len(sh.doms))
-	for i, d := range sh.doms {
-		out[i] = d.now
-	}
-	return out
-}
-
-// Pending reports the total number of queued events across domains,
-// including undelivered cross-domain messages.
-func (sh *Sharded) Pending() int {
-	n := 0
-	for i, d := range sh.doms {
-		n += d.Pending() + len(sh.outbox[i])
-	}
-	return n
-}
-
 // LiveProcs reports the number of live processes across all domains.
 func (sh *Sharded) LiveProcs() int {
 	n := 0
@@ -391,30 +372,4 @@ func (sh *Sharded) EnableTrace() {
 	for _, d := range sh.doms {
 		d.EnableTrace()
 	}
-}
-
-// TraceLog returns the merged trace across domains: entries are ordered by
-// virtual time, with ties broken by domain index and, within a domain, by
-// emission order. The merge is a pure function of the per-domain logs, so it
-// is identical on every run. Workloads that need the merged log to
-// also be identical across different domain partitions should keep
-// same-instant events on distinct domains disjoint in time (the sharded soak
-// stamps each machine a distinct time residue for exactly this reason).
-func (sh *Sharded) TraceLog() []TraceEvent {
-	if len(sh.doms) == 1 {
-		return sh.doms[0].TraceLog()
-	}
-	total := 0
-	for _, d := range sh.doms {
-		total += len(d.trace)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]TraceEvent, 0, total)
-	for _, d := range sh.doms {
-		out = append(out, d.trace...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
-	return out
 }

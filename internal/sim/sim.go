@@ -340,7 +340,7 @@ func (e *Env) AfterFunc(d Duration, fn func()) { e.schedule(e.now.After(d), fn) 
 // after the queued one, so the heap minimum, and with it the firing order,
 // the Sleep fast path and every shard window, is what n At calls would give;
 // Scheduled() and the sequence number of every other event are unchanged.
-// Only Pending() differs. at is called exactly once per member, in order:
+// Only the number of queued events differs. at is called exactly once per member, in order:
 // at(0) during the call, at(i+1) when member i fires. A time below its
 // predecessor panics.
 //
@@ -775,17 +775,6 @@ func (e *Env) Run() Time {
 	return e.loop()
 }
 
-// RunUntil drives the simulation until virtual time t; events scheduled
-// later than t remain queued. It returns the final virtual time (<= t).
-func (e *Env) RunUntil(t Time) Time {
-	e.limit = t
-	defer func() {
-		e.limit = 0
-		e.stopIdle()
-	}()
-	return e.loop()
-}
-
 func (e *Env) loop() Time {
 	e.stopped = false
 	for len(e.events) > 0 && !e.stopped {
@@ -847,10 +836,6 @@ func (e *Env) nextEventTime() (Time, bool) {
 	}
 	return e.events.peek().t, true
 }
-
-// Pending reports the number of queued events. An AtSeries counts as one
-// event until its last member fires.
-func (e *Env) Pending() int { return len(e.events) }
 
 // LiveProcs reports the number of spawned processes that have not exited.
 // After Run returns, a nonzero value means processes are blocked forever

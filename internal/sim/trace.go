@@ -20,9 +20,6 @@ func (e TraceEvent) String() string {
 // costs nothing when disabled.
 func (e *Env) EnableTrace() { e.tracing = true }
 
-// DisableTrace stops recording (the log is kept).
-func (e *Env) DisableTrace() { e.tracing = false }
-
 // Tracing reports whether tracing is enabled.
 func (e *Env) Tracing() bool { return e.tracing }
 
@@ -37,9 +34,6 @@ func (e *Env) TraceLog() []TraceEvent {
 	copy(out, e.trace)
 	return out
 }
-
-// ClearTrace drops recorded events.
-func (e *Env) ClearTrace() { e.trace = nil }
 
 // Tracef records a formatted event from scheduler context.
 func (e *Env) Tracef(format string, args ...any) {

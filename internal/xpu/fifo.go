@@ -91,9 +91,6 @@ type XPUFIFO struct {
 // Len reports queued messages.
 func (f *XPUFIFO) Len() int { return f.ch.Len() }
 
-// Closed reports whether the FIFO has been closed.
-func (f *XPUFIFO) Closed() bool { return f.closed }
-
 // FD is a process-local descriptor for a connected XPU-FIFO.
 type FD struct {
 	fifo *XPUFIFO

@@ -308,9 +308,6 @@ func (n *Node) SetHandlerThreads(threads int) {
 	n.handlers = sim.NewResource(n.Shim.Env, threads)
 }
 
-// HandlerThreads reports the configured handler thread count.
-func (n *Node) HandlerThreads() int { return n.handlers.Capacity() }
-
 // down reports whether the fault plan (if any) has PU id crashed now.
 func (s *Shim) down(id hw.PUID) bool { return s.Faults != nil && s.Faults.Down(id) }
 

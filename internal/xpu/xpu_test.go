@@ -162,9 +162,9 @@ func TestUnlinkReleasesAndRecycles(t *testing.T) {
 		if fresh != home && fresh != peer {
 			t.Error("FIFOInit did not reuse a released descriptor")
 		}
-		if fresh.UUID() != "new" || fresh.fifo.Len() != 0 || fresh.fifo.Closed() {
+		if fresh.UUID() != "new" || fresh.fifo.Len() != 0 || fresh.fifo.closed {
 			t.Errorf("reused FIFO %q holds %d messages (closed %v), want \"new\", empty and open",
-				fresh.UUID(), fresh.fifo.Len(), fresh.fifo.Closed())
+				fresh.UUID(), fresh.fifo.Len(), fresh.fifo.closed)
 		}
 		obj := ObjID{Kind: "fifo", UUID: "new"}
 		if err := r.cpuNode.GrantCap(p, r.cpuXPID, r.dpuXPID, obj, PermRead); err != nil {
