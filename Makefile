@@ -46,12 +46,14 @@ race:
 bench-test:
 	$(GO) -C benchmark test ./...
 
-# Ten seconds of the mem differential fuzz target: random Map/Fork/Write/
-# Unmap/Release sequences against the run-length extents and the per-page
-# reference model. Its committed corpus (internal/mem/testdata/fuzz) also
-# runs as plain tests under `test`.
+# Ten seconds each of the differential fuzz targets: random Map/Fork/Write/
+# Unmap/Release sequences against the mem run-length extents and the
+# per-page reference model, and arbitrary package sets against the lang
+# sorted-names model of PkgSet. Their committed corpora (testdata/fuzz in
+# each package) also run as plain tests under `test`.
 fuzz-smoke:
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzAddressSpace -fuzztime 10s
+	$(GO) test ./internal/lang -run '^$$' -fuzz FuzzPkgSet -fuzztime 10s
 
 # Seeded fault-injection soak: kill/revive PUs under load, assert no
 # invocation is lost or double-billed, and that runs replay from their seed.

@@ -20,8 +20,8 @@ package lang
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/params"
@@ -59,13 +59,41 @@ var catalogList = []Package{
 	{Name: "alexa-sdk", Import: 24 * time.Millisecond, Pages: mbPages(3), Deps: []string{"nodeutils"}},
 }
 
-var catalog = func() map[string]*Package {
-	m := make(map[string]*Package, len(catalogList))
-	for i := range catalogList {
-		m[catalogList[i].Name] = &catalogList[i]
+// maxPkgs is PkgSet's width: the most packages the catalog may hold.
+const maxPkgs = 64
+
+// catalog indexes catalogList for the set algebra.
+var catalog = indexCatalog(catalogList)
+
+// catalogIndex is what Closure and Key need of a catalog.
+type catalogIndex struct {
+	closure map[string]PkgSet // by name: the package and its transitive deps
+	byName  []int             // catalog indices in package-name order
+}
+
+// indexCatalog indexes list. It panics if list outgrows a PkgSet or if a
+// package names a dependency that does not precede it in list: one forward
+// pass then builds every closure, and no dependency cycle can exist.
+func indexCatalog(list []Package) catalogIndex {
+	if len(list) > maxPkgs {
+		panic(fmt.Sprintf("lang: %d catalog packages outgrow the %d-bit PkgSet", len(list), maxPkgs))
 	}
-	return m
-}()
+	c := catalogIndex{closure: make(map[string]PkgSet, len(list)), byName: make([]int, len(list))}
+	for i, pkg := range list {
+		set := PkgSet(1) << i
+		for _, d := range pkg.Deps {
+			deps, ok := c.closure[d]
+			if !ok {
+				panic(fmt.Sprintf("lang: package %q depends on %q, which does not precede it in the catalog", pkg.Name, d))
+			}
+			set |= deps
+		}
+		c.closure[pkg.Name] = set
+		c.byName[i] = i
+	}
+	sort.Slice(c.byName, func(a, b int) bool { return list[c.byName[a]].Name < list[c.byName[b]].Name })
+	return c
+}
 
 // CatalogNames returns every catalog package name in catalog order.
 func CatalogNames() []string {
@@ -76,121 +104,42 @@ func CatalogNames() []string {
 	return out
 }
 
-// PkgSet is a dependency-closed package set: sorted, unique names whose
-// transitive dependencies are all members. The canonical form makes subset
-// tests a single merge walk and set identity a string compare.
-type PkgSet []string
+// PkgSet is a package set, one bit per catalog package: bit i stands for
+// catalogList[i]. Closure builds dependency-closed sets, the only kind the
+// zygote forest holds. Set algebra is word arithmetic: s&sub == sub is
+// sub ⊆ s, s&^o is s minus o, s&o is s ∩ o (closed when both are), and ==
+// is set identity.
+type PkgSet uint64
 
-// Closure resolves the given direct imports to a canonical PkgSet,
-// expanding transitive dependencies. Unknown packages are an error.
+// Closure resolves the given direct imports to their dependency-closed
+// PkgSet. Unknown packages are an error.
 func Closure(names []string) (PkgSet, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
-	seen := make(map[string]bool, len(names)*2)
-	var visit func(name string) error
-	visit = func(name string) error {
-		if seen[name] {
-			return nil
-		}
-		pkg, ok := catalog[name]
-		if !ok {
-			return fmt.Errorf("lang: unknown package %q", name)
-		}
-		seen[name] = true
-		for _, d := range pkg.Deps {
-			if err := visit(d); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	var s PkgSet
 	for _, n := range names {
-		if err := visit(n); err != nil {
-			return nil, err
+		closure, ok := catalog.closure[n]
+		if !ok {
+			return 0, fmt.Errorf("lang: unknown package %q", n)
 		}
+		s |= closure
 	}
-	out := make(PkgSet, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out, nil
+	return s, nil
 }
 
-// Covers reports whether sub ⊆ s. Both sets must be canonical (sorted,
-// unique). It allocates nothing: a zygote resolves every cold start
+// Covers reports whether sub ⊆ s. A zygote resolves every cold start
 // through it.
 //
 //molecule:hotpath
-func (s PkgSet) Covers(sub PkgSet) bool {
-	i := 0
-	for _, want := range sub {
-		for i < len(s) && s[i] < want {
-			i++
-		}
-		if i >= len(s) || s[i] != want {
-			return false
-		}
-		i++
-	}
-	return true
-}
-
-// Equal reports whether two canonical sets hold the same packages.
-func (s PkgSet) Equal(o PkgSet) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for i := range s {
-		if s[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
+func (s PkgSet) Covers(sub PkgSet) bool { return s&sub == sub }
 
 // Residual returns s minus covered: the packages a fork from a template
 // holding covered must still import.
-func (s PkgSet) Residual(covered PkgSet) PkgSet {
-	if len(covered) == 0 {
-		return s
-	}
-	var out PkgSet
-	i := 0
-	for _, name := range s {
-		for i < len(covered) && covered[i] < name {
-			i++
-		}
-		if i < len(covered) && covered[i] == name {
-			continue
-		}
-		out = append(out, name)
-	}
-	return out
-}
-
-// appendIntersect appends s ∩ o to dst and returns the extended set.
-func (s PkgSet) appendIntersect(dst, o PkgSet) PkgSet {
-	i := 0
-	for _, name := range s {
-		for i < len(o) && o[i] < name {
-			i++
-		}
-		if i < len(o) && o[i] == name {
-			dst = append(dst, name)
-		}
-	}
-	return dst
-}
+func (s PkgSet) Residual(covered PkgSet) PkgSet { return s &^ covered }
 
 // ImportCost sums the host-CPU import time of every member.
 func (s PkgSet) ImportCost() time.Duration {
 	var d time.Duration
-	for _, name := range s {
-		if pkg, ok := catalog[name]; ok {
-			d += pkg.Import
-		}
+	for ; s != 0; s &= s - 1 {
+		d += catalogList[bits.TrailingZeros64(uint64(s))].Import
 	}
 	return d
 }
@@ -198,27 +147,48 @@ func (s PkgSet) ImportCost() time.Duration {
 // ImportPages sums the resident pages every member maps when imported.
 func (s PkgSet) ImportPages() int {
 	n := 0
-	for _, name := range s {
-		if pkg, ok := catalog[name]; ok {
-			n += pkg.Pages
-		}
+	for ; s != 0; s &= s - 1 {
+		n += catalogList[bits.TrailingZeros64(uint64(s))].Pages
 	}
 	return n
 }
 
-// Key returns the canonical string identity of the set.
-func (s PkgSet) Key() string {
-	return strings.Join(s, ",")
-}
+// Key returns the canonical string identity of the set: its package names
+// in name order, comma-separated.
+func (s PkgSet) Key() string { return string(s.appendKey(nil)) }
 
-// appendKey appends the bytes of s.Key() to b: a map lookup through
-// string(b) finds the set's entry without allocating the key.
+// appendKey appends the bytes of s.Key() to b.
 func (s PkgSet) appendKey(b []byte) []byte {
-	for i, name := range s {
-		if i > 0 {
+	start := len(b)
+	for _, i := range catalog.byName {
+		if s&(1<<i) == 0 {
+			continue
+		}
+		if len(b) > start {
 			b = append(b, ',')
 		}
-		b = append(b, name...)
+		b = append(b, catalogList[i].Name...)
 	}
 	return b
+}
+
+// compareKey orders s and o as strings.Compare orders their keys, without
+// building them. At the first package in name order that only one of the
+// two holds, that set's key goes on with the package's name. The other key
+// either ends there, so it sorts first, or goes on with a later name, so it
+// sorts after: no package name holds a byte at or below the key's ','.
+func (s PkgSet) compareKey(o PkgSet) int {
+	for _, i := range catalog.byName {
+		bit := PkgSet(1) << i
+		inS, inO := s&bit != 0, o&bit != 0
+		s, o = s&^bit, o&^bit // each set's members after this name
+		switch {
+		case inS == inO:
+		case inS && o == 0, inO && s != 0:
+			return 1
+		default:
+			return -1
+		}
+	}
+	return 0
 }

@@ -15,7 +15,7 @@
 // The fitter (Fit) grows and prunes the tree online against the observed
 // per-function import mix under a configurable page budget. It is seeded
 // and virtual-time driven: candidate scoring, tie-breaking, insertion and
-// pruning order are all derived from canonical sorted forms and a splitmix64
+// pruning order are all derived from package-set keys and a splitmix64
 // stream, never from Go map iteration or wall-clock time, so the fitted
 // shape is byte-identical on both kernels and on every run.
 //
@@ -114,16 +114,12 @@ type ZygoteTree struct {
 	gen       int // bumped by Reset; aborts in-flight fit rounds
 	rounds    int
 
-	obs     map[string]*zygoteObs
+	obs     map[PkgSet]*zygoteObs
 	obsList []*zygoteObs // obs in insertion order (no map iteration)
 
-	// Reused buffers: Observe and Fit build set keys in keyBuf, and Fit
-	// lists its candidates in cands, their pairwise intersections back to
-	// back in isects, and keeps its accepted and grow lists and the prune
-	// pass's post-order walk, so a fit round no larger than the last
-	// allocates nothing.
-	keyBuf   []byte
-	isects   PkgSet
+	// Reused buffers: Fit lists its candidates in cands and keeps its
+	// accepted and grow lists and the prune pass's post-order walk, so a
+	// fit round no larger than the last allocates nothing.
 	cands    []zygoteCand
 	accepted []*zygoteCand
 	grow     []*zygoteCand
@@ -131,16 +127,16 @@ type ZygoteTree struct {
 }
 
 type zygoteObs struct {
-	key   string
 	pkgs  PkgSet
+	tie   uint64 // pkgs.tieBreak(Seed), hashed on first observation
 	count int
 }
 
 // zygoteCand is one package set a fit round scores, with the totals its
 // comparisons read computed once per round.
 type zygoteCand struct {
-	pkgs  PkgSet // an observed set, or a window of ZygoteTree.isects
-	tie   uint64 // tieBreak(key, Seed)
+	pkgs  PkgSet // an observed set, or the intersection of two
+	tie   uint64 // pkgs.tieBreak(Seed)
 	cost  time.Duration
 	pages int
 	score float64
@@ -161,7 +157,7 @@ func NewZygoteTree(os *localos.OS, root *Instance, cfg ZygoteTreeConfig) *Zygote
 		Spec: root.Spec,
 		OS:   os,
 		Cfg:  cfg,
-		obs:  make(map[string]*zygoteObs),
+		obs:  make(map[PkgSet]*zygoteObs),
 	}
 	t.Root = &ZygoteNode{ID: 0, Inst: root}
 	t.nextID = 1
@@ -213,23 +209,22 @@ func (t *ZygoteTree) Unpin(n *ZygoteNode) {
 	}
 }
 
-// Observe records a cold start's package set for the fitter. The set's key
-// is built in a reused buffer; its string is allocated only on the set's
+// Observe records a cold start's package set for the fitter. Observations
+// are keyed by the set itself; its tie-break is hashed only on the set's
 // first observation.
 //
 //molecule:hotpath
 func (t *ZygoteTree) Observe(pkgs PkgSet) {
 	t.cold++
-	if len(pkgs) == 0 {
+	if pkgs == 0 {
 		return
 	}
-	t.keyBuf = pkgs.appendKey(t.keyBuf[:0])
-	if o, ok := t.obs[string(t.keyBuf)]; ok {
+	if o, ok := t.obs[pkgs]; ok {
 		o.count++
 		return
 	}
-	o := &zygoteObs{key: string(t.keyBuf), pkgs: pkgs, count: 1}
-	t.obs[o.key] = o
+	o := &zygoteObs{pkgs: pkgs, tie: pkgs.tieBreak(t.Cfg.Seed), count: 1}
+	t.obs[pkgs] = o
 	t.obsList = append(t.obsList, o)
 }
 
@@ -251,7 +246,7 @@ func (t *ZygoteTree) BeginFit() { t.fitting = true }
 // discarded.
 func (t *ZygoteTree) Grow(p *sim.Proc, pkgs PkgSet) (*ZygoteNode, error) {
 	parent := t.resolveNode(pkgs)
-	if parent.Pkgs.Equal(pkgs) {
+	if parent.Pkgs == pkgs {
 		return parent, nil
 	}
 	gen := t.gen
@@ -341,10 +336,8 @@ func (t *ZygoteTree) Reset() {
 // Fit runs one fit round: score candidate package sets against observed
 // demand, grow the best under the page budget, prune cold leaves, decay
 // the observation counts. Deterministic for a given seed and observation
-// sequence: both sorts are total orders. Their last key, slices.Compare
-// on the canonical sets, orders them as strings.Compare orders their keys,
-// since no package name holds a byte at or below the key's ','
-// (TestPkgSetCompareMatchesKeyOrder).
+// sequence: both sorts are total orders, whose last key orders the sets as
+// their keys order (compareKey).
 func (t *ZygoteTree) Fit(p *sim.Proc) {
 	defer func() { t.fitting = false }()
 	gen := t.gen
@@ -383,7 +376,7 @@ func (t *ZygoteTree) Fit(p *sim.Proc) {
 		if a.tie != b.tie {
 			return cmp.Compare(a.tie, b.tie)
 		}
-		return slices.Compare(a.pkgs, b.pkgs)
+		return a.pkgs.compareKey(b.pkgs)
 	})
 
 	// Select greedily under the budget, then boot cheapest-first so that
@@ -405,7 +398,7 @@ func (t *ZygoteTree) Fit(p *sim.Proc) {
 		if a.cost != b.cost {
 			return cmp.Compare(a.cost, b.cost)
 		}
-		return slices.Compare(a.pkgs, b.pkgs)
+		return a.pkgs.compareKey(b.pkgs)
 	})
 	t.grow = grow
 	for _, c := range grow {
@@ -418,9 +411,7 @@ func (t *ZygoteTree) Fit(p *sim.Proc) {
 		if t.usedPages+need > t.Cfg.BudgetPages {
 			continue
 		}
-		// The node keeps its own copy: an intersection lives in t.isects,
-		// which the next round rewrites.
-		if _, err := t.Grow(p, slices.Clone(c.pkgs)); err != nil || t.gen != gen {
+		if _, err := t.Grow(p, c.pkgs); err != nil || t.gen != gen {
 			return
 		}
 	}
@@ -452,7 +443,7 @@ func (t *ZygoteTree) Fit(p *sim.Proc) {
 		if o.count > 0 {
 			keep = append(keep, o)
 		} else {
-			delete(t.obs, o.key)
+			delete(t.obs, o.pkgs)
 		}
 	}
 	clear(t.obsList[len(keep):])
@@ -462,45 +453,38 @@ func (t *ZygoteTree) Fit(p *sim.Proc) {
 // listCands lists the round's candidates: every observed set in
 // observation order, then each pairwise intersection not already listed,
 // in pair order — the shared prefixes worth hoisting into interior nodes.
-// Intersections of dependency-closed sets are themselves closed. Each is
-// built at the end of t.isects and keyed in t.keyBuf, and dropped again if
-// it is empty or already listed.
+// Intersections of dependency-closed sets are themselves closed. An
+// intersection's tie-break is hashed only when it is newly listed.
 func (t *ZygoteTree) listCands() {
-	t.cands, t.isects = t.cands[:0], t.isects[:0]
+	t.cands = t.cands[:0]
 	for _, o := range t.obsList {
-		t.addCand(o.pkgs, tieBreak(o.key, t.Cfg.Seed))
+		t.addCand(o.pkgs, o.tie)
 	}
 	for i, a := range t.obsList {
 		for _, b := range t.obsList[i+1:] {
-			start := len(t.isects)
-			t.isects = a.pkgs.appendIntersect(t.isects, b.pkgs)
-			set := t.isects[start:len(t.isects):len(t.isects)]
-			if len(set) == 0 {
-				continue
+			if set := a.pkgs & b.pkgs; set != 0 && !t.listed(set) {
+				t.addCand(set, set.tieBreak(t.Cfg.Seed))
 			}
-			t.keyBuf = set.appendKey(t.keyBuf[:0])
-			if tie := tieBreak(t.keyBuf, t.Cfg.Seed); !t.listed(set, tie) {
-				t.addCand(set, tie)
-				continue
-			}
-			t.isects = t.isects[:start]
 		}
 	}
 }
 
-// tieBreak is the seeded score tie-break of the set keyed key.
-func tieBreak[S string | []byte](key S, seed uint64) uint64 { return splitmix64(fnv64a(key) ^ seed) }
+// tieBreak is the seeded score tie-break of s: the FNV-1a hash of its key,
+// mixed with the seed. The key is built on the stack.
+func (s PkgSet) tieBreak(seed uint64) uint64 {
+	var buf [128]byte
+	return splitmix64(fnv64a(s.appendKey(buf[:0])) ^ seed)
+}
 
 // addCand lists set with its tie-break and import totals.
 func (t *ZygoteTree) addCand(set PkgSet, tie uint64) {
 	t.cands = append(t.cands, zygoteCand{pkgs: set, tie: tie, cost: set.ImportCost(), pages: set.ImportPages()})
 }
 
-// listed reports whether the round already lists set, whose tie-break is
-// tie.
-func (t *ZygoteTree) listed(set PkgSet, tie uint64) bool {
+// listed reports whether the round already lists set.
+func (t *ZygoteTree) listed(set PkgSet) bool {
 	for i := range t.cands {
-		if c := &t.cands[i]; c.tie == tie && c.pkgs.Equal(set) {
+		if t.cands[i].pkgs == set {
 			return true
 		}
 	}
@@ -572,12 +556,12 @@ func (t *ZygoteTree) ShapeString() string {
 	return b.String()
 }
 
-// fnv64a is the FNV-1a hash of a string or its bytes (no dependency on
-// hash/fnv's allocating writer API).
-func fnv64a[S string | []byte](s S) uint64 {
+// fnv64a is the FNV-1a hash of b (no dependency on hash/fnv's allocating
+// writer API).
+func fnv64a(b []byte) uint64 {
 	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+	for _, c := range b {
+		h ^= uint64(c)
 		h *= 1099511628211
 	}
 	return h

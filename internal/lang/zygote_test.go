@@ -24,13 +24,13 @@ func TestClosureSortedDepClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Equal(s2) {
+	if s != s2 {
 		t.Errorf("closure not canonical: %q vs %q", s.Key(), s2.Key())
 	}
 	if _, err := Closure([]string{"left-pad"}); err == nil {
 		t.Error("unknown package accepted")
 	}
-	if s, err := Closure(nil); err != nil || len(s) != 0 {
+	if s, err := Closure(nil); err != nil || s != 0 {
 		t.Errorf("empty closure = %v, %v", s, err)
 	}
 }
@@ -46,7 +46,7 @@ func TestPkgSetOps(t *testing.T) {
 	if img.Covers(blas) || blas.Covers(img) {
 		t.Error("disjoint-tip sets claim coverage")
 	}
-	if got := img.Intersect(blas).Key(); got != np.Key() {
+	if got := (img & blas).Key(); got != np.Key() {
 		t.Errorf("imageops ∩ blas = %q, want %q", got, np.Key())
 	}
 	res := blas.Residual(np)
@@ -279,16 +279,10 @@ func TestZygoteResetAbortsInFlightGrow(t *testing.T) {
 	}
 }
 
-// TestZygoteObserveKeysWithoutAllocating: Observe keys a set by the bytes
-// of its Key, so only a set's first observation allocates; a grown node
-// caches its import cost.
+// TestZygoteObserveKeysWithoutAllocating: Observe keys a set by its mask,
+// so only a set's first observation allocates, and that observation caches
+// the set's tie-break; a grown node caches its import cost.
 func TestZygoteObserveKeysWithoutAllocating(t *testing.T) {
-	for _, names := range [][]string{nil, {"pyutils"}, {"blas"}, {"imageops", "crypto"}} {
-		s, _ := Closure(names)
-		if got := string(s.appendKey(nil)); got != s.Key() {
-			t.Errorf("appendKey(%v) = %q, Key = %q", names, got, s.Key())
-		}
-	}
 	env, os := newOS(hw.CPU)
 	spec, _ := SpecFor(Python)
 	env.Spawn("x", func(p *sim.Proc) {
@@ -304,8 +298,8 @@ func TestZygoteObserveKeysWithoutAllocating(t *testing.T) {
 		if got, want := obsKeys(tr), blas.Key()+"|"+img.Key(); got != want {
 			t.Errorf("observation keys %q, want %q", got, want)
 		}
-		if o := tr.obs[blas.Key()]; o == nil || o.count != 102 {
-			t.Errorf("blas observation = %+v, want count 102", o)
+		if o := tr.obs[blas]; o == nil || o.count != 102 || o.tie != blas.tieBreak(1) {
+			t.Errorf("blas observation = %+v, want count 102 and tie-break %d", o, blas.tieBreak(1))
 		}
 		n, err := tr.Grow(p, blas)
 		if err != nil || n == nil {
@@ -322,15 +316,15 @@ func TestZygoteObserveKeysWithoutAllocating(t *testing.T) {
 func obsKeys(tr *ZygoteTree) string {
 	keys := make([]string, len(tr.obsList))
 	for i, o := range tr.obsList {
-		keys[i] = o.key
+		keys[i] = o.pkgs.Key()
 	}
 	return strings.Join(keys, "|")
 }
 
 // TestZygoteFitCacheMatchesRebuild drives one observation stream through a
-// tree that reuses its candidate and intersection buffers from round to
-// round and through one whose buffers are dropped before every round, so a
-// stale set or total left in a reused buffer would show. Rare sets decay out and return, which
+// tree that reuses its candidate buffer from round to round and through one
+// whose buffer is dropped before every round, so a stale set or total left
+// in a reused buffer would show. Rare sets decay out and return, which
 // moves slots between observed sets and intersections, and the last rounds
 // observe a steady mix. Each round's candidates must match refCands, and
 // both trees must have grown the same nodes in the same order and agree on
@@ -379,7 +373,7 @@ func TestZygoteFitCacheMatchesRebuild(t *testing.T) {
 					t.Fatalf("round %d: no fit due after %d observations", r, len(mix))
 				}
 				if fresh {
-					tr.cands, tr.isects = nil, nil
+					tr.cands = nil
 				}
 				want := refCands(tr)
 				tr.BeginFit()
@@ -413,7 +407,7 @@ func TestZygoteFitCacheMatchesRebuild(t *testing.T) {
 		}
 	}
 	if !grewIsect {
-		t.Error("no node grew from an intersection; reuse of the intersection buffer is untested")
+		t.Error("no node grew from an intersection; listing intersections is untested")
 	}
 	for r := range reused {
 		c, w := reused[r], fresh[r]
@@ -436,12 +430,12 @@ func refCands(tr *ZygoteTree) string {
 	seen := map[string]bool{}
 	var sets []PkgSet
 	for _, o := range tr.obsList {
-		seen[o.key] = true
+		seen[o.pkgs.Key()] = true
 		sets = append(sets, o.pkgs)
 	}
 	for i, a := range tr.obsList {
 		for _, b := range tr.obsList[i+1:] {
-			if s := a.pkgs.Intersect(b.pkgs); len(s) > 0 && !seen[s.Key()] {
+			if s := a.pkgs & b.pkgs; s != 0 && !seen[s.Key()] {
 				seen[s.Key()] = true
 				sets = append(sets, s)
 			}
@@ -450,37 +444,7 @@ func refCands(tr *ZygoteTree) string {
 	var out string
 	for _, s := range sets {
 		k := s.Key()
-		out += fmt.Sprintf("%s/%d/%v/%d ", k, splitmix64(fnv64a(k)^tr.Cfg.Seed), s.ImportCost(), s.ImportPages())
+		out += fmt.Sprintf("%s/%d/%v/%d ", k, splitmix64(fnv64a([]byte(k))^tr.Cfg.Seed), s.ImportCost(), s.ImportPages())
 	}
 	return out
-}
-
-// TestPkgSetCompareMatchesKeyOrder checks the premise of Fit's last sort
-// key: over every pair of sets of up to two catalog packages and their
-// closures, slices.Compare orders the canonical sets as strings.Compare
-// orders their keys.
-func TestPkgSetCompareMatchesKeyOrder(t *testing.T) {
-	var names []string
-	for _, pkg := range catalogList {
-		names = append(names, pkg.Name)
-	}
-	var sets []PkgSet
-	for i, a := range names {
-		sets = append(sets, PkgSet{a})
-		for _, b := range names[i+1:] {
-			sets = append(sets, PkgSet{a, b})
-			s, err := Closure([]string{a, b})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sets = append(sets, s)
-		}
-	}
-	for _, a := range sets {
-		for _, b := range sets {
-			if got, want := slices.Compare(a, b), strings.Compare(a.Key(), b.Key()); got != want {
-				t.Fatalf("slices.Compare(%q, %q) = %d, key order %d", a, b, got, want)
-			}
-		}
-	}
 }

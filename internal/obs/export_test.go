@@ -55,13 +55,3 @@ func (e *SLOEngine) Merge(other *SLOEngine) {
 		s.sketch.Merge(&os.sketch)
 	}
 }
-
-// KeepRounds retains up to max per-round samples for the Perfetto counter
-// tracks (WriteChromeTrace). 0 (the default) keeps none — the summary
-// counters cost O(domains) memory regardless of run length. Nil-safe.
-func (wt *WindowTelemetry) KeepRounds(max int) {
-	if wt == nil {
-		return
-	}
-	wt.keep = max
-}

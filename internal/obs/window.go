@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -38,19 +37,6 @@ type WindowTelemetry struct {
 
 	first, last sim.Time // horizon at the first and latest round
 	haveFirst   bool
-
-	keep int           // max per-round samples retained for WriteChromeTrace
-	kept []windowRound // per-round retained samples (copies)
-}
-
-// windowRound is one retained round sample (buffers copied out of the
-// kernel's reused WindowStats slices).
-type windowRound struct {
-	round     int64
-	horizon   sim.Time
-	bound     sim.Time
-	delivered int
-	events    []int
 }
 
 // WindowRound implements sim.WindowObserver. The stats' Events and Flow
@@ -82,13 +68,6 @@ func (wt *WindowTelemetry) WindowRound(ws sim.WindowStats) {
 		wt.first, wt.haveFirst = ws.Horizon, true
 	}
 	wt.last = ws.Horizon
-	if len(wt.kept) < wt.keep {
-		wt.kept = append(wt.kept, windowRound{
-			round: ws.Round, horizon: ws.Horizon, bound: ws.Bound,
-			delivered: ws.Delivered,
-			events:    append([]int(nil), ws.Events...),
-		})
-	}
 }
 
 // Rounds returns the number of windowed rounds observed.
@@ -177,45 +156,4 @@ func (wt *WindowTelemetry) WriteText(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// WriteChromeTrace exports the retained rounds (KeepRounds) as Perfetto
-// counter tracks: per-domain events-per-window plus a barrier-delivery
-// track, one counter sample per round at the round's horizon. Load
-// alongside the span trace to see which domains starve inside each window.
-// Nil-safe; with no retained rounds the trace is empty but valid.
-func (wt *WindowTelemetry) WriteChromeTrace(w io.Writer) error {
-	type counterEvent struct {
-		Name string           `json:"name"`
-		Ph   string           `json:"ph"`
-		Pid  int              `json:"pid"`
-		Tid  int              `json:"tid"`
-		Ts   float64          `json:"ts"`
-		Args map[string]int64 `json:"args"`
-	}
-	type counterFile struct {
-		TraceEvents     []counterEvent `json:"traceEvents"`
-		DisplayTimeUnit string         `json:"displayTimeUnit"`
-	}
-	file := counterFile{TraceEvents: []counterEvent{}, DisplayTimeUnit: "ms"}
-	if wt != nil {
-		for _, r := range wt.kept {
-			ts := usec(int64(r.horizon))
-			for dom, n := range r.events {
-				file.TraceEvents = append(file.TraceEvents, counterEvent{
-					Name: fmt.Sprintf("window events dom %d", dom),
-					Ph:   "C", Pid: 1, Tid: dom + chromeTrackOffset, Ts: ts,
-					Args: map[string]int64{"events": int64(n)},
-				})
-			}
-			file.TraceEvents = append(file.TraceEvents, counterEvent{
-				Name: "barrier delivered",
-				Ph:   "C", Pid: 1, Tid: 0, Ts: ts,
-				Args: map[string]int64{"messages": int64(r.delivered)},
-			})
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(file)
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -83,54 +82,5 @@ func TestWindowTelemetryText(t *testing.T) {
 	var nilWT *WindowTelemetry
 	if err := nilWT.WriteText(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestWindowTelemetryChromeTrace: retained rounds export as Perfetto
-// counter tracks — one sample per (domain, round) plus the barrier track.
-func TestWindowTelemetryChromeTrace(t *testing.T) {
-	wt := &WindowTelemetry{}
-	wt.KeepRounds(1) // retain only the first round
-	feedRounds(wt)
-	var buf bytes.Buffer
-	if err := wt.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var file struct {
-		TraceEvents []struct {
-			Name string           `json:"name"`
-			Ph   string           `json:"ph"`
-			Tid  int              `json:"tid"`
-			Ts   float64          `json:"ts"`
-			Args map[string]int64 `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
-		t.Fatalf("chrome trace invalid JSON: %v", err)
-	}
-	if len(file.TraceEvents) != 3 { // 2 domain tracks + 1 barrier track
-		t.Fatalf("events = %d, want 3", len(file.TraceEvents))
-	}
-	for _, ev := range file.TraceEvents {
-		if ev.Ph != "C" {
-			t.Errorf("event %q phase = %q, want C", ev.Name, ev.Ph)
-		}
-	}
-	if file.TraceEvents[0].Args["events"] != 3 {
-		t.Errorf("dom 0 counter = %v, want 3", file.TraceEvents[0].Args)
-	}
-	if last := file.TraceEvents[2]; last.Name != "barrier delivered" || last.Args["messages"] != 3 {
-		t.Errorf("barrier event = %+v", last)
-	}
-
-	// Nil telemetry still writes a valid empty trace.
-	var nilWT *WindowTelemetry
-	var buf2 bytes.Buffer
-	if err := nilWT.WriteChromeTrace(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	var v map[string]any
-	if err := json.Unmarshal(buf2.Bytes(), &v); err != nil {
-		t.Fatalf("nil trace invalid JSON: %v", err)
 	}
 }

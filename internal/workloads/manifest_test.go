@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/lang"
@@ -39,9 +40,9 @@ func TestCatalogClosed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		c2, err := lang.Closure(c1)
-		if err != nil || !c1.Equal(c2) {
-			t.Errorf("%s: closure not idempotent: %v vs %v (%v)", name, c1, c2, err)
+		c2, err := lang.Closure(strings.Split(c1.Key(), ","))
+		if err != nil || c1 != c2 {
+			t.Errorf("%s: closure not idempotent: %q vs %q (%v)", name, c1.Key(), c2.Key(), err)
 		}
 	}
 }

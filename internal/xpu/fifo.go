@@ -1,7 +1,11 @@
 package xpu
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 
 	"repro/internal/hw"
 	"repro/internal/localos"
@@ -520,8 +524,8 @@ type SpawnBody func(p *sim.Proc, node *Node, self *localos.Process)
 // XSpawn implements xSpawn: start a new program on another PU (Table 2).
 // The request travels over the interconnect to the target node, whose OS
 // spawns the process; capv capabilities are granted to the child explicitly
-// (no implicit permission inheritance, §3.4). It returns the child's
-// xpu_pid.
+// (no implicit permission inheritance, §3.4), under GrantCap's rule that a
+// FIFO must exist and be open. It returns the child's xpu_pid.
 func (n *Node) XSpawn(p *sim.Proc, targetPU hw.PUID, name string, capv map[ObjID]Perm, body SpawnBody) (XPID, error) {
 	if err := n.failfast(); err != nil {
 		return XPID{}, err
@@ -534,6 +538,14 @@ func (n *Node) XSpawn(p *sim.Proc, targetPU hw.PUID, name string, capv map[ObjID
 	if target == nil {
 		return XPID{}, fmt.Errorf("xpu: no shim node on PU %d", targetPU)
 	}
+	objs := slices.SortedFunc(maps.Keys(capv), func(a, b ObjID) int {
+		return cmp.Or(strings.Compare(a.Kind, b.Kind), strings.Compare(a.UUID, b.UUID))
+	})
+	for _, obj := range objs {
+		if _, err := n.Shim.grantable(obj); err != nil {
+			return XPID{}, err
+		}
+	}
 	if n.PU.ID != targetPU {
 		if _, err := n.Shim.Machine.Transfer(p, n.Host.ID, target.Host.ID, 256); err != nil {
 			return XPID{}, err
@@ -541,8 +553,12 @@ func (n *Node) XSpawn(p *sim.Proc, targetPU hw.PUID, name string, capv map[ObjID
 	}
 	child := target.OS.Spawn(p, name)
 	x := target.Register(child)
-	for obj, perm := range capv {
-		n.Shim.grantLocal(x, obj, perm)
+	for _, obj := range objs {
+		// A FIFO closed while the child spawned is skipped: no Unlink
+		// would drop a grant on it.
+		if f, err := n.Shim.grantable(obj); err == nil {
+			n.Shim.grant(x, obj, f, capv[obj])
+		}
 	}
 	if body != nil {
 		n.Shim.Env.Spawn(fmt.Sprintf("%s@pu%d", name, targetPU), func(sp *sim.Proc) {

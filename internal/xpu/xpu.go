@@ -460,31 +460,46 @@ func (s *Shim) HasCap(x XPID, obj ObjID, perm Perm) bool {
 }
 
 // GrantCap implements grant_cap: caller grants perm on obj to target.
-// The caller must hold PermOwner on obj. A FIFO must still be open, as for
-// FIFOConnect: its holders are what Unlink releases, so a grant on a closed
-// or unknown FIFO would outlive it. The update is synchronized to all nodes
-// immediately.
+// The caller must hold PermOwner on obj, and a FIFO must still be open, as
+// for FIFOConnect. The update is synchronized to all nodes immediately.
 func (n *Node) GrantCap(p *sim.Proc, caller, target XPID, obj ObjID, perm Perm) error {
 	if err := n.failfast(); err != nil {
 		return err
 	}
 	n.xcall(p)
-	var f *XPUFIFO
-	if obj.Kind == "fifo" {
-		if f = n.Shim.fifos[obj.UUID]; f == nil || f.closed {
-			return fmt.Errorf("xpu: no FIFO %q", obj.UUID)
-		}
+	f, err := n.Shim.grantable(obj)
+	if err != nil {
+		return err
 	}
 	if !n.Shim.HasCap(caller, obj, PermOwner) {
 		return fmt.Errorf("xpu: %v is not an owner of %v", caller, obj)
 	}
-	n.Shim.capsOf(target)[obj] |= perm
-	n.Shim.capGen++
+	n.Shim.grant(target, obj, f, perm)
+	n.broadcast(p)
+	return nil
+}
+
+// grantable checks that a capability on obj may be granted, returning the
+// object's FIFO (nil for any other kind). A FIFO must still be open: its
+// holders are what Unlink releases, so a grant on a closed or unknown FIFO
+// would outlive it.
+func (s *Shim) grantable(obj ObjID) (*XPUFIFO, error) {
+	if obj.Kind != "fifo" {
+		return nil, nil
+	}
+	if f := s.fifos[obj.UUID]; f != nil && !f.closed {
+		return f, nil
+	}
+	return nil, fmt.Errorf("xpu: no FIFO %q", obj.UUID)
+}
+
+// grant gives target perm on obj, recording target as a holder of obj's
+// FIFO f (nil for any other kind) so that Unlink drops the entry.
+func (s *Shim) grant(target XPID, obj ObjID, f *XPUFIFO, perm Perm) {
+	s.grantLocal(target, obj, perm)
 	if f != nil && !slices.Contains(f.holders, target) {
 		f.holders = append(f.holders, target)
 	}
-	n.broadcast(p)
-	return nil
 }
 
 // RevokeCap implements revoke_cap. Revoking from a process that holds no

@@ -496,6 +496,53 @@ func TestXSpawnGrantsCapvExplicitly(t *testing.T) {
 	r.env.Run()
 }
 
+// TestXSpawnCapvFollowsGrantRules: a capv grant makes the child a holder
+// of the FIFO, so the FIFO's last Unlink drops the child's capability and
+// NumCaps's entries return to their idle value; a capv naming an unknown
+// or closed FIFO is refused before anything is spawned.
+func TestXSpawnCapvFollowsGrantRules(t *testing.T) {
+	r := newRig(t)
+	r.env.Spawn("cpu", func(p *sim.Proc) {
+		_, caps0 := r.shim.NumCaps()
+		fd, err := r.cpuNode.FIFOInit(p, r.cpuXPID, "shared", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj := ObjID{Kind: "fifo", UUID: "shared"}
+		x, err := r.cpuNode.XSpawn(p, r.dpuNode.PU.ID, "child", map[ObjID]Perm{obj: PermWrite}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd.Unlink()
+		if r.shim.HasCap(x, obj, PermWrite) {
+			t.Error("child still holds its capv capability after the FIFO's last Unlink")
+		}
+		if _, caps := r.shim.NumCaps(); caps != caps0 {
+			t.Errorf("NumCaps entries = %d after Unlink, want %d", caps, caps0)
+		}
+
+		closed, err := r.cpuNode.FIFOInit(p, r.cpuXPID, "closed", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := closed.Close(p); err != nil {
+			t.Fatal(err)
+		}
+		procs := r.dpuNode.OS.NumProcesses()
+		for _, uuid := range []string{"never-made", "closed"} {
+			capv := map[ObjID]Perm{{Kind: "fifo", UUID: uuid}: PermRead}
+			if _, err := r.cpuNode.XSpawn(p, r.dpuNode.PU.ID, "refused", capv, nil); err == nil || !strings.Contains(err.Error(), "no FIFO") {
+				t.Errorf("XSpawn with capv on %s FIFO: err = %v, want no FIFO", uuid, err)
+			}
+		}
+		if got := r.dpuNode.OS.NumProcesses(); got != procs {
+			t.Errorf("refused XSpawn left %d processes, want %d", got, procs)
+		}
+		closed.Unlink()
+	})
+	r.env.Run()
+}
+
 func TestXSpawnUnknownPU(t *testing.T) {
 	r := newRig(t)
 	r.env.Spawn("cpu", func(p *sim.Proc) {
