@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-fixtures test race bench-test fuzz-smoke chaos bench microbench bench-smoke benchjson coldstart-smoke cluster-smoke report report-md golden trace-demo attrib-demo examples outputs
+.PHONY: all check build vet lint lint-fixtures test race allocpins bench-test fuzz-smoke chaos bench microbench bench-smoke benchjson coldstart-smoke cluster-smoke report report-md golden trace-demo attrib-demo examples outputs
 
 all: check
 
@@ -39,6 +39,15 @@ test:
 # -count=1: a cached result would skip the race detector's run.
 race:
 	$(GO) test -race -count=1 ./...
+
+# The byte pins (the warm cross-PU chain's B/op and the address space's
+# size-independent bytes) under aggressive GC, so a count that depends on
+# where a GC cycle lands fails here instead of now and then under `test`.
+allocpins:
+	GOGC=10 $(GO) test -count=1 -run 'TestInvokeChainAllocs$$' ./internal/molecule
+	GOGC=10 $(GO) test -count=1 -run 'TestAllocBytesIndependentOfPages$$' ./internal/mem
+	GOGC=25 $(GO) test -count=1 -run 'TestInvokeChainAllocs$$' ./internal/molecule
+	GOGC=25 $(GO) test -count=1 -run 'TestAllocBytesIndependentOfPages$$' ./internal/mem
 
 # The benchmark's own tests; benchmark/ is a separate module, so `test`
 # skips them. Every workload runs at 1/100 scale with its invariants

@@ -680,8 +680,8 @@ func (b *Boss) release(req *request) {
 // call carries a request from a client process on the boss domain through
 // the cluster and back, and releases it. The whole round trip is one
 // stepped wait (request.Step), so the client takes one coroutine switch, at
-// its end. A client interrupted in the wait leaves its request to the GC:
-// until the reply, a segment in flight may still own it.
+// its end. Nothing can end a client's wait early (the kernel has no
+// interrupt), so the request is released only here, after its reply.
 //
 //molecule:hotpath
 func (b *Boss) call(p *sim.Proc, req *request) reply {

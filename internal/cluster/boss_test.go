@@ -412,42 +412,6 @@ func TestAdmissionWaitersWakeInParkOrder(t *testing.T) {
 	}
 }
 
-// TestAdmissionInterruptedWaiterSkipped: a segment interrupted while it
-// waits on the admission queue ends there, the wake-up skips it, and the
-// other waiters are still admitted in the order they parked.
-func TestAdmissionInterruptedWaiterSkipped(t *testing.T) {
-	b := newTestBoss(t, 1, hw.Config{}, 0)
-	n := b.nodes[0]
-	n.active = 1
-	var order []int
-	var waiters []*sim.Proc
-	for i := 0; i < 4; i++ {
-		waiters = append(waiters, n.Env.SpawnAfter(time.Duration(i), "waiter", func(p *sim.Proc) {
-			var a admission
-			if !n.awaitLocal(p, &a) {
-				t.Errorf("waiter %d gave up with an exec still active", i)
-			}
-			order = append(order, i)
-		}))
-	}
-	n.Env.SpawnAfter(5, "completer", func(p *sim.Proc) {
-		waiters[1].Interrupt()
-		p.Sleep(1)
-		n.epoch++
-		n.wakeLocal()
-		n.active = 0
-	})
-	b.Run(1)
-	if fmt.Sprint(order) != "[0 2 3]" {
-		t.Errorf("waiters admitted as %v, want [0 2 3] (park order, the interrupted one skipped)", order)
-	}
-	if live := n.Env.LiveProcs(); live != 0 {
-		t.Errorf("%d procs still live: %v", live, n.Env.BlockedProcs())
-	}
-	checkQuiescent(t, b, "after the interrupt")
-	checkFreeListClean(t, b)
-}
-
 // TestBurstAboveCapacityCompletes: a burst of twice the cluster's total
 // instance capacity completes with zero errors. The overflow queues and is
 // served as completions free slots instead of failing with "no eligible
@@ -750,119 +714,6 @@ func TestBossRecycledRequestIsClean(t *testing.T) {
 		}
 		checkQuiescent(t, b, "after requeues")
 		checkFreeListClean(t, b)
-	})
-
-	t.Run("interrupt", func(t *testing.T) {
-		b := newTestBoss(t, 1, hw.Config{}, 0, "pyaes", "matmul")
-		// The first client is interrupted while its cold start runs; the
-		// second starts asking while that segment still owns the first
-		// request, and goes on past the segment's reply.
-		var interrupted bool
-		first := b.Env.Spawn("interrupted", func(p *sim.Proc) {
-			defer func() {
-				r := recover()
-				if _, interrupted = r.(sim.Interrupted); !interrupted {
-					panic(r)
-				}
-			}()
-			b.Invoke(p, "pyaes", molecule.InvokeOptions{PU: -1})
-		})
-		start := b.Env.Now()
-		b.Env.At(start+sim.Time(10*time.Millisecond), func() {
-			if b.inflight != 1 {
-				t.Errorf("%d requests in flight at the interrupt, want 1", b.inflight)
-			}
-			first.Interrupt()
-		})
-		var got tally
-		b.Env.At(start+sim.Time(20*time.Millisecond), func() {
-			if !interrupted || len(b.free) != 0 {
-				t.Errorf("interrupted %v, free list %d: the request must stay off it while its segment runs", interrupted, len(b.free))
-			}
-			clients(t, b, []string{"matmul"}, 5*time.Millisecond, start+sim.Time(500*time.Millisecond), &got)
-		})
-		b.Run(1)
-		if !interrupted {
-			t.Fatal("the first client finished before its interrupt")
-		}
-		if got.ok == 0 || got.failed != 0 {
-			t.Fatalf("matmul requests after the interrupt: %d ok, %d failed", got.ok, got.failed)
-		}
-		checkQuiescent(t, b, "after interrupt")
-		checkFreeListClean(t, b)
-		if len(b.free) != 1 {
-			t.Errorf("free list holds %d requests, want 1: the interrupted request stays off it", len(b.free))
-		}
-	})
-
-	// interruptAt runs a client whose pyaes invoke is interrupted at
-	// offset after it starts, checks the client did not finish, then runs
-	// another invoke to completion.
-	interruptAt := func(t *testing.T, b *Boss, offset sim.Time, check func()) {
-		var interrupted bool
-		client := b.Env.Spawn("interrupted", func(p *sim.Proc) {
-			defer func() {
-				r := recover()
-				if _, interrupted = r.(sim.Interrupted); !interrupted {
-					panic(r)
-				}
-			}()
-			b.Invoke(p, "pyaes", molecule.InvokeOptions{PU: -1})
-		})
-		b.Env.At(b.Env.Now()+offset, func() {
-			check()
-			client.Interrupt()
-		})
-		b.Run(1)
-		if !interrupted {
-			t.Fatal("the client finished before its interrupt")
-		}
-		checkQuiescent(t, b, "after the interrupt")
-		checkFreeListClean(t, b)
-		if len(b.free) != 0 {
-			t.Errorf("free list holds %d requests, want 0: the interrupted request stays off it", len(b.free))
-		}
-		var got tally
-		clients(t, b, []string{"pyaes"}, time.Millisecond, b.Env.Now()+1, &got)
-		b.Run(1)
-		if got.ok != 1 || got.failed != 0 {
-			t.Fatalf("invoke after the interrupt: %d ok, %d failed", got.ok, got.failed)
-		}
-		checkQuiescent(t, b, "after the next invoke")
-		checkFreeListClean(t, b)
-	}
-
-	t.Run("interrupt-first-hop", func(t *testing.T) {
-		// Interrupted on its way to the boss, the request is never
-		// submitted: no machine sees it.
-		b := newTestBoss(t, 1, hw.Config{}, 0, "pyaes")
-		interruptAt(t, b, sim.Time(params.NetworkBaseLatency/2), func() {
-			if b.Inflight() != 0 {
-				t.Errorf("%d requests in flight during the first hop, want 0", b.Inflight())
-			}
-		})
-		if b.nodes[0].Served() != 1 {
-			t.Errorf("machine served %d requests, want only the one after the interrupt", b.nodes[0].Served())
-		}
-	})
-
-	t.Run("interrupt-return-hop", func(t *testing.T) {
-		// Interrupted on its way back, after its reply: the request is
-		// left to the GC, as for an interrupted reply wait.
-		b := newTestBoss(t, 1, hw.Config{}, 0, "pyaes")
-		var took sim.Time
-		b.Env.Spawn("warm-up", func(p *sim.Proc) {
-			b.Invoke(p, "pyaes", molecule.InvokeOptions{PU: -1}) // cold start
-			start := p.Now()
-			b.Invoke(p, "pyaes", molecule.InvokeOptions{PU: -1})
-			took = p.Now() - start
-		})
-		b.Run(1)
-		interruptAt(t, b, took-sim.Time(params.NetworkBaseLatency/2), func() {
-			if b.Inflight() != 0 || len(b.free) != 0 {
-				t.Errorf("inflight %d, free list %d at the interrupt: want the request replied and held by its client", b.Inflight(), len(b.free))
-			}
-		})
 	})
 }
 

@@ -33,8 +33,8 @@ type Interconnect struct {
 // registers the link's base latency as the group's lookahead — the
 // conservative window within which domains may run in parallel. The link
 // must have a positive BaseLat: a zero-latency interconnect admits no
-// lookahead (the group would fall back to the sequential merge), and in the
-// hardware model every network hop has a base cost anyway.
+// lookahead (and a group without one cannot run), and in the hardware model
+// every network hop has a base cost anyway.
 func NewInterconnect(sh *sim.Sharded, l Link) *Interconnect {
 	if l.BaseLat <= 0 {
 		panic("hw: interconnect link needs a positive BaseLat (it is the sharded lookahead)")

@@ -32,7 +32,6 @@ func reasonPaper(section string) string { return "paper mechanism, " + section }
 // exportAllowlist names every exported declaration under exportRoots that is
 // kept with no non-test reference. Keys are as in scanExports.
 var exportAllowlist = map[string]string{
-	"internal/sim.Proc.Interrupt":       reasonDiagnostics,
 	"internal/sim.Env.EnableDigest":     reasonDiagnostics,
 	"internal/sim.Env.Digest":           reasonDiagnostics,
 	"internal/sim.Env.TraceLog":         reasonDiagnostics,

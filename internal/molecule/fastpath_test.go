@@ -315,7 +315,16 @@ func TestInvokeChainAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(200, call)
 		// Bytes as the benchmark's B/op counts them.
 		const runs = 200
+		// Keep the runtime's own allocations out of the count. Restarting
+		// the world (at the end of a GC cycle, or of ReadMemStats) may
+		// start an OS thread, whose m and g structs (about 5 KB) land on
+		// the heap. So the count starts from a finished GC cycle, and
+		// from a second ReadMemStats, whose restart finds the thread the
+		// first one started idle. `make allocpins` runs this at GOGC=10
+		// and 25.
+		runtime.GC()
 		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
 		for i := 0; i < runs; i++ {

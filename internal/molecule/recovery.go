@@ -134,10 +134,9 @@ func (rt *Runtime) invokeWithRecovery(p *sim.Proc, d *Deployment, opts InvokeOpt
 
 // attemptWithTimeout runs one unsettled dispatch, bounded by the configured
 // per-invoke timeout. The attempt runs in its own simulation process and is
-// *abandoned*, never interrupted, on timeout: interrupting a process queued
-// on a shared resource (a link, a handler thread) would leak the unit, so
-// the losing attempt simply finishes in the background without being
-// settled — its instance lands back in the warm pool and nothing is billed.
+// *abandoned* on timeout, since the kernel has no interrupt: the losing
+// attempt simply finishes in the background without being settled — its
+// instance lands back in the warm pool and nothing is billed.
 func (rt *Runtime) attemptWithTimeout(p *sim.Proc, d *Deployment, opts InvokeOptions) (Result, error) {
 	timeout := rt.Opts.Recovery.InvokeTimeout
 	if timeout <= 0 {

@@ -17,8 +17,9 @@ type Chan[T any] struct {
 	// sendq and recvq hold the parked senders and receivers, oldest first.
 	// Dequeuing shifts the rest down, so each backing array is reused for
 	// the channel's lifetime and parking allocates nothing once it has
-	// grown. A parked process that exits or is interrupted stays queued
-	// until it reaches the head, where liveRecv/liveSend drop it.
+	// grown. A queued process that exits without waiting (RecvStep queues
+	// without parking) stays queued until it reaches the head, where
+	// liveRecv/liveSend drop it.
 	sendq []sendWaiter[T]
 	recvq []*Proc
 	// free is the pool of hand-off slots, linked through their next
@@ -52,12 +53,12 @@ func (c *Chan[T]) handoff(v T, ok bool) {
 		r = new(recvResult[T])
 	}
 	r.val, r.ok = v, ok
-	c.env.scheduleResume(c.env.now, c.popRecv(), resumeMsg{val: r})
+	c.env.scheduleResume(c.env.now, c.popRecv(), r)
 }
 
 // canHandOff reports whether p can still complete a hand-off: it has not
-// exited and no Interrupt is on its way to it.
-func (p *Proc) canHandOff() bool { return !p.exited && !p.interrupting }
+// exited.
+func (p *Proc) canHandOff() bool { return !p.exited }
 
 // liveRecv drops the parked receivers at the head of recvq that cannot
 // complete a hand-off and reports whether a receiver remains.
@@ -138,7 +139,7 @@ func (c *Chan[T]) Close() {
 		c.handoff(zero, false)
 	}
 	for _, w := range c.sendq {
-		c.env.scheduleResume(c.env.now, w.p, resumeMsg{val: closedSend{}})
+		c.env.scheduleResume(c.env.now, w.p, closedSend{})
 	}
 	clear(c.sendq)
 	c.sendq = c.sendq[:0]
@@ -288,13 +289,13 @@ func (c *Chan[T]) tryRecv(dst *T) (ok, got bool) {
 		if c.liveSend() {
 			w := c.popSend()
 			c.push(w.val)
-			c.env.scheduleResume(c.env.now, w.p, resumeMsg{})
+			c.env.scheduleResume(c.env.now, w.p, nil)
 		}
 		return true, true
 	}
 	if c.liveSend() { // unbuffered rendezvous
 		w := c.popSend()
-		c.env.scheduleResume(c.env.now, w.p, resumeMsg{})
+		c.env.scheduleResume(c.env.now, w.p, nil)
 		*dst = w.val
 		return true, true
 	}
@@ -335,7 +336,7 @@ func (ev *Event) Trigger(payload any) {
 	waiters := ev.waiters
 	ev.waiters = nil
 	for _, p := range waiters {
-		ev.env.scheduleResume(ev.env.now, p, resumeMsg{val: ev.payload})
+		ev.env.scheduleResume(ev.env.now, p, ev.payload)
 	}
 }
 
@@ -391,8 +392,8 @@ func (r *Resource) AcquireStep(p *Proc) bool {
 }
 
 // Release returns one unit, handing it to the oldest waiter that can take
-// it. A waiter that has exited, or has an Interrupt on its way, is dropped
-// instead, as Chan drops such receivers: the unit would never come back.
+// it. A waiter that has exited is dropped instead, as Chan drops such
+// receivers: the unit would never come back.
 func (r *Resource) Release() {
 	for len(r.waitq) > 0 {
 		p := r.waitq[0]
@@ -400,7 +401,7 @@ func (r *Resource) Release() {
 		r.waitq[n] = nil
 		r.waitq = r.waitq[:n]
 		if p.canHandOff() {
-			r.env.scheduleResume(r.env.now, p, resumeMsg{})
+			r.env.scheduleResume(r.env.now, p, nil)
 			return
 		}
 	}
@@ -428,7 +429,7 @@ func (wg *WaitGroup) Add(delta int) {
 	}
 	if wg.count == 0 {
 		for _, p := range wg.waiters {
-			wg.env.scheduleResume(wg.env.now, p, resumeMsg{})
+			wg.env.scheduleResume(wg.env.now, p, nil)
 		}
 		clear(wg.waiters)
 		wg.waiters = wg.waiters[:0]

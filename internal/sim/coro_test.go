@@ -158,23 +158,41 @@ func TestExitedProcRetainsNothing(t *testing.T) {
 	runtime.KeepAlive(rx)
 }
 
-// churn runs an Env that reuses pooled coroutines and stops with one
-// pending callback that references a payload named name.
-func churn(t *testing.T, freed chan<- string, name string, run func(*Env)) {
+// pinStep is a stepped wait that queues on an empty channel and is never
+// resumed. It holds v, so a process left parked in it keeps v reachable
+// from its Env, and from nothing else: the process never takes a
+// coroutine.
+type pinStep struct {
+	ch *Chan[int]
+	v  *payload
+}
+
+func (s pinStep) Step(p *Proc, _ any) bool {
+	var x int
+	_, got := s.ch.RecvStep(p, &x)
+	return got
+}
+
+// pin leaves v reachable only from env once env's run is over.
+func pin(env *Env, v *payload) {
+	env.SpawnWaiting("pinned", pinStep{NewChan[int](env, 0), v}, func(*Proc) {})
+}
+
+// churn runs an Env that reuses pooled coroutines and ends with a payload
+// named name pinned to it.
+func churn(t *testing.T, freed chan<- string, name string) {
 	env := NewEnv()
-	keep := newPayload(name, freed)
-	env.At(Time(time.Hour), func() { runtime.KeepAlive(keep) })
+	pin(env, newPayload(name, freed))
 	env.Spawn("driver", func(p *Proc) {
 		for i := 0; i < 8; i++ {
 			p.Env().Spawn("child", func(*Proc) {})
-			p.Yield()
+			p.Sleep(0)
 		}
 		if len(env.idle) == 0 {
 			t.Error("no coroutine was pooled")
 		}
-		p.Env().Stop()
 	})
-	run(env)
+	env.Run()
 	if len(env.idle) != 0 {
 		t.Errorf("%s: %d idle coroutines left after the run", name, len(env.idle))
 	}
@@ -193,25 +211,19 @@ func churnSharded(t *testing.T, freed chan<- string) {
 			}
 		})
 	}
-	keep := newPayload("Sharded.Run", freed)
-	sh.Domain(1).Spawn("stopper", func(p *Proc) {
-		p.Env().At(Time(time.Hour), func() { runtime.KeepAlive(keep) })
-		p.Sleep(20 * time.Microsecond)
-		p.Env().Stop()
-	})
+	pin(sh.Domain(1), newPayload("Sharded.Run", freed))
 	sh.Run()
 }
 
 // TestFinishedEnvIsCollected checks that an Env whose processes ran on
-// pooled coroutines is collected once its caller drops it: Run, RunUntil
-// and Sharded.Run stop the idle coroutines, whose goroutines would
-// otherwise keep the Env reachable forever.
+// pooled coroutines is collected once its caller drops it: Run and
+// Sharded.Run stop the idle coroutines, whose goroutines would otherwise
+// keep the Env reachable forever.
 func TestFinishedEnvIsCollected(t *testing.T) {
-	freed := make(chan string, 3)
-	churn(t, freed, "Run", func(e *Env) { e.Run() })
-	churn(t, freed, "RunUntil", func(e *Env) { e.RunUntil(Time(time.Minute)) })
+	freed := make(chan string, 2)
+	churn(t, freed, "Run")
 	churnSharded(t, freed)
-	awaitCollected(t, freed, "Run", "RunUntil", "Sharded.Run")
+	awaitCollected(t, freed, "Run", "Sharded.Run")
 }
 
 // TestSteadyStateAllocs pins the allocation cost of the kernel's two
@@ -224,7 +236,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	env.Spawn("a", func(p *Proc) {
 		spawn = testing.AllocsPerRun(200, func() {
 			p.Env().Spawn("child", func(*Proc) {})
-			p.Yield()
+			p.Sleep(0)
 		})
 		sleep = testing.AllocsPerRun(200, func() { p.Sleep(time.Microsecond) })
 		done = true

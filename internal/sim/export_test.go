@@ -21,17 +21,6 @@ func (r *Resource) TryAcquire() bool {
 // event until its last member fires.
 func (e *Env) Pending() int { return len(e.events) }
 
-// RunUntil drives the simulation until virtual time t; events scheduled
-// later than t remain queued. It returns the final virtual time (<= t).
-func (e *Env) RunUntil(t Time) Time {
-	e.limit = t
-	defer func() {
-		e.limit = 0
-		e.stopIdle()
-	}()
-	return e.loop()
-}
-
 // Pending reports the total number of queued events across domains,
 // including undelivered cross-domain messages.
 func (sh *Sharded) Pending() int {

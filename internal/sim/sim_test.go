@@ -74,44 +74,6 @@ func TestAtAndAfterFunc(t *testing.T) {
 	}
 }
 
-func TestRunUntilStopsAtHorizon(t *testing.T) {
-	env := NewEnv()
-	fired := false
-	env.At(Time(10*time.Second), func() { fired = true })
-	end := env.RunUntil(Time(time.Second))
-	if fired {
-		t.Error("event beyond horizon fired")
-	}
-	if end != Time(time.Second) {
-		t.Errorf("RunUntil returned %v, want 1s", end)
-	}
-	if env.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", env.Pending())
-	}
-	env.Run()
-	if !fired {
-		t.Error("event did not fire on resumed Run")
-	}
-}
-
-func TestStop(t *testing.T) {
-	env := NewEnv()
-	count := 0
-	env.Spawn("loop", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(time.Millisecond)
-			count++
-			if count == 3 {
-				p.Env().Stop()
-			}
-		}
-	})
-	env.Run()
-	if count != 3 {
-		t.Errorf("count = %d, want 3 (Stop should halt the loop)", count)
-	}
-}
-
 func TestUnbufferedChanRendezvous(t *testing.T) {
 	env := NewEnv()
 	ch := NewChan[int](env, 0)
@@ -427,33 +389,6 @@ func TestWaitGroupZeroCountNoBlock(t *testing.T) {
 	env.Run()
 }
 
-func TestInterruptParkedProcess(t *testing.T) {
-	env := NewEnv()
-	ch := NewChan[int](env, 0)
-	victim := env.Spawn("victim", func(p *Proc) {
-		ch.Recv(p) // parks forever
-		t.Error("victim ran past interrupted Recv")
-	})
-	env.Spawn("killer", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		victim.Interrupt()
-	})
-	env.Run()
-	if env.LiveProcs() != 0 {
-		t.Errorf("live procs = %d, want 0 after interrupt", env.LiveProcs())
-	}
-}
-
-func TestInterruptExitedProcessNoop(t *testing.T) {
-	env := NewEnv()
-	p1 := env.Spawn("quick", func(p *Proc) {})
-	env.Spawn("late", func(p *Proc) {
-		p.Sleep(time.Second)
-		p1.Interrupt()
-	})
-	env.Run() // must not hang or panic
-}
-
 func TestLiveProcsCountsBlocked(t *testing.T) {
 	env := NewEnv()
 	ch := NewChan[int](env, 0)
@@ -469,7 +404,7 @@ func TestYieldRunsAfterQueuedEvents(t *testing.T) {
 	var order []string
 	env.Spawn("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	env.Spawn("b", func(p *Proc) { order = append(order, "b") })

@@ -78,7 +78,7 @@ func Spawn(b *testing.B) {
 	env.Spawn("spawner", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Env().Spawn("child", func(c *sim.Proc) {})
-			p.Yield() // let the child run and exit before the next spawn
+			p.Sleep(0) // let the child run and exit before the next spawn
 		}
 	})
 	b.ResetTimer()

@@ -32,8 +32,7 @@ type Step interface {
 // coroutine, taking the Sleep fast path for as long as p could have kept
 // running; if the wait is not over then, p parks with s attached, and every
 // later resume runs s in scheduler context instead of switching to p. Wait
-// returns once a step reports the wait over. An Interrupt bypasses s and
-// panics Interrupted out of Wait, as out of any park.
+// returns once a step reports the wait over.
 func (p *Proc) Wait(s Step) {
 	if s.Step(p, nil) {
 		return
@@ -46,8 +45,7 @@ func (p *Proc) Wait(s Step) {
 // wait s. The process starts parked in s: s takes its first step when the
 // spawn start fires, and the body starts, on a coroutine, only once s
 // reports the wait over, so the process costs no coroutine switch before
-// then. An Interrupt before that ends the process without running its body,
-// as for any process interrupted before its first run.
+// then.
 func (e *Env) SpawnWaiting(name string, s Step, fn func(p *Proc)) *Proc {
 	p := e.Spawn(name, fn)
 	p.step = s

@@ -27,10 +27,8 @@ type prefixRead struct {
 
 // stepCoverage records which cases a steppedProgram run reached.
 type stepCoverage struct {
-	interruptUnstarted bool // an Interrupt sent to a reader spawned parked, body not started
-	interruptStarted   bool // an Interrupt sent to a started process in a stepped wait
-	closeInPrefix      bool // a Close of a channel a read was still in its prefix for
-	contended          bool // an AcquireStep that had to queue
+	closeInPrefix bool // a Close of a channel a read was still in its prefix for
+	contended     bool // an AcquireStep that had to queue
 }
 
 // readDone is a prefixRead's phase once its wait is over.
@@ -83,7 +81,7 @@ func block(p *Proc, s Step) {
 }
 
 // steppedProgram returns a seeded program of processes that sleep, send,
-// interrupt, close channels, schedule callbacks and spawn readers, and read
+// close channels, schedule callbacks and spawn readers, and read
 // through prefixRead on a shared capacity-1 Resource. With stepped set the
 // reads are stepped waits (Proc.Wait, Env.SpawnWaiting); otherwise they are
 // the same steps driven by block. Every random draw happens in a body or a
@@ -102,16 +100,6 @@ func steppedProgram(seed int64, stepped bool, cov *stepCoverage) func(e *Env) {
 			r := &prefixRead{pre: delay(), hold: delay(), res: res, ch: chans[rng.Intn(len(chans))], cov: cov}
 			reads = append(reads, r)
 			return r
-		}
-		interrupt := func(q *Proc) {
-			if q.step != nil && !q.exited {
-				if q.co == nil {
-					cov.interruptUnstarted = true
-				} else {
-					cov.interruptStarted = true
-				}
-			}
-			q.Interrupt()
 		}
 		closeChan := func(ch *Chan[int]) {
 			for _, r := range reads {
@@ -151,16 +139,12 @@ func steppedProgram(seed int64, stepped bool, cov *stepCoverage) func(e *Env) {
 			op := rng.Intn(8)
 			e.Tracef("cb op %d", op)
 			switch op {
-			case 0, 1, 2:
+			case 0, 1, 2, 4:
 				if ch := chans[rng.Intn(len(chans))]; !ch.Closed() {
 					e.Tracef("trysend %v", ch.TrySend(rng.Intn(100)))
 				}
 			case 3:
 				spawnReader(fmt.Sprintf("reader%d", len(procs)))
-			case 4:
-				if len(procs) > 0 {
-					interrupt(procs[rng.Intn(len(procs))])
-				}
 			case 5:
 				if rng.Intn(4) == 0 {
 					closeChan(chans[rng.Intn(len(chans))])
@@ -173,7 +157,7 @@ func steppedProgram(seed int64, stepped bool, cov *stepCoverage) func(e *Env) {
 					op := rng.Intn(10)
 					p.Tracef("step %d op %d", step, op)
 					switch op {
-					case 0, 1:
+					case 0, 1, 9:
 						p.Sleep(delay())
 					case 2, 3:
 						e.AfterFunc(delay(), callback)
@@ -185,8 +169,6 @@ func steppedProgram(seed int64, stepped bool, cov *stepCoverage) func(e *Env) {
 						}
 					case 8:
 						spawnReader(fmt.Sprintf("reader%d", len(procs)))
-					case 9:
-						interrupt(procs[rng.Intn(len(procs))])
 					}
 				}
 			}))
@@ -196,10 +178,9 @@ func steppedProgram(seed int64, stepped bool, cov *stepCoverage) func(e *Env) {
 
 // TestSteppedWaitDifferential runs seeded programs of stepped waits and
 // their blocking forms on every driver and requires identical traces,
-// Scheduled(), end times and digests. The programs interrupt unstarted and
-// started stepped waiters, close channels during a read's prefix and
-// contend on the Resource; the test fails if the generator stops covering
-// any of these.
+// Scheduled(), end times and digests. The programs close channels during a
+// read's prefix and contend on the Resource; the test fails if the
+// generator stops covering either.
 func TestSteppedWaitDifferential(t *testing.T) {
 	var cov stepCoverage
 	var cost HostCost
@@ -221,7 +202,7 @@ func TestSteppedWaitDifferential(t *testing.T) {
 			}
 		}
 	}
-	if !cov.interruptUnstarted || !cov.interruptStarted || !cov.closeInPrefix || !cov.contended || cost.Stepped == 0 {
+	if !cov.closeInPrefix || !cov.contended || cost.Stepped == 0 {
 		t.Fatalf("generator coverage %+v, %d stepped resumes: a case is no longer reached", cov, cost.Stepped)
 	}
 }
@@ -345,36 +326,35 @@ func TestDigest(t *testing.T) {
 }
 
 // TestResourceReleaseSkipsInterruptedWaiter is the regression test for a
-// unit leak: Release handed the unit to a queued waiter that an Interrupt
-// was on its way to, so the unit never came back. The holder interrupts a
-// queued waiter and releases; a later Acquire must get the unit.
+// unit leak: Release handed the unit to a queued waiter that could no
+// longer take it, so the unit never came back. The waiter queues through
+// AcquireStep and exits without waiting; the holder releases, and a later
+// Acquire must get the unit.
 func TestResourceReleaseSkipsInterruptedWaiter(t *testing.T) {
-	for _, exited := range []bool{false, true} {
-		e := NewEnv()
-		r := NewResource(e, 1)
-		acquired := false
-		e.Spawn("holder", func(p *Proc) {
-			r.Acquire(p)
-			waiter := e.Spawn("waiter", func(w *Proc) { r.Acquire(w) })
-			p.Yield() // the waiter queues
-			waiter.Interrupt()
-			if exited {
-				p.Yield() // the interrupt lands: the waiter has exited
+	e := NewEnv()
+	r := NewResource(e, 1)
+	acquired := false
+	e.Spawn("holder", func(p *Proc) {
+		r.Acquire(p)
+		e.Spawn("waiter", func(w *Proc) {
+			if r.AcquireStep(w) {
+				t.Error("AcquireStep took a held unit")
 			}
-			r.Release()
-			if r.InUse() != 0 {
-				t.Errorf("exited=%v: %d units in use after the only holder released", exited, r.InUse())
-			}
-			e.Spawn("later", func(l *Proc) {
-				r.Acquire(l)
-				acquired = true
-				r.Release()
-			})
 		})
-		e.Run()
-		if !acquired || e.LiveProcs() != 0 {
-			t.Fatalf("exited=%v: later acquire got the unit %v, %d procs live: %v", exited, acquired, e.LiveProcs(), e.BlockedProcs())
+		p.Sleep(0) // the waiter queues and exits
+		r.Release()
+		if r.InUse() != 0 {
+			t.Errorf("%d units in use after the only holder released", r.InUse())
 		}
+		e.Spawn("later", func(l *Proc) {
+			r.Acquire(l)
+			acquired = true
+			r.Release()
+		})
+	})
+	e.Run()
+	if !acquired || e.LiveProcs() != 0 {
+		t.Fatalf("later acquire got the unit %v, %d procs live: %v", acquired, e.LiveProcs(), e.BlockedProcs())
 	}
 }
 
@@ -384,5 +364,14 @@ func TestResourceReleaseSkipsInterruptedWaiter(t *testing.T) {
 func TestProcFitsSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Proc{}); n > 80 {
 		t.Fatalf("Proc is %d bytes, want <= 80", n)
+	}
+}
+
+// TestEventFitsSizeClass holds event to the 48-byte allocation class: a
+// resume's value is a bare any, so every scheduled event costs 48 bytes,
+// not 64.
+func TestEventFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 48 {
+		t.Fatalf("event is %d bytes, want <= 48", n)
 	}
 }

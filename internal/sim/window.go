@@ -43,9 +43,8 @@ type WindowObserver interface {
 	WindowRound(WindowStats)
 }
 
-// SetWindowObserver attaches o to the group (nil detaches). Only the
-// conservative windowed driver reports rounds; the classic single-domain
-// loop and the zero-lookahead sequential merge have no windows to report.
+// SetWindowObserver attaches o to the group (nil detaches). Every round of
+// Sharded.Run is reported; a standalone Env has no windows to report.
 // With no observer attached the driver's per-round overhead is a single
 // nil check — the golden-report fingerprint tests pin that the observed
 // and unobserved executions are identical.

@@ -28,7 +28,7 @@ func (r *recordingWindowObserver) WindowRound(ws WindowStats) {
 // runCoupledObserved is runCoupledSharded with a window observer attached.
 func runCoupledObserved(domains int) (coupledRun, *recordingWindowObserver) {
 	rec := &recordingWindowObserver{}
-	return runCoupledSharded(domains, true, func(sh *Sharded) { sh.SetWindowObserver(rec) }), rec
+	return runCoupledSharded(domains, func(sh *Sharded) { sh.SetWindowObserver(rec) }), rec
 }
 
 // TestWindowTelemetryDeterministic pins the telemetry half of the
@@ -74,7 +74,7 @@ func TestWindowTelemetryDeterministic(t *testing.T) {
 // accounted to exactly one window.
 func TestWindowObserverInvisible(t *testing.T) {
 	const domains = 3
-	plain := runCoupledSharded(domains, true)
+	plain := runCoupledSharded(domains)
 	observed, rec := runCoupledObserved(domains)
 	if observed.fp != plain.fp {
 		t.Fatalf("observer changed the fingerprint\n got  %s\n want %s", observed.fp, plain.fp)

@@ -61,10 +61,12 @@ func TestSimClockMonotoneProperty(t *testing.T) {
 }
 
 // TestShardedDeterminismProperty: for any workload of random sleeps plus
-// cross-domain sends, the windowed driver and the zero-lookahead sequential
-// merge produce bit-identical observations (each domain's clock at every
-// wake-up and every delivery, total scheduled events, final time), and
-// every domain's clock is monotone throughout.
+// cross-domain sends, the windowed driver produces the observations of one
+// classic Env that models each send as an AfterFunc (each domain's clock
+// at every wake-up and every delivery, total scheduled events, final
+// time), and every domain's clock is monotone throughout. The reference is
+// exact: a domain's observations are a time-sorted list of times on both
+// kernels, so their order within an instant cannot differ.
 func TestShardedDeterminismProperty(t *testing.T) {
 	f := func(delays [][]uint16) bool {
 		if len(delays) == 0 {
@@ -74,25 +76,17 @@ func TestShardedDeterminismProperty(t *testing.T) {
 			delays = delays[:12]
 		}
 		doms := len(delays)%4 + 1
-		run := func(windowed bool) (string, bool) {
-			// A one-domain group without a lookahead is the classic loop,
-			// which rejects Send, so the merge gets an extra, empty domain.
-			n := doms
-			if !windowed && n == 1 {
-				n = 2
-			}
-			sh := sim.NewSharded(n)
-			if windowed {
-				sh.LimitLookahead(time.Microsecond)
-			}
+		// run spawns the workload with env(d) as domain d's Env and send
+		// as the cross-domain edge, then drives it.
+		run := func(env func(d int) *sim.Env, send func(from *sim.Env, to int, delay time.Duration, fn func()),
+			drive func() (sched int64, end sim.Time)) (string, bool) {
 			obs := make([][]sim.Time, doms)
 			for i, seq := range delays {
 				if len(seq) > 16 {
 					seq = seq[:16]
 				}
 				d := i % doms
-				env := sh.Domain(d)
-				env.Spawn("p", func(p *sim.Proc) {
+				env(d).Spawn("p", func(p *sim.Proc) {
 					for j, del := range seq {
 						// Sleeps of up to 4µs against the 1µs lookahead
 						// put several events in most windows, so the
@@ -101,15 +95,15 @@ func TestShardedDeterminismProperty(t *testing.T) {
 						obs[d] = append(obs[d], p.Now())
 						if j%3 == 0 {
 							to := (d + 1) % doms
-							dst := sh.Domain(to)
-							sh.Send(p.Env(), to,
+							dst := env(to)
+							send(p.Env(), to,
 								time.Microsecond+time.Duration(del)*time.Nanosecond,
 								func() { obs[to] = append(obs[to], dst.Now()) })
 						}
 					}
 				})
 			}
-			sh.Run()
+			sched, end := drive()
 			for _, o := range obs {
 				for k := 1; k < len(o); k++ {
 					if o[k] < o[k-1] {
@@ -117,13 +111,19 @@ func TestShardedDeterminismProperty(t *testing.T) {
 					}
 				}
 			}
-			return fmt.Sprintf("%v %d %d", obs, sh.Scheduled(), sh.Now()), true
+			return fmt.Sprintf("%v %d %d", obs, sched, end), true
 		}
-		ref, ok := run(false)
+		plain := sim.NewEnv()
+		ref, ok := run(func(int) *sim.Env { return plain },
+			func(from *sim.Env, _ int, delay time.Duration, fn func()) { from.AfterFunc(delay, fn) },
+			func() (int64, sim.Time) { end := plain.Run(); return plain.Scheduled(), end })
 		if !ok {
 			return false
 		}
-		got, ok := run(true)
+		sh := sim.NewSharded(doms)
+		sh.LimitLookahead(time.Microsecond)
+		got, ok := run(sh.Domain, sh.Send,
+			func() (int64, sim.Time) { end := sh.Run(); return sh.Scheduled(), end })
 		return ok && got == ref
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
