@@ -57,12 +57,15 @@ bench-test:
 
 # Ten seconds each of the differential fuzz targets: random Map/Fork/Write/
 # Unmap/Release sequences against the mem run-length extents and the
-# per-page reference model, and arbitrary package sets against the lang
-# sorted-names model of PkgSet. Their committed corpora (testdata/fuzz in
-# each package) also run as plain tests under `test`.
+# per-page reference model, arbitrary package sets against the lang
+# sorted-names model of PkgSet, and random deploy/undeploy/invoke/kill/crash
+# sequences against the warm-pool counts and the name-based PlaceChain
+# reference. Their committed corpora (testdata/fuzz in each package) also
+# run as plain tests under `test`.
 fuzz-smoke:
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzAddressSpace -fuzztime 10s
 	$(GO) test ./internal/lang -run '^$$' -fuzz FuzzPkgSet -fuzztime 10s
+	$(GO) test ./internal/molecule -run '^$$' -fuzz FuzzWarmPools -fuzztime 10s
 
 # Seeded fault-injection soak: kill/revive PUs under load, assert no
 # invocation is lost or double-billed, and that runs replay from their seed.
@@ -80,7 +83,8 @@ bench:
 # (ns/op and allocs/op), the address-space fork fan-out and one cold start's
 # fork/map/write/release cycle, a warm Molecule invocation end to end, a forced
 # cold start under the zygote forest whose release evicts a warm instance, a
-# warm cross-PU chain (wiring built and released every call), a warm
+# warm cross-PU chain (wiring built and released every call), a chain
+# placement refused on a full host (the saturated cluster's path), a warm
 # invocation and chain through a one-machine cluster Boss, and the loadgen
 # open-loop stream's own cost (allocs/req), and the sharded-kernel soak's
 # throughput (events/s) at 1, 2 and 4 shards.
@@ -88,7 +92,7 @@ microbench:
 	$(GO) test ./internal/sim -bench 'Kernel|ChanPingPong|ShardedRound' -benchmem -run xxx
 	$(GO) test ./internal/mem -bench 'ForkFanout|ColdCycle' -benchmem -run xxx
 	$(GO) test ./internal/xpu -bench 'FIFOWrite' -benchmem -run xxx
-	$(GO) test ./internal/molecule -bench 'InvokeWarm|InvokeCold|InvokeChainCrossPU' -benchmem -run xxx
+	$(GO) test ./internal/molecule -bench 'InvokeWarm|InvokeCold|InvokeChainCrossPU|PlaceChainRefusal' -benchmem -run xxx
 	$(GO) test ./internal/cluster -bench 'BossInvoke' -benchmem -run xxx
 	$(GO) test ./internal/loadgen -bench 'DriveOpenLoop' -benchmem -run xxx
 	$(GO) test ./internal/bench -bench 'ShardSoak' -run xxx
@@ -99,7 +103,7 @@ bench-smoke:
 	$(GO) test ./internal/sim -bench 'Kernel|ChanPingPong|ShardedRound' -benchtime 1x -run xxx
 	$(GO) test ./internal/mem -bench 'ForkFanout|ColdCycle' -benchtime 1x -run xxx
 	$(GO) test ./internal/xpu -bench 'FIFOWrite' -benchtime 1x -run xxx
-	$(GO) test ./internal/molecule -bench 'InvokeWarm|InvokeCold|InvokeChainCrossPU' -benchtime 1x -run xxx
+	$(GO) test ./internal/molecule -bench 'InvokeWarm|InvokeCold|InvokeChainCrossPU|PlaceChainRefusal' -benchtime 1x -run xxx
 	$(GO) test ./internal/cluster -bench 'BossInvoke' -benchtime 1x -run xxx
 	$(GO) test ./internal/loadgen -bench 'DriveOpenLoop' -benchtime 1x -run xxx
 	$(GO) test ./internal/bench -bench 'ShardSoak' -benchtime 1x -run xxx

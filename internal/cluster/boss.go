@@ -87,9 +87,12 @@ func machineKinds(m *hw.Machine) kindMask {
 }
 
 // registration is a function registered with the boss: the union of its
-// profiles' PU kinds.
+// profiles' PU kinds, and its rendezvous score on every machine, computed
+// at Register (the machine list is fixed by NewBoss), so routing hashes no
+// name.
 type registration struct {
-	mask kindMask
+	mask   kindMask
+	scores []uint64 // scores[i]: rendezvous score on b.nodes[i]
 }
 
 // errClusterSaturated reports requests that found no capacity and nothing
@@ -236,6 +239,9 @@ type request struct {
 	// allocates nothing beyond the request.
 	one [1]string
 	seg [1]chainSeg
+	// reg is a single function's registration, resolved on its first
+	// route, so a re-route from the central queue looks nothing up.
+	reg *registration
 
 	// The client's round trip (request.Step): how far it has got, and the
 	// reply it carries back to the client.
@@ -387,8 +393,10 @@ func (b *Boss) Register(funcName string, profiles ...molecule.Profile) error {
 	for _, pr := range profiles {
 		mask |= maskOf(pr.Kind)
 	}
-	b.funcs[funcName] = &registration{mask: mask}
-	for _, n := range b.nodes {
+	r := &registration{mask: mask, scores: make([]uint64, len(b.nodes))}
+	b.funcs[funcName] = r
+	for i, n := range b.nodes {
+		r.scores[i] = rendezvous(funcName, n.Domain)
 		if local := n.kinds.filter(profiles); len(local) > 0 {
 			n.regs[funcName] = local
 		}
@@ -425,31 +433,31 @@ func rendezvous(fn string, domain int) uint64 {
 	return h.Sum64()
 }
 
+func errNotRegistered(fn string) error {
+	return fmt.Errorf("cluster: function %q not registered", fn)
+}
+
 // eligibleFor reports whether the node can run fn's registration at all.
 func (b *Boss) eligibleFor(n *Node, mask kindMask) bool {
 	return !n.draining && !n.down && n.kinds&mask != 0
 }
 
-// routeOne picks the node for a single-function request: affinity home if
-// it has room; else steal to the least-loaded eligible node with room;
-// else nil (caller queues). The error is non-nil only when no live
-// eligible node exists at all.
-func (b *Boss) routeOne(fn string) (*Node, bool, error) {
-	r, ok := b.funcs[fn]
-	if !ok {
-		return nil, false, fmt.Errorf("cluster: function %q not registered", fn)
-	}
+// routeOne picks the node for a single-function request for fn, whose
+// registration is r: affinity home if it has room; else steal to the
+// least-loaded eligible node with room; else nil (caller queues). The error
+// is non-nil only when no live eligible node exists at all.
+func (b *Boss) routeOne(r *registration, fn string) (*Node, bool, error) {
 	var home *Node
 	var homeScore uint64
 	var spill *Node
 	spillLoad := 0.0
 	any := false
-	for _, n := range b.nodes {
+	for i, n := range b.nodes {
 		if !b.eligibleFor(n, r.mask) {
 			continue
 		}
 		any = true
-		if s := rendezvous(fn, n.Domain); home == nil || s > homeScore {
+		if s := r.scores[i]; home == nil || s > homeScore {
 			home, homeScore = n, s
 		}
 		if !n.hasRoom() {
@@ -480,16 +488,20 @@ func (b *Boss) routeOne(fn string) (*Node, bool, error) {
 // (hw.Machine.HostLinkLat), tie-broken by load then domain order.
 func (b *Boss) planChain(names []string) ([]chainSeg, error) {
 	masks := make([]kindMask, len(names))
+	var first *registration
 	for i, fn := range names {
 		r, ok := b.funcs[fn]
 		if !ok {
-			return nil, fmt.Errorf("cluster: function %q not registered", fn)
+			return nil, errNotRegistered(fn)
+		}
+		if i == 0 {
+			first = r
 		}
 		masks[i] = r.mask
 	}
 	// Locality first: the affinity-preferred machine among those eligible
 	// for the whole chain.
-	if n := b.wholeChainHome(names, masks); n != nil {
+	if n := b.wholeChainHome(first, masks); n != nil {
 		return []chainSeg{{node: n, names: names}}, nil
 	}
 	// Split: greedy maximal contiguous segments. Each segment extends
@@ -516,16 +528,17 @@ func (b *Boss) planChain(names []string) ([]chainSeg, error) {
 	return plan, nil
 }
 
-// wholeChainHome returns the rendezvous-preferred machine eligible for
-// every chain function, preferring machines with room, or nil.
-func (b *Boss) wholeChainHome(names []string, masks []kindMask) *Node {
+// wholeChainHome returns the machine eligible for every chain function
+// that the first function's registration prefers by rendezvous score,
+// preferring machines with room, or nil.
+func (b *Boss) wholeChainHome(first *registration, masks []kindMask) *Node {
 	var home, fallback *Node
 	var homeScore, fbScore uint64
-	for _, n := range b.nodes {
+	for i, n := range b.nodes {
 		if !n.runsAll(masks) {
 			continue
 		}
-		s := rendezvous(names[0], n.Domain)
+		s := first.scores[i]
 		if fallback == nil || s > fbScore {
 			fallback, fbScore = n, s
 		}
@@ -755,7 +768,14 @@ func (b *Boss) route(req *request) ([]chainSeg, bool, error) {
 		plan, err := b.planChain(req.names)
 		return plan, false, err
 	}
-	n, stolen, err := b.routeOne(req.names[0])
+	if req.reg == nil {
+		r, ok := b.funcs[req.names[0]]
+		if !ok {
+			return nil, false, errNotRegistered(req.names[0])
+		}
+		req.reg = r
+	}
+	n, stolen, err := b.routeOne(req.reg, req.names[0])
 	if n == nil {
 		return nil, false, err
 	}

@@ -116,7 +116,7 @@ func TestNoEligibleWorker(t *testing.T) {
 	if err := b.Register("mscale", molecule.DefaultProfile(hw.FPGA)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.routeOne("mscale"); err == nil || !strings.Contains(err.Error(), "no eligible machine") {
+	if _, _, err := b.routeOne(b.funcs["mscale"], "mscale"); err == nil || !strings.Contains(err.Error(), "no eligible machine") {
 		t.Fatalf("FPGA request on a CPU-only cluster: err = %v, want \"no eligible machine\"", err)
 	}
 }
@@ -535,8 +535,9 @@ func TestGatewayLoadBalancesConcurrentTraffic(t *testing.T) {
 // the boss's own counters.
 func TestScheduleZeroAlloc(t *testing.T) {
 	b := newTestBoss(t, 4, hw.Config{DPUs: 1}, 0, "pyaes", "matmul")
+	r := b.funcs["pyaes"]
 	if n := testing.AllocsPerRun(100, func() {
-		if n, _, err := b.routeOne("pyaes"); err != nil || n == nil {
+		if n, _, err := b.routeOne(r, "pyaes"); err != nil || n == nil {
 			t.Fatalf("routeOne: node %v, err %v", n, err)
 		}
 	}); n != 0 {

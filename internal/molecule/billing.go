@@ -50,21 +50,33 @@ type BillEntry struct {
 // NewBilling returns an empty ledger.
 func NewBilling() *Billing { return &Billing{} }
 
-// Record charges one invocation.
+// Record charges one invocation of fn, found by name.
 func (b *Billing) Record(fn string, kind hw.PUKind, d time.Duration, pricePerMs float64) {
+	b.add(b.fn(fn), fn, kind, d, pricePerMs)
+}
+
+// fn returns the function's share of the ledger, making it on first use.
+// The runtime keeps the pointer on the function's record, so a charge
+// hashes no name.
+func (b *Billing) fn(name string) *fnBill {
+	if b.fns == nil {
+		b.fns = make(map[string]*fnBill)
+	}
+	f := b.fns[name]
+	if f == nil {
+		f = &fnBill{}
+		b.fns[name] = f
+	}
+	return f
+}
+
+// add charges one invocation of fn, whose share of the ledger is f.
+func (b *Billing) add(f *fnBill, fn string, kind hw.PUKind, d time.Duration, pricePerMs float64) {
 	ms := int64(math.Ceil(float64(d) / float64(time.Millisecond)))
 	if ms < 1 {
 		ms = 1
 	}
 	charge := float64(ms) * pricePerMs
-	if b.fns == nil {
-		b.fns = make(map[string]*fnBill)
-	}
-	f := b.fns[fn]
-	if f == nil {
-		f = &fnBill{}
-		b.fns[fn] = f
-	}
 	if int(kind) >= len(f.kinds) {
 		f.kinds = append(f.kinds, make([]billAgg, int(kind)+1-len(f.kinds))...)
 	}

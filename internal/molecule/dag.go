@@ -584,7 +584,7 @@ func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, ord
 			req: &edges[in.lo].req, inst: inst, cost: deps[i].Fn.CPUCost(opts.Arg), last: in.hi-in.lo == 1,
 		}
 		sw.req.read(stageDispatch(in, in.lo, inst))
-		rt.Env.SpawnWaiting("chain-"+inst.fn, sw, func(fp *sim.Proc) {
+		rt.Env.SpawnWaiting("chain-"+inst.rec.name, sw, func(fp *sim.Proc) {
 			defer done.Done()
 			// in and sw are re-derived, not captured: every captured
 			// variable grows each stage's closure, and chain-nipc's peak
@@ -627,7 +627,7 @@ func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, ord
 				edges[e].sentAt = fp.Now()
 				fp.Sleep(half) // serialize the downstream request
 				if err := edges[e].req.send(fp, localos.Message{
-					From: inst.fn, Kind: "req", Payload: payload(argB),
+					From: inst.rec.name, Kind: "req", Payload: payload(argB),
 				}); err != nil {
 					abort.fail(err)
 					return
@@ -648,7 +648,7 @@ func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, ord
 			for e := in.lo; e < in.hi; e++ {
 				fp.Sleep(half) // serialize the response
 				if err := edges[e].resp.send(fp, localos.Message{
-					From: inst.fn, Kind: "resp", Payload: respPayload,
+					From: inst.rec.name, Kind: "resp", Payload: respPayload,
 				}); err != nil {
 					abort.fail(err)
 					return
@@ -702,7 +702,7 @@ func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, ord
 			kind = insts[i].node.pu.Kind
 		}
 		pr, _ := d.ProfileFor(kind)
-		rt.bill.Record(d.Fn.Name, kind, execDur[i], pr.PricePerMs)
+		rt.charge(d.rec, kind, execDur[i], pr.PricePerMs)
 	}
 	return res, nil
 }
@@ -762,7 +762,7 @@ func (rt *Runtime) accelNodes(p *sim.Proc, names []string, pins []hw.PUID, dag b
 		if dag {
 			return nil, fmt.Errorf("molecule: DAG node %d pinned to FPGA %d; only a chain runs FPGA functions", i, pin)
 		}
-		if d := rt.funcs[names[i]]; d == nil || !d.SupportsKind(hw.FPGA) {
+		if d := rt.deployment(names[i]); d == nil || !d.SupportsKind(hw.FPGA) {
 			return nil, fmt.Errorf("molecule: %q pinned to FPGA %d is not deployed with an FPGA profile", names[i], pin)
 		}
 		n, id, err := rt.ensureAccel(p, hw.FPGA, names[i], nil)

@@ -73,6 +73,38 @@ type Deployment struct {
 	// the function is full. It is built once, on the first refusal, because
 	// a saturated machine meets it on every placement attempt.
 	errFull error
+	// rec is the function's handle, shared by every deployment of its name.
+	rec *funcRec
+}
+
+// funcRec is a function's handle: one record per name, made at the name's
+// first Deploy and kept across redeploys and undeploys. Everything the
+// request path keeps per function hangs off it, so warm pools, keep-alive,
+// billing and chain placement reach their state by pointer instead of by
+// hashing or comparing the name.
+type funcRec struct {
+	name string
+	// idx is the function's dense index, its slot in every puNode.byIdx.
+	idx int
+	// dep is the current deployment; nil while the name is undeployed, so
+	// an instance that outlives its function's Undeploy is not pooled.
+	dep *Deployment
+	// warm counts the function's warm-pooled instances across all PUs, so
+	// popWarm answers a global miss without touching a node. Every
+	// warm-pool mutation (release, popWarm, destroy, keep-alive eviction,
+	// executor kill, crash reaping) keeps it in sync
+	// (TestWarmCountsConsistency pins the invariant).
+	warm int
+	stat *kaStat // the function's keep-alive stat
+	bill *fnBill // its billing aggregate; nil until its first charge
+}
+
+// charge bills one run of r's function on kind at the profile's rate.
+func (rt *Runtime) charge(r *funcRec, kind hw.PUKind, d time.Duration, pricePerMs float64) {
+	if r.bill == nil {
+		r.bill = rt.bill.fn(r.name)
+	}
+	rt.bill.add(r.bill, r.name, kind, d, pricePerMs)
 }
 
 // SupportsKind reports whether the deployment has a profile for kind.
@@ -127,7 +159,12 @@ func (rt *Runtime) Deploy(p *sim.Proc, funcName string, profiles ...Profile) err
 		d.PkgTail = 0
 	}
 	d.preferred = rt.preferredNode(d)
-	rt.funcs[funcName] = d
+	rec := rt.funcs[funcName]
+	if rec == nil {
+		rec = &funcRec{name: funcName, idx: len(rt.funcs), stat: rt.cache.stat(funcName)}
+		rt.funcs[funcName] = rec
+	}
+	d.rec, rec.dep = rec, d
 	// Accelerator profiles: install the function into the device image.
 	for _, pr := range profiles {
 		switch pr.Kind {
@@ -148,12 +185,13 @@ func (rt *Runtime) Deploy(p *sim.Proc, funcName string, profiles ...Profile) err
 // destroyed and FPGA devices drop it from their images at the next
 // reprogramming (the deferred-destroy semantics of §3.5).
 func (rt *Runtime) Undeploy(p *sim.Proc, funcName string) error {
-	if _, ok := rt.funcs[funcName]; !ok {
-		return fmt.Errorf("molecule: function %q not deployed", funcName)
+	d := rt.deployment(funcName)
+	if d == nil {
+		return errNotDeployed(funcName)
 	}
-	delete(rt.funcs, funcName)
+	d.rec.dep = nil
 	for _, n := range rt.orderedNodes() {
-		if wp := n.warmPool(funcName); wp != nil {
+		if wp := n.poolOf(d.rec); wp != nil {
 			for len(wp.insts) > 0 {
 				rt.destroy(p, wp.insts[0])
 			}
@@ -180,11 +218,22 @@ func (rt *Runtime) Undeploy(p *sim.Proc, funcName string) error {
 
 // Deployment returns the registered deployment for a function.
 func (rt *Runtime) Deployment(funcName string) (*Deployment, error) {
-	d, ok := rt.funcs[funcName]
-	if !ok {
-		return nil, fmt.Errorf("molecule: function %q not deployed", funcName)
+	if d := rt.deployment(funcName); d != nil {
+		return d, nil
 	}
-	return d, nil
+	return nil, errNotDeployed(funcName)
+}
+
+// deployment returns the function's current deployment, or nil.
+func (rt *Runtime) deployment(funcName string) *Deployment {
+	if r := rt.funcs[funcName]; r != nil {
+		return r.dep
+	}
+	return nil
+}
+
+func errNotDeployed(funcName string) error {
+	return fmt.Errorf("molecule: function %q not deployed", funcName)
 }
 
 // extendFPGAImages adds funcName to the vectorized image of the

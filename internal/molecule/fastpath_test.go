@@ -2,10 +2,12 @@ package molecule
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/faults"
 	"repro/internal/hw"
@@ -14,44 +16,76 @@ import (
 	"repro/internal/workloads"
 )
 
-// checkWarmTotal asserts the fn-indexed warm counter matches the actual pool
-// contents — the invariant popWarm's O(1) miss path depends on.
-func checkWarmTotal(t *testing.T, rt *Runtime, when string) {
+// checkWarmCounts asserts the warm-pool bookkeeping matches the pools
+// themselves: each node's name-ordered list, its index slots and its warm
+// count agree, every function record's warm count is what the pools hold,
+// and no undeployed function has an instance pooled. popWarm's O(1) miss path and the O(1) pool lookups depend on it.
+func checkWarmCounts(t testing.TB, rt *Runtime, when string) {
 	t.Helper()
-	actual := map[string]int{}
-	for _, n := range rt.orderedNodes() {
-		sum := 0
-		for i, wp := range n.pools {
-			actual[wp.fn] += len(wp.insts)
-			sum += len(wp.insts)
-			if i > 0 && n.pools[i-1].fn >= wp.fn {
-				t.Errorf("%s: PU %d pools out of name order: %q before %q", when, n.pu.ID, n.pools[i-1].fn, wp.fn)
-			}
-		}
-		if n.warmCount != sum {
-			t.Errorf("%s: PU %d warmCount = %d but pools hold %d", when, n.pu.ID, n.warmCount, sum)
-		}
-	}
-	for fn, want := range actual {
-		if got := rt.warmTotal[fn]; got != want {
-			t.Errorf("%s: warmTotal[%q] = %d, want %d", when, fn, got, want)
-		}
-	}
-	for fn, got := range rt.warmTotal {
-		if got < 0 {
-			t.Errorf("%s: warmTotal[%q] = %d, negative", when, fn, got)
-		}
-		if got != actual[fn] {
-			t.Errorf("%s: warmTotal[%q] = %d but pools hold %d", when, fn, got, actual[fn])
-		}
+	if err := warmCountsErr(rt); err != nil {
+		t.Errorf("%s: %v", when, err)
 	}
 }
 
-// TestWarmTotalConsistency drives the warm pools through every mutation
+// warmCountsErr is checkWarmCounts' check, returning the first mismatch.
+func warmCountsErr(rt *Runtime) error {
+	actual := map[*funcRec]int{}
+	for _, n := range rt.orderedNodes() {
+		sum := 0
+		for i, wp := range n.pools {
+			actual[wp.rec] += len(wp.insts)
+			sum += len(wp.insts)
+			if i > 0 && n.pools[i-1].rec.name >= wp.rec.name {
+				return fmt.Errorf("PU %d pools out of name order: %q before %q", n.pu.ID, n.pools[i-1].rec.name, wp.rec.name)
+			}
+			if rt.funcs[wp.rec.name] != wp.rec {
+				return fmt.Errorf("PU %d pools %q under a record the runtime does not hold", n.pu.ID, wp.rec.name)
+			}
+			if n.poolOf(wp.rec) != wp {
+				return fmt.Errorf("PU %d: %q's index slot %d does not hold its pool", n.pu.ID, wp.rec.name, wp.rec.idx)
+			}
+			for _, inst := range wp.insts {
+				if inst.rec != wp.rec || inst.node != n {
+					return fmt.Errorf("PU %d: %q's pool holds instance %s of %q on PU %d", n.pu.ID, wp.rec.name, inst.sandboxID, inst.rec.name, inst.node.pu.ID)
+				}
+			}
+		}
+		slots := 0
+		for idx, wp := range n.byIdx {
+			if wp == nil {
+				continue
+			}
+			slots++
+			if wp.rec.idx != idx || !slices.Contains(n.pools, wp) {
+				return fmt.Errorf("PU %d: index slot %d holds %q's pool (index %d), which the name list lacks or files elsewhere", n.pu.ID, idx, wp.rec.name, wp.rec.idx)
+			}
+		}
+		if slots != len(n.pools) {
+			return fmt.Errorf("PU %d: %d index slots filled, %d pools listed", n.pu.ID, slots, len(n.pools))
+		}
+		if n.warmCount != sum {
+			return fmt.Errorf("PU %d warmCount = %d but pools hold %d", n.pu.ID, n.warmCount, sum)
+		}
+	}
+	for name, r := range rt.funcs {
+		if r.name != name {
+			return fmt.Errorf("record filed under %q is named %q", name, r.name)
+		}
+		if r.warm != actual[r] {
+			return fmt.Errorf("%q's record counts %d warm, pools hold %d", name, r.warm, actual[r])
+		}
+		if r.dep == nil && actual[r] != 0 {
+			return fmt.Errorf("undeployed %q has %d warm instances pooled", name, actual[r])
+		}
+	}
+	return nil
+}
+
+// TestWarmCountsConsistency drives the warm pools through every mutation
 // path — release, warm hit, dead-instance discard, keep-alive eviction,
-// executor kill, crash reaping, undeploy — and checks the counter after
-// each.
-func TestWarmTotalConsistency(t *testing.T) {
+// executor kill, crash reaping, redeploy, undeploy, and an undeploy while
+// an invocation runs — and checks the counts after each.
+func TestWarmCountsConsistency(t *testing.T) {
 	opts := DefaultOptions()
 	opts.KeepWarmPerPU = 2 // small cap so admit evicts
 	run(t, hw.Config{DPUs: 2}, opts, func(p *sim.Proc, rt *Runtime) {
@@ -67,10 +101,28 @@ func TestWarmTotalConsistency(t *testing.T) {
 			if _, err := rt.Invoke(p, "helloworld", DefaultInvokeOptions()); err != nil {
 				t.Fatal(err)
 			}
-			checkWarmTotal(t, rt, "after invoke")
+			checkWarmCounts(t, rt, "after invoke")
 		}
-		if rt.warmTotal["helloworld"] != 1 {
-			t.Errorf("warmTotal[helloworld] = %d, want 1", rt.warmTotal["helloworld"])
+		if w := rt.funcs["helloworld"].warm; w != 1 {
+			t.Errorf("helloworld's record counts %d warm, want 1", w)
+		}
+
+		// Redeploy: the name keeps its record, so its warm instance serves
+		// the next request.
+		rec := rt.funcs["helloworld"]
+		if err := rt.Deploy(p, "helloworld", DefaultProfile(hw.CPU), DefaultProfile(hw.DPU)); err != nil {
+			t.Fatal(err)
+		}
+		if rt.funcs["helloworld"] != rec || rec.dep.rec != rec {
+			t.Fatal("redeploy replaced helloworld's record")
+		}
+		checkWarmCounts(t, rt, "after redeploy")
+		if res, err := rt.Invoke(p, "helloworld", DefaultInvokeOptions()); err != nil || res.Cold {
+			t.Fatalf("invoke after redeploy: cold=%v err=%v, want a warm hit", res.Cold, err)
+		}
+		checkWarmCounts(t, rt, "after warm hit on the redeployed name")
+		if rec.warm != 1 {
+			t.Errorf("helloworld's record counts %d warm after redeploy, want 1", rec.warm)
 		}
 
 		// Keep-alive eviction: the third distinct function overflows the
@@ -80,7 +132,7 @@ func TestWarmTotalConsistency(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		checkWarmTotal(t, rt, "after keep-alive eviction")
+		checkWarmCounts(t, rt, "after keep-alive eviction")
 
 		// Dead-instance discard: break a pooled instance out-of-band; the
 		// next acquire discards it and cold-starts.
@@ -88,7 +140,7 @@ func TestWarmTotalConsistency(t *testing.T) {
 		var pooled string
 		for _, wp := range host.pools {
 			if len(wp.insts) > 0 {
-				pooled, wp.insts[0].sb = wp.fn, nil
+				pooled, wp.insts[0].sb = wp.rec.name, nil
 				break
 			}
 		}
@@ -98,7 +150,7 @@ func TestWarmTotalConsistency(t *testing.T) {
 		if _, err := rt.Invoke(p, pooled, DefaultInvokeOptions()); err != nil {
 			t.Fatal(err)
 		}
-		checkWarmTotal(t, rt, "after dead-instance discard")
+		checkWarmCounts(t, rt, "after dead-instance discard")
 
 		// Pinned invokes on a DPU, then an executor crash drops its pools.
 		pin := DefaultInvokeOptions()
@@ -108,11 +160,11 @@ func TestWarmTotalConsistency(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		checkWarmTotal(t, rt, "after pinned invokes")
+		checkWarmCounts(t, rt, "after pinned invokes")
 		if err := rt.KillExecutor(p, dpu); err != nil {
 			t.Fatal(err)
 		}
-		checkWarmTotal(t, rt, "after KillExecutor")
+		checkWarmCounts(t, rt, "after KillExecutor")
 
 		// Crash reaping: repopulate the DPU, crash it, reap.
 		if _, err := rt.Invoke(p, "pyaes", pin); err != nil {
@@ -122,7 +174,7 @@ func TestWarmTotalConsistency(t *testing.T) {
 		rt.AttachFaults(pl)
 		pl.Kill(dpu)
 		rt.reapCrashed(p)
-		checkWarmTotal(t, rt, "after reapCrashed")
+		checkWarmCounts(t, rt, "after reapCrashed")
 		pl.Revive(dpu)
 		rt.AttachFaults(nil)
 
@@ -130,9 +182,42 @@ func TestWarmTotalConsistency(t *testing.T) {
 		if err := rt.Undeploy(p, "helloworld"); err != nil {
 			t.Fatal(err)
 		}
-		checkWarmTotal(t, rt, "after Undeploy")
-		if rt.warmTotal["helloworld"] != 0 {
-			t.Errorf("warmTotal[helloworld] = %d after Undeploy, want 0", rt.warmTotal["helloworld"])
+		checkWarmCounts(t, rt, "after Undeploy")
+		if rec.warm != 0 {
+			t.Errorf("helloworld's record counts %d warm after Undeploy, want 0", rec.warm)
+		}
+
+		// Undeploy during an invocation: the instance is destroyed when the
+		// invocation ends, not pooled.
+		done := sim.NewWaitGroup(rt.Env)
+		done.Add(1)
+		finished := false
+		rt.Env.Spawn("in-flight", func(ip *sim.Proc) {
+			defer done.Done()
+			if _, err := rt.Invoke(ip, "pyaes", DefaultInvokeOptions()); err != nil {
+				t.Error(err)
+			}
+			finished = true
+		})
+		p.Sleep(time.Microsecond)
+		if finished {
+			t.Fatal("the invocation finished before the undeploy")
+		}
+		if err := rt.Undeploy(p, "pyaes"); err != nil {
+			t.Fatal(err)
+		}
+		done.Wait(p)
+		checkWarmCounts(t, rt, "after undeploy during invoke")
+		if r := rt.funcs["pyaes"]; r.warm != 0 || r.dep != nil {
+			t.Errorf("pyaes's record: %d warm, deployment %v; want 0 and none", r.warm, r.dep)
+		}
+		// Nothing is in flight, so every live instance is a pooled one.
+		warm := 0
+		for _, n := range rt.orderedNodes() {
+			warm += n.warmCount
+		}
+		if live := rt.LiveInstances(); live != warm {
+			t.Errorf("%d live instances but %d pooled once the undeployed invocation ended", live, warm)
 		}
 	})
 }
@@ -161,7 +246,7 @@ func TestPlacementCacheMatchesScan(t *testing.T) {
 		if err := rt.Deploy(p, "helloworld", DefaultProfile(hw.CPU), DefaultProfile(hw.DPU)); err != nil {
 			t.Fatal(err)
 		}
-		d := rt.funcs["helloworld"]
+		d := rt.funcs["helloworld"].dep
 		if d.preferred == nil || d.preferred.pu.ID != rt.hostID {
 			t.Fatalf("preferred node = %v, want host CPU", d.preferred)
 		}
@@ -223,7 +308,7 @@ func TestSaturatedPlacementErrorPrebuilt(t *testing.T) {
 				rt.SetCapacity(pu.ID, 0)
 			}
 		}
-		d := rt.funcs["helloworld"]
+		d := rt.funcs["helloworld"].dep
 		_, err := rt.placeGeneral(d, -1)
 		if !errors.Is(err, ErrNoCapacity) {
 			t.Fatalf("placeGeneral error %v, want one wrapping ErrNoCapacity", err)
@@ -420,13 +505,13 @@ func TestColdInvokeAllocs(t *testing.T) {
 		// One instance out leaves the host below the cap, so each release
 		// below evicts nothing.
 		host := rt.nodes[rt.hostID]
-		inst := rt.popWarm(coldFn, rt.hostID)
+		inst := rt.popWarm(rt.funcs[coldFn], rt.hostID)
 		if inst == nil {
 			t.Fatal("no warm instance to recycle")
 		}
 		if allocs := testing.AllocsPerRun(200, func() {
 			rt.release(p, inst)
-			inst = rt.popWarm(coldFn, rt.hostID)
+			inst = rt.popWarm(rt.funcs[coldFn], rt.hostID)
 		}); allocs != 0 {
 			t.Errorf("warm release below the cap allocates %v/op, want 0", allocs)
 		}
@@ -520,4 +605,49 @@ func BenchmarkInvokeCold(b *testing.B) {
 		}
 	})
 	env.Run()
+}
+
+// TestUndeployDuringInvokePoolsNothing: an instance whose function is
+// undeployed while it runs is destroyed when the invocation ends. Pooled,
+// it would pin a capacity slot, and a redeploy would serve it warm.
+func TestUndeployDuringInvokePoolsNothing(t *testing.T) {
+	run(t, hw.Config{}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
+		if err := rt.Deploy(p, "linpack"); err != nil {
+			t.Fatal(err)
+		}
+		done := sim.NewWaitGroup(rt.Env)
+		done.Add(1)
+		rt.Env.Spawn("in-flight", func(ip *sim.Proc) {
+			defer done.Done()
+			if _, err := rt.Invoke(ip, "linpack", DefaultInvokeOptions()); err != nil {
+				t.Error(err)
+			}
+		})
+		p.Sleep(time.Millisecond)
+		if err := rt.Undeploy(p, "linpack"); err != nil {
+			t.Fatal(err)
+		}
+		done.Wait(p)
+		for _, st := range rt.Snapshot() {
+			if st.Live != 0 || st.Warm != 0 || st.WarmPerFunc["linpack"] != 0 {
+				t.Errorf("PU %d after the undeployed invocation: live=%d warm=%d WarmPerFunc=%v, want nothing",
+					st.PU, st.Live, st.Warm, st.WarmPerFunc)
+			}
+		}
+		if err := rt.Deploy(p, "linpack"); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := rt.Invoke(p, "linpack", DefaultInvokeOptions()); err != nil || !res.Cold {
+			t.Errorf("first invoke after the redeploy: cold=%v err=%v, want a cold start", res.Cold, err)
+		}
+	})
+}
+
+// TestInstanceSizeClass: an instance points at its function record rather
+// than carrying the name, and stays within the 48-byte allocation size
+// class every cold start pays for.
+func TestInstanceSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(instance{}); size > 48 {
+		t.Errorf("instance is %d bytes, want at most 48", size)
+	}
 }

@@ -18,7 +18,7 @@ import (
 
 // instance is one warm (or in-flight) container-based function instance.
 type instance struct {
-	fn        string
+	rec       *funcRec
 	node      *puNode
 	sandboxID string
 	sb        *sandbox.ContainerSandbox
@@ -100,7 +100,7 @@ func (rt *Runtime) dispatch(p *sim.Proc, d *Deployment, opts InvokeOptions, sett
 // exactly-once accounting step of every successful invocation.
 func (rt *Runtime) settleResult(d *Deployment, res Result) {
 	pr, _ := d.ProfileFor(res.Kind)
-	rt.bill.Record(d.Fn.Name, res.Kind, res.Total, pr.PricePerMs)
+	rt.charge(d.rec, res.Kind, res.Total, pr.PricePerMs)
 	if pu := rt.Machine.PU(res.PU); pu != nil {
 		rt.recordInvocation(d.Fn.Name, pu, res)
 	}
@@ -219,7 +219,7 @@ func (rt *Runtime) recordInvocation(fn string, pu *hw.PU, res Result) {
 func (rt *Runtime) acquire(p *sim.Proc, d *Deployment, pin hw.PUID, forceCold bool, parent *obs.Span) (*instance, bool, error) {
 	sp := rt.obs.Span(parent, "sandbox.acquire", -1)
 	if !forceCold {
-		if inst := rt.popWarm(d.Fn.Name, pin); inst != nil {
+		if inst := rt.popWarm(d.rec, pin); inst != nil {
 			sp.SetAttr("path", "warm")
 			sp.SetPU(int(inst.node.pu.ID))
 			sp.Finish()
@@ -236,7 +236,7 @@ func (rt *Runtime) acquire(p *sim.Proc, d *Deployment, pin hw.PUID, forceCold bo
 		sp.Finish()
 		return nil, false, err
 	}
-	rt.cache.setCost(d.Fn.Name, p.Now().Sub(start).Seconds()*1000)
+	rt.cache.setCost(d.rec.stat, p.Now().Sub(start).Seconds()*1000)
 	sp.SetAttr("path", "cold")
 	sp.SetPU(int(inst.node.pu.ID))
 	sp.Finish()
@@ -247,11 +247,11 @@ func (rt *Runtime) acquire(p *sim.Proc, d *Deployment, pin hw.PUID, forceCold bo
 	return inst, true, nil
 }
 
-// popWarm takes a warm instance for fn, honoring a PU pin. Instances whose
-// sandbox was killed or deleted out-of-band are discarded rather than
-// served.
+// popWarm takes a warm instance of r's function, honoring a PU pin.
+// Instances whose sandbox was killed or deleted out-of-band are discarded
+// rather than served.
 //
-// The fn-indexed warm counter makes the two hot cases O(1): a global miss
+// The record's warm counter makes the two hot cases O(1): a global miss
 // (every acquire in a density run, where no instance is ever warm) returns
 // without touching a single node, and a pinned lookup goes straight to its
 // node. The unpinned hit path walks rt.order directly — same deterministic
@@ -259,40 +259,40 @@ func (rt *Runtime) acquire(p *sim.Proc, d *Deployment, pin hw.PUID, forceCold bo
 // per call.
 //
 //molecule:hotpath
-func (rt *Runtime) popWarm(fn string, pin hw.PUID) *instance {
-	if rt.warmTotal[fn] == 0 {
+func (rt *Runtime) popWarm(r *funcRec, pin hw.PUID) *instance {
+	if r.warm == 0 {
 		return nil
 	}
 	if pin >= 0 {
-		return rt.popWarmOn(rt.nodes[pin], fn)
+		return rt.popWarmOn(rt.nodes[pin], r)
 	}
 	for _, id := range rt.order {
-		if inst := rt.popWarmOn(rt.nodes[id], fn); inst != nil {
+		if inst := rt.popWarmOn(rt.nodes[id], r); inst != nil {
 			return inst
 		}
 	}
 	return nil
 }
 
-// popWarmOn takes a warm instance for fn from one node, discarding dead
-// instances along the way.
-func (rt *Runtime) popWarmOn(n *puNode, fn string) *instance {
+// popWarmOn takes a warm instance of r's function from one node,
+// discarding dead instances along the way.
+func (rt *Runtime) popWarmOn(n *puNode, r *funcRec) *instance {
 	if n == nil || rt.puDown(n.pu.ID) {
 		return nil // stranded warm instances are reaped, never served
 	}
-	wp := n.warmPool(fn)
+	wp := n.poolOf(r)
 	if wp == nil {
 		return nil
 	}
 	for len(wp.insts) > 0 {
 		inst := wp.insts[len(wp.insts)-1]
 		n.unpool(wp, len(wp.insts)-1)
-		rt.warmTotal[fn]--
+		r.warm--
 		if inst.sb == nil || inst.sb.State != sandbox.StateRunning {
 			n.liveCount-- // dead instance leaves the machine
 			continue
 		}
-		rt.cache.touch(wp.stat)
+		rt.cache.touch(r.stat)
 		return inst
 	}
 	return nil
@@ -391,7 +391,7 @@ func (rt *Runtime) coldStart(p *sim.Proc, d *Deployment, pin hw.PUID, parent *ob
 	if rt.Opts.PrewarmContainers > 0 && n.cr.PoolSize() < rt.Opts.PrewarmContainers {
 		n.cr.Refill()
 	}
-	return &instance{fn: d.Fn.Name, node: n, sandboxID: id, sb: sb}, nil
+	return &instance{rec: d.rec, node: n, sandboxID: id, sb: sb}, nil
 }
 
 // nextContainerID numbers the node's next sandbox and returns its ID,
@@ -439,24 +439,30 @@ func (rt *Runtime) restoreFromSnapshot(p *sim.Proc, d *Deployment, n *puNode) (*
 	}
 	n.cr.Adopt(id, sb)
 	n.liveCount++
-	return &instance{fn: d.Fn.Name, node: n, sandboxID: id, sb: sb}, nil
+	return &instance{rec: d.rec, node: n, sandboxID: id, sb: sb}, nil
 }
 
 // release returns an instance to the warm pool, evicting per keep-alive
-// policy.
+// policy. An instance whose function was undeployed while it ran is
+// destroyed instead: pooled, it would pin a capacity slot and be served
+// again after a redeploy.
 func (rt *Runtime) release(p *sim.Proc, inst *instance) {
+	if inst.rec.dep == nil {
+		rt.destroy(p, inst)
+		return
+	}
 	n := inst.node
-	wp := n.ensureWarmPool(inst.fn, rt.cache)
+	wp := n.ensurePool(inst.rec)
 	wp.insts = append(wp.insts, inst)
 	n.warmCount++
-	rt.warmTotal[inst.fn]++
+	inst.rec.warm++
 	for victim := rt.cache.admit(wp, n); victim != nil; victim = rt.cache.evict(n) {
 		// The cache already removed the victim from its pool; settle the
 		// counter here (destroy only decrements for instances it finds
 		// pooled).
-		rt.warmTotal[victim.fn]--
+		victim.rec.warm--
 		if o := rt.obs; o != nil {
-			o.Counter("molecule_keepalive_evictions_total", puLabel(victim.node.pu.ID), obs.L("fn", victim.fn)).Inc()
+			o.Counter("molecule_keepalive_evictions_total", puLabel(victim.node.pu.ID), obs.L("fn", victim.rec.name)).Inc()
 		}
 		rt.destroy(p, victim)
 	}
@@ -478,7 +484,7 @@ func (rt *Runtime) evictForPlacement(p *sim.Proc, d *Deployment, pin hw.PUID) bo
 			return false
 		}
 		if o := rt.obs; o != nil {
-			o.Counter("molecule_density_evictions_total", puLabel(n.pu.ID), obs.L("fn", victim.fn)).Inc()
+			o.Counter("molecule_density_evictions_total", puLabel(n.pu.ID), obs.L("fn", victim.rec.name)).Inc()
 		}
 		rt.destroy(p, victim)
 		return true
@@ -501,10 +507,10 @@ func (rt *Runtime) evictForPlacement(p *sim.Proc, d *Deployment, pin hw.PUID) bo
 // destroy deletes a warm instance's sandbox.
 func (rt *Runtime) destroy(p *sim.Proc, inst *instance) {
 	n := inst.node
-	if wp := n.warmPool(inst.fn); wp != nil {
+	if wp := n.poolOf(inst.rec); wp != nil {
 		if i := slices.Index(wp.insts, inst); i >= 0 {
 			n.unpool(wp, i)
-			rt.warmTotal[inst.fn]--
+			inst.rec.warm--
 		}
 	}
 	sandbox.DeleteOne(p, n.cr, inst.sandboxID)

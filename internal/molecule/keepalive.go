@@ -50,11 +50,11 @@ func (ka *keepAlive) touch(s *kaStat) {
 
 // setCost tunes a function's recreation cost (e.g. FPGA functions are far
 // more expensive to recreate than cfork'd containers).
-func (ka *keepAlive) setCost(fn string, cost float64) {
+func (ka *keepAlive) setCost(s *kaStat, cost float64) {
 	if cost <= 0 {
 		cost = 1
 	}
-	ka.stat(fn).cost = cost
+	s.cost = cost
 }
 
 // admit is called after an instance joins node n's warm pool wp: it
@@ -65,7 +65,7 @@ func (ka *keepAlive) setCost(fn string, cost float64) {
 //
 //molecule:hotpath
 func (ka *keepAlive) admit(wp *warmPool, n *puNode) *instance {
-	ka.touch(wp.stat)
+	ka.touch(wp.rec.stat)
 	return ka.evict(n)
 }
 
@@ -83,7 +83,7 @@ func (ka *keepAlive) evict(n *puNode) *instance {
 	}
 	inst := v.insts[0]
 	n.unpool(v, 0)
-	ka.age(v.stat.pri)
+	ka.age(v.rec.stat.pri)
 	return inst
 }
 
@@ -100,7 +100,7 @@ func (ka *keepAlive) victim(n *puNode) *instance {
 	if v == nil {
 		return nil
 	}
-	ka.age(v.stat.pri)
+	ka.age(v.rec.stat.pri)
 	return v.insts[0]
 }
 
@@ -121,7 +121,7 @@ func (ka *keepAlive) age(pri float64) {
 func minPool(n *puNode) *warmPool {
 	var v *warmPool
 	for _, wp := range n.pools {
-		if len(wp.insts) > 0 && (v == nil || wp.stat.pri < v.stat.pri) {
+		if len(wp.insts) > 0 && (v == nil || wp.rec.stat.pri < v.rec.stat.pri) {
 			v = wp
 		}
 	}
@@ -133,38 +133,44 @@ func (ka *keepAlive) Priority(fn string) float64 { return ka.stat(fn).pri }
 
 // warmPool is one PU's idle instances of one function. A node makes the
 // record on its first release of the function (never at Deploy) and keeps
-// its records in function-name order, so the keep-alive scan needs no sort;
-// each record carries the function's keep-alive stat, so the scan needs no
-// map lookup either.
+// it twice: in pools, in function-name order, so the keep-alive scan needs
+// no sort, and in byIdx, at the function's dense index, so a request finds
+// its pool without comparing a name. The pool's function record carries
+// the keep-alive stat, so the scan needs no map lookup either.
 type warmPool struct {
-	fn    string
-	stat  *kaStat
+	rec   *funcRec
 	insts []*instance
 }
 
-func cmpPoolFn(wp *warmPool, fn string) int { return strings.Compare(wp.fn, fn) }
+func cmpPoolFn(wp *warmPool, fn string) int { return strings.Compare(wp.rec.name, fn) }
 
-// warmPool returns node n's pool for fn, or nil before its first release.
-func (n *puNode) warmPool(fn string) *warmPool {
-	if i, ok := slices.BinarySearchFunc(n.pools, fn, cmpPoolFn); ok {
-		return n.pools[i]
+// poolOf returns node n's pool for r, or nil before its first release.
+func (n *puNode) poolOf(r *funcRec) *warmPool {
+	if r.idx < len(n.byIdx) {
+		return n.byIdx[r.idx]
 	}
 	return nil
 }
 
-// ensureWarmPool returns node n's pool for fn, making the record in name
-// order on first use.
-func (n *puNode) ensureWarmPool(fn string, ka *keepAlive) *warmPool {
-	i, ok := slices.BinarySearchFunc(n.pools, fn, cmpPoolFn)
-	if !ok {
-		n.pools = slices.Insert(n.pools, i, &warmPool{fn: fn, stat: ka.stat(fn)})
+// ensurePool returns node n's pool for r, making the record on first use:
+// inserted in name order and slotted at r's index.
+func (n *puNode) ensurePool(r *funcRec) *warmPool {
+	if wp := n.poolOf(r); wp != nil {
+		return wp
 	}
-	return n.pools[i]
+	wp := &warmPool{rec: r}
+	i, _ := slices.BinarySearchFunc(n.pools, r.name, cmpPoolFn)
+	n.pools = slices.Insert(n.pools, i, wp)
+	if r.idx >= len(n.byIdx) {
+		n.byIdx = append(n.byIdx, make([]*warmPool, r.idx+1-len(n.byIdx))...)
+	}
+	n.byIdx[r.idx] = wp
+	return wp
 }
 
-// warmLen reports how many idle instances of fn node n holds.
-func (n *puNode) warmLen(fn string) int {
-	if wp := n.warmPool(fn); wp != nil {
+// warmLen reports how many idle instances of r node n holds.
+func (n *puNode) warmLen(r *funcRec) int {
+	if wp := n.poolOf(r); wp != nil {
 		return len(wp.insts)
 	}
 	return 0
@@ -184,4 +190,5 @@ func (n *puNode) dropPool(wp *warmPool) {
 	if i := slices.Index(n.pools, wp); i >= 0 {
 		n.pools = slices.Delete(n.pools, i, i+1)
 	}
+	n.byIdx[wp.rec.idx] = nil
 }

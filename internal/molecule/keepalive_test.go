@@ -104,8 +104,8 @@ func TestKeepAliveMatchesSortedScan(t *testing.T) {
 			case op < 5: // release: push, then admit and evict
 				nextID++
 				id := strconv.Itoa(nextID)
-				wp := n.ensureWarmPool(fn, ka)
-				wp.insts = append(wp.insts, &instance{fn: fn, node: n, sandboxID: id})
+				wp := n.ensurePool(recOn(n, ka, fn))
+				wp.insts = append(wp.insts, &instance{rec: wp.rec, node: n, sandboxID: id})
 				n.warmCount++
 				var got []string
 				for v := ka.admit(wp, n); v != nil; v = ka.evict(n) {
@@ -116,17 +116,17 @@ func TestKeepAliveMatchesSortedScan(t *testing.T) {
 					t.Fatalf("seed %d step %d: release %s evicted %v, reference %v", seed, step, fn, got, want)
 				}
 			case op < 7: // warm hit: pop the newest instance
-				wp := n.warmPool(fn)
+				wp := poolNamed(n, fn)
 				if wp == nil || len(wp.insts) == 0 {
 					continue
 				}
 				id := wp.insts[len(wp.insts)-1].sandboxID
 				n.unpool(wp, len(wp.insts)-1)
-				ka.touch(wp.stat)
+				ka.touch(wp.rec.stat)
 				ref.remove(fn, id)
 				ref.ka.hit(fn)
 			case op < 8: // destroy an arbitrary pooled instance
-				wp := n.warmPool(fn)
+				wp := poolNamed(n, fn)
 				if wp == nil || len(wp.insts) == 0 {
 					continue
 				}
@@ -138,9 +138,9 @@ func TestKeepAliveMatchesSortedScan(t *testing.T) {
 				got, want := "", ref.victim()
 				if v := ka.victim(n); v != nil {
 					got = v.sandboxID
-					wp := n.warmPool(v.fn)
+					wp := n.poolOf(v.rec)
 					n.unpool(wp, slices.Index(wp.insts, v))
-					ref.remove(v.fn, got)
+					ref.remove(v.rec.name, got)
 				}
 				if got != want {
 					t.Fatalf("seed %d step %d: victim %q, reference %q", seed, step, got, want)
@@ -160,11 +160,12 @@ func TestKeepAliveMatchesSortedScan(t *testing.T) {
 				for _, inst := range wp.insts {
 					ids = append(ids, inst.sandboxID)
 				}
-				if !slices.Equal(ids, ref.pools[wp.fn]) {
-					t.Fatalf("seed %d step %d: pool %s = %v, reference %v", seed, step, wp.fn, ids, ref.pools[wp.fn])
+				fn := wp.rec.name
+				if !slices.Equal(ids, ref.pools[fn]) {
+					t.Fatalf("seed %d step %d: pool %s = %v, reference %v", seed, step, fn, ids, ref.pools[fn])
 				}
-				if wp.stat.pri != ref.ka.stat(wp.fn).pri {
-					t.Fatalf("seed %d step %d: %s priority %v, reference %v", seed, step, wp.fn, wp.stat.pri, ref.ka.stat(wp.fn).pri)
+				if wp.rec.stat.pri != ref.ka.stat(fn).pri {
+					t.Fatalf("seed %d step %d: %s priority %v, reference %v", seed, step, fn, wp.rec.stat.pri, ref.ka.stat(fn).pri)
 				}
 			}
 			if n.warmCount != sum {
@@ -175,28 +176,33 @@ func TestKeepAliveMatchesSortedScan(t *testing.T) {
 }
 
 // TestWarmPoolRecords: a node's records appear on first release only, stay
-// in function-name order, and a removed instance leaves no reference behind
-// in its pool's backing array.
+// in function-name order, sit at their functions' index slots, and a
+// removed instance leaves no reference behind in its pool's backing array.
 func TestWarmPoolRecords(t *testing.T) {
 	ka := newKeepAlive(64)
 	n := &puNode{}
-	if n.warmPool("pyaes") != nil || n.warmLen("pyaes") != 0 {
+	pyaes := recOn(n, ka, "pyaes")
+	if n.poolOf(pyaes) != nil || n.warmLen(pyaes) != 0 {
 		t.Fatal("record exists before any release")
 	}
 	for _, fn := range []string{"pyaes", "dd", "matmul", "dd", "a"} {
-		fillPool(n, ka, fn, 2)
+		fillPool(n, recOn(n, ka, fn), 2)
 	}
 	names := make([]string, 0, len(n.pools))
 	for _, wp := range n.pools {
-		names = append(names, wp.fn)
+		names = append(names, wp.rec.name)
+		if n.byIdx[wp.rec.idx] != wp {
+			t.Errorf("pool %s is not at its index slot %d", wp.rec.name, wp.rec.idx)
+		}
 	}
 	if want := []string{"a", "dd", "matmul", "pyaes"}; !slices.Equal(names, want) {
 		t.Fatalf("records %v, want %v", names, want)
 	}
-	if got := n.warmLen("dd"); got != 4 {
+	dd := recOn(n, ka, "dd")
+	if got := n.warmLen(dd); got != 4 {
 		t.Fatalf("warmLen(dd) = %d, want 4", got)
 	}
-	wp := n.warmPool("dd")
+	wp := n.poolOf(dd)
 	n.unpool(wp, 0)
 	if tail := wp.insts[:cap(wp.insts)][len(wp.insts)]; tail != nil {
 		t.Errorf("slot past the pool still holds instance %p", tail)
@@ -204,4 +210,24 @@ func TestWarmPoolRecords(t *testing.T) {
 	if n.warmCount != 9 {
 		t.Errorf("warmCount = %d, want 9", n.warmCount)
 	}
+}
+
+// recOn returns the record of node n's pool for fn, or, before n pools fn,
+// a new record with the next free index and ka's stat for fn: the pool
+// tests' stand-in for Deploy on a node with no runtime.
+func recOn(n *puNode, ka *keepAlive, fn string) *funcRec {
+	if wp := poolNamed(n, fn); wp != nil {
+		return wp.rec
+	}
+	return &funcRec{name: fn, idx: len(n.byIdx), stat: ka.stat(fn)}
+}
+
+// poolNamed returns node n's pool for fn, found by name, or nil.
+func poolNamed(n *puNode, fn string) *warmPool {
+	for _, wp := range n.pools {
+		if wp.rec.name == fn {
+			return wp
+		}
+	}
+	return nil
 }

@@ -124,9 +124,11 @@ type puNode struct {
 	cr       *sandbox.ContainerRuntime
 	execXPID xpu.XPID // the executor process on this PU
 	execDead bool     // executor crashed; respawned on next command
-	// pools holds the warm-pool records in function-name order (see
-	// warmPool); warmCount is the sum of their lengths.
+	// pools holds the warm-pool records in function-name order, byIdx the
+	// same records at their functions' dense indices (see warmPool);
+	// warmCount is the sum of their lengths.
 	pools     []*warmPool
+	byIdx     []*warmPool
 	warmCount int
 	capacity  int // max concurrent instances (density model)
 	liveCount int
@@ -162,15 +164,11 @@ type Runtime struct {
 	// order lists node PU IDs in machine order so every scan over nodes is
 	// deterministic (map iteration order is not).
 	order []hw.PUID
-	funcs map[string]*Deployment
+	// funcs holds every function record ever deployed, by name; a record
+	// outlives an Undeploy (see funcRec).
+	funcs map[string]*funcRec
 	cache *keepAlive
 	bill  *Billing
-	// warmTotal counts warm-pooled instances per function across all PUs.
-	// It lets popWarm answer the common cases in O(1): a global miss skips
-	// the node scan entirely. Every warm-pool mutation — release, popWarm,
-	// destroy, keep-alive eviction, executor kill, crash reaping — keeps it
-	// in sync (TestWarmTotalConsistency pins the invariant).
-	warmTotal map[string]int
 
 	// general lists the container-hosting nodes in placement-scan order:
 	// kind by kind as in generalKinds, machine order within a kind.
@@ -284,15 +282,14 @@ func puLabel(id hw.PUID) obs.Label { return obs.L("pu", strconv.Itoa(int(id))) }
 func New(p *sim.Proc, m *hw.Machine, reg *workloads.Registry, opts Options) (*Runtime, error) {
 	env := p.Env()
 	rt := &Runtime{
-		Env:       env,
-		Machine:   m,
-		Shim:      xpu.NewShim(env, m),
-		Registry:  reg,
-		Opts:      opts,
-		nodes:     make(map[hw.PUID]*puNode),
-		funcs:     make(map[string]*Deployment),
-		bill:      NewBilling(),
-		warmTotal: make(map[string]int),
+		Env:      env,
+		Machine:  m,
+		Shim:     xpu.NewShim(env, m),
+		Registry: reg,
+		Opts:     opts,
+		nodes:    make(map[hw.PUID]*puNode),
+		funcs:    make(map[string]*funcRec),
+		bill:     NewBilling(),
 	}
 	rt.cache = newKeepAlive(opts.KeepWarmPerPU)
 	start := sandbox.StartBoot // plain boots; snapshot restores skip Start
@@ -568,7 +565,7 @@ func (rt *Runtime) reapCrashed(p *sim.Proc) {
 		if o := rt.obs; o != nil {
 			for _, wp := range n.pools {
 				if len(wp.insts) > 0 {
-					o.Counter("molecule_crash_evictions_total", puLabel(n.pu.ID), obs.L("fn", wp.fn)).Add(int64(len(wp.insts)))
+					o.Counter("molecule_crash_evictions_total", puLabel(n.pu.ID), obs.L("fn", wp.rec.name)).Add(int64(len(wp.insts)))
 				}
 			}
 		}
@@ -594,9 +591,10 @@ func (rt *Runtime) dropWarm(p *sim.Proc, n *puNode) {
 			sandbox.DeleteOne(p, n.cr, inst.sandboxID)
 			n.liveCount--
 		}
-		rt.warmTotal[wp.fn] -= len(wp.insts)
+		wp.rec.warm -= len(wp.insts)
 	}
 	n.pools = nil
+	clear(n.byIdx)
 	n.warmCount = 0
 }
 
@@ -730,7 +728,7 @@ func (rt *Runtime) Snapshot() []NodeStatus {
 			st.WarmPerFunc = make(map[string]int, len(n.pools))
 			for _, wp := range n.pools {
 				if len(wp.insts) > 0 {
-					st.WarmPerFunc[wp.fn] = len(wp.insts)
+					st.WarmPerFunc[wp.rec.name] = len(wp.insts)
 				}
 			}
 		}

@@ -731,7 +731,7 @@ func TestColdStartModes(t *testing.T) {
 				if want := [2]time.Duration{tc.first, tc.steady}; got != want {
 					t.Errorf("startups %v, want %v", got, want)
 				}
-				wp := rt.nodes[rt.hostID].warmPool("image-processing")
+				wp := poolNamed(rt.nodes[rt.hostID], "image-processing")
 				inst := wp.insts[len(wp.insts)-1]
 				if inst.sandboxID != tc.sandbox || inst.sb.Forked != tc.forked || inst.sb.ZygoteDepth != 0 {
 					t.Errorf("instance %s forked=%v depth %d, want %s forked=%v depth 0",

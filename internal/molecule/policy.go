@@ -2,6 +2,7 @@ package molecule
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hw"
 )
@@ -39,16 +40,6 @@ func (p PlacementPolicy) String() string {
 		return s
 	}
 	return fmt.Sprintf("PlacementPolicy(%d)", int(p))
-}
-
-// firstIndex returns the first position of s in names.
-func firstIndex(names []string, s string) int {
-	for i, n := range names {
-		if n == s {
-			return i
-		}
-	}
-	return -1
 }
 
 // candidate returns the k-th general-purpose PU, in the policy's preference
@@ -90,10 +81,10 @@ func (rt *Runtime) hasRoom(pu *hw.PU, d *Deployment) bool {
 	return n != nil && n.cr != nil && d.SupportsKind(pu.Kind) && n.liveCount < n.capacity
 }
 
-// supportsChain reports whether every function of the chain supports kind.
-func (rt *Runtime) supportsChain(names []string, kind hw.PUKind) bool {
-	for _, name := range names {
-		if !rt.funcs[name].SupportsKind(kind) {
+// chainSupports reports whether every function of the chain supports kind.
+func chainSupports(recs []*funcRec, kind hw.PUKind) bool {
+	for _, r := range recs {
+		if !r.dep.SupportsKind(kind) {
 			return false
 		}
 	}
@@ -117,24 +108,31 @@ var errChainFull = fmt.Errorf("molecule: %w: every PU supporting the whole chain
 
 // PlaceChain assigns each function of a chain to a PU according to the
 // policy, respecting capacity and profile support. It returns one PUID per
-// function. A chain-affinity refusal on a full machine allocates nothing:
-// the placement slice is made only on success.
+// function. The names are resolved once, to their function records, and
+// placement compares records from then on. A chain-affinity refusal on a
+// full machine allocates nothing: the records sit in an array on the stack
+// (a chain longer than it spills to the heap), and the placement slice is
+// made only on success.
 func (rt *Runtime) PlaceChain(names []string, policy PlacementPolicy) ([]hw.PUID, error) {
+	var buf [16]*funcRec
+	recs := buf[:0]
 	for _, name := range names {
-		if _, err := rt.Deployment(name); err != nil {
-			return nil, err
+		d := rt.deployment(name)
+		if d == nil {
+			return nil, errNotDeployed(name)
 		}
+		recs = append(recs, d.rec)
 	}
 	switch policy {
 	case PlaceChainAffinity:
 		// Find one PU every function supports, preferring the host.
-		first := rt.funcs[names[0]]
+		first := recs[0].dep
 		for k := 0; ; k++ {
 			cand, ok := rt.candidate(first, PlaceFastest, k)
 			if !ok {
 				break
 			}
-			if rt.supportsChain(names, rt.Machine.PU(cand).Kind) {
+			if chainSupports(recs, rt.Machine.PU(cand).Kind) {
 				return onePU(len(names), cand), nil
 			}
 		}
@@ -144,34 +142,27 @@ func (rt *Runtime) PlaceChain(names []string, policy PlacementPolicy) ([]hw.PUID
 		// cannot change any previously-succeeding placement.
 		for _, pu := range rt.Machine.PUs() {
 			n := rt.nodes[pu.ID]
-			if n == nil || n.cr == nil {
+			if n == nil || n.cr == nil || !chainSupports(recs, pu.Kind) {
 				continue
 			}
-			if !rt.supportsChain(names, pu.Kind) {
-				continue
-			}
-			// Count distinct functions with no warm instance here: each
-			// needs a free slot (repeat occurrences reuse the released
-			// instance).
-			need := 0
-			for i, name := range names {
-				if n.warmLen(name) == 0 && firstIndex(names, name) == i {
+			// Each distinct function with no warm instance here needs a
+			// free slot (repeat occurrences reuse the released instance);
+			// each one with a warm instance keeps one for the chain.
+			need, reused := 0, 0
+			for i, r := range recs {
+				if slices.Index(recs[:i], r) >= 0 {
+					continue
+				}
+				if n.warmLen(r) == 0 {
 					need++
+				} else {
+					reused++
 				}
 			}
 			// Idle warm instances beyond what the chain itself reuses are
 			// reclaimable: the pinned cold starts evict them on demand
 			// (evictForPlacement), so they count as free slots here.
-			evictable := 0
-			for _, wp := range n.pools {
-				keep := 0
-				if firstIndex(names, wp.fn) >= 0 {
-					keep = 1
-				}
-				if len(wp.insts) > keep {
-					evictable += len(wp.insts) - keep
-				}
-			}
+			evictable := n.warmCount - reused
 			// need==0 is accepted even when liveCount overshot capacity
 			// (concurrent cold starts reserve only at start-finish): the
 			// chain then runs purely on warm reuse.
@@ -184,21 +175,20 @@ func (rt *Runtime) PlaceChain(names []string, policy PlacementPolicy) ([]hw.PUID
 	case PlaceScatter:
 		// Round-robin across every eligible PU per function.
 		out := make([]hw.PUID, len(names))
-		for i, name := range names {
-			d := rt.funcs[name]
-			count := rt.candidateCount(d)
+		for i, r := range recs {
+			count := rt.candidateCount(r.dep)
 			if count == 0 {
-				return nil, fmt.Errorf("molecule: %w for %q", ErrNoCapacity, name)
+				return nil, fmt.Errorf("molecule: %w for %q", ErrNoCapacity, r.name)
 			}
-			out[i], _ = rt.candidate(d, PlaceFastest, i%count)
+			out[i], _ = rt.candidate(r.dep, PlaceFastest, i%count)
 		}
 		return out, nil
 	default: // PlaceCheapest, PlaceFastest
 		out := make([]hw.PUID, len(names))
-		for i, name := range names {
-			cand, ok := rt.candidate(rt.funcs[name], policy, 0)
+		for i, r := range recs {
+			cand, ok := rt.candidate(r.dep, policy, 0)
 			if !ok {
-				return nil, fmt.Errorf("molecule: %w for %q", ErrNoCapacity, name)
+				return nil, fmt.Errorf("molecule: %w for %q", ErrNoCapacity, r.name)
 			}
 			out[i] = cand
 		}

@@ -197,3 +197,39 @@ func TestChainAffinityBeatsScatter(t *testing.T) {
 		}
 	})
 }
+
+// BenchmarkPlaceChainRefusal measures the affinity placement a saturated
+// cluster retries on every admission attempt: an Alexa chain refused on a
+// full host whose live instances include warm ones of two chain functions,
+// so the second-chance scan runs to its end.
+func BenchmarkPlaceChainRefusal(b *testing.B) {
+	env := sim.NewEnv()
+	m := hw.Build(env, hw.Config{})
+	env.Spawn("bench", func(p *sim.Proc) {
+		rt, err := New(p, m, workloads.NewRegistry(), DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		chain := workloads.AlexaChain()
+		for _, fn := range chain {
+			if err := rt.Deploy(p, fn, DefaultProfile(hw.CPU), DefaultProfile(hw.DPU)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, fn := range chain[:2] {
+			if _, err := rt.Invoke(p, fn, DefaultInvokeOptions()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		host := rt.Node(rt.HostID())
+		host.capacity = host.liveCount
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := rt.PlaceChain(chain, PlaceChainAffinity); !errors.Is(err, ErrNoCapacity) {
+				b.Fatalf("PlaceChain error = %v, want ErrNoCapacity", err)
+			}
+		}
+	})
+	env.Run()
+}

@@ -195,13 +195,13 @@ func TestKeepAliveClockNeverRewinds(t *testing.T) {
 	ka.hit("old") // pri = 1 at clock 0
 	ka.clock = 5  // prior evictions advanced the clock
 	n := &puNode{}
-	fillPool(n, ka, "old", 1)
-	newPool := fillPool(n, ka, "new", 1)
-	if victim := ka.admit(newPool, n); victim == nil || victim.fn != "old" {
+	fillPool(n, recOn(n, ka, "old"), 1)
+	newPool := fillPool(n, recOn(n, ka, "new"), 1)
+	if victim := ka.admit(newPool, n); victim == nil || victim.rec.name != "old" {
 		t.Fatalf("admit evicted %v, want the old instance", victim)
 	}
 	if victim := ka.evict(n); victim != nil {
-		t.Fatalf("evicted a second instance (%s) under cap 1", victim.fn)
+		t.Fatalf("evicted a second instance (%s) under cap 1", victim.rec.name)
 	}
 	if ka.stat("old").pri >= ka.stat("new").pri {
 		t.Fatalf("victim selection wrong: old pri %.1f, new pri %.1f",
@@ -211,21 +211,21 @@ func TestKeepAliveClockNeverRewinds(t *testing.T) {
 		t.Errorf("clock = %.1f after evicting a stale victim, want 5 (no rewind)", ka.clock)
 	}
 	// And the clock still advances normally for victims ahead of it.
-	ka.setCost("rich", 100)
+	ka.setCost(ka.stat("rich"), 100)
 	ka.hit("rich") // pri = 5 + 100 = 105
-	rich := fillPool(n, ka, "rich", 1)
+	rich := fillPool(n, recOn(n, ka, "rich"), 1)
 	ka.admit(rich, n) // rich re-admitted; victim is "new" (pri 6)
 	if ka.clock != 6 {
 		t.Errorf("clock = %.1f, want 6 (advanced to victim priority)", ka.clock)
 	}
 }
 
-// fillPool adds k idle instances of fn to node n's pool record, the way
-// release does before it admits, and returns the record.
-func fillPool(n *puNode, ka *keepAlive, fn string, k int) *warmPool {
-	wp := n.ensureWarmPool(fn, ka)
+// fillPool adds k idle instances of r's function to node n's pool record,
+// the way release does before it admits, and returns the record.
+func fillPool(n *puNode, r *funcRec, k int) *warmPool {
+	wp := n.ensurePool(r)
 	for i := 0; i < k; i++ {
-		wp.insts = append(wp.insts, &instance{fn: fn, node: n})
+		wp.insts = append(wp.insts, &instance{rec: r, node: n})
 		n.warmCount++
 	}
 	return wp

@@ -117,7 +117,7 @@ func (r *Resident) Call(p *sim.Proc, arg workloads.Arg) (time.Duration, error) {
 	r.served++
 	lat := p.Now().Sub(start)
 	pr, _ := r.d.ProfileFor(r.inst.node.pu.Kind)
-	r.rt.bill.Record(r.fn, r.inst.node.pu.Kind, lat, pr.PricePerMs)
+	r.rt.charge(r.inst.rec, r.inst.node.pu.Kind, lat, pr.PricePerMs)
 	return lat, nil
 }
 

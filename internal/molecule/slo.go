@@ -76,7 +76,7 @@ func (rt *Runtime) EstimateLatency(funcName string, kind hw.PUKind, arg workload
 		}
 		pu := pus[0]
 		est := params.WarmDispatchTime + pu.ComputeTime(d.Fn.CPUCost(arg))
-		if rt.peekWarm(funcName, kind) == nil {
+		if rt.peekWarm(d.rec, kind) == nil {
 			// Cold start, priced by the startup mode.
 			switch rt.Opts.Startup {
 			case StartupCfork:
@@ -93,14 +93,14 @@ func (rt *Runtime) EstimateLatency(funcName string, kind hw.PUKind, arg workload
 	}
 }
 
-// peekWarm reports a warm instance of fn on any PU of the kind, without
-// taking it.
-func (rt *Runtime) peekWarm(fn string, kind hw.PUKind) *instance {
+// peekWarm reports a warm instance of r's function on any PU of the kind,
+// without taking it.
+func (rt *Runtime) peekWarm(r *funcRec, kind hw.PUKind) *instance {
 	for _, n := range rt.orderedNodes() {
 		if n.pu.Kind != kind {
 			continue
 		}
-		wp := n.warmPool(fn)
+		wp := n.poolOf(r)
 		if wp == nil {
 			continue
 		}

@@ -40,7 +40,7 @@ func TestZygoteColdStartGetsCheaper(t *testing.T) {
 		if last >= first {
 			t.Errorf("cold start never improved: first %v, last %v", first, last)
 		}
-		d := rt.funcs["matmul"]
+		d := rt.funcs["matmul"].dep
 		saving := d.Pkgs.ImportCost()
 		if got := first - last; got < saving {
 			t.Errorf("fitted cold start saved %v, want at least the closure import %v", got, saving)
