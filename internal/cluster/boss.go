@@ -206,7 +206,9 @@ type chainSeg struct {
 // interconnect messages, so one domain at a time touches it. Requests are
 // recycled through the Boss's free list: the reply channel and the three
 // callbacks are made once per request object, not once per call, and so is
-// the state of the request's two stepped waits.
+// the state of the request's stepped waits: the client's round trip, a
+// single function's segment process with its runtime invoke, and the wait
+// on a machine's admission queue.
 type request struct {
 	boss  *Boss
 	names []string               // functions in call order
@@ -247,6 +249,10 @@ type request struct {
 	// reply it carries back to the client.
 	trip tripPhase
 	rep  reply
+	// A single function's segment process (segment.Step): how far it has
+	// got, and the runtime invoke it is making.
+	segAt segPhase
+	inv   molecule.Invocation
 	// The segment's wait on its machine's admission queue, if any.
 	admit admission
 }
@@ -814,16 +820,24 @@ func (b *Boss) dispatch(req *request, plan []chainSeg, stolen bool) {
 }
 
 // startSegment runs on req.plan[req.hop].node's domain when the request
-// message arrives there: it starts the segment's process.
+// message arrives there: it starts the segment's process. A chain segment
+// runs its body; a single function's starts parked in its stepped wait
+// (segment.Step), which takes a coroutine only for what blocks.
 //
 //molecule:hotpath
 func (req *request) startSegment() {
-	req.plan[req.hop].node.Env.Spawn("segment", req.body)
+	env := req.plan[req.hop].node.Env
+	if req.chain {
+		env.Spawn("segment", req.body)
+		return
+	}
+	req.segAt = segAttempt
+	env.SpawnWaiting("segment", (*segment)(req), req.body)
 }
 
-// runSegment is the segment process: execute the segment, then either hop
-// to the next segment's machine (charging the intermediate transfer on the
-// chain's latency) or reply to the boss.
+// runSegment is the segment process's body: execute the segment, then
+// either hop to the next segment's machine (charging the intermediate
+// transfer on the chain's latency) or reply to the boss.
 //
 //molecule:hotpath
 func (req *request) runSegment(wp *sim.Proc) {
@@ -842,9 +856,85 @@ func (req *request) runSegment(wp *sim.Proc) {
 		b.IC.Send(n.Env, req.plan[next].node.Domain, intermediateBytes, req.execMsg)
 		return
 	}
+	req.reply(n, err)
+}
+
+// reply sends the request's outcome from the machine n that ran its last
+// segment (or failed) to the boss.
+func (req *request) reply(n *Node, err error) {
 	req.replyer, req.err = n, err
 	//lint:owned reply to the boss: req is dead on the sending machine after this send; the boss consumes it on delivery in its own domain
-	b.IC.Send(n.Env, 0, replyBytes, req.replyMsg)
+	req.boss.IC.Send(n.Env, 0, replyBytes, req.replyMsg)
+}
+
+// segment is a single function's request seen as its segment process's
+// stepped wait, a sim.Step: the request holds the step's state, so the
+// step allocates nothing.
+type segment request
+
+// segPhase is how far a single function's segment step has got.
+type segPhase uint8
+
+const (
+	segAttempt segPhase = iota // begin an attempt on the machine's runtime
+	segBuild                   // the attempt placed a cold start: the body builds it
+	segRun                     // the attempt's invoke runs
+	segAdmit                   // the attempt missed capacity: wait on admission
+)
+
+// Step runs a single function's segment as run and runSegment would, with
+// the runtime invoke as a molecule.Invocation. It ends the process in its
+// wait, with the reply sent, unless something must block: a first deploy
+// on the machine, a cold build, an accelerator invoke or a runtime that
+// retries. Then it reports the wait over with the process's body left to
+// start, and the body carries on where the step stopped.
+//
+//molecule:hotpath
+func (s *segment) Step(wp *sim.Proc, val any) bool {
+	req := (*request)(s)
+	n := req.plan[0].node
+	for {
+		switch req.segAt {
+		case segAttempt:
+			fn := req.names[0]
+			if !n.deployed[fn] || !req.inv.Begin(n.RT, wp, fn, req.opts) {
+				return true // the body deploys, or invokes through RT.Invoke
+			}
+			n.active++
+			if req.inv.NeedsBuild() {
+				req.segAt = segBuild
+				return true
+			}
+			req.segAt, val = segRun, nil
+		case segRun:
+			if !req.inv.Step(wp, val) {
+				return false
+			}
+			var err error
+			req.res, err = req.inv.Result()
+			if !n.attempted(err) {
+				return s.end(wp, n, err)
+			}
+			req.err = err
+			req.admit = admission{node: n, seen: n.epoch}
+			req.segAt, val = segAdmit, nil
+		case segAdmit:
+			if !req.admit.Step(wp, val) {
+				return false
+			}
+			if !req.admit.ok {
+				return s.end(wp, n, req.err)
+			}
+			req.segAt, val = segAttempt, nil
+		}
+	}
+}
+
+// end replies to the boss and ends the segment's process in its wait.
+func (s *segment) end(wp *sim.Proc, n *Node, err error) bool {
+	(*request)(s).reply(n, err)
+	wp.EndInWait()
+	return true
 }
 
 // completeOnBoss runs on the boss domain when the last segment's reply
@@ -906,27 +996,45 @@ func (a *admission) Step(wp *sim.Proc, val any) bool {
 // run executes one plan segment on the node: machine-side deploy-on-first-
 // use of each function (deduplicated across concurrent requests), then the
 // local runtime, parking on the machine's admission queue while it is at
-// capacity. Each attempt counts as an active exec, bumps the epoch on
-// success and wakes parked requests (success frees an instance; failure
-// lets waiters re-check the give-up guard).
+// capacity. Each attempt counts as an active exec (see attempted). A
+// single function's segment step that placed a cold start has begun the
+// first attempt; run finishes it, building the instance.
 func (n *Node) run(wp *sim.Proc, req *request, names []string) error {
-	for _, fn := range names {
-		if err := n.ensureDeployedLocal(wp, fn); err != nil {
-			return err
+	begun := req.segAt == segBuild
+	if !begun {
+		for _, fn := range names {
+			if err := n.ensureDeployedLocal(wp, fn); err != nil {
+				return err
+			}
 		}
 	}
 	for {
-		n.active++
-		err := n.attempt(wp, req, names)
-		n.active--
-		if err == nil {
-			n.epoch++
+		var err error
+		if begun {
+			begun, req.segAt = false, segAttempt
+			req.inv.Finish(wp)
+			req.res, err = req.inv.Result()
+		} else {
+			n.active++
+			err = n.attempt(wp, req, names)
 		}
-		n.wakeLocal()
-		if err == nil || !errors.Is(err, molecule.ErrNoCapacity) || !n.awaitLocal(wp, &req.admit) {
+		if !n.attempted(err) || !n.awaitLocal(wp, &req.admit) {
 			return err
 		}
 	}
+}
+
+// attempted ends an active exec that finished with err: it bumps the epoch
+// on success and wakes parked requests (success frees an instance; failure
+// lets waiters re-check the give-up guard). It reports whether the attempt
+// missed capacity, so the segment should wait on admission and retry.
+func (n *Node) attempted(err error) bool {
+	n.active--
+	if err == nil {
+		n.epoch++
+	}
+	n.wakeLocal()
+	return err != nil && errors.Is(err, molecule.ErrNoCapacity)
 }
 
 // attempt makes one runtime call for a segment: RT.Invoke for a single

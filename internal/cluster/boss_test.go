@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -596,7 +597,8 @@ func checkFreeListClean(t *testing.T, b *Boss) {
 			req.replyer != nil || req.err != nil || req.res != (molecule.Result{}) ||
 			req.cres.EdgeLatency != nil || req.cres.Total != 0 || req.done.Len() != 0 ||
 			req.trip != tripIn || req.rep.res != (molecule.Result{}) || req.rep.cres.EdgeLatency != nil ||
-			req.rep.err != nil || req.admit != (admission{}) {
+			req.rep.err != nil || req.admit != (admission{}) ||
+			req.segAt != segAttempt || !reflect.ValueOf(req.inv).IsZero() {
 			t.Errorf("recycled request still holds its last call: %+v", *req)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/molecule"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -34,6 +35,24 @@ func (o outcomes) invoke(client string, res molecule.Result, machine int, err er
 
 func (o outcomes) chain(client string, res molecule.ChainResult, err error) {
 	fmt.Fprintf(o.h, "%s|%v|%v;", client, res, err)
+}
+
+// observed hashes every machine's kernel trace, spans and metrics.
+func (o outcomes) observed(b *Boss) {
+	for i := 0; i < b.Sharded.Domains(); i++ {
+		for _, ev := range b.Sharded.Domain(i).TraceLog() {
+			fmt.Fprintln(o.h, ev)
+		}
+	}
+	for _, n := range b.nodes {
+		ob := n.RT.Observer()
+		if err := ob.Tracer.WriteChromeTrace(o.h); err != nil {
+			panic(err)
+		}
+		if err := ob.Metrics.WritePrometheus(o.h); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // runClusterShape turns on every domain's digest of a booted Boss, lets
@@ -78,11 +97,14 @@ func mixedFleet(t testing.TB, machines, capacity int) *Boss {
 }
 
 // TestClusterEventsExact pins the complete event sequence of the cluster
-// path on five shapes. The values were captured before the client's round
-// trip and the machine admission queue became stepped waits and must not
-// move: a change to how cluster requests wait on the host has to leave
-// every event's (time, sequence number, target) where it was, on every
-// domain, and every outcome with it.
+// path on ten shapes. The first five were captured before the client's
+// round trip and the machine admission queue became stepped waits, the
+// other five (warm hits, cold starts, a capacity miss that waits and
+// retries, handler faults, and a run with observers and tracing on) before
+// a single function's segment did; none may move: a change to how cluster
+// requests wait on the host has to leave every event's (time, sequence
+// number, target) where it was, on every domain, and every outcome with
+// it.
 func TestClusterEventsExact(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -198,6 +220,113 @@ func TestClusterEventsExact(t *testing.T) {
 				}
 			})
 		}},
+		{"warm-hit", func(t *testing.T) *Boss {
+			// The benchmark's runtime options: the invoke-latency jitter
+			// adds the scheduling-noise sleep to every warm hit.
+			opts := molecule.DefaultOptions()
+			opts.JitterPct = 0.12
+			b, err := NewBoss(BossConfig{Machines: 2, HW: hw.Config{DPUs: 1}, Opts: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fn := range []string{"helloworld", "pyaes"} {
+				if err := b.Register(fn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return b
+		}, clusterEvents{[]uint64{0x2cbe3a9e6fe16476, 0xcbf29ce484222325, 0xa09091da73962ae6}, 180, 585361036, 0x73eddfc11415eb8}, func(b *Boss, rec outcomes) {
+			// One cold start per function, then warm hits from two clients.
+			for i, fn := range []string{"helloworld", "pyaes"} {
+				b.Env.SpawnAfter(time.Duration(i)*time.Microsecond, "client-"+fn, func(p *sim.Proc) {
+					for j := 0; j < 6; j++ {
+						res, m, err := b.InvokeDetailed(p, fn, molecule.InvokeOptions{PU: -1})
+						rec.invoke(fn, res, m, err)
+						p.Sleep(time.Duration(j) * 100 * time.Microsecond)
+					}
+				})
+			}
+		}},
+		{"cold-start", func(t *testing.T) *Boss {
+			return newTestBoss(t, 1, hw.Config{DPUs: 1}, 0, "pyaes", "matmul", "helloworld")
+		}, clusterEvents{[]uint64{0xd52b498f27916c5b, 0xb3d1398f7ed9866e}, 187, 535314967, 0x28d35c4600540cf2}, func(b *Boss, rec outcomes) {
+			// Every invoke skips the warm pool, so every segment builds.
+			for i, fn := range []string{"pyaes", "matmul", "helloworld"} {
+				b.Env.SpawnAfter(time.Duration(i)*time.Microsecond, "client-"+fn, func(p *sim.Proc) {
+					for j := 0; j < 3; j++ {
+						res, m, err := b.InvokeDetailed(p, fn, molecule.InvokeOptions{PU: -1, ForceCold: true})
+						rec.invoke(fn, res, m, err)
+					}
+				})
+			}
+		}},
+		{"capacity-wait", func(t *testing.T) *Boss {
+			return newTestBoss(t, 1, hw.Config{}, 2, "pyaes", "matmul")
+		}, clusterEvents{[]uint64{0x5d548eccafff0c2, 0x2e1aa528412ec70}, 377, 338000442, 0x2f702fb061707738}, func(b *Boss, rec outcomes) {
+			// The boss's window is wider than the machine's two slots, so
+			// the overflow misses capacity, waits on the machine's
+			// admission queue and retries: warm hits for pyaes, cold
+			// starts that evict for matmul.
+			b.nodes[0].capacity = 10
+			for c := 0; c < 10; c++ {
+				name := fmt.Sprintf("client-%d", c)
+				fn := "pyaes"
+				if c%4 == 3 {
+					fn = "matmul"
+				}
+				b.Env.Spawn(name, func(p *sim.Proc) {
+					for i := 0; i < 3; i++ {
+						res, m, err := b.InvokeDetailed(p, fn, molecule.InvokeOptions{PU: -1})
+						rec.invoke(name, res, m, err)
+					}
+				})
+			}
+		}},
+		{"handler-fault", func(t *testing.T) *Boss {
+			b := newTestBoss(t, 1, hw.Config{}, 0, "pyaes", "helloworld")
+			pl := faults.NewPlan(b.nodes[0].Env, 7)
+			pl.HandlerFailProb = 0.3
+			b.nodes[0].RT.AttachFaults(pl)
+			return b
+		}, clusterEvents{[]uint64{0x1961d42e9e8e5c5, 0x5239ea8a7fd3ee22}, 231, 548953269, 0xe8bc789753b7eba5}, func(b *Boss, rec outcomes) {
+			// A crashed handler destroys its instance and fails the
+			// request; the next invoke cold-starts a replacement.
+			for i, fn := range []string{"pyaes", "helloworld"} {
+				b.Env.SpawnAfter(time.Duration(i)*time.Microsecond, "client-"+fn, func(p *sim.Proc) {
+					for j := 0; j < 10; j++ {
+						res, m, err := b.InvokeDetailed(p, fn, molecule.InvokeOptions{PU: -1})
+						rec.invoke(fn, res, m, err)
+					}
+				})
+			}
+		}},
+		{"observed-traced", func(t *testing.T) *Boss {
+			b := mixedFleet(t, 2, 0)
+			for _, n := range b.nodes {
+				n.RT.SetObserver(obs.New(n.Env))
+			}
+			b.Sharded.EnableTrace()
+			return b
+		}, clusterEvents{[]uint64{0x339e9dd855bbcdd9, 0xcc57d4be1029b0d, 0xb5ce9f13f53025ae}, 246, 10000000000, 0xe1784132def2c27a}, func(b *Boss, rec outcomes) {
+			// Spans, metrics and the kernel trace on every machine; the
+			// outcome hash covers all three after the run.
+			mr := workloads.MapReduceChain()
+			for c := 0; c < 3; c++ {
+				name := fmt.Sprintf("client-%d", c)
+				b.Env.SpawnAfter(time.Duration(c)*time.Microsecond, name, func(p *sim.Proc) {
+					for i := 0; i < 4; i++ {
+						if c == 2 && i == 1 {
+							res, err := b.InvokeChain(p, mr, molecule.ChainOptions{})
+							rec.chain(name, res, err)
+							continue
+						}
+						res, m, err := b.InvokeDetailed(p, "pyaes", molecule.InvokeOptions{PU: -1})
+						rec.invoke(name, res, m, err)
+					}
+				})
+			}
+			b.Env.At(sim.Time(10*time.Second), func() { rec.observed(b) })
+		}},
 	}
 	for _, sc := range shapes {
 		t.Run(sc.name, func(t *testing.T) {
@@ -212,9 +341,9 @@ func TestClusterEventsExact(t *testing.T) {
 // TestBossHostCostExact pins the kernel's host work (sim.HostCost, summed
 // over the cluster's domains) for one warm call on each Boss path: a
 // single invoke, a MapReduce chain placed whole on one machine, and a
-// chain burst past a machine's capacity whose overflow waits on the
-// machine's admission queue. Each count is exact, like Scheduled(); a
-// change that moves one must say so.
+// burst of chains, then of single invokes, past a machine's capacity whose
+// overflow waits on the machine's admission queue. Each count is exact,
+// like Scheduled(); a change that moves one must say so.
 func TestBossHostCostExact(t *testing.T) {
 	delta := func(before, after sim.HostCost) sim.HostCost {
 		return sim.HostCost{
@@ -251,7 +380,7 @@ func TestBossHostCostExact(t *testing.T) {
 				_, err := b.Invoke(p, "helloworld", molecule.DefaultInvokeOptions())
 				return err
 			})
-		}, sim.HostCost{Switches: 2, Pops: 7, Stepped: 2}}, // the client's wait ends, the segment runs
+		}, sim.HostCost{Switches: 1, Pops: 7, Stepped: 2}}, // the client's wait ends; the segment ends in its wait
 		{"chain-warm", func(t *testing.T) sim.HostCost {
 			b := newTestBoss(t, 1, hw.Config{}, 0, chain...)
 			return measure(t, b, func(p *sim.Proc) error {
@@ -280,6 +409,30 @@ func TestBossHostCostExact(t *testing.T) {
 			burst()
 			return delta(before, b.Sharded.HostCost())
 		}, sim.HostCost{Switches: 145, Pops: 289, Stepped: 124}},
+		{"invoke-burst", func(t *testing.T) sim.HostCost {
+			// admission-herd's single-invoke twin: ten invokes at once on
+			// one machine with two slots. The first burst, under a
+			// two-request window, leaves two warm instances; the measured
+			// one is dispatched all home under a ten-request window, and
+			// each request that finds both instances busy misses capacity,
+			// waits on the machine's admission queue and retries warm.
+			b := newTestBoss(t, 1, hw.Config{}, 2, "pyaes")
+			burst := func() {
+				for i := 0; i < 10; i++ {
+					b.Env.Spawn("client", func(p *sim.Proc) {
+						if _, err := b.Invoke(p, "pyaes", molecule.DefaultInvokeOptions()); err != nil {
+							t.Error(err)
+						}
+					})
+				}
+				b.Run(1)
+			}
+			burst()
+			b.nodes[0].capacity = 10
+			before := b.Sharded.HostCost()
+			burst()
+			return delta(before, b.Sharded.HostCost())
+		}, sim.HostCost{Switches: 20, Pops: 126, Stepped: 76}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -554,7 +554,11 @@ func TestColdStartRefill(t *testing.T) {
 			if spawnedRefill {
 				rt.Opts.PrewarmContainers = 0 // the cold start refills nothing
 			}
-			inst, err := rt.coldStart(p, d, rt.hostID, nil)
+			n, err := rt.placeCold(p, d, rt.hostID, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst, err := rt.coldStart(p, d, n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

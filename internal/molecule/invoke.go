@@ -81,24 +81,33 @@ func (rt *Runtime) Invoke(p *sim.Proc, funcName string, opts InvokeOptions) (Res
 // recovery layer passes false and settles exactly one winning attempt, so
 // an attempt that completes after its timeout is never billed.
 func (rt *Runtime) dispatch(p *sim.Proc, d *Deployment, opts InvokeOptions, settle bool) (Result, error) {
-	if opts.PU >= 0 {
-		if n := rt.nodes[opts.PU]; n != nil && n.accel != nil {
-			return rt.invokeAccel(p, d, n.pu.Kind, opts, settle)
-		}
-		return rt.invokeGeneral(p, d, opts, settle)
-	}
-	if d.SupportsKind(hw.FPGA) {
-		return rt.invokeAccel(p, d, hw.FPGA, opts, settle)
-	}
-	if d.SupportsKind(hw.GPU) {
-		return rt.invokeAccel(p, d, hw.GPU, opts, settle)
+	if kind, ok := rt.accelKind(d, opts); ok {
+		return rt.invokeAccel(p, d, kind, opts, settle)
 	}
 	return rt.invokeGeneral(p, d, opts, settle)
 }
 
+// accelKind reports the accelerator kind an invoke of d runs on, if any:
+// that of the PU opts pins, or else FPGA, then GPU, when d has a profile
+// for it.
+func (rt *Runtime) accelKind(d *Deployment, opts InvokeOptions) (hw.PUKind, bool) {
+	if opts.PU >= 0 {
+		if n := rt.nodes[opts.PU]; n != nil && n.accel != nil {
+			return n.pu.Kind, true
+		}
+		return 0, false
+	}
+	for _, kind := range [...]hw.PUKind{hw.FPGA, hw.GPU} {
+		if d.SupportsKind(kind) {
+			return kind, true
+		}
+	}
+	return 0, false
+}
+
 // settleResult bills the invocation and updates its metric series — the
 // exactly-once accounting step of every successful invocation.
-func (rt *Runtime) settleResult(d *Deployment, res Result) {
+func (rt *Runtime) settleResult(d *Deployment, res *Result) {
 	pr, _ := d.ProfileFor(res.Kind)
 	rt.charge(d.rec, res.Kind, res.Total, pr.PricePerMs)
 	if pu := rt.Machine.PU(res.PU); pu != nil {
@@ -106,102 +115,255 @@ func (rt *Runtime) settleResult(d *Deployment, res Result) {
 	}
 }
 
-// handlerCrash wraps an injected handler fault and finishes the invoke
-// span with it. Kept out of invokeGeneral so the formatting lives off the
-// hot path: it only runs when a fault plan fires.
-func (rt *Runtime) handlerCrash(root *obs.Span, d *Deployment, inst *instance, ferr error) error {
-	err := fmt.Errorf("molecule: %s handler on PU %d: %w", d.Fn.Name, inst.node.pu.ID, ferr)
-	root.SetAttr("error", err.Error())
-	root.Finish()
-	return err
+// invokeGeneral serves the request on a CPU or DPU container instance: an
+// Invocation driven on p's own coroutine.
+func (rt *Runtime) invokeGeneral(p *sim.Proc, d *Deployment, opts InvokeOptions, settle bool) (Result, error) {
+	var inv Invocation
+	inv.begin(rt, p, d, opts)
+	inv.settle = settle
+	inv.Finish(p)
+	return inv.Result()
 }
 
-// invokeGeneral serves the request on a CPU or DPU container instance.
+// Invocation is one general-purpose invoke split at its only blocking
+// phase, the cold build, so that a warm hit can run without a coroutine.
+// Begin runs the invoke up to its instance without blocking: the
+// deployment lookup, the spans, and the warm-pool pop, or on a miss the
+// cold start's placement with its eviction retry. Step, a sim.Step, runs
+// the rest: the scheduling noise, the dispatch, the fault check, the
+// handler, the result, the release and the settle. A cold start that Begin
+// placed (NeedsBuild) is built on the invoking process's coroutine first,
+// which Finish does before it drives Step there. Invoke is an Invocation
+// driven by Finish, so the stepped and the blocking invoke share one cost
+// model; Result reads the outcome. An Invocation serves one invoke at a
+// time; Begin arms it.
+type Invocation struct {
+	rt      *Runtime
+	d       *Deployment
+	opts    InvokeOptions
+	settle  bool
+	tracing bool
+	cold    bool
+	phase   invokePhase
+	acq     acquisition
+	inst    *instance
+	root    *obs.Span
+	hs      *obs.Span // the handler's span, open while it runs
+	start   sim.Time
+	// startupDone is when the instance was ready, after the scheduling
+	// noise; the dispatch, and the result's Exec, start there.
+	startupDone sim.Time
+	res         Result
+	err         error
+}
+
+// invokePhase is how far an Invocation has got.
+type invokePhase uint8
+
+const (
+	invokeBuild    invokePhase = iota // a placed cold start waits for its build
+	invokeNoise                       // the instance is ready: scheduling noise
+	invokeDispatch                    // the warm dispatch
+	invokeHandler                     // the fault check, then the handler
+	invokeSettle                      // the result, the release and the settle
+	invokeDone                        // over: Result has the outcome
+)
+
+// Begin arms inv for an invoke of fn on rt by p, the running process, and
+// runs it up to its instance. It reports false, having done nothing, when
+// the invoke does not take this path: an accelerator invoke, or a runtime
+// that retries (Options.Recovery), which only Invoke serves. Otherwise the
+// invoke is over (a lookup or placement error, which Result returns),
+// needs its cold build (NeedsBuild), or is ready for Step.
 //
 //molecule:hotpath
-func (rt *Runtime) invokeGeneral(p *sim.Proc, d *Deployment, opts InvokeOptions, settle bool) (Result, error) {
-	start := p.Now()
-	// Tracef checks the env flag itself, but its variadic arguments are boxed
-	// at the call site; the explicit guards keep the detached warm path
-	// allocation-free.
-	tracing := rt.Env.Tracing()
-	root := rt.obs.Span(opts.Span, "invoke", int(rt.hostID))
-	root.SetAttr("fn", d.Fn.Name)
-	if tracing {
+func (inv *Invocation) Begin(rt *Runtime, p *sim.Proc, fn string, opts InvokeOptions) bool {
+	if rt.Opts.Recovery.Enabled() {
+		return false
+	}
+	d := rt.deployment(fn)
+	if d == nil {
+		inv.phase, inv.err = invokeDone, errNotDeployed(fn)
+		return true
+	}
+	if _, ok := rt.accelKind(d, opts); ok {
+		return false
+	}
+	inv.begin(rt, p, d, opts)
+	inv.settle = true
+	return true
+}
+
+// begin arms inv for an invoke of d and runs it up to its instance; see
+// Begin. The caller sets whether the invoke settles itself.
+//
+//molecule:hotpath
+func (inv *Invocation) begin(rt *Runtime, p *sim.Proc, d *Deployment, opts InvokeOptions) {
+	// The fields are set one by one, not from a composite literal, which
+	// would zero and copy the whole struct on every invoke; the rest are
+	// written before they are read. Tracef checks the env flag itself, but
+	// its variadic arguments are boxed at the call site; the tracing
+	// guards keep the detached warm path allocation-free.
+	inv.rt, inv.d, inv.opts, inv.tracing = rt, d, opts, rt.Env.Tracing()
+	inv.cold, inv.phase, inv.start, inv.err = false, invokeBuild, p.Now(), nil
+	inv.root = rt.obs.Span(opts.Span, "invoke", int(rt.hostID))
+	inv.root.SetAttr("fn", d.Fn.Name)
+	if inv.tracing {
 		p.Tracef("invoke %s: request accepted", d.Fn.Name)
 	}
-	inst, cold, err := rt.acquire(p, d, opts.PU, opts.ForceCold, root)
-	if err != nil {
-		root.SetAttr("error", err.Error())
-		root.Finish()
-		return Result{}, err
+	inst, err := inv.acq.begin(rt, p, d, opts.PU, opts.ForceCold, inv.root)
+	switch {
+	case err != nil:
+		inv.fail(err)
+	case inst != nil:
+		inv.inst, inv.phase = inst, invokeNoise
 	}
-	if tracing {
-		if cold {
-			p.Tracef("invoke %s: cold start complete on PU %d (sandbox %s)", d.Fn.Name, inst.node.pu.ID, inst.sandboxID)
-		} else {
-			p.Tracef("invoke %s: warm hit on PU %d (sandbox %s)", d.Fn.Name, inst.node.pu.ID, inst.sandboxID)
-		}
-	}
-	startupDone := p.Now()
+}
 
-	// Deterministic scheduling noise, when configured.
-	if extra := rt.jitter(startupDone.Sub(start)) - startupDone.Sub(start); extra > 0 {
-		p.Sleep(extra)
-		startupDone = p.Now()
-	}
-	execStart := p.Now()
-	if !cold {
-		p.Sleep(params.WarmDispatchTime)
-	}
-	if rt.faults != nil {
-		if ferr := rt.faults.HandlerFault(); ferr != nil {
-			// The handler crashed: its instance is gone, not warm.
-			rt.destroy(p, inst)
-			return Result{}, rt.handlerCrash(root, d, inst, ferr)
+// NeedsBuild reports that Begin placed a cold start, which Finish builds on
+// the invoking process's coroutine.
+func (inv *Invocation) NeedsBuild() bool { return inv.phase == invokeBuild }
+
+// Finish completes the invoke Begin armed on p's own coroutine: the cold
+// build, if Begin placed one, then Step, parking whenever it reports false.
+//
+//molecule:hotpath
+func (inv *Invocation) Finish(p *sim.Proc) {
+	if inv.phase == invokeBuild {
+		inst, err := inv.acq.build(inv.rt, p)
+		if err != nil {
+			inv.fail(err)
+		} else {
+			inv.inst, inv.cold, inv.phase = inst, true, invokeNoise
 		}
 	}
-	hs := rt.obs.Span(root, "handler", int(inst.node.pu.ID))
-	if inst.sb.Forked && inst.sb.Inst.COWPending {
-		hs.SetAttr("cow", "1")
-		if o := rt.obs; o != nil {
-			o.Counter("sandbox_cow_faults_total", puLabel(inst.node.pu.ID)).Inc()
+	for val := any(nil); !inv.Step(p, val); {
+		val = p.Park()
+	}
+}
+
+// Result returns the invoke's outcome, what Invoke would, once Step has
+// reported it over.
+func (inv *Invocation) Result() (Result, error) {
+	if inv.err != nil {
+		return Result{}, inv.err
+	}
+	return inv.res, nil
+}
+
+// fail ends the invoke with err, which its root span records.
+func (inv *Invocation) fail(err error) {
+	inv.root.SetAttr("error", err.Error())
+	inv.root.Finish()
+	inv.err, inv.phase = err, invokeDone
+}
+
+// Step runs the invoke on from its ready instance; see sim.Step. Every wait
+// is a SleepStep where the blocking invoke slept.
+//
+//molecule:hotpath
+func (inv *Invocation) Step(p *sim.Proc, val any) bool {
+	rt, d, inst := inv.rt, inv.d, inv.inst
+	switch inv.phase {
+	case invokeNoise:
+		if inv.tracing {
+			if inv.cold {
+				p.Tracef("invoke %s: cold start complete on PU %d (sandbox %s)", d.Fn.Name, inst.node.pu.ID, inst.sandboxID)
+			} else {
+				p.Tracef("invoke %s: warm hit on PU %d (sandbox %s)", d.Fn.Name, inst.node.pu.ID, inst.sandboxID)
+			}
 		}
+		// Deterministic scheduling noise, when configured.
+		inv.phase = invokeDispatch
+		startup := p.Now().Sub(inv.start)
+		if extra := rt.jitter(startup) - startup; extra > 0 && !p.SleepStep(extra) {
+			return false
+		}
+		fallthrough
+	case invokeDispatch:
+		inv.startupDone = p.Now()
+		inv.phase = invokeHandler
+		if !inv.cold && !p.SleepStep(params.WarmDispatchTime) {
+			return false
+		}
+		fallthrough
+	case invokeHandler:
+		if rt.faults != nil {
+			if ferr := rt.faults.HandlerFault(); ferr != nil {
+				// The handler crashed: its instance is gone, not warm.
+				rt.destroy(p, inst)
+				inv.fail(handlerCrash(d, inst, ferr))
+				return true
+			}
+		}
+		inv.hs = rt.obs.Span(inv.root, "handler", int(inst.node.pu.ID))
+		if inst.sb.Forked && inst.sb.Inst.COWPending {
+			inv.hs.SetAttr("cow", "1")
+			if o := rt.obs; o != nil {
+				o.Counter("sandbox_cow_faults_total", puLabel(inst.node.pu.ID)).Inc()
+			}
+		}
+		inv.phase = invokeSettle
+		if !p.SleepStep(inst.sb.Inst.StartHandler(rt.jitter(d.Fn.CPUCost(inv.opts.Arg)), inst.sb.Forked)) {
+			return false
+		}
+		fallthrough
+	case invokeSettle:
+		inv.complete(p)
 	}
-	inst.sb.Inst.Invoke(p, rt.jitter(d.Fn.CPUCost(opts.Arg)), inst.sb.Forked)
-	hs.Finish()
-	res := Result{
-		Fn: d.Fn.Name, PU: inst.node.pu.ID, Kind: inst.node.pu.Kind, Cold: cold,
-		Startup: startupDone.Sub(start),
-		Exec:    p.Now().Sub(execStart),
-		Handler: inst.node.pu.ComputeTime(d.Fn.CPUCost(opts.Arg)),
-		Total:   p.Now().Sub(start),
+	return true
+}
+
+// complete ends an invoke whose handler has run: the result, the release
+// and, when the invoke settles itself, the settle.
+//
+//molecule:hotpath
+func (inv *Invocation) complete(p *sim.Proc) {
+	rt, d, inst := inv.rt, inv.d, inv.inst
+	inv.hs.Finish()
+	inv.phase = invokeDone
+	now := p.Now()
+	// The result is built in place: Result returns it only if err is nil.
+	res := &inv.res
+	*res = Result{
+		Fn: d.Fn.Name, PU: inst.node.pu.ID, Kind: inst.node.pu.Kind, Cold: inv.cold,
+		Startup: inv.startupDone.Sub(inv.start),
+		Exec:    now.Sub(inv.startupDone),
+		Handler: inst.node.pu.ComputeTime(d.Fn.CPUCost(inv.opts.Arg)),
+		Total:   now.Sub(inv.start),
 	}
-	if cold {
+	root := inv.root
+	if inv.cold {
 		root.SetAttr("cold", "1")
 	}
 	if root != nil {
 		root.SetAttr("pu", strconv.Itoa(int(inst.node.pu.ID)))
 	}
 	root.Finish() // root span duration == res.Total by construction
-	if err := runBody(d, opts, &res); err != nil {
+	if err := runBody(d, inv.opts, res); err != nil {
 		rt.release(p, inst)
-		return Result{}, err
+		inv.err = err
+		return
 	}
 	inst.node.busy += res.Exec
 	rt.release(p, inst)
-	if tracing {
+	if inv.tracing {
 		p.Tracef("invoke %s: done in %v (exec %v)", d.Fn.Name, res.Total, res.Exec)
 	}
-	if settle {
+	if inv.settle {
 		rt.settleResult(d, res)
 	}
-	return res, nil
+}
+
+// handlerCrash wraps an injected handler fault. Kept out of Step so the
+// formatting lives off the hot path: it only runs when a fault plan fires.
+func handlerCrash(d *Deployment, inst *instance, ferr error) error {
+	return fmt.Errorf("molecule: %s handler on PU %d: %w", d.Fn.Name, inst.node.pu.ID, ferr)
 }
 
 // recordInvocation updates the per-invocation metric series (no-op with
 // observability detached).
-func (rt *Runtime) recordInvocation(fn string, pu *hw.PU, res Result) {
+func (rt *Runtime) recordInvocation(fn string, pu *hw.PU, res *Result) {
 	o := rt.obs
 	if o == nil {
 		return
@@ -217,7 +379,33 @@ func (rt *Runtime) recordInvocation(fn string, pu *hw.PU, res Result) {
 // the function's recreation cost in the greedy-dual keep-alive policy, so
 // expensive-to-recreate functions win cache space.
 func (rt *Runtime) acquire(p *sim.Proc, d *Deployment, pin hw.PUID, forceCold bool, parent *obs.Span) (*instance, bool, error) {
+	var a acquisition
+	inst, err := a.begin(rt, p, d, pin, forceCold, parent)
+	if inst != nil || err != nil {
+		return inst, false, err
+	}
+	inst, err = a.build(rt, p)
+	return inst, err == nil, err
+}
+
+// acquisition is an acquire split at the cold build, its only blocking
+// phase: begin takes a warm instance, or places a cold start, without
+// blocking, and build completes the placed cold start on the acquiring
+// process's coroutine.
+type acquisition struct {
+	d     *Deployment
+	sp    *obs.Span // sandbox.acquire, the cold start's spans' parent
+	start sim.Time  // when the cold start began
+	node  *puNode   // the PU the cold start was placed on
+}
+
+// begin returns a warm instance of d's function, or nil with a cold start
+// placed for build, or the placement's error.
+//
+//molecule:hotpath
+func (a *acquisition) begin(rt *Runtime, p *sim.Proc, d *Deployment, pin hw.PUID, forceCold bool, parent *obs.Span) (*instance, error) {
 	sp := rt.obs.Span(parent, "sandbox.acquire", -1)
+	*a = acquisition{d: d, sp: sp}
 	if !forceCold {
 		if inst := rt.popWarm(d.rec, pin); inst != nil {
 			sp.SetAttr("path", "warm")
@@ -226,25 +414,38 @@ func (rt *Runtime) acquire(p *sim.Proc, d *Deployment, pin hw.PUID, forceCold bo
 			if o := rt.obs; o != nil {
 				o.Counter("molecule_warm_hits_total", puLabel(inst.node.pu.ID), obs.L("fn", d.Fn.Name)).Inc()
 			}
-			return inst, false, nil
+			return inst, nil
 		}
 	}
-	start := p.Now()
-	inst, err := rt.coldStart(p, d, pin, sp)
+	a.start = p.Now()
+	n, err := rt.placeCold(p, d, pin, sp)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		sp.Finish()
-		return nil, false, err
+		return nil, err
 	}
-	rt.cache.setCost(d.rec.stat, p.Now().Sub(start).Seconds()*1000)
+	a.node = n
+	return nil, nil
+}
+
+// build runs the cold start begin placed and returns its instance.
+func (a *acquisition) build(rt *Runtime, p *sim.Proc) (*instance, error) {
+	d, sp := a.d, a.sp
+	inst, err := rt.coldStart(p, d, a.node, sp)
+	if err != nil {
+		sp.SetAttr("error", err.Error())
+		sp.Finish()
+		return nil, err
+	}
+	rt.cache.setCost(d.rec.stat, p.Now().Sub(a.start).Seconds()*1000)
 	sp.SetAttr("path", "cold")
 	sp.SetPU(int(inst.node.pu.ID))
 	sp.Finish()
 	if o := rt.obs; o != nil {
 		o.Counter("molecule_cold_starts_total", puLabel(inst.node.pu.ID), obs.L("fn", d.Fn.Name)).Inc()
-		o.Histogram("molecule_startup_latency_seconds", puLabel(inst.node.pu.ID)).Observe(p.Now().Sub(start))
+		o.Histogram("molecule_startup_latency_seconds", puLabel(inst.node.pu.ID)).Observe(p.Now().Sub(a.start))
 	}
-	return inst, true, nil
+	return inst, nil
 }
 
 // popWarm takes a warm instance of r's function, honoring a PU pin.
@@ -298,12 +499,11 @@ func (rt *Runtime) popWarmOn(n *puNode, r *funcRec) *instance {
 	return nil
 }
 
-// coldStart makes a new instance of the function by the runtime's startup
-// mode. A cfork from a dedicated template (§4.2) has the dependencies
-// preloaded; generic-template cforks and plain boots import them.
+// placeCold places a cold start of d, pinned to pin: placement, and on a
+// capacity miss one keep-alive eviction and a second try. It never blocks.
 //
 //molecule:hotpath
-func (rt *Runtime) coldStart(p *sim.Proc, d *Deployment, pin hw.PUID, parent *obs.Span) (*instance, error) {
+func (rt *Runtime) placeCold(p *sim.Proc, d *Deployment, pin hw.PUID, parent *obs.Span) (*puNode, error) {
 	ps := rt.obs.Span(parent, "placement", -1)
 	n, err := rt.placeGeneral(d, pin)
 	if err != nil && errors.Is(err, ErrNoCapacity) && rt.evictForPlacement(p, d, pin) {
@@ -322,9 +522,20 @@ func (rt *Runtime) coldStart(p *sim.Proc, d *Deployment, pin hw.PUID, parent *ob
 		ps.SetAttr("pu", strconv.Itoa(int(n.pu.ID)))
 	}
 	ps.Finish()
+	return n, nil
+}
+
+// coldStart makes a new instance of the function on n, where placeCold
+// placed it, by the runtime's startup mode. A cfork from a dedicated
+// template (§4.2) has the dependencies preloaded; generic-template cforks
+// and plain boots import them.
+//
+//molecule:hotpath
+func (rt *Runtime) coldStart(p *sim.Proc, d *Deployment, n *puNode, parent *obs.Span) (*instance, error) {
 	if err := rt.remoteCommand(p, n.pu.ID, parent); err != nil {
 		return nil, err
 	}
+	var err error
 	// Template boot is a one-time cost per (PU, language), off the
 	// per-request critical path in steady state; it is charged here on
 	// first use.
@@ -628,7 +839,7 @@ func (rt *Runtime) invokeAccel(p *sim.Proc, d *Deployment, kind hw.PUKind, opts 
 		return Result{}, err
 	}
 	if settle {
-		rt.settleResult(d, res)
+		rt.settleResult(d, &res)
 	}
 	return res, nil
 }

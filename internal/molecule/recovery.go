@@ -107,7 +107,7 @@ func (rt *Runtime) invokeWithRecovery(p *sim.Proc, d *Deployment, opts InvokeOpt
 		}
 		res, err := rt.attemptWithTimeout(p, d, attemptOpts)
 		if err == nil {
-			rt.settleResult(d, res)
+			rt.settleResult(d, &res)
 			root.SetAttr("retries", strconv.Itoa(attempt))
 			root.SetAttr("pu", strconv.Itoa(int(res.PU)))
 			root.Finish()

@@ -226,6 +226,33 @@ func TestFinishedEnvIsCollected(t *testing.T) {
 	awaitCollected(t, freed, "Run", "Sharded.Run")
 }
 
+// TestIdleCorosCapped: a burst of processes that are all live at once
+// leaves at most maxIdleCoros coroutines on the idle list when they exit,
+// and the coroutines beyond the cap end with their bodies instead of
+// waiting for a Spawn that may never come.
+func TestIdleCorosCapped(t *testing.T) {
+	env := NewEnv()
+	base := runtime.NumGoroutine()
+	n := 2*maxIdleCoros + 5
+	for i := 0; i < n; i++ {
+		env.Spawn("burst", func(p *Proc) { p.Sleep(time.Microsecond) })
+	}
+	env.At(Time(time.Microsecond/2), func() {
+		if g := runtime.NumGoroutine() - base; g < n {
+			t.Errorf("%d goroutines with %d processes live, want at least %d", g, n, n)
+		}
+	})
+	env.At(Time(2*time.Microsecond), func() {
+		if len(env.idle) != maxIdleCoros {
+			t.Errorf("%d idle coroutines after the burst, want the cap %d", len(env.idle), maxIdleCoros)
+		}
+		if g := runtime.NumGoroutine() - base; g > maxIdleCoros+2 {
+			t.Errorf("%d goroutines after the burst, want at most the cap %d (+2)", g, maxIdleCoros)
+		}
+	})
+	env.Run()
+}
+
 // TestSteadyStateAllocs pins the allocation cost of the kernel's two
 // commonest operations: a Spawn whose body runs on a pooled coroutine costs
 // the Proc alone, and a contended Sleep costs nothing.

@@ -176,9 +176,14 @@ func (c HostCost) Add(o HostCost) HostCost {
 // for the GC. The cap bounds kernel memory on runs with huge event bursts.
 const maxFreeEvents = 1024
 
-// maxIdleCoros caps the idle coroutine list the same way; beyond it, a
-// coroutine whose body exits ends instead of waiting for the next Spawn.
-const maxIdleCoros = 1024
+// maxIdleCoros caps the idle coroutine list; beyond it, a coroutine whose
+// body exits ends instead of waiting for the next Spawn. Every idle
+// coroutine is a goroutine whose stack the GC scans and shrinks each cycle
+// and that must regrow it on reuse, so the list keeps only what is
+// reused: on cluster-steady, caps of 16 to 1024 gave the same throughput
+// within noise, and 64 the best median with a peak heap of about 7.1 MB
+// where 1024 held 7.8-8.5 MB (EXPERIMENTS.md).
+const maxIdleCoros = 64
 
 // NewEnv returns an empty environment at time 0.
 func NewEnv() *Env {
@@ -547,7 +552,8 @@ func (e *Env) noteExit() {
 
 // resume hands control to p with val and returns once p parks again or
 // exits. A process parked in a stepped wait first runs its step, and is
-// switched to only once the step reports the wait over.
+// switched to only once the step reports the wait over; one that ends in
+// its wait (EndInWait) exits there instead.
 //
 //molecule:hotpath
 func (e *Env) resume(p *Proc, val any) {
@@ -559,6 +565,10 @@ func (e *Env) resume(p *Proc, val any) {
 			return
 		}
 		p.step, val = nil, nil // the wait is over
+		if p.co == nil && p.body == nil {
+			e.exit(p)
+			return
+		}
 	}
 	c := p.co
 	if c == nil {

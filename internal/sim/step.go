@@ -45,9 +45,21 @@ func (p *Proc) Wait(s Step) {
 // wait s. The process starts parked in s: s takes its first step when the
 // spawn start fires, and the body starts, on a coroutine, only once s
 // reports the wait over, so the process costs no coroutine switch before
-// then.
+// then. A step that has done all the process's work calls EndInWait, and
+// the process then ends with its wait, having never taken a coroutine.
 func (e *Env) SpawnWaiting(name string, s Step, fn func(p *Proc)) *Proc {
 	p := e.Spawn(name, fn)
 	p.step = s
 	return p
+}
+
+// EndInWait makes p, a process SpawnWaiting started whose body has not
+// started, end when its stepped wait is over instead of starting its body.
+// Call it from p's step: the process then exits with no coroutine switch,
+// and nothing is left of it for the idle coroutine list.
+func (p *Proc) EndInWait() {
+	if p.co != nil {
+		panic("sim: EndInWait on a process whose body has started")
+	}
+	p.body = nil
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -237,6 +238,82 @@ func TestSpawnWaitingStartsAfterWait(t *testing.T) {
 	if got := e.HostCost(); got != want {
 		t.Fatalf("host cost %+v, want %+v", got, want)
 	}
+}
+
+// endingRead is a prefixRead whose process ends in its wait: once the read
+// is over it records the value and calls EndInWait, so the process's body
+// never starts.
+type endingRead struct {
+	prefixRead
+	got *[]int
+}
+
+func (r *endingRead) Step(p *Proc, val any) bool {
+	if !r.prefixRead.Step(p, val) {
+		return false
+	}
+	*r.got = append(*r.got, r.v)
+	p.EndInWait()
+	return true
+}
+
+// TestSpawnWaitingEndsInWait: a process that ends in its stepped wait never
+// takes a coroutine. Its prefix, its queue for the contended unit and its
+// receive are stepped resumes, and it exits when the wait is over, leaving
+// no live process, nothing in BlockedProcs and nothing on the idle list.
+func TestSpawnWaitingEndsInWait(t *testing.T) {
+	e := NewEnv()
+	ch := NewChan[int](e, 0)
+	res := NewResource(e, 1)
+	var got []int
+	for i := 0; i < 3; i++ {
+		r := &endingRead{prefixRead: prefixRead{pre: 3, hold: 2, res: res, ch: ch}, got: &got}
+		e.SpawnWaiting("reader", r, func(*Proc) {
+			t.Error("the body of a process that ended in its wait started")
+		})
+	}
+	e.At(20, func() {
+		for i := 0; i < 3; i++ {
+			if !ch.TrySend(i) {
+				t.Errorf("send %d found no parked reader", i)
+			}
+		}
+	})
+	e.At(30, func() {
+		if e.LiveProcs() != 0 || len(e.BlockedProcs()) != 0 || len(e.idle) != 0 {
+			t.Errorf("after the reads: %d live procs, blocked %v, %d idle coroutines; want none",
+				e.LiveProcs(), e.BlockedProcs(), len(e.idle))
+		}
+	})
+	e.Run()
+	if !slices.Equal(got, []int{0, 1, 2}) {
+		t.Errorf("readers got %v, want [0 1 2]", got)
+	}
+	if c := e.HostCost(); c.Switches != 0 || c.Stepped == 0 {
+		t.Errorf("host cost %+v, want no switches and some stepped resumes", c)
+	}
+}
+
+// TestEndInWaitAfterBodyStartPanics: a process whose body has started
+// cannot end in a wait, since its coroutine is mid-body; the kernel panics
+// rather than strand it.
+func TestEndInWaitAfterBodyStartPanics(t *testing.T) {
+	e := NewEnv()
+	ch := NewChan[int](e, 0)
+	var got []int
+	e.Spawn("reader", func(p *Proc) {
+		p.Wait(&endingRead{prefixRead: prefixRead{pre: 3, hold: 2, res: NewResource(e, 1), ch: ch}, got: &got})
+	})
+	e.Spawn("sender", func(p *Proc) {
+		p.Sleep(10)
+		ch.Send(p, 1)
+	})
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "EndInWait") {
+			t.Errorf("Run recovered %v, want the EndInWait panic", r)
+		}
+	}()
+	e.Run()
 }
 
 // TestWaitStepsInlineWhileRunning: a running process that enters a stepped
