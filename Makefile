@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-fixtures test race allocpins bench-test fuzz-smoke chaos bench microbench bench-smoke benchjson coldstart-smoke cluster-smoke report report-md golden trace-demo attrib-demo examples outputs
+.PHONY: all check build vet lint lint-fixtures test race allocpins bench-test fuzz-smoke chaos bench microbench bench-smoke benchjson coldstart-smoke cluster-smoke report report-md golden trace-demo attrib-demo examples examples-golden outputs
 
 all: check
 
@@ -163,15 +163,26 @@ attrib-demo:
 	$(GO) run ./cmd/molecule-bench -scenario attrib
 	$(GO) run ./cmd/molecule-bench -scenario profile > attrib-demo.folded
 
+EXAMPLES := quickstart fpgapipeline alexachain density cluster mapreduce trace newpu
+
+# Run every example and compare its stdout byte for byte with
+# examples/<name>/output.golden (the simulation is deterministic, so any
+# difference is a behavior change).
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/fpgapipeline
-	$(GO) run ./examples/alexachain
-	$(GO) run ./examples/density
-	$(GO) run ./examples/cluster
-	$(GO) run ./examples/mapreduce
-	$(GO) run ./examples/trace
-	$(GO) run ./examples/newpu
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for ex in $(EXAMPLES); do \
+		$(GO) run ./examples/$$ex > "$$tmp/$$ex" || exit 1; \
+		if ! cmp -s "$$tmp/$$ex" examples/$$ex/output.golden; then \
+			diff -u examples/$$ex/output.golden "$$tmp/$$ex"; \
+			echo "examples/$$ex: output differs from output.golden (make examples-golden rewrites it)"; exit 1; \
+		fi; \
+		echo "examples/$$ex: output matches output.golden"; \
+	done
+
+# Rewrite every example's output.golden, only after an intentional change
+# to what an example prints.
+examples-golden:
+	for ex in $(EXAMPLES); do $(GO) run ./examples/$$ex > examples/$$ex/output.golden || exit 1; done
 
 # The artifacts the evaluation instructions ask for.
 outputs:

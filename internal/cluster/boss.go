@@ -23,17 +23,17 @@
 //     erroring;
 //   - central queue: when every eligible machine is saturated, requests
 //     queue FIFO at the boss and drain as completions free slots;
-//   - chains: placed on one machine whenever possible (the interconnect's
-//     ms-scale base latency dwarfs the µs-scale intra-machine links — the
-//     hw model's asymmetry), and only split into contiguous segments
-//     across machines when no single machine has every required PU kind.
+//   - chains: run whole on one machine that has a PU kind for every
+//     function, since their speed is nIPC inside the machine (µs-scale
+//     PCIe links against the interconnect's ms-scale base latency). Every
+//     machine is built from one hw.Config, so a chain no machine can run
+//     whole has a function no machine can run, and the boss rejects it.
 package cluster
 
 import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"time"
 
 	"repro/internal/faults"
 	"repro/internal/hw"
@@ -43,13 +43,11 @@ import (
 	"repro/internal/workloads"
 )
 
-// Message sizes for boss↔machine interconnect traffic: a request envelope,
-// a reply envelope, and a chain's intermediate payload handed from one
-// machine to the next.
+// Message sizes for boss↔machine interconnect traffic: a request envelope
+// and a reply envelope.
 const (
-	requestBytes      = 1 << 10
-	replyBytes        = 1 << 9
-	intermediateBytes = 1 << 12
+	requestBytes = 1 << 10
+	replyBytes   = 1 << 9
 )
 
 // kindMask is a bitset of hw.PUKind values, precomputed once per machine and
@@ -100,6 +98,12 @@ type registration struct {
 // molecule.ErrUnavailable so callers above (httpd) can map it to 503
 // without reaching into this package.
 var errClusterSaturated = fmt.Errorf("cluster: saturated with nothing inflight: %w", molecule.ErrUnavailable)
+
+// machineDown is a routing error, with the text of the error it holds, that
+// errors.Is matches to molecule.ErrUnavailable (see errNoMachine).
+type machineDown struct{ error }
+
+func (machineDown) Is(target error) bool { return target == molecule.ErrUnavailable }
 
 // Node is one worker machine of a Boss cluster: a shard domain owning its
 // own hardware and Molecule runtime. Boss-side fields (inflight, draining,
@@ -195,15 +199,9 @@ type reply struct {
 	err     error
 }
 
-// chainSeg is one contiguous run of a plan's functions placed on one node.
-type chainSeg struct {
-	node  *Node
-	names []string
-}
-
-// request is one unit of routed work, run as a plan of segments; a single
-// function is the one-segment plan [{node, [fn]}]. It travels with its
-// interconnect messages, so one domain at a time touches it. Requests are
+// request is one unit of routed work, a single function or a whole chain,
+// run as one segment on one machine. It travels with its interconnect
+// messages, so one domain at a time touches it. Requests are
 // recycled through the Boss's free list: the reply channel and the three
 // callbacks are made once per request object, not once per call, and so is
 // the state of the request's stepped waits: the client's round trip, a
@@ -214,33 +212,27 @@ type request struct {
 	names []string               // functions in call order
 	chain bool                   // InvokeChain: the reply carries a ChainResult
 	opts  molecule.InvokeOptions // a chain reads only Arg
-	plan  []chainSeg
+	node  *Node                  // the machine the request is dispatched to
 
-	// The result, filled in on the machines segment by segment.
+	// The result, filled in on the machine, and the error it replies with.
+	// The message carrying the request owns these fields.
 	res  molecule.Result
 	cres molecule.ChainResult
+	err  error
 
 	attempts int // failover budget: distinct placements tried
 	requeues int // capacity-requeue budget (see maxRequeues)
 	done     *sim.Chan[reply]
 
-	// Hop state: the plan index of the segment in flight, and once the last
-	// segment (or the first error) finishes, the replying machine and its
-	// error. The message carrying the request owns these fields.
-	hop     int
-	replyer *Node
-	err     error
-
 	// Callbacks bound once per request object, so a request's hops
 	// allocate no closures.
-	execMsg  func()          // delivered on segment hop's machine: start it
+	execMsg  func()          // delivered on the request's machine: start it
 	body     func(*sim.Proc) // the segment process's body
 	replyMsg func()          // delivered on the boss: complete the request
 
-	// Backing arrays of a single function's names and plan, so routing it
-	// allocates nothing beyond the request.
+	// Backing array of a single function's names, so routing it allocates
+	// nothing beyond the request.
 	one [1]string
-	seg [1]chainSeg
 	// reg is a single function's registration, resolved on its first
 	// route, so a re-route from the central queue looks nothing up.
 	reg *registration
@@ -475,7 +467,7 @@ func (b *Boss) routeOne(r *registration, fn string) (*Node, bool, error) {
 		}
 	}
 	if !any {
-		return nil, false, fmt.Errorf("cluster: no eligible machine for %q", fn)
+		return nil, false, b.errNoMachine("cluster: no eligible machine for %q", []string{fn}, []kindMask{r.mask})
 	}
 	if home != nil && home.hasRoom() {
 		return home, false, nil
@@ -486,13 +478,10 @@ func (b *Boss) routeOne(r *registration, fn string) (*Node, bool, error) {
 	return nil, false, nil // all saturated: queue
 }
 
-// planChain places a chain: one machine whenever some eligible machine
-// supports every function (the interconnect's base latency is ~10³× the
-// intra-machine links, so locality always wins — the hw asymmetry made
-// explicit), otherwise contiguous maximal segments, each on the machine
-// whose intra-machine host links reach the segment's PU kinds cheapest
-// (hw.Machine.HostLinkLat), tie-broken by load then domain order.
-func (b *Boss) planChain(names []string) ([]chainSeg, error) {
+// planChain places a chain whole on the machine wholeChainHome picks: the
+// interconnect's base latency is ~10³× the intra-machine links, so a chain
+// keeps every edge inside one machine.
+func (b *Boss) planChain(names []string) (*Node, error) {
 	masks := make([]kindMask, len(names))
 	var first *registration
 	for i, fn := range names {
@@ -505,33 +494,10 @@ func (b *Boss) planChain(names []string) ([]chainSeg, error) {
 		}
 		masks[i] = r.mask
 	}
-	// Locality first: the affinity-preferred machine among those eligible
-	// for the whole chain.
 	if n := b.wholeChainHome(first, masks); n != nil {
-		return []chainSeg{{node: n, names: names}}, nil
+		return n, nil
 	}
-	// Split: greedy maximal contiguous segments. Each segment extends
-	// while any live machine supports all its functions; every cut pays
-	// one interconnect hop.
-	var plan []chainSeg
-	for start := 0; start < len(names); {
-		end := start
-		var candidates []*Node
-		for end < len(names) {
-			next := b.segmentHosts(masks[start : end+1])
-			if len(next) == 0 {
-				break
-			}
-			candidates = append(candidates[:0], next...)
-			end++
-		}
-		if end == start {
-			return nil, fmt.Errorf("cluster: no machine can run %q", names[start])
-		}
-		plan = append(plan, chainSeg{node: b.bestSegmentHost(candidates, masks[start:end]), names: names[start:end]})
-		start = end
-	}
-	return plan, nil
+	return nil, b.errNoMachine("cluster: no machine can run %q", names, masks)
 }
 
 // wholeChainHome returns the machine eligible for every chain function
@@ -541,7 +507,7 @@ func (b *Boss) wholeChainHome(first *registration, masks []kindMask) *Node {
 	var home, fallback *Node
 	var homeScore, fbScore uint64
 	for i, n := range b.nodes {
-		if !n.runsAll(masks) {
+		if n.draining || n.down || n.reach(masks) < len(masks) {
 			continue
 		}
 		s := first.scores[i]
@@ -558,78 +524,40 @@ func (b *Boss) wholeChainHome(first *registration, masks []kindMask) *Node {
 	if home != nil {
 		return home
 	}
-	return fallback // saturated everywhere: locality still beats splitting
+	return fallback // saturated everywhere: its admission queue absorbs the chain
 }
 
-// segmentHosts returns the live machines supporting every mask.
-func (b *Boss) segmentHosts(masks []kindMask) []*Node {
-	var out []*Node
-	for _, n := range b.nodes {
-		if n.runsAll(masks) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// runsAll reports whether the node is routable (not drained, not down) and
-// has a PU kind for every mask.
-func (n *Node) runsAll(masks []kindMask) bool {
-	if n.draining || n.down {
-		return false
-	}
-	for _, m := range masks {
+// reach reports how many of masks, from the first, the node has a PU kind
+// for.
+func (n *Node) reach(masks []kindMask) int {
+	for i, m := range masks {
 		if n.kinds&m == 0 {
-			return false
+			return i
 		}
 	}
-	return true
+	return len(masks)
 }
 
-// bestSegmentHost scores candidate hosts for a chain segment by the sum of
-// their cheapest host→kind link latencies over the segment's required
-// kinds — the intra-machine side of the asymmetry — then by load, then by
-// domain order (determinism).
-func (b *Boss) bestSegmentHost(candidates []*Node, masks []kindMask) *Node {
-	best := candidates[0]
-	bestCost, bestLoad := b.segmentCost(best, masks), nodeLoad(best)
-	for _, n := range candidates[1:] {
-		c, l := b.segmentCost(n, masks), nodeLoad(n)
-		if c < bestCost || (c == bestCost && l < bestLoad) {
-			best, bestCost, bestLoad = n, c, l
+// errNoMachine explains why no live machine can run the functions names,
+// whose kind masks are masks: it names the first function at which no live
+// machine can run them so far. When a down or drained machine could run
+// them all, the fault is the platform's (httpd answers 503), so the error
+// also matches molecule.ErrUnavailable; its text is format's either way.
+func (b *Boss) errNoMachine(format string, names []string, masks []kindMask) error {
+	reach, down := 0, false
+	for _, n := range b.nodes {
+		k := n.reach(masks)
+		if n.draining || n.down {
+			down = down || k == len(masks)
+		} else if k > reach {
+			reach = k
 		}
 	}
-	return best
-}
-
-func nodeLoad(n *Node) float64 {
-	if n.capacity == 0 {
-		return 1
+	err := fmt.Errorf(format, names[reach])
+	if down {
+		return machineDown{err}
 	}
-	return float64(n.inflight) / float64(n.capacity)
-}
-
-// segmentCost sums the node's cheapest host-link latency to each required
-// kind mask (taking the cheapest kind the mask admits on this machine).
-func (b *Boss) segmentCost(n *Node, masks []kindMask) time.Duration {
-	var total time.Duration
-	for _, m := range masks {
-		best, found := time.Duration(0), false
-		for _, pu := range n.HW.PUs() {
-			if !m.has(pu.Kind) {
-				continue
-			}
-			if lat, ok := n.HW.HostLinkLat(pu.Kind); ok {
-				if !found || lat < best {
-					best, found = lat, true
-				}
-			}
-		}
-		if found {
-			total += best
-		}
-	}
-	return total
+	return err
 }
 
 // Invoke submits one request from a client process on the boss domain and
@@ -651,10 +579,10 @@ func (b *Boss) InvokeDetailed(p *sim.Proc, funcName string, opts molecule.Invoke
 	return rep.res, rep.machine, rep.err
 }
 
-// InvokeChain submits a chain, placed for locality and split across
-// machines only when no single machine can run it. Satisfies
-// loadgen.Invoker. opts.Arg reaches every segment; opts.Placement must be
-// nil, because PU IDs are machine-local and the boss places chains itself.
+// InvokeChain submits a chain, run whole on one machine that can run every
+// function. Satisfies loadgen.Invoker. opts.Arg reaches the machine;
+// opts.Placement must be nil, because PU IDs are machine-local and the boss
+// places chains itself.
 func (b *Boss) InvokeChain(p *sim.Proc, names []string, opts molecule.ChainOptions) (molecule.ChainResult, error) {
 	if len(names) == 0 {
 		return molecule.ChainResult{}, fmt.Errorf("cluster: empty chain")
@@ -686,8 +614,8 @@ func (b *Boss) newRequest() *request {
 // call sees a request finish, so nothing else may hold it: the reply it
 // carried has been received and the return hop paid, and a request that
 // failed over or requeued is still in flight and never reaches here. The
-// result fields are zeroed, not truncated, so the next request cannot alias
-// a returned chain's EdgeLatency.
+// result fields are zeroed, so the free list keeps no reference to the
+// EdgeLatency array a returned chain handed its client.
 func (b *Boss) release(req *request) {
 	req.done.Reset(1)
 	*req = request{boss: b, done: req.done, execMsg: req.execMsg, body: req.body, replyMsg: req.replyMsg}
@@ -748,11 +676,11 @@ func (req *request) Step(p *sim.Proc, val any) bool {
 // kinds). A chain is never queued here: planChain falls back to a
 // saturated home, whose admission queue absorbs it.
 func (b *Boss) submit(req *request) error {
-	plan, stolen, err := b.route(req)
+	n, stolen, err := b.route(req)
 	if err != nil {
 		return err
 	}
-	if plan == nil {
+	if n == nil {
 		b.enqueue(req)
 		// A queue pumped only by completions strands the request when
 		// nothing is inflight (zero-capacity cluster): pump now so the
@@ -761,18 +689,17 @@ func (b *Boss) submit(req *request) error {
 		b.pump()
 		return nil
 	}
-	b.dispatch(req, plan, stolen)
+	b.dispatch(req, n, stolen)
 	return nil
 }
 
-// route plans a request. A single function becomes the one-segment plan
-// [{node, [fn]}] on routeOne's node, or nil when every eligible machine is
-// saturated; a chain gets planChain's segments. stolen reports a single
-// function routed away from its saturated home.
-func (b *Boss) route(req *request) ([]chainSeg, bool, error) {
+// route picks a request's machine: routeOne's for a single function, nil
+// when every eligible machine is saturated, and planChain's for a chain.
+// stolen reports a single function routed away from its saturated home.
+func (b *Boss) route(req *request) (*Node, bool, error) {
 	if req.chain {
-		plan, err := b.planChain(req.names)
-		return plan, false, err
+		n, err := b.planChain(req.names)
+		return n, false, err
 	}
 	if req.reg == nil {
 		r, ok := b.funcs[req.names[0]]
@@ -781,12 +708,7 @@ func (b *Boss) route(req *request) ([]chainSeg, bool, error) {
 		}
 		req.reg = r
 	}
-	n, stolen, err := b.routeOne(req.reg, req.names[0])
-	if n == nil {
-		return nil, false, err
-	}
-	req.seg[0] = chainSeg{node: n, names: req.names}
-	return req.seg[:], stolen, nil
+	return b.routeOne(req.reg, req.names[0])
 }
 
 func (b *Boss) enqueue(req *request) {
@@ -796,37 +718,32 @@ func (b *Boss) enqueue(req *request) {
 	}
 }
 
-// dispatch charges every segment's inflight window up front and sends the
-// request to segment 0's machine. Segments hop machine→machine directly
-// over the interconnect, and only the last segment (or the first error)
-// replies to the boss. stolen marks a request routed away from its
-// saturated home.
+// dispatch charges the machine's inflight window, one slot per function,
+// and sends the request to it; the machine replies to the boss when the
+// request finishes. stolen marks a request routed away from its saturated
+// home.
 //
 //molecule:hotpath
-func (b *Boss) dispatch(req *request, plan []chainSeg, stolen bool) {
-	req.plan, req.hop = plan, 0
-	req.cres = molecule.ChainResult{} // drop a failed-over chain's partial result
-	first := plan[0].node
+func (b *Boss) dispatch(req *request, n *Node, stolen bool) {
+	req.node = n
 	if stolen {
-		first.stolen++
+		n.stolen++
 		b.stolen++
 	}
-	for _, seg := range plan {
-		seg.node.inflight += len(seg.names)
-		b.inflight += len(seg.names)
-	}
-	//lint:owned request handoff: req travels with the message and is next touched only by segment 0's machine; the boss touches it again only in the reply it receives on its own domain
-	b.IC.Send(b.Env, first.Domain, requestBytes, req.execMsg)
+	n.inflight += len(req.names)
+	b.inflight += len(req.names)
+	//lint:owned request handoff: req travels with the message and is next touched only by its machine; the boss touches it again only in the reply it receives on its own domain
+	b.IC.Send(b.Env, n.Domain, requestBytes, req.execMsg)
 }
 
-// startSegment runs on req.plan[req.hop].node's domain when the request
-// message arrives there: it starts the segment's process. A chain segment
-// runs its body; a single function's starts parked in its stepped wait
-// (segment.Step), which takes a coroutine only for what blocks.
+// startSegment runs on req.node's domain when the request message arrives
+// there: it starts the segment's process. A chain's runs its body; a single
+// function's starts parked in its stepped wait (segment.Step), which takes
+// a coroutine only for what blocks.
 //
 //molecule:hotpath
 func (req *request) startSegment() {
-	env := req.plan[req.hop].node.Env
+	env := req.node.Env
 	if req.chain {
 		env.Spawn("segment", req.body)
 		return
@@ -835,36 +752,19 @@ func (req *request) startSegment() {
 	env.SpawnWaiting("segment", (*segment)(req), req.body)
 }
 
-// runSegment is the segment process's body: execute the segment, then
-// either hop to the next segment's machine (charging the intermediate
-// transfer on the chain's latency) or reply to the boss.
+// runSegment is the segment process's body: run the request on its machine
+// and reply to the boss.
 //
 //molecule:hotpath
 func (req *request) runSegment(wp *sim.Proc) {
-	b := req.boss
-	seg := req.plan[req.hop]
-	n := seg.node
-	err := n.run(wp, req, seg.names)
-	if next := req.hop + 1; err == nil && next < len(req.plan) {
-		// Hand the intermediate result to the next segment's machine:
-		// one interconnect hop, charged on the chain's own latency.
-		edge := b.IC.TransferTime(intermediateBytes)
-		req.cres.Total += edge
-		req.cres.EdgeLatency = append(req.cres.EdgeLatency, edge)
-		req.hop = next
-		//lint:owned segment hop: req moves to the next machine with the message; the sending segment never touches it again
-		b.IC.Send(n.Env, req.plan[next].node.Domain, intermediateBytes, req.execMsg)
-		return
-	}
-	req.reply(n, err)
+	req.reply(req.node.run(wp, req))
 }
 
-// reply sends the request's outcome from the machine n that ran its last
-// segment (or failed) to the boss.
-func (req *request) reply(n *Node, err error) {
-	req.replyer, req.err = n, err
+// reply sends the request's outcome from its machine to the boss.
+func (req *request) reply(err error) {
+	req.err = err
 	//lint:owned reply to the boss: req is dead on the sending machine after this send; the boss consumes it on delivery in its own domain
-	req.boss.IC.Send(n.Env, 0, replyBytes, req.replyMsg)
+	req.boss.IC.Send(req.node.Env, 0, replyBytes, req.replyMsg)
 }
 
 // segment is a single function's request seen as its segment process's
@@ -892,7 +792,7 @@ const (
 //molecule:hotpath
 func (s *segment) Step(wp *sim.Proc, val any) bool {
 	req := (*request)(s)
-	n := req.plan[0].node
+	n := req.node
 	for {
 		switch req.segAt {
 		case segAttempt:
@@ -913,7 +813,7 @@ func (s *segment) Step(wp *sim.Proc, val any) bool {
 			var err error
 			req.res, err = req.inv.Result()
 			if !n.attempted(err) {
-				return s.end(wp, n, err)
+				return s.end(wp, err)
 			}
 			req.err = err
 			req.admit = admission{node: n, seen: n.epoch}
@@ -923,7 +823,7 @@ func (s *segment) Step(wp *sim.Proc, val any) bool {
 				return false
 			}
 			if !req.admit.ok {
-				return s.end(wp, n, req.err)
+				return s.end(wp, req.err)
 			}
 			req.segAt, val = segAttempt, nil
 		}
@@ -931,14 +831,13 @@ func (s *segment) Step(wp *sim.Proc, val any) bool {
 }
 
 // end replies to the boss and ends the segment's process in its wait.
-func (s *segment) end(wp *sim.Proc, n *Node, err error) bool {
-	(*request)(s).reply(n, err)
+func (s *segment) end(wp *sim.Proc, err error) bool {
+	(*request)(s).reply(err)
 	wp.EndInWait()
 	return true
 }
 
-// completeOnBoss runs on the boss domain when the last segment's reply
-// arrives.
+// completeOnBoss runs on the boss domain when the request's reply arrives.
 func (req *request) completeOnBoss() { req.boss.complete(req) }
 
 // wakeLocal releases every parked request, oldest first, to re-check
@@ -993,16 +892,16 @@ func (a *admission) Step(wp *sim.Proc, val any) bool {
 	return true
 }
 
-// run executes one plan segment on the node: machine-side deploy-on-first-
-// use of each function (deduplicated across concurrent requests), then the
+// run executes the request on the node: machine-side deploy-on-first-use
+// of each function (deduplicated across concurrent requests), then the
 // local runtime, parking on the machine's admission queue while it is at
 // capacity. Each attempt counts as an active exec (see attempted). A
 // single function's segment step that placed a cold start has begun the
 // first attempt; run finishes it, building the instance.
-func (n *Node) run(wp *sim.Proc, req *request, names []string) error {
+func (n *Node) run(wp *sim.Proc, req *request) error {
 	begun := req.segAt == segBuild
 	if !begun {
-		for _, fn := range names {
+		for _, fn := range req.names {
 			if err := n.ensureDeployedLocal(wp, fn); err != nil {
 				return err
 			}
@@ -1016,7 +915,7 @@ func (n *Node) run(wp *sim.Proc, req *request, names []string) error {
 			req.res, err = req.inv.Result()
 		} else {
 			n.active++
-			err = n.attempt(wp, req, names)
+			err = n.attempt(wp, req)
 		}
 		if !n.attempted(err) || !n.awaitLocal(wp, &req.admit) {
 			return err
@@ -1037,25 +936,19 @@ func (n *Node) attempted(err error) bool {
 	return err != nil && errors.Is(err, molecule.ErrNoCapacity)
 }
 
-// attempt makes one runtime call for a segment: RT.Invoke for a single
-// function, or a chain-affinity PlaceChain plus InvokeChain for a chain,
-// whose result it adds to req.cres.
-func (n *Node) attempt(wp *sim.Proc, req *request, names []string) (err error) {
+// attempt makes one runtime call for the request: RT.Invoke for a single
+// function into req.res, or a chain-affinity PlaceChain plus InvokeChain
+// for a chain into req.cres.
+func (n *Node) attempt(wp *sim.Proc, req *request) (err error) {
 	if !req.chain {
-		req.res, err = n.RT.Invoke(wp, names[0], req.opts)
+		req.res, err = n.RT.Invoke(wp, req.names[0], req.opts)
 		return err
 	}
-	placement, err := n.RT.PlaceChain(names, molecule.PlaceChainAffinity)
+	placement, err := n.RT.PlaceChain(req.names, molecule.PlaceChainAffinity)
 	if err != nil {
 		return err
 	}
-	res, err := n.RT.InvokeChain(wp, names, molecule.ChainOptions{Placement: placement, Arg: req.opts.Arg})
-	if err == nil {
-		req.cres.Total += res.Total
-		req.cres.EdgeLatency = append(req.cres.EdgeLatency, res.EdgeLatency...)
-		req.cres.ExecTotal += res.ExecTotal
-		req.cres.ColdStarts += res.ColdStarts
-	}
+	req.cres, err = n.RT.InvokeChain(wp, req.names, molecule.ChainOptions{Placement: placement, Arg: req.opts.Arg})
 	return err
 }
 
@@ -1094,17 +987,15 @@ func retryable(err error) bool {
 }
 
 // complete finishes a request on the boss domain (scheduler context — never
-// blocks): release every segment's window, then fail over on machine death,
-// requeue on capacity races, reply otherwise; then pump the queue.
-// req.replyer is the machine whose segment replied, with error req.err.
+// blocks): release the machine's window, then fail over on machine death,
+// requeue on capacity races, reply otherwise; then pump the queue. req.node
+// is the machine that replied, with error req.err.
 //
 //molecule:hotpath
 func (b *Boss) complete(req *request) {
-	n, err := req.replyer, req.err
-	for _, seg := range req.plan {
-		seg.node.inflight -= len(seg.names)
-		b.inflight -= len(seg.names)
-	}
+	n, err := req.node, req.err
+	n.inflight -= len(req.names)
+	b.inflight -= len(req.names)
 	switch {
 	case err != nil && retryable(err) && req.attempts < len(b.nodes):
 		// The machine is unhealthy: mark it down and route the request
@@ -1130,21 +1021,21 @@ func (b *Boss) complete(req *request) {
 }
 
 // pump drains the central queue while machines have room: route the head,
-// and dispatch it if its first segment's machine has room. Chains re-plan
-// here, since machines may have changed. When the queue is non-empty but
+// and dispatch it if its machine has room. Chains re-place here, since
+// machines may have changed. When the queue is non-empty but
 // nothing is inflight and nothing has room, the queued requests can never
 // be served — fail them rather than deadlock.
 func (b *Boss) pump() {
 	for len(b.queue) > 0 {
 		req := b.queue[0]
-		plan, stolen, err := b.route(req)
+		n, stolen, err := b.route(req)
 		if err != nil {
 			// The request became unservable (e.g. its only machines died).
 			b.queue = b.queue[1:]
 			req.done.TrySend(reply{machine: -1, err: err})
 			continue
 		}
-		if plan == nil || !plan[0].node.hasRoom() {
+		if n == nil || !n.hasRoom() {
 			if b.inflight == 0 {
 				// Nothing running, nothing admissible: fail the whole queue
 				// deterministically rather than strand the clients.
@@ -1156,6 +1047,6 @@ func (b *Boss) pump() {
 			return
 		}
 		b.queue = b.queue[1:]
-		b.dispatch(req, plan, stolen)
+		b.dispatch(req, n, stolen)
 	}
 }

@@ -115,3 +115,35 @@ func TestClusterUnknownFunction(t *testing.T) {
 		t.Fatalf("unknown fn: %d %v", code, body)
 	}
 }
+
+// TestClusterNoLiveMachine: with every machine that could run a request
+// drained, /invoke and /chain answer 503, the platform's fault. A function
+// whose PU kind no machine has is the caller's fault, drained or not: 400.
+func TestClusterNoLiveMachine(t *testing.T) {
+	_, ts := newTestClusterServer(t, 1)
+	for _, fn := range []string{"pyaes", "mr-splitter", "mr-mapper", "mr-reducer"} {
+		if code, body := post(t, ts, "/deploy", url.Values{"fn": {fn}}); code != http.StatusOK {
+			t.Fatalf("deploy %s: %d %v", fn, code, body)
+		}
+	}
+	if code, body := post(t, ts, "/deploy", url.Values{"fn": {"mscale"}, "profiles": {"fpga"}}); code != http.StatusOK {
+		t.Fatalf("deploy mscale: %d %v", code, body)
+	}
+	if code, body := post(t, ts, "/cluster/drain", url.Values{"worker": {"0"}}); code != http.StatusOK {
+		t.Fatalf("drain: %d %v", code, body)
+	}
+	for _, tc := range []struct {
+		path string
+		form url.Values
+		want int
+	}{
+		{"/invoke", url.Values{"fn": {"pyaes"}}, http.StatusServiceUnavailable},
+		{"/chain", url.Values{"fns": {"mr-splitter,mr-mapper,mr-reducer"}}, http.StatusServiceUnavailable},
+		{"/invoke", url.Values{"fn": {"mscale"}}, http.StatusBadRequest},
+		{"/chain", url.Values{"fns": {"pyaes,mscale"}}, http.StatusBadRequest},
+	} {
+		if code, body := post(t, ts, tc.path, tc.form); code != tc.want {
+			t.Errorf("%s %v on a drained cluster: %d %v, want %d", tc.path, tc.form, code, body, tc.want)
+		}
+	}
+}

@@ -50,12 +50,6 @@ func (ic *Interconnect) Link() Link { return ic.link }
 // link's base latency.
 func (ic *Interconnect) Lookahead() time.Duration { return ic.link.BaseLat }
 
-// TransferTime returns the one-way latency for n bytes over the
-// interconnect.
-func (ic *Interconnect) TransferTime(n int) time.Duration {
-	return ic.link.TransferTime(n)
-}
-
 // Send transmits an n-byte message from the machine on domain `from` to
 // domain `to`, scheduling fn there in scheduler context after the link's
 // transfer time. The transfer time is at least the link's base latency —
@@ -77,34 +71,4 @@ func (ic *Interconnect) SendAfter(from *sim.Env, to int, n int, extra time.Durat
 		panic("hw: negative extra latency in interconnect SendAfter")
 	}
 	ic.sh.Send(from, to, ic.link.TransferTime(n)+extra, fn)
-}
-
-// HostLinkLat returns the base latency of the machine's host→k link — the
-// intra-machine side of the interconnect-vs-network asymmetry a cluster
-// placer weighs: reaching a PU kind inside the machine costs the host
-// link's µs-scale BaseLat (PCIe RDMA/DMA), while reaching another machine
-// costs the interconnect's ms-scale BaseLat. Returns (0, true) for the
-// host's own kind and (0, false) when the machine has no PU of kind k.
-func (m *Machine) HostLinkLat(k PUKind) (time.Duration, bool) {
-	if len(m.pus) == 0 {
-		return 0, false
-	}
-	host := m.pus[0]
-	if k == host.Kind {
-		return 0, true
-	}
-	best, found := time.Duration(0), false
-	for _, pu := range m.pus {
-		if pu.Kind != k {
-			continue
-		}
-		l, ok := m.links[[2]PUID{host.ID, pu.ID}]
-		if !ok {
-			continue
-		}
-		if !found || l.BaseLat < best {
-			best, found = l.BaseLat, true
-		}
-	}
-	return best, found
 }

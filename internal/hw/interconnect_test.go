@@ -23,7 +23,7 @@ func TestInterconnectLookahead(t *testing.T) {
 		t.Fatalf("interconnect lookahead = %v", ic.Lookahead())
 	}
 	// Transfer time includes the bandwidth term but never undercuts BaseLat.
-	if tt := ic.TransferTime(1 << 20); tt <= ic.Lookahead() {
+	if tt := ic.Link().TransferTime(1 << 20); tt <= ic.Lookahead() {
 		t.Fatalf("1MiB transfer %v not above base latency", tt)
 	}
 }
