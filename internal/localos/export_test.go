@@ -34,3 +34,13 @@ func (f *FIFO) TryRead(p *sim.Proc) (Message, bool) {
 	p.Sleep(f.os.Costs.FIFOOp)
 	return m, ok
 }
+
+// Read receives a message, charging one FIFO syscall. ok is false when the
+// FIFO was removed. It is a Reader driven on the caller's coroutine.
+func (f *FIFO) Read(p *sim.Proc) (Message, bool) {
+	r := Reader{f: f}
+	for val := any(nil); !r.Step(p, val); {
+		val = p.Park()
+	}
+	return r.Finish()
+}

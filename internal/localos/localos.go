@@ -304,21 +304,9 @@ func (f *FIFO) Write(p *sim.Proc, m Message) bool {
 	return f.ch.SendOrClosed(p, m)
 }
 
-// Read receives a message, charging one FIFO syscall. ok is false when the
-// FIFO was removed. It is a Reader driven on the caller's coroutine.
-func (f *FIFO) Read(p *sim.Proc) (Message, bool) {
-	r := Reader{f: f}
-	for val := any(nil); !r.Step(p, val); {
-		val = p.Park()
-	}
-	return r.Finish()
-}
-
 // Reader is one FIFO read as a stepped wait (sim.Step): Step charges the
-// read syscall, then waits for a message, and Finish returns it. Read is
-// the same Reader driven by a blocking call, so the stepped and the
-// blocking read share one cost model. A Reader serves one read at a time;
-// Reset arms it.
+// read syscall, then waits for a message, and Finish returns it. A Reader
+// serves one read at a time; Reset arms it.
 type Reader struct {
 	f     *FIFO
 	phase uint8 // 0: charge the syscall; 1: receive; 2: parked among the receivers
@@ -356,8 +344,8 @@ func (r *Reader) Step(p *sim.Proc, val any) bool {
 // Settled reports, once r's wait is over, that the read took a message.
 func (r *Reader) Settled() bool { return r.ok }
 
-// Finish returns what Read would once r's wait is over; ok is false when
-// the FIFO closed first.
+// Finish returns the message once r's wait is over; ok is false when the
+// FIFO closed first.
 func (r *Reader) Finish() (Message, bool) { return r.m, r.ok }
 
 // Len reports queued messages.

@@ -63,6 +63,9 @@ func (rt *Runtime) NewAutoScaler(p *sim.Proc, fn string, pu hw.PUID, opts AutoSc
 	for i := 0; i < opts.Min; i++ {
 		r, err := rt.StartResident(p, fn, pu)
 		if err != nil {
+			for _, r := range a.idle {
+				r.Stop(p)
+			}
 			return nil, err
 		}
 		a.idle = append(a.idle, r)
@@ -154,7 +157,7 @@ func (a *AutoScaler) obtain(p *sim.Proc) (*Resident, error) {
 
 // replace returns a resident to the pool, handing it directly to a waiter
 // when one is queued. After Close, late completions retire their resident
-// so no server process leaks.
+// so no instance or wiring leaks.
 func (a *AutoScaler) replace(p *sim.Proc, r *Resident) {
 	if a.closed {
 		r.Stop(p)

@@ -138,3 +138,37 @@ func TestAutoScalerCloseWithInFlightRequest(t *testing.T) {
 		done.Wait(p)              // the request still completes cleanly
 	})
 }
+
+// TestAutoScalerStartFailureStopsResidents: when NewAutoScaler cannot start
+// its Min-th resident, it stops the ones it started, so their wiring is
+// released and their instances go back to the warm pool.
+func TestAutoScalerStartFailureStopsResidents(t *testing.T) {
+	run(t, hw.Config{DPUs: 1}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
+		if err := rt.Deploy(p, "pyaes", DefaultProfile(hw.CPU), DefaultProfile(hw.DPU)); err != nil {
+			t.Fatal(err)
+		}
+		dpu := rt.Machine.PUsOfKind(hw.DPU)[0].ID
+		status := func() NodeStatus {
+			for _, st := range rt.Snapshot() {
+				if st.PU == dpu {
+					return st
+				}
+			}
+			t.Fatalf("no PU %d in the snapshot", dpu)
+			return NodeStatus{}
+		}
+		want := countWiring(rt)
+		opts := DefaultAutoScalerOptions()
+		opts.Min = status().Capacity + 1
+		opts.Max = opts.Min
+		if _, err := rt.NewAutoScaler(p, "pyaes", dpu, opts); err == nil {
+			t.Fatalf("autoscaler started %d residents on a PU that holds %d", opts.Min, opts.Min-1)
+		}
+		if got := countWiring(rt); got != want {
+			t.Errorf("counts %+v, want %+v", got, want)
+		}
+		if st := status(); st.Live != st.Warm {
+			t.Errorf("DPU has %d live instances, %d warm: started residents were not stopped", st.Live, st.Warm)
+		}
+	})
+}

@@ -187,20 +187,6 @@ func (pp *pipe) recv(p *sim.Proc, after time.Duration) (localos.Message, error) 
 	return pp.endRead(p)
 }
 
-// recvShared is recv for a pipe with several readers, which cannot share
-// its one stepped read (a Resident's callers share its response pipe): a
-// blocking read on the caller's coroutine.
-func (pp *pipe) recvShared(p *sim.Proc) (localos.Message, error) {
-	if pp.local != nil {
-		m, ok := pp.local.Read(p)
-		if !ok {
-			return localos.Message{}, errChainFIFOClosed
-		}
-		return m, nil
-	}
-	return pp.recvFD.Read(p)
-}
-
 // read arms the pipe's read for its reader and returns it as the wait to
 // step; endRead completes it once the wait is over.
 func (pp *pipe) read(after time.Duration) sim.Step {
@@ -322,8 +308,8 @@ func (a *chainAbort) fail(err error) {
 // span is a half-open range of edge indices.
 type span struct{ lo, hi int }
 
-// chainWiring is one call's FIFO plumbing: a gateway process on the host
-// and the edges of the call graph. wireChain builds it and unwireChain
+// chainWiring is the FIFO plumbing of one call, or of a Resident's calls: a
+// gateway process on the host and the edges of the call graph. wireChain builds it and unwireChain
 // releases it; the Runtime recycles the struct and its slices.
 type chainWiring struct {
 	gw endpoint
@@ -531,7 +517,9 @@ func (rt *Runtime) InvokeDAG(p *sim.Proc, dag DAG, opts ChainOptions) (ChainResu
 // invokeGraph is the executor behind InvokeChain and InvokeDAG: stage i
 // runs names[i] and depends on nodes[i].Deps (nil nodes: a path). order is
 // a topological order (nil: index order); instances are acquired in it and
-// stages spawned in its reverse. FPGA nodes are a path's only.
+// stages spawned in its reverse. FPGA nodes are a path's only. It acquires
+// and wires the instances, and runGraph, which also runs each Resident
+// call, runs the call over them.
 func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, order []int, opts ChainOptions) (ChainResult, error) {
 	if len(names) == 0 {
 		return ChainResult{}, fmt.Errorf("molecule: empty chain")
@@ -549,19 +537,31 @@ func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, ord
 		return ChainResult{}, err
 	}
 	defer rt.releaseAll(p, insts)
-	res := ChainResult{ColdStarts: cold}
 
 	w, err := rt.wireChain(p, insts, nodes)
 	if err != nil {
 		return ChainResult{}, err
 	}
-	// Every stage has exited by the time this runs: invokeGraph waits for
-	// them below on every path.
+	// Every stage has exited by the time this runs: runGraph waits for
+	// them on every path.
 	defer rt.unwireChain(w)
+	res, err := rt.runGraph(p, w, insts, deps, accel, order, opts)
+	if err != nil {
+		return ChainResult{}, err
+	}
+	res.ColdStarts = cold
+	return res, nil
+}
 
+// runGraph runs one call over w, the wiring of insts: stage i runs deps[i]
+// on insts[i], or on the driver when accel[i] is set. order is as for
+// invokeGraph. It returns once every stage has exited, so w can run again
+// or be unwired; an aborted call leaves w's pipes closed.
+func (rt *Runtime) runGraph(p *sim.Proc, w *chainWiring, insts []*instance, deps []*Deployment, accel []accelNode, order []int, opts ChainOptions) (ChainResult, error) {
+	n := len(insts)
 	edgeLat := make([]time.Duration, len(w.edges))
-	w.execDur = append(w.execDur, make([]time.Duration, n)...)
-	w.waits = append(w.waits, make([]stageWait, n)...)
+	w.execDur = append(w.execDur[:0], make([]time.Duration, n)...)
+	w.waits = append(w.waits[:0], make([]stageWait, n)...)
 	edges, execDur := w.edges, w.execDur
 
 	// Spawn one process per instance, consumers first. Each starts parked
@@ -660,10 +660,11 @@ func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, ord
 	// Drive the graph from the gateway: send a request into each source and
 	// collect the responses before each FPGA node, which the driver runs,
 	// and at the end. On an abort the driver still waits for every stage to
-	// exit, so the deferred release never hands back an instance in use.
+	// exit, so no instance goes back or FIFO away while a stage uses it.
 	abort := &w.abort
 	start := p.Now()
 	sent, got := 0, 0
+	var err error
 	for i := 0; i <= n && err == nil; i++ {
 		if i < n && insts[i] != nil {
 			if sent < w.sources && edges[sent].to == i {
@@ -686,7 +687,7 @@ func (rt *Runtime) invokeGraph(p *sim.Proc, names []string, nodes []DAGNode, ord
 	if err != nil {
 		abort.fail(err)
 	}
-	res.Total = p.Now().Sub(start)
+	res := ChainResult{Total: p.Now().Sub(start)}
 	done.Wait(p)
 	if abort.err != nil {
 		return ChainResult{}, abort.err

@@ -5,36 +5,28 @@ import (
 	"time"
 
 	"repro/internal/hw"
-	"repro/internal/localos"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
-// Resident is a warm instance running as a resident server process: it
-// blocks on its self_fifo, serves requests one at a time (so concurrent
-// callers queue, like a real single-threaded handler), and responds over
-// the duplex connection — the steady-state data plane of §4.2's "Molecule
-// can assign requests to the child instance".
+// Resident is a warm instance held for repeated requests: §4.2's "Molecule
+// can assign requests to the child instance", over the same FIFO data plane
+// a chain uses. It keeps one instance and the wiring of a one-stage chain
+// over it, and runs each call as that chain. Calls are served one at a time
+// (concurrent callers queue, like a real single-threaded handler).
 type Resident struct {
 	rt     *Runtime
-	fn     string
-	inst   *instance
+	insts  [1]*instance
+	deps   [1]*Deployment
 	wiring *chainWiring
-	d      *Deployment
-
-	served  int
+	// turn admits one Call or Stop at a time, in arrival order.
+	turn    *sim.Resource
 	stopped bool
-
-	// The server process releases the wiring when it returns, unless a
-	// Call or Stop is still using the FIFOs; then the last of those does.
-	inflight int
-	exited   bool
-	exitErr  error // why the server returned, when not on shutdown
 }
 
 // StartResident acquires an instance of fn on the given PU (cold-starting
-// if needed) and runs it as a resident server. The caller owns the instance
-// until Stop.
+// if needed) and wires it for calls. The caller owns the instance until
+// Stop.
 func (rt *Runtime) StartResident(p *sim.Proc, fn string, pu hw.PUID) (*Resident, error) {
 	d, err := rt.Deployment(fn)
 	if err != nil {
@@ -44,100 +36,42 @@ func (rt *Runtime) StartResident(p *sim.Proc, fn string, pu hw.PUID) (*Resident,
 	if err != nil {
 		return nil, err
 	}
-	w, err := rt.wireChain(p, []*instance{inst}, nil)
-	if err != nil {
+	r := &Resident{rt: rt, insts: [1]*instance{inst}, deps: [1]*Deployment{d}, turn: sim.NewResource(rt.Env, 1)}
+	if r.wiring, err = rt.wireChain(p, r.insts[:], nil); err != nil {
 		rt.release(p, inst)
 		return nil, err
 	}
-	r := &Resident{rt: rt, fn: fn, inst: inst, wiring: w, d: d}
-	e := &w.edges[0]
-
-	rt.Env.Spawn("resident-"+fn, func(sp *sim.Proc) {
-		defer func() {
-			r.exited = true
-			r.unwireIfIdle()
-		}()
-		for {
-			msg, err := e.req.recv(sp, noDispatch)
-			if err != nil {
-				r.exitErr = err
-				return // connection closed: shut down
-			}
-			if msg.Kind == "shutdown" {
-				return
-			}
-			sp.Sleep(scaledDispatch(inst.node.pu))
-			arg, _ := msg.Meta.(workloads.Arg)
-			inst.sb.Inst.Invoke(sp, d.Fn.CPUCost(arg), inst.sb.Forked)
-			_, resB := d.Fn.Sizes(arg)
-			e.resp.send(sp, localos.Message{Kind: "resp", Payload: payload(resB)})
-		}
-	})
 	return r, nil
 }
 
-// unwireIfIdle releases the wiring once the server has returned and no
-// caller still holds its FIFOs.
-func (r *Resident) unwireIfIdle() {
-	if r.exited && r.inflight == 0 && r.wiring != nil {
-		r.rt.unwireChain(r.wiring)
-		r.wiring = nil
-	}
-}
-
-// leave ends one Call or Stop's use of the FIFOs.
-func (r *Resident) leave() {
-	r.inflight--
-	r.unwireIfIdle()
-}
-
-// Call sends one request to the resident instance and waits for its
-// response, returning the request latency. Concurrent callers are served in
-// FIFO order by the single-threaded handler.
+// Call runs one request on the resident instance and returns its latency,
+// including any wait behind earlier callers.
 func (r *Resident) Call(p *sim.Proc, arg workloads.Arg) (time.Duration, error) {
-	if r.stopped {
-		return 0, fmt.Errorf("molecule: resident %s stopped", r.fn)
-	}
-	if r.exited {
-		return 0, fmt.Errorf("molecule: resident %s exited: %w", r.fn, r.exitErr)
-	}
-	r.inflight++
-	defer r.leave()
-	e := &r.wiring.edges[0]
-	argB, _ := r.d.Fn.Sizes(arg)
 	start := p.Now()
-	if err := e.req.send(p, localos.Message{
-		Kind: "req", Payload: payload(argB), Meta: arg,
-	}); err != nil {
+	r.turn.Acquire(p)
+	defer r.turn.Release()
+	if r.stopped {
+		return 0, fmt.Errorf("molecule: resident %s stopped", r.deps[0].Fn.Name)
+	}
+	if err := r.wiring.abort.err; err != nil {
+		return 0, fmt.Errorf("molecule: resident %s exited: %w", r.deps[0].Fn.Name, err)
+	}
+	if _, err := r.rt.runGraph(p, r.wiring, r.insts[:], r.deps[:], nil, nil, ChainOptions{Arg: arg}); err != nil {
 		return 0, err
 	}
-	if _, err := e.resp.recvShared(p); err != nil {
-		return 0, err
-	}
-	r.served++
-	lat := p.Now().Sub(start)
-	pr, _ := r.d.ProfileFor(r.inst.node.pu.Kind)
-	r.rt.charge(r.inst.rec, r.inst.node.pu.Kind, lat, pr.PricePerMs)
-	return lat, nil
+	return p.Now().Sub(start), nil
 }
 
-// Served reports the number of completed requests.
-func (r *Resident) Served() int { return r.served }
-
-// PU reports where the resident instance runs.
-func (r *Resident) PU() hw.PUID { return r.inst.node.pu.ID }
-
-// Stop shuts the server process down and returns the instance to the warm
-// pool.
+// Stop waits for the call in service, releases the wiring and returns the
+// instance to the warm pool.
 func (r *Resident) Stop(p *sim.Proc) {
+	r.turn.Acquire(p)
+	defer r.turn.Release()
 	if r.stopped {
 		return
 	}
 	r.stopped = true
-	if !r.exited {
-		r.inflight++
-		r.wiring.edges[0].req.send(p, localos.Message{Kind: "shutdown"})
-		r.leave()
-	}
-	r.rt.release(p, r.inst)
+	r.rt.unwireChain(r.wiring)
+	r.wiring = nil
+	r.rt.release(p, r.insts[0])
 }

@@ -26,15 +26,13 @@ func TestResidentServesRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Steady-state calls: dispatch + exec (~1.6ms), no startup.
-		if lat2 > 3*time.Millisecond {
-			t.Errorf("steady call = %v, want ~1.6ms", lat2)
+		// Steady-state calls: dispatch + exec, no startup. The first call
+		// also pays the forked instance's copy-on-write fault penalty.
+		if want := 2196 * time.Microsecond; lat1 != want {
+			t.Errorf("first call = %v, want %v", lat1, want)
 		}
-		if lat1 < lat2 {
-			t.Errorf("first call (%v) cheaper than second (%v)?", lat1, lat2)
-		}
-		if r.Served() != 2 {
-			t.Errorf("served = %d, want 2", r.Served())
+		if want := 1596 * time.Microsecond; lat2 != want {
+			t.Errorf("steady call = %v, want %v", lat2, want)
 		}
 		r.Stop(p)
 		if _, err := r.Call(p, workloads.Arg{}); err == nil {
@@ -45,7 +43,7 @@ func TestResidentServesRequests(t *testing.T) {
 }
 
 // TestResidentQueueing: a single-threaded resident serializes concurrent
-// callers, so the k-th caller waits ~k execution times.
+// callers, so the k-th caller waits k whole calls.
 func TestResidentQueueing(t *testing.T) {
 	run(t, hw.Config{}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
 		if err := rt.Deploy(p, "pyaes"); err != nil { // 19.5ms exec
@@ -55,7 +53,7 @@ func TestResidentQueueing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const callers = 4
+		const callers = 6
 		lats := make([]time.Duration, callers)
 		wg := sim.NewWaitGroup(rt.Env)
 		for i := 0; i < callers; i++ {
@@ -72,15 +70,76 @@ func TestResidentQueueing(t *testing.T) {
 			})
 		}
 		wg.Wait(p)
-		// Latencies spread by roughly one execution each.
-		exec := 19500 * time.Microsecond
-		for i := 1; i < callers; i++ {
-			gap := lats[i] - lats[i-1]
-			if gap < exec/2 || gap > 2*exec {
-				t.Errorf("caller %d queueing gap = %v, want ~%v", i, gap, exec)
+		// The first call pays the copy-on-write fault penalty; each later
+		// one waits for the calls ahead of it, 19.696ms each.
+		for k, lat := range lats {
+			if want := 20296*time.Microsecond + time.Duration(k)*19696*time.Microsecond; lat != want {
+				t.Errorf("caller %d latency = %v, want %v", k, lat, want)
 			}
 		}
 		r.Stop(p)
+	})
+}
+
+// TestResidentStopWaitsForCall: each of several queued calls is billed its
+// handler time, not the queueing ahead of it; and Stop waits for the call
+// in service, so the instance goes back to the warm pool idle and the next
+// Invoke, which takes it warm, starts after that call.
+func TestResidentStopWaitsForCall(t *testing.T) {
+	run(t, hw.Config{}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
+		if err := rt.Deploy(p, "pyaes"); err != nil {
+			t.Fatal(err)
+		}
+		r, err := rt.StartResident(p, "pyaes", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Call(p, workloads.Arg{}); err != nil { // pays the COW penalty
+			t.Fatal(err)
+		}
+		const callers = 6
+		billed := make([]time.Duration, callers)
+		wg := sim.NewWaitGroup(rt.Env)
+		for i := 0; i < callers; i++ {
+			i := i
+			wg.Add(1)
+			rt.Env.Spawn("caller", func(cp *sim.Proc) {
+				defer wg.Done()
+				if _, err := r.Call(cp, workloads.Arg{}); err != nil {
+					t.Error(err)
+					return
+				}
+				e, _ := rt.Billing().Last()
+				billed[i] = e.Duration
+			})
+		}
+		wg.Wait(p)
+		for i, d := range billed {
+			if d != billed[0] || d >= 19696*time.Microsecond {
+				t.Errorf("caller %d billed %v, want every caller's handler time, under one 19.696ms call (caller 0: %v)", i, d, billed[0])
+			}
+		}
+
+		var callEnd sim.Time
+		rt.Env.Spawn("caller", func(cp *sim.Proc) {
+			if _, err := r.Call(cp, workloads.Arg{}); err != nil {
+				t.Error(err)
+			}
+			callEnd = cp.Now()
+		})
+		p.Sleep(2 * time.Millisecond)
+		r.Stop(p)
+		if callEnd == 0 {
+			t.Fatalf("Stop returned at %v with the call in service", p.Now())
+		}
+		start := p.Now()
+		res, err := rt.Invoke(p, "pyaes", DefaultInvokeOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cold || start < callEnd {
+			t.Errorf("Invoke at %v (cold %v), want a warm one after the call's end at %v", start, res.Cold, callEnd)
+		}
 	})
 }
 
@@ -136,17 +195,19 @@ func TestResidentOnDPUViaNIPC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.PU() != dpu {
-			t.Errorf("resident on PU %d, want DPU %d", r.PU(), dpu)
+		if pu := r.insts[0].node.pu.ID; pu != dpu {
+			t.Errorf("resident on PU %d, want DPU %d", pu, dpu)
 		}
-		lat, err := r.Call(p, workloads.Arg{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// DPU exec (8.8ms) + nIPC round trip; must be well under the
-		// baseline network path yet above the local-CPU latency.
-		if lat < 8*time.Millisecond || lat > 15*time.Millisecond {
-			t.Errorf("DPU resident call = %v, want ~9-10ms", lat)
+		// DPU exec (8.8ms) + nIPC round trip: well under the baseline
+		// network path, above the local-CPU latency.
+		for i, want := range []time.Duration{9905050 * time.Nanosecond, 9305050 * time.Nanosecond} {
+			lat, err := r.Call(p, workloads.Arg{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lat != want {
+				t.Errorf("DPU resident call %d = %v, want %v", i, lat, want)
+			}
 		}
 		r.Stop(p)
 	})

@@ -2,7 +2,9 @@ package molecule
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -70,10 +72,11 @@ func alexaDiamond(chain []string) DAG {
 }
 
 // TestChainWiringReleased runs local and cross-PU chains and DAGs, a
-// resident, a host → DPU → FPGA chain, a DAG whose DPU crashes mid-run, and
-// cross-PU chains whose DPU crashes at points through wiring and execution
-// (the TestInvokeChainMidChainCrashUnwinds shape), and checks that each
-// leaves no gateway process, FIFO or capability behind.
+// resident, a host → DPU → FPGA chain, a DAG whose DPU crashes mid-run, a
+// resident whose DPU crashes mid-call, and cross-PU chains whose DPU
+// crashes at points through wiring and execution (the
+// TestInvokeChainMidChainCrashUnwinds shape), and checks that each leaves
+// no gateway process, FIFO or capability behind.
 func TestChainWiringReleased(t *testing.T) {
 	type body func(t *testing.T, p *sim.Proc, rt *Runtime, chain []string, cross []hw.PUID)
 	// releasedOn boots cfg, warms the rig's instances, runs prime when set,
@@ -99,7 +102,6 @@ func TestChainWiringReleased(t *testing.T) {
 			}
 			want := countWiring(rt)
 			run(t, p, rt, chain, cross)
-			p.Sleep(10 * time.Millisecond) // a stopped resident's server returns
 			if got := countWiring(rt); got != want {
 				t.Errorf("counts %+v, want %+v", got, want)
 			}
@@ -223,6 +225,29 @@ func TestChainWiringReleased(t *testing.T) {
 			r.Stop(p)
 		})
 	})
+	// The resident's DPU dies during its first call: that call fails, the
+	// next reports why the resident exited, and Stop releases the wiring.
+	for _, after := range []time.Duration{100 * time.Microsecond, 3 * time.Millisecond} {
+		t.Run("resident/crash/"+after.String(), func(t *testing.T) {
+			released(t, func(t *testing.T, p *sim.Proc, rt *Runtime, chain []string, cross []hw.PUID) {
+				r, err := rt.StartResident(p, chain[0], cross[3])
+				if err != nil {
+					t.Fatal(err)
+				}
+				pl := faults.NewPlan(rt.Env, 1)
+				rt.AttachFaults(pl)
+				rt.Env.AfterFunc(after, func() { pl.Kill(cross[3]) })
+				if _, err := r.Call(p, workloads.Arg{}); !errors.Is(err, xpu.ErrNodeDown) {
+					t.Errorf("Call error = %v, want one wrapping xpu.ErrNodeDown", err)
+				}
+				_, err = r.Call(p, workloads.Arg{})
+				if prefix := "molecule: resident " + chain[0] + " exited: "; !errors.Is(err, xpu.ErrNodeDown) || !strings.HasPrefix(fmt.Sprint(err), prefix) {
+					t.Errorf("second Call error = %v, want %q wrapping xpu.ErrNodeDown", err, prefix+"…")
+				}
+				r.Stop(p)
+			})
+		})
+	}
 	// Wiring the cross-PU chain takes ~765us of virtual time and dpu1 is
 	// first touched by the fourth edge, so the kills up to then cut the
 	// wiring short at different XPUcalls; the later ones abort the running
