@@ -145,9 +145,10 @@ report:
 report-md:
 	$(GO) run ./cmd/molecule-bench -md
 
-# Rewrite the golden experiment report after an intentional calibration change.
+# Rewrite the golden experiment report and the chaos soak's golden output
+# after an intentional calibration change.
 golden:
-	$(GO) test ./internal/bench -run Golden -update
+	$(GO) test ./internal/bench -run 'Golden|ChaosDemo' -update
 
 # Run the quickstart workload with observability attached and write an
 # example Chrome trace (load trace-demo.json in Perfetto or chrome://tracing)

@@ -75,21 +75,6 @@ func NewHomo(env *sim.Env, m *hw.Machine, reg *workloads.Registry) *Homo {
 	return h
 }
 
-// jitter stretches d by a deterministic pseudo-random factor, mirroring
-// molecule's scheduling-noise model.
-func (h *Homo) jitter(d time.Duration) time.Duration {
-	if h.JitterPct <= 0 || d <= 0 {
-		return d
-	}
-	h.jitterSeq++
-	z := h.jitterSeq + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	frac := float64(z%2001)/1000 - 1
-	return time.Duration(float64(d) * (1 + h.JitterPct*frac))
-}
-
 // langHopPenalty scales the per-edge network latency by the web framework's
 // request handling weight (Flask > Express).
 func langHopPenalty(k lang.Kind) float64 {
@@ -139,14 +124,14 @@ func (h *Homo) Invoke(p *sim.Proc, funcName string, pu hw.PUID, arg workloads.Ar
 			return Result{}, err
 		}
 	}
-	if extra := h.jitter(p.Now().Sub(start)) - p.Now().Sub(start); extra > 0 {
+	if extra := sim.Jitter(p.Now().Sub(start), h.JitterPct, &h.jitterSeq) - p.Now().Sub(start); extra > 0 {
 		p.Sleep(extra)
 	}
 	startupDone := p.Now()
 	if !cold {
 		p.Sleep(params.WarmDispatchTime)
 	}
-	inst.Invoke(p, h.jitter(fn.CPUCost(arg)), false)
+	inst.Invoke(p, sim.Jitter(fn.CPUCost(arg), h.JitterPct, &h.jitterSeq), false)
 	h.warm[pu][funcName] = append(h.warm[pu][funcName], inst)
 	return Result{
 		Fn: funcName, PU: pu, Cold: cold,

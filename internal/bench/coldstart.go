@@ -133,7 +133,7 @@ func runColdStartArm(cfg coldStartConfig, zygote bool, k kernel) coldStartRun {
 		fp := fnvInit()
 		rng := cfg.Seed
 		for i := 0; i < cfg.Invocations; i++ {
-			rng = mix64(rng)
+			rng = sim.SplitMix64(rng)
 			u := float64(rng>>11) / (1 << 53) * total
 			fn := coldStartMix[len(coldStartMix)-1]
 			for j, c := range cdf {
@@ -279,12 +279,4 @@ func fnvU64(h uint64, v uint64) uint64 {
 		v >>= 8
 	}
 	return h
-}
-
-// mix64 is splitmix64, the repo's standard seeded mixing function.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden experiment report")
+var update = flag.Bool("update", false, "rewrite the golden experiment report and chaos soak output")
 
 // TestGoldenReport locks the entire harness output against a golden file:
 // the simulation is deterministic, so any diff means a calibration or

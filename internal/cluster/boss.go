@@ -181,9 +181,6 @@ type BossConfig struct {
 	HW hw.Config
 	// Opts configures every machine's Molecule runtime.
 	Opts molecule.Options
-	// Link is the cross-machine interconnect; zero value selects the
-	// standard datacenter network (params.NetworkBaseLatency/Bandwidth).
-	Link hw.Link
 	// Capacity, when positive, overrides every general-purpose PU's
 	// instance capacity — the scaled-down-cluster knob for experiments
 	// that need saturation without millions of requests.
@@ -300,14 +297,10 @@ func NewBoss(cfg BossConfig) (*Boss, error) {
 	if cfg.Machines < 1 {
 		return nil, fmt.Errorf("cluster: boss needs at least 1 machine, got %d", cfg.Machines)
 	}
-	link := cfg.Link
-	if link == (hw.Link{}) {
-		link = hw.Link{Kind: hw.LinkNetwork, BaseLat: params.NetworkBaseLatency, Bandwith: params.NetworkBandwidth}
-	}
 	sh := sim.NewSharded(cfg.Machines + 1)
 	b := &Boss{
 		Sharded:  sh,
-		IC:       hw.NewInterconnect(sh, link),
+		IC:       hw.NewInterconnect(sh, hw.Link{Kind: hw.LinkNetwork, BaseLat: params.NetworkBaseLatency, Bandwith: params.NetworkBandwidth}),
 		Env:      sh.Domain(0),
 		Registry: workloads.NewRegistry(),
 		funcs:    make(map[string]*registration),

@@ -108,11 +108,8 @@ func (pl *Plan) count(kind string) {
 
 // roll draws the next value in [0, 1) from the seeded splitmix64 stream.
 func (pl *Plan) roll() float64 {
+	z := sim.SplitMix64(pl.rng)
 	pl.rng += 0x9e3779b97f4a7c15
-	z := pl.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
 	return float64(z>>11) / (1 << 53)
 }
 

@@ -473,7 +473,7 @@ func (t *ZygoteTree) listCands() {
 // mixed with the seed. The key is built on the stack.
 func (s PkgSet) tieBreak(seed uint64) uint64 {
 	var buf [128]byte
-	return splitmix64(fnv64a(s.appendKey(buf[:0])) ^ seed)
+	return sim.SplitMix64(fnv64a(s.appendKey(buf[:0])) ^ seed)
 }
 
 // addCand lists set with its tie-break and import totals.
@@ -565,13 +565,4 @@ func fnv64a(b []byte) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// splitmix64 is the same mixing function the runtime's jitter uses: a
-// seeded, allocation-free source of deterministic tie-breaking bits.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

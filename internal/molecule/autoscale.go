@@ -2,6 +2,7 @@ package molecule
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/hw"
@@ -27,7 +28,10 @@ func DefaultAutoScalerOptions() AutoScalerOptions {
 
 // AutoScaler maintains a pool of resident instances for one function,
 // growing it when requests queue — the scale-out loop a serverless
-// platform runs per function.
+// platform runs per function. A request that finds no idle resident queues
+// a capacity-1 slot and receives on it: a freed resident goes to the oldest
+// slot, and a timed request's deadline takes its slot out of the queue and
+// sends nil, which means scale out. Close closes every queued slot.
 type AutoScaler struct {
 	rt   *Runtime
 	fn   string
@@ -36,8 +40,8 @@ type AutoScaler struct {
 
 	idle     []*Resident
 	total    int
-	reserved int // scale-outs in flight, counted against Max
-	waiters  *sim.Chan[*Resident]
+	reserved int                    // scale-outs in flight, counted against Max
+	queue    []*sim.Chan[*Resident] // waiting requests' slots, oldest first
 
 	scaleOuts   int
 	maxObserved int
@@ -56,10 +60,7 @@ func (rt *Runtime) NewAutoScaler(p *sim.Proc, fn string, pu hw.PUID, opts AutoSc
 	if opts.Max < opts.Min {
 		opts.Max = opts.Min
 	}
-	a := &AutoScaler{
-		rt: rt, fn: fn, pu: pu, opts: opts,
-		waiters: sim.NewChan[*Resident](rt.Env, 0), // rendezvous: hand-off only to parked waiters
-	}
+	a := &AutoScaler{rt: rt, fn: fn, pu: pu, opts: opts}
 	for i := 0; i < opts.Min; i++ {
 		r, err := rt.StartResident(p, fn, pu)
 		if err != nil {
@@ -97,74 +98,64 @@ func (a *AutoScaler) Serve(p *sim.Proc, arg workloads.Arg) (time.Duration, error
 }
 
 // obtain returns an idle resident, waiting up to TargetQueue before scaling
-// out (or indefinitely once at Max).
+// out (or indefinitely once at Max). It fails once the autoscaler is closed.
 func (a *AutoScaler) obtain(p *sim.Proc) (*Resident, error) {
+	if a.closed {
+		return nil, a.errClosed()
+	}
 	if len(a.idle) > 0 {
 		r := a.idle[len(a.idle)-1]
 		a.idle = a.idle[:len(a.idle)-1]
 		return r, nil
 	}
-	if a.total+a.reserved < a.opts.Max {
+	slot := sim.NewChan[*Resident](a.rt.Env, 1)
+	a.queue = append(a.queue, slot)
+	timed := a.total+a.reserved < a.opts.Max
+	if timed {
 		a.reserved++ // hold a slot against concurrent scale-outs
-		// Wait briefly for a resident to free up; otherwise scale out.
-		deadline := sim.NewEvent(a.rt.Env)
-		a.rt.Env.AfterFunc(a.opts.TargetQueue, func() { deadline.Trigger(nil) })
-		got := sim.NewEvent(a.rt.Env)
-		abandoned := false
-		a.rt.Env.Spawn("as-wait", func(wp *sim.Proc) {
-			r, ok := a.waiters.Recv(wp)
-			if !ok {
-				return
+		a.rt.Env.AfterFunc(a.opts.TargetQueue, func() {
+			if i := slices.Index(a.queue, slot); i >= 0 {
+				a.queue = slices.Delete(a.queue, i, i+1)
+				slot.TrySend(nil)
 			}
-			if abandoned {
-				// The requester scaled out instead; return the resident to
-				// the pool rather than stranding it.
-				a.replace(wp, r)
-				return
-			}
-			got.Trigger(r)
 		})
-		idx, payload := sim.WaitAny(p, got, deadline)
-		if idx == 0 {
-			a.reserved--
-			return payload.(*Resident), nil
+	}
+	r, ok := slot.Recv(p)
+	var err error
+	if ok && r == nil { // the deadline passed: scale out off the idle path
+		if r, err = a.rt.StartResident(p, a.fn, a.pu); err == nil {
+			a.total++
+			a.scaleOuts++
+			if o := a.rt.obs; o != nil {
+				o.Counter("molecule_autoscale_scale_outs_total", obs.L("fn", a.fn)).Inc()
+			}
+			a.maxObserved = max(a.maxObserved, a.total)
 		}
-		abandoned = true
-		got.Trigger(nil) // release WaitAny's relay on the losing event
-		// Timed out: scale out off the idle path.
-		r, err := a.rt.StartResident(p, a.fn, a.pu)
+	}
+	if timed {
 		a.reserved--
-		if err != nil {
-			return nil, err
-		}
-		a.total++
-		a.scaleOuts++
-		if o := a.rt.obs; o != nil {
-			o.Counter("molecule_autoscale_scale_outs_total", obs.L("fn", a.fn)).Inc()
-		}
-		if a.total > a.maxObserved {
-			a.maxObserved = a.total
-		}
-		return r, nil
 	}
-	// At Max: block until a resident frees.
-	r, ok := a.waiters.Recv(p)
 	if !ok {
-		return nil, fmt.Errorf("molecule: autoscaler for %s closed", a.fn)
+		return nil, a.errClosed()
 	}
-	return r, nil
+	return r, err
 }
 
-// replace returns a resident to the pool, handing it directly to a waiter
-// when one is queued. After Close, late completions retire their resident
-// so no instance or wiring leaks.
+func (a *AutoScaler) errClosed() error { return fmt.Errorf("molecule: autoscaler for %s closed", a.fn) }
+
+// replace returns a resident to the pool, handing it to the oldest queued
+// request when there is one. After Close, late completions retire their
+// resident so no instance or wiring leaks.
 func (a *AutoScaler) replace(p *sim.Proc, r *Resident) {
 	if a.closed {
 		r.Stop(p)
 		a.total--
 		return
 	}
-	if a.waiters.TrySend(r) {
+	if len(a.queue) > 0 {
+		slot := a.queue[0]
+		a.queue = slices.Delete(a.queue, 0, 1)
+		slot.TrySend(r)
 		return
 	}
 	a.idle = append(a.idle, r)
@@ -182,5 +173,8 @@ func (a *AutoScaler) Close(p *sim.Proc) {
 		a.total--
 	}
 	a.idle = nil
-	a.waiters.Close()
+	for _, slot := range a.queue {
+		slot.Close()
+	}
+	a.queue = nil
 }

@@ -276,7 +276,7 @@ func (inv *Invocation) Step(p *sim.Proc, val any) bool {
 		// Deterministic scheduling noise, when configured.
 		inv.phase = invokeDispatch
 		startup := p.Now().Sub(inv.start)
-		if extra := rt.jitter(startup) - startup; extra > 0 && !p.SleepStep(extra) {
+		if extra := sim.Jitter(startup, rt.Opts.JitterPct, &rt.jitterSeq) - startup; extra > 0 && !p.SleepStep(extra) {
 			return false
 		}
 		fallthrough
@@ -304,7 +304,7 @@ func (inv *Invocation) Step(p *sim.Proc, val any) bool {
 			}
 		}
 		inv.phase = invokeSettle
-		if !p.SleepStep(inst.sb.Inst.StartHandler(rt.jitter(d.Fn.CPUCost(inv.opts.Arg)), inst.sb.Forked)) {
+		if !p.SleepStep(inst.sb.Inst.StartHandler(sim.Jitter(d.Fn.CPUCost(inv.opts.Arg), rt.Opts.JitterPct, &rt.jitterSeq), inst.sb.Forked)) {
 			return false
 		}
 		fallthrough

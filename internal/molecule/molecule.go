@@ -668,22 +668,6 @@ func (rt *Runtime) nextFIFO(prefix string) string {
 	return string(strconv.AppendInt(b, int64(rt.fifoSeq), 10))
 }
 
-// jitter stretches or shrinks d by a deterministic pseudo-random factor in
-// [1-JitterPct, 1+JitterPct], derived from a per-runtime sequence number
-// (splitmix64), modeling scheduling noise while keeping runs reproducible.
-func (rt *Runtime) jitter(d time.Duration) time.Duration {
-	if rt.Opts.JitterPct <= 0 || d <= 0 {
-		return d
-	}
-	rt.jitterSeq++
-	z := rt.jitterSeq + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	frac := float64(z%2001)/1000 - 1 // [-1, 1]
-	return time.Duration(float64(d) * (1 + rt.Opts.JitterPct*frac))
-}
-
 // scaledDispatch is the language-runtime dispatch work per request/DAG hop
 // on a PU.
 func scaledDispatch(pu *hw.PU) time.Duration {

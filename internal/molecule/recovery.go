@@ -133,29 +133,31 @@ func (rt *Runtime) invokeWithRecovery(p *sim.Proc, d *Deployment, opts InvokeOpt
 }
 
 // attemptWithTimeout runs one unsettled dispatch, bounded by the configured
-// per-invoke timeout. The attempt runs in its own simulation process and is
-// *abandoned* on timeout, since the kernel has no interrupt: the losing
-// attempt simply finishes in the background without being settled — its
-// instance lands back in the warm pool and nothing is billed.
+// per-invoke timeout. The attempt runs in its own simulation process and
+// races the timer on one capacity-1 channel: each side TrySends its outcome
+// and the invoker takes whichever arrives first (a tie goes to the timer,
+// armed first). On timeout the attempt is *abandoned*, since the kernel has
+// no interrupt: it finishes in the background without being settled — its
+// instance lands back in the warm pool, nothing is billed, and its outcome
+// is dropped with the channel.
 func (rt *Runtime) attemptWithTimeout(p *sim.Proc, d *Deployment, opts InvokeOptions) (Result, error) {
 	timeout := rt.Opts.Recovery.InvokeTimeout
 	if timeout <= 0 {
 		return rt.dispatch(p, d, opts, false)
 	}
 	type outcome struct {
-		res Result
-		err error
+		res      Result
+		err      error
+		timedOut bool
 	}
-	done := sim.NewEvent(rt.Env)
+	first := sim.NewChan[outcome](rt.Env, 1)
 	rt.Env.Spawn("invoke-attempt", func(ap *sim.Proc) {
 		res, err := rt.dispatch(ap, d, opts, false)
-		done.Trigger(outcome{res: res, err: err})
+		first.TrySend(outcome{res: res, err: err})
 	})
-	expired := sim.NewEvent(rt.Env)
-	rt.Env.AfterFunc(timeout, func() { expired.Trigger(nil) })
-	idx, payload := sim.WaitAny(p, done, expired)
-	if idx == 0 {
-		oc := payload.(outcome)
+	rt.Env.AfterFunc(timeout, func() { first.TrySend(outcome{timedOut: true}) })
+	oc, _ := first.Recv(p)
+	if !oc.timedOut {
 		return oc.res, oc.err
 	}
 	if o := rt.obs; o != nil {

@@ -105,7 +105,8 @@ func TestFailoverLandsOnLowestSurvivingPU(t *testing.T) {
 
 // TestTimeoutZeroRetriesSurfacesUnavailable: a timed-out attempt with no
 // retry budget returns a typed ErrUnavailable; the abandoned attempt
-// finishes in the background without ever being billed.
+// finishes in the background without ever being billed. Its tie subtests
+// pin the race between the attempt and its timer at the tie instant.
 func TestTimeoutZeroRetriesSurfacesUnavailable(t *testing.T) {
 	opts := recoveryOpts(RecoveryOptions{InvokeTimeout: time.Millisecond})
 	var rt2 *Runtime
@@ -136,6 +137,63 @@ func TestTimeoutZeroRetriesSurfacesUnavailable(t *testing.T) {
 	// the background. It must not have produced a billing entry.
 	if got := rt2.Billing().Count(); got != 0 {
 		t.Errorf("abandoned attempt produced %d billing entries, want 0", got)
+	}
+
+	// The budget is a warm pyaes invoke's latency, measured here, shifted
+	// by delta: a timer that fires at or before the attempt's end wins.
+	warmPyaes := func(t *testing.T, p *sim.Proc, rt *Runtime) time.Duration {
+		if err := rt.Deploy(p, "pyaes"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Invoke(p, "pyaes", DefaultInvokeOptions()); err != nil {
+			t.Fatal(err)
+		}
+		start := p.Now()
+		if _, err := rt.Invoke(p, "pyaes", DefaultInvokeOptions()); err != nil {
+			t.Fatal(err)
+		}
+		return p.Now().Sub(start)
+	}
+	var warm time.Duration
+	run(t, hw.Config{}, recoveryOpts(RecoveryOptions{InvokeTimeout: time.Second}), func(p *sim.Proc, rt *Runtime) {
+		warm = warmPyaes(t, p, rt)
+	})
+	for _, tc := range []struct {
+		name     string
+		delta    time.Duration
+		timedOut bool
+	}{
+		{"tie/-1ns", -1, true},
+		{"tie/exact", 0, true},
+		{"tie/+1ns", 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var rt2 *Runtime
+			run(t, hw.Config{}, recoveryOpts(RecoveryOptions{InvokeTimeout: time.Second}), func(p *sim.Proc, rt *Runtime) {
+				rt2 = rt
+				warmPyaes(t, p, rt) // bills its cold and its warm invoke
+				rt.Opts.Recovery.InvokeTimeout = warm + tc.delta
+				start := p.Now()
+				_, err := rt.Invoke(p, "pyaes", DefaultInvokeOptions())
+				if tc.timedOut {
+					if !errors.Is(err, ErrUnavailable) {
+						t.Errorf("error %v does not wrap ErrUnavailable", err)
+					}
+					if got, want := p.Now().Sub(start), warm+tc.delta; got != want {
+						t.Errorf("timed out after %v, want %v", got, want)
+					}
+				} else if err != nil {
+					t.Errorf("invoke within budget failed: %v", err)
+				}
+			})
+			want := 3
+			if tc.timedOut {
+				want = 2
+			}
+			if got := rt2.Billing().Count(); got != want {
+				t.Errorf("billing entries = %d, want %d", got, want)
+			}
+		})
 	}
 }
 

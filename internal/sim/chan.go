@@ -307,48 +307,6 @@ func (c *Chan[T]) tryRecv(dst *T) (ok, got bool) {
 	return false, false
 }
 
-// Event is a one-shot broadcast: processes Wait until someone Triggers it,
-// after which Wait returns immediately. The payload set at Trigger is
-// delivered to every waiter.
-type Event struct {
-	env       *Env
-	triggered bool
-	payload   any
-	waiters   []*Proc
-}
-
-// NewEvent returns an untriggered event.
-func NewEvent(env *Env) *Event { return &Event{env: env} }
-
-// Triggered reports whether Trigger has been called.
-func (ev *Event) Triggered() bool { return ev.triggered }
-
-// Payload returns the value passed to Trigger (nil before triggering).
-func (ev *Event) Payload() any { return ev.payload }
-
-// Trigger fires the event, waking all waiters. Triggering twice is a no-op.
-func (ev *Event) Trigger(payload any) {
-	if ev.triggered {
-		return
-	}
-	ev.triggered = true
-	ev.payload = payload
-	waiters := ev.waiters
-	ev.waiters = nil
-	for _, p := range waiters {
-		ev.env.scheduleResume(ev.env.now, p, ev.payload)
-	}
-}
-
-// Wait parks p until the event triggers, returning the trigger payload.
-func (ev *Event) Wait(p *Proc) any {
-	if ev.triggered {
-		return ev.payload
-	}
-	ev.waiters = append(ev.waiters, p)
-	return p.park()
-}
-
 // Resource is a counting semaphore over virtual time: Acquire parks the
 // caller until a unit is free. Units are granted in FIFO order.
 type Resource struct {
@@ -449,35 +407,4 @@ func (wg *WaitGroup) Wait(p *Proc) {
 	}
 	wg.waiters = append(wg.waiters, p)
 	p.park()
-}
-
-// WaitAny parks p until any of the given events triggers, returning the
-// index of the first event (and its payload). Already-triggered events win
-// immediately, lowest index first.
-func WaitAny(p *Proc, events ...*Event) (int, any) {
-	if len(events) == 0 {
-		panic("sim: WaitAny with no events")
-	}
-	for i, ev := range events {
-		if ev.Triggered() {
-			return i, ev.Payload()
-		}
-	}
-	// Arm a relay process on every event; the first to fire wins. Each
-	// relay exits when its own event eventually triggers (an event that
-	// never triggers keeps its relay parked, like any abandoned waiter).
-	winner := NewEvent(events[0].env)
-	type hit struct {
-		idx     int
-		payload any
-	}
-	for i, ev := range events {
-		i, ev := i, ev
-		ev.env.Spawn("waitany-relay", func(rp *Proc) {
-			payload := ev.Wait(rp)
-			winner.Trigger(hit{idx: i, payload: payload})
-		})
-	}
-	h := winner.Wait(p).(hit)
-	return h.idx, h.payload
 }

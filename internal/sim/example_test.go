@@ -49,24 +49,3 @@ func ExampleResource() {
 	// first starts at 0s
 	// second starts at 10ms
 }
-
-// Events broadcast one-shot conditions to any number of waiters.
-func ExampleEvent() {
-	env := sim.NewEnv()
-	ready := sim.NewEvent(env)
-	for i := 0; i < 2; i++ {
-		i := i
-		env.Spawn("waiter", func(p *sim.Proc) {
-			payload := ready.Wait(p)
-			fmt.Printf("waiter %d woke at %v with %v\n", i, p.Now(), payload)
-		})
-	}
-	env.Spawn("trigger", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		ready.Trigger("go")
-	})
-	env.Run()
-	// Output:
-	// waiter 0 woke at 1ms with go
-	// waiter 1 woke at 1ms with go
-}

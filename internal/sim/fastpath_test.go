@@ -97,8 +97,8 @@ func TestSpawnedCompaction(t *testing.T) {
 		}
 	})
 	// One deliberately parked-forever process.
-	blocker := NewEvent(env)
-	env.Spawn("stuck", func(p *Proc) { blocker.Wait(p) })
+	blocker := NewChan[struct{}](env, 0)
+	env.Spawn("stuck", func(p *Proc) { blocker.Recv(p) })
 	env.Run()
 
 	if len(env.spawned) > 256 {

@@ -210,45 +210,6 @@ func TestSendToWaitingReceiverDoesNotBlockSender(t *testing.T) {
 	}
 }
 
-func TestEventBroadcast(t *testing.T) {
-	env := NewEnv()
-	ev := NewEvent(env)
-	results := make([]any, 3)
-	for i := 0; i < 3; i++ {
-		i := i
-		env.Spawn("w", func(p *Proc) { results[i] = ev.Wait(p) })
-	}
-	env.Spawn("trigger", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		ev.Trigger("done")
-		ev.Trigger("again") // second trigger must be a no-op
-	})
-	env.Run()
-	for i, r := range results {
-		if r != "done" {
-			t.Errorf("waiter %d got %v, want done", i, r)
-		}
-	}
-	if ev.Payload() != "done" {
-		t.Errorf("payload = %v, want done (second trigger ignored)", ev.Payload())
-	}
-}
-
-func TestEventWaitAfterTrigger(t *testing.T) {
-	env := NewEnv()
-	ev := NewEvent(env)
-	ev.Trigger(7)
-	env.Spawn("late", func(p *Proc) {
-		if got := ev.Wait(p); got != 7 {
-			t.Errorf("late waiter got %v, want 7", got)
-		}
-		if p.Now() != 0 {
-			t.Error("late Wait blocked")
-		}
-	})
-	env.Run()
-}
-
 func TestResourceFIFO(t *testing.T) {
 	env := NewEnv()
 	r := NewResource(env, 1)
@@ -472,44 +433,6 @@ func TestManyProcessesStress(t *testing.T) {
 	if env.LiveProcs() != 0 {
 		t.Errorf("live procs = %d, want 0", env.LiveProcs())
 	}
-}
-
-func TestWaitAnyFirstWins(t *testing.T) {
-	env := NewEnv()
-	a, b, c := NewEvent(env), NewEvent(env), NewEvent(env)
-	var idx int
-	var payload any
-	env.Spawn("waiter", func(p *Proc) { idx, payload = WaitAny(p, a, b, c) })
-	env.Spawn("fire", func(p *Proc) {
-		p.Sleep(2 * time.Millisecond)
-		b.Trigger("beta")
-		p.Sleep(time.Millisecond)
-		a.Trigger("alpha") // too late
-		c.Trigger("gamma") // release the remaining relay
-	})
-	env.Run()
-	if idx != 1 || payload != "beta" {
-		t.Errorf("WaitAny = (%d,%v), want (1,beta)", idx, payload)
-	}
-	if env.LiveProcs() != 0 {
-		t.Errorf("relays leaked: %d live procs", env.LiveProcs())
-	}
-}
-
-func TestWaitAnyAlreadyTriggered(t *testing.T) {
-	env := NewEnv()
-	a, b := NewEvent(env), NewEvent(env)
-	b.Trigger(7)
-	env.Spawn("w", func(p *Proc) {
-		idx, payload := WaitAny(p, a, b)
-		if idx != 1 || payload != 7 {
-			t.Errorf("WaitAny = (%d,%v), want (1,7)", idx, payload)
-		}
-		if p.Now() != 0 {
-			t.Error("WaitAny on triggered event blocked")
-		}
-	})
-	env.Run()
 }
 
 func TestBlockedProcsDiagnostics(t *testing.T) {
