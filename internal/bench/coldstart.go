@@ -25,6 +25,7 @@ package bench
 // before the arm is reported.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -130,7 +131,7 @@ func runColdStartArm(cfg coldStartConfig, zygote bool, k kernel) coldStartRun {
 			total += 1 / math.Pow(float64(i+1), cfg.ZipfS)
 			cdf[i] = total
 		}
-		fp := fnvInit()
+		fp := sim.FNVOffset
 		rng := cfg.Seed
 		for i := 0; i < cfg.Invocations; i++ {
 			rng = sim.SplitMix64(rng)
@@ -151,7 +152,7 @@ func runColdStartArm(cfg coldStartConfig, zygote bool, k kernel) coldStartRun {
 				panic(fmt.Sprintf("coldstart %s: %v", fn, err))
 			}
 			out.startups.Add(res.Startup)
-			fp = fnvStr(fp, fn)
+			fp = sim.FNVBytes(fp, fn)
 			fp = fnvU64(fp, uint64(res.PU))
 			fp = fnvU64(fp, uint64(res.Startup))
 		}
@@ -171,11 +172,11 @@ func runColdStartArm(cfg coldStartConfig, zygote bool, k kernel) coldStartRun {
 				if tr := cr.Forest(kind); tr != nil {
 					out.treeNodes += tr.LiveNodes()
 					out.fitRounds += tr.Rounds()
-					fp = fnvStr(fp, tr.ShapeString())
+					fp = sim.FNVBytes(fp, tr.ShapeString())
 				}
 			}
 			fp = fnvU64(fp, uint64(inst))
-			fp = fnvStr(fp, fmt.Sprintf("%.3f/%.3f", ipss, tpss))
+			fp = sim.FNVBytes(fp, fmt.Sprintf("%.3f/%.3f", ipss, tpss))
 		}
 		out.fp = fmt.Sprintf("%016x", fp)
 	}
@@ -261,22 +262,5 @@ func ColdStartTable(res ColdStartResult) *metrics.Table {
 	return t
 }
 
-// fnvInit/fnvStr/fnvU64 build the run fingerprint with FNV-1a.
-func fnvInit() uint64 { return 14695981039346656037 }
-
-func fnvStr(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-func fnvU64(h uint64, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= 1099511628211
-		v >>= 8
-	}
-	return h
-}
+// fnvU64 folds v's eight bytes, low first, into the FNV-1a hash h.
+func fnvU64(h, v uint64) uint64 { return sim.FNVBytes(h, binary.LittleEndian.AppendUint64(nil, v)) }

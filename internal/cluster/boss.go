@@ -33,7 +33,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/faults"
 	"repro/internal/hw"
@@ -418,10 +417,8 @@ func (b *Boss) mark(worker int, change func(n *Node)) error {
 // hashing). Seeded data only — no global randomness — so the detrand
 // invariant holds.
 func rendezvous(fn string, domain int) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(fn))
-	h.Write([]byte{byte(domain), byte(domain >> 8)})
-	return h.Sum64()
+	h := sim.FNVBytes(sim.FNVOffset, fn)
+	return sim.FNVMix(sim.FNVMix(h, uint64(byte(domain))), uint64(byte(domain>>8)))
 }
 
 func errNotRegistered(fn string) error {

@@ -473,7 +473,7 @@ func (t *ZygoteTree) listCands() {
 // mixed with the seed. The key is built on the stack.
 func (s PkgSet) tieBreak(seed uint64) uint64 {
 	var buf [128]byte
-	return sim.SplitMix64(fnv64a(s.appendKey(buf[:0])) ^ seed)
+	return sim.SplitMix64(sim.FNVBytes(sim.FNVOffset, s.appendKey(buf[:0])) ^ seed)
 }
 
 // addCand lists set with its tie-break and import totals.
@@ -554,15 +554,4 @@ func (t *ZygoteTree) ShapeString() string {
 	}
 	walk(t.Root, 0)
 	return b.String()
-}
-
-// fnv64a is the FNV-1a hash of b (no dependency on hash/fnv's allocating
-// writer API).
-func fnv64a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
 }

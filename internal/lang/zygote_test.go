@@ -444,7 +444,7 @@ func refCands(tr *ZygoteTree) string {
 	var out string
 	for _, s := range sets {
 		k := s.Key()
-		out += fmt.Sprintf("%s/%d/%v/%d ", k, sim.SplitMix64(fnv64a([]byte(k))^tr.Cfg.Seed), s.ImportCost(), s.ImportPages())
+		out += fmt.Sprintf("%s/%d/%v/%d ", k, sim.SplitMix64(sim.FNVBytes(sim.FNVOffset, k)^tr.Cfg.Seed), s.ImportCost(), s.ImportPages())
 	}
 	return out
 }

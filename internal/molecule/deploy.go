@@ -384,10 +384,22 @@ func (rt *Runtime) preferredNode(d *Deployment) *puNode {
 	return nil
 }
 
+// hosts reports whether n can run an instance of d: n runs containers, d
+// has a profile for its kind, and the PU is not down; fits adds room for
+// one more instance. Every PU choice for a container function applies
+// these two while it walks Runtime.general.
+func (rt *Runtime) hosts(n *puNode, d *Deployment) bool {
+	return n.cr != nil && d.SupportsKind(n.pu.Kind) && !rt.puDown(n.pu.ID)
+}
+
+func (rt *Runtime) fits(n *puNode, d *Deployment) bool {
+	return rt.hosts(n, d) && n.liveCount < n.capacity
+}
+
 // placeGeneral picks a general-purpose PU for a new instance of d:
-// explicit pin if given, else the first profile kind with free capacity
-// (CPU first, then DPUs — matching the Fig 2a density experiment where DPU
-// instances absorb overflow).
+// explicit pin if given, else the first PU that fits it (CPU first, then
+// DPUs — matching the Fig 2a density experiment where DPU instances absorb
+// overflow).
 func (rt *Runtime) placeGeneral(d *Deployment, pin hw.PUID) (*puNode, error) {
 	if pin >= 0 {
 		n := rt.nodes[pin]
@@ -406,31 +418,24 @@ func (rt *Runtime) placeGeneral(d *Deployment, pin hw.PUID) (*puNode, error) {
 		return n, nil
 	}
 	// Cached placement: the preferred node is by construction the first
-	// candidate the scan below would examine, so when it can take the
-	// instance right now the scan's answer is exactly it — returned here
-	// without walking the machine.
-	if n := d.preferred; n != nil && n.liveCount < n.capacity && !rt.puDown(n.pu.ID) {
+	// candidate the scan below would examine, so when it fits the instance
+	// right now the scan's answer is exactly it — returned here without
+	// walking the machine.
+	if n := d.preferred; n != nil && rt.fits(n, d) {
 		return n, nil
 	}
 	// The kind-then-PU-ID scan is what makes failover deterministic: when a
 	// preferred PU is down, the placement lands on the lowest-ordered
 	// surviving PU with capacity.
-	anyLive := false
-	anyDown := false
+	live, supported := false, false
 	for _, n := range rt.general {
-		if !d.SupportsKind(n.pu.Kind) {
-			continue
-		}
-		if rt.puDown(n.pu.ID) {
-			anyDown = true
-			continue
-		}
-		anyLive = true
-		if n.liveCount < n.capacity {
+		if rt.fits(n, d) {
 			return n, nil
 		}
+		live = live || rt.hosts(n, d)
+		supported = supported || d.SupportsKind(n.pu.Kind)
 	}
-	if !anyLive && anyDown {
+	if supported && !live {
 		// Not a capacity problem: every PU that could host the function is
 		// crashed. Report infrastructure failure so callers that queue on
 		// ErrNoCapacity (the cluster boss) fail over instead of waiting for

@@ -24,6 +24,9 @@ type instance struct {
 	sb        *sandbox.ContainerSandbox
 }
 
+// running reports whether the instance's sandbox can serve a request.
+func (inst *instance) running() bool { return inst.sb != nil && inst.sb.State == sandbox.StateRunning }
+
 // InvokeOptions tune one invocation.
 type InvokeOptions struct {
 	// PU pins the invocation to a specific processing unit; -1 lets the
@@ -489,7 +492,7 @@ func (rt *Runtime) popWarmOn(n *puNode, r *funcRec) *instance {
 		inst := wp.insts[len(wp.insts)-1]
 		n.unpool(wp, len(wp.insts)-1)
 		r.warm--
-		if inst.sb == nil || inst.sb.State != sandbox.StateRunning {
+		if !inst.running() {
 			n.liveCount-- // dead instance leaves the machine
 			continue
 		}
@@ -680,37 +683,25 @@ func (rt *Runtime) release(p *sim.Proc, inst *instance) {
 }
 
 // evictForPlacement frees one instance slot for a cold start of d that
-// placement just rejected for capacity: the first supporting, live,
-// capacity-full PU (same kind-then-PU-ID order as placeGeneral) with a
-// non-empty warm pool gives up its keep-alive victim. Reports whether a
-// slot was freed. Density-pressure reclaim — idle warm instances yield to
-// demand instead of pinning the PU's instance cap forever.
+// placement just rejected for capacity: the first PU (the pinned one, if
+// any) that hosts d, is full and has a non-empty warm pool gives up its
+// keep-alive victim. Reports whether a slot was freed. Density-pressure
+// reclaim — idle warm instances yield to demand instead of pinning the
+// PU's instance cap forever.
 func (rt *Runtime) evictForPlacement(p *sim.Proc, d *Deployment, pin hw.PUID) bool {
-	try := func(n *puNode) bool {
-		if n == nil || n.cr == nil || rt.puDown(n.pu.ID) || n.liveCount < n.capacity {
-			return false
+	for _, n := range rt.general {
+		if (pin >= 0 && n.pu.ID != pin) || !rt.hosts(n, d) || n.liveCount < n.capacity {
+			continue
 		}
 		victim := rt.cache.victim(n)
 		if victim == nil {
-			return false
+			continue
 		}
 		if o := rt.obs; o != nil {
 			o.Counter("molecule_density_evictions_total", puLabel(n.pu.ID), obs.L("fn", victim.rec.name)).Inc()
 		}
 		rt.destroy(p, victim)
 		return true
-	}
-	if pin >= 0 {
-		n := rt.nodes[pin]
-		if n == nil || !d.SupportsKind(n.pu.Kind) {
-			return false
-		}
-		return try(n)
-	}
-	for _, n := range rt.general {
-		if d.SupportsKind(n.pu.Kind) && try(n) {
-			return true
-		}
 	}
 	return false
 }

@@ -545,9 +545,6 @@ func (rt *Runtime) AttachFaults(pl *faults.Plan) {
 	}
 }
 
-// Faults returns the attached fault plan (nil on a healthy machine).
-func (rt *Runtime) Faults() *faults.Plan { return rt.faults }
-
 // puDown reports whether the fault plan has PU id crashed right now.
 func (rt *Runtime) puDown(id hw.PUID) bool {
 	return rt.faults != nil && id >= 0 && rt.faults.Down(id)

@@ -7,14 +7,18 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
-// refPlaceChain is PlaceChain as it was before function records: every
-// function is looked up by name, each candidate PU re-resolves the whole
-// chain, and repeats and warm pools are matched by comparing names.
+// refPlaceChain is PlaceChain as it was before function records, with
+// its own candidate walk: every function is looked up by name, each
+// candidate PU re-resolves the whole chain, and repeats and warm pools are
+// matched by comparing names. The liveness rule is stated here, not taken
+// from the runtime: a PU is live unless the attached fault plan has it
+// down right now, and no policy may pick a PU that is not live.
 // TestPlaceChainMatchesReference and FuzzWarmPools hold PlaceChain to it.
 func refPlaceChain(rt *Runtime, names []string, policy PlacementPolicy) ([]hw.PUID, error) {
 	for _, name := range names {
@@ -24,22 +28,22 @@ func refPlaceChain(rt *Runtime, names []string, policy PlacementPolicy) ([]hw.PU
 	}
 	switch policy {
 	case PlaceChainAffinity:
-		first := rt.deployment(names[0])
-		for k := 0; ; k++ {
-			cand, ok := rt.candidate(first, PlaceFastest, k)
-			if !ok {
-				break
-			}
-			if refSupportsChain(rt, names, rt.Machine.PU(cand).Kind) {
-				return onePU(len(names), cand), nil
+		for _, id := range refCandidates(rt, names[0], true) {
+			if refSupportsChain(rt, names, rt.Machine.PU(id).Kind) {
+				return onePU(len(names), id), nil
 			}
 		}
+		down := false
 		for _, pu := range rt.Machine.PUs() {
 			n := rt.nodes[pu.ID]
 			if n == nil || n.cr == nil {
 				continue
 			}
 			if !refSupportsChain(rt, names, pu.Kind) {
+				continue
+			}
+			if refDown(rt, pu.ID) {
+				down = true
 				continue
 			}
 			need := 0
@@ -63,29 +67,48 @@ func refPlaceChain(rt *Runtime, names []string, policy PlacementPolicy) ([]hw.PU
 			}
 			return nil, errChainFull
 		}
-		return nil, fmt.Errorf("molecule: no single PU supports the whole chain")
-	case PlaceScatter:
-		out := make([]hw.PUID, len(names))
-		for i, name := range names {
-			d := rt.deployment(name)
-			count := rt.candidateCount(d)
-			if count == 0 {
-				return nil, fmt.Errorf("molecule: %w for %q", ErrNoCapacity, name)
-			}
-			out[i], _ = rt.candidate(d, PlaceFastest, i%count)
+		if down {
+			return nil, fmt.Errorf("molecule: every PU supporting the whole chain is down: %w", faults.ErrPUDown)
 		}
-		return out, nil
+		return nil, fmt.Errorf("molecule: no single PU supports the whole chain")
 	default:
 		out := make([]hw.PUID, len(names))
 		for i, name := range names {
-			cand, ok := rt.candidate(rt.deployment(name), policy, 0)
-			if !ok {
+			cands := refCandidates(rt, name, policy != PlaceCheapest)
+			if len(cands) == 0 {
 				return nil, fmt.Errorf("molecule: %w for %q", ErrNoCapacity, name)
 			}
-			out[i] = cand
+			out[i] = cands[0]
+			if policy == PlaceScatter {
+				out[i] = cands[i%len(cands)]
+			}
 		}
 		return out, nil
 	}
+}
+
+// refCandidates lists the live general-purpose PUs with room for another
+// instance of the function named fn: CPUs first when cpuFirst, else the
+// other kinds first, machine order within each group.
+func refCandidates(rt *Runtime, fn string, cpuFirst bool) []hw.PUID {
+	var out []hw.PUID
+	for _, wantCPU := range [2]bool{cpuFirst, !cpuFirst} {
+		for _, pu := range rt.Machine.PUs() {
+			n := rt.nodes[pu.ID]
+			if (pu.Kind == hw.CPU) != wantCPU || n == nil || n.cr == nil || refDown(rt, pu.ID) {
+				continue
+			}
+			if rt.deployment(fn).SupportsKind(pu.Kind) && n.liveCount < n.capacity {
+				out = append(out, pu.ID)
+			}
+		}
+	}
+	return out
+}
+
+// refDown is the reference's liveness rule: the attached plan has id down.
+func refDown(rt *Runtime, id hw.PUID) bool {
+	return rt.faults != nil && rt.faults.Down(id)
 }
 
 func refFirstIndex(names []string, s string) int {
@@ -150,7 +173,8 @@ func clearWarm(rt *Runtime) {
 // TestPlaceChainMatchesReference holds record-based PlaceChain to the
 // name-based reference under every policy, over random node states (each
 // general-purpose PU's capacity and live count, and warm pools on one to
-// three PUs) and random chains: Alexa, MapReduce, repeated names, chains
+// three PUs), with a random subset of the general-purpose PUs crashed for
+// the round, and random chains: Alexa, MapReduce, repeated names, chains
 // longer than PlaceChain's stack array, undeployed names, never-deployed
 // names, and functions with no CPU or DPU profile.
 func TestPlaceChainMatchesReference(t *testing.T) {
@@ -193,13 +217,18 @@ func TestPlaceChainMatchesReference(t *testing.T) {
 		for _, r := range deployed {
 			names = append(names, r.name)
 		}
+		pl := faults.NewPlan(rt.Env, 1)
+		rt.AttachFaults(pl)
 		rng := rand.New(rand.NewSource(1))
-		refusals := 0
+		refusals, downs := 0, 0
 		for round := 0; round < 3000; round++ {
 			clearWarm(rt)
 			for _, n := range rt.general {
 				n.capacity = rng.Intn(7)
 				n.liveCount = rng.Intn(n.capacity + 3)
+				if rng.Intn(4) == 0 {
+					pl.Kill(n.pu.ID)
+				}
 			}
 			for _, i := range rng.Perm(len(rt.general))[:1+rng.Intn(3)] {
 				n := rt.general[i]
@@ -227,15 +256,25 @@ func TestPlaceChainMatchesReference(t *testing.T) {
 					chain = append(chain, name)
 				}
 			}
-			if _, err := refPlaceChain(rt, chain, PlaceChainAffinity); errors.Is(err, ErrNoCapacity) {
+			switch _, err := refPlaceChain(rt, chain, PlaceChainAffinity); {
+			case errors.Is(err, ErrNoCapacity):
 				refusals++
+			case errors.Is(err, faults.ErrPUDown):
+				downs++
 			}
 			if err := placeChainErr(rt, chain); err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
+			for _, n := range rt.general {
+				pl.Revive(n.pu.ID)
+			}
 		}
+		rt.AttachFaults(nil)
 		if refusals < 100 {
 			t.Errorf("only %d of 3000 affinity placements were refused for capacity; the states do not reach the refusal path", refusals)
+		}
+		if downs < 20 {
+			t.Errorf("only %d of 3000 affinity placements found every supporting PU down; the crashes do not reach that path", downs)
 		}
 		clearWarm(rt)
 		checkWarmCounts(t, rt, "after the fake pools are cleared")

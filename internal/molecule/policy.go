@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/faults"
 	"repro/internal/hw"
 )
 
@@ -42,43 +43,31 @@ func (p PlacementPolicy) String() string {
 	return fmt.Sprintf("PlacementPolicy(%d)", int(p))
 }
 
-// candidate returns the k-th general-purpose PU, in the policy's preference
-// order, with room for a new instance of d, and whether there is one. The
-// order is CPUs first, then the other general-purpose kinds (those first
-// under PlaceCheapest), machine order within each group. It scans the
-// machine in place, so asking allocates nothing.
-func (rt *Runtime) candidate(d *Deployment, policy PlacementPolicy, k int) (hw.PUID, bool) {
+// candidate returns the k-th PU, counting modulo their number, that fits a
+// new instance of d in the policy's preference order: CPUs first, then
+// DPUs (those first under PlaceCheapest), machine order within each group.
+// Nil when no PU fits. It scans in place, so asking allocates nothing.
+func (rt *Runtime) candidate(d *Deployment, policy PlacementPolicy, k int) *puNode {
 	cpuFirst := policy != PlaceCheapest
-	for _, wantCPU := range [2]bool{cpuFirst, !cpuFirst} {
-		for _, pu := range rt.Machine.PUs() {
-			if (pu.Kind == hw.CPU) != wantCPU || !rt.hasRoom(pu, d) {
-				continue
+	for pass := 0; pass < 2; pass++ {
+		count := 0
+		for _, wantCPU := range [2]bool{cpuFirst, !cpuFirst} {
+			for _, n := range rt.general {
+				if (n.pu.Kind == hw.CPU) != wantCPU || !rt.fits(n, d) {
+					continue
+				}
+				if count == k {
+					return n
+				}
+				count++
 			}
-			if k == 0 {
-				return pu.ID, true
-			}
-			k--
 		}
-	}
-	return 0, false
-}
-
-// candidateCount reports how many PUs candidate can return for d.
-func (rt *Runtime) candidateCount(d *Deployment) int {
-	n := 0
-	for _, pu := range rt.Machine.PUs() {
-		if rt.hasRoom(pu, d) {
-			n++
+		if count == 0 {
+			return nil
 		}
+		k %= count // the second pass finds the wrapped index
 	}
-	return n
-}
-
-// hasRoom reports whether the general-purpose PU pu supports d and is below
-// its instance capacity.
-func (rt *Runtime) hasRoom(pu *hw.PU, d *Deployment) bool {
-	n := rt.nodes[pu.ID]
-	return n != nil && n.cr != nil && d.SupportsKind(pu.Kind) && n.liveCount < n.capacity
+	return nil
 }
 
 // chainSupports reports whether every function of the chain supports kind.
@@ -108,8 +97,10 @@ var errChainFull = fmt.Errorf("molecule: %w: every PU supporting the whole chain
 
 // PlaceChain assigns each function of a chain to a PU according to the
 // policy, respecting capacity and profile support. It returns one PUID per
-// function. The names are resolved once, to their function records, and
-// placement compares records from then on. A chain-affinity refusal on a
+// function, never a PU that is down (the rule a cold start is placed by);
+// when every PU supporting an affinity chain is down, the error wraps
+// faults.ErrPUDown. The names are resolved once, to their function
+// records, and placement compares records from then on. A chain-affinity refusal on a
 // full machine allocates nothing: the records sit in an array on the stack
 // (a chain longer than it spills to the heap), and the placement slice is
 // made only on success.
@@ -125,24 +116,25 @@ func (rt *Runtime) PlaceChain(names []string, policy PlacementPolicy) ([]hw.PUID
 	}
 	switch policy {
 	case PlaceChainAffinity:
-		// Find one PU every function supports, preferring the host.
+		// Find one PU that fits the first function and that every function
+		// supports, preferring the host.
 		first := recs[0].dep
-		for k := 0; ; k++ {
-			cand, ok := rt.candidate(first, PlaceFastest, k)
-			if !ok {
-				break
-			}
-			if chainSupports(recs, rt.Machine.PU(cand).Kind) {
-				return onePU(len(names), cand), nil
+		for _, n := range rt.general {
+			if rt.fits(n, first) && chainSupports(recs, n.pu.Kind) {
+				return onePU(len(names), n.pu.ID), nil
 			}
 		}
 		// Second chance: a PU at capacity can still run the chain when the
 		// capacity is pinned by idle warm instances the chain will reuse.
 		// This scan only runs where placement used to fail outright, so it
 		// cannot change any previously-succeeding placement.
-		for _, pu := range rt.Machine.PUs() {
-			n := rt.nodes[pu.ID]
-			if n == nil || n.cr == nil || !chainSupports(recs, pu.Kind) {
+		down := false
+		for _, n := range rt.general {
+			if !chainSupports(recs, n.pu.Kind) {
+				continue
+			}
+			if !rt.hosts(n, first) {
+				down = true
 				continue
 			}
 			// Each distinct function with no warm instance here needs a
@@ -167,30 +159,26 @@ func (rt *Runtime) PlaceChain(names []string, policy PlacementPolicy) ([]hw.PUID
 			// (concurrent cold starts reserve only at start-finish): the
 			// chain then runs purely on warm reuse.
 			if need == 0 || n.capacity-n.liveCount+evictable >= need {
-				return onePU(len(names), pu.ID), nil
+				return onePU(len(names), n.pu.ID), nil
 			}
 			return nil, errChainFull
 		}
-		return nil, fmt.Errorf("molecule: no single PU supports the whole chain")
-	case PlaceScatter:
-		// Round-robin across every eligible PU per function.
-		out := make([]hw.PUID, len(names))
-		for i, r := range recs {
-			count := rt.candidateCount(r.dep)
-			if count == 0 {
-				return nil, fmt.Errorf("molecule: %w for %q", ErrNoCapacity, r.name)
-			}
-			out[i], _ = rt.candidate(r.dep, PlaceFastest, i%count)
+		if down { // not a capacity problem: the cluster boss fails over
+			return nil, fmt.Errorf("molecule: every PU supporting the whole chain is down: %w", faults.ErrPUDown)
 		}
-		return out, nil
-	default: // PlaceCheapest, PlaceFastest
+		return nil, fmt.Errorf("molecule: no single PU supports the whole chain")
+	default: // PlaceCheapest, PlaceFastest, PlaceScatter
 		out := make([]hw.PUID, len(names))
 		for i, r := range recs {
-			cand, ok := rt.candidate(r.dep, policy, 0)
-			if !ok {
+			k := 0
+			if policy == PlaceScatter {
+				k = i // round-robin across every PU that fits
+			}
+			n := rt.candidate(r.dep, policy, k)
+			if n == nil {
 				return nil, fmt.Errorf("molecule: %w for %q", ErrNoCapacity, r.name)
 			}
-			out[i] = cand
+			out[i] = n.pu.ID
 		}
 		return out, nil
 	}

@@ -2,8 +2,10 @@ package molecule
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -232,4 +234,45 @@ func BenchmarkPlaceChainRefusal(b *testing.B) {
 		}
 	})
 	env.Run()
+}
+
+// TestPlaceChainSkipsCrashedPU: with the first DPU crashed, no policy
+// places a function on it, and the chain runs on the placement.
+func TestPlaceChainSkipsCrashedPU(t *testing.T) {
+	run(t, hw.Config{DPUs: 2}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
+		deployAlexaBoth(t, p, rt)
+		pl := faults.NewPlan(rt.Env, 1)
+		rt.AttachFaults(pl)
+		pl.Kill(1)
+		chain := workloads.AlexaChain()
+		for _, policy := range allPolicies {
+			placement, err := rt.PlaceChain(chain, policy)
+			if err != nil {
+				t.Fatalf("%v: %v", policy, err)
+			}
+			if slices.Contains(placement, 1) {
+				t.Errorf("%v placed on crashed PU 1: %v", policy, placement)
+			}
+			if _, err := rt.InvokeChain(p, chain, ChainOptions{Placement: placement}); err != nil {
+				t.Errorf("%v: chain on %v: %v", policy, placement, err)
+			}
+		}
+	})
+}
+
+// TestPlaceChainAllDownIsPUDown: with every PU that supports the chain
+// crashed, affinity placement fails as an infrastructure error, so a
+// cluster gateway fails the machine over instead of queueing on it.
+func TestPlaceChainAllDownIsPUDown(t *testing.T) {
+	run(t, hw.Config{DPUs: 1}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
+		deployAlexaBoth(t, p, rt)
+		pl := faults.NewPlan(rt.Env, 1)
+		rt.AttachFaults(pl)
+		pl.Kill(0)
+		pl.Kill(1)
+		_, err := rt.PlaceChain(workloads.AlexaChain(), PlaceChainAffinity)
+		if !errors.Is(err, faults.ErrPUDown) || errors.Is(err, ErrNoCapacity) {
+			t.Errorf("placement with every PU down: %v, want ErrPUDown", err)
+		}
+	})
 }

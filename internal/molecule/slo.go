@@ -2,6 +2,7 @@ package molecule
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/hw"
@@ -40,8 +41,9 @@ type SLOOptions struct {
 }
 
 // EstimateLatency predicts the end-to-end latency of funcName on the given
-// PU kind from the cost models: warm dispatch + execution, plus the
-// cold-start estimate when no warm instance (or cached image) is available.
+// PU kind from the cost models. A CPU or DPU estimate is priced on the PU
+// InvokeWithSLO would pin (sloTarget; an error when there is none): warm
+// dispatch + execution, plus a cold start when it holds no warm instance.
 func (rt *Runtime) EstimateLatency(funcName string, kind hw.PUKind, arg workloads.Arg) (time.Duration, error) {
 	d, err := rt.Deployment(funcName)
 	if err != nil {
@@ -69,14 +71,13 @@ func (rt *Runtime) EstimateLatency(funcName string, kind hw.PUKind, arg workload
 		}
 		return d.Fn.GPUKernel + 2*params.DMABaseLatency + 50*time.Microsecond, nil
 	default:
-		// General-purpose: price the first PU of this kind.
-		pus := rt.Machine.PUsOfKind(kind)
-		if len(pus) == 0 {
-			return 0, fmt.Errorf("molecule: machine has no %v", kind)
+		n, warm := rt.sloTarget(d, kind)
+		if n == nil {
+			return 0, fmt.Errorf("molecule: no live %v can take %q", kind, funcName)
 		}
-		pu := pus[0]
+		pu := n.pu
 		est := params.WarmDispatchTime + pu.ComputeTime(d.Fn.CPUCost(arg))
-		if rt.peekWarm(d.rec, kind) == nil {
+		if !warm {
 			// Cold start, priced by the startup mode.
 			switch rt.Opts.Startup {
 			case StartupCfork:
@@ -93,79 +94,74 @@ func (rt *Runtime) EstimateLatency(funcName string, kind hw.PUKind, arg workload
 	}
 }
 
-// peekWarm reports a warm instance of r's function on any PU of the kind,
-// without taking it.
-func (rt *Runtime) peekWarm(r *funcRec, kind hw.PUKind) *instance {
-	for _, n := range rt.orderedNodes() {
-		if n.pu.Kind != kind {
+// sloTarget returns the PU an invoke of d pinned to a PU of kind should
+// use, and whether it would be warm there: the first live PU of the kind
+// holding a running warm instance of d, else the first one that fits a
+// cold start. Nil when neither exists.
+func (rt *Runtime) sloTarget(d *Deployment, kind hw.PUKind) (target *puNode, warm bool) {
+	for _, n := range rt.general {
+		if n.pu.Kind != kind || !rt.hosts(n, d) {
 			continue
 		}
-		wp := n.poolOf(r)
-		if wp == nil {
-			continue
+		if wp := n.poolOf(d.rec); wp != nil && slices.ContainsFunc(wp.insts, (*instance).running) {
+			return n, true
 		}
-		for _, inst := range wp.insts {
-			if inst.sb != nil {
-				return inst
-			}
+		if target == nil && rt.fits(n, d) {
+			target = n
 		}
 	}
-	return nil
+	return target, false
 }
 
 // InvokeWithSLO picks the cheapest deployed profile whose latency estimate
-// meets the deadline and invokes the function there. The chosen kind and
-// the estimate are returned alongside the result.
+// meets the deadline and invokes the function there, on the CPU or DPU the
+// estimate was priced on. A profile with no live PU to run on has no
+// estimate and is skipped. The chosen kind and the estimate are returned
+// alongside the result.
 func (rt *Runtime) InvokeWithSLO(p *sim.Proc, funcName string, slo SLOOptions) (Result, hw.PUKind, time.Duration, error) {
 	d, err := rt.Deployment(funcName)
 	if err != nil {
 		return Result{}, 0, 0, err
 	}
+	// The cheapest feasible profile (ties to the faster, then the first);
+	// with none feasible, the fastest is the best effort.
 	type candidate struct {
 		kind hw.PUKind
 		cost float64 // objective value: lower is better
 		est  time.Duration
 	}
-	var cands []candidate
+	var chosen, fastest *candidate
 	for _, pr := range d.Profiles {
 		est, err := rt.EstimateLatency(funcName, pr.Kind, slo.Arg)
 		if err != nil {
 			continue
 		}
-		cost := pr.PricePerMs
+		c := &candidate{kind: pr.Kind, cost: pr.PricePerMs, est: est}
 		if slo.Objective == MinimizeCharge {
-			cost = pr.PricePerMs * (float64(est) / float64(time.Millisecond))
+			c.cost *= float64(est) / float64(time.Millisecond)
 		}
-		cands = append(cands, candidate{kind: pr.Kind, cost: cost, est: est})
+		if fastest == nil || est < fastest.est {
+			fastest = c
+		}
+		feasible := slo.Deadline <= 0 || est <= slo.Deadline
+		if feasible && (chosen == nil || c.cost < chosen.cost || (c.cost == chosen.cost && est < chosen.est)) {
+			chosen = c
+		}
 	}
-	if len(cands) == 0 {
+	if fastest == nil {
 		return Result{}, 0, 0, fmt.Errorf("molecule: no usable profile for %q", funcName)
 	}
-	best := -1
-	for i, c := range cands {
-		if slo.Deadline > 0 && c.est > slo.Deadline {
-			continue
-		}
-		if best == -1 || c.cost < cands[best].cost ||
-			(c.cost == cands[best].cost && c.est < cands[best].est) {
-			best = i
-		}
+	if chosen == nil {
+		chosen = fastest
 	}
-	if best == -1 {
-		// Infeasible deadline: the fastest profile is the best effort.
-		best = 0
-		for i, c := range cands {
-			if c.est < cands[best].est {
-				best = i
-			}
-		}
-	}
-	chosen := cands[best]
-	// Pin to a PU of the chosen kind.
+	// Pin to the PU the estimate priced (nothing ran since, so sloTarget
+	// finds it again); an accelerator pin only names the kind.
 	pin := hw.PUID(-1)
-	for _, pu := range rt.Machine.PUsOfKind(chosen.kind) {
-		pin = pu.ID
-		break
+	if chosen.kind.GeneralPurpose() {
+		n, _ := rt.sloTarget(d, chosen.kind)
+		pin = n.pu.ID
+	} else if pus := rt.Machine.PUsOfKind(chosen.kind); len(pus) > 0 {
+		pin = pus[0].ID
 	}
 	res, err := rt.Invoke(p, funcName, InvokeOptions{PU: pin, Arg: slo.Arg})
 	return res, chosen.kind, chosen.est, err

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -181,6 +182,63 @@ func TestInvokeWithSLOUndeployed(t *testing.T) {
 	run(t, hw.Config{}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
 		if _, _, _, err := rt.InvokeWithSLO(p, "nope", SLOOptions{}); err == nil {
 			t.Error("SLO invoke of undeployed function succeeded")
+		}
+	})
+}
+
+// sloDPUs deploys pyaes with CPU and DPU profiles on a runtime whose DPUs
+// are PUs 1 and 2, and gives PU 2 its only warm instance.
+func sloDPUs(t *testing.T, p *sim.Proc, rt *Runtime) {
+	t.Helper()
+	if err := rt.Deploy(p, "pyaes", DefaultProfile(hw.CPU), DefaultProfile(hw.DPU)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Invoke(p, "pyaes", InvokeOptions{PU: 2}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInvokeWithSLORunsWherePriced: with the only warm DPU instance on the
+// second DPU, the rate objective picks DPU at a warm estimate and runs warm
+// on that DPU, in exactly the estimated time (warm estimates are exact with
+// jitter off), instead of cold-starting on the first DPU.
+func TestInvokeWithSLORunsWherePriced(t *testing.T) {
+	run(t, hw.Config{DPUs: 2}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
+		sloDPUs(t, p, rt)
+		res, kind, est, err := rt.InvokeWithSLO(p, "pyaes", SLOOptions{Objective: MinimizeRate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind != hw.DPU || res.PU != 2 || res.Cold || res.Total != est {
+			t.Errorf("SLO invoke: kind %v on PU %d cold=%v in %v, want a warm DPU 2 run in the estimated %v",
+				kind, res.PU, res.Cold, res.Total, est)
+		}
+	})
+}
+
+// TestInvokeWithSLOSkipsCrashedPU: with the first DPU crashed, the SLO
+// invoke prices and runs on the live one instead of failing with
+// ErrPUDown; with every DPU crashed, the DPU profile has no estimate and
+// the CPU serves.
+func TestInvokeWithSLOSkipsCrashedPU(t *testing.T) {
+	run(t, hw.Config{DPUs: 2}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
+		sloDPUs(t, p, rt)
+		pl := faults.NewPlan(rt.Env, 1)
+		rt.AttachFaults(pl)
+		pl.Kill(1)
+		res, kind, _, err := rt.InvokeWithSLO(p, "pyaes", SLOOptions{Objective: MinimizeRate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind != hw.DPU || res.PU != 2 {
+			t.Errorf("SLO invoke with PU 1 down ran %v on PU %d, want DPU 2", kind, res.PU)
+		}
+		pl.Kill(2)
+		if _, err := rt.EstimateLatency("pyaes", hw.DPU, workloads.Arg{}); err == nil {
+			t.Error("DPU estimate with every DPU down succeeded")
+		}
+		if res, kind, _, err = rt.InvokeWithSLO(p, "pyaes", SLOOptions{Objective: MinimizeRate}); err != nil || kind != hw.CPU || res.PU != 0 {
+			t.Errorf("SLO invoke with every DPU down: %v on PU %d (%v), want the CPU", kind, res.PU, err)
 		}
 	})
 }

@@ -22,3 +22,18 @@ func Jitter(d Duration, pct float64, seq *uint64) Duration {
 	frac := float64(SplitMix64(*seq)%2001)/1000 - 1 // [-1, 1]
 	return Duration(float64(d) * (1 + pct*frac))
 }
+
+// FNVOffset is the 64-bit FNV-1a offset basis: the hash of no input.
+const FNVOffset uint64 = 14695981039346656037
+
+// FNVMix folds v into the FNV-1a hash h as one unit; one call per byte is
+// plain FNV-1a, and the event digest folds whole words.
+func FNVMix(h, v uint64) uint64 { return (h ^ v) * 1099511628211 }
+
+// FNVBytes folds each byte of b into h, without hash/fnv's allocations.
+func FNVBytes[T ~string | ~[]byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h = FNVMix(h, uint64(b[i]))
+	}
+	return h
+}

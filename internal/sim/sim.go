@@ -218,32 +218,24 @@ func (e *Env) HostCost() HostCost { return e.cost }
 // default; when off it costs one branch per event.
 func (e *Env) EnableDigest() {
 	if !e.digesting {
-		e.digesting, e.digest = true, digestSeed
+		e.digesting, e.digest = true, FNVOffset
 	}
 }
 
 // Digest returns the event digest; 0 when EnableDigest was never called.
 func (e *Env) Digest() uint64 { return e.digest }
 
-const (
-	digestSeed  uint64 = 14695981039346656037 // FNV-1a offset basis
-	digestPrime uint64 = 1099511628211        // FNV-1a prime
-	// digestCallback stands for a callback target: function addresses
-	// differ between builds.
-	digestCallback uint64 = 0x9e3779b97f4a7c15
-)
+// digestCallback stands for a callback target in the digest: function
+// addresses differ between builds.
+const digestCallback uint64 = 0x9e3779b97f4a7c15
 
 // mix folds one event that takes effect into the digest.
 func (e *Env) mix(t Time, seq int64, p *Proc) {
-	h := (e.digest ^ uint64(t)) * digestPrime
-	h = (h ^ uint64(seq)) * digestPrime
+	h := FNVMix(FNVMix(e.digest, uint64(t)), uint64(seq))
 	if p == nil {
-		h = (h ^ digestCallback) * digestPrime
+		h = FNVMix(h, digestCallback)
 	} else {
-		for i := 0; i < len(p.name); i++ {
-			h = (h ^ uint64(p.name[i])) * digestPrime
-		}
-		h = (h ^ uint64(len(p.name))) * digestPrime
+		h = FNVMix(FNVBytes(h, p.name), uint64(len(p.name)))
 	}
 	e.digest = h
 }
