@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-fixtures test race allocpins bench-test fuzz-smoke chaos bench microbench bench-smoke benchjson coldstart-smoke cluster-smoke report report-md golden trace-demo attrib-demo examples examples-golden outputs prodcover
+.PHONY: all check build vet lint lint-fixtures test race allocpins bench-test fuzz-smoke chaos bench microbench bench-smoke benchjson coldstart-smoke cluster-smoke moleculed-smoke report report-md golden trace-demo attrib-demo examples examples-golden outputs prodcover
 
 all: check
 
@@ -138,9 +138,18 @@ coldstart-smoke:
 cluster-smoke:
 	$(GO) run ./cmd/molecule-bench -scenario cluster
 
+# One scripted HTTP session against a plain moleculed build, as one machine
+# and as a 2-machine cluster: every route answers with the status it should,
+# and SIGTERM ends the daemon with exit status 0.
+moleculed-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/moleculed" ./cmd/moleculed && \
+	bash scripts/moleculed-session.sh "$$tmp/moleculed"
+
 # Report-only production coverage: build every entry point with -cover,
 # run the production set once (full report, every scenario, the examples,
-# molecule-load with cfork on and off, the benchmark at --seconds 0) and
+# molecule-load with cfork on and off, the benchmark at --seconds 0, the
+# scripted moleculed session) and
 # print each function under internal/ that no run reached. About 30 s on a
 # 2-vCPU container with a warm build cache (23 s of runs). Not part of
 # check or CI; it gates nothing.

@@ -7,26 +7,38 @@
 //	curl -X POST 'localhost:8080/chain?fns=mr-splitter,mr-mapper,mr-reducer'
 //	curl 'localhost:8080/stats'
 //
-// With -cluster N it serves a boss/worker cluster of N machines instead:
+// With -cluster N it serves a boss/worker cluster of N machines instead,
+// each built from the -dpus/-fpgas/-gpus shape:
 //
 //	moleculed -cluster 4 -dpus 2
 //
-//	curl -X POST 'localhost:8080/deploy?fn=pyaes'
 //	curl -X POST 'localhost:8080/invoke?fn=pyaes'       # reply names the machine
-//	curl 'localhost:8080/cluster/stats'
 //	curl -X POST 'localhost:8080/cluster/drain?worker=0'
 //
-// Latencies in responses are virtual (simulated); outputs are real.
+// Routes, by mode:
+//
+//	both:            POST /deploy, /invoke, /chain; GET /experiments;
+//	                 POST /experiments/{id}
+//	one machine:     GET /functions, /stats, /metrics, /trace, /slo
+//	-cluster N:      GET /cluster/stats; POST /cluster/drain, /cluster/undrain
+//
+// /invoke takes fn and the optional pu, bytes, n and body=1 on both; a
+// deploy's slo needs the -slo engine, which only one machine has. SIGINT or
+// SIGTERM shuts the server down and moleculed exits 0. Latencies in
+// responses are virtual (simulated); outputs are real.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/httpd"
@@ -82,49 +94,66 @@ func main() {
 	}
 	opts.ZygoteTree = *zygoteTree
 	opts.ZygoteBudgetMB = *zygoteBudget
+	cfg := hw.Config{DPUs: *dpus, FPGAs: *fpgas, GPUs: *gpus}
+	var s *httpd.Server
+	var err error
 	if *clusterN > 0 {
 		if *faultSpec != "" || *slo != "" || *trace || *metrics || *fnFile != "" {
 			log.Fatal("moleculed: -fault/-slo/-trace/-metrics/-functions are single-machine flags; not yet supported with -cluster")
 		}
-		cs, err := httpd.NewClusterServer(*clusterN, hw.Config{DPUs: *dpus, FPGAs: *fpgas, GPUs: *gpus}, opts)
-		if err != nil {
+		if s, err = httpd.NewClusterServer(*clusterN, cfg, opts); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("moleculed cluster listening on %s (%d machines, each DPUs=%d FPGAs=%d GPUs=%d)", *addr, *clusterN, *dpus, *fpgas, *gpus)
-		log.Fatal(http.ListenAndServe(*addr, cs.Handler()))
+	} else {
+		if s, err = httpd.NewServer(cfg, opts); err != nil {
+			log.Fatal(err)
+		}
+		if *faultSpec != "" {
+			if err := s.AttachFaults(*faultSeed, *faultSpec); err != nil {
+				log.Fatal(err)
+			}
+			log.Printf("fault plan active (seed %d): %s", *faultSeed, *faultSpec)
+		}
+		if *trace || *metrics {
+			s.EnableObservability()
+			log.Printf("observability on: GET /metrics (Prometheus text), GET /trace (Chrome trace JSON)")
+		}
+		if *slo != "" {
+			def, err := parseSLO(*slo)
+			if err != nil {
+				log.Fatal(err)
+			}
+			s.EnableSLO(def)
+			log.Printf("slo engine on (default %v @ %.4g): GET /slo; per-deploy override via slo/slo_target", def.Objective, def.Target)
+		}
+		if *fnFile != "" {
+			data, err := os.ReadFile(*fnFile)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if err := s.LoadFunctions(data); err != nil {
+				log.Fatal(err)
+			}
+			log.Printf("loaded custom functions from %s", *fnFile)
+		}
+		log.Printf("moleculed listening on %s (DPUs=%d FPGAs=%d GPUs=%d)", *addr, *dpus, *fpgas, *gpus)
 	}
-	s, err := httpd.NewServer(hw.Config{DPUs: *dpus, FPGAs: *fpgas, GPUs: *gpus}, opts)
-	if err != nil {
+
+	// Serve until SIGINT or SIGTERM, then shut down and return, so deferred
+	// work (a -cover build's counters among it) runs.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	srv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	served := make(chan error, 1)
+	go func() { served <- srv.ListenAndServe() }()
+	select {
+	case err := <-served:
+		log.Fatal(err)
+	case <-ctx.Done():
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
 		log.Fatal(err)
 	}
-	if *faultSpec != "" {
-		if err := s.AttachFaults(*faultSeed, *faultSpec); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("fault plan active (seed %d): %s", *faultSeed, *faultSpec)
-	}
-	if *trace || *metrics {
-		s.EnableObservability()
-		log.Printf("observability on: GET /metrics (Prometheus text), GET /trace (Chrome trace JSON)")
-	}
-	if *slo != "" {
-		cfg, err := parseSLO(*slo)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s.EnableSLO(cfg)
-		log.Printf("slo engine on (default %v @ %.4g): GET /slo; per-deploy override via slo/slo_target", cfg.Objective, cfg.Target)
-	}
-	if *fnFile != "" {
-		data, err := os.ReadFile(*fnFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := s.LoadFunctions(data); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("loaded custom functions from %s", *fnFile)
-	}
-	log.Printf("moleculed listening on %s (DPUs=%d FPGAs=%d GPUs=%d)", *addr, *dpus, *fpgas, *gpus)
-	log.Fatal(http.ListenAndServe(*addr, s.Handler()))
+	log.Printf("moleculed: shut down")
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/molecule"
 )
 
-func newTestClusterServer(t *testing.T, machines int) (*ClusterServer, *httptest.Server) {
+func newTestClusterServer(t *testing.T, machines int) *httptest.Server {
 	t.Helper()
 	s, err := NewClusterServer(machines, hw.Config{DPUs: 1}, molecule.DefaultOptions())
 	if err != nil {
@@ -19,11 +19,11 @@ func newTestClusterServer(t *testing.T, machines int) (*ClusterServer, *httptest
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return s, ts
+	return ts
 }
 
 func TestClusterDeployInvokeRoundTrip(t *testing.T) {
-	_, ts := newTestClusterServer(t, 2)
+	ts := newTestClusterServer(t, 2)
 	code, body := post(t, ts, "/deploy", url.Values{"fn": {"pyaes"}, "profiles": {"cpu"}})
 	if code != http.StatusOK {
 		t.Fatalf("deploy: %d %v", code, body)
@@ -52,7 +52,7 @@ func TestClusterDeployInvokeRoundTrip(t *testing.T) {
 }
 
 func TestClusterChainAndStats(t *testing.T) {
-	_, ts := newTestClusterServer(t, 2)
+	ts := newTestClusterServer(t, 2)
 	for _, fn := range []string{"mr-splitter", "mr-mapper", "mr-reducer"} {
 		if code, body := post(t, ts, "/deploy", url.Values{"fn": {fn}}); code != http.StatusOK {
 			t.Fatalf("deploy %s: %d %v", fn, code, body)
@@ -83,7 +83,7 @@ func TestClusterChainAndStats(t *testing.T) {
 }
 
 func TestClusterDrainRouting(t *testing.T) {
-	s, ts := newTestClusterServer(t, 2)
+	ts := newTestClusterServer(t, 2)
 	if code, body := post(t, ts, "/deploy", url.Values{"fn": {"pyaes"}}); code != http.StatusOK {
 		t.Fatalf("deploy: %d %v", code, body)
 	}
@@ -106,11 +106,39 @@ func TestClusterDrainRouting(t *testing.T) {
 	if got := int(body["machine"].(float64)); got != home {
 		t.Fatalf("undrained home %d not serving (got %d)", home, got)
 	}
-	_ = s
+}
+
+// TestClusterInvokeOptions: a cluster /invoke honours the same form values
+// as one machine's (every machine has the same PUs, so a pin names the same
+// PU on each), and a deploy asking for an objective is refused, as on a
+// machine with no SLO engine.
+func TestClusterInvokeOptions(t *testing.T) {
+	ts := newTestClusterServer(t, 2)
+	code, body := post(t, ts, "/deploy", url.Values{"fn": {"helloworld"}, "profiles": {"cpu,dpu"}})
+	if code != http.StatusOK {
+		t.Fatalf("deploy: %d %v", code, body)
+	}
+	if body["deployed"] != "helloworld" {
+		t.Errorf("deploy reply = %v, want deployed: helloworld", body)
+	}
+	code, body = post(t, ts, "/invoke", url.Values{"fn": {"helloworld"}, "body": {"1"}})
+	if code != http.StatusOK || body["output"] != "hello, heterogeneous world" {
+		t.Errorf("invoke body=1: %d %v", code, body)
+	}
+	code, body = post(t, ts, "/invoke", url.Values{"fn": {"helloworld"}, "pu": {"1"}})
+	if code != http.StatusOK || body["kind"] != "DPU" || body["pu"] != 1.0 {
+		t.Errorf("invoke pu=1: %d %v, want kind DPU on pu 1", code, body)
+	}
+	if _, ok := body["machine"]; !ok {
+		t.Errorf("invoke reply names no machine: %v", body)
+	}
+	if code, body := post(t, ts, "/deploy", url.Values{"fn": {"matmul"}, "slo": {"5ms"}}); code != http.StatusBadRequest {
+		t.Errorf("deploy slo=5ms: %d %v, want 400", code, body)
+	}
 }
 
 func TestClusterUnknownFunction(t *testing.T) {
-	_, ts := newTestClusterServer(t, 1)
+	ts := newTestClusterServer(t, 1)
 	if code, body := post(t, ts, "/invoke", url.Values{"fn": {"nope"}}); code != http.StatusBadRequest {
 		t.Fatalf("unknown fn: %d %v", code, body)
 	}
@@ -120,7 +148,7 @@ func TestClusterUnknownFunction(t *testing.T) {
 // drained, /invoke and /chain answer 503, the platform's fault. A function
 // whose PU kind no machine has is the caller's fault, drained or not: 400.
 func TestClusterNoLiveMachine(t *testing.T) {
-	_, ts := newTestClusterServer(t, 1)
+	ts := newTestClusterServer(t, 1)
 	for _, fn := range []string{"pyaes", "mr-splitter", "mr-mapper", "mr-reducer"} {
 		if code, body := post(t, ts, "/deploy", url.Values{"fn": {fn}}); code != http.StatusOK {
 			t.Fatalf("deploy %s: %d %v", fn, code, body)

@@ -1,12 +1,20 @@
 // Package httpd exposes a simulated Molecule platform over real HTTP: a
-// thin REST facade so the library can be driven like a serverless service
+// thin REST gateway so the library can be driven like a serverless service
 // (deploy, invoke, chains, stats) from curl or any client. Latencies in
 // responses are virtual (simulated) times; function outputs are real when
 // the workload has a compute body.
 //
-// One simulation environment backs the server; requests serialize on it
-// (the environment is single-threaded by design), each running as a fresh
-// driver process in virtual time.
+// A Server fronts one machine (NewServer) or a boss/worker cluster of
+// machines (NewClusterServer). The constructor binds the backend once:
+// where request drivers run, what runs the simulation to quiescence, how a
+// deploy runs and how an invoke names its serving machine. /deploy,
+// /invoke and /chain parse their forms and map errors to statuses the same
+// way on both; only the route table adds the per-machine reads on one
+// machine and the /cluster routes on a cluster.
+//
+// Requests serialize on the simulation (it is single-threaded by design),
+// each running as a fresh driver process in virtual time, so every reply
+// reflects a settled simulation.
 package httpd
 
 import (
@@ -20,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/molecule"
@@ -28,11 +37,32 @@ import (
 	"repro/internal/workloads"
 )
 
-// Server is the REST facade over one simulated machine.
+// Server is the REST gateway over one simulated machine or cluster.
 type Server struct {
 	mu  sync.Mutex
-	env *sim.Env
-	rt  *molecule.Runtime
+	env *sim.Env        // where request drivers run
+	run func() sim.Time // runs the simulation to quiescence
+
+	// deploy makes fn runnable under profiles. invoke runs one call and
+	// chain one chain, each inside a driver process.
+	deploy func(fn string, profiles []molecule.Profile) error
+	invoke func(p *sim.Proc, c *invokeCall)
+	chain  func(p *sim.Proc, fns []string, opts molecule.ChainOptions) (molecule.ChainResult, error)
+
+	rt   *molecule.Runtime // the one machine; nil on a cluster
+	boss *cluster.Boss     // the cluster; nil on one machine
+	obs  *obs.Observer     // nil until EnableObservability or EnableSLO
+	host int               // the gateway span's PU
+}
+
+// invokeCall is one /invoke as the bound invoke sees it: the function and
+// options in, the result and the serving machine (nil on one machine) out.
+type invokeCall struct {
+	fn      string
+	opts    molecule.InvokeOptions
+	res     molecule.Result
+	machine *int
+	err     error
 }
 
 // NewServer builds the simulated machine and its Molecule runtime.
@@ -48,12 +78,40 @@ func NewServer(cfg hw.Config, opts molecule.Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Server{env: env, rt: rt}, nil
+	s := &Server{env: env, run: env.Run, chain: rt.InvokeChain, rt: rt, host: int(rt.HostID())}
+	s.deploy = func(fn string, profiles []molecule.Profile) (err error) {
+		s.drive(func(p *sim.Proc) { err = rt.Deploy(p, fn, profiles...) })
+		return err
+	}
+	s.invoke = func(p *sim.Proc, c *invokeCall) { c.res, c.err = rt.Invoke(p, c.fn, c.opts) }
+	return s, nil
+}
+
+// NewClusterServer builds a boss fronting `machines` simulated machines,
+// each with the given hardware shape and runtime options. Every machine
+// has the same PUs, so an invoke's pu names the same PU on each.
+func NewClusterServer(machines int, cfg hw.Config, opts molecule.Options) (*Server, error) {
+	b, err := cluster.NewBoss(cluster.BossConfig{Machines: machines, HW: cfg, Opts: opts})
+	if err != nil {
+		return nil, err
+	}
+	s := &Server{env: b.Env, run: b.Sharded.Run, chain: b.InvokeChain, boss: b}
+	s.deploy = func(fn string, profiles []molecule.Profile) error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return b.Register(fn, profiles...)
+	}
+	s.invoke = func(p *sim.Proc, c *invokeCall) {
+		var machine int
+		c.res, machine, c.err = b.InvokeDetailed(p, c.fn, c.opts)
+		c.machine = &machine
+	}
+	return s, nil
 }
 
 // AttachFaults parses a fault-plan spec (see faults.ParseSpec) and wires the
 // resulting plan through every layer of the server's runtime. Times in the
-// spec are virtual and measured from the simulation epoch.
+// spec are virtual and measured from the simulation epoch. One machine only.
 func (s *Server) AttachFaults(seed uint64, spec string) error {
 	pl := faults.NewPlan(s.env, seed)
 	if err := faults.ParseSpec(pl, spec); err != nil {
@@ -66,61 +124,68 @@ func (s *Server) AttachFaults(seed uint64, spec string) error {
 // EnableObservability attaches a span tracer and metrics registry to the
 // server's runtime and returns it. /metrics and /trace serve its state;
 // without this call both endpoints return 404 and invocations record
-// nothing.
+// nothing. One machine only.
 func (s *Server) EnableObservability() *obs.Observer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	o := obs.New(s.env)
-	s.rt.SetObserver(o)
-	return o
+	s.obs = obs.New(s.env)
+	s.rt.SetObserver(s.obs)
+	return s.obs
 }
 
 // EnableSLO attaches a latency-objective engine (default objective def) to
 // the server's observer, enabling observability first if needed. GET /slo
 // serves the engine's scored state; /metrics gains the slo_* gauge
 // families. Deploys may override the default per function with the
-// slo/slo_target form values.
+// slo/slo_target form values. One machine only.
 func (s *Server) EnableSLO(def obs.SLOConfig) *obs.SLOEngine {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	o := s.rt.Observer()
-	if o == nil {
-		o = obs.New(s.env)
-		s.rt.SetObserver(o)
+	if s.obs == nil {
+		s.obs = obs.New(s.env)
+		s.rt.SetObserver(s.obs)
 	}
-	if o.SLO == nil {
-		o.SLO = obs.NewSLOEngine(def)
+	if s.obs.SLO == nil {
+		s.obs.SLO = obs.NewSLOEngine(def)
 	}
-	return o.SLO
+	return s.obs.SLO
 }
 
 // LoadFunctions registers custom JSON-defined workloads (see
-// workloads.FunctionSpec).
+// workloads.FunctionSpec). One machine only.
 func (s *Server) LoadFunctions(data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rt.Registry.LoadJSON(data)
 }
 
-// drive runs body as a driver process to completion, serialized against
-// other requests.
+// drive runs body as a driver process and the simulation to quiescence,
+// serialized against other requests.
 func (s *Server) drive(body func(p *sim.Proc)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.env.Spawn("http-driver", func(p *sim.Proc) { body(p) })
-	s.env.Run()
+	s.env.Spawn("http-driver", body)
+	s.run()
 }
 
-// Handler returns the HTTP routes.
+// Handler returns the HTTP routes: deploy, invoke, chain and the
+// experiments on both backends, the machine's reads on one machine, and
+// the /cluster routes on a cluster.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /deploy", s.handleDeploy)
 	mux.HandleFunc("POST /invoke", s.handleInvoke)
 	mux.HandleFunc("POST /chain", s.handleChain)
+	mux.HandleFunc("GET /experiments", handleExperiments)
+	mux.HandleFunc("POST /experiments/{id}", handleRunExperiment)
+	if s.boss != nil {
+		mux.HandleFunc("GET /cluster/stats", s.handleClusterStats)
+		mux.HandleFunc("POST /cluster/drain", s.handleMark("drained", s.boss.Drain))
+		mux.HandleFunc("POST /cluster/undrain", s.handleMark("undrained", s.boss.Undrain))
+		return mux
+	}
 	mux.HandleFunc("GET /functions", s.handleFunctions)
 	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.HandleFunc("GET /experiments", s.handleExperiments)
-	mux.HandleFunc("POST /experiments/{id}", s.handleRunExperiment)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /trace", s.handleTrace)
 	mux.HandleFunc("GET /slo", s.handleSLO)
@@ -132,7 +197,7 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	o := s.rt.Observer()
+	o := s.obs
 	if o == nil {
 		http.Error(w, "observability disabled", http.StatusNotFound)
 		return
@@ -148,13 +213,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	o := s.rt.Observer()
-	if o == nil || o.SLO == nil {
+	if s.obs == nil || s.obs.SLO == nil {
 		http.Error(w, "slo engine disabled", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	o.SLO.WriteJSON(w)
+	s.obs.SLO.WriteJSON(w)
 }
 
 // handleTrace serves the recorded span tree as Chrome trace_event JSON
@@ -162,13 +226,12 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	o := s.rt.Observer()
-	if o == nil {
+	if s.obs == nil {
 		http.Error(w, "observability disabled", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	o.Tracer.WriteChromeTrace(w)
+	s.obs.Tracer.WriteChromeTrace(w)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -233,7 +296,7 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 			cfg.Target = t
 		}
 		s.mu.Lock()
-		o := s.rt.Observer()
+		o := s.obs
 		s.mu.Unlock()
 		if o == nil || o.SLO == nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: slo engine disabled (EnableSLO / moleculed -slo)"))
@@ -241,23 +304,30 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		}
 		sloCfg = &cfg
 	}
-	var depErr error
-	s.drive(func(p *sim.Proc) { depErr = s.rt.Deploy(p, fn, profiles...) })
-	if depErr != nil {
-		writeErr(w, http.StatusBadRequest, depErr)
+	if err := s.deploy(fn, profiles); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if sloCfg != nil {
 		s.mu.Lock()
-		if o := s.rt.Observer(); o != nil {
-			o.SLO.SetObjective(fn, *sloCfg)
-		}
+		s.obs.SLO.SetObjective(fn, *sloCfg)
 		s.mu.Unlock()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"deployed": fn, "profiles": r.FormValue("profiles")})
 }
 
-// InvokeResponse is the /invoke reply.
+// errStatus maps an /invoke or /chain error to its status. Exhausted
+// recovery, saturation and no live machine are the platform's fault, not
+// the client's: a gateway answers 503 for them and 400 for the rest.
+func errStatus(err error) int {
+	if errors.Is(err, molecule.ErrUnavailable) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusBadRequest
+}
+
+// InvokeResponse is the /invoke reply. Machine names the cluster machine
+// that served the request; one machine omits it.
 type InvokeResponse struct {
 	Fn        string  `json:"fn"`
 	PU        int     `json:"pu"`
@@ -267,6 +337,7 @@ type InvokeResponse struct {
 	ExecMs    float64 `json:"exec_ms"`
 	TotalMs   float64 `json:"total_ms"`
 	Output    any     `json:"output,omitempty"`
+	Machine   *int    `json:"machine,omitempty"`
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -277,56 +348,38 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: fn parameter required"))
 		return
 	}
-	opts := molecule.DefaultInvokeOptions()
-	if v := r.FormValue("pu"); v != "" {
-		pu, err := strconv.Atoi(v)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: bad pu %q", v))
-			return
+	c := &invokeCall{fn: fn, opts: molecule.DefaultInvokeOptions()}
+	for _, f := range []struct {
+		key string
+		dst *int
+	}{{"pu", (*int)(&c.opts.PU)}, {"bytes", &c.opts.Arg.Bytes}, {"n", &c.opts.Arg.N}} {
+		if v := r.FormValue(f.key); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: bad %s %q", f.key, v))
+				return
+			}
+			*f.dst = n
 		}
-		opts.PU = hw.PUID(pu)
 	}
-	if v := r.FormValue("bytes"); v != "" {
-		b, err := strconv.Atoi(v)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: bad bytes %q", v))
-			return
-		}
-		opts.Arg.Bytes = b
-	}
-	if v := r.FormValue("n"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: bad n %q", v))
-			return
-		}
-		opts.Arg.N = n
-	}
-	opts.RunBody = r.FormValue("body") == "1"
+	c.opts.RunBody = r.FormValue("body") == "1"
 
-	var res molecule.Result
-	var invErr error
 	s.drive(func(p *sim.Proc) {
-		gw := s.rt.Observer().Span(nil, "gateway.request", int(s.rt.HostID()))
+		gw := s.obs.Span(nil, "gateway.request", s.host)
 		gw.SetAttr("fn", fn)
-		opts.Span = gw
-		res, invErr = s.rt.Invoke(p, fn, opts)
+		c.opts.Span = gw
+		s.invoke(p, c)
 		gw.Finish()
 	})
-	if invErr != nil {
-		// Exhausted recovery (timeouts, crashed PUs) is the platform's
-		// fault, not the client's: a gateway answers 503, not 400.
-		status := http.StatusBadRequest
-		if errors.Is(invErr, molecule.ErrUnavailable) {
-			status = http.StatusServiceUnavailable
-		}
-		writeErr(w, status, invErr)
+	if c.err != nil {
+		writeErr(w, errStatus(c.err), c.err)
 		return
 	}
+	res := &c.res
 	writeJSON(w, http.StatusOK, InvokeResponse{
 		Fn: res.Fn, PU: int(res.PU), Kind: res.Kind.String(), Cold: res.Cold,
 		StartupMs: ms(res.Startup), ExecMs: ms(res.Exec), TotalMs: ms(res.Total),
-		Output: res.Output,
+		Output: res.Output, Machine: c.machine,
 	})
 }
 
@@ -347,9 +400,9 @@ func (s *Server) handleChain(w http.ResponseWriter, r *http.Request) {
 	fns := strings.Split(raw, ",")
 	var res molecule.ChainResult
 	var chErr error
-	s.drive(func(p *sim.Proc) { res, chErr = s.rt.InvokeChain(p, fns, molecule.ChainOptions{}) })
+	s.drive(func(p *sim.Proc) { res, chErr = s.chain(p, fns, molecule.ChainOptions{}) })
 	if chErr != nil {
-		writeErr(w, http.StatusBadRequest, chErr)
+		writeErr(w, errStatus(chErr), chErr)
 		return
 	}
 	edges := make([]float64, len(res.EdgeLatency))
@@ -366,7 +419,7 @@ func (s *Server) handleFunctions(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExperiments lists the paper's reproducible experiments.
-func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
+func handleExperiments(w http.ResponseWriter, r *http.Request) {
 	type exp struct {
 		ID    string `json:"id"`
 		Title string `json:"title"`
@@ -381,8 +434,8 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 
 // handleRunExperiment runs one experiment and returns its tables as JSON.
 // Experiments build their own simulated machines, so they do not touch the
-// server's runtime state.
-func (s *Server) handleRunExperiment(w http.ResponseWriter, r *http.Request) {
+// server's simulation.
+func handleRunExperiment(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	e, ok := bench.ByID(id)
 	if !ok {

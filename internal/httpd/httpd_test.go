@@ -113,22 +113,36 @@ func TestChainEndpoint(t *testing.T) {
 	}
 }
 
+// TestErrorPaths: every malformed or unservable request is the caller's
+// fault (400) on one machine and on a cluster alike. matmul is deployed, so
+// its bad pins fail at the pin, not at the lookup.
 func TestErrorPaths(t *testing.T) {
-	ts := newTestServer(t)
-	for _, tc := range []struct {
-		path string
-		form url.Values
+	for _, backend := range []struct {
+		name string
+		ts   *httptest.Server
 	}{
-		{"/deploy", url.Values{}},
-		{"/deploy", url.Values{"fn": {"no-such"}}},
-		{"/deploy", url.Values{"fn": {"matmul"}, "profiles": {"quantum"}}},
-		{"/invoke", url.Values{}},
-		{"/invoke", url.Values{"fn": {"undeployed"}}},
-		{"/invoke", url.Values{"fn": {"matmul"}, "pu": {"abc"}}},
-		{"/chain", url.Values{}},
+		{"machine", newTestServer(t)},
+		{"cluster", newTestClusterServer(t, 2)},
 	} {
-		if code, _ := post(t, ts, tc.path, tc.form); code != http.StatusBadRequest {
-			t.Errorf("%s %v returned %d, want 400", tc.path, tc.form, code)
+		if code, body := post(t, backend.ts, "/deploy", url.Values{"fn": {"matmul"}}); code != http.StatusOK {
+			t.Fatalf("%s: deploy matmul: %d %v", backend.name, code, body)
+		}
+		for _, tc := range []struct {
+			path string
+			form url.Values
+		}{
+			{"/deploy", url.Values{}},
+			{"/deploy", url.Values{"fn": {"no-such"}}},
+			{"/deploy", url.Values{"fn": {"matmul"}, "profiles": {"quantum"}}},
+			{"/invoke", url.Values{}},
+			{"/invoke", url.Values{"fn": {"undeployed"}}},
+			{"/invoke", url.Values{"fn": {"matmul"}, "pu": {"abc"}}},
+			{"/invoke", url.Values{"fn": {"matmul"}, "pu": {"7"}}},
+			{"/chain", url.Values{}},
+		} {
+			if code, _ := post(t, backend.ts, tc.path, tc.form); code != http.StatusBadRequest {
+				t.Errorf("%s: %s %v returned %d, want 400", backend.name, tc.path, tc.form, code)
+			}
 		}
 	}
 }

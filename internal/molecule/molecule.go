@@ -59,18 +59,17 @@ func (m StartupMode) String() string {
 	return fmt.Sprintf("StartupMode(%d)", int(m))
 }
 
-// Options configure a Molecule runtime.
+// Options configure a Molecule runtime. Every runtime programs its FPGAs
+// Molecule's way, with no fields to turn it off: images replace the fabric
+// without an erase (sandbox.NoErase), and device DRAM keeps its data across
+// reprogramming, so FPGA chains hand data over zero-copy (§4.3;
+// ChainOptions.ForceCopy opts one chain out).
 type Options struct {
 	// Startup alone picks the cold-start mechanism (zero: StartupCfork).
 	Startup StartupMode
 	// CpusetMutexPatch applies the kernel cpuset patch (Fig 11a). The
 	// paper's server-side results (Fig 14) run without it.
 	CpusetMutexPatch bool
-	// Retention enables FPGA DRAM data retention for zero-copy chains
-	// (§4.3).
-	Retention bool
-	// ErasePolicy for FPGA images; Molecule's default is NoErase.
-	ErasePolicy sandbox.ErasePolicy
 	// KeepWarmPerPU bounds the warm-instance cache per PU (0 = default).
 	KeepWarmPerPU int
 	// PrewarmContainers pre-creates this many function containers per
@@ -102,13 +101,12 @@ type Options struct {
 }
 
 // DefaultOptions returns the configuration the paper evaluates as
-// "Molecule".
+// "Molecule": cfork cold starts, a warm cache of 64 per PU and 8 prewarmed
+// containers per general-purpose PU, without the cpuset patch.
 func DefaultOptions() Options {
 	return Options{
 		Startup:           StartupCfork,
 		CpusetMutexPatch:  false,
-		Retention:         true,
-		ErasePolicy:       sandbox.NoErase,
 		KeepWarmPerPU:     64,
 		PrewarmContainers: 8,
 	}
@@ -350,8 +348,8 @@ func New(p *sim.Proc, m *hw.Machine, reg *workloads.Registry, opts Options) (*Ru
 			if err != nil {
 				return nil, err
 			}
-			rf.Policy = opts.ErasePolicy
-			pu.Device.SetRetention(opts.Retention)
+			rf.Policy = sandbox.NoErase
+			pu.Device.SetRetention(true)
 			rt.nodes[pu.ID] = &puNode{pu: pu, node: vn, runf: rf, accel: rf}
 			rt.order = append(rt.order, pu.ID)
 		case hw.GPU:

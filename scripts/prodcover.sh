@@ -2,8 +2,9 @@
 # Report-only production coverage: builds every entry point with coverage
 # instrumentation, runs the production set once (the full molecule-bench
 # report, every scenario, the eight examples, molecule-load with cfork on
-# and off, and the benchmark at --seconds 0 --trace 0), then prints each
-# function under internal/ that no production run reached (0.0%).
+# and off, the benchmark at --seconds 0 --trace 0, and the scripted moleculed
+# session of scripts/moleculed-session.sh), then prints each function under
+# internal/ that no production run reached (0.0%).
 # Run it from the repository root: `make prodcover`. It gates nothing.
 set -euo pipefail
 
@@ -19,6 +20,7 @@ examples=(quickstart fpgapipeline alexachain density cluster mapreduce trace new
 # files under -coverpkg=repro/internal/...).
 go build -cover -o "$bin/molecule-bench" ./cmd/molecule-bench
 go build -cover -o "$bin/molecule-load" ./cmd/molecule-load
+go build -cover -o "$bin/moleculed" ./cmd/moleculed
 for ex in "${examples[@]}"; do
 	go build -cover -o "$bin/ex-$ex" "./examples/$ex"
 done
@@ -36,6 +38,7 @@ done
 "$bin/molecule-load" -cfork=true > /dev/null
 "$bin/molecule-load" -cfork=false -duration 2s > /dev/null
 "$bin/benchmark" --seconds 0 --trace 0 > /dev/null
+bash scripts/moleculed-session.sh "$bin/moleculed" > /dev/null
 echo "prodcover: production runs took $((SECONDS - start)) s" >&2
 
 go tool covdata func -i="$GOCOVERDIR" | awk '$1 ~ /^repro\/internal\// && $NF == "0.0%"'
